@@ -25,7 +25,7 @@ from .forms import (
 )
 from .modp import FpAlgebra
 from .orders import Order
-from .padic import INFINITY, val
+from .padic import INFINITY, residue_int, val
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,14 +376,10 @@ def _maximal_ideal_lattices(A: Order, centre: RationalCentre, max_dim: int = 8):
             prod = A.multiply(Z[:, i], Z[:, j])
             coords = linalg.solve_exact(Z, prod)
             assert coords is not None and linalg.is_integral(coords, p)
-            table[i, j] = [
-                (c.numerator * pow(c.denominator, -1, p)) % p for c in coords
-            ]
+            table[i, j] = [residue_int(c, p, 1) for c in coords]
     one_coords = linalg.solve_exact(Z, A.one)
     assert one_coords is not None and linalg.is_integral(one_coords, p)
-    one_mod = np.array(
-        [(c.numerator * pow(c.denominator, -1, p)) % p for c in one_coords]
-    )
+    one_mod = np.array([residue_int(c, p, 1) for c in one_coords])
     alg = FpAlgebra(p, r, table, one_mod)
     homs = alg.homs_to_prime_field()
     if not homs:

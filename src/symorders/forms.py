@@ -64,8 +64,13 @@ def regular_character_form(A: Order) -> LinearForm:
 
 
 def gram_matrix(A: Order, s: LinearForm) -> np.ndarray:
-    """Matrix (s(b_i b_j))_{ij}."""
-    return np.tensordot(A.structure, s.values, axes=([2], [0]))
+    """Matrix (s(b_i b_j))_{ij}, summed over the nonzero structure constants."""
+    v = s.values
+    return np.array(
+        [[sum((c * v[k] for k, c in prods), Fraction(0)) for prods in row]
+         for row in A.products],
+        dtype=object,
+    )
 
 
 def is_symmetrising(A: Order, s: LinearForm) -> bool:
@@ -90,14 +95,18 @@ class DualBasis:
 
 
 def dual_basis(A: Order, s: LinearForm) -> DualBasis:
+    """Dual basis D = G^{-1} of a symmetrising form with Gram matrix G.
+
+    Since s(b_i x) = (G x)_i for every x, the defining condition
+    s(b_i x_j^v) = delta_ij is exactly G D = I, which is certified with
+    one matrix product.
+    """
     if not is_symmetrising(A, s):
         raise NotSymmetrisingError("form not symmetrising")
     G = gram_matrix(A, s)
     D = linalg.inverse(G)
-    for i in range(A.dim):
-        for j in range(A.dim):
-            value = s(A.multiply(A.basis_element(i), D[:, j]))
-            assert value == (1 if i == j else 0)
+    if not linalg.matrices_equal(G @ D, linalg.identity(A.dim)):
+        raise AssertionError("dual basis fails s(b_i x_j^v) = delta_ij")
     return DualBasis(A, D)
 
 

@@ -15,7 +15,7 @@ stable exponent property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -26,7 +26,7 @@ from .errors import ResourceBoundError
 from .forms import LinearForm, casimir, dual_basis
 from .modp import FpAlgebra, in_span, subspace_basis
 from .orders import Order
-from .padic import INFINITY, ResidueClass, residue_class, val
+from .padic import INFINITY, ResidueClass, residue_class, residue_int, val
 
 
 class InvalidLatticeError(ValueError):
@@ -48,6 +48,8 @@ class Lattice:
     order: Order
     rank: int
     action: tuple  # one rank x rank matrix per order basis element
+    # Hom lattices out of this lattice: id(V) -> (A, V, HomLattice)
+    _homs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def act(self, a) -> np.ndarray:
         """Action matrix of an arbitrary (possibly rational) element."""
@@ -81,7 +83,7 @@ def make_lattice(A: Order, action) -> Lattice:
     for i in range(A.dim):
         for j in range(A.dim):
             rhs = sum(
-                (A.structure[i, j, k] * mats[k] for k in range(A.dim)),
+                (c * mats[k] for k, c in A.products[i][j]),
                 linalg.zeros(rank, rank),
             )
             if not linalg.matrices_equal(mats[i] @ mats[j], rhs):
@@ -164,18 +166,16 @@ class HomLattice:
         return out
 
 
-_HOM_CACHE: dict = {}
-
-
 def hom_lattice(A: Order, U: Lattice, V: Lattice) -> HomLattice:
     """Saturated basis of {phi : phi act_U(b_i) = act_V(b_i) phi for all i}.
 
-    Orders and lattices are immutable, so results are cached by identity.
+    Orders and lattices are immutable, so the result is kept on the
+    source lattice U, keyed by the identity of V (and checked against A
+    and V before reuse); it lives exactly as long as U does.
     """
-    key = (id(A), id(U), id(V))
-    cached = _HOM_CACHE.get(key)
-    if cached is not None and cached[0] is A and cached[1] is U and cached[2] is V:
-        return cached[3]
+    cached = U._homs.get(id(V))
+    if cached is not None and cached[0] is A and cached[1] is V:
+        return cached[2]
     iu = linalg.identity(U.rank)
     iv = linalg.identity(V.rank)
     blocks = [
@@ -188,7 +188,7 @@ def hom_lattice(A: Order, U: Lattice, V: Lattice) -> HomLattice:
         for j in range(kernel.shape[1])
     )
     result = HomLattice(source=U, target=V, basis=basis)
-    _HOM_CACHE[key] = (A, U, V, result)
+    U._homs[id(V)] = (A, V, result)
     return result
 
 
@@ -284,7 +284,7 @@ class StableHomPresentation:
         for pos, d in zip(self._torsion_positions, self.exponents):
             c = adapted[pos]
             assert val(c, p) >= 0
-            out.append(_residue_int(c, p, d))
+            out.append(residue_int(c, p, d))
         return tuple(out)
 
     def from_class(self, cls) -> np.ndarray:
@@ -298,12 +298,6 @@ class StableHomPresentation:
         for d in self.exponents:
             n *= self.order.prime**d
         return n
-
-
-def _residue_int(c: Fraction, p: int, d: int) -> int:
-    """Value of a ring element modulo p^d as an integer in [0, p^d)."""
-    pd = p**d
-    return (c.numerator * pow(c.denominator, -1, pd)) % pd
 
 
 def stable_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> StableHomPresentation:
@@ -329,11 +323,6 @@ def stable_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> StableHomPres
 def exponent(A: Order, s: LinearForm, U: Lattice) -> int:
     """Smallest a with p^a annihilating the stable endomorphism ring."""
     return stable_hom(A, s, U, U).exponent
-
-
-def is_projective(A: Order, s: LinearForm, U: Lattice) -> bool:
-    """Relative projectivity detected as exponent zero."""
-    return exponent(A, s, U) == 0
 
 
 # -- Tate duality --------------------------------------------------------
@@ -474,10 +463,10 @@ def residue_endo_analysis(
     for i in range(e):
         for j in range(e):
             coords = coords_all[:, i * e + j]
-            table[i, j] = [_residue_int(c, p, 1) for c in coords]
+            table[i, j] = [residue_int(c, p, 1) for c in coords]
     one_coords = E.coords_of(linalg.identity(U.rank))
     assert one_coords is not None
-    alg = FpAlgebra(p, e, table, np.array([_residue_int(c, p, 1) for c in one_coords]))
+    alg = FpAlgebra(p, e, table, np.array([residue_int(c, p, 1) for c in one_coords]))
     radical = alg.radical()
     qdim = e - radical.shape[0]
     return ResidueEndoAnalysis(
@@ -680,7 +669,7 @@ def knorr_projective_check(A: Order, U: Lattice, limit: int = 10**6) -> bool:
     if p**U.rank > limit:
         raise ResourceBoundError("enumeration bound exceeded")
     actions = [
-        np.array([[_residue_int(x, p, 1) for x in row] for row in m], dtype=np.int64)
+        np.array([[residue_int(x, p, 1) for x in row] for row in m], dtype=np.int64)
         for m in U.action
     ]
     for coeffs in iter_product(range(p), repeat=U.rank):

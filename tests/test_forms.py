@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +60,51 @@ def test_dual_basis_matrix_order_trivial():
     A, s = matrix_order(1, 5)
     d = so.dual_basis(A, s)
     assert linalg.vectors_equal(d.element(0), A.one)
+
+
+def _perturbed_inverse(monkeypatch):
+    exact = linalg.inverse
+
+    def perturbed(M):
+        D = exact(M)
+        D[0, 0] += 1
+        return D
+
+    monkeypatch.setattr(linalg, "inverse", perturbed)
+
+
+def test_dual_basis_certificate_rejects_wrong_inverse(s3, monkeypatch):
+    A, s = s3
+    _perturbed_inverse(monkeypatch)
+    with pytest.raises(AssertionError, match="dual basis fails"):
+        so.dual_basis(A, s)
+
+
+def test_dual_basis_certificate_survives_optimisation():
+    # the certificate is an explicit raise, not an assert statement
+    code = (
+        "import pytest, symorders as so\n"
+        "from symorders import linalg\n"
+        "from symorders.builders import s3_group_algebra\n"
+        "A, s = s3_group_algebra(3)\n"
+        "exact = linalg.inverse\n"
+        "def perturbed(M):\n"
+        "    D = exact(M)\n"
+        "    D[0, 0] += 1\n"
+        "    return D\n"
+        "linalg.inverse = perturbed\n"
+        "with pytest.raises(AssertionError, match='dual basis fails'):\n"
+        "    so.dual_basis(A, s)\n"
+        # reached only when -O has removed assert statements
+        "assert False, 'asserts still run'\n"
+    )
+    src = str(Path(so.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_dual_basis_requires_symmetrising(s3):

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from symorders import linalg
 from symorders.builders import (
     matrix_column_lattice,
     matrix_order,
+    s3_fixture_bundle,
 )
 from symorders.lattices import (
     InvalidLatticeError,
@@ -45,6 +48,20 @@ def test_hom_lattice_ranks(s3, s3_lattices):
     assert hom_lattice(A, T, T).rank == 1
     assert hom_lattice(A, T, S).rank == 0
     assert hom_lattice(A, R, R).rank == 6  # right multiplications
+
+
+def test_hom_lattices_die_with_their_bundle(tmp_path):
+    path = tmp_path / "s3.json"
+    so.save_bundle(s3_fixture_bundle(3), path)
+    b = so.load_bundle(path)
+    A, s = b.order, next(iter(b.forms.values()))
+    U, V = b.lattices["trivial"], b.lattices["regular"]
+    so.stable_hom(A, s, U, V)
+    assert hom_lattice(A, U, V) is hom_lattice(A, U, V)  # reused, not rebuilt
+    order_ref, lattice_ref = weakref.ref(A), weakref.ref(U)
+    del b, A, s, U, V
+    gc.collect()
+    assert order_ref() is None and lattice_ref() is None
 
 
 def test_projective_homs_trivial_lattice(s3, s3_lattices):

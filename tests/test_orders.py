@@ -3,16 +3,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import symorders as so
 from symorders import linalg
 from symorders.builders import (
+    character_ring,
+    cyclic_group_table,
+    four_dim_nonrational,
+    group_algebra,
     hecke_rank1,
+    klein_four_table,
     matrix_order,
     rank2_order,
+    s3_character_ring_data,
     s3_group_algebra,
     symmetric_group_table,
 )
+from symorders.forms import LinearForm, gram_matrix
 from symorders.orders import InvalidOrderError, NotInvertibleError
 
 
@@ -47,8 +55,10 @@ def test_make_order_not_associative():
     structure[1, 2, 0] = Fraction(1)
     structure[2, 1, 1] = Fraction(1)
     structure[2, 2, 2] = Fraction(1)
-    with pytest.raises(InvalidOrderError, match="not associative: basis triple"):
+    with pytest.raises(InvalidOrderError) as err:
         so.make_order(structure, [1, 0, 0], 2)
+    # b1 (b1 b1) = b1 b2 = b0, but (b1 b1) b1 = b2 b1 = b1
+    assert str(err.value) == "not associative: basis triple (1, 1, 1)"
 
 
 def test_make_order_non_integral():
@@ -244,3 +254,157 @@ def test_group_table_validation():
 
     with pytest.raises(ValueError, match="not a group table"):
         group_algebra(broken, 3)
+
+
+# -- the sparse product table against dense contractions ------------------
+
+GROUP_TABLES = [cyclic_group_table(n)[0] for n in (1, 2, 3, 4, 5)] + [
+    klein_four_table()[0],
+    symmetric_group_table(3)[0],
+]
+
+BUILDER_ORDERS = [
+    lambda: hecke_rank1(Fraction(1, 3), 2)[0],
+    lambda: hecke_rank1(Fraction(-5, 7), 3)[0],
+    lambda: four_dim_nonrational(3)[0],
+    lambda: matrix_order(2, 3)[0],
+    lambda: rank2_order(2, 3)[0],
+    lambda: character_ring(*s3_character_ring_data(), 5)[0],
+]
+
+
+def dense_multiply(S, a, b):
+    return np.tensordot(a, np.tensordot(b, S, axes=([0], [1])), axes=([0], [0]))
+
+
+def dense_left(S, a):
+    return np.tensordot(a, S, axes=([0], [0])).T
+
+
+def dense_right(S, a):
+    return np.tensordot(S, a, axes=([1], [0])).T
+
+
+def dense_gram(S, values):
+    return np.tensordot(S, values, axes=([2], [0]))
+
+
+def rebase(S, one, P):
+    """Structure constants and unit on the basis given by the columns of P."""
+    Pinv = linalg.inverse(P)
+    S = np.tensordot(P, S, axes=([0], [0]))  # [i, b, k]
+    S = np.tensordot(S, P, axes=([1], [0]))  # [i, k, j]
+    S = np.tensordot(S, Pinv, axes=([1], [1]))  # [i, j, k]
+    return S, Pinv @ one
+
+
+def _scalars(p):
+    denominators = [d for d in (1, 1, 1, 3, 5, 7) if d % p]
+    return st.builds(Fraction, st.integers(-2, 2), st.sampled_from(denominators))
+
+
+@st.composite
+def unimodular(draw, n, p):
+    """L U with unitriangular L and U: a dense change of basis over the ring."""
+    L = linalg.identity(n)
+    U = linalg.identity(n)
+    for i in range(n):
+        for j in range(i):
+            L[i, j] = draw(_scalars(p))
+            U[j, i] = draw(_scalars(p))
+    return L @ U
+
+
+@st.composite
+def standard_orders(draw):
+    """Group algebras on permuted elements, and builders orders, some with
+    non-integral ring constants."""
+    if draw(st.booleans()):
+        table = draw(st.sampled_from(GROUP_TABLES))
+        n = len(table)
+        perm = draw(st.permutations(range(n)))
+        permuted = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                permuted[perm[a]][perm[b]] = perm[table[a][b]]
+        return group_algebra(permuted, draw(st.sampled_from([2, 3, 5])))[0]
+    return draw(st.sampled_from(BUILDER_ORDERS))()
+
+
+@st.composite
+def orders(draw):
+    """Standard orders, half of them densely rebased."""
+    A = draw(standard_orders())
+    if draw(st.booleans()):
+        P = draw(unimodular(A.dim, A.prime))
+        A = so.make_order(*rebase(A.structure, A.one, P), A.prime)
+    return A
+
+
+def elements(n):
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(-4, 4, max_denominator=6))
+    basis = st.integers(0, n - 1).map(
+        lambda i: [Fraction(int(i == j)) for j in range(n)]
+    )
+    return st.one_of(basis, st.lists(entry, min_size=n, max_size=n)).map(
+        linalg.as_vector
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sparse_products_match_dense_contraction(data):
+    A = data.draw(orders())
+    n = A.dim
+    a, b, v = (data.draw(elements(n)) for _ in range(3))
+    S = A.structure
+    assert linalg.vectors_equal(A.multiply(a, b), dense_multiply(S, a, b))
+    assert linalg.matrices_equal(A.left_matrix(a), dense_left(S, a))
+    assert linalg.matrices_equal(A.right_matrix(a), dense_right(S, a))
+    assert linalg.matrices_equal(gram_matrix(A, LinearForm(v)), dense_gram(S, v))
+    assert all(isinstance(x, Fraction) for x in A.multiply(a, b))
+
+
+def first_non_associative_triple(S):
+    """Oracle: first (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k)."""
+    left = np.tensordot(S, S, axes=([2], [0]))  # [i, j, k, n]
+    right = np.tensordot(S, S, axes=([1], [2])).transpose(0, 2, 3, 1)
+    n = S.shape[0]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if not linalg.vectors_equal(left[i, j, k], right[i, j, k]):
+                    return (i, j, k)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_perturbed_structure_matches_associativity_oracle(data):
+    A = data.draw(standard_orders())
+    n = A.dim
+    # perturbing products b_i b_j with neither factor the unit keeps it a unit
+    units = [i for i in range(n) if linalg.vectors_equal(A.one, A.basis_element(i))]
+    factors = st.sampled_from([i for i in range(n) if i not in units] or [0])
+    S = np.array(A.structure)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j = data.draw(factors), data.draw(factors)
+        k = data.draw(st.integers(0, n - 1))
+        S[i, j, k] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+    one = A.one
+    if data.draw(st.booleans()):
+        S, one = rebase(S, one, data.draw(unimodular(n, A.prime)))
+    ident = linalg.identity(n)
+    unital = linalg.matrices_equal(dense_left(S, one), ident) and linalg.matrices_equal(
+        dense_right(S, one), ident
+    )
+    triple = first_non_associative_triple(S)
+    if not unital:
+        with pytest.raises(InvalidOrderError, match="unit fails"):
+            so.make_order(S, one, A.prime)
+    elif triple is not None:
+        with pytest.raises(InvalidOrderError) as err:
+            so.make_order(S, one, A.prime)
+        assert str(err.value) == "not associative: basis triple (%d, %d, %d)" % triple
+    else:
+        assert np.array_equal(so.make_order(S, one, A.prime).structure, S)

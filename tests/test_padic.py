@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from symorders.padic import (
     Prime,
     residue_class,
+    residue_int,
     scalar_to_str,
     val,
 )
@@ -43,6 +44,20 @@ def test_residue_examples():
     r = residue_class(Fraction(-1, 4), 2)
     assert r.representative == Fraction(3, 4)
     assert val(Fraction(-1, 4) - r.representative, 2) >= 0
+
+
+def test_residue_int_examples():
+    assert residue_int(Fraction(1, 2), 3, 1) == 2
+    assert residue_int(Fraction(-1), 5, 2) == 24
+    assert residue_int(Fraction(10, 3), 2, 3) == 6  # 3 * 6 = 18 = 10 mod 8
+
+
+@given(rationals, primes, st.integers(1, 4))
+def test_residue_int_congruence(x, p, d):
+    c = x * Fraction(p) ** max(0, -val(x, p)) if x else x
+    r = residue_int(c, p, d)
+    assert 0 <= r < p**d
+    assert val(c - r, p) >= d
 
 
 def test_scalar_strings():
