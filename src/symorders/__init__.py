@@ -18,6 +18,7 @@ from .forms import (
     LinearForm,
     PspCertificate,
     casimir,
+    casimir_inverse,
     casimir_spectrum,
     casimir_spectrum_from_data,
     central_idempotents,
@@ -35,7 +36,6 @@ from .forms import (
 from .lattices import (
     Lattice,
     adjunction_check,
-    adjunction_check_swapped,
     constant_value_check,
     direct_sum,
     exponent,

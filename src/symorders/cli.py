@@ -17,26 +17,10 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from . import decomp, forms, lattices
+from . import decomp, forms, lattices, linalg
 from .bundle import Bundle, BundleError, load_bundle
 from .errors import ResourceBoundError
 from .padic import scalar_to_str
-
-CHECK_NAMES = (
-    "validate",
-    "symmetrising",
-    "casimir",
-    "psp",
-    "tate",
-    "knorr",
-    "stable-exponent",
-    "constant-value",
-    "morita-psp",
-    "rational",
-    "heights",
-    "divisibility",
-)
-
 
 @dataclass
 class RunOptions:
@@ -86,6 +70,13 @@ def _expect(b: Bundle, check: str, key, actual, mismatches: list):
         mismatches.append(f"{check}:{'/'.join(key)} expected {node!r} got {actual!r}")
 
 
+def _result(name: str, details: dict, mismatches: list) -> CheckResult:
+    """Pass with the details, or fail with the mismatches added to them."""
+    if mismatches:
+        return CheckResult(name, "fail", {**details, "mismatches": mismatches})
+    return CheckResult(name, "pass", details)
+
+
 def check_validate(b: Bundle, opts: RunOptions) -> CheckResult:
     details = {
         "dim": b.order.dim,
@@ -103,11 +94,7 @@ def check_symmetrising(b: Bundle, opts: RunOptions) -> CheckResult:
         verdict = forms.is_symmetrising(b.order, s)
         details[name] = verdict
         _expect(b, "symmetrising", (name,), verdict, mismatches)
-    return CheckResult(
-        "symmetrising",
-        "fail" if mismatches else "pass",
-        details if not mismatches else {**details, "mismatches": mismatches},
-    )
+    return _result("symmetrising", details, mismatches)
 
 
 def check_casimir(b: Bundle, opts: RunOptions) -> CheckResult:
@@ -124,24 +111,14 @@ def check_casimir(b: Bundle, opts: RunOptions) -> CheckResult:
             entry["scalar"] = scalar_to_str(scalar)
             _expect(b, "casimir", (name, "scalar"), entry["scalar"], mismatches)
         details[name] = entry
-    return CheckResult(
-        "casimir",
-        "fail" if mismatches else "pass",
-        details if not mismatches else {**details, "mismatches": mismatches},
-    )
+    return _result("casimir", details, mismatches)
 
 
 def _scalar_of(b: Bundle, z):
-    coeff = None
-    diff = None
-    for c, o in zip(z, b.order.one):
-        if o != 0:
-            coeff = c / o
-            break
+    """c when z = c 1, else None."""
+    coeff = next((c / o for c, o in zip(z, b.order.one) if o != 0), None)
     if coeff is None:
         return None
-    from . import linalg
-
     return coeff if linalg.vectors_equal(z, b.order.one * coeff) else None
 
 
@@ -177,11 +154,7 @@ def check_psp(b: Bundle, opts: RunOptions) -> CheckResult:
     _expect(b, "psp", ("verdict",), verdict, mismatches)
     if cert:
         _expect(b, "psp", ("n",), cert.n, mismatches)
-    return CheckResult(
-        "psp",
-        "fail" if mismatches else "pass",
-        details if not mismatches else {**details, "mismatches": mismatches},
-    )
+    return _result("psp", details, mismatches)
 
 
 def _primary_form(b: Bundle):
@@ -207,11 +180,7 @@ def check_tate(b: Bundle, opts: RunOptions) -> CheckResult:
             details[key] = entry
             _expect(b, "tate", (key, "perfect"), report.perfect, mismatches)
             _expect(b, "tate", (key, "exponents"), entry["exponents"], mismatches)
-    return CheckResult(
-        "tate",
-        "fail" if mismatches else "pass",
-        details if not mismatches else {**details, "mismatches": mismatches},
-    )
+    return _result("tate", details, mismatches)
 
 
 def check_knorr(b: Bundle, opts: RunOptions) -> CheckResult:
@@ -225,11 +194,7 @@ def check_knorr(b: Bundle, opts: RunOptions) -> CheckResult:
             "failure": verdict.failure,
         }
         _expect(b, "knorr", (name,), bool(verdict), mismatches)
-    return CheckResult(
-        "knorr",
-        "fail" if mismatches else "pass",
-        details if not mismatches else {**details, "mismatches": mismatches},
-    )
+    return _result("knorr", details, mismatches)
 
 
 def check_stable_exponent(b: Bundle, opts: RunOptions) -> CheckResult:
@@ -246,11 +211,7 @@ def check_stable_exponent(b: Bundle, opts: RunOptions) -> CheckResult:
         )
         details[name] = {"verdict": bool(verdict), "exponent": a}
         _expect(b, "stable-exponent", (name,), bool(verdict), mismatches)
-    return CheckResult(
-        "stable-exponent",
-        "fail" if mismatches else "pass",
-        details if not mismatches else {**details, "mismatches": mismatches},
-    )
+    return _result("stable-exponent", details, mismatches)
 
 
 def check_constant_value(b: Bundle, opts: RunOptions) -> CheckResult:
@@ -261,11 +222,7 @@ def check_constant_value(b: Bundle, opts: RunOptions) -> CheckResult:
         ok = lattices.constant_value_check(b.order, s, U)
         details[name] = ok
         _expect(b, "constant-value", (name,), ok, mismatches)
-    return CheckResult(
-        "constant-value",
-        "fail" if mismatches else "pass",
-        details if not mismatches else {**details, "mismatches": mismatches},
-    )
+    return _result("constant-value", details, mismatches)
 
 
 def check_morita_psp(b: Bundle, opts: RunOptions) -> CheckResult:
@@ -288,11 +245,7 @@ def check_morita_psp(b: Bundle, opts: RunOptions) -> CheckResult:
         }
         _expect(b, "morita-psp", ("witness_m",), list(witness.m), mismatches)
         _expect(b, "morita-psp", ("n",), witness.n, mismatches)
-    return CheckResult(
-        "morita-psp",
-        "fail" if mismatches else "pass",
-        details if not mismatches else {**details, "mismatches": mismatches},
-    )
+    return _result("morita-psp", details, mismatches)
 
 
 def check_rational(b: Bundle, opts: RunOptions) -> CheckResult:
@@ -329,11 +282,7 @@ def check_rational(b: Bundle, opts: RunOptions) -> CheckResult:
             _expect(
                 b, "rational", ("morita_verdict",), crit.morita_verdict, mismatches
             )
-    return CheckResult(
-        "rational",
-        "fail" if mismatches else "pass",
-        details if not mismatches else {**details, "mismatches": mismatches},
-    )
+    return _result("rational", details, mismatches)
 
 
 def check_heights(b: Bundle, opts: RunOptions) -> CheckResult:
@@ -353,11 +302,7 @@ def check_heights(b: Bundle, opts: RunOptions) -> CheckResult:
         name: decomp.height(U.rank, degrees, b.prime)
         for name, U in _sorted_lattices(b)
     }
-    return CheckResult(
-        "heights",
-        "fail" if mismatches else "pass",
-        details if not mismatches else {**details, "mismatches": mismatches},
-    )
+    return _result("heights", details, mismatches)
 
 
 def check_divisibility(b: Bundle, opts: RunOptions) -> CheckResult:
@@ -399,11 +344,7 @@ def check_divisibility(b: Bundle, opts: RunOptions) -> CheckResult:
             "status": md.status,
         }
     _expect(b, "divisibility", ("ok",), details.get("ok"), mismatches)
-    return CheckResult(
-        "divisibility",
-        "fail" if mismatches else "pass",
-        details if not mismatches else {**details, "mismatches": mismatches},
-    )
+    return _result("divisibility", details, mismatches)
 
 
 CHECKS = {
@@ -420,6 +361,7 @@ CHECKS = {
     "heights": check_heights,
     "divisibility": check_divisibility,
 }
+CHECK_NAMES = tuple(CHECKS)
 
 
 def run(command: str, bundle: Bundle, options: RunOptions | None = None) -> Report:
@@ -447,11 +389,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--bundle", required=True, help="path to a bundle JSON file")
     parser.add_argument("--check", default="all", help="check name or 'all'")
-    parser.add_argument("--bound", type=int, default=5,
+    defaults = RunOptions()
+    parser.add_argument("--bound", type=int, default=defaults.bound,
                         help="box bound for coefficient searches")
-    parser.add_argument("--radical-dim", type=int, default=6,
+    parser.add_argument("--radical-dim", type=int, default=defaults.radical_dim,
                         help="largest residue endomorphism dimension to analyse")
-    parser.add_argument("--spin-limit", type=int, default=10**6,
+    parser.add_argument("--spin-limit", type=int, default=defaults.spin_limit,
                         help="largest residue-vector enumeration for spinning")
     parser.add_argument("--json", help="write the deterministic report here")
     args = parser.parse_args(argv)

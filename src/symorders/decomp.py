@@ -120,6 +120,27 @@ def _gram_candidate(A: Order, table: CharacterTable, a):
     return int(n), candidate
 
 
+def _decomposition_coefficients(table: CharacterTable, D: DecompositionMatrix, m) -> tuple:
+    """a = D m: the character coefficients of the form built from m."""
+    return tuple(
+        sum(int(D.entries[i, j]) * m[j] for j in range(D.num_modular))
+        for i in range(table.num_chars)
+    )
+
+
+def _morita_search(A: Order, table: CharacterTable, D: DecompositionMatrix, box):
+    """First m in box^k, lexicographically, whose form is a witness."""
+    for m in iter_product(box, repeat=D.num_modular):
+        a = _decomposition_coefficients(table, D, m)
+        if not any(a):
+            continue
+        hit = _gram_candidate(A, table, a)
+        if hit is not None:
+            n, form = hit
+            return MoritaWitness(m=m, n=n, a=a, form=form)
+    return None
+
+
 def morita_psp_search(A: Order, table: CharacterTable, D: DecompositionMatrix,
                       bound: int = 5):
     """Search positive integer vectors m with entries <= bound for a
@@ -130,33 +151,13 @@ def morita_psp_search(A: Order, table: CharacterTable, D: DecompositionMatrix,
     bounded statement, not a refutation.  First witness in lexicographic
     order is returned.
     """
-    for m in iter_product(range(1, bound + 1), repeat=D.num_modular):
-        a = tuple(
-            sum(int(D.entries[i, j]) * m[j] for j in range(D.num_modular))
-            for i in range(table.num_chars)
-        )
-        hit = _gram_candidate(A, table, a)
-        if hit is not None:
-            n, form = hit
-            return MoritaWitness(m=m, n=n, a=a, form=form)
-    return None
+    return _morita_search(A, table, D, range(1, bound + 1))
 
 
 def morita_psp_search_integers(A: Order, table: CharacterTable,
                                D: DecompositionMatrix, bound: int = 5):
     """Same search over the integer box [-bound, bound]^k (zero allowed)."""
-    for m in iter_product(range(-bound, bound + 1), repeat=D.num_modular):
-        a = tuple(
-            sum(int(D.entries[i, j]) * m[j] for j in range(D.num_modular))
-            for i in range(table.num_chars)
-        )
-        if all(x == 0 for x in a):
-            continue
-        hit = _gram_candidate(A, table, a)
-        if hit is not None:
-            n, form = hit
-            return MoritaWitness(m=tuple(m), n=n, a=a, form=form)
-    return None
+    return _morita_search(A, table, D, range(-bound, bound + 1))
 
 
 def morita_shift_witness(A: Order, table: CharacterTable, D: DecompositionMatrix,
@@ -187,10 +188,7 @@ def morita_shift_witness(A: Order, table: CharacterTable, D: DecompositionMatrix
             break
         t += 1
     m_shifted = tuple(m + p**t for m in witness.m)
-    a = tuple(
-        sum(int(D.entries[i, j]) * m_shifted[j] for j in range(D.num_modular))
-        for i in range(table.num_chars)
-    )
+    a = _decomposition_coefficients(table, D, m_shifted)
     form = table.form_from_coefficients(a).scale(Fraction(1, p**n))
     assert is_symmetrising(A, form)
     return MoritaWitness(m=m_shifted, n=n, a=a, form=form)

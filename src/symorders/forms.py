@@ -38,10 +38,17 @@ class RegularGramSingularError(ValueError):
 
 
 class LinearForm:
-    """Linear functional on an order, given by its values on the basis."""
+    """Linear functional on an order, given by its values on the basis.
+
+    The values are read-only, so the data derived from the form with an
+    order (see :func:`dual_basis`) stays valid for as long as the form
+    lives, and is kept on it.
+    """
 
     def __init__(self, values):
-        self.values = linalg.as_vector(values)
+        self.values = _read_only(linalg.as_vector(values))
+        # id(order) -> DualBasis, checked against the order before reuse
+        self._derived = {}
 
     def __call__(self, coords) -> Fraction:
         return np.dot(self.values, linalg.as_vector(coords))
@@ -56,6 +63,11 @@ class LinearForm:
 
     def scale(self, c) -> "LinearForm":
         return LinearForm(self.values * Fraction(c))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def regular_character_form(A: Order) -> LinearForm:
@@ -75,20 +87,33 @@ def gram_matrix(A: Order, s: LinearForm) -> np.ndarray:
 
 def is_symmetrising(A: Order, s: LinearForm) -> bool:
     """Trace property on all basis pairs plus unimodular ring Gram matrix."""
-    G = gram_matrix(A, s)
-    if not linalg.matrices_equal(G, G.T):
-        return False
-    if not linalg.is_integral(G, A.prime):
-        return False
-    return val(linalg.det(G), A.prime) == 0
+    return _symmetrising_gram(gram_matrix(A, s), A.prime)
+
+
+def _symmetrising_gram(G: np.ndarray, p) -> bool:
+    return (
+        linalg.matrices_equal(G, G.T)
+        and linalg.is_integral(G, p)
+        and val(linalg.det(G), p) == 0
+    )
 
 
 @dataclass(frozen=True, eq=False)
 class DualBasis:
-    """Columns of ``matrix`` are the elements x_j^v with s(b_i x_j^v) = delta_ij."""
+    """Dual basis of a symmetrising form s, with what it determines.
+
+    Columns of ``matrix`` are the elements x_j^v with s(b_i x_j^v) =
+    delta_ij, so ``matrix`` is the inverse of the Gram matrix ``gram``.
+    ``casimir`` is z = sum_x x x^v, and ``casimir_inverse`` is its
+    inverse in the rational algebra (None when z is not invertible).
+    Every array is read-only.
+    """
 
     order: Order
     matrix: np.ndarray
+    gram: np.ndarray
+    casimir: np.ndarray
+    casimir_inverse: np.ndarray | None
 
     def element(self, j: int) -> np.ndarray:
         return np.array(self.matrix[:, j])
@@ -97,32 +122,61 @@ class DualBasis:
 def dual_basis(A: Order, s: LinearForm) -> DualBasis:
     """Dual basis D = G^{-1} of a symmetrising form with Gram matrix G.
 
+    It is derived and certified on first use with A, then kept on the
+    form, keyed by the identity of the order.
+    """
+    d = s._derived.get(id(A))
+    if d is None or d.order is not A:
+        d = s._derived[id(A)] = _derive(A, s)
+    return d
+
+
+def _derive(A: Order, s: LinearForm) -> DualBasis:
+    """Derive and certify the dual basis of a symmetrising form.
+
     Since s(b_i x) = (G x)_i for every x, the defining condition
     s(b_i x_j^v) = delta_ij is exactly G D = I, which is certified with
-    one matrix product.
+    one matrix product.  The Casimir element is certified to equal
+    sum_x x^v x, to be central and to have ring coordinates;
+    :meth:`Order.invert` certifies z z^{-1} = 1.
     """
-    if not is_symmetrising(A, s):
-        raise NotSymmetrisingError("form not symmetrising")
     G = gram_matrix(A, s)
+    if not _symmetrising_gram(G, A.prime):
+        raise NotSymmetrisingError("form not symmetrising")
     D = linalg.inverse(G)
     if not linalg.matrices_equal(G @ D, linalg.identity(A.dim)):
         raise AssertionError("dual basis fails s(b_i x_j^v) = delta_ij")
-    return DualBasis(A, D)
-
-
-def casimir(A: Order, s: LinearForm) -> np.ndarray:
-    """Central Casimir element sum_x x x^v of a symmetrising form."""
-    d = dual_basis(A, s)
     z = A.zero()
     z_rev = A.zero()
     for i in range(A.dim):
         b = A.basis_element(i)
-        z = z + A.multiply(b, d.element(i))
-        z_rev = z_rev + A.multiply(d.element(i), b)
-    assert linalg.vectors_equal(z, z_rev)
-    assert A.is_central(z)
-    assert A.has_ring_coords(z)
-    return z
+        z = z + A.multiply(b, D[:, i])
+        z_rev = z_rev + A.multiply(D[:, i], b)
+    if not linalg.vectors_equal(z, z_rev):
+        raise AssertionError("Casimir element differs from sum x^v x")
+    if not A.is_central(z):
+        raise AssertionError("Casimir element not central")
+    if not A.has_ring_coords(z):
+        raise AssertionError("Casimir element has non-ring coordinates")
+    try:
+        zinv = _read_only(A.invert(z))
+    except NotInvertibleError:
+        zinv = None
+    return DualBasis(A, _read_only(D), _read_only(G), _read_only(z), zinv)
+
+
+def casimir(A: Order, s: LinearForm) -> np.ndarray:
+    """Central Casimir element sum_x x x^v of a symmetrising form."""
+    return dual_basis(A, s).casimir
+
+
+def casimir_inverse(A: Order, s: LinearForm) -> np.ndarray:
+    """Inverse of the Casimir element in the rational algebra; raises
+    NotInvertibleError when the rational algebra is not separable."""
+    zinv = dual_basis(A, s).casimir_inverse
+    if zinv is None:
+        raise NotInvertibleError("not invertible in K⊗A")
+    return zinv
 
 
 def relative_trace(A: Order, s: LinearForm, a) -> np.ndarray:
@@ -131,7 +185,8 @@ def relative_trace(A: Order, s: LinearForm, a) -> np.ndarray:
     out = A.zero()
     for i in range(A.dim):
         out = out + A.multiply(A.multiply(A.basis_element(i), a), d.element(i))
-    assert A.is_central(out)
+    if not A.is_central(out):
+        raise AssertionError("relative trace not central")
     return out
 
 
@@ -150,12 +205,7 @@ def twist_form(A: Order, s: LinearForm, z) -> LinearForm:
 
 def separability_check(A: Order, s: LinearForm) -> bool:
     """True when the Casimir element is invertible in the rational algebra."""
-    z = casimir(A, s)
-    try:
-        A.invert(z)
-    except NotInvertibleError:
-        return False
-    return True
+    return dual_basis(A, s).casimir_inverse is not None
 
 
 # -- the projective scalar property ------------------------------------
@@ -188,12 +238,9 @@ def psp_direct(A: Order, s: LinearForm):
     that valuation.  Returns a PspCertificate or None.
     """
     z = casimir(A, s)
-    d = linalg.det(A.left_matrix(z))
-    if d == 0:
-        raise NotInvertibleError("not invertible in K⊗A")
-    zinv = A.invert(z)
+    zinv = casimir_inverse(A, s)
     p = A.prime
-    bound = int(val(d, p)) // A.dim
+    bound = int(val(linalg.det(A.left_matrix(z)), p)) // A.dim
     for t in range(0, bound + 1):
         pt = Fraction(p) ** t
         u = zinv * pt
@@ -201,7 +248,8 @@ def psp_direct(A: Order, s: LinearForm):
         if A.has_ring_coords(u) and A.has_ring_coords(w):
             witness = twist_form(A, s, w)
             cert = PspCertificate(n=t, witness_form=witness)
-            assert cert.verify(A)
+            if not cert.verify(A):
+                raise AssertionError("twisted form fails the scalar Casimir certificate")
             return cert
     return None
 
@@ -232,9 +280,10 @@ def psp_regular_gram(A: Order) -> RegularGramResult:
     if any(e != n for e in exps):
         return RegularGramResult(False, None, exps, None)
     witness = rho.scale(Fraction(1, A.prime**n))
-    assert is_symmetrising(A, witness)
-    z = casimir(A, witness)
-    assert linalg.vectors_equal(z, A.scalar(Fraction(A.prime) ** n))
+    if not is_symmetrising(A, witness):
+        raise AssertionError("scaled regular character not symmetrising")
+    if not linalg.vectors_equal(casimir(A, witness), A.scalar(Fraction(A.prime) ** n)):
+        raise AssertionError("scaled regular character has Casimir other than p^n")
     return RegularGramResult(True, n, exps, witness)
 
 
@@ -281,7 +330,8 @@ def casimir_spectrum(A: Order, s: LinearForm, characters) -> np.ndarray:
     recombined = A.zero()
     for c, e in zip(spectrum, idems):
         recombined = recombined + Fraction(c) * e
-    assert linalg.vectors_equal(recombined, z)
+    if not linalg.vectors_equal(recombined, z):
+        raise AssertionError("Casimir spectrum does not recombine to the Casimir element")
     return spectrum
 
 
@@ -309,11 +359,7 @@ def central_idempotents(A: Order, characters) -> list:
     """
     chars = linalg.as_matrix(characters)
     r = chars.shape[0]
-    blocks = []
-    for i in range(A.dim):
-        b = A.basis_element(i)
-        blocks.append(A.left_matrix(b) - A.right_matrix(b))
-    central_rows = np.concatenate(blocks, axis=0)
+    central_rows = A.commutator_rows
     out = []
     for k in range(r):
         rows = np.concatenate([central_rows, chars], axis=0)

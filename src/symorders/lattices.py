@@ -23,7 +23,12 @@ import numpy as np
 
 from . import linalg
 from .errors import ResourceBoundError
-from .forms import LinearForm, casimir, dual_basis
+from .forms import (  # noqa: F401  (perfbench patches lattices.casimir)
+    LinearForm,
+    casimir,
+    casimir_inverse,
+    dual_basis,
+)
 from .modp import FpAlgebra, in_span, subspace_basis
 from .orders import Order
 from .padic import INFINITY, ResidueClass, residue_class, residue_int, val
@@ -335,33 +340,23 @@ def tate_pair(A: Order, s: LinearForm, U: Lattice, V: Lattice, alpha, beta) -> R
     the trace on the rationalized U of multiplication by z^{-1} composed
     with beta alpha.
     """
-    z = casimir(A, s)
-    zinv = A.invert(z)
+    zinv = casimir_inverse(A, s)
     value = _trace(U.act(zinv) @ linalg.as_matrix(beta) @ linalg.as_matrix(alpha))
     return residue_class(value, A.prime)
 
 
 def adjunction_check(A: Order, s: LinearForm, U: Lattice, V: Lattice, alpha, beta) -> bool:
     """Exact identity: pairing(Tr(alpha), beta) equals trace(beta alpha)
-    for an arbitrary ring-linear alpha : U -> V and an intertwiner beta."""
-    z = casimir(A, s)
-    zinv = A.invert(z)
+    for an arbitrary ring-linear alpha : U -> V and an intertwiner beta.
+
+    The identity with the roles swapped (an intertwiner gamma : U -> V
+    and an arbitrary delta : V -> U) is this one on (V, U, delta, gamma):
+    the trace is cyclic and gamma commutes with z^{-1}."""
+    zinv = casimir_inverse(A, s)
     alpha = linalg.as_matrix(alpha)
     beta = linalg.as_matrix(beta)
     lhs = _trace(U.act(zinv) @ beta @ relative_trace_hom(A, s, U, V, alpha))
     rhs = _trace(beta @ alpha)
-    return lhs == rhs
-
-
-def adjunction_check_swapped(A: Order, s: LinearForm, U: Lattice, V: Lattice, gamma, delta) -> bool:
-    """Second adjunction identity: gamma an intertwiner U -> V, delta an
-    arbitrary ring-linear map V -> U."""
-    z = casimir(A, s)
-    zinv = A.invert(z)
-    gamma = linalg.as_matrix(gamma)
-    delta = linalg.as_matrix(delta)
-    lhs = _trace(U.act(zinv) @ relative_trace_hom(A, s, V, U, delta) @ gamma)
-    rhs = _trace(delta @ gamma)
     return lhs == rhs
 
 
@@ -390,9 +385,7 @@ def verify_tate_duality(
             "pairing degenerate: invariant factors differ "
             f"{S_uv.exponents} vs {S_vu.exponents}"
         )
-    z = casimir(A, s)
-    zinv = A.invert(z)
-    zu = U.act(zinv)
+    zu = U.act(casimir_inverse(A, s))
 
     def pair(alpha, beta) -> Fraction:
         return _trace(zu @ beta @ alpha)
@@ -562,9 +555,7 @@ def stable_exponent_check(
     S = stable_hom(A, s, U, U)
     if S.exponent == 0:
         raise ValueError("U projective - property undefined")
-    z = casimir(A, s)
-    zinv = A.invert(z)
-    zu = U.act(zinv)
+    zu = U.act(casimir_inverse(A, s))
 
     def twisted(M) -> Fraction:
         return _trace(zu @ M)
@@ -652,9 +643,7 @@ def stable_socle_property(
 def constant_value_check(A: Order, s: LinearForm, U: Lattice) -> bool:
     """Minimal twisted-trace valuation over End(U) equals minus the exponent."""
     S = stable_hom(A, s, U, U)
-    z = casimir(A, s)
-    zinv = A.invert(z)
-    zu = U.act(zinv)
+    zu = U.act(casimir_inverse(A, s))
     vals = [val(_trace(zu @ M), A.prime) for M in S.hom.basis]
     return min(vals) == -S.exponent
 

@@ -146,21 +146,29 @@ class Order:
 
     def invert(self, a) -> np.ndarray:
         """Inverse in the rational algebra; raises NotInvertibleError."""
-        L = self.left_matrix(a)
-        b = linalg.solve_exact(L, self.one) if linalg.det(L) != 0 else None
-        if b is None:
-            raise NotInvertibleError("not invertible in K⊗A")
-        assert linalg.vectors_equal(self.multiply(b, a), self.one)
+        try:
+            b = linalg.solve_exact(self.left_matrix(a), self.one)
+        except ValueError:  # left multiplication by a is singular
+            raise NotInvertibleError("not invertible in K⊗A") from None
+        if not linalg.vectors_equal(self.multiply(b, a), self.one):
+            raise AssertionError("inverse fails b a = 1")
         return b
+
+    @cached_property
+    def commutator_rows(self) -> np.ndarray:
+        """The matrices L(b_i) - R(b_i) stacked vertically: their common
+        kernel is the center.  Read-only."""
+        stacked = np.concatenate(
+            [self.left_matrix(b) - self.right_matrix(b)
+             for b in map(self.basis_element, range(self.dim))],
+            axis=0,
+        )
+        stacked.flags.writeable = False
+        return stacked
 
     def center_basis(self) -> np.ndarray:
         """Saturated lattice basis (columns) of the center."""
-        blocks = []
-        for i in range(self.dim):
-            b = self.basis_element(i)
-            blocks.append(self.left_matrix(b) - self.right_matrix(b))
-        stacked = np.concatenate(blocks, axis=0)
-        return linalg.integral_kernel(stacked, self.prime)
+        return linalg.integral_kernel(self.commutator_rows, self.prime)
 
 
 def make_order(structure, one, p, basis_labels=None) -> Order:

@@ -1,7 +1,9 @@
+import gc
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,12 +11,13 @@ import numpy as np
 import pytest
 
 import symorders as so
-from symorders import linalg
+from symorders import cli, forms, linalg
 from symorders.builders import (
     four_dim_nonrational,
     matrix_order,
     rank2_embedding,
     rank2_order,
+    s3_fixture_bundle,
 )
 from symorders.forms import (
     LinearForm,
@@ -75,13 +78,14 @@ def _perturbed_inverse(monkeypatch):
 
 def test_dual_basis_certificate_rejects_wrong_inverse(s3, monkeypatch):
     A, s = s3
+    fresh = LinearForm(s.values)  # s itself may already carry its dual basis
     _perturbed_inverse(monkeypatch)
     with pytest.raises(AssertionError, match="dual basis fails"):
-        so.dual_basis(A, s)
+        so.dual_basis(A, fresh)
 
 
 def test_dual_basis_certificate_survives_optimisation():
-    # the certificate is an explicit raise, not an assert statement
+    # the certificates are explicit raises, not assert statements
     code = (
         "import pytest, symorders as so\n"
         "from symorders import linalg\n"
@@ -95,6 +99,10 @@ def test_dual_basis_certificate_survives_optimisation():
         "linalg.inverse = perturbed\n"
         "with pytest.raises(AssertionError, match='dual basis fails'):\n"
         "    so.dual_basis(A, s)\n"
+        "linalg.inverse = exact\n"
+        "so.Order.is_central = lambda self, a: False\n"
+        "with pytest.raises(AssertionError, match='Casimir element not central'):\n"
+        "    so.casimir(A, so.LinearForm(s.values))\n"
         # reached only when -O has removed assert statements
         "assert False, 'asserts still run'\n"
     )
@@ -105,6 +113,51 @@ def test_dual_basis_certificate_survives_optimisation():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_dual_basis_is_derived_once_and_reused(s3):
+    A, s = s3
+    fresh = LinearForm(s.values)
+    assert so.dual_basis(A, fresh) is so.dual_basis(A, fresh)
+    assert so.casimir(A, fresh) is so.casimir(A, fresh)
+    assert so.casimir_inverse(A, fresh) is so.casimir_inverse(A, fresh)
+    assert linalg.vectors_equal(so.casimir_inverse(A, fresh), A.scalar(Fraction(1, 6)))
+
+
+def test_check_all_derives_each_form_once(monkeypatch):
+    b = s3_fixture_bundle(3)
+    derived = []
+    derive = forms._derive
+
+    def counting(A, s):
+        derived.append((A, s))  # kept alive, so their ids stay distinct
+        return derive(A, s)
+
+    monkeypatch.setattr(forms, "_derive", counting)
+    assert cli.run("all", b).ok
+    pairs = [(id(A), id(s)) for A, s in derived]
+    assert len(pairs) == len(set(pairs))
+    # every bundle form is among them; the others are witness forms
+    assert {(id(b.order), id(s)) for s in b.forms.values()} <= set(pairs)
+
+
+def test_dual_basis_dies_with_its_form(s3):
+    A, s = s3
+    fresh = LinearForm(s.values)
+    z_ref = weakref.ref(so.casimir(A, fresh))
+    d_ref = weakref.ref(so.dual_basis(A, fresh))
+    del fresh
+    gc.collect()
+    assert z_ref() is None and d_ref() is None
+
+
+def test_dual_basis_arrays_are_read_only(s3):
+    A, s = s3
+    d = so.dual_basis(A, s)
+    for array in (s.values, d.matrix, d.gram, d.casimir, d.casimir_inverse):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = Fraction(7)
+    assert linalg.vectors_equal(so.casimir(A, s), A.scalar(6))
 
 
 def test_dual_basis_requires_symmetrising(s3):

@@ -184,7 +184,7 @@ def test_adjunction_identities_random(s3, s3_lattices, rank2_family):
                 gamma = G.from_coords(coords)
             else:
                 gamma = linalg.zeros(Y.rank, X.rank)
-            assert so.adjunction_check_swapped(B, f, X, Y, gamma, delta)
+            assert so.adjunction_check(B, f, Y, X, delta, gamma)
 
 
 def test_residue_endo_analysis(s3, s3_lattices):
