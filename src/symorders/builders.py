@@ -285,7 +285,8 @@ def four_dim_nonrational(x: int, p=2):
         for i in range(4)
     ]
     s = LinearForm(values)
-    assert is_symmetrising(A, s)
+    if not is_symmetrising(A, s):
+        raise AssertionError("four-dimensional order form not symmetrising")
     return A, s
 
 

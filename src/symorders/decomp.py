@@ -102,11 +102,12 @@ class MoritaWitness:
 
 
 def _gram_candidate(A: Order, table: CharacterTable, a):
-    """Gram analysis of sum a_chi chi: returns (n, form) when the Smith
-    exponents of the Gram matrix agree, else None."""
+    """Gram analysis of f = sum a_chi chi: returns (n, p^{-n} f) when the
+    Gram matrix G is symmetric with equal Smith exponents n, so that
+    G / p^n is unimodular and p^{-n} f is symmetrising; else None."""
     f = table.form_from_coefficients(a)
     G = gram_matrix(A, f)
-    if not linalg.is_integral(G, A.prime):
+    if not (linalg.matrices_equal(G, G.T) and linalg.is_integral(G, A.prime)):
         return None
     if linalg.det(G) == 0:
         return None
@@ -114,10 +115,7 @@ def _gram_candidate(A: Order, table: CharacterTable, a):
     n = snf.exponents[0]
     if any(e != n for e in snf.exponents):
         return None
-    candidate = f.scale(Fraction(1, A.prime**n))
-    if not is_symmetrising(A, candidate):
-        return None
-    return int(n), candidate
+    return int(n), f.scale(Fraction(1, A.prime**n))
 
 
 def _decomposition_coefficients(table: CharacterTable, D: DecompositionMatrix, m) -> tuple:
@@ -190,7 +188,8 @@ def morita_shift_witness(A: Order, table: CharacterTable, D: DecompositionMatrix
     m_shifted = tuple(m + p**t for m in witness.m)
     a = _decomposition_coefficients(table, D, m_shifted)
     form = table.form_from_coefficients(a).scale(Fraction(1, p**n))
-    assert is_symmetrising(A, form)
+    if not is_symmetrising(A, form):
+        raise AssertionError("shifted Morita form not symmetrising")
     return MoritaWitness(m=m_shifted, n=n, a=a, form=form)
 
 
@@ -373,10 +372,12 @@ def _maximal_ideal_lattices(A: Order, centre: RationalCentre, max_dim: int = 8):
         for j in range(r):
             prod = A.multiply(Z[:, i], Z[:, j])
             coords = linalg.solve_exact(Z, prod)
-            assert coords is not None and linalg.is_integral(coords, p)
+            if coords is None or not linalg.is_integral(coords, p):
+                raise AssertionError("rational centre basis not multiplicatively closed")
             table[i, j] = [residue_int(c, p, 1) for c in coords]
     one_coords = linalg.solve_exact(Z, A.one)
-    assert one_coords is not None and linalg.is_integral(one_coords, p)
+    if one_coords is None or not linalg.is_integral(one_coords, p):
+        raise AssertionError("unit not in the rational centre lattice")
     one_mod = np.array([residue_int(c, p, 1) for c in one_coords])
     alg = FpAlgebra(p, r, table, one_mod)
     homs = alg.homs_to_prime_field()
@@ -465,7 +466,8 @@ def rational_intersection_criterion(
         w = w + c * e
     shift = -min(val(x, p) for x in w)
     z0 = w * Fraction(p) ** int(shift) if shift != -INFINITY else w
-    assert linalg.is_integral(z0, p)
+    if not linalg.is_integral(z0, p):
+        raise AssertionError("scaled orbit element has non-ring coordinates")
     verdict = A.is_unit(z0)
 
     # span test against every maximal ideal of the rational centre

@@ -47,8 +47,7 @@ class LinearForm:
 
     def __init__(self, values):
         self.values = _read_only(linalg.as_vector(values))
-        # id(order) -> DualBasis, checked against the order before reuse
-        self._derived = {}
+        self._kept = {}  # see kept()
 
     def __call__(self, coords) -> Fraction:
         return np.dot(self.values, linalg.as_vector(coords))
@@ -70,6 +69,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def kept(cache: dict, name: str, objects: tuple, build):
+    """build(), kept in cache under name and the ids of objects.  The entry
+    holds the objects, so no other object takes their ids while it lives."""
+    key = (name, *map(id, objects))
+    if key not in cache:
+        cache[key] = (objects, build())
+    return cache[key][1]
+
+
 def regular_character_form(A: Order) -> LinearForm:
     """The trace of the left regular representation as a linear form."""
     return LinearForm([A.regular_character(A.basis_element(i)) for i in range(A.dim)])
@@ -86,16 +94,13 @@ def gram_matrix(A: Order, s: LinearForm) -> np.ndarray:
 
 
 def is_symmetrising(A: Order, s: LinearForm) -> bool:
-    """Trace property on all basis pairs plus unimodular ring Gram matrix."""
-    return _symmetrising_gram(gram_matrix(A, s), A.prime)
-
-
-def _symmetrising_gram(G: np.ndarray, p) -> bool:
-    return (
-        linalg.matrices_equal(G, G.T)
-        and linalg.is_integral(G, p)
-        and val(linalg.det(G), p) == 0
-    )
+    """Trace property plus unimodular ring Gram matrix, which is whether
+    :func:`dual_basis` derives (and keeps) the form's data."""
+    try:
+        dual_basis(A, s)
+    except NotSymmetrisingError:
+        return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,12 +128,9 @@ def dual_basis(A: Order, s: LinearForm) -> DualBasis:
     """Dual basis D = G^{-1} of a symmetrising form with Gram matrix G.
 
     It is derived and certified on first use with A, then kept on the
-    form, keyed by the identity of the order.
+    form (see :func:`kept`).
     """
-    d = s._derived.get(id(A))
-    if d is None or d.order is not A:
-        d = s._derived[id(A)] = _derive(A, s)
-    return d
+    return kept(s._kept, "dual_basis", (A,), lambda: _derive(A, s))
 
 
 def _derive(A: Order, s: LinearForm) -> DualBasis:
@@ -140,8 +142,9 @@ def _derive(A: Order, s: LinearForm) -> DualBasis:
     sum_x x^v x, to be central and to have ring coordinates;
     :meth:`Order.invert` certifies z z^{-1} = 1.
     """
-    G = gram_matrix(A, s)
-    if not _symmetrising_gram(G, A.prime):
+    G, p = gram_matrix(A, s), A.prime
+    if not (linalg.matrices_equal(G, G.T) and linalg.is_integral(G, p)
+            and val(linalg.det(G), p) == 0):
         raise NotSymmetrisingError("form not symmetrising")
     D = linalg.inverse(G)
     if not linalg.matrices_equal(G @ D, linalg.identity(A.dim)):
@@ -235,8 +238,12 @@ def psp_direct(A: Order, s: LinearForm):
     central unit of the order, which happens exactly when both p^t z^{-1}
     and its inverse p^{-t} z have ring coordinates.  Feasible exponents
     satisfy dim * t = val(det of multiplication by z), so t is bounded by
-    that valuation.  Returns a PspCertificate or None.
+    that valuation.  Returns a PspCertificate or None, kept on the form.
     """
+    return kept(s._kept, "psp_direct", (A,), lambda: _psp_search(A, s))
+
+
+def _psp_search(A: Order, s: LinearForm):
     z = casimir(A, s)
     zinv = casimir_inverse(A, s)
     p = A.prime

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iter_product
 
 import numpy as np
@@ -28,6 +29,7 @@ from .forms import (  # noqa: F401  (perfbench patches lattices.casimir)
     casimir,
     casimir_inverse,
     dual_basis,
+    kept,
 )
 from .modp import FpAlgebra, in_span, subspace_basis
 from .orders import Order
@@ -53,8 +55,8 @@ class Lattice:
     order: Order
     rank: int
     action: tuple  # one rank x rank matrix per order basis element
-    # Hom lattices out of this lattice: id(V) -> (A, V, HomLattice)
-    _homs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # Hom lattices, stable Homs and residue analyses out of this lattice
+    _kept: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def act(self, a) -> np.ndarray:
         """Action matrix of an arbitrary (possibly rational) element."""
@@ -128,23 +130,18 @@ class HomLattice:
     def rank(self) -> int:
         return len(self.basis)
 
+    @cached_property
     def _vec_matrix(self) -> np.ndarray:
-        cached = getattr(self, "_vec", None)
-        if cached is None:
-            cols = [np.array(m).reshape(-1) for m in self.basis]
-            if not cols:
-                cached = linalg.zeros(self.target.rank * self.source.rank, 0)
-            else:
-                cached = np.array(cols, dtype=object).T
-            self._vec = cached
-        return cached
+        if not self.basis:
+            return linalg.zeros(self.target.rank * self.source.rank, 0)
+        return np.array([np.array(m).reshape(-1) for m in self.basis], dtype=object).T
 
     def coords_of(self, M, ring: bool = True):
         """Coordinates of an intertwiner in this basis, or None."""
         vec = linalg.as_matrix(M).reshape(-1)
         if self.rank == 0:
             return linalg.zero_vector(0) if all(x == 0 for x in vec) else None
-        coords = linalg.solve_exact(self._vec_matrix(), vec)
+        coords = linalg.solve_exact(self._vec_matrix, vec)
         if coords is None:
             return None
         if ring and not linalg.is_integral(coords, self.source.order.prime):
@@ -156,7 +153,7 @@ class HomLattice:
         if self.rank == 0:
             return linalg.zeros(0, len(mats))
         B = np.array([linalg.as_matrix(M).reshape(-1) for M in mats], dtype=object).T
-        coords = linalg.solve_exact(self._vec_matrix(), B)
+        coords = linalg.solve_exact(self._vec_matrix, B)
         if coords is None:
             return None
         if ring and not linalg.is_integral(coords, self.source.order.prime):
@@ -175,12 +172,12 @@ def hom_lattice(A: Order, U: Lattice, V: Lattice) -> HomLattice:
     """Saturated basis of {phi : phi act_U(b_i) = act_V(b_i) phi for all i}.
 
     Orders and lattices are immutable, so the result is kept on the
-    source lattice U, keyed by the identity of V (and checked against A
-    and V before reuse); it lives exactly as long as U does.
+    source lattice U (see :func:`kept`); it lives exactly as long as U.
     """
-    cached = U._homs.get(id(V))
-    if cached is not None and cached[0] is A and cached[1] is V:
-        return cached[2]
+    return kept(U._kept, "hom_lattice", (A, V), lambda: _hom_lattice(A, U, V))
+
+
+def _hom_lattice(A: Order, U: Lattice, V: Lattice) -> HomLattice:
     iu = linalg.identity(U.rank)
     iv = linalg.identity(V.rank)
     blocks = [
@@ -192,9 +189,7 @@ def hom_lattice(A: Order, U: Lattice, V: Lattice) -> HomLattice:
         np.array(kernel[:, j]).reshape(V.rank, U.rank)
         for j in range(kernel.shape[1])
     )
-    result = HomLattice(source=U, target=V, basis=basis)
-    U._homs[id(V)] = (A, V, result)
-    return result
+    return HomLattice(source=U, target=V, basis=basis)
 
 
 def relative_trace_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice, alpha):
@@ -288,7 +283,8 @@ class StableHomPresentation:
         out = []
         for pos, d in zip(self._torsion_positions, self.exponents):
             c = adapted[pos]
-            assert val(c, p) >= 0
+            if val(c, p) < 0:
+                raise AssertionError("stable class has non-ring coordinates")
             out.append(residue_int(c, p, d))
         return tuple(out)
 
@@ -309,8 +305,12 @@ def stable_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> StableHomPres
     """Invariant factors and lifted generators of the stable Hom group.
 
     The quotient must be torsion; a nonzero free part signals that the
-    rational algebra is not separable and raises an assertion.
+    rational algebra is not separable and raises an assertion.  Kept on U.
     """
+    return kept(U._kept, "stable_hom", (A, s, V), lambda: _stable_hom(A, s, U, V))
+
+
+def _stable_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> StableHomPresentation:
     H = hom_lattice(A, U, V)
     P = projective_hom_lattice(A, s, U, V)
     if H.rank == 0:
@@ -318,7 +318,8 @@ def stable_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> StableHomPres
         return StableHomPresentation(A, s, U, V, H, P, inv)
     sup = linalg.identity(H.rank)
     sub = H.coords_of_many(P.basis) if P.basis else linalg.zeros(H.rank, 0)
-    assert sub is not None, "projective hom escaped the hom lattice"
+    if sub is None:
+        raise AssertionError("projective hom escaped the hom lattice")
     inv = linalg.lattice_quotient_invariants(sub, sup, A.prime)
     if inv.free_rank != 0:
         raise AssertionError("free part nonzero: rational algebra not separable")
@@ -432,33 +433,38 @@ class ResidueEndoAnalysis:
     quotient_dim: int
 
 
-def residue_endo_analysis(
-    A: Order, U: Lattice, max_dim: int = 6, hom: HomLattice | None = None
-) -> ResidueEndoAnalysis:
+def residue_endo_analysis(A: Order, U: Lattice, max_dim: int = 6) -> ResidueEndoAnalysis:
     """Radical and split-local flag of End(U) over the residue field.
 
     The radical is found by exhaustive nilpotent-ideal search, which is
-    certified but exponential; dimensions above ``max_dim`` are refused.
-    U is absolutely indecomposable exactly when the quotient by the
-    radical is one-dimensional (split local).
+    certified but exponential; dimensions above ``max_dim`` are refused,
+    kept analysis or not.  U is absolutely indecomposable exactly when
+    the quotient by the radical is one-dimensional (split local).
     """
-    E = hom if hom is not None else hom_lattice(A, U, U)
-    e = E.rank
-    if e > max_dim:
+    E = hom_lattice(A, U, U)
+    if E.rank > max_dim:
         raise ResourceBoundError(
-            f"residue algebra too large for radical computation ({e} > {max_dim})"
+            f"residue algebra too large for radical computation ({E.rank} > {max_dim})"
         )
+    return kept(U._kept, "residue_endo_analysis", (A,),
+                lambda: _residue_endo_analysis(A, U, E))
+
+
+def _residue_endo_analysis(A: Order, U: Lattice, E: HomLattice) -> ResidueEndoAnalysis:
+    e = E.rank
     p = A.prime
     table = np.zeros((e, e, e), dtype=np.int64)
     products = [E.basis[i] @ E.basis[j] for i in range(e) for j in range(e)]
     coords_all = E.coords_of_many(products) if e else None
-    assert e == 0 or coords_all is not None, "hom basis not multiplicatively closed"
+    if e and coords_all is None:
+        raise AssertionError("hom basis not multiplicatively closed")
     for i in range(e):
         for j in range(e):
             coords = coords_all[:, i * e + j]
             table[i, j] = [residue_int(c, p, 1) for c in coords]
     one_coords = E.coords_of(linalg.identity(U.rank))
-    assert one_coords is not None
+    if one_coords is None:
+        raise AssertionError("identity not in the hom lattice")
     alg = FpAlgebra(p, e, table, np.array([residue_int(c, p, 1) for c in one_coords]))
     radical = alg.radical()
     qdim = e - radical.shape[0]
@@ -469,14 +475,6 @@ def residue_endo_analysis(
         split_local=(qdim == 1),
         quotient_dim=qdim,
     )
-
-
-def _radical_lifts(analysis: ResidueEndoAnalysis) -> list:
-    E = analysis.hom
-    lifts = []
-    for row in analysis.radical_basis:
-        lifts.append(E.from_coords([Fraction(int(c)) for c in row]))
-    return lifts
 
 
 @dataclass(frozen=True, eq=False)
@@ -513,7 +511,9 @@ def _trace_criterion(A, analysis, functional, reference_value) -> TraceCriterion
         return TraceCriterionVerdict(
             False, ref, basis_vals, False, (), "endomorphism residue algebra not split local"
         )
-    rad_vals = tuple(val(functional(N), p) for N in _radical_lifts(analysis))
+    lifts = (analysis.hom.from_coords([Fraction(int(c)) for c in row])
+             for row in analysis.radical_basis)
+    rad_vals = tuple(val(functional(N), p) for N in lifts)
     if any(v <= ref for v in rad_vals):
         return TraceCriterionVerdict(
             False, ref, basis_vals, True, rad_vals,
@@ -560,32 +560,27 @@ def stable_exponent_check(
     def twisted(M) -> Fraction:
         return _trace(zu @ M)
 
-    analysis = residue_endo_analysis(A, U, max_dim=max_dim, hom=S.hom)
+    analysis = residue_endo_analysis(A, U, max_dim=max_dim)
     verdict = _trace_criterion(
         A, analysis, twisted, twisted(linalg.identity(U.rank))
     )
     if S.element_count() <= socle_bound:
-        socle = stable_socle_property(A, s, U, presentation=S, bound=socle_bound)
-        assert bool(verdict) == (analysis.split_local and socle), (
-            "twisted-trace criterion disagrees with the socle computation"
-        )
+        socle = stable_socle_property(A, s, U, bound=socle_bound)
+        if bool(verdict) != (analysis.split_local and socle):
+            raise AssertionError(
+                "twisted-trace criterion disagrees with the socle computation"
+            )
     return verdict
 
 
-def stable_socle_property(
-    A: Order,
-    s: LinearForm,
-    U: Lattice,
-    presentation: StableHomPresentation | None = None,
-    bound: int = 20000,
-) -> bool:
+def stable_socle_property(A: Order, s: LinearForm, U: Lattice, bound: int = 20000) -> bool:
     """Direct check that soc(stable End) = p^{a-1} stable End.
 
     Enumerates the finite ring of stable endomorphism classes, finds its
     units and Jacobson radical by brute force, and compares the left and
     right annihilators of the radical with p^{a-1} times the ring.
     """
-    S = presentation if presentation is not None else stable_hom(A, s, U, U)
+    S = stable_hom(A, s, U, U)
     a = S.exponent
     if a == 0:
         raise ValueError("U projective - property undefined")

@@ -150,9 +150,11 @@ class FpAlgebra:
             for i in range(self.dim):
                 e = np.zeros(self.dim, dtype=np.int64)
                 e[i] = 1
-                assert in_span(self.multiply(e, row), basis, self.p)
-                assert in_span(self.multiply(row, e), basis, self.p)
-        assert self.is_nilpotent_subspace(basis)
+                if not (in_span(self.multiply(e, row), basis, self.p)
+                        and in_span(self.multiply(row, e), basis, self.p)):
+                    raise AssertionError("radical not a two-sided ideal")
+        if not self.is_nilpotent_subspace(basis):
+            raise AssertionError("radical not nilpotent")
         quotient = self.quotient(basis)
         for x in quotient.elements():
             if any(x) and quotient.is_nilpotent_element(x):

@@ -248,10 +248,12 @@ def condense(A: Order, e) -> tuple:
         for j in range(rank):
             prod = A.multiply(embedding[:, i], embedding[:, j])
             coords = linalg.solve_exact(embedding, prod)
-            assert coords is not None and linalg.is_integral(coords, A.prime)
+            if coords is None or not linalg.is_integral(coords, A.prime):
+                raise AssertionError("corner basis not multiplicatively closed")
             structure[i, j, :] = coords
     unit = linalg.solve_exact(embedding, e)
-    assert unit is not None and linalg.is_integral(unit, A.prime)
+    if unit is None or not linalg.is_integral(unit, A.prime):
+        raise AssertionError("idempotent not in the corner lattice")
     corner = make_order(structure, unit, A.prime)
     return corner, embedding
 

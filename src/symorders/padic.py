@@ -122,5 +122,6 @@ def residue_class(x, p: int) -> ResidueClass:
     m = x.denominator // pk
     c = (x.numerator * pow(m, -1, pk)) % pk
     rep = Fraction(c, pk)
-    assert val(x - rep, p) >= 0
+    if val(x - rep, p) < 0:
+        raise AssertionError("residue representative differs by a non-ring element")
     return ResidueClass(rep, int(p))

@@ -1,3 +1,4 @@
+import ast
 import gc
 import os
 import random
@@ -100,9 +101,22 @@ def test_dual_basis_certificate_survives_optimisation():
         "with pytest.raises(AssertionError, match='dual basis fails'):\n"
         "    so.dual_basis(A, s)\n"
         "linalg.inverse = exact\n"
+        "central = so.Order.is_central\n"
         "so.Order.is_central = lambda self, a: False\n"
         "with pytest.raises(AssertionError, match='Casimir element not central'):\n"
         "    so.casimir(A, so.LinearForm(s.values))\n"
+        "so.Order.is_central = central\n"
+        "from symorders import lattices\n"
+        "from symorders.builders import s3_fixture_bundle\n"
+        "b = s3_fixture_bundle(3)\n"
+        "lattices.stable_socle_property = lambda *args, **kwargs: False\n"
+        "with pytest.raises(AssertionError, match='disagrees with the socle'):\n"
+        "    so.stable_exponent_check(b.order, b.forms['standard'], b.lattices['trivial'])\n"
+        "import numpy as np\n"
+        "from symorders.modp import FpAlgebra\n"
+        "FpAlgebra.is_nilpotent_subspace = lambda self, basis: False\n"
+        "with pytest.raises(AssertionError, match='radical not nilpotent'):\n"
+        "    FpAlgebra(2, 1, np.array([[[1]]]), np.array([1])).radical()\n"
         # reached only when -O has removed assert statements
         "assert False, 'asserts still run'\n"
     )
@@ -113,6 +127,18 @@ def test_dual_basis_certificate_survives_optimisation():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, and every certificate must run
+    package = Path(so.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_dual_basis_is_derived_once_and_reused(s3):
@@ -127,18 +153,28 @@ def test_dual_basis_is_derived_once_and_reused(s3):
 def test_check_all_derives_each_form_once(monkeypatch):
     b = s3_fixture_bundle(3)
     derived = []
-    derive = forms._derive
+    searched = []
+    derive, search = forms._derive, forms._psp_search
 
     def counting(A, s):
         derived.append((A, s))  # kept alive, so their ids stay distinct
         return derive(A, s)
 
+    def counting_search(A, s):
+        searched.append(s)
+        return search(A, s)
+
     monkeypatch.setattr(forms, "_derive", counting)
+    monkeypatch.setattr(forms, "_psp_search", counting_search)
     assert cli.run("all", b).ok
     pairs = [(id(A), id(s)) for A, s in derived]
     assert len(pairs) == len(set(pairs))
-    # every bundle form is among them; the others are witness forms
+    # every bundle form is among them; the others are witness forms: the
+    # psp and regular-Gram witnesses
     assert {(id(b.order), id(s)) for s in b.forms.values()} <= set(pairs)
+    assert len(pairs) == len(b.forms) + 2 == 3
+    # check_psp and check_divisibility share one Casimir-orbit search
+    assert searched == [b.forms["standard"]]
 
 
 def test_dual_basis_dies_with_its_form(s3):

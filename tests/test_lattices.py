@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import symorders as so
-from symorders import linalg
+from symorders import cli, lattices, linalg, modp
 from symorders.builders import (
     matrix_column_lattice,
     matrix_order,
@@ -62,6 +62,44 @@ def test_hom_lattices_die_with_their_bundle(tmp_path):
     del b, A, s, U, V
     gc.collect()
     assert order_ref() is None and lattice_ref() is None
+
+
+def test_kept_lattice_data_dies_with_its_lattice(tmp_path):
+    path = tmp_path / "s3.json"
+    so.save_bundle(s3_fixture_bundle(3), path)
+    b = so.load_bundle(path)
+    A, s, U = b.order, b.forms["standard"], b.lattices["trivial"]
+    S = so.stable_hom(A, s, U, U)
+    analysis = so.residue_endo_analysis(A, U)
+    assert so.stable_hom(A, s, U, U) is S  # reused, not rebuilt
+    assert so.residue_endo_analysis(A, U) is analysis
+    refs = [weakref.ref(x) for x in (S, analysis, U)]
+    del b, A, s, U, S, analysis
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+
+
+def test_check_all_builds_each_stable_hom_and_radical_once(monkeypatch):
+    b = s3_fixture_bundle(3)
+    built = []
+    radicals = []
+    build, radical = lattices._stable_hom, modp.FpAlgebra.radical
+
+    def counting_build(A, s, U, V):
+        built.append((id(U), id(V)))
+        return build(A, s, U, V)
+
+    def counting_radical(alg):
+        radicals.append(alg)
+        return radical(alg)
+
+    monkeypatch.setattr(lattices, "_stable_hom", counting_build)
+    monkeypatch.setattr(modp.FpAlgebra, "radical", counting_radical)
+    assert cli.run("all", b).ok
+    items = b.lattices.values()
+    # one build per ordered lattice pair, one radical per lattice
+    assert sorted(built) == sorted((id(U), id(V)) for U in items for V in items)
+    assert len(built) == 9 and len(radicals) == 3
 
 
 def test_projective_homs_trivial_lattice(s3, s3_lattices):
