@@ -31,7 +31,7 @@ from .forms import (  # noqa: F401  (perfbench patches lattices.casimir)
     dual_basis,
     kept,
 )
-from .modp import FpAlgebra, in_span, subspace_basis
+from .modp import FpAlgebra, in_span, rref, subspace_basis
 from .orders import Order
 from .padic import INFINITY, ResidueClass, residue_class, residue_int, val
 
@@ -369,15 +369,18 @@ class TateDualityReport:
     pairing: tuple  # pairing residues on generator pairs
 
 
-def verify_tate_duality(
-    A: Order, s: LinearForm, U: Lattice, V: Lattice, enumeration_bound: int = 100000
-) -> TateDualityReport:
+def verify_tate_duality(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> TateDualityReport:
     """Certify that the pairing between the two stable Hom groups is perfect.
 
     Checks (a) matching invariant factors on both sides and (b) trivial
-    kernel of the induced map into the character group, by exhausting all
-    classes on the left side.  A nontrivial kernel raises
-    ``TateDualityError`` with the witness class.
+    kernel of the induced map into the character group.  A map between
+    finite p-groups is injective exactly on its p-torsion, which is
+    spanned over the residue field by t_i = p^(d_i-1) g_i; and t_i pairs
+    with a generator h_j of the other side to p^(d_i-1) <g_i, h_j>, whose
+    class modulo the ring is read off p^(d_i) <g_i, h_j> (certified to lie
+    in the ring) modulo p.  So (b) holds exactly when that residue matrix
+    has full row rank.  Otherwise ``TateDualityError`` names a kernel class
+    from its left nullspace, certified to pair integrally with every h_j.
     """
     S_uv = stable_hom(A, s, U, V)
     S_vu = stable_hom(A, s, V, U)
@@ -386,31 +389,28 @@ def verify_tate_duality(
             "pairing degenerate: invariant factors differ "
             f"{S_uv.exponents} vs {S_vu.exponents}"
         )
-    zu = U.act(casimir_inverse(A, s))
-
-    def pair(alpha, beta) -> Fraction:
-        return _trace(zu @ beta @ alpha)
-
-    pairing = tuple(
-        tuple(residue_class(pair(g_uv, g_vu), A.prime) for g_vu in S_vu.generators)
-        for g_uv in S_uv.generators
-    )
-    count = S_uv.element_count()
-    if count > enumeration_bound:
-        raise ResourceBoundError(
-            f"duality kernel enumeration needs {count} classes, bound {enumeration_bound}"
-        )
     p = A.prime
-    ranges = [range(p**d) for d in S_uv.exponents]
-    for coeffs in iter_product(*ranges):
-        if not any(coeffs):
-            continue
-        x = S_uv.from_class(coeffs)
-        if all(
-            val(pair(x, g_vu), p) >= 0
-            for g_vu in S_vu.generators
-        ):
-            raise TateDualityError(f"pairing degenerate: kernel class {coeffs}")
+    zu = U.act(casimir_inverse(A, s))
+    values = [[_trace(zu @ h @ g) for h in S_vu.generators] for g in S_uv.generators]
+    pairing = tuple(tuple(residue_class(v, p) for v in row) for row in values)
+    layer = []
+    for d, row in zip(S_uv.exponents, values):
+        scaled = [p**d * v for v in row]
+        if any(val(x, p) < 0 for x in scaled):
+            raise AssertionError("p^d times a generator of order p^d pairs non-integrally")
+        layer.append([residue_int(x, p, 1) for x in scaled])
+    k = len(layer)
+    reduced, pivots = rref([[row[j] for row in layer] for j in range(k)], p)
+    if len(pivots) < k:
+        free = min(set(range(k)) - set(pivots))
+        coeffs = [int(i == free) for i in range(k)]
+        for r, c in zip(reduced, pivots):
+            coeffs[c] = -int(r[free]) % p
+        cls = tuple(c * p ** (d - 1) for c, d in zip(coeffs, S_uv.exponents))
+        x = S_uv.from_class(cls)
+        if any(val(_trace(zu @ h @ x), p) < 0 for h in S_vu.generators):
+            raise AssertionError("nullspace class pairs non-integrally")
+        raise TateDualityError(f"pairing degenerate: kernel class {cls}")
     return TateDualityReport(
         perfect=True,
         exponents_uv=S_uv.exponents,
@@ -431,6 +431,11 @@ class ResidueEndoAnalysis:
     radical_basis: np.ndarray  # rows, mod-p coordinates in the hom basis
     split_local: bool
     quotient_dim: int
+
+    def radical_lifts(self) -> list:
+        """Intertwiners lifting the radical basis."""
+        return [self.hom.from_coords([Fraction(int(c)) for c in row])
+                for row in self.radical_basis]
 
 
 def residue_endo_analysis(A: Order, U: Lattice, max_dim: int = 6) -> ResidueEndoAnalysis:
@@ -511,9 +516,7 @@ def _trace_criterion(A, analysis, functional, reference_value) -> TraceCriterion
         return TraceCriterionVerdict(
             False, ref, basis_vals, False, (), "endomorphism residue algebra not split local"
         )
-    lifts = (analysis.hom.from_coords([Fraction(int(c)) for c in row])
-             for row in analysis.radical_basis)
-    rad_vals = tuple(val(functional(N), p) for N in lifts)
+    rad_vals = tuple(val(functional(N), p) for N in analysis.radical_lifts())
     if any(v <= ref for v in rad_vals):
         return TraceCriterionVerdict(
             False, ref, basis_vals, True, rad_vals,
@@ -537,20 +540,16 @@ def knorr_check(A: Order, U: Lattice, max_dim: int = 6) -> TraceCriterionVerdict
 
 
 def stable_exponent_check(
-    A: Order,
-    s: LinearForm,
-    U: Lattice,
-    max_dim: int = 6,
-    socle_bound: int = 20000,
+    A: Order, s: LinearForm, U: Lattice, max_dim: int = 6
 ) -> TraceCriterionVerdict:
     """Twisted-trace criterion: z^{-1}-twisted traces attain their minimal
     valuation exactly at automorphisms.
 
     This is equivalent to U being absolutely indecomposable with the
     stable exponent property (the socle of the stable endomorphism ring
-    equals p^{a-1} times it).  For small stable endomorphism rings the
-    equivalence is cross-checked against a direct socle computation.
-    Undefined for projective lattices.
+    equals p^{a-1} times it), and every call cross-checks the equivalence
+    against :func:`stable_socle_property`.  Undefined for projective
+    lattices.
     """
     S = stable_hom(A, s, U, U)
     if S.exponent == 0:
@@ -564,75 +563,57 @@ def stable_exponent_check(
     verdict = _trace_criterion(
         A, analysis, twisted, twisted(linalg.identity(U.rank))
     )
-    if S.element_count() <= socle_bound:
-        socle = stable_socle_property(A, s, U, bound=socle_bound)
-        if bool(verdict) != (analysis.split_local and socle):
-            raise AssertionError(
-                "twisted-trace criterion disagrees with the socle computation"
-            )
+    socle = stable_socle_property(A, s, U, max_dim=max_dim)
+    if bool(verdict) != (analysis.split_local and socle):
+        raise AssertionError(
+            "twisted-trace criterion disagrees with the socle computation"
+        )
     return verdict
 
 
-def stable_socle_property(A: Order, s: LinearForm, U: Lattice, bound: int = 20000) -> bool:
-    """Direct check that soc(stable End) = p^{a-1} stable End.
+def _layer_coords(S: StableHomPresentation, M) -> list:
+    """Coordinates over the residue field of a p-torsion stable class in
+    the layer basis p^(d_l-1) g_l."""
+    steps = [S.order.prime ** (d - 1) for d in S.exponents]
+    cls = S.class_of(M)
+    if any(c % q for c, q in zip(cls, steps)):
+        raise AssertionError("product left the p-torsion layer")
+    return [c // q for c, q in zip(cls, steps)]
 
-    Enumerates the finite ring of stable endomorphism classes, finds its
-    units and Jacobson radical by brute force, and compares the left and
-    right annihilators of the radical with p^{a-1} times the ring.
+
+def stable_socle_property(A: Order, s: LinearForm, U: Lattice, *, max_dim: int = 6) -> bool:
+    """Decide soc(S) = p^{a-1} S, on both sides, for S the stable End(U).
+
+    Linear algebra over the residue field on the p-torsion layer S[p],
+    spanned by t_i = p^(d_i-1) g_i.  As p lies in J(S), both socles lie
+    in S[p], and J(S) is generated modulo pS by the classes of the lifts
+    of a radical basis of End(U) mod p (:func:`residue_endo_analysis`,
+    whose radical maps onto that of its quotient S/pS).  So the left
+    socle is the kernel on S[p] of x -> (r x)_r over the lifts r, the
+    right socle that of x -> (x r)_r, and p^{a-1} S is spanned by the t_i
+    with d_i = a.  They agree exactly when those t_i map to zero and the
+    t_i with d_i < a have linearly independent images.
     """
     S = stable_hom(A, s, U, U)
     a = S.exponent
     if a == 0:
         raise ValueError("U projective - property undefined")
-    count = S.element_count()
-    if count > bound:
-        raise ResourceBoundError(
-            f"stable endomorphism ring has {count} classes, bound {bound}"
-        )
+    analysis = residue_endo_analysis(A, U, max_dim=max_dim)
     p = A.prime
-    mods = [p**d for d in S.exponents]
-    k = len(mods)
-    gen_prod = [
-        [S.class_of(S.generators[i] @ S.generators[j]) for j in range(k)]
-        for i in range(k)
-    ]
-    zero = tuple(0 for _ in mods)
+    layer = [p ** (d - 1) * g for d, g in zip(S.exponents, S.generators)]
+    lifts = analysis.radical_lifts()
+    top = [i for i, d in enumerate(S.exponents) if d == a]
+    low = [i for i, d in enumerate(S.exponents) if d < a]
 
-    def add(x, y):
-        return tuple((u + v) % m for u, v, m in zip(x, y, mods))
+    def socle_is_top(side) -> bool:
+        # entry i: the layer coordinates of side(r, t_i) for every lift r
+        images = [[x for r in lifts for x in _layer_coords(S, side(r, t))] for t in layer]
+        return (not any(any(images[i]) for i in top)
+                and len(rref([images[i] for i in low], p)[1]) == len(low))
 
-    def sub(x, y):
-        return tuple((u - v) % m for u, v, m in zip(x, y, mods))
-
-    def smul(c, x):
-        return tuple((c * u) % m for u, m in zip(x, mods))
-
-    def mul(x, y):
-        out = zero
-        for i in range(k):
-            if x[i] == 0:
-                continue
-            for j in range(k):
-                if y[j] == 0:
-                    continue
-                out = add(out, smul(x[i] * y[j], gen_prod[i][j]))
-        return out
-
-    classes = list(iter_product(*[range(m) for m in mods]))
-    one = S.class_of(linalg.identity(U.rank))
-    units = set()
-    for x in classes:
-        for y in classes:
-            if mul(x, y) == one and mul(y, x) == one:
-                units.add(x)
-                break
-    radical = [
-        x for x in classes if all(sub(one, mul(r, x)) in units for r in classes)
-    ]
-    soc_left = {x for x in classes if all(mul(j, x) == zero for j in radical)}
-    soc_right = {x for x in classes if all(mul(x, j) == zero for j in radical)}
-    scaled = {smul(p ** (a - 1), x) for x in classes}
-    return soc_left == scaled and soc_right == scaled
+    left = socle_is_top(lambda r, t: r @ t)
+    right = socle_is_top(lambda r, t: t @ r)
+    return left and right
 
 
 def constant_value_check(A: Order, s: LinearForm, U: Lattice) -> bool:
@@ -683,7 +664,7 @@ class EquivalenceReport:
     knorr: bool
     stable_exponent: bool
     stable_exponent_witness_form: bool | None
-    socle_oracle: bool | None
+    socle_oracle: bool
     split_local: bool
     consistent: bool
 
@@ -706,13 +687,8 @@ def knorr_exponent_equivalence(
     knorr = bool(knorr_check(A, U, max_dim=max_dim))
     stable = bool(stable_exponent_check(A, s, U, max_dim=max_dim))
     analysis = residue_endo_analysis(A, U, max_dim=max_dim)
-    try:
-        socle = stable_socle_property(A, s, U)
-    except ResourceBoundError:
-        socle = None
-    consistent = True
-    if socle is not None:
-        consistent = consistent and (stable == (analysis.split_local and socle))
+    socle = stable_socle_property(A, s, U, max_dim=max_dim)
+    consistent = stable == (analysis.split_local and socle)
     stable_witness = None
     if psp_certificate is not None:
         stable_witness = bool(

@@ -16,18 +16,40 @@ from fractions import Fraction
 INFINITY = math.inf
 
 
+# Miller-Rabin with the primes up to 41 as bases decides primality below
+# PRIME_LIMIT, the least strong pseudoprime to all of them (Sorenson and
+# Webster, 2015).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test for 2 <= n < PRIME_LIMIT."""
+    if any(n % b == 0 for b in MILLER_RABIN_BASES):
+        return n in MILLER_RABIN_BASES
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^r d with d odd
+    for b in MILLER_RABIN_BASES:
+        x = pow(b, (n - 1) >> r, n)
+        if x == 1:
+            continue
+        for _ in range(r):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
 class Prime(int):
-    """Prime integer, validated by trial division at construction."""
+    """Prime integer below PRIME_LIMIT, validated at construction."""
 
     def __new__(cls, p):
         p = int(p)
-        if p < 2:
+        if p >= PRIME_LIMIT:
+            raise ValueError(f"{p} is not below the primality limit {PRIME_LIMIT}")
+        if p < 2 or not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-        d = 2
-        while d * d <= p:
-            if p % d == 0:
-                raise ValueError(f"{p} is not prime")
-            d += 1
         return super().__new__(cls, p)
 
 

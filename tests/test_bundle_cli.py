@@ -1,9 +1,14 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import symorders as so
+from symorders.builders import s3_fixture_bundle
 from symorders.bundle import BundleError, bundle_from_dict, bundle_to_dict
 from symorders.cli import RunOptions, main, run
 
@@ -139,3 +144,22 @@ def test_cli_exit_codes(tmp_path, s3_bundle):
 
     # 0: everything passes
     assert main(["--bundle", str(good), "--check", "validate"]) == 0
+
+
+def test_cli_output_is_the_same_under_python_O(tmp_path):
+    # -O strips assert statements; the certificates are explicit raises,
+    # so the run and its report must not change
+    bundle_path = tmp_path / "s3.json"
+    so.save_bundle(s3_fixture_bundle(3), bundle_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(so.__file__).resolve().parents[1]))
+    runs = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"report{''.join(flags)}.json"
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "symorders.cli", "--bundle", str(bundle_path),
+             "--check", "all", "--json", str(out)],
+            env=env, capture_output=True, timeout=300,
+        )
+        runs.append((done.returncode, done.stdout, done.stderr, out.read_bytes()))
+    assert runs[0][0] == 0 and runs[0][1]
+    assert runs[0] == runs[1]

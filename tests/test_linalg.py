@@ -5,6 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symorders import linalg
 from symorders.padic import val
@@ -157,3 +158,31 @@ def test_left_null_space():
     N = linalg.left_null_space(M)
     assert N.shape[0] == 1
     assert all(x == 0 for x in (N @ M).reshape(-1))
+
+
+def _int_matrices(max_side=4, bound=12):
+    return st.integers(1, max_side).flatmap(lambda m: st.integers(1, max_side).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
+                           min_size=m, max_size=m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_int_matrices(), st.sampled_from([2, 3, 5]))
+def test_smith_exponents_match_sympy_invariant_factors(rows, p):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    factors = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+    expected = tuple(val(Fraction(int(d)), p) for d in factors if d != 0)
+    assert linalg.smith_normal_form(rows, p).exponents == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6),
+             min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_det_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    exact = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                          for row in rows]).det()
+    assert linalg.det(rows) == Fraction(int(exact.p), int(exact.q))

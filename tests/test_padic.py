@@ -1,10 +1,12 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from symorders.padic import (
+    PRIME_LIMIT,
     Prime,
     residue_class,
     residue_int,
@@ -24,6 +26,38 @@ def test_prime_validation():
     for bad in (1, 0, -3, 4, 9, 15):
         with pytest.raises(ValueError):
             Prime(bad)
+
+
+def test_prime_near_ten_to_the_eighteen_is_quick():
+    # trial division would need about 10^9 steps for either number
+    start = time.perf_counter()
+    assert Prime(10**18 + 3) == 10**18 + 3
+    with pytest.raises(ValueError, match="not prime"):
+        Prime((10**9 + 7) * (10**9 + 9))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_prime_rejects_carmichael_numbers_and_the_limit():
+    for carmichael in (561, 41041):
+        with pytest.raises(ValueError, match="not prime"):
+            Prime(carmichael)
+    # the smallest strong pseudoprime to all thirteen bases is the limit
+    with pytest.raises(ValueError, match=str(PRIME_LIMIT)):
+        Prime(PRIME_LIMIT)
+    with pytest.raises(ValueError, match=str(PRIME_LIMIT)):
+        Prime(2**89 - 1)  # a Mersenne prime above the limit
+    assert Prime(PRIME_LIMIT - 168) == PRIME_LIMIT - 168  # largest prime below it
+
+
+def test_prime_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(-2, 10**4):
+        try:
+            Prime(n)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == sympy.isprime(n), n
 
 
 def test_val_examples():
