@@ -17,7 +17,8 @@ import numpy as np
 
 def rref(rows, p: int):
     """Reduced row echelon form mod p; returns (rows, pivot_columns)."""
-    M = np.array([[int(x) % p for x in row] for row in rows], dtype=np.int64)
+    dtype = np.int64 if p * p < 2**63 else object  # keeps products exact
+    M = np.array([[int(x) % p for x in row] for row in rows], dtype=dtype)
     m, n = M.shape if M.size else (0, 0)
     pivots = []
     r = 0

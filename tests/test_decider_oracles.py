@@ -13,7 +13,7 @@ from itertools import product
 import pytest
 
 import symorders as so
-from symorders import lattices, linalg
+from symorders import lattices, linalg, modp
 from symorders.builders import (
     cyclic_group_table,
     group_algebra,
@@ -193,3 +193,19 @@ def test_layer_coordinates_reject_classes_off_the_layer():
     with pytest.raises(AssertionError, match="left the p-torsion layer"):
         lattices._layer_coords(S, S.generators[0])
     assert lattices._layer_coords(S, 2 * S.generators[0]) == [1]
+
+
+def test_rank_over_a_prime_beyond_int64_products_is_exact():
+    # both deciders read their verdict off modp.rref; for p > 2^31.5 the
+    # products of two residues no longer fit in int64
+    p = 4294967311
+    a = [p - 2, p - 5, 123456789, p - 1]
+    b = [p - 7, 987654321, p - 3, 3]
+    c = [((p - 11) * u + (p - 13) * v) % p for u, v in zip(a, b)]
+    reduced, pivots = modp.rref([a, b, c], p)
+    assert pivots == [0, 1]
+    for row in (a, b, c):
+        x, y = row[0], row[1]
+        assert [(x * r0 + y * r1) % p for r0, r1 in zip(*reduced)] == row
+    assert modp.rref([[2, 3], [5, 7]], p)[1] == [0, 1]
+    assert modp.rref([[2, 3], [5, 7]], p)[0].tolist() == [[1, 0], [0, 1]]
