@@ -176,12 +176,6 @@ def hecke_rank1(q: int, p=2):
     return A, LinearForm([Fraction(1), Fraction(0)])
 
 
-def hecke_characters(q: int):
-    """Split coordinates of the rank-1 Hecke order: T_s acts by 1 on the
-    first and by -q on the second."""
-    return [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-q)]]
-
-
 # -- character rings -------------------------------------------------------
 
 

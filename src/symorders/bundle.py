@@ -8,6 +8,7 @@ re-runs every structural validator and reports the failed invariant.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -93,7 +94,7 @@ def bundle_to_dict(b: Bundle) -> dict:
             for name, (degrees, dims) in sorted(b.extra_tables.items())
         }
     if b.expectations:
-        doc["expectations"] = b.expectations
+        doc["expectations"] = copy.deepcopy(b.expectations)
     return doc
 
 
@@ -179,7 +180,7 @@ def bundle_from_dict(doc: dict) -> Bundle:
         character_names=names,
         decomposition=decomposition,
         extra_tables=extra,
-        expectations=doc.get("expectations", {}),
+        expectations=copy.deepcopy(doc.get("expectations", {})),
     )
 
 

@@ -109,9 +109,9 @@ def _gram_candidate(A: Order, table: CharacterTable, a):
     G = gram_matrix(A, f)
     if not (linalg.matrices_equal(G, G.T) and linalg.is_integral(G, A.prime)):
         return None
-    if linalg.det(G) == 0:
-        return None
     snf = linalg.smith_normal_form(G, A.prime)
+    if snf.rank < A.dim:  # G singular
+        return None
     n = snf.exponents[0]
     if any(e != n for e in snf.exponents):
         return None

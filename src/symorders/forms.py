@@ -279,9 +279,9 @@ def psp_regular_gram(A: Order) -> RegularGramResult:
     """
     rho = regular_character_form(A)
     G = gram_matrix(A, rho)
-    if linalg.det(G) == 0:
-        raise RegularGramSingularError("regular Gram singular")
     snf = linalg.smith_normal_form(G, A.prime)
+    if snf.rank < A.dim:
+        raise RegularGramSingularError("regular Gram singular")
     exps = snf.exponents
     n = exps[0]
     if any(e != n for e in exps):

@@ -32,7 +32,7 @@ from .forms import (  # noqa: F401  (perfbench patches lattices.casimir)
     kept,
 )
 from .modp import FpAlgebra, in_span, rref, subspace_basis
-from .orders import Order
+from .orders import Order, first_failure
 from .padic import INFINITY, ResidueClass, residue_class, residue_int, val
 
 
@@ -73,7 +73,9 @@ def make_lattice(A: Order, action) -> Lattice:
 
     The action matrices must have ring entries, send the unit to the
     identity, and realize the structure constants:
-    act(b_i) act(b_j) = sum_k c_ijk act(b_k).
+    act(b_i) act(b_j) = sum_k c_ijk act(b_k), checked for generator rows
+    i by :func:`orders.first_failure`; an error names the first failing
+    basis pair in lexicographic order.
     """
     mats = [linalg.as_matrix(m) for m in action]
     if len(mats) != A.dim:
@@ -87,14 +89,14 @@ def make_lattice(A: Order, action) -> Lattice:
     U = Lattice(order=A, rank=rank, action=tuple(mats))
     if not linalg.matrices_equal(U.act(A.one), linalg.identity(rank)):
         raise InvalidLatticeError("unit acts nontrivially")
-    for i in range(A.dim):
-        for j in range(A.dim):
-            rhs = sum(
-                (c * mats[k] for k, c in A.products[i][j]),
-                linalg.zeros(rank, rank),
-            )
-            if not linalg.matrices_equal(mats[i] @ mats[j], rhs):
-                raise InvalidLatticeError(f"module axiom fails: basis pair ({i}, {j})")
+
+    def realized(i, j) -> bool:
+        rhs = sum((c * mats[k] for k, c in A.products[i][j]), linalg.zeros(rank, rank))
+        return linalg.matrices_equal(mats[i] @ mats[j], rhs)
+
+    failure = first_failure(A, range(A.dim), realized)
+    if failure is not None:
+        raise InvalidLatticeError("module axiom fails: basis pair (%d, %d)" % failure)
     return U
 
 
@@ -136,27 +138,18 @@ class HomLattice:
             return linalg.zeros(self.target.rank * self.source.rank, 0)
         return np.array([np.array(m).reshape(-1) for m in self.basis], dtype=object).T
 
-    def coords_of(self, M, ring: bool = True):
-        """Coordinates of an intertwiner in this basis, or None."""
-        vec = linalg.as_matrix(M).reshape(-1)
-        if self.rank == 0:
-            return linalg.zero_vector(0) if all(x == 0 for x in vec) else None
-        coords = linalg.solve_exact(self._vec_matrix, vec)
-        if coords is None:
-            return None
-        if ring and not linalg.is_integral(coords, self.source.order.prime):
-            return None
-        return coords
+    def coords_of(self, M):
+        """Ring coordinates of an intertwiner in this basis, or None."""
+        coords = self.coords_of_many([M])
+        return None if coords is None else coords[:, 0]
 
-    def coords_of_many(self, mats, ring: bool = True):
-        """Coordinate columns for several intertwiners in one elimination."""
-        if self.rank == 0:
-            return linalg.zeros(0, len(mats))
+    def coords_of_many(self, mats):
+        """Ring coordinate columns for several intertwiners in one elimination."""
         B = np.array([linalg.as_matrix(M).reshape(-1) for M in mats], dtype=object).T
+        if self.rank == 0:
+            return None if any(x != 0 for x in B.flat) else linalg.zeros(0, len(mats))
         coords = linalg.solve_exact(self._vec_matrix, B)
-        if coords is None:
-            return None
-        if ring and not linalg.is_integral(coords, self.source.order.prime):
+        if coords is None or not linalg.is_integral(coords, self.source.order.prime):
             return None
         return coords
 
@@ -169,7 +162,8 @@ class HomLattice:
 
 
 def hom_lattice(A: Order, U: Lattice, V: Lattice) -> HomLattice:
-    """Saturated basis of {phi : phi act_U(b_i) = act_V(b_i) phi for all i}.
+    """Saturated basis of {phi : phi act_U(b_g) = act_V(b_g) phi for the
+    generators g}: the a that phi intertwines form a subalgebra.
 
     Orders and lattices are immutable, so the result is kept on the
     source lattice U (see :func:`kept`); it lives exactly as long as U.
@@ -181,10 +175,11 @@ def _hom_lattice(A: Order, U: Lattice, V: Lattice) -> HomLattice:
     iu = linalg.identity(U.rank)
     iv = linalg.identity(V.rank)
     blocks = [
-        np.kron(V.action[i], iu) - np.kron(iv, np.array(U.action[i].T))
-        for i in range(A.dim)
+        np.kron(V.action[g], iu) - np.kron(iv, np.array(U.action[g].T))
+        for g in A.generators
     ]
-    kernel = linalg.integral_kernel(np.concatenate(blocks, axis=0), A.prime)
+    rows = np.concatenate([linalg.zeros(0, U.rank * V.rank)] + blocks, axis=0)
+    kernel = linalg.integral_kernel(rows, A.prime)
     basis = tuple(
         np.array(kernel[:, j]).reshape(V.rank, U.rank)
         for j in range(kernel.shape[1])
@@ -244,14 +239,12 @@ class StableHomPresentation:
     whose classes generate the factors.
     """
 
-    def __init__(self, A, s, U, V, hom, proj, invariants):
+    def __init__(self, A, s, U, V, hom, invariants):
         self.order = A
         self.form = s
         self.source = U
         self.target = V
         self.hom = hom
-        self.proj = proj
-        self._inv = invariants
         self.exponents = invariants.exponents
         torsion_positions = [
             i for i, e in enumerate(invariants.all_exponents) if e > 0
@@ -315,7 +308,7 @@ def _stable_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> StableHomPre
     P = projective_hom_lattice(A, s, U, V)
     if H.rank == 0:
         inv = linalg.QuotientInvariants((), 0, (), linalg.identity(0))
-        return StableHomPresentation(A, s, U, V, H, P, inv)
+        return StableHomPresentation(A, s, U, V, H, inv)
     sup = linalg.identity(H.rank)
     sub = H.coords_of_many(P.basis) if P.basis else linalg.zeros(H.rank, 0)
     if sub is None:
@@ -323,7 +316,7 @@ def _stable_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> StableHomPre
     inv = linalg.lattice_quotient_invariants(sub, sup, A.prime)
     if inv.free_rank != 0:
         raise AssertionError("free part nonzero: rational algebra not separable")
-    return StableHomPresentation(A, s, U, V, H, P, inv)
+    return StableHomPresentation(A, s, U, V, H, inv)
 
 
 def exponent(A: Order, s: LinearForm, U: Lattice) -> int:

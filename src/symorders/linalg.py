@@ -34,7 +34,10 @@ def as_matrix(rows) -> np.ndarray:
     else:
         data = rows
     m = len(data)
-    n = len(data[0]) if m else 0
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        n = rows.shape[1]  # kept for m = 0, which nested data cannot show
+    else:
+        n = len(data[0]) if m else 0
     out = np.empty((m, n), dtype=object)
     for i, row in enumerate(data):
         if len(row) != n:

@@ -67,10 +67,17 @@ class FpAlgebra:
     one: np.ndarray  # (dim,)
 
     def multiply(self, u, v) -> np.ndarray:
-        u = np.asarray(u, dtype=np.int64) % self.p
-        v = np.asarray(v, dtype=np.int64) % self.p
-        inner = np.tensordot(v, self.table, axes=([0], [1]))
-        return np.tensordot(u, inner, axes=([0], [0])) % self.p
+        """Product reduced after each contraction, whose sums reach
+        dim * p^2: in int64 while that fits, in Python ints beyond."""
+        p, table = self.p, self.table
+        if self.dim * p * p < 2**63:
+            u = np.asarray(u, dtype=np.int64) % p
+            v = np.asarray(v, dtype=np.int64) % p
+        else:
+            u, v = (np.array([int(x) % p for x in a], dtype=object) for a in (u, v))
+            table = table.astype(object)
+        inner = np.tensordot(v, table, axes=([0], [1])) % p
+        return np.tensordot(u, inner, axes=([0], [0])) % p
 
     def elements(self):
         for coeffs in product(range(self.p), repeat=self.dim):

@@ -120,6 +120,37 @@ class Order:
                     R[k][i] += x * c
         return np.array(R, dtype=object)
 
+    @cached_property
+    def generators(self) -> tuple:
+        """Basis indices g such that 1 and its images under repeated left
+        multiplication by the b_g span K⊗A, picked greedily in index
+        order; the span, kept in echelon form, is the certificate.  An
+        order of dimension 1 has none."""
+        echelon, gens = {}, []  # pivot -> row, zero at earlier pivots
+
+        def reduce(v) -> list:
+            v = list(v)
+            for c, row in echelon.items():
+                if v[c]:
+                    f = v[c]
+                    v = [x - f * y for x, y in zip(v, row)]
+            return v
+
+        def close(work) -> None:
+            while work:
+                v = reduce(work.pop())
+                if any(v):
+                    c = next(k for k, x in enumerate(v) if x)
+                    echelon[c] = [x / v[c] for x in v]
+                    work.extend(self.multiply(self.basis_element(g), v) for g in gens)
+
+        close([self.one])
+        for i in range(self.dim):
+            if len(echelon) < self.dim and any(reduce(self.basis_element(i))):
+                gens.append(i)
+                close([self.multiply(self.basis_element(i), v) for v in echelon.values()])
+        return tuple(gens)
+
     def regular_character(self, a) -> Fraction:
         """Trace of left multiplication by a."""
         L = self.left_matrix(a)
@@ -128,10 +159,12 @@ class Order:
     # -- predicates ---------------------------------------------------
 
     def is_central(self, a) -> bool:
-        a = linalg.as_vector(a)
-        La = self.left_matrix(a)
-        Ra = self.right_matrix(a)
-        return linalg.matrices_equal(La, Ra)
+        """a commutes with every generator, hence with all of K⊗A."""
+        terms = self._terms(a)
+        return all(
+            _nonzero(self._product(terms, [(g, 1)])) == _nonzero(self._product([(g, 1)], terms))
+            for g in self.generators
+        )
 
     def is_idempotent(self, a) -> bool:
         a = linalg.as_vector(a)
@@ -156,11 +189,12 @@ class Order:
 
     @cached_property
     def commutator_rows(self) -> np.ndarray:
-        """The matrices L(b_i) - R(b_i) stacked vertically: their common
-        kernel is the center.  Read-only."""
+        """The matrices L(b_g) - R(b_g) for the generators g stacked
+        vertically: their common kernel is the center.  Read-only."""
         stacked = np.concatenate(
-            [self.left_matrix(b) - self.right_matrix(b)
-             for b in map(self.basis_element, range(self.dim))],
+            [linalg.zeros(0, self.dim)]
+            + [self.left_matrix(b) - self.right_matrix(b)
+               for b in map(self.basis_element, self.generators)],
             axis=0,
         )
         stacked.flags.writeable = False
@@ -176,8 +210,9 @@ def make_order(structure, one, p, basis_labels=None) -> Order:
 
     Checks run at construction: every structure constant lies in the
     ring, the designated vector is a two-sided unit, and associativity
-    holds on all basis triples, verified as (b_i b_j) b_k = b_i (b_j b_k)
-    with the sparse product, triple by triple in lexicographic order.
+    (b_i b_j) b_k = b_i (b_j b_k) holds, checked with the sparse product
+    for generator rows i by :func:`first_failure`; an error names the
+    first failing basis triple in lexicographic order.
     """
     p = Prime(p)
     structure = np.asarray(structure, dtype=object)
@@ -199,16 +234,33 @@ def make_order(structure, one, p, basis_labels=None) -> Order:
         raise InvalidOrderError("unit fails")
 
     T = A.products
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                left = A._product(T[i][j], [(k, 1)])
-                right = A._product([(i, 1)], T[j][k])
-                if _nonzero(left) != _nonzero(right):
-                    raise InvalidOrderError(
-                        f"not associative: basis triple ({i}, {j}, {k})"
-                    )
+
+    def associative(i, jk) -> bool:
+        j, k = jk
+        return _nonzero(A._product(T[i][j], [(k, 1)])) == _nonzero(A._product([(i, 1)], T[j][k]))
+
+    failure = first_failure(A, [(j, k) for j in range(dim) for k in range(dim)], associative)
+    if failure is not None:
+        i, (j, k) = failure
+        raise InvalidOrderError(f"not associative: basis triple ({i}, {j}, {k})")
     return A
+
+
+def first_failure(A: Order, columns, holds):
+    """First (i, c) in lexicographic order, for a basis index i and c in
+    ``columns``, with holds(i, c) false; None when there is none.
+
+    holds must be K-linear in b_i, and the x for which it holds with
+    every c must form a subalgebra X: for associativity X is the left
+    nucleus, for a representation rho the x with rho(x b) = rho(x) rho(b)
+    for all b.  Once X holds the generators, it holds 1 and its images
+    under repeated left multiplication by them, which span K⊗A; so only
+    generator rows are checked.  On a failure every pair is rescanned to
+    name the first one.
+    """
+    if all(holds(g, c) for g in A.generators for c in columns):
+        return None
+    return next((i, c) for i in range(A.dim) for c in columns if not holds(i, c))
 
 
 def _nonzero(coords: dict) -> dict:

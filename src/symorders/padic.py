@@ -86,20 +86,10 @@ def val(x, p: int):
     return _int_val(x.numerator, p) - _int_val(x.denominator, p)
 
 
-def is_ring_element(x, p: int) -> bool:
-    """True when x lies in the p-local integers (valuation >= 0)."""
-    return val(x, p) >= 0
-
-
 def residue_int(c: Fraction, p: int, d: int) -> int:
     """Value of a ring element modulo p^d as an integer in [0, p^d)."""
     pd = p**d
     return (c.numerator * pow(c.denominator, -1, pd)) % pd
-
-
-def is_unit_scalar(x, p: int) -> bool:
-    """True when x is invertible in the p-local integers (valuation 0)."""
-    return val(x, p) == 0
 
 
 @dataclass(frozen=True)

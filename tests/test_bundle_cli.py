@@ -29,6 +29,16 @@ def test_round_trip(tmp_path, s3_bundle):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_expectations_are_not_shared_between_bundle_and_document():
+    bundle = s3_fixture_bundle(3)
+    doc = bundle_to_dict(bundle)
+    doc["expectations"]["psp"]["n"] = 7
+    assert bundle.expectations["psp"]["n"] != 7
+    loaded = bundle_from_dict(doc)
+    loaded.expectations["psp"]["n"] = 8
+    assert doc["expectations"]["psp"]["n"] == 7
+
+
 def test_load_reports_parse_errors(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")

@@ -10,6 +10,7 @@ import ast
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 import symorders as so
@@ -209,3 +210,12 @@ def test_rank_over_a_prime_beyond_int64_products_is_exact():
         assert [(x * r0 + y * r1) % p for r0, r1 in zip(*reduced)] == row
     assert modp.rref([[2, 3], [5, 7]], p)[1] == [0, 1]
     assert modp.rref([[2, 3], [5, 7]], p)[0].tolist() == [[1, 0], [0, 1]]
+
+
+def test_residue_algebra_product_beyond_int64_is_exact():
+    # F_p x F_p on the basis (1, e), e^2 = e: (-1 - 2e)(-3 - 5e) = 3 + 21e
+    p = 4294967311
+    table = np.zeros((2, 2, 2), dtype=np.int64)
+    table[0, 0, 0] = table[0, 1, 1] = table[1, 0, 1] = table[1, 1, 1] = 1
+    alg = modp.FpAlgebra(p, 2, table, np.array([1, 0]))
+    assert alg.multiply([p - 1, p - 2], [p - 3, p - 5]).tolist() == [3, 21]

@@ -96,6 +96,11 @@ def test_integral_kernel_examples():
     K = linalg.integral_kernel(linalg.zeros(1, 2), 2)
     assert linalg.matrices_equal(K, linalg.identity(2))
 
+    # no equations at all: every vector is in the kernel
+    assert linalg.as_matrix(linalg.zeros(0, 3)).shape == (0, 3)
+    K = linalg.integral_kernel(linalg.zeros(0, 3), 5)
+    assert linalg.matrices_equal(K, linalg.identity(3))
+
 
 @pytest.mark.parametrize("seed", range(5))
 def test_integral_kernel_saturated(seed):
