@@ -51,8 +51,8 @@ report = so.degree_divisibility_checks(3, cert.n, entries)
 for row in report.entries:
     print("  bound:", row)
 
-# A projective Knorr lattice has simple reduction: the column module of
-# a matrix order, spun from every nonzero residue vector.
+# A projective Knorr lattice has simple reduction: the action matrices of
+# the column module of a matrix order span all 2x2 matrices mod p.
 M, sm = matrix_order(2, 2)
 col = matrix_column_lattice(M, 2)
 print("matrix column lattice: projective", so.exponent(M, sm, col) == 0,

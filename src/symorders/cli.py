@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks pass or are decided, 1 a check contradicts an
 expectation recorded in the bundle (or an internal certification
-fails), 2 input error, 3 a configured resource bound was exceeded.
+fails), 2 input error, 3 a resource bound was exceeded (the maximal
+ideal enumeration of ``rational``).
 
 Reports are deterministic: the serialized payload contains only exact
 values (scalars as "a/b" strings); elapsed times are kept out of the
@@ -25,8 +26,6 @@ from .padic import scalar_to_str
 @dataclass
 class RunOptions:
     bound: int = 5
-    radical_dim: int = 6
-    spin_limit: int = 10**6
 
 
 @dataclass
@@ -187,7 +186,7 @@ def check_knorr(b: Bundle, opts: RunOptions) -> CheckResult:
     details = {}
     mismatches = []
     for name, U in _sorted_lattices(b):
-        verdict = lattices.knorr_check(b.order, U, max_dim=opts.radical_dim)
+        verdict = lattices.knorr_check(b.order, U)
         details[name] = {
             "verdict": bool(verdict),
             "rank": U.rank,
@@ -206,9 +205,7 @@ def check_stable_exponent(b: Bundle, opts: RunOptions) -> CheckResult:
         if a == 0:
             details[name] = {"verdict": "projective - property undefined"}
             continue
-        verdict = lattices.stable_exponent_check(
-            b.order, s, U, max_dim=opts.radical_dim
-        )
+        verdict = lattices.stable_exponent_check(b.order, s, U)
         details[name] = {"verdict": bool(verdict), "exponent": a}
         _expect(b, "stable-exponent", (name,), bool(verdict), mismatches)
     return _result("stable-exponent", details, mismatches)
@@ -317,13 +314,13 @@ def check_divisibility(b: Bundle, opts: RunOptions) -> CheckResult:
     verdicts = []
     exponents = []
     for name, U in _sorted_lattices(b):
-        knorr = bool(lattices.knorr_check(b.order, U, max_dim=opts.radical_dim))
+        knorr = bool(lattices.knorr_check(b.order, U))
         a = lattices.exponent(b.order, s, U)
         exponents.append(a)
         projective = a == 0
         verdicts.append((name, U.rank, knorr, projective))
         if projective and knorr:
-            simple = lattices.knorr_projective_check(b.order, U, limit=opts.spin_limit)
+            simple = lattices.knorr_projective_check(b.order, U)
             details[f"{name}_residue_simple"] = simple
             if not simple:
                 mismatches.append(f"divisibility: {name} projective Knorr, residue not simple")
@@ -392,10 +389,6 @@ def main(argv=None) -> int:
     defaults = RunOptions()
     parser.add_argument("--bound", type=int, default=defaults.bound,
                         help="box bound for coefficient searches")
-    parser.add_argument("--radical-dim", type=int, default=defaults.radical_dim,
-                        help="largest residue endomorphism dimension to analyse")
-    parser.add_argument("--spin-limit", type=int, default=defaults.spin_limit,
-                        help="largest residue-vector enumeration for spinning")
     parser.add_argument("--json", help="write the deterministic report here")
     args = parser.parse_args(argv)
 
@@ -404,9 +397,7 @@ def main(argv=None) -> int:
     except BundleError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    options = RunOptions(
-        bound=args.bound, radical_dim=args.radical_dim, spin_limit=args.spin_limit
-    )
+    options = RunOptions(bound=args.bound)
     try:
         report = run(args.check, bundle, options)
     except ValueError as exc:

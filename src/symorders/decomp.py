@@ -23,7 +23,7 @@ from .forms import (
     gram_matrix,
     is_symmetrising,
 )
-from .modp import FpAlgebra
+from .modp import FpAlgebra, nullspace
 from .orders import Order
 from .padic import INFINITY, residue_int, val
 
@@ -352,21 +352,27 @@ class IntersectionCriterionResult:
     maximal_ideal_count: int
 
 
-def _maximal_ideal_lattices(A: Order, centre: RationalCentre, max_dim: int = 8):
+# the most unital functionals _maximal_ideal_lattices tries, p^rank
+MAX_FUNCTIONALS = 10**6
+
+
+def _maximal_ideal_lattices(A: Order, centre: RationalCentre):
     """Lattice bases of the maximal ideals of the rational centre.
 
     Enumerate algebra homomorphisms of the residue algebra onto the
-    prime field; completeness is certified by the intersection of their
-    kernels being nilpotent (otherwise the residue algebra is not split
-    and the enumeration refuses).
+    prime field, trying all p^r unital functionals for r the rank of the
+    centre, which is refused above ``MAX_FUNCTIONALS``; completeness is
+    certified by the intersection of their kernels being nilpotent
+    (otherwise the residue algebra is not split and the enumeration
+    refuses).
     """
     Z = centre.basis
     r = Z.shape[1]
-    if r > max_dim:
-        raise ResourceBoundError(
-            f"maximal ideal enumeration bound exceeded (rank {r} > {max_dim})"
-        )
     p = A.prime
+    if p**r > MAX_FUNCTIONALS:
+        raise ResourceBoundError(
+            f"maximal ideal enumeration bound exceeded ({p}^{r} functionals > {MAX_FUNCTIONALS})"
+        )
     table = np.zeros((r, r, r), dtype=np.int64)
     for i in range(r):
         for j in range(r):
@@ -385,23 +391,7 @@ def _maximal_ideal_lattices(A: Order, centre: RationalCentre, max_dim: int = 8):
         raise ResourceBoundError(
             "maximal ideal enumeration bound exceeded: residue algebra not split"
         )
-    from .modp import rref
-
-    stacked = np.array(homs, dtype=np.int64)
-    reduced, pivots = rref(stacked, p)
-    free = [c for c in range(r) if c not in pivots]
-    kernel_rows = []
-    for c in free:
-        v = np.zeros(r, dtype=np.int64)
-        v[c] = 1
-        for row, pc in zip(reduced, pivots):
-            v[pc] = (-row[c]) % p
-        kernel_rows.append(v)
-    joint_kernel = (
-        np.array(kernel_rows, dtype=np.int64)
-        if kernel_rows
-        else np.zeros((0, r), dtype=np.int64)
-    )
+    joint_kernel = nullspace(np.array(homs, dtype=np.int64), p)
     if not alg.is_nilpotent_subspace(joint_kernel):
         raise ResourceBoundError(
             "maximal ideal enumeration bound exceeded: residue algebra not split"
@@ -432,7 +422,6 @@ def rational_intersection_criterion(
     table: CharacterTable,
     D: DecompositionMatrix,
     sigma_tilde=None,
-    max_centre_dim: int = 8,
 ) -> IntersectionCriterionResult:
     """Exact-linear-algebra decision of the scalar property from rational
     character data.
@@ -498,7 +487,7 @@ def rational_intersection_criterion(
 
     L_full = intersect_with_span(image_lattice(centre.basis))
     morita_verdict = True
-    ideals = _maximal_ideal_lattices(A, centre, max_dim=max_centre_dim)
+    ideals = _maximal_ideal_lattices(A, centre)
     for ideal_basis in ideals:
         ideal_cols = centre.basis @ ideal_basis
         L_ideal = intersect_with_span(image_lattice(ideal_cols))

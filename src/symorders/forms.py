@@ -138,15 +138,20 @@ def _derive(A: Order, s: LinearForm) -> DualBasis:
 
     Since s(b_i x) = (G x)_i for every x, the defining condition
     s(b_i x_j^v) = delta_ij is exactly G D = I, which is certified with
-    one matrix product.  The Casimir element is certified to equal
-    sum_x x^v x, to be central and to have ring coordinates;
-    :meth:`Order.invert` certifies z z^{-1} = 1.
+    one matrix product.  A ring matrix G is unimodular exactly when its
+    inverse D exists and has ring entries.  The Casimir element is
+    certified to equal sum_x x^v x, to be central and to have ring
+    coordinates; :meth:`Order.invert` certifies z z^{-1} = 1.
     """
     G, p = gram_matrix(A, s), A.prime
-    if not (linalg.matrices_equal(G, G.T) and linalg.is_integral(G, p)
-            and val(linalg.det(G), p) == 0):
+    if not (linalg.matrices_equal(G, G.T) and linalg.is_integral(G, p)):
         raise NotSymmetrisingError("form not symmetrising")
-    D = linalg.inverse(G)
+    try:
+        D = linalg.inverse(G)
+    except ValueError:
+        raise NotSymmetrisingError("form not symmetrising") from None
+    if not linalg.is_integral(D, p):
+        raise NotSymmetrisingError("form not symmetrising")
     if not linalg.matrices_equal(G @ D, linalg.identity(A.dim)):
         raise AssertionError("dual basis fails s(b_i x_j^v) = delta_ij")
     z = A.zero()
@@ -236,9 +241,10 @@ def psp_direct(A: Order, s: LinearForm):
 
     Some twist of s has Casimir p^t 1 exactly when u = p^t z^{-1} is a
     central unit of the order, which happens exactly when both p^t z^{-1}
-    and its inverse p^{-t} z have ring coordinates.  Feasible exponents
-    satisfy dim * t = val(det of multiplication by z), so t is bounded by
-    that valuation.  Returns a PspCertificate or None, kept on the form.
+    and its inverse p^{-t} z have ring coordinates.  Only one t can do:
+    the least t with p^t z^{-1} in the order, since p times an element
+    of the order is no unit.  Returns a PspCertificate or None, kept on
+    the form.
     """
     return kept(s._kept, "psp_direct", (A,), lambda: _psp_search(A, s))
 
@@ -247,18 +253,14 @@ def _psp_search(A: Order, s: LinearForm):
     z = casimir(A, s)
     zinv = casimir_inverse(A, s)
     p = A.prime
-    bound = int(val(linalg.det(A.left_matrix(z)), p)) // A.dim
-    for t in range(0, bound + 1):
-        pt = Fraction(p) ** t
-        u = zinv * pt
-        w = z / pt
-        if A.has_ring_coords(u) and A.has_ring_coords(w):
-            witness = twist_form(A, s, w)
-            cert = PspCertificate(n=t, witness_form=witness)
-            if not cert.verify(A):
-                raise AssertionError("twisted form fails the scalar Casimir certificate")
-            return cert
-    return None
+    t = max(0, -min(val(c, p) for c in zinv))
+    pt = Fraction(p) ** t
+    if not (A.has_ring_coords(zinv * pt) and A.has_ring_coords(z / pt)):
+        return None
+    cert = PspCertificate(n=t, witness_form=twist_form(A, s, z / pt))
+    if not cert.verify(A):
+        raise AssertionError("twisted form fails the scalar Casimir certificate")
+    return cert
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,12 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as iter_product
 
 import numpy as np
 
 from . import linalg
-from .errors import ResourceBoundError
 from .forms import (  # noqa: F401  (perfbench patches lattices.casimir)
     LinearForm,
     casimir,
@@ -31,7 +29,7 @@ from .forms import (  # noqa: F401  (perfbench patches lattices.casimir)
     dual_basis,
     kept,
 )
-from .modp import FpAlgebra, in_span, rref, subspace_basis
+from .modp import FpAlgebra, nullspace, rref
 from .orders import Order, first_failure
 from .padic import INFINITY, ResidueClass, residue_class, residue_int, val
 
@@ -372,8 +370,9 @@ def verify_tate_duality(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> Tate
     with a generator h_j of the other side to p^(d_i-1) <g_i, h_j>, whose
     class modulo the ring is read off p^(d_i) <g_i, h_j> (certified to lie
     in the ring) modulo p.  So (b) holds exactly when that residue matrix
-    has full row rank.  Otherwise ``TateDualityError`` names a kernel class
-    from its left nullspace, certified to pair integrally with every h_j.
+    has full row rank.  Otherwise ``TateDualityError`` names the first
+    class of its left nullspace, certified to pair integrally with every
+    h_j.
     """
     S_uv = stable_hom(A, s, U, V)
     S_vu = stable_hom(A, s, V, U)
@@ -393,13 +392,9 @@ def verify_tate_duality(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> Tate
             raise AssertionError("p^d times a generator of order p^d pairs non-integrally")
         layer.append([residue_int(x, p, 1) for x in scaled])
     k = len(layer)
-    reduced, pivots = rref([[row[j] for row in layer] for j in range(k)], p)
-    if len(pivots) < k:
-        free = min(set(range(k)) - set(pivots))
-        coeffs = [int(i == free) for i in range(k)]
-        for r, c in zip(reduced, pivots):
-            coeffs[c] = -int(r[free]) % p
-        cls = tuple(c * p ** (d - 1) for c, d in zip(coeffs, S_uv.exponents))
+    kernel = nullspace(np.array(layer, dtype=object).reshape(k, k).T, p)
+    if len(kernel):
+        cls = tuple(int(c) * p ** (d - 1) for c, d in zip(kernel[0], S_uv.exponents))
         x = S_uv.from_class(cls)
         if any(val(_trace(zu @ h @ x), p) < 0 for h in S_vu.generators):
             raise AssertionError("nullspace class pairs non-integrally")
@@ -431,24 +426,20 @@ class ResidueEndoAnalysis:
                 for row in self.radical_basis]
 
 
-def residue_endo_analysis(A: Order, U: Lattice, max_dim: int = 6) -> ResidueEndoAnalysis:
+def residue_endo_analysis(A: Order, U: Lattice) -> ResidueEndoAnalysis:
     """Radical and split-local flag of End(U) over the residue field.
 
-    The radical is found by exhaustive nilpotent-ideal search, which is
-    certified but exponential; dimensions above ``max_dim`` are refused,
-    kept analysis or not.  U is absolutely indecomposable exactly when
-    the quotient by the radical is one-dimensional (split local).
+    The radical is computed and certified by :meth:`FpAlgebra.radical`,
+    in time polynomial in the rank of End(U) and the size of p.  U is
+    absolutely indecomposable exactly when the quotient by the radical
+    is one-dimensional (split local).  Kept on U.
     """
-    E = hom_lattice(A, U, U)
-    if E.rank > max_dim:
-        raise ResourceBoundError(
-            f"residue algebra too large for radical computation ({E.rank} > {max_dim})"
-        )
     return kept(U._kept, "residue_endo_analysis", (A,),
-                lambda: _residue_endo_analysis(A, U, E))
+                lambda: _residue_endo_analysis(A, U))
 
 
-def _residue_endo_analysis(A: Order, U: Lattice, E: HomLattice) -> ResidueEndoAnalysis:
+def _residue_algebra(A: Order, E: HomLattice) -> FpAlgebra:
+    """End(U) modulo p, on the reduction of the hom basis E of End(U)."""
     e = E.rank
     p = A.prime
     table = np.zeros((e, e, e), dtype=np.int64)
@@ -460,11 +451,16 @@ def _residue_endo_analysis(A: Order, U: Lattice, E: HomLattice) -> ResidueEndoAn
         for j in range(e):
             coords = coords_all[:, i * e + j]
             table[i, j] = [residue_int(c, p, 1) for c in coords]
-    one_coords = E.coords_of(linalg.identity(U.rank))
+    one_coords = E.coords_of(linalg.identity(E.source.rank))
     if one_coords is None:
         raise AssertionError("identity not in the hom lattice")
-    alg = FpAlgebra(p, e, table, np.array([residue_int(c, p, 1) for c in one_coords]))
-    radical = alg.radical()
+    return FpAlgebra(p, e, table, np.array([residue_int(c, p, 1) for c in one_coords]))
+
+
+def _residue_endo_analysis(A: Order, U: Lattice) -> ResidueEndoAnalysis:
+    E = hom_lattice(A, U, U)
+    e = E.rank
+    radical = _residue_algebra(A, E).radical()
     qdim = e - radical.shape[0]
     return ResidueEndoAnalysis(
         hom=E,
@@ -518,7 +514,7 @@ def _trace_criterion(A, analysis, functional, reference_value) -> TraceCriterion
     return TraceCriterionVerdict(True, ref, basis_vals, True, rad_vals, None)
 
 
-def knorr_check(A: Order, U: Lattice, max_dim: int = 6) -> TraceCriterionVerdict:
+def knorr_check(A: Order, U: Lattice) -> TraceCriterionVerdict:
     """Knorr trace condition: tr(End(U)) lands in the rank ideal, with
     equality of valuations exactly at automorphisms.
 
@@ -528,13 +524,11 @@ def knorr_check(A: Order, U: Lattice, max_dim: int = 6) -> TraceCriterionVerdict
     lambda id + nilpotent); (c) radical lifts have strictly larger trace
     valuation.
     """
-    analysis = residue_endo_analysis(A, U, max_dim=max_dim)
+    analysis = residue_endo_analysis(A, U)
     return _trace_criterion(A, analysis, _trace, Fraction(U.rank))
 
 
-def stable_exponent_check(
-    A: Order, s: LinearForm, U: Lattice, max_dim: int = 6
-) -> TraceCriterionVerdict:
+def stable_exponent_check(A: Order, s: LinearForm, U: Lattice) -> TraceCriterionVerdict:
     """Twisted-trace criterion: z^{-1}-twisted traces attain their minimal
     valuation exactly at automorphisms.
 
@@ -552,11 +546,11 @@ def stable_exponent_check(
     def twisted(M) -> Fraction:
         return _trace(zu @ M)
 
-    analysis = residue_endo_analysis(A, U, max_dim=max_dim)
+    analysis = residue_endo_analysis(A, U)
     verdict = _trace_criterion(
         A, analysis, twisted, twisted(linalg.identity(U.rank))
     )
-    socle = stable_socle_property(A, s, U, max_dim=max_dim)
+    socle = stable_socle_property(A, s, U)
     if bool(verdict) != (analysis.split_local and socle):
         raise AssertionError(
             "twisted-trace criterion disagrees with the socle computation"
@@ -574,7 +568,7 @@ def _layer_coords(S: StableHomPresentation, M) -> list:
     return [c // q for c, q in zip(cls, steps)]
 
 
-def stable_socle_property(A: Order, s: LinearForm, U: Lattice, *, max_dim: int = 6) -> bool:
+def stable_socle_property(A: Order, s: LinearForm, U: Lattice) -> bool:
     """Decide soc(S) = p^{a-1} S, on both sides, for S the stable End(U).
 
     Linear algebra over the residue field on the p-torsion layer S[p],
@@ -585,14 +579,13 @@ def stable_socle_property(A: Order, s: LinearForm, U: Lattice, *, max_dim: int =
     socle is the kernel on S[p] of x -> (r x)_r over the lifts r, the
     right socle that of x -> (x r)_r, and p^{a-1} S is spanned by the t_i
     with d_i = a.  They agree exactly when those t_i map to zero and the
-    t_i with d_i < a have linearly independent images.  The radical search
-    refuses End(U) of rank above ``max_dim`` (``ResourceBoundError``).
+    t_i with d_i < a have linearly independent images.
     """
     S = stable_hom(A, s, U, U)
     a = S.exponent
     if a == 0:
         raise ValueError("U projective - property undefined")
-    analysis = residue_endo_analysis(A, U, max_dim=max_dim)
+    analysis = residue_endo_analysis(A, U)
     p = A.prime
     layer = [p ** (d - 1) * g for d, g in zip(S.exponents, S.generators)]
     lifts = analysis.radical_lifts()
@@ -616,39 +609,22 @@ def constant_value_check(A: Order, s: LinearForm, U: Lattice) -> bool:
     return min(vals) == -S.exponent
 
 
-def knorr_projective_check(A: Order, U: Lattice, limit: int = 10**6) -> bool:
-    """Simplicity of U modulo p, by spinning every nonzero residue vector.
+def knorr_projective_check(A: Order, U: Lattice) -> bool:
+    """Whether U/pU is simple, for U projective with End(U) mod p split local.
 
-    Intended for lattices already known to be projective and Knorr;
-    refuses when p^rank exceeds the enumeration limit.
+    Projectivity gives End(U/pU) = End(U)/p, which is split local.  By
+    Schur's lemma a simple U/pU has a division ring as endomorphism
+    ring, and a split local one is the prime field itself, so U/pU is
+    simple exactly when it is absolutely simple.  By Burnside's theorem
+    that holds exactly when the action matrices mod p span all rank x
+    rank matrices: one rank computation mod p.  Raises ``ValueError``
+    when End(U) mod p is not split local; projectivity is the caller's.
     """
+    if not residue_endo_analysis(A, U).split_local:
+        raise ValueError("endomorphism residue algebra not split local")
     p = A.prime
-    if p**U.rank > limit:
-        raise ResourceBoundError("enumeration bound exceeded")
-    actions = [
-        np.array([[residue_int(x, p, 1) for x in row] for row in m], dtype=np.int64)
-        for m in U.action
-    ]
-    for coeffs in iter_product(range(p), repeat=U.rank):
-        if not any(coeffs):
-            continue
-        basis = subspace_basis([np.array(coeffs, dtype=np.int64)], p)
-        changed = True
-        while changed and basis.shape[0] < U.rank:
-            changed = False
-            rows = list(basis)
-            for v in basis:
-                for m in actions:
-                    w = (m @ v) % p
-                    if not in_span(w, basis, p):
-                        rows.append(w)
-            new_basis = subspace_basis(rows, p)
-            if new_basis.shape[0] > basis.shape[0]:
-                basis = new_basis
-                changed = True
-        if basis.shape[0] < U.rank:
-            return False
-    return True
+    actions = [[residue_int(x, p, 1) for x in m.flat] for m in U.action]
+    return len(rref(actions, p)[1]) == U.rank**2
 
 
 @dataclass(frozen=True, eq=False)
@@ -666,7 +642,6 @@ def knorr_exponent_equivalence(
     s: LinearForm,
     U: Lattice,
     psp_certificate=None,
-    max_dim: int = 6,
 ) -> EquivalenceReport:
     """Consistency report for the two characterisations on one lattice.
 
@@ -676,15 +651,15 @@ def knorr_exponent_equivalence(
     that the untwisted Knorr condition matches the twisted criterion,
     both for the supplied form and for the certificate's witness form.
     """
-    knorr = bool(knorr_check(A, U, max_dim=max_dim))
-    stable = bool(stable_exponent_check(A, s, U, max_dim=max_dim))
-    analysis = residue_endo_analysis(A, U, max_dim=max_dim)
-    socle = stable_socle_property(A, s, U, max_dim=max_dim)
+    knorr = bool(knorr_check(A, U))
+    stable = bool(stable_exponent_check(A, s, U))
+    analysis = residue_endo_analysis(A, U)
+    socle = stable_socle_property(A, s, U)
     consistent = True  # stable_exponent_check raised otherwise
     stable_witness = None
     if psp_certificate is not None:
         stable_witness = bool(
-            stable_exponent_check(A, psp_certificate.witness_form, U, max_dim=max_dim)
+            stable_exponent_check(A, psp_certificate.witness_form, U)
         )
         consistent = (knorr == stable) and (knorr == stable_witness)
     return EquivalenceReport(

@@ -1,10 +1,10 @@
 """Small dense linear algebra and algebra arithmetic over a prime field.
 
-Vectors are int tuples/arrays with entries reduced mod p.  Everything
-here is desk-scale and exhaustive by design: radicals are found by
-enumerating the elements whose two-sided ideal is nilpotent, and
-algebra homomorphisms to the prime field are found by enumerating all
-unital functionals and keeping the multiplicative ones.
+Vectors are int tuples/arrays with entries reduced mod p.  Kernels,
+ranks and radicals come from elimination mod p, exact at every prime:
+in int64 while the products involved fit and in Python ints beyond.
+Only the algebra homomorphisms to the prime field are enumerated, over
+all p^dim unital functionals, so their callers bound p^dim.
 """
 
 from __future__ import annotations
@@ -42,19 +42,44 @@ def rref(rows, p: int):
     return M[:r], pivots
 
 
+def nullspace(M, p: int) -> np.ndarray:
+    """Rows spanning {v : M v = 0} mod p: one per free column of M, in
+    column order, equal to 1 there and 0 at the other free columns."""
+    n = np.shape(M)[1]
+    reduced, pivots = rref(M, p)
+    free = [c for c in range(n) if c not in pivots]
+    out = np.zeros((len(free), n), dtype=reduced.dtype)
+    for row, c in enumerate(free):
+        out[row, c] = 1
+        for pivot_row, pc in zip(reduced, pivots):
+            out[row, pc] = -pivot_row[c] % p
+    return out
+
+
+def _reduced(a, m: int, terms: int) -> np.ndarray:
+    """a mod m: in int64 while a sum of ``terms`` products of residues
+    fits, and in Python ints beyond, so that contractions stay exact."""
+    if terms * m * m < 2**63:
+        return np.asarray(a, dtype=np.int64) % m
+    return np.asarray(a).astype(object) % m
+
+
+def _power_trace(M, e: int, q: int) -> int:
+    """Trace of M^e mod q, for a square integer matrix M and e >= 1."""
+    M = _reduced(M, q, len(M))
+    P = M
+    for bit in bin(e)[3:]:
+        P = P @ P % q
+        if bit == "1":
+            P = P @ M % q
+    return int(np.trace(P)) % q
+
+
 def subspace_basis(vectors, p: int) -> np.ndarray:
     if not len(vectors):
         return np.zeros((0, 0), dtype=np.int64)
     basis, _ = rref(vectors, p)
     return basis
-
-
-def in_span(v, basis, p: int) -> bool:
-    if basis.shape[0] == 0:
-        return all(int(x) % p == 0 for x in v)
-    stacked = np.vstack([basis, np.array([int(x) % p for x in v])])
-    reduced, _ = rref(stacked, p)
-    return reduced.shape[0] == basis.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,43 +91,15 @@ class FpAlgebra:
     table: np.ndarray  # (dim, dim, dim) ints mod p
     one: np.ndarray  # (dim,)
 
+    def left_rows(self, u) -> np.ndarray:
+        """Rows u b_0, ..., u b_{dim-1}: the transposed matrix of left
+        multiplication by u, with entries in [0, p)."""
+        table = _reduced(self.table, self.p, self.dim)
+        return np.tensordot(_reduced(u, self.p, self.dim), table, axes=([0], [0])) % self.p
+
     def multiply(self, u, v) -> np.ndarray:
-        """Product reduced after each contraction, whose sums reach
-        dim * p^2: in int64 while that fits, in Python ints beyond."""
-        p, table = self.p, self.table
-        if self.dim * p * p < 2**63:
-            u = np.asarray(u, dtype=np.int64) % p
-            v = np.asarray(v, dtype=np.int64) % p
-        else:
-            u, v = (np.array([int(x) % p for x in a], dtype=object) for a in (u, v))
-            table = table.astype(object)
-        inner = np.tensordot(v, table, axes=([0], [1])) % p
-        return np.tensordot(u, inner, axes=([0], [0])) % p
-
-    def elements(self):
-        for coeffs in product(range(self.p), repeat=self.dim):
-            yield np.array(coeffs, dtype=np.int64)
-
-    def ideal_closure(self, x) -> np.ndarray:
-        """Basis of the two-sided ideal generated by x."""
-        basis = subspace_basis([x], self.p)
-        changed = True
-        while changed:
-            changed = False
-            new_rows = list(basis)
-            for g in basis:
-                for i in range(self.dim):
-                    e = np.zeros(self.dim, dtype=np.int64)
-                    e[i] = 1
-                    for prod_vec in (self.multiply(e, g), self.multiply(g, e)):
-                        if not in_span(prod_vec, basis, self.p):
-                            new_rows.append(prod_vec)
-            if len(new_rows) > basis.shape[0]:
-                new_basis = subspace_basis(new_rows, self.p)
-                if new_basis.shape[0] > basis.shape[0]:
-                    basis = new_basis
-                    changed = True
-        return basis
+        return np.tensordot(_reduced(v, self.p, self.dim), self.left_rows(u),
+                            axes=([0], [0])) % self.p
 
     def subspace_product(self, basis_a, basis_b) -> np.ndarray:
         prods = [
@@ -123,77 +120,48 @@ class FpAlgebra:
             current = self.subspace_product(current, basis)
         return False
 
-    def is_nilpotent_element(self, x) -> bool:
-        power = np.array(x, dtype=np.int64) % self.p
-        for _ in range(self.dim):
-            if not any(power):
-                return True
-            power = self.multiply(power, x)
-        return not any(power)
-
     def radical(self) -> np.ndarray:
-        """Basis of the largest nilpotent two-sided ideal.
+        """Basis of the Jacobson radical, in reduced row echelon form.
 
-        An element lies in the radical exactly when the two-sided ideal
-        it generates is nilpotent; all p^dim elements are enumerated
-        (with a cheap element-nilpotency pre-filter, since a generator of
-        a nilpotent ideal is itself nilpotent, and a span-membership skip,
-        since sums of such generators again generate nilpotent ideals).
-        The result is certified to be a nilpotent ideal whose quotient
-        contains no nonzero nilpotent-ideal generator.
+        The trace chain of Cohen, Ivanyos and Wales (Finding the radical
+        of an algebra of linear transformations, JPAA 117/118, 1997) on
+        the left regular representation.  Let g_i(y) be the trace of the
+        p^i-th power of the matrix of left multiplication by y, lifted
+        entrywise to [0, p), divided by p^i, mod p.  Starting from the
+        whole algebra, the ideals
+        I_i = {x in I_{i-1} : g_i(x b_j) = 0 for every basis element b_j},
+        for the i with p^i <= dim, end at the radical.  g_i is linear on
+        I_{i-1}, so each step is one kernel mod p; for p > dim the chain
+        is the single step of Dickson's criterion, the kernel of the
+        trace form.  The result is certified to be a two-sided ideal and
+        nilpotent.
         """
-        basis = np.zeros((0, self.dim), dtype=np.int64)
-        for x in self.elements():
-            if not any(x):
-                continue
-            if in_span(x, basis, self.p):
-                continue
-            if not self.is_nilpotent_element(x):
-                continue
-            ideal = self.ideal_closure(x)
-            if self.is_nilpotent_subspace(ideal):
-                basis = subspace_basis(np.vstack([basis, ideal]) if basis.size else ideal, self.p)
-        # certification: an ideal, nilpotent, with semisimple quotient
-        for row in basis:
-            for i in range(self.dim):
-                e = np.zeros(self.dim, dtype=np.int64)
-                e[i] = 1
-                if not (in_span(self.multiply(e, row), basis, self.p)
-                        and in_span(self.multiply(row, e), basis, self.p)):
-                    raise AssertionError("radical not a two-sided ideal")
-        if not self.is_nilpotent_subspace(basis):
+        p, n = self.p, self.dim
+        units = np.eye(n, dtype=np.int64)
+        ideal = units
+        i = 0
+        while p**i <= n and len(ideal):
+            values = []  # g_i(x b_j) for the basis rows x of I_{i-1}
+            for x in ideal:
+                for b in units:
+                    t = _power_trace(self.left_rows(self.multiply(x, b)), p**i, p ** (i + 1))
+                    if t % p**i:
+                        raise AssertionError("trace of a p^i-th power not divisible by p^i")
+                    values.append(t // p**i)
+            G = np.array(values, dtype=object).reshape(len(ideal), n)
+            kernel = nullspace(G.T, p)
+            combined = np.array(kernel, dtype=object) @ np.array(ideal, dtype=object)
+            ideal = rref(combined, p)[0]
+            i += 1
+        if not len(ideal):
+            ideal = np.zeros((0, n), dtype=np.int64)
+        products = [self.multiply(u, r) for r in ideal for u in units]
+        products += [self.multiply(r, u) for r in ideal for u in units]
+        if len(rref(list(ideal) + products, p)[1]) != len(ideal):
+            raise AssertionError("radical not a two-sided ideal")
+        if not self.is_nilpotent_subspace(ideal):
             raise AssertionError("radical not nilpotent")
-        quotient = self.quotient(basis)
-        for x in quotient.elements():
-            if any(x) and quotient.is_nilpotent_element(x):
-                if quotient.is_nilpotent_subspace(quotient.ideal_closure(x)):
-                    raise AssertionError("quotient by the radical is not semisimple")
-        return basis
-
-    def quotient(self, ideal_basis) -> "FpAlgebra":
-        """Quotient algebra by a two-sided ideal, on a complement basis."""
-        if ideal_basis.shape[0] == 0:
-            return self
-        reduced, pivots = rref(ideal_basis, self.p)
-        free = [c for c in range(self.dim) if c not in pivots]
-        q = len(free)
-
-        def project(v):
-            v = np.array(v, dtype=np.int64) % self.p
-            for row, c in zip(reduced, pivots):
-                if v[c] % self.p:
-                    v = (v - v[c] * row) % self.p
-            return v[free]
-
-        table = np.zeros((q, q, q), dtype=np.int64)
-        for a in range(q):
-            for b in range(q):
-                ea = np.zeros(self.dim, dtype=np.int64)
-                ea[free[a]] = 1
-                eb = np.zeros(self.dim, dtype=np.int64)
-                eb[free[b]] = 1
-                table[a, b] = project(self.multiply(ea, eb))
-        return FpAlgebra(self.p, q, table, project(self.one))
+        return ideal
 
     def homs_to_prime_field(self) -> list:
         """All unital algebra homomorphisms to the prime field.

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .padic import Prime, val
+from .padic import Prime
 
 
 class InvalidOrderError(ValueError):
@@ -171,9 +171,14 @@ class Order:
         return linalg.vectors_equal(self.multiply(a, a), a)
 
     def is_unit(self, a) -> bool:
+        """a has an inverse in the order: its rational inverse exists and
+        has ring coordinates."""
         if not self.has_ring_coords(a):
             raise ValueError("is_unit needs ring coordinates")
-        return val(linalg.det(self.left_matrix(a)), self.prime) == 0
+        try:
+            return self.has_ring_coords(self.invert(a))
+        except NotInvertibleError:
+            return False
 
     # -- rational-algebra operations ----------------------------------
 

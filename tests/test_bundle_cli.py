@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import symorders as so
-from symorders.builders import s3_fixture_bundle
-from symorders.bundle import BundleError, bundle_from_dict, bundle_to_dict
+from symorders.builders import matrix_column_lattice, matrix_order, s3_fixture_bundle
+from symorders.bundle import Bundle, BundleError, bundle_from_dict, bundle_to_dict
 from symorders.cli import RunOptions, main, run
 
 
@@ -147,13 +148,42 @@ def test_cli_exit_codes(tmp_path, s3_bundle):
     bad.write_text(json.dumps(doc))
     assert main(["--bundle", str(bad), "--check", "psp"]) == 1
 
-    # 3: resource bound exceeded
+    # 3: resource bound exceeded, by the p^3 unital functionals that the
+    # maximal ideals of the rank-3 rational centre are searched among
+    big = tmp_path / "big.json"
+    so.save_bundle(s3_fixture_bundle(4294967311), big)
+    assert main(["--bundle", str(big), "--check", "rational"]) == 3
+
+    # 0: everything passes, with no bound on the residue radicals
     good = tmp_path / "good.json"
     so.save_bundle(s3_bundle, good)
-    assert main(["--bundle", str(good), "--check", "knorr", "--radical-dim", "2"]) == 3
-
-    # 0: everything passes
     assert main(["--bundle", str(good), "--check", "validate"]) == 0
+    assert main(["--bundle", str(good), "--check", "knorr"]) == 0
+
+
+def test_residue_checks_run_exactly_at_a_prime_beyond_int64_products():
+    p = 4294967311
+    M, sm = matrix_order(2, p)
+    matrix = Bundle(prime=p, order=M, forms={"standard": sm},
+                    lattices={"column": matrix_column_lattice(M, 2),
+                              "regular": so.regular_lattice(M)})
+    s3 = dataclasses.replace(s3_fixture_bundle(p), expectations={})
+    # p divides no rank or group order: every lattice is projective, and
+    # exactly the absolutely indecomposable ones are Knorr
+    cases = [(matrix, {"column": True, "regular": False}),
+             (s3, {"trivial": True, "sign": True, "regular": False})]
+    for b, knorr in cases:
+        results = {}
+        for check in ("knorr", "stable-exponent", "divisibility"):
+            (result,) = run(check, b).results
+            assert result.verdict == "pass", (check, result.details)
+            results[check] = result.details
+        assert {k: v["verdict"] for k, v in results["knorr"].items()} == knorr
+        assert all(v == {"verdict": "projective - property undefined"}
+                   for v in results["stable-exponent"].values())
+        simple = {k: v for k, v in results["divisibility"].items()
+                  if k.endswith("_residue_simple")}
+        assert simple == {f"{k}_residue_simple": True for k, v in knorr.items() if v}
 
 
 def test_cli_output_is_the_same_under_python_O(tmp_path):

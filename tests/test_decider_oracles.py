@@ -1,9 +1,12 @@
-"""The stable socle and Tate perfectness deciders against brute force.
+"""The linear-algebra deciders against brute force.
 
 ``stable_socle_property`` and ``verify_tate_duality`` decide by linear
-algebra on the p-torsion layer of the stable Hom groups.  The oracles
-here enumerate every stable class instead, which is exponential in the
-number of invariant factors, so they only run on small cases.
+algebra on the p-torsion layer of the stable Hom groups,
+``FpAlgebra.radical`` by the Cohen-Ivanyos-Wales trace chain and
+``knorr_projective_check`` by Burnside's theorem.  The oracles here
+enumerate instead: every stable class, every element of the residue
+algebra, every residue vector.  That is exponential, so they only run
+on small cases.
 """
 
 import ast
@@ -12,19 +15,23 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import symorders as so
 from symorders import lattices, linalg, modp
 from symorders.builders import (
     cyclic_group_table,
     group_algebra,
+    klein_four_table,
     matrix_column_lattice,
     matrix_order,
     rank2_order,
     rank2_projection_lattice,
+    symmetric_group_table,
 )
 from symorders.lattices import TateDualityError, _trace
-from symorders.padic import val
+from symorders.padic import residue_int, val
 
 
 def socle_oracle(A, s, U) -> bool:
@@ -80,6 +87,90 @@ def tate_kernel_oracle(A, s, U, V):
             if all(val(_trace(zu @ h @ x), p) >= 0 for h in S_vu.generators):
                 return coeffs
     return None
+
+
+def _units(n):
+    return np.eye(n, dtype=np.int64)
+
+
+def _ideal_closure(alg, x):
+    """Basis of the two-sided ideal generated by x."""
+    basis = modp.subspace_basis([x], alg.p)
+    while True:
+        units = _units(alg.dim)
+        rows = (list(basis) + [alg.multiply(e, g) for g in basis for e in units]
+                + [alg.multiply(g, e) for g in basis for e in units])
+        grown = modp.subspace_basis(rows, alg.p)
+        if grown.shape[0] == basis.shape[0]:
+            return basis
+        basis = grown
+
+
+def _is_nilpotent_element(alg, x) -> bool:
+    power = np.array(x, dtype=np.int64) % alg.p
+    for _ in range(alg.dim):
+        if not any(power):
+            return True
+        power = alg.multiply(power, x)
+    return not any(power)
+
+
+def _nilpotent_ideal_generators(alg):
+    """Every element of the algebra whose two-sided ideal is nilpotent."""
+    for coeffs in product(range(alg.p), repeat=alg.dim):
+        x = np.array(coeffs, dtype=np.int64)
+        if (any(x) and _is_nilpotent_element(alg, x)
+                and alg.is_nilpotent_subspace(_ideal_closure(alg, x))):
+            yield x
+
+
+def _quotient(alg, ideal):
+    """Quotient algebra by a two-sided ideal, on the non-pivot basis elements."""
+    p = alg.p
+    reduced, pivots = modp.rref(ideal, p)
+    free = [c for c in range(alg.dim) if c not in pivots]
+
+    def project(v):
+        v = np.array(v, dtype=np.int64) % p
+        for row, c in zip(reduced, pivots):
+            v = (v - v[c] * row) % p
+        return v[free]
+
+    e = _units(alg.dim)
+    table = np.array([[project(alg.multiply(e[a], e[b])) for b in free] for a in free])
+    return modp.FpAlgebra(p, len(free), table, project(alg.one))
+
+
+def enumerated_radical(alg) -> np.ndarray:
+    """Radical of an FpAlgebra by enumerating all p^dim elements: the span
+    of those whose two-sided ideal is nilpotent, checked to leave a
+    quotient with no such element.  Reduced row echelon form."""
+    found = list(_nilpotent_ideal_generators(alg))
+    basis = (modp.subspace_basis(found, alg.p) if found
+             else np.zeros((0, alg.dim), dtype=np.int64))
+    if next(_nilpotent_ideal_generators(_quotient(alg, basis)), None) is not None:
+        raise AssertionError("quotient by the radical is not semisimple")
+    return basis
+
+
+def spun_simple(A, U) -> bool:
+    """U/pU simple: every nonzero residue vector spins to all of it."""
+    p = A.prime
+    actions = [np.array([[residue_int(x, p, 1) for x in row] for row in m], dtype=np.int64)
+               for m in U.action]
+    for coeffs in product(range(p), repeat=U.rank):
+        if not any(coeffs):
+            continue
+        basis = modp.subspace_basis([np.array(coeffs, dtype=np.int64)], p)
+        while True:
+            rows = list(basis) + [(m @ v) % p for v in basis for m in actions]
+            grown = modp.subspace_basis(rows, p)
+            if grown.shape[0] == basis.shape[0]:
+                break
+            basis = grown
+        if basis.shape[0] < U.rank:
+            return False
+    return True
 
 
 def _cyclic(n, p):
@@ -181,9 +272,129 @@ def test_socle_property_takes_no_fourth_positional_argument(s3, s3_lattices):
     T = s3_lattices["trivial"]
     with pytest.raises(TypeError):
         so.stable_socle_property(A, s, T, 6)
-    assert so.stable_socle_property(A, s, T, max_dim=6)
-    with pytest.raises(so.ResourceBoundError, match="residue algebra too large"):
-        so.stable_socle_property(A, s, so.direct_sum(T, T), max_dim=3)
+    assert so.stable_socle_property(A, s, T)
+    TT = so.direct_sum(T, T)
+    assert so.stable_socle_property(A, s, TT) == socle_oracle(A, s, TT)
+
+
+def _group_algebra_mod(table, p):
+    """F_p G from a Cayley table with the identity first."""
+    n = len(table)
+    mult = np.zeros((n, n, n), dtype=np.int64)
+    for g in range(n):
+        for h in range(n):
+            mult[g, h, table[g][h]] = 1
+    return modp.FpAlgebra(p, n, mult, _units(n)[0])
+
+
+def _matrix_units(n, p, upper=False):
+    """M_n(F_p), or its upper triangular subalgebra, on matrix units."""
+    units = [(i, j) for i in range(n) for j in range(n) if i <= j or not upper]
+    index = {u: k for k, u in enumerate(units)}
+    d = len(units)
+    mult = np.zeros((d, d, d), dtype=np.int64)
+    for (i, j), a in index.items():
+        for (k, l), b in index.items():
+            if j == k:
+                mult[a, b, index[(i, l)]] = 1
+    return modp.FpAlgebra(p, d, mult, np.array([int(i == j) for i, j in units]))
+
+
+def _rebased(alg, P):
+    """alg on the basis given by the rows of P, or None when P is singular mod p."""
+    p, n = alg.p, alg.dim
+    reduced, pivots = modp.rref(np.hstack([np.array(P) % p, _units(n)]), p)
+    if pivots[:n] != list(range(n)):
+        return None
+    inverse = reduced[:, n:]
+    mult = np.einsum("ia,jb,abk->ijk", P, P, alg.table) % p @ inverse % p
+    return modp.FpAlgebra(p, n, mult, alg.one @ inverse % p)
+
+
+def _small_algebras():
+    """(label, algebra) with p^dim <= 3^6: group algebras at dividing and
+    non-dividing primes, and matrix algebras, where the trace form alone
+    misses the radical at p <= dim."""
+    groups = [(f"C{n}", cyclic_group_table(n)[0]) for n in range(2, 9)]
+    groups += [("V4", klein_four_table()[0]), ("S3", symmetric_group_table(3)[0])]
+    out = [(f"{name}-p{p}", _group_algebra_mod(table, p))
+           for name, table in groups for p in (2, 3, 5, 7) if p ** len(table) <= 3**6]
+    out += [("M2-p2", _matrix_units(2, 2)), ("M2-p3", _matrix_units(2, 3)),
+            ("UT2-p5", _matrix_units(2, 5, upper=True)),
+            ("UT3-p2", _matrix_units(3, 2, upper=True)),
+            ("UT3-p3", _matrix_units(3, 3, upper=True))]
+    return out
+
+
+@pytest.fixture(scope="module")
+def residue_algebras(s3, s3_lattices):
+    """End(U) mod p for direct sums of builder lattices."""
+    A, _ = s3
+    T, S = s3_lattices["trivial"], s3_lattices["sign"]
+    cases = [("s3", A, so.direct_sum(T, S)), ("s3", A, so.direct_sum(T, T)),
+             ("s3", A, s3_lattices["regular"])]
+    for m, p in [(1, 2), (2, 2), (1, 3)]:
+        R, _ = rank2_order(m, p)
+        U = rank2_projection_lattice(R)
+        cases.append((f"rank2-m{m}-p{p}", R, so.direct_sum(U, U)))
+    C, _ = _cyclic(4, 2)
+    cases.append(("c4-p2", C, so.direct_sum(_trivial(C), _coset_lattice(C, 4, 2))))
+    M, _ = matrix_order(2, 2)
+    col = matrix_column_lattice(M, 2)
+    cases.append(("m2-p2", M, so.direct_sum(col, col)))
+    return [(f"End({label}, rank {U.rank})",
+             lattices._residue_algebra(B, lattices.hom_lattice(B, U, U)))
+            for label, B, U in cases]
+
+
+def test_radical_matches_the_enumerator(residue_algebras):
+    seen = set()
+    for label, alg in _small_algebras() + residue_algebras:
+        radical = alg.radical()
+        assert np.array_equal(radical, enumerated_radical(alg)), label
+        seen.add((radical.shape[0] > 0, alg.p <= alg.dim))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_radical_matches_the_enumerator_on_random_bases(residue_algebras, data):
+    label, alg = data.draw(st.sampled_from(_small_algebras() + residue_algebras))
+    n = alg.dim
+    entries = st.integers(0, alg.p - 1)
+    P = np.array(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                    min_size=n, max_size=n)), dtype=np.int64)
+    rebased = _rebased(alg, P)
+    assume(rebased is not None)
+    assert np.array_equal(rebased.radical(), enumerated_radical(rebased)), label
+
+
+@settings(max_examples=10, deadline=None)
+@given(entries=st.lists(st.integers(0, 2), min_size=81, max_size=81))
+def test_radical_of_m3_f3_past_the_trace_form(entries):
+    # 3^9 elements are too many for the enumerator; M_3(F_3) is simple, but
+    # its trace form vanishes, so only the p^1 and p^2 steps find that
+    alg = _rebased(_matrix_units(3, 3), np.array(entries, dtype=np.int64).reshape(9, 9))
+    assume(alg is not None)
+    assert all(np.trace(alg.left_rows(b)) % 3 == 0 for b in _units(9))
+    assert alg.radical().shape == (0, 9)
+
+
+def test_burnside_agrees_with_spinning(s3, s3_lattices):
+    cases = []
+    for n, p in [(1, 3), (2, 2), (2, 3), (3, 2)]:
+        M, _ = matrix_order(n, p)
+        cases.append((M, matrix_column_lattice(M, n), True))
+    for p in (2, 3):
+        # projective and split local, but F_p C_p is not simple
+        C, _ = _cyclic(p, p)
+        cases.append((C, so.regular_lattice(C), False))
+    for B, U, simple in cases:
+        assert so.knorr_projective_check(B, U) is simple
+        assert spun_simple(B, U) is simple
+    A, _ = s3
+    with pytest.raises(ValueError, match="not split local"):
+        so.knorr_projective_check(A, s3_lattices["regular"])
 
 
 def test_layer_coordinates_reject_classes_off_the_layer():

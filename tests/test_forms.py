@@ -141,6 +141,23 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_only_box_and_homomorphism_searches_import_itertools_product():
+    # residue fields are not enumerated: the coefficient boxes of decomp and
+    # modp's homs_to_prime_field, bounded by its caller, are the only
+    # searches over product spaces
+    package = Path(so.__file__).resolve().parent
+    found = {
+        path.stem
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.ImportFrom) and node.module == "itertools"
+            and any(alias.name == "product" for alias in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr == "product"
+            and isinstance(node.value, ast.Name) and node.value.id == "itertools")
+    }
+    assert found <= {"decomp", "modp"}
+
+
 def test_dual_basis_is_derived_once_and_reused(s3):
     A, s = s3
     fresh = LinearForm(s.values)

@@ -244,8 +244,10 @@ def test_residue_endo_analysis(s3, s3_lattices):
     assert an.dimension == 6
     assert an.radical_basis.shape[0] == 4 and an.quotient_dim == 2
 
-    with pytest.raises(so.ResourceBoundError, match="residue algebra too large"):
-        so.residue_endo_analysis(A, R, max_dim=4)
+    # rank 9, past the old bound: R is the sum of the projective covers of
+    # the two simples, so R + T has three non-isomorphic summands
+    an = so.residue_endo_analysis(A, so.direct_sum(R, s3_lattices["trivial"]))
+    assert an.dimension == 9 and an.quotient_dim == 3
 
 
 def test_knorr_checks(s3, s3_lattices, rank2_family):
@@ -323,8 +325,12 @@ def test_knorr_projective(m2_at_2):
     assert so.exponent(M, sm, col) == 0
     assert so.knorr_check(M, col).verdict
     assert so.knorr_projective_check(M, col)
-    with pytest.raises(so.ResourceBoundError, match="enumeration bound exceeded"):
-        so.knorr_projective_check(M, col, limit=1)
+    # 1009^2 residue vectors, beyond what spinning could visit
+    M, sm = matrix_order(2, 1009)
+    col = matrix_column_lattice(M, 2)
+    assert so.exponent(M, sm, col) == 0
+    assert so.knorr_check(M, col).verdict
+    assert so.knorr_projective_check(M, col)
 
 
 def test_knorr_projective_rank1():
