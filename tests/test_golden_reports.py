@@ -1,0 +1,34 @@
+"""The reports of ``symorders --check all`` are a contract: for a fixed
+bundle, the ``--json`` report and the printed summary must not change
+by a byte when the exact kernels underneath are rewritten.
+
+The bundles under ``tests/data`` are the S3 fixture at p = 3
+(``builders.s3_fixture_bundle(3)``) and the small-survey benchmark
+bundles ``m2-p3`` and ``rank2-m2-p2`` on the dense basis of seed 7.
+Each ``NAME.report.json`` and ``NAME.stdout.txt`` was written by
+
+    symorders --bundle NAME.bundle.json --check all --json NAME.report.json > NAME.stdout.txt
+
+and is regenerated the same way only when a report is meant to change.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from symorders.cli import main
+
+DATA = Path(__file__).resolve().parent / "data"
+NAMES = ("s3-p3", "m2-p3", "rank2-m2-p2")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_check_all_reproduces_the_golden_report(name, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code = main(["--bundle", str(DATA / f"{name}.bundle.json"), "--check", "all",
+                 "--json", str(report)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert captured.out == (DATA / f"{name}.stdout.txt").read_text()
+    assert report.read_bytes() == (DATA / f"{name}.report.json").read_bytes()
