@@ -9,6 +9,7 @@ checks relating exponents, ranks and character degrees (heights).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
@@ -23,9 +24,9 @@ from .forms import (
     gram_matrix,
     is_symmetrising,
 )
-from .modp import FpAlgebra, nullspace
+from .modp import FpAlgebra, nullspace, rref
 from .orders import Order
-from .padic import INFINITY, residue_int, val
+from .padic import INFINITY, int_val, residue_int, val
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +102,20 @@ class MoritaWitness:
     form: LinearForm
 
 
+def _constant_exponent(G, p: int):
+    """n when the square ring matrix G has full rank and all its Smith
+    exponents equal n, that is when G / p^n is unimodular; else None.
+
+    The least Smith exponent is the least valuation n of an entry, and
+    G / p^n is unimodular exactly when it has full rank mod p."""
+    n = min((int_val(x.numerator, p) for x in G.flat if x), default=None)
+    if n is None:
+        return None
+    pn = p**n
+    residues = [[x.numerator // pn * pow(x.denominator, -1, p) for x in row] for row in G]
+    return n if len(rref(residues, p)[1]) == G.shape[0] else None
+
+
 def _gram_candidate(A: Order, table: CharacterTable, a):
     """Gram analysis of f = sum a_chi chi: returns (n, p^{-n} f) when the
     Gram matrix G is symmetric with equal Smith exponents n, so that
@@ -109,13 +124,10 @@ def _gram_candidate(A: Order, table: CharacterTable, a):
     G = gram_matrix(A, f)
     if not (linalg.matrices_equal(G, G.T) and linalg.is_integral(G, A.prime)):
         return None
-    snf = linalg.smith_normal_form(G, A.prime)
-    if snf.rank < A.dim:  # G singular
+    n = _constant_exponent(G, A.prime)
+    if n is None:
         return None
-    n = snf.exponents[0]
-    if any(e != n for e in snf.exponents):
-        return None
-    return int(n), f.scale(Fraction(1, A.prime**n))
+    return n, f.scale(Fraction(1, A.prime**n))
 
 
 def _decomposition_coefficients(table: CharacterTable, D: DecompositionMatrix, m) -> tuple:
@@ -302,6 +314,33 @@ def _search_values(bound: int) -> list:
     return vals
 
 
+def _integral_candidates(A: Order, table: CharacterTable, bound: int, power_range: int):
+    """The candidates sigma~ = p^k (c_1, ..., c_{r-1}, 1) of
+    :func:`rational_symmetry_search` whose element sum sigma~_chi e_chi
+    lies in the order, in search order.
+
+    Integrality is tested on integers: the matrix E with columns e_chi is
+    E_num / E_den and sigma~ is s / s_den, so E sigma~ is integral when
+    p^w divides E_num s for w the valuation of E_den s_den.  The Fraction
+    sigma~ is built only for the candidates that pass.
+    """
+    p = A.prime
+    idems = central_idempotents(A, table.values)
+    E_den = math.lcm(*[x.denominator for e in idems for x in e])
+    E_num = [[x.numerator * (E_den // x.denominator) for x in entries]
+             for entries in zip(*idems)]
+    values = _search_values(bound)
+    for k in range(power_range + 1):
+        pk = Fraction(p) ** k
+        for rest in iter_product(values, repeat=table.num_chars - 1):
+            s_den = math.lcm(*[c.denominator for c in rest])
+            s = [p**k * c.numerator * (s_den // c.denominator) for c in rest]
+            s.append(p**k * s_den)
+            pw = p ** int_val(E_den * s_den, p)
+            if not any(sum(x * y for x, y in zip(row, s)) % pw for row in E_num):
+                yield [pk * c for c in rest] + [pk]
+
+
 def rational_symmetry_search(A: Order, table: CharacterTable, bound: int = 5,
                              power_range: int = 4):
     """Bounded search for rational spectral coefficients of a symmetrising
@@ -316,28 +355,18 @@ def rational_symmetry_search(A: Order, table: CharacterTable, bound: int = 5,
     Returns the first witness plus the congruence report it implies;
     absence is only a bounded statement.
     """
-    idems = central_idempotents(A, table.values)
-    E = np.array([list(e) for e in idems], dtype=object).T  # columns e_chi
-    r = table.num_chars
-    values = _search_values(bound)
-    for k in range(power_range + 1):
-        pk = Fraction(A.prime) ** k
-        for rest in iter_product(values, repeat=r - 1):
-            sigma = [pk * c for c in rest] + [pk]
-            element = E @ linalg.as_vector(sigma)
-            if not linalg.is_integral(element, A.prime):
-                continue
-            hit = _gram_candidate(A, table, sigma)
-            if hit is None:
-                continue
-            n, form = hit
-            congruences = congruence_analysis(A, table, sigma, n)
-            return RationalSymmetryResult(
-                witness_sigma=tuple(sigma),
-                witness_n=n,
-                witness_form=form,
-                congruences=congruences,
-            )
+    for sigma in _integral_candidates(A, table, bound, power_range):
+        hit = _gram_candidate(A, table, sigma)
+        if hit is None:
+            continue
+        n, form = hit
+        congruences = congruence_analysis(A, table, sigma, n)
+        return RationalSymmetryResult(
+            witness_sigma=tuple(sigma),
+            witness_n=n,
+            witness_form=form,
+            congruences=congruences,
+        )
     return RationalSymmetryResult(None, None, None, [])
 
 

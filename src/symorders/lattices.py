@@ -15,6 +15,7 @@ stable exponent property.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -88,9 +89,18 @@ def make_lattice(A: Order, action) -> Lattice:
     if not linalg.matrices_equal(U.act(A.one), linalg.identity(rank)):
         raise InvalidLatticeError("unit acts nontrivially")
 
+    # act(b_k) = nums[k] / dens[k], integers over one unit denominator
+    dens = [math.lcm(*[x.denominator for x in m.flat]) for m in mats]
+    nums = [np.array([[x.numerator * (d // x.denominator) for x in row] for row in m],
+                     dtype=object).reshape(rank, rank) for m, d in zip(mats, dens)]
+
     def realized(i, j) -> bool:
-        rhs = sum((c * mats[k] for k, c in A.products[i][j]), linalg.zeros(rank, rank))
-        return linalg.matrices_equal(mats[i] @ mats[j], rhs)
+        terms = A.products[i][j]
+        q = math.lcm(dens[i] * dens[j], *[c.denominator * dens[k] for k, c in terms])
+        rhs = np.zeros((rank, rank), dtype=object)
+        for k, c in terms:
+            rhs += nums[k] * (c.numerator * (q // (c.denominator * dens[k])))
+        return bool(((nums[i] @ nums[j]) * (q // (dens[i] * dens[j])) == rhs).all())
 
     failure = first_failure(A, range(A.dim), realized)
     if failure is not None:

@@ -1,8 +1,12 @@
 """Exact linear algebra over the rationals and the p-local integers.
 
-Matrices are numpy arrays of dtype ``object`` holding ``Fraction`` entries.
-On top of plain rational elimination (solve, det, inverse) this module
-provides the lattice layer used everywhere else:
+Matrices are numpy arrays of dtype ``object`` holding ``Fraction`` entries,
+and every function takes and returns them.  Inside, the eliminations run
+on Python ints: each row (and each column of a right transform) is a list
+of integer numerators over one positive denominator, a unit at p for ring
+matrices, divided by the row gcd after every operation; Fractions are
+built once, for the result.  On top of plain rational elimination (solve,
+det, inverse) this module provides the lattice layer used everywhere else:
 
 * Smith normal form over the p-local integers, pivoting on an entry of
   minimal valuation (ties broken by lowest row, then column), so the
@@ -20,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .padic import val
+from .padic import int_val, val
 
 
 class NotSublatticeError(ValueError):
@@ -74,8 +78,9 @@ def zero_vector(n: int) -> np.ndarray:
 
 
 def is_integral(a, p: int) -> bool:
-    """True when every entry of the array has valuation >= 0."""
-    return all(val(x, p) >= 0 for x in np.asarray(a, dtype=object).flat)
+    """True when every entry of the array has valuation >= 0, that is a
+    denominator prime to p."""
+    return all(x.denominator % p for x in np.asarray(a, dtype=object).flat)
 
 
 def matrices_equal(a, b) -> bool:
@@ -90,35 +95,90 @@ def vectors_equal(a, b) -> bool:
     return a.shape == b.shape and all(x == y for x, y in zip(a, b))
 
 
-def _eliminate(aug: np.ndarray, ncols: int):
-    """Row-reduce the first ncols columns in place; returns pivot columns."""
-    m = aug.shape[0]
+_ZERO = Fraction(0)
+
+
+def _int_rows(M) -> tuple:
+    """Rows of a matrix as integer numerators over one positive
+    denominator each: (rows, denominators, number of columns).
+
+    The denominator of a row is the lcm of its entries' denominators, so
+    the row's numerators and denominator are coprime; for a ring matrix
+    every denominator is a unit at p.
+    """
+    if not (isinstance(M, np.ndarray) and M.ndim == 2):
+        M = as_matrix(M)
+    rows, dens = [], []
+    for row in M:
+        row = [x if type(x) is Fraction or type(x) is int else Fraction(x) for x in row]
+        den = math.lcm(*[x.denominator for x in row])
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+        dens.append(den)
+    return rows, dens, M.shape[1]
+
+
+def _reduce(row: list, den: int) -> tuple:
+    """Divide a row and its denominator by their gcd."""
+    g = math.gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [x // g for x in row], den // g
+
+
+def _fraction_rows(rows, dens, start: int, stop: int) -> np.ndarray:
+    """Columns start:stop of integer rows over their denominators, as a
+    Fraction matrix."""
+    out = np.empty((len(rows), stop - start), dtype=object)
+    for i, (row, den) in enumerate(zip(rows, dens)):
+        for j, x in enumerate(row[start:stop]):
+            out[i, j] = _ZERO if not x else Fraction(x) if den == 1 else Fraction(x, den)
+    return out
+
+
+def _eliminate(rows: list, dens: list, ncols: int) -> tuple:
+    """Gauss-Jordan reduction of the first ncols columns of integer rows
+    over positive denominators, in place: the pivot row is scaled to a
+    leading 1 and its column cleared in every other row.
+
+    Returns the pivot columns and the product of the pivots, signed by
+    the row swaps, as (numerator, denominator): the determinant when the
+    first ncols columns are square.
+    """
+    m = len(rows)
     pivots = []
+    det_num, det_den = 1, 1
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, m):
-            if aug[i, c] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, m) if rows[i][c]), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
-            aug[[r, pivot_row]] = aug[[pivot_row, r]]
-        aug[r] = aug[r] / aug[r, c]
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            dens[r], dens[pivot_row] = dens[pivot_row], dens[r]
+            det_num = -det_num
+        pivot = rows[r][c]
+        det_num *= pivot
+        det_den *= dens[r]
+        if pivot < 0:
+            rows[r] = [-x for x in rows[r]]
+            pivot = -pivot
+        rows[r], dens[r] = _reduce(rows[r], pivot)  # the row over its pivot
+        row_r, den_r = rows[r], dens[r]
         for i in range(m):
-            if i != r and aug[i, c] != 0:
-                aug[i] = aug[i] - aug[i, c] * aug[r]
+            a = rows[i][c]
+            if i != r and a:
+                rows[i], dens[i] = _reduce(
+                    [den_r * x - a * y for x, y in zip(rows[i], row_r)], dens[i] * den_r)
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return pivots
+    return pivots, (det_num, det_den)
 
 
 def rational_rank(M) -> int:
-    M = np.array(as_matrix(M))
-    return len(_eliminate(M, M.shape[1]))
+    rows, dens, n = _int_rows(M)
+    return len(_eliminate(rows, dens, n)[0])
 
 
 def solve_exact(M, B):
@@ -127,46 +187,27 @@ def solve_exact(M, B):
     B may be a vector or a matrix.  Returns None when the system is
     inconsistent; raises ValueError when the solution is not unique.
     """
-    M = as_matrix(M)
+    M = as_matrix(M) if not isinstance(M, np.ndarray) else M
     vector_rhs = np.asarray(B, dtype=object).ndim == 1
     Bm = as_matrix([B]).T if vector_rhs else as_matrix(B)
     m, n = M.shape
-    aug = np.concatenate([M, Bm], axis=1)
-    pivots = _eliminate(aug, n)
+    rows, dens, width = _int_rows(np.concatenate([M, Bm], axis=1))
+    pivots, _ = _eliminate(rows, dens, n)
     if len(pivots) < n:
         raise ValueError("matrix does not have full column rank")
-    for i in range(len(pivots), m):
-        if any(x != 0 for x in aug[i, n:]):
-            return None
-    X = aug[:n, n:]
-    out = np.array(X)
+    if any(any(row[n:]) for row in rows[len(pivots):]):
+        return None
+    out = _fraction_rows(rows[:n], dens[:n], n, width)
     return out[:, 0] if vector_rhs else out
 
 
 def det(M) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    M = np.array(as_matrix(M))
-    n = M.shape[0]
-    if M.shape[1] != n:
+    """Exact determinant: the signed product of the elimination pivots."""
+    rows, dens, n = _int_rows(M)
+    if len(rows) != n:
         raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if M[i, c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            M[[c, pivot_row]] = M[[pivot_row, c]]
-            sign = -sign
-        result *= M[c, c]
-        for i in range(c + 1, n):
-            if M[i, c] != 0:
-                M[i] = M[i] - (M[i, c] / M[c, c]) * M[c]
-    return sign * result
+    pivots, (num, den) = _eliminate(rows, dens, n)
+    return Fraction(num, den) if len(pivots) == n else _ZERO
 
 
 def inverse(M) -> np.ndarray:
@@ -183,13 +224,13 @@ def left_null_space(M) -> np.ndarray:
 
     Row-reduces [M | I]; the transform rows that zero out M are a basis.
     """
-    M = as_matrix(M)
-    m = M.shape[0]
-    aug = np.concatenate([np.array(M), identity(m)], axis=1)
-    _eliminate(aug, M.shape[1])
-    rows = [np.array(aug[i, M.shape[1]:]) for i in range(m)
-            if all(x == 0 for x in aug[i, : M.shape[1]])]
-    return np.array(rows, dtype=object) if rows else zeros(0, m)
+    rows, dens, n = _int_rows(M)
+    m = len(rows)
+    for i, (row, den) in enumerate(zip(rows, dens)):
+        row.extend(den if k == i else 0 for k in range(m))
+    _eliminate(rows, dens, n)
+    kept = [i for i in range(m) if not any(rows[i][:n])]
+    return _fraction_rows([rows[i] for i in kept], [dens[i] for i in kept], n, n + m)
 
 
 def is_ring_invertible(M, p: int) -> bool:
@@ -223,52 +264,71 @@ def smith_normal_form(M, p: int) -> SmithDecomposition:
     the minimal-valuation pivot divides every remaining entry, and the
     quotients stay in the ring, so the transforms are ring-invertible
     and the exponents come out already sorted.
+
+    The rows [A_i | L_i] and the columns of R are integers over one unit
+    denominator each.  For the pivot p^v u, row i becomes
+    u row_i - (a_i / p^v) row_s over u times its denominator, and column
+    j of R likewise: the rationals of the update by a_i / pivot, so the
+    transforms equal those of elimination on Fractions, entry by entry.
     """
-    A = np.array(as_matrix(M))
-    m, n = A.shape
-    if not is_integral(A, p):
+    rows, dens, n = _int_rows(M)
+    m = len(rows)
+    if any(den % p == 0 for den in dens):
         raise ValueError("smith normal form needs entries of valuation >= 0")
-    L = identity(m)
-    R = identity(n)
+    for i, (row, den) in enumerate(zip(rows, dens)):
+        row.extend(den if k == i else 0 for k in range(m))
+    cols = [[1 if k == j else 0 for k in range(n)] for j in range(n)]
+    col_dens = [1] * n
     exponents = []
-    s = 0
-    while s < min(m, n):
-        best = None
-        best_val = None
+    for s in range(min(m, n)):
+        # the first entry of least valuation, by row and then column
+        best, best_val = None, None
         for i in range(s, m):
+            row = rows[i]
             for j in range(s, n):
-                if A[i, j] == 0:
+                x = row[j]
+                if not x or (best_val is not None and x % p**best_val == 0):
                     continue
-                v = val(A[i, j], p)
-                if best_val is None or v < best_val:
-                    best_val = v
-                    best = (i, j)
+                best, best_val = (i, j), int_val(x, p)
+                if best_val == 0:
+                    break
+            if best_val == 0:
+                break
         if best is None:
             break
         bi, bj = best
-        if bi != s:
-            A[[s, bi]] = A[[bi, s]]
-            L[[s, bi]] = L[[bi, s]]
+        rows[s], rows[bi] = rows[bi], rows[s]
+        dens[s], dens[bi] = dens[bi], dens[s]
         if bj != s:
-            A[:, [s, bj]] = A[:, [bj, s]]
-            R[:, [s, bj]] = R[:, [bj, s]]
-        pivot = A[s, s]
+            for row in rows[s:]:
+                row[s], row[bj] = row[bj], row[s]
+            cols[s], cols[bj] = cols[bj], cols[s]
+            col_dens[s], col_dens[bj] = col_dens[bj], col_dens[s]
+        pv = p**best_val
+        row_s = rows[s]
+        u = row_s[s] // pv
+        sign = -1 if u < 0 else 1
+        u *= sign
         for i in range(s + 1, m):
-            if A[i, s] != 0:
-                f = A[i, s] / pivot
-                A[i] = A[i] - f * A[s]
-                L[i] = L[i] - f * L[s]
+            a = rows[i][s]
+            if a:
+                f = sign * (a // pv)
+                rows[i], dens[i] = _reduce(
+                    [u * x - f * y for x, y in zip(rows[i], row_s)], dens[i] * u)
+        col_s, den_s = cols[s], col_dens[s]
         for j in range(s + 1, n):
-            if A[s, j] != 0:
-                g = A[s, j] / pivot
-                A[:, j] = A[:, j] - g * A[:, s]
-                R[:, j] = R[:, j] - g * R[:, s]
-        unit = pivot / Fraction(p) ** best_val
-        A[s] = A[s] / unit
-        L[s] = L[s] / unit
+            g = row_s[j]
+            if g:
+                g = sign * (g // pv) * col_dens[j]
+                cols[j], col_dens[j] = _reduce(
+                    [u * den_s * x - g * y for x, y in zip(cols[j], col_s)],
+                    u * den_s * col_dens[j])
+                row_s[j] = 0
+        rows[s], dens[s] = _reduce([sign * x for x in row_s], u)
         exponents.append(best_val)
-        s += 1
-    return SmithDecomposition(tuple(exponents), L, R, len(exponents))
+    left = _fraction_rows(rows, dens, n, n + m)
+    right = _fraction_rows(cols, col_dens, 0, n).T.copy()
+    return SmithDecomposition(tuple(exponents), left, right, len(exponents))
 
 
 def _clear_denominators(M: np.ndarray) -> np.ndarray:

@@ -70,7 +70,8 @@ def scalar_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _int_val(n: int, p: int) -> int:
+def int_val(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer."""
     v = 0
     while n % p == 0:
         n //= p
@@ -83,7 +84,7 @@ def val(x, p: int):
     x = as_scalar(x)
     if x == 0:
         return INFINITY
-    return _int_val(x.numerator, p) - _int_val(x.denominator, p)
+    return int_val(x.numerator, p) - int_val(x.denominator, p)
 
 
 def residue_int(c: Fraction, p: int, d: int) -> int:

@@ -1,15 +1,19 @@
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import symorders as so
-from symorders import linalg
+from symorders import decomp, linalg
 from symorders.builders import (
     four_dim_characters,
     four_dim_nonrational,
     matrix_order,
     rank2_order,
 )
+from symorders.forms import central_idempotents, gram_matrix
 
 def test_character_table_validation(s3, s3_chars):
     A, _ = s3
@@ -235,3 +239,52 @@ def test_height_invariance(s3_table):
     assert [h for (_, _, h) in out] == [0, 0, 1]
     with pytest.raises(ValueError, match="height mismatch"):
         so.height_invariance_check([1, 3, 2], [1, 1, 1], [(3, 1)], 3)
+
+
+# -- the integer shortcuts of the rational symmetry search -----------------
+
+
+def _constant_exponent_by_smith(G, p):
+    snf = linalg.smith_normal_form(G, p)
+    if snf.rank < G.shape[0] or len(set(snf.exponents)) > 1:
+        return None
+    return snf.exponents[0]
+
+
+@st.composite
+def symmetric_integer_matrix(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 5))
+    scale = p ** draw(st.integers(0, 2))
+    upper = {(i, j): draw(st.integers(-6, 6)) for i in range(n) for j in range(i, n)}
+    return p, linalg.as_matrix([[scale * upper[min(i, j), max(i, j)] for j in range(n)]
+                                for i in range(n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_integer_matrix())
+def test_constant_exponent_mod_p_agrees_with_the_smith_form(case):
+    p, G = case
+    assert decomp._constant_exponent(G, p) == _constant_exponent_by_smith(G, p)
+
+
+def test_s3_candidates_filter_and_gram_test_agree_with_fractions(s3, s3_table):
+    A, _ = s3
+    candidates = list(decomp._integral_candidates(A, s3_table, 5, 1))
+    # the integer filter keeps exactly the sigma with sum sigma_chi e_chi in the order
+    E = np.array([list(e) for e in central_idempotents(A, s3_table.values)], dtype=object).T
+    values = decomp._search_values(5)
+    expected = []
+    for k in (0, 1):
+        for rest in product(values, repeat=2):
+            sigma = [3**k * c for c in rest] + [Fraction(3**k)]
+            if linalg.is_integral(E @ linalg.as_vector(sigma), 3):
+                expected.append(sigma)
+    assert candidates == expected
+    verdicts = set()
+    for sigma in candidates:
+        G = gram_matrix(A, s3_table.form_from_coefficients(sigma))
+        n = decomp._constant_exponent(G, 3)
+        assert n == _constant_exponent_by_smith(G, 3)
+        verdicts.add(n is None)
+    assert verdicts == {True, False}

@@ -29,6 +29,7 @@ from symorders.builders import (
 )
 from symorders.lattices import HomLattice, InvalidLatticeError, direct_sum, hom_lattice
 from symorders.orders import direct_product, tensor_product
+import fraction_linalg
 from test_orders import standard_orders
 
 
@@ -38,7 +39,7 @@ def closure_rank(A, gens) -> int:
     basis = linalg.as_matrix([A.one])
     while True:
         rows = np.concatenate([basis] + [(L @ basis.T).T for L in lefts], axis=0)
-        rank = len(linalg._eliminate(rows, A.dim))
+        rank = len(fraction_linalg.eliminate(rows, A.dim))
         if rank == basis.shape[0]:
             return rank
         basis = rows[:rank]
@@ -155,10 +156,15 @@ def test_make_lattice_error_names_the_first_failing_pair(data):
     A = data.draw(standard_orders())
     R = so.regular_lattice(A)
     U = data.draw(st.sampled_from([R, direct_sum(R, R)] if A.dim <= 3 else [R]))
-    mats = [np.array(m) for m in U.action]
+    # conjugate by a diagonal matrix of units, so that entries get unit
+    # denominators, then change one entry
+    units = st.sampled_from([d for d in (1, 2, 3, 5, 7) if d % A.prime])
+    d = [data.draw(units) for _ in range(U.rank)]
+    mats = [linalg.as_matrix([[m[a, b] * Fraction(d[b], d[a]) for b in range(U.rank)]
+                              for a in range(U.rank)]) for m in U.action]
     i = data.draw(st.integers(0, A.dim - 1))
     a, b = (data.draw(st.integers(0, U.rank - 1)) for _ in range(2))
-    mats[i][a, b] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+    mats[i][a, b] += data.draw(st.sampled_from([-2, -1, 1, 2])) * Fraction(1, data.draw(units))
     unit = sum((c * m for c, m in zip(A.one, mats)), linalg.zeros(U.rank, U.rank))
     pair = first_failing_pair(A.structure, mats)
     if not linalg.matrices_equal(unit, linalg.identity(U.rank)):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fraction_linalg
 from symorders import linalg
 from symorders.padic import val
 
@@ -172,14 +173,37 @@ def _int_matrices(max_side=4, bound=12):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_int_matrices(), st.sampled_from([2, 3, 5]))
-def test_smith_exponents_match_sympy_invariant_factors(rows, p):
+@given(_int_matrices(), st.sampled_from([2, 3, 5]), st.data())
+def test_smith_exponents_match_sympy_invariant_factors(rows, p, data):
+    # entries a / d with d a unit at p: clearing the unit denominators
+    # leaves an integer matrix with the same exponents
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors
 
-    factors = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+    units = st.integers(1, 12).filter(lambda d: d % p)
+    M = [[Fraction(a, data.draw(units)) for a in row] for row in rows]
+    den = math.lcm(*[x.denominator for row in M for x in row])
+    cleared = sympy.Matrix([[int(x * den) for x in row] for row in M])
+    factors = invariant_factors(cleared, domain=sympy.ZZ)
     expected = tuple(val(Fraction(int(d)), p) for d in factors if d != 0)
-    assert linalg.smith_normal_form(rows, p).exponents == expected
+    assert linalg.smith_normal_form(M, p).exponents == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_int_matrices(max_side=5, bound=6), st.sampled_from([2, 3, 5]), st.data())
+def test_integral_kernel_matches_sympy_rank_and_is_saturated(rows, p, data):
+    sympy = pytest.importorskip("sympy")
+    dens = st.integers(1, 6)
+    M = linalg.as_matrix([[Fraction(a, data.draw(dens)) for a in row] for row in rows])
+    K = linalg.integral_kernel(M, p)
+    n = M.shape[1]
+    rank = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                         for row in M]).rank()
+    assert K.shape == (n, n - rank)
+    assert linalg.is_integral(K, p)
+    assert all(x == 0 for x in (M @ K).flat)
+    # saturated: the ring span of the columns is a direct summand
+    assert linalg.smith_normal_form(K, p).exponents == (0,) * (n - rank)
 
 
 @settings(max_examples=60, deadline=None)
@@ -191,3 +215,66 @@ def test_det_matches_sympy(rows):
     exact = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                           for row in rows]).det()
     assert linalg.det(rows) == Fraction(int(exact.p), int(exact.q))
+
+
+# -- the integer kernels against the Fraction versions --------------------
+
+LOCAL_PRIMES = (2, 3, 5, 4294967311)
+
+
+@st.composite
+def local_matrix(draw, max_side=5, p=None, shape=None):
+    """(p, M) for a matrix M whose entries a p^e / d have d a unit at p;
+    the shape may be 0 x n or m x 0."""
+    p = draw(st.sampled_from(LOCAL_PRIMES)) if p is None else p
+    m, n = shape or (draw(st.integers(0, max_side)), draw(st.integers(0, max_side)))
+    entry = st.builds(lambda a, e, d: Fraction(a * p**e, d), st.integers(-9, 9),
+                      st.integers(0, 2), st.integers(1, 12).filter(lambda d: d % p))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    return p, linalg.as_matrix(rows) if m else linalg.zeros(0, n)
+
+
+def _identical(a, b) -> bool:
+    return a.shape == b.shape and all(
+        type(x) is Fraction and x == y for x, y in zip(a.flat, b.flat))
+
+
+@settings(max_examples=150, deadline=None)
+@given(local_matrix())
+def test_smith_form_equals_the_fraction_version(case):
+    p, M = case
+    ours = linalg.smith_normal_form(M, p)
+    oracle = fraction_linalg.smith_normal_form(M, p)
+    assert ours.exponents == oracle.exponents and ours.rank == oracle.rank
+    assert _identical(ours.left, oracle.left)
+    assert _identical(ours.right, oracle.right)
+
+
+def _same_outcome(f, oracle, *args) -> bool:
+    """f and its oracle return identical matrices, both None, or raise
+    the same ValueError."""
+    results = []
+    for g in (f, oracle):
+        try:
+            results.append(g(*args))
+        except ValueError as exc:
+            results.append(str(exc))
+    ours, theirs = results
+    if isinstance(theirs, np.ndarray):
+        return isinstance(ours, np.ndarray) and _identical(ours, theirs)
+    return type(ours) is type(theirs) and ours == theirs
+
+
+@settings(max_examples=150, deadline=None)
+@given(local_matrix(), st.data())
+def test_elimination_equals_the_fraction_version(case, data):
+    p, M = case
+    m, n = M.shape
+    assert _identical(linalg.left_null_space(M), fraction_linalg.left_null_space(M))
+    assert linalg.rational_rank(M) == len(fraction_linalg.eliminate(np.array(M), n))
+    _, B = data.draw(local_matrix(p=p, shape=(m, data.draw(st.integers(1, 3)))))
+    for rhs in (B, B[:, 0]):
+        assert _same_outcome(linalg.solve_exact, fraction_linalg.solve_exact, M, rhs)
+    if m == n:
+        assert linalg.det(M) == fraction_linalg.det(M)
+        assert _same_outcome(linalg.inverse, fraction_linalg.inverse, M)
