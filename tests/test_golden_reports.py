@@ -3,8 +3,11 @@ bundle, the ``--json`` report and the printed summary must not change
 by a byte when the exact kernels underneath are rewritten.
 
 The bundles under ``tests/data`` are the S3 fixture at p = 3
-(``builders.s3_fixture_bundle(3)``) and the small-survey benchmark
-bundles ``m2-p3`` and ``rank2-m2-p2`` on the dense basis of seed 7.
+(``builders.s3_fixture_bundle(3)``), the small-survey benchmark
+bundles ``m2-p3`` and ``rank2-m2-p2`` on the dense basis of seed 7, and
+``s4-p3``: the group algebra of the symmetric group on four points at
+p = 3 (dimension 24) with its standard form and the trivial and sign
+lattices.
 Each ``NAME.report.json`` and ``NAME.stdout.txt`` was written by
 
     symorders --bundle NAME.bundle.json --check all --json NAME.report.json > NAME.stdout.txt
@@ -19,7 +22,7 @@ import pytest
 from symorders.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
-NAMES = ("s3-p3", "m2-p3", "rank2-m2-p2")
+NAMES = ("s3-p3", "m2-p3", "rank2-m2-p2", "s4-p3")
 
 
 @pytest.mark.parametrize("name", NAMES)
