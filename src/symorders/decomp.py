@@ -103,31 +103,51 @@ class MoritaWitness:
 
 
 def _constant_exponent(G, p: int):
-    """n when the square ring matrix G has full rank and all its Smith
-    exponents equal n, that is when G / p^n is unimodular; else None.
+    """m when the square integer matrix G has full rank and all its Smith
+    exponents equal m, that is when G / p^m is unimodular; else None.
 
-    The least Smith exponent is the least valuation n of an entry, and
-    G / p^n is unimodular exactly when it has full rank mod p."""
-    n = min((int_val(x.numerator, p) for x in G.flat if x), default=None)
-    if n is None:
+    The least Smith exponent is the least valuation m of an entry, and
+    G / p^m is unimodular exactly when it has full rank mod p."""
+    m = min((int_val(x, p) for x in G.flat if x), default=None)
+    if m is None:
         return None
-    pn = p**n
-    residues = [[x.numerator // pn * pow(x.denominator, -1, p) for x in row] for row in G]
-    return n if len(rref(residues, p)[1]) == G.shape[0] else None
+    pm = p**m
+    residues = [[x // pm for x in row] for row in G]
+    return m if len(rref(residues, p)[1]) == G.shape[0] else None
 
 
-def _gram_candidate(A: Order, table: CharacterTable, a):
+def _character_grams(A: Order, table: CharacterTable) -> tuple:
+    """The Gram matrices of the characters as integer matrices over one
+    common denominator: (array indexed (character, i, j), denominator).
+    The Gram matrix is linear in the form, so that of sum a_chi chi is
+    sum a_chi times them."""
+    return linalg.numerators(np.array(
+        [gram_matrix(A, LinearForm(chi)) for chi in table.values]
+    ).reshape(table.num_chars, A.dim, A.dim))
+
+
+def _gram_candidate(A: Order, table: CharacterTable, grams: tuple, a):
     """Gram analysis of f = sum a_chi chi: returns (n, p^{-n} f) when the
     Gram matrix G is symmetric with equal Smith exponents n, so that
-    G / p^n is unimodular and p^{-n} f is symmetrising; else None."""
-    f = table.form_from_coefficients(a)
-    G = gram_matrix(A, f)
-    if not (linalg.matrices_equal(G, G.T) and linalg.is_integral(G, A.prime)):
+    G / p^n is unimodular and p^{-n} f is symmetrising; else None.
+
+    ``grams`` is :func:`_character_grams`.  G is tested as the integer
+    matrix sum a_chi N_chi over the denominator of the a_chi times that of
+    the N_chi: it is a ring matrix when no entry has a valuation below
+    that of the denominator, and the form is built only for a witness.
+    """
+    p = A.prime
+    N, den = grams
+    a_den = math.lcm(*[x.denominator for x in a])
+    G = np.tensordot([x.numerator * (a_den // x.denominator) for x in a], N, axes=1)
+    pw = p ** int_val(den * a_den, p)
+    if not (G == G.T).all() or any(x % pw for x in G.flat):
         return None
-    n = _constant_exponent(G, A.prime)
-    if n is None:
+    m = _constant_exponent(G, p)
+    if m is None:
         return None
-    return n, f.scale(Fraction(1, A.prime**n))
+    n = m - int_val(pw, p)
+    return n, table.form_from_coefficients(a).scale(Fraction(1, p**n))
 
 
 def _decomposition_coefficients(table: CharacterTable, D: DecompositionMatrix, m) -> tuple:
@@ -140,11 +160,12 @@ def _decomposition_coefficients(table: CharacterTable, D: DecompositionMatrix, m
 
 def _morita_search(A: Order, table: CharacterTable, D: DecompositionMatrix, box):
     """First m in box^k, lexicographically, whose form is a witness."""
+    grams = _character_grams(A, table)
     for m in iter_product(box, repeat=D.num_modular):
         a = _decomposition_coefficients(table, D, m)
         if not any(a):
             continue
-        hit = _gram_candidate(A, table, a)
+        hit = _gram_candidate(A, table, grams, a)
         if hit is not None:
             n, form = hit
             return MoritaWitness(m=m, n=n, a=a, form=form)
@@ -355,8 +376,9 @@ def rational_symmetry_search(A: Order, table: CharacterTable, bound: int = 5,
     Returns the first witness plus the congruence report it implies;
     absence is only a bounded statement.
     """
+    grams = _character_grams(A, table)
     for sigma in _integral_candidates(A, table, bound, power_range):
-        hit = _gram_candidate(A, table, sigma)
+        hit = _gram_candidate(A, table, grams, sigma)
         if hit is None:
             continue
         n, form = hit

@@ -7,6 +7,14 @@ the image of the relative trace map on elementary matrices, and the
 stable Hom group is the (finite, torsion) quotient, presented by its
 invariant factors together with lifted generators.
 
+The Hom layer runs on integer numerators over one unit denominator, as
+``linalg`` does, and builds Fractions once, for its results: the
+intertwining equations are integer rows, one block per generator; the
+relative traces of all elementary matrices are one integer product of
+the action of V with the dual actions on U; and the table of End(U) mod
+p comes from integer products of the hom basis.  The results are the
+same rationals as those of the Fraction computations.
+
 On top of that sit the duality pairing (alpha, beta) -> trace of
 z^{-1} beta alpha modulo the ring, the Knorr trace criterion, and the
 twisted-trace criterion deciding absolute indecomposability plus the
@@ -90,9 +98,7 @@ def make_lattice(A: Order, action) -> Lattice:
         raise InvalidLatticeError("unit acts nontrivially")
 
     # act(b_k) = nums[k] / dens[k], integers over one unit denominator
-    dens = [math.lcm(*[x.denominator for x in m.flat]) for m in mats]
-    nums = [np.array([[x.numerator * (d // x.denominator) for x in row] for row in m],
-                     dtype=object).reshape(rank, rank) for m, d in zip(mats, dens)]
+    nums, dens = zip(*map(linalg.numerators, mats))
 
     def realized(i, j) -> bool:
         terms = A.products[i][j]
@@ -179,31 +185,67 @@ def hom_lattice(A: Order, U: Lattice, V: Lattice) -> HomLattice:
     return kept(U._kept, "hom_lattice", (A, V), lambda: _hom_lattice(A, U, V))
 
 
+def _action_numerators(U: Lattice) -> tuple:
+    """The action matrices of U as one integer array, indexed (basis
+    element, row, column), over one unit denominator."""
+    return linalg.numerators(np.array(U.action).reshape(U.order.dim, U.rank, U.rank))
+
+
 def _hom_lattice(A: Order, U: Lattice, V: Lattice) -> HomLattice:
-    iu = linalg.identity(U.rank)
-    iv = linalg.identity(V.rank)
-    blocks = [
-        np.kron(V.action[g], iu) - np.kron(iv, np.array(U.action[g].T))
-        for g in A.generators
-    ]
-    rows = np.concatenate([linalg.zeros(0, U.rank * V.rank)] + blocks, axis=0)
-    kernel = linalg.integral_kernel(rows, A.prime)
+    # one integer row per generator g and entry (c, b) of
+    # act_V(b_g) phi - phi act_U(b_g), on phi flattened row by row, over
+    # the unit denominator q; the rows are q times the rational ones, and
+    # scaling rows by positive units leaves the kernel basis as it is
+    nv, dv = _action_numerators(V)
+    nu, du = _action_numerators(U)
+    q = math.lcm(dv, du)
+    ru, rv = U.rank, V.rank
+    rows = []
+    for g in A.generators:
+        v = (nv[g] * (q // dv)).tolist()
+        u = (nu[g] * (q // du)).tolist()
+        for c in range(rv):
+            for b in range(ru):
+                row = [0] * (rv * ru)
+                for a in range(rv):
+                    row[a * ru + b] = v[c][a]
+                for e in range(ru):
+                    row[c * ru + e] -= u[e][b]
+                rows.append(row)
+    kernel = linalg.integral_kernel_of_rows(rows, rv * ru, A.prime)
     basis = tuple(
-        np.array(kernel[:, j]).reshape(V.rank, U.rank)
+        np.array(kernel[:, j]).reshape(rv, ru)
         for j in range(kernel.shape[1])
     )
     return HomLattice(source=U, target=V, basis=basis)
 
 
+def _relative_trace_map(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> tuple:
+    """The relative trace alpha -> sum_i act_V(b_i) alpha act_U(b_i^v) on
+    rank_V x rank_U matrices flattened row by row, as an integer matrix T
+    over one unit denominator q: column a rank_U + b of T / q is the
+    relative trace of the elementary matrix E_ab.
+
+    Entry (a', b') of Tr(E_ab) is sum_i act_V(b_i)[a', a] act_U(b_i^v)[b, b'],
+    one integer product X Y of the V action, indexed ((a', a), i), and the
+    dual actions, indexed (i, (b, b')).
+    """
+    ru, rv = U.rank, V.rank
+    nv, dv = _action_numerators(V)
+    nu, du = _action_numerators(U)
+    nd, dd = linalg.numerators(dual_basis(A, s).matrix)
+    X = nv.reshape(A.dim, rv * rv).T
+    Y = nd.T.dot(nu.reshape(A.dim, ru * ru))
+    T = X.dot(Y).reshape(rv, rv, ru, ru).transpose(0, 3, 1, 2).reshape(rv * ru, rv * ru)
+    return T, dv * du * dd
+
+
 def relative_trace_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice, alpha):
     """Relative trace of an arbitrary ring-linear map alpha : U -> V,
     namely sum_x act_V(x) alpha act_U(x^v); always an intertwiner."""
-    d = dual_basis(A, s)
-    alpha = linalg.as_matrix(alpha)
-    out = linalg.zeros(V.rank, U.rank)
-    for i in range(A.dim):
-        out = out + V.action[i] @ alpha @ U.act(d.element(i))
-    return out
+    T, q = _relative_trace_map(A, s, U, V)
+    na, da = linalg.numerators(linalg.as_matrix(alpha))
+    return linalg.from_numerators(T.dot(na.reshape(-1)).reshape(V.rank, U.rank), q * da)
 
 
 def projective_hom_lattice(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> HomLattice:
@@ -211,22 +253,12 @@ def projective_hom_lattice(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> H
 
     The relative traces of the elementary matrices generate it over the
     ring; the generating set is reduced to a lattice basis (keeping any
-    finite index intact) and containment in Hom(U, V) is asserted.
+    finite index intact), and its containment in Hom(U, V) is certified
+    (an ``AssertionError`` otherwise).
     """
     H = hom_lattice(A, U, V)
-    d = dual_basis(A, s)
-    acts_dual = [U.act(d.element(i)) for i in range(A.dim)]
-    gens = []
-    # relative trace of the elementary matrix E_ab expands into outer
-    # products of action columns and dual-action rows
-    for a in range(V.rank):
-        for b in range(U.rank):
-            T = linalg.zeros(V.rank, U.rank)
-            for i in range(A.dim):
-                T = T + np.outer(V.action[i][:, a], acts_dual[i][b, :])
-            gens.append(np.array(T).reshape(-1))
-    G = np.array(gens, dtype=object).T
-    basis_cols = linalg.lattice_basis_from_generators(G, A.prime)
+    T, q = _relative_trace_map(A, s, U, V)
+    basis_cols = linalg.lattice_basis_from_generators(linalg.from_numerators(T, q), A.prime)
     basis = [
         np.array(basis_cols[:, j]).reshape(V.rank, U.rank)
         for j in range(basis_cols.shape[1])
@@ -449,22 +481,36 @@ def residue_endo_analysis(A: Order, U: Lattice) -> ResidueEndoAnalysis:
 
 
 def _residue_algebra(A: Order, E: HomLattice) -> FpAlgebra:
-    """End(U) modulo p, on the reduction of the hom basis E of End(U)."""
-    e = E.rank
-    p = A.prime
-    table = np.zeros((e, e, e), dtype=np.int64)
-    products = [E.basis[i] @ E.basis[j] for i in range(e) for j in range(e)]
-    coords_all = E.coords_of_many(products) if e else None
-    if e and coords_all is None:
-        raise AssertionError("hom basis not multiplicatively closed")
-    for i in range(e):
-        for j in range(e):
-            coords = coords_all[:, i * e + j]
-            table[i, j] = [residue_int(c, p, 1) for c in coords]
-    one_coords = E.coords_of(linalg.identity(E.source.rank))
-    if one_coords is None:
+    """End(U) modulo p, on the reduction of the hom basis E of End(U).
+
+    The basis is N_k / d for integer matrices N_k.  The coordinates of
+    N_i N_j in the N_k are d times those of the product of basis
+    elements, and those of d times the identity are the identity's; one
+    elimination on the integer rows (a, b) of [N_k | N_i N_j | d 1]
+    gives them all.
+    """
+    e, p, r = E.rank, A.prime, E.source.rank
+    if e == 0:
         raise AssertionError("identity not in the hom lattice")
-    return FpAlgebra(p, e, table, np.array([residue_int(c, p, 1) for c in one_coords]))
+    N, d = linalg.numerators(np.array(E.basis).reshape(e, r, r))
+    products = N.reshape(e * r, r).dot(N.transpose(1, 0, 2).reshape(r, e * r))
+    products = products.reshape(e, r, e, r).transpose(1, 3, 0, 2).reshape(r * r, e * e)
+    unit = np.array([[d if k % (r + 1) == 0 else 0] for k in range(r * r)], dtype=object)
+    rows = np.concatenate([N.reshape(e, r * r).T, products, unit], axis=1).tolist()
+    dens = [1] * len(rows)
+    if len(linalg.eliminate(rows, dens, e)[0]) < e:
+        raise AssertionError("hom basis not linearly independent")
+    # row k < e is now [e_k | coordinates] over dens[k]; the rows below vanish
+    coords = np.array([[Fraction(x, den) for x in row[e:]] for row, den in zip(rows[:e], dens)],
+                      dtype=object)
+    products = coords[:, :-1] / d
+    if any(any(row[e:-1]) for row in rows[e:]) or not linalg.is_integral(products, p):
+        raise AssertionError("hom basis not multiplicatively closed")
+    if any(row[-1] for row in rows[e:]) or not linalg.is_integral(coords[:, -1], p):
+        raise AssertionError("identity not in the hom lattice")
+    table = np.array([[residue_int(c, p, 1) for c in column] for column in products.T],
+                     dtype=np.int64).reshape(e, e, e)
+    return FpAlgebra(p, e, table, np.array([residue_int(c, p, 1) for c in coords[:, -1]]))
 
 
 def _residue_endo_analysis(A: Order, U: Lattice) -> ResidueEndoAnalysis:

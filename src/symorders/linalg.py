@@ -32,7 +32,8 @@ class NotSublatticeError(ValueError):
 
 
 def as_matrix(rows) -> np.ndarray:
-    """Build an object-dtype matrix of Fractions from nested data."""
+    """Build an object-dtype matrix of Fractions from nested data; entries
+    that already are Fractions (immutable) are kept as they are."""
     if isinstance(rows, np.ndarray) and rows.dtype == object:
         data = rows.tolist()
     else:
@@ -47,14 +48,14 @@ def as_matrix(rows) -> np.ndarray:
         if len(row) != n:
             raise ValueError("ragged matrix data")
         for j, x in enumerate(row):
-            out[i, j] = Fraction(x)
+            out[i, j] = x if type(x) is Fraction else Fraction(x)
     return out
 
 
 def as_vector(entries) -> np.ndarray:
     out = np.empty(len(entries), dtype=object)
     for i, x in enumerate(entries):
-        out[i] = Fraction(x)
+        out[i] = x if type(x) is Fraction else Fraction(x)
     return out
 
 
@@ -117,6 +118,24 @@ def _int_rows(M) -> tuple:
     return rows, dens, M.shape[1]
 
 
+def numerators(M) -> tuple:
+    """(N, d): an array of Fractions as an array N of integers (dtype
+    object) over d, the least common denominator of its entries."""
+    M = np.asarray(M, dtype=object)
+    d = math.lcm(*[x.denominator for x in M.flat])
+    N = np.empty(M.shape, dtype=object)
+    N.flat = [x.numerator * (d // x.denominator) for x in M.flat]
+    return N, d
+
+
+def from_numerators(N, d: int) -> np.ndarray:
+    """The array of Fractions N / d, for an array N of integers."""
+    N = np.asarray(N, dtype=object)
+    out = np.empty(N.shape, dtype=object)
+    out.flat = [Fraction(x, d) if x else _ZERO for x in N.flat]
+    return out
+
+
 def _reduce(row: list, den: int) -> tuple:
     """Divide a row and its denominator by their gcd."""
     g = math.gcd(den, *row)
@@ -135,7 +154,7 @@ def _fraction_rows(rows, dens, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def _eliminate(rows: list, dens: list, ncols: int) -> tuple:
+def eliminate(rows: list, dens: list, ncols: int) -> tuple:
     """Gauss-Jordan reduction of the first ncols columns of integer rows
     over positive denominators, in place: the pivot row is scaled to a
     leading 1 and its column cleared in every other row.
@@ -178,7 +197,7 @@ def _eliminate(rows: list, dens: list, ncols: int) -> tuple:
 
 def rational_rank(M) -> int:
     rows, dens, n = _int_rows(M)
-    return len(_eliminate(rows, dens, n)[0])
+    return len(eliminate(rows, dens, n)[0])
 
 
 def solve_exact(M, B):
@@ -192,7 +211,7 @@ def solve_exact(M, B):
     Bm = as_matrix([B]).T if vector_rhs else as_matrix(B)
     m, n = M.shape
     rows, dens, width = _int_rows(np.concatenate([M, Bm], axis=1))
-    pivots, _ = _eliminate(rows, dens, n)
+    pivots, _ = eliminate(rows, dens, n)
     if len(pivots) < n:
         raise ValueError("matrix does not have full column rank")
     if any(any(row[n:]) for row in rows[len(pivots):]):
@@ -206,7 +225,7 @@ def det(M) -> Fraction:
     rows, dens, n = _int_rows(M)
     if len(rows) != n:
         raise ValueError("determinant of a non-square matrix")
-    pivots, (num, den) = _eliminate(rows, dens, n)
+    pivots, (num, den) = eliminate(rows, dens, n)
     return Fraction(num, den) if len(pivots) == n else _ZERO
 
 
@@ -228,7 +247,7 @@ def left_null_space(M) -> np.ndarray:
     m = len(rows)
     for i, (row, den) in enumerate(zip(rows, dens)):
         row.extend(den if k == i else 0 for k in range(m))
-    _eliminate(rows, dens, n)
+    eliminate(rows, dens, n)
     kept = [i for i in range(m) if not any(rows[i][:n])]
     return _fraction_rows([rows[i] for i in kept], [dens[i] for i in kept], n, n + m)
 
@@ -264,12 +283,6 @@ def smith_normal_form(M, p: int) -> SmithDecomposition:
     the minimal-valuation pivot divides every remaining entry, and the
     quotients stay in the ring, so the transforms are ring-invertible
     and the exponents come out already sorted.
-
-    The rows [A_i | L_i] and the columns of R are integers over one unit
-    denominator each.  For the pivot p^v u, row i becomes
-    u row_i - (a_i / p^v) row_s over u times its denominator, and column
-    j of R likewise: the rationals of the update by a_i / pivot, so the
-    transforms equal those of elimination on Fractions, entry by entry.
     """
     rows, dens, n = _int_rows(M)
     m = len(rows)
@@ -277,6 +290,27 @@ def smith_normal_form(M, p: int) -> SmithDecomposition:
         raise ValueError("smith normal form needs entries of valuation >= 0")
     for i, (row, den) in enumerate(zip(rows, dens)):
         row.extend(den if k == i else 0 for k in range(m))
+    exponents, cols, col_dens = _smith(rows, dens, n, p)
+    left = _fraction_rows(rows, dens, n, n + m)
+    right = _fraction_rows(cols, col_dens, 0, n).T.copy()
+    return SmithDecomposition(tuple(exponents), left, right, len(exponents))
+
+
+def _smith(rows: list, dens: list, n: int, p: int) -> tuple:
+    """Smith reduction of the first n columns of integer rows over unit
+    denominators, in place; the columns past n (the left transform, when
+    the caller appended one) follow the row operations.
+
+    Returns the exponents and the columns of the right transform R as
+    integers over one unit denominator each.  For the pivot p^v u, row i
+    becomes u row_i - (a_i / p^v) row_s over u times its denominator,
+    and column j of R likewise: the rationals of the update by
+    a_i / pivot, so the transforms equal those of elimination on
+    Fractions, entry by entry.  The pivot (least valuation, ties by row
+    and then column) and R do not change when a row is scaled by a
+    positive unit.
+    """
+    m = len(rows)
     cols = [[1 if k == j else 0 for k in range(n)] for j in range(n)]
     col_dens = [1] * n
     exponents = []
@@ -326,16 +360,7 @@ def smith_normal_form(M, p: int) -> SmithDecomposition:
                 row_s[j] = 0
         rows[s], dens[s] = _reduce([sign * x for x in row_s], u)
         exponents.append(best_val)
-    left = _fraction_rows(rows, dens, n, n + m)
-    right = _fraction_rows(cols, col_dens, 0, n).T.copy()
-    return SmithDecomposition(tuple(exponents), left, right, len(exponents))
-
-
-def _clear_denominators(M: np.ndarray) -> np.ndarray:
-    lcm = 1
-    for x in M.flat:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    return M * Fraction(lcm) if lcm != 1 else M
+    return exponents, cols, col_dens
 
 
 def _unit_normalize_columns(B: np.ndarray, p: int) -> np.ndarray:
@@ -368,14 +393,25 @@ def integral_kernel(M, p: int) -> np.ndarray:
     """Saturated basis (columns) of {v with ring entries : M @ v = 0}.
 
     Scaling M by a common denominator does not change the kernel, so the
-    input may have arbitrary rational entries.  The last n - rank columns
-    of the right Smith transform are a basis, and they are saturated
-    because the transform is invertible over the ring.
+    input may have arbitrary rational entries.
     """
-    M = _clear_denominators(as_matrix(M))
-    n = M.shape[1]
-    snf = smith_normal_form(M, p)
-    return _unit_normalize_columns(snf.right[:, snf.rank:], p)
+    rows, dens, n = _int_rows(M)
+    lcm = math.lcm(*dens)
+    return integral_kernel_of_rows([[x * (lcm // d) for x in row]
+                                    for row, d in zip(rows, dens)], n, p)
+
+
+def integral_kernel_of_rows(rows: list, n: int, p: int) -> np.ndarray:
+    """:func:`integral_kernel` of the matrix with the given integer rows
+    of length n, which are consumed.
+
+    The last n - rank columns of the right Smith transform are a basis,
+    saturated because the transform is invertible over the ring; the
+    left transform is not formed.
+    """
+    exponents, cols, col_dens = _smith(rows, [1] * len(rows), n, p)
+    rank = len(exponents)
+    return _unit_normalize_columns(_fraction_rows(cols[rank:], col_dens[rank:], 0, n).T, p)
 
 
 def lattice_basis_from_generators(gens, p: int) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Reference exact linear algebra on ``Fraction`` object arrays.
 
 These are the row-by-row ``Fraction`` versions of ``linalg``'s Smith
-normal form and Gauss-Jordan elimination, which the library now runs on
-integer rows over one unit denominator each.  The two perform the same
-rational operations in the same order, so the tests require their
-results to be equal entry by entry, not merely equivalent.
+normal form, saturated integral kernel and Gauss-Jordan elimination,
+which the library now runs on integer rows over one unit denominator
+each.  The two perform the same rational operations in the same order,
+so the tests require their results to be equal entry by entry, not
+merely equivalent.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -147,3 +149,23 @@ def smith_normal_form(M, p: int) -> linalg.SmithDecomposition:
         exponents.append(best_val)
         s += 1
     return linalg.SmithDecomposition(tuple(exponents), L, R, len(exponents))
+
+
+def integral_kernel(M, p: int):
+    """Saturated kernel basis: clear the denominators, take the last
+    n - rank columns of the right Smith transform, and scale each to a
+    primitive integer column with positive leading entry."""
+    M = linalg.as_matrix(M)
+    lcm = math.lcm(*[x.denominator for x in M.flat])
+    snf = smith_normal_form(M * Fraction(lcm), p)
+    K = np.array(snf.right[:, snf.rank:])
+    for j in range(K.shape[1]):
+        col = K[:, j] * Fraction(math.lcm(*[x.denominator for x in K[:, j]]))
+        g = math.gcd(*[x.numerator for x in col])
+        while g % p == 0:
+            g //= p
+        col = col / Fraction(g)
+        if next(x for x in col if x) < 0:
+            col = -col
+        K[:, j] = col
+    return K

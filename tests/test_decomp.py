@@ -13,7 +13,9 @@ from symorders.builders import (
     matrix_order,
     rank2_order,
 )
-from symorders.forms import central_idempotents, gram_matrix
+from symorders.forms import central_idempotents, gram_matrix, regular_character_form
+import fraction_lattices
+from test_orders import standard_orders
 
 def test_character_table_validation(s3, s3_chars):
     A, _ = s3
@@ -265,7 +267,8 @@ def symmetric_integer_matrix(draw):
 @given(symmetric_integer_matrix())
 def test_constant_exponent_mod_p_agrees_with_the_smith_form(case):
     p, G = case
-    assert decomp._constant_exponent(G, p) == _constant_exponent_by_smith(G, p)
+    N, _ = linalg.numerators(G)
+    assert decomp._constant_exponent(N, p) == _constant_exponent_by_smith(G, p)
 
 
 def test_s3_candidates_filter_and_gram_test_agree_with_fractions(s3, s3_table):
@@ -284,7 +287,67 @@ def test_s3_candidates_filter_and_gram_test_agree_with_fractions(s3, s3_table):
     verdicts = set()
     for sigma in candidates:
         G = gram_matrix(A, s3_table.form_from_coefficients(sigma))
-        n = decomp._constant_exponent(G, 3)
+        # the numerators are G times a unit, with the same Smith exponents
+        n = decomp._constant_exponent(linalg.numerators(G)[0], 3)
         assert n == _constant_exponent_by_smith(G, 3)
         verdicts.add(n is None)
     assert verdicts == {True, False}
+
+
+# -- the integer Gram test against the Fraction version --------------------
+
+
+def _gram_hit(A, table, grams, a):
+    """The Fraction Gram test's result, after requiring that the integer
+    one returns None as well, or the same exponent and the same form,
+    entry by entry."""
+    ours = decomp._gram_candidate(A, table, grams, a)
+    theirs = fraction_lattices.gram_candidate(A, table, a)
+    if ours is None or theirs is None:
+        assert ours is None and theirs is None, a
+    else:
+        assert ours[0] == theirs[0], a
+        assert all(type(x) is Fraction and x == y
+                   for x, y in zip(ours[1].values, theirs[1].values)), a
+    return theirs
+
+
+def test_gram_candidate_equals_the_fraction_version_on_s3_searches(s3, s3_table,
+                                                                   s3_decomposition):
+    A, _ = s3
+    grams = decomp._character_grams(A, s3_table)
+    hits = [_gram_hit(A, s3_table, grams, sigma) is not None
+            for sigma in decomp._integral_candidates(A, s3_table, 5, 4)]
+    assert any(hits) and not all(hits)
+    for box in (range(1, 6), range(-5, 6)):
+        for m in product(box, repeat=s3_decomposition.num_modular):
+            a = decomp._decomposition_coefficients(s3_table, s3_decomposition, m)
+            if any(a):
+                _gram_hit(A, s3_table, grams, a)
+
+
+@st.composite
+def form_combination(draw):
+    """An order, a table of forms on it and coefficients a p^e / d: the
+    forms are rational multiples of the regular character, whose Gram
+    matrices are symmetric, or arbitrary vectors."""
+    A = draw(standard_orders())
+    p = A.prime
+    scalar = st.builds(lambda a, e, d: Fraction(a * p**e, d), st.integers(-9, 9),
+                       st.integers(0, 2), st.integers(1, 12))
+    rho = regular_character_form(A).values
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            rows.append(list(rho * draw(scalar)))
+        else:
+            rows.append(draw(st.lists(scalar, min_size=A.dim, max_size=A.dim)))
+    table = decomp.CharacterTable(values=linalg.as_matrix(rows), degrees=())
+    return A, table, draw(st.lists(scalar, min_size=len(rows), max_size=len(rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(form_combination())
+def test_gram_candidate_equals_the_fraction_version(case):
+    A, table, a = case
+    _gram_hit(A, table, decomp._character_grams(A, table), a)

@@ -109,7 +109,7 @@ def all_blocks_hom_basis(A, U, V) -> tuple:
          for i in range(A.dim)],
         axis=0,
     )
-    kernel = linalg.integral_kernel(rows, A.prime)
+    kernel = fraction_linalg.integral_kernel(rows, A.prime)
     return tuple(np.array(kernel[:, j]).reshape(V.rank, U.rank)
                  for j in range(kernel.shape[1]))
 

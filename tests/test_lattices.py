@@ -3,16 +3,22 @@ import random
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import symorders as so
 from symorders import cli, lattices, linalg, modp
 from symorders.builders import (
+    group_algebra,
     matrix_column_lattice,
     matrix_order,
+    rank2_order,
+    rank2_projection_lattice,
     s3_fixture_bundle,
 )
 from symorders.lattices import (
+    HomLattice,
     InvalidLatticeError,
     TateDualityError,
     _trace,
@@ -21,6 +27,8 @@ from symorders.lattices import (
     relative_trace_hom,
 )
 from symorders.padic import val
+import fraction_lattices
+from test_orders import GROUP_TABLES
 
 
 def test_make_lattice_validation(s3):
@@ -401,3 +409,77 @@ def test_duality_error_on_mismatch(s3, s3_lattices, monkeypatch):
     monkeypatch.setattr("symorders.lattices.stable_hom", broken)
     with pytest.raises(TateDualityError, match="pairing degenerate"):
         so.verify_tate_duality(A, s, T, T)
+
+
+# -- the integer Hom layer against the Fraction versions ----------------------
+
+
+LOCAL_PRIMES = (2, 3, 5, 4294967311)
+
+
+@st.composite
+def conjugated_lattices(draw):
+    """(A, s, U, V): an order with a symmetrising form and two lattices
+    over it, builder lattices or direct sums of two, each conjugated by a
+    diagonal matrix of units so that its entries have denominators."""
+    p = draw(st.sampled_from(LOCAL_PRIMES))
+    kind = draw(st.sampled_from(["group", "rank2", "matrix"]))
+    if kind == "group":
+        A, s = group_algebra(draw(st.sampled_from(GROUP_TABLES)), p)
+        choices = [so.regular_lattice(A), so.make_lattice(A, [[[1]]] * A.dim)]
+    elif kind == "rank2":
+        A, s = rank2_order(draw(st.integers(1, 2)), p)
+        choices = [rank2_projection_lattice(A), so.regular_lattice(A)]
+    else:
+        A, s = matrix_order(2, p)
+        choices = [matrix_column_lattice(A, 2), so.regular_lattice(A)]
+    choices += [so.direct_sum(U, V) for U in choices for V in choices
+                if U.rank + V.rank <= 4]
+    units = st.sampled_from([d for d in (1, 2, 3, 5, 7, 11) if d % p])
+
+    def conjugate(U):
+        d = [draw(units) for _ in range(U.rank)]
+        return so.make_lattice(A, [[[m[a, b] * Fraction(d[b], d[a]) for b in range(U.rank)]
+                                    for a in range(U.rank)] for m in U.action])
+
+    return A, s, conjugate(draw(st.sampled_from(choices))), conjugate(
+        draw(st.sampled_from(choices)))
+
+
+def _identical(a, b) -> bool:
+    a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
+    return a.shape == b.shape and all(
+        type(x) is Fraction and x == y for x, y in zip(a.flat, b.flat))
+
+
+def _same_basis(ours, theirs) -> bool:
+    return len(ours) == len(theirs) and all(map(_identical, ours, theirs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugated_lattices(), st.data())
+def test_hom_layer_equals_the_fraction_version(case, data):
+    A, s, U, V = case
+    p = A.prime
+    assert _same_basis(lattices._hom_lattice(A, U, V).basis,
+                       fraction_lattices.hom_basis(A, U, V))
+    G = fraction_lattices.relative_trace_generators(A, s, U, V)
+    T, q = lattices._relative_trace_map(A, s, U, V)
+    assert _identical(linalg.from_numerators(T, q), G)
+    basis = linalg.lattice_basis_from_generators(G, p)
+    assert _same_basis(projective_hom_lattice(A, s, U, V).basis,
+                       [np.array(basis[:, j]).reshape(V.rank, U.rank)
+                        for j in range(basis.shape[1])])
+    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+    alpha = data.draw(st.lists(st.lists(entry, min_size=U.rank, max_size=U.rank),
+                               min_size=V.rank, max_size=V.rank))
+    assert _identical(relative_trace_hom(A, s, U, V, alpha),
+                      fraction_lattices.relative_trace_hom(A, s, U, V, alpha))
+    # End(U) on its saturated integer basis, and on that basis divided by units
+    E = hom_lattice(A, U, U)
+    units = st.sampled_from([d for d in (1, 2, 3, 5, 7, 11) if d % p])
+    scaled = HomLattice(U, U, tuple(M * Fraction(1, data.draw(units)) for M in E.basis))
+    for F in (E, scaled):
+        table, one = fraction_lattices.residue_algebra(A, F)
+        ours = lattices._residue_algebra(A, F)
+        assert np.array_equal(ours.table, table) and np.array_equal(ours.one, one)
