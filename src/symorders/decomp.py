@@ -140,13 +140,14 @@ def _gram_candidate(A: Order, table: CharacterTable, grams: tuple, a):
     N, den = grams
     a_den = math.lcm(*[x.denominator for x in a])
     G = np.tensordot([x.numerator * (a_den // x.denominator) for x in a], N, axes=1)
-    pw = p ** int_val(den * a_den, p)
+    w = int_val(den * a_den, p)
+    pw = p**w
     if not (G == G.T).all() or any(x % pw for x in G.flat):
         return None
     m = _constant_exponent(G, p)
     if m is None:
         return None
-    n = m - int_val(pw, p)
+    n = m - w
     return n, table.form_from_coefficients(a).scale(Fraction(1, p**n))
 
 

@@ -192,29 +192,19 @@ def _action_numerators(U: Lattice) -> tuple:
 
 
 def _hom_lattice(A: Order, U: Lattice, V: Lattice) -> HomLattice:
-    # one integer row per generator g and entry (c, b) of
-    # act_V(b_g) phi - phi act_U(b_g), on phi flattened row by row, over
-    # the unit denominator q; the rows are q times the rational ones, and
-    # scaling rows by positive units leaves the kernel basis as it is
+    # act_V(b_g) phi - phi act_U(b_g), on phi flattened row by row, as
+    # integer rows: q times the rational ones for the unit denominator q,
+    # and scaling rows by positive units leaves the kernel basis as it is
     nv, dv = _action_numerators(V)
     nu, du = _action_numerators(U)
     q = math.lcm(dv, du)
-    ru, rv = U.rank, V.rank
-    rows = []
-    for g in A.generators:
-        v = (nv[g] * (q // dv)).tolist()
-        u = (nu[g] * (q // du)).tolist()
-        for c in range(rv):
-            for b in range(ru):
-                row = [0] * (rv * ru)
-                for a in range(rv):
-                    row[a * ru + b] = v[c][a]
-                for e in range(ru):
-                    row[c * ru + e] -= u[e][b]
-                rows.append(row)
-    kernel = linalg.integral_kernel_of_rows(rows, rv * ru, A.prime)
+    iu, iv = np.identity(U.rank, dtype=object), np.identity(V.rank, dtype=object)
+    blocks = [np.kron(nv[g] * (q // dv), iu) - np.kron(iv, nu[g].T * (q // du))
+              for g in A.generators]
+    rows = np.concatenate([np.zeros((0, U.rank * V.rank), dtype=object)] + blocks)
+    kernel = linalg.integral_kernel_of_rows(rows.tolist(), U.rank * V.rank, A.prime)
     basis = tuple(
-        np.array(kernel[:, j]).reshape(rv, ru)
+        np.array(kernel[:, j]).reshape(V.rank, U.rank)
         for j in range(kernel.shape[1])
     )
     return HomLattice(source=U, target=V, basis=basis)
@@ -490,19 +480,17 @@ def _residue_algebra(A: Order, E: HomLattice) -> FpAlgebra:
     gives them all.
     """
     e, p, r = E.rank, A.prime, E.source.rank
-    if e == 0:
-        raise AssertionError("identity not in the hom lattice")
-    N, d = linalg.numerators(np.array(E.basis).reshape(e, r, r))
+    N, d = linalg.numerators(np.array(E.basis, dtype=object).reshape(e, r, r))
     products = N.reshape(e * r, r).dot(N.transpose(1, 0, 2).reshape(r, e * r))
     products = products.reshape(e, r, e, r).transpose(1, 3, 0, 2).reshape(r * r, e * e)
-    unit = np.array([[d if k % (r + 1) == 0 else 0] for k in range(r * r)], dtype=object)
+    unit = (np.identity(r, dtype=object) * d).reshape(r * r, 1)
     rows = np.concatenate([N.reshape(e, r * r).T, products, unit], axis=1).tolist()
     dens = [1] * len(rows)
     if len(linalg.eliminate(rows, dens, e)[0]) < e:
         raise AssertionError("hom basis not linearly independent")
     # row k < e is now [e_k | coordinates] over dens[k]; the rows below vanish
     coords = np.array([[Fraction(x, den) for x in row[e:]] for row, den in zip(rows[:e], dens)],
-                      dtype=object)
+                      dtype=object).reshape(e, e * e + 1)
     products = coords[:, :-1] / d
     if any(any(row[e:-1]) for row in rows[e:]) or not linalg.is_integral(products, p):
         raise AssertionError("hom basis not multiplicatively closed")
