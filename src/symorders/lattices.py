@@ -11,14 +11,16 @@ The Hom layer runs on integer numerators over one unit denominator, as
 ``linalg`` does, and builds Fractions once, for its results: the
 intertwining equations are integer rows, one block per generator; the
 relative traces of all elementary matrices are one integer product of
-the action of V with the dual actions on U; and the table of End(U) mod
-p comes from integer products of the hom basis.  The results are the
-same rationals as those of the Fraction computations.
+the action of V with the dual actions on U, whose lattice basis comes
+off the right Smith transform; and the table of End(U) mod p comes from
+integer products of the hom basis.  The results are the same rationals
+as those of the Fraction computations.
 
 On top of that sit the duality pairing (alpha, beta) -> trace of
 z^{-1} beta alpha modulo the ring, the Knorr trace criterion, and the
 twisted-trace criterion deciding absolute indecomposability plus the
-stable exponent property.
+stable exponent property.  Every twisted trace tr(z^{-1} M) is read as
+a sum of entry products, without forming the matrix product.
 """
 
 from __future__ import annotations
@@ -55,6 +57,18 @@ def _trace(M) -> Fraction:
     return sum((M[i, i] for i in range(M.shape[0])), Fraction(0))
 
 
+def _trace_of_product(X, Y) -> Fraction:
+    """tr(X Y) as sum_ab X[a, b] Y[b, a], without forming X Y."""
+    return sum((x * y for x, y in zip(X.flat, Y.T.flat) if x), Fraction(0))
+
+
+def _twisted_trace(A: Order, s: LinearForm, U: Lattice):
+    """The z^{-1}-twisted trace M -> tr(act_U(z^{-1}) M) on rank_U x rank_U
+    matrices, for z the Casimir element of s."""
+    zu = U.act(casimir_inverse(A, s))
+    return lambda M: _trace_of_product(zu, M)
+
+
 @dataclass(frozen=True, eq=False)
 class Lattice:
     """Module over an order, free of finite rank over the base ring."""
@@ -88,6 +102,8 @@ def make_lattice(A: Order, action) -> Lattice:
     if len(mats) != A.dim:
         raise InvalidLatticeError("one action matrix per basis element required")
     rank = mats[0].shape[0]
+    if rank == 0:
+        raise InvalidLatticeError("rank must be positive")
     for m in mats:
         if m.shape != (rank, rank):
             raise InvalidLatticeError("action matrices must be square, equal size")
@@ -246,16 +262,24 @@ def projective_hom_lattice(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> H
     finite index intact), and its containment in Hom(U, V) is certified
     (an ``AssertionError`` otherwise).
     """
+    return _projective_hom(A, s, U, V)[0]
+
+
+def _projective_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> tuple:
+    """(P, C): the lattice of :func:`projective_hom_lattice` and the ring
+    coordinates of its basis in that of Hom(U, V), one column each, which
+    certify the containment."""
     H = hom_lattice(A, U, V)
     T, q = _relative_trace_map(A, s, U, V)
     basis_cols = linalg.lattice_basis_from_generators(linalg.from_numerators(T, q), A.prime)
-    basis = [
+    basis = tuple(
         np.array(basis_cols[:, j]).reshape(V.rank, U.rank)
         for j in range(basis_cols.shape[1])
-    ]
-    if basis and H.coords_of_many(basis) is None:
+    )
+    coords = H.coords_of_many(basis) if basis else linalg.zeros(H.rank, 0)
+    if coords is None:
         raise AssertionError("projective hom escaped the hom lattice")
-    return HomLattice(source=U, target=V, basis=tuple(basis))
+    return HomLattice(source=U, target=V, basis=basis), coords
 
 
 # -- stable Hom ----------------------------------------------------------
@@ -276,16 +300,12 @@ class StableHomPresentation:
         self.target = V
         self.hom = hom
         self.exponents = invariants.exponents
-        torsion_positions = [
-            i for i, e in enumerate(invariants.all_exponents) if e > 0
-        ]
+        torsion = [i for i, e in enumerate(invariants.all_exponents) if e > 0]
         self.generators = tuple(
-            hom.from_coords(invariants.adapted_basis[:, i]) for i in torsion_positions
+            hom.from_coords(invariants.adapted_basis[:, i]) for i in torsion
         )
-        self._torsion_positions = torsion_positions
-        self._adapted_inverse = (
-            linalg.inverse(invariants.adapted_basis) if hom.rank else None
-        )
+        # hom coordinates -> coordinates on the generators
+        self._left = invariants.left[torsion]
 
     @property
     def exponent(self) -> int:
@@ -299,13 +319,9 @@ class StableHomPresentation:
         coords = self.hom.coords_of(M)
         if coords is None:
             raise ValueError("not an intertwiner with ring coordinates")
-        if self.hom.rank == 0:
-            return ()
-        adapted = self._adapted_inverse @ coords
         p = self.order.prime
         out = []
-        for pos, d in zip(self._torsion_positions, self.exponents):
-            c = adapted[pos]
+        for c, d in zip(self._left @ coords, self.exponents):
             if val(c, p) < 0:
                 raise AssertionError("stable class has non-ring coordinates")
             out.append(residue_int(c, p, d))
@@ -334,19 +350,10 @@ def stable_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> StableHomPres
 
 
 def _stable_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> StableHomPresentation:
-    H = hom_lattice(A, U, V)
-    P = projective_hom_lattice(A, s, U, V)
-    if H.rank == 0:
-        inv = linalg.QuotientInvariants((), 0, (), linalg.identity(0))
-        return StableHomPresentation(A, s, U, V, H, inv)
-    sup = linalg.identity(H.rank)
-    sub = H.coords_of_many(P.basis) if P.basis else linalg.zeros(H.rank, 0)
-    if sub is None:
-        raise AssertionError("projective hom escaped the hom lattice")
-    inv = linalg.lattice_quotient_invariants(sub, sup, A.prime)
+    inv = linalg.quotient_invariants(_projective_hom(A, s, U, V)[1], A.prime)
     if inv.free_rank != 0:
         raise AssertionError("free part nonzero: rational algebra not separable")
-    return StableHomPresentation(A, s, U, V, H, inv)
+    return StableHomPresentation(A, s, U, V, hom_lattice(A, U, V), inv)
 
 
 def exponent(A: Order, s: LinearForm, U: Lattice) -> int:
@@ -364,8 +371,7 @@ def tate_pair(A: Order, s: LinearForm, U: Lattice, V: Lattice, alpha, beta) -> R
     the trace on the rationalized U of multiplication by z^{-1} composed
     with beta alpha.
     """
-    zinv = casimir_inverse(A, s)
-    value = _trace(U.act(zinv) @ linalg.as_matrix(beta) @ linalg.as_matrix(alpha))
+    value = _twisted_trace(A, s, U)(linalg.as_matrix(beta) @ linalg.as_matrix(alpha))
     return residue_class(value, A.prime)
 
 
@@ -376,12 +382,10 @@ def adjunction_check(A: Order, s: LinearForm, U: Lattice, V: Lattice, alpha, bet
     The identity with the roles swapped (an intertwiner gamma : U -> V
     and an arbitrary delta : V -> U) is this one on (V, U, delta, gamma):
     the trace is cyclic and gamma commutes with z^{-1}."""
-    zinv = casimir_inverse(A, s)
     alpha = linalg.as_matrix(alpha)
     beta = linalg.as_matrix(beta)
-    lhs = _trace(U.act(zinv) @ beta @ relative_trace_hom(A, s, U, V, alpha))
-    rhs = _trace(beta @ alpha)
-    return lhs == rhs
+    lhs = _twisted_trace(A, s, U)(beta @ relative_trace_hom(A, s, U, V, alpha))
+    return lhs == _trace_of_product(beta, alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,8 +418,8 @@ def verify_tate_duality(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> Tate
             f"{S_uv.exponents} vs {S_vu.exponents}"
         )
     p = A.prime
-    zu = U.act(casimir_inverse(A, s))
-    values = [[_trace(zu @ h @ g) for h in S_vu.generators] for g in S_uv.generators]
+    twisted = _twisted_trace(A, s, U)
+    values = [[twisted(h @ g) for h in S_vu.generators] for g in S_uv.generators]
     pairing = tuple(tuple(residue_class(v, p) for v in row) for row in values)
     layer = []
     for d, row in zip(S_uv.exponents, values):
@@ -428,7 +432,7 @@ def verify_tate_duality(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> Tate
     if len(kernel):
         cls = tuple(int(c) * p ** (d - 1) for c, d in zip(kernel[0], S_uv.exponents))
         x = S_uv.from_class(cls)
-        if any(val(_trace(zu @ h @ x), p) < 0 for h in S_vu.generators):
+        if any(val(twisted(h @ x), p) < 0 for h in S_vu.generators):
             raise AssertionError("nullspace class pairs non-integrally")
         raise TateDualityError(f"pairing degenerate: kernel class {cls}")
     return TateDualityReport(
@@ -585,11 +589,7 @@ def stable_exponent_check(A: Order, s: LinearForm, U: Lattice) -> TraceCriterion
     S = stable_hom(A, s, U, U)
     if S.exponent == 0:
         raise ValueError("U projective - property undefined")
-    zu = U.act(casimir_inverse(A, s))
-
-    def twisted(M) -> Fraction:
-        return _trace(zu @ M)
-
+    twisted = _twisted_trace(A, s, U)
     analysis = residue_endo_analysis(A, U)
     verdict = _trace_criterion(
         A, analysis, twisted, twisted(linalg.identity(U.rank))
@@ -648,8 +648,8 @@ def stable_socle_property(A: Order, s: LinearForm, U: Lattice) -> bool:
 def constant_value_check(A: Order, s: LinearForm, U: Lattice) -> bool:
     """Minimal twisted-trace valuation over End(U) equals minus the exponent."""
     S = stable_hom(A, s, U, U)
-    zu = U.act(casimir_inverse(A, s))
-    vals = [val(_trace(zu @ M), A.prime) for M in S.hom.basis]
+    twisted = _twisted_trace(A, s, U)
+    vals = [val(twisted(M), A.prime) for M in S.hom.basis]
     return min(vals) == -S.exponent
 
 

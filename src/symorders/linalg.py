@@ -1,18 +1,21 @@
 """Exact linear algebra over the rationals and the p-local integers.
 
-Matrices are numpy arrays of dtype ``object`` holding ``Fraction`` entries,
-and every function takes and returns them.  Inside, the eliminations run
-on Python ints: each row (and each column of a right transform) is a list
-of integer numerators over one positive denominator, a unit at p for ring
-matrices, divided by the row gcd after every operation; Fractions are
-built once, for the result.  On top of plain rational elimination (solve,
-det, inverse) this module provides the lattice layer used everywhere else:
+Matrices at the API are numpy arrays of dtype ``object`` holding
+``Fraction`` entries; ``eliminate`` and ``integral_kernel_of_rows`` take
+integer rows, and ``numerators`` turns Fractions into integers over one
+denominator.  Inside, the eliminations run on Python ints: each row (and
+each column of a right transform) is a list of integer numerators over
+one positive denominator, a unit at p for ring matrices, divided by the
+row gcd after every operation; Fractions are built once, for the result.
+On top of plain rational elimination (solve, det, inverse) this module
+provides the lattice layer used everywhere else:
 
 * Smith normal form over the p-local integers, pivoting on an entry of
   minimal valuation (ties broken by lowest row, then column), so the
   diagonal comes out as p^{e_1} <= ... <= p^{e_r} deterministically;
-* saturated integral kernels;
-* bases of lattices spanned by finite generating sets;
+* saturated integral kernels and bases of lattices spanned by finite
+  generating sets, both read off the right Smith transform without
+  forming the left one;
 * invariant factors of a finite-index (or torsion) lattice quotient.
 """
 
@@ -24,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .padic import int_val, val
+from .padic import int_val
 
 
 class NotSublatticeError(ValueError):
@@ -252,14 +255,6 @@ def left_null_space(M) -> np.ndarray:
     return _fraction_rows([rows[i] for i in kept], [dens[i] for i in kept], n, n + m)
 
 
-def is_ring_invertible(M, p: int) -> bool:
-    """Square matrix with ring entries whose determinant has valuation 0."""
-    M = as_matrix(M)
-    if M.shape[0] != M.shape[1]:
-        return False
-    return is_integral(M, p) and val(det(M), p) == 0
-
-
 @dataclass(frozen=True)
 class SmithDecomposition:
     """left @ M @ right = diag(p^e_1, ..., p^e_r, 0, ..)."""
@@ -363,30 +358,20 @@ def _smith(rows: list, dens: list, n: int, p: int) -> tuple:
     return exponents, cols, col_dens
 
 
-def _unit_normalize_columns(B: np.ndarray, p: int) -> np.ndarray:
-    """Scale each column by a unit to make it a primitive integer vector
-    with positive leading entry; the spanned lattice is unchanged."""
-    B = np.array(B)
-    for j in range(B.shape[1]):
-        col = B[:, j]
-        lcm = 1
-        for x in col:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        col = col * Fraction(lcm)
-        g = 0
-        for x in col:
-            g = math.gcd(g, abs(x.numerator))
-        if g:
-            while g % p == 0:
-                g //= p
-            col = col / Fraction(g)
-        for x in col:
-            if x != 0:
-                if x < 0:
-                    col = -col
-                break
-        B[:, j] = col
-    return B
+def _unit_normalize_columns(cols: list, n: int, p: int) -> np.ndarray:
+    """The integer columns (lists of length n) as a Fraction matrix, each
+    scaled by a unit to a primitive integer vector with positive leading
+    entry.  The ring span of a column, and this normal form, do not
+    change when the column is scaled by a unit."""
+    out = np.empty((n, len(cols)), dtype=object)
+    for j, col in enumerate(cols):
+        g = math.gcd(*col)
+        while g and g % p == 0:
+            g //= p
+        if next((x for x in col if x), 0) < 0:
+            g = -g
+        out[:, j] = [Fraction(x // g) if x else _ZERO for x in col]
+    return out
 
 
 def integral_kernel(M, p: int) -> np.ndarray:
@@ -409,26 +394,27 @@ def integral_kernel_of_rows(rows: list, n: int, p: int) -> np.ndarray:
     saturated because the transform is invertible over the ring; the
     left transform is not formed.
     """
-    exponents, cols, col_dens = _smith(rows, [1] * len(rows), n, p)
-    rank = len(exponents)
-    return _unit_normalize_columns(_fraction_rows(cols[rank:], col_dens[rank:], 0, n).T, p)
+    exponents, cols, _ = _smith(rows, [1] * len(rows), n, p)
+    return _unit_normalize_columns(cols[len(exponents):], n, p)
 
 
 def lattice_basis_from_generators(gens, p: int) -> np.ndarray:
     """Basis (columns) of the lattice spanned over the ring by the columns
     of ``gens``.  Unlike :func:`integral_kernel` this does not saturate:
-    torsion quotients are preserved."""
+    torsion quotients are preserved.
+
+    For the Smith form L G R = D, G R = L^{-1} D: its first rank columns
+    are p^{e_i} times columns of the ring-invertible L^{-1}, a basis.
+    They are one integer product with the right transform, up to units;
+    the left transform is not formed.
+    """
     G = as_matrix(gens)
-    if G.shape[1] == 0:
-        return zeros(G.shape[0], 0)
     if not is_integral(G, p):
         raise ValueError("lattice generators must have ring entries")
-    snf = smith_normal_form(G, p)
-    Linv = inverse(snf.left)
-    cols = [np.array(Linv[:, i]) * Fraction(p) ** e
-            for i, e in enumerate(snf.exponents)]
-    basis = np.array(cols, dtype=object).T if cols else zeros(G.shape[0], 0)
-    return _unit_normalize_columns(basis, p)
+    (m, n), N = G.shape, numerators(G)[0]
+    exponents, cols, _ = _smith(N.tolist(), [1] * m, n, p)
+    R = np.array(cols[: len(exponents)], dtype=object).reshape(len(exponents), n).T
+    return _unit_normalize_columns(N.dot(R).T.tolist(), m, p)
 
 
 def lattice_membership(v, basis, p: int):
@@ -452,12 +438,15 @@ class QuotientInvariants:
     sup lattice in sup coordinates such that the sub lattice is spanned
     by p^{d_i} f_i (with d_i = 0 for the dropped trivial factors and the
     trailing free columns absent from the sub lattice altogether).
+    ``left`` is its inverse, the left Smith transform: it takes sup
+    coordinates to coordinates in the f_i.
     """
 
     exponents: tuple
     free_rank: int
     all_exponents: tuple
     adapted_basis: np.ndarray
+    left: np.ndarray
 
 
 def lattice_quotient_invariants(sub_gens, sup_basis, p: int) -> QuotientInvariants:
@@ -468,17 +457,23 @@ def lattice_quotient_invariants(sub_gens, sup_basis, p: int) -> QuotientInvarian
     """
     sup = as_matrix(sup_basis)
     sub = as_matrix(sub_gens)
-    m = sup.shape[1]
     if sub.shape[1] == 0:
-        return QuotientInvariants((), m, (), identity(m))
+        return quotient_invariants(zeros(sup.shape[1], 0), p)
     coords = solve_exact(sup, sub)
     if coords is None or not is_integral(coords, p):
         raise NotSublatticeError("not a sublattice")
+    return quotient_invariants(coords, p)
+
+
+def quotient_invariants(coords, p: int) -> QuotientInvariants:
+    """Invariant factors of ring^m modulo the span of the columns of
+    ``coords``, an m-row matrix with ring entries: the sub lattice given
+    by its coordinates in a basis of the sup lattice."""
     snf = smith_normal_form(coords, p)
-    torsion = tuple(e for e in snf.exponents if e > 0)
     return QuotientInvariants(
-        exponents=torsion,
-        free_rank=m - snf.rank,
+        exponents=tuple(e for e in snf.exponents if e > 0),
+        free_rank=snf.left.shape[0] - snf.rank,
         all_exponents=snf.exponents,
         adapted_basis=inverse(snf.left),
+        left=snf.left,
     )

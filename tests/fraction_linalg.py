@@ -5,7 +5,9 @@ normal form, saturated integral kernel and Gauss-Jordan elimination,
 which the library now runs on integer rows over one unit denominator
 each.  The two perform the same rational operations in the same order,
 so the tests require their results to be equal entry by entry, not
-merely equivalent.
+merely equivalent.  The lattice basis of a generating set is read here
+off the inverted left Smith transform, where the library reads it off
+the right one; the normal form of its columns makes the two equal too.
 """
 
 import math
@@ -151,14 +153,10 @@ def smith_normal_form(M, p: int) -> linalg.SmithDecomposition:
     return linalg.SmithDecomposition(tuple(exponents), L, R, len(exponents))
 
 
-def integral_kernel(M, p: int):
-    """Saturated kernel basis: clear the denominators, take the last
-    n - rank columns of the right Smith transform, and scale each to a
-    primitive integer column with positive leading entry."""
-    M = linalg.as_matrix(M)
-    lcm = math.lcm(*[x.denominator for x in M.flat])
-    snf = smith_normal_form(M * Fraction(lcm), p)
-    K = np.array(snf.right[:, snf.rank:])
+def _normalize_columns(K, p: int):
+    """Scale each (nonzero) column to a primitive integer column with
+    positive leading entry."""
+    K = np.array(K)
     for j in range(K.shape[1]):
         col = K[:, j] * Fraction(math.lcm(*[x.denominator for x in K[:, j]]))
         g = math.gcd(*[x.numerator for x in col])
@@ -169,3 +167,26 @@ def integral_kernel(M, p: int):
             col = -col
         K[:, j] = col
     return K
+
+
+def integral_kernel(M, p: int):
+    """Saturated kernel basis: clear the denominators, take the last
+    n - rank columns of the right Smith transform, and normalise them."""
+    M = linalg.as_matrix(M)
+    lcm = math.lcm(*[x.denominator for x in M.flat])
+    snf = smith_normal_form(M * Fraction(lcm), p)
+    return _normalize_columns(snf.right[:, snf.rank:], p)
+
+
+def lattice_basis_from_generators(gens, p: int):
+    """Basis of the ring span of the columns: for the Smith form
+    L G R = D, the columns p^(e_i) L^(-1)[:, i], normalised."""
+    G = linalg.as_matrix(gens)
+    if not linalg.is_integral(G, p):
+        raise ValueError("lattice generators must have ring entries")
+    snf = smith_normal_form(G, p)
+    Linv = inverse(snf.left)
+    basis = linalg.zeros(G.shape[0], snf.rank)
+    for i, e in enumerate(snf.exponents):
+        basis[:, i] = Linv[:, i] * Fraction(p) ** e
+    return _normalize_columns(basis, p)

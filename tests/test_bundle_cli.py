@@ -161,6 +161,17 @@ def test_cli_exit_codes(tmp_path, s3_bundle):
     assert main(["--bundle", str(good), "--check", "knorr"]) == 0
 
 
+def test_a_rank_zero_lattice_is_an_input_error(tmp_path, capsys):
+    doc = bundle_to_dict(s3_fixture_bundle(3))
+    doc["lattices"]["zero"] = [[]] * doc["order"]["dim"]
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    for check in ("constant-value", "heights", "divisibility"):
+        assert main(["--bundle", str(path), "--check", check]) == 2
+        err = capsys.readouterr().err
+        assert "lattice 'zero' validation failed: rank must be positive" in err
+
+
 def test_residue_checks_run_exactly_at_a_prime_beyond_int64_products():
     p = 4294967311
     M, sm = matrix_order(2, p)

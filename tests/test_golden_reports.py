@@ -7,7 +7,10 @@ The bundles under ``tests/data`` are the S3 fixture at p = 3
 bundles ``m2-p3`` and ``rank2-m2-p2`` on the dense basis of seed 7, and
 ``s4-p3``: the group algebra of the symmetric group on four points at
 p = 3 (dimension 24) with its standard form and the trivial and sign
-lattices.
+lattices; and ``s4-p2``: the same group algebra at p = 2 with the
+trivial, sign and regular lattices, whose report covers the stable Hom
+of the regular lattice with itself and the twisted traces on its
+endomorphism ring of rank 24.
 Each ``NAME.report.json`` and ``NAME.stdout.txt`` was written by
 
     symorders --bundle NAME.bundle.json --check all --json NAME.report.json > NAME.stdout.txt
@@ -22,7 +25,7 @@ import pytest
 from symorders.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
-NAMES = ("s3-p3", "m2-p3", "rank2-m2-p2", "s4-p3")
+NAMES = ("s3-p3", "m2-p3", "rank2-m2-p2", "s4-p3", "s4-p2")
 
 
 @pytest.mark.parametrize("name", NAMES)

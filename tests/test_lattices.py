@@ -26,8 +26,9 @@ from symorders.lattices import (
     projective_hom_lattice,
     relative_trace_hom,
 )
-from symorders.padic import val
+from symorders.padic import residue_class, val
 import fraction_lattices
+import fraction_linalg
 from test_orders import GROUP_TABLES
 
 
@@ -40,6 +41,8 @@ def test_make_lattice_validation(s3):
     bad_unit = [[[Fraction(2)]]] + [[[Fraction(1)]]] * 5
     with pytest.raises(InvalidLatticeError, match="unit acts nontrivially"):
         so.make_lattice(A, bad_unit)
+    with pytest.raises(InvalidLatticeError, match="rank must be positive"):
+        so.make_lattice(A, [[]] * 6)
 
 
 def test_projection_lattice_validates(rank2_family):
@@ -466,15 +469,28 @@ def test_hom_layer_equals_the_fraction_version(case, data):
     G = fraction_lattices.relative_trace_generators(A, s, U, V)
     T, q = lattices._relative_trace_map(A, s, U, V)
     assert _identical(linalg.from_numerators(T, q), G)
-    basis = linalg.lattice_basis_from_generators(G, p)
+    basis = fraction_linalg.lattice_basis_from_generators(G, p)
     assert _same_basis(projective_hom_lattice(A, s, U, V).basis,
                        [np.array(basis[:, j]).reshape(V.rank, U.rank)
                         for j in range(basis.shape[1])])
     entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
-    alpha = data.draw(st.lists(st.lists(entry, min_size=U.rank, max_size=U.rank),
-                               min_size=V.rank, max_size=V.rank))
+
+    def matrix(m, n):
+        return linalg.as_matrix(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                                   min_size=m, max_size=m)))
+
+    alpha = matrix(V.rank, U.rank)
     assert _identical(relative_trace_hom(A, s, U, V, alpha),
                       fraction_lattices.relative_trace_hom(A, s, U, V, alpha))
+    # twisted traces against the product formed in full, on arbitrary
+    # (not symmetric) matrices
+    zu = U.act(so.casimir_inverse(A, s))
+    M, beta = matrix(U.rank, U.rank), matrix(U.rank, V.rank)
+    assert lattices._trace_of_product(beta, alpha) == _trace(beta @ alpha)
+    assert lattices._twisted_trace(A, s, U)(M) == _trace(zu @ M)
+    assert so.tate_pair(A, s, U, V, alpha, beta) == residue_class(_trace(zu @ beta @ alpha), p)
+    assert so.adjunction_check(A, s, U, V, alpha, beta) == (
+        _trace(zu @ beta @ relative_trace_hom(A, s, U, V, alpha)) == _trace(beta @ alpha))
     # End(U) on its saturated integer basis, and on that basis divided by units
     E = hom_lattice(A, U, U)
     units = st.sampled_from([d for d in (1, 2, 3, 5, 7, 11) if d % p])

@@ -27,8 +27,8 @@ def test_smith_decomposition_postconditions():
     D = snf.left @ M @ snf.right
     expected = snf.diagonal(2, (2, 3))
     assert linalg.matrices_equal(D, expected)
-    assert linalg.is_ring_invertible(snf.left, 2)
-    assert linalg.is_ring_invertible(snf.right, 2)
+    for T in (snf.left, snf.right):
+        assert linalg.is_integral(T, 2) and val(fraction_linalg.det(T), 2) == 0
 
 
 def _minor_gcd_valuation(M, r, p):
@@ -248,6 +248,33 @@ def test_smith_form_equals_the_fraction_version(case):
     assert ours.exponents == oracle.exponents and ours.rank == oracle.rank
     assert _identical(ours.left, oracle.left)
     assert _identical(ours.right, oracle.right)
+
+
+@settings(max_examples=150, deadline=None)
+@given(local_matrix(), st.data())
+def test_lattice_basis_equals_the_left_inverse_version(case, data):
+    p, G = case
+    if G.shape[1] and data.draw(st.booleans()):
+        # rank-deficient: append ring combinations of the columns
+        coeff = st.builds(lambda a, e: Fraction(a * p**e), st.integers(-3, 3), st.integers(0, 1))
+        k = data.draw(st.integers(1, 3))
+        C = linalg.as_matrix(data.draw(st.lists(st.lists(coeff, min_size=k, max_size=k),
+                                                min_size=G.shape[1], max_size=G.shape[1])))
+        G = np.concatenate([G, G @ C], axis=1)
+    ours = linalg.lattice_basis_from_generators(G, p)
+    oracle = fraction_linalg.lattice_basis_from_generators(G, p)
+    assert _identical(ours, oracle)
+    assert ours.shape[1] == linalg.smith_normal_form(G, p).rank
+
+
+def test_lattice_basis_of_empty_and_rank_deficient_generators():
+    p = 4294967311
+    for G in (linalg.zeros(0, 3), linalg.zeros(3, 0), linalg.zeros(2, 2),
+              linalg.as_matrix([[p, 2 * p, 0], [p * p, 2 * p * p, 0]])):
+        assert _identical(linalg.lattice_basis_from_generators(G, p),
+                          fraction_linalg.lattice_basis_from_generators(G, p))
+    basis = linalg.lattice_basis_from_generators([[p, 2 * p], [p * p, 2 * p * p]], p)
+    assert basis.shape == (2, 1) and list(basis[:, 0]) == [p, p * p]
 
 
 def _same_outcome(f, oracle, *args) -> bool:
