@@ -11,6 +11,7 @@ separately where the fixture has a natural one.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
 import numpy as np
@@ -113,6 +114,60 @@ def s3_characters():
     two = [Fraction(sum(1 for i in range(3) if g[i] == i) - 1) for g in elems]
     sign = [Fraction(sgn(g)) for g in elems]
     return [triv, two, sign]
+
+
+def symmetric_group_characters(n: int) -> dict:
+    """Irreducible characters of the symmetric group on n points on the
+    basis of :func:`symmetric_group_table`, keyed by partition (parts in
+    decreasing order), the partitions in decreasing lexicographic order.
+
+    The Murnaghan-Nakayama rule on beta-sets: removing a rim hook of
+    length k moves a bead b of the beta-set to a free b - k >= 0, with
+    sign -1 to the number of beads strictly between.  Both orthogonality
+    relations are certified.
+    """
+    _, _, elems = symmetric_group_table(n)
+
+    def cycle_type(g):
+        seen, parts = set(), []
+        for start in range(n):
+            i, length = start, 0
+            while i not in seen:
+                seen.add(i)
+                i, length = g[i], length + 1
+            if length:
+                parts.append(length)
+        return tuple(sorted(parts, reverse=True))
+
+    @cache
+    def value(beta, mu):
+        if not mu:
+            return 1
+        k = mu[0]
+        return sum((-1) ** sum(b - k < c < b for c in beta) * value(beta - {b} | {b - k}, mu[1:])
+                   for b in beta if b >= k and b - k not in beta)
+
+    def partitions(m, largest):
+        if m == 0:
+            yield ()
+        for first in range(min(m, largest), 0, -1):
+            yield from ((first, *rest) for rest in partitions(m - first, first))
+
+    types = [cycle_type(g) for g in elems]
+    chars = {lam: [Fraction(value(frozenset(x + len(lam) - i for i, x in enumerate(lam, 1)), t))
+                   for t in types] for lam in partitions(n, n)}
+    order = len(elems)
+    for lam, chi in chars.items():
+        for mu, psi in chars.items():
+            if sum(x * y for x, y in zip(chi, psi)) != (order if lam == mu else 0):
+                raise AssertionError("characters fail the first orthogonality relation")
+    classes = {t: types.index(t) for t in types}  # a representative of each class
+    for s in classes.values():
+        for t in classes.values():
+            column = sum(chi[s] * chi[t] for chi in chars.values())
+            if column != (order // types.count(types[s]) if s == t else 0):
+                raise AssertionError("characters fail the second orthogonality relation")
+    return chars
 
 
 # -- the rank-2 local family ----------------------------------------------

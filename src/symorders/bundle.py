@@ -165,10 +165,15 @@ def bundle_from_dict(doc: dict) -> Bundle:
             raise BundleError(f"decomposition validation failed: {exc}") from exc
     extra = {}
     for name, tdoc in doc.get("tables", {}).items():
-        degrees = [Fraction(x) for x in tdoc["degrees"]]
-        dims = [int(x) for x in tdoc["modular_dims"]]
-        if "decomposition" in doc:
-            make_decomposition_matrix(doc["decomposition"]["matrix"], dims, degrees)
+        try:
+            degrees = [Fraction(x) for x in tdoc["degrees"]]
+            dims = [int(x) for x in tdoc["modular_dims"]]
+            if "decomposition" in doc:
+                make_decomposition_matrix(doc["decomposition"]["matrix"], dims, degrees)
+        except KeyError as exc:
+            raise BundleError(f"table {name!r}: missing field {exc}") from exc
+        except ValueError as exc:
+            raise BundleError(f"table {name!r} validation failed: {exc}") from exc
         extra[name] = (degrees, tuple(dims))
     _check_expectation_names(doc.get("expectations", {}), lattices, forms)
     return Bundle(

@@ -4,15 +4,17 @@ Everything here runs on rational character data: bounded searches for
 symmetrising forms built out of decomposition columns, the rational
 centre and rational symmetry of an order, the orbit test deciding the
 scalar property through exact lattice arithmetic, and the arithmetic
-checks relating exponents, ranks and character degrees (heights).
+checks relating exponents, ranks and character degrees (heights).  Both
+searches decide their candidates with one whole-candidate test, valuations
+of integer combinations built once from the central idempotents
+(:class:`WitnessTest`), and certify only the witness they return.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -23,19 +25,26 @@ from .forms import (
     central_idempotents,
     gram_matrix,
     is_symmetrising,
+    kept,
+    regular_character_form,
 )
-from .modp import FpAlgebra, nullspace, rref
+from .modp import FpAlgebra, nullspace
 from .orders import Order
 from .padic import INFINITY, int_val, residue_int, val
 
 
 @dataclass(frozen=True, eq=False)
 class CharacterTable:
-    """Rational-valued characters on the order basis, with their degrees."""
+    """Rational-valued characters on the order basis, with their degrees.
+
+    The data derived from the table with an order (the rational centre
+    and the witness test) is kept on it, see :func:`forms.kept`.
+    """
 
     values: np.ndarray  # (num_chars, dim)
     degrees: tuple  # chi(1) per character
     names: tuple = None
+    _kept: dict = field(default_factory=dict, repr=False)
 
     @property
     def num_chars(self) -> int:
@@ -52,9 +61,7 @@ def make_character_table(values, A: Order, names=None) -> CharacterTable:
     if linalg.rational_rank(values) != values.shape[0]:
         raise ValueError("characters are linearly dependent")
     degrees = tuple(np.dot(values[i], A.one) for i in range(values.shape[0]))
-    rho = linalg.as_vector(
-        [A.regular_character(A.basis_element(i)) for i in range(A.dim)]
-    )
+    rho = linalg.as_vector([A.regular_character(A.basis_element(i)) for i in range(A.dim)])
     combo = np.tensordot(linalg.as_vector(degrees), values, axes=([0], [0]))
     if not linalg.vectors_equal(combo, rho):
         raise ValueError("degree-weighted character sum is not the regular character")
@@ -80,6 +87,9 @@ def make_decomposition_matrix(entries, modular_dims, degrees) -> DecompositionMa
     if (entries < 0).any():
         raise ValueError("decomposition entries must be non-negative")
     modular_dims = tuple(int(x) for x in modular_dims)
+    if entries.shape != (len(degrees), len(modular_dims)):
+        raise ValueError(f"decomposition matrix of shape {entries.shape}, not "
+                         f"{(len(degrees), len(modular_dims))}")
     if any(d <= 0 for d in modular_dims):
         raise ValueError("modular dimensions must be positive")
     for i, chi1 in enumerate(degrees):
@@ -91,7 +101,7 @@ def make_decomposition_matrix(entries, modular_dims, degrees) -> DecompositionMa
     return DecompositionMatrix(entries=entries, modular_dims=modular_dims)
 
 
-# -- bounded Morita-class searches ----------------------------------------
+# -- the whole-candidate witness test --------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,86 +112,170 @@ class MoritaWitness:
     form: LinearForm
 
 
-def _constant_exponent(G, p: int):
-    """m when the square integer matrix G has full rank and all its Smith
-    exponents equal m, that is when G / p^m is unimodular; else None.
+@dataclass(frozen=True, eq=False)
+class WitnessTest:
+    """What decides every candidate f_a = sum a_chi chi at once.
 
-    The least Smith exponent is the least valuation m of an entry, and
-    G / p^m is unimodular exactly when it has full rank mod p."""
-    m = min((int_val(x, p) for x in G.flat if x), default=None)
-    if m is None:
-        return None
-    pm = p**m
-    residues = [[x // pm for x in row] for row in G]
-    return m if len(rref(residues, p)[1]) == G.shape[0] else None
-
-
-def _character_grams(A: Order, table: CharacterTable) -> tuple:
-    """The Gram matrices of the characters as integer matrices over one
-    common denominator: (array indexed (character, i, j), denominator).
-    The Gram matrix is linear in the form, so that of sum a_chi chi is
-    sum a_chi times them."""
-    return linalg.numerators(np.array(
-        [gram_matrix(A, LinearForm(chi)) for chi in table.values]
-    ).reshape(table.num_chars, A.dim, A.dim))
-
-
-def _gram_candidate(A: Order, table: CharacterTable, grams: tuple, a):
-    """Gram analysis of f = sum a_chi chi: returns (n, p^{-n} f) when the
-    Gram matrix G is symmetric with equal Smith exponents n, so that
-    G / p^n is unimodular and p^{-n} f is symmetrising; else None.
-
-    ``grams`` is :func:`_character_grams`.  G is tested as the integer
-    matrix sum a_chi N_chi over the denominator of the a_chi times that of
-    the N_chi: it is a ring matrix when no entry has a valuation below
-    that of the denominator, and the form is built only for a witness.
+    K⊗A is separable, so the Gram matrix G_rho of the regular character
+    is invertible.  With the central idempotents e_chi and the scalars
+    rho(e_chi x) = c_chi chi(x), f_a(x) = rho(u x) for u = sum (a_chi /
+    c_chi) e_chi.  So when no a_chi is 0, G = G_{f_a} = L(u)^T G_rho and
+    G^{-1} = sum (c_chi / a_chi) G_rho^{-1} L(e_chi)^T, for L(x) the
+    matrix of y -> x y.  Each family is (rows, v_p(d)): the distinct
+    nonzero coefficient rows of one expansion, as integers over one
+    denominator d; ``idempotents`` and ``gram`` expand sum a_chi e_chi
+    and G in the a_chi, and ``inverse`` expands G^{-1} in the 1 / a_chi.
     """
-    p = A.prime
-    N, den = grams
-    a_den = math.lcm(*[x.denominator for x in a])
-    G = np.tensordot([x.numerator * (a_den // x.denominator) for x in a], N, axes=1)
-    w = int_val(den * a_den, p)
-    pw = p**w
-    if not (G == G.T).all() or any(x % pw for x in G.flat):
-        return None
-    m = _constant_exponent(G, p)
-    if m is None:
-        return None
-    n = m - w
-    return n, table.form_from_coefficients(a).scale(Fraction(1, p**n))
+
+    p: int
+    idempotents: tuple
+    gram: tuple
+    inverse: tuple
+
+
+def witness_test(A: Order, table: CharacterTable) -> WitnessTest:
+    """Derived on first use with A and kept on the table, certifying that
+    the e_chi are orthogonal with sum 1, that each c_chi is one nonzero
+    scalar on every basis element and that each chi has a symmetric Gram
+    matrix."""
+    return kept(table._kept, "witness_test", (A,), lambda: _witness_test(A, table))
+
+
+def _witness_test(A: Order, table: CharacterTable) -> WitnessTest:
+    idems = rational_centre(A, table).idempotents
+    if not linalg.vectors_equal(sum(idems, A.zero()), A.one) or any(
+            any(A.multiply(e, f)) for i, e in enumerate(idems) for f in idems[:i]):
+        raise AssertionError("central idempotents not orthogonal with sum 1")
+    G_rho = gram_matrix(A, regular_character_form(A))
+    try:
+        G_rho_inv = linalg.inverse(G_rho)
+    except ValueError:
+        raise ValueError("regular Gram matrix singular: K⊗A not separable") from None
+    grams, inverses = [], []
+    for chi, e in zip(table.values, idems):
+        traces = G_rho.T @ e  # rho(e b_i)
+        c = next(t / x for t, x in zip(traces, chi) if x)
+        if c == 0 or not linalg.vectors_equal(traces, c * chi):
+            raise ValueError("regular character on e_chi A is no multiple of chi")
+        N = gram_matrix(A, LinearForm(chi))
+        if not linalg.matrices_equal(N, N.T):
+            raise ValueError("character Gram matrix not symmetric")
+        grams.append(N.flat)
+        inverses.append((c * G_rho_inv @ A.left_matrix(e).T).flat)
+    families = []
+    for columns in (idems, grams, inverses):
+        N, d = linalg.numerators(np.array([list(c) for c in columns], dtype=object).T)
+        rows = list(dict.fromkeys(tuple(row) for row in N if any(row)))
+        families.append((np.array(rows, dtype=object).reshape(-1, N.shape[1]),
+                         int_val(d, A.prime)))
+    return WitnessTest(A.prime, *families)
+
+
+def _valuations(X, p: int) -> np.ndarray:
+    """Least valuation of an entry in each row of the integer array X
+    (2^40 for a zero row): that of the row's gcd, whose factors p^e,
+    e = 2^j, are taken out largest first."""
+    g = np.abs(np.gcd.reduce(X, axis=1))  # reduce leaves a single column's sign
+    v = np.where(g == 0, 2**40, 0)
+    top, e = int(g.max(initial=0)), 1
+    while p ** (2 * e) <= top:
+        e *= 2
+    while e:
+        if p**e <= top:
+            divisible = np.asarray(g % p**e == 0, dtype=bool) & (g != 0)
+            g, v = np.where(divisible, g // p**e, g), v + e * divisible
+        e //= 2
+    return v
+
+
+def _levels(test: WitnessTest, S, d, k) -> tuple:
+    """(integral, n) for the candidates a = p^k S_c / d_c, one per row c
+    of the integer array S, with d > 0: whether sum a_chi e_chi lies in
+    the order, and the exponent m of f_a as a witness, else -1.  f_a is
+    one when no a_chi is 0, m >= 0 is the least valuation of an entry of
+    G, and every entry of G^{-1} = d_c / (p^k P) (``inverse`` rows applied
+    to Q) has valuation >= -m, for P the product of the S_c,chi and
+    Q_chi = P / S_c,chi.  In int64 while every product and sum is bounded
+    below 2^63, else on Python ints."""
+    p, r = test.p, S.shape[1]
+    big = max(int(np.abs(S).max(initial=1)), int(d.max(initial=1)))
+    width = max(int(np.abs(rows).max(initial=1)) for rows, _ in
+                (test.idempotents, test.gram, test.inverse))
+    dtype = np.int64 if r * width * big**r < 2**63 else object
+    S, d = S.astype(dtype), d.astype(dtype)
+
+    def level(family, X):
+        return _valuations(X @ family[0].T.astype(dtype), p) - family[1]
+
+    vd = _valuations(d[:, None], p)
+    integral = level(test.idempotents, S) - vd + k >= 0
+    m = level(test.gram, S) - vd + k
+    nonzero = (S != 0).all(axis=1)
+    S = np.where(nonzero[:, None], S, 1)  # those rows are rejected anyway
+    P = np.prod(S, axis=1)
+    inverse = level(test.inverse, P[:, None] // S) + vd - k - _valuations(P[:, None], p)
+    return integral, np.where(nonzero & (m >= 0) & (inverse >= -m), m, -1)
+
+
+def _first_witness(A: Order, table: CharacterTable, radices, candidates, integral: bool):
+    """(digits, n) of the first witness among the digit vectors of the
+    radices in lexicographic order, or None; ``candidates`` maps digit
+    rows to the (S, d, k) of :func:`_levels`, and with ``integral`` a
+    witness must pass that test too.  Blocks of 2^11 are tested at once."""
+    test = witness_test(A, table)
+    total = math.prod(radices)
+    for start in range(0, total, 1 << 11):
+        index = np.arange(start, min(start + (1 << 11), total))
+        digits = np.empty((len(index), len(radices)), dtype=np.int64)
+        for j in reversed(range(len(radices))):
+            index, digits[:, j] = np.divmod(index, radices[j])
+        ok, n = _levels(test, *candidates(digits))
+        hits = np.flatnonzero((n >= 0) & (ok | (not integral)))
+        if len(hits):
+            return tuple(int(x) for x in digits[hits[0]]), int(n[hits[0]])
+    return None
+
+
+def _witness_form(A: Order, table: CharacterTable, a, n: int) -> LinearForm:
+    """p^{-n} sum a_chi chi, certified symmetrising, which certifies n."""
+    form = table.form_from_coefficients(a).scale(Fraction(1, A.prime**n))
+    if not is_symmetrising(A, form):
+        raise AssertionError("witness form not symmetrising")
+    return form
 
 
 def _decomposition_coefficients(table: CharacterTable, D: DecompositionMatrix, m) -> tuple:
     """a = D m: the character coefficients of the form built from m."""
-    return tuple(
-        sum(int(D.entries[i, j]) * m[j] for j in range(D.num_modular))
-        for i in range(table.num_chars)
-    )
+    return tuple(sum(int(d) * x for d, x in zip(row, m)) for row in D.entries)
 
 
 def _morita_search(A: Order, table: CharacterTable, D: DecompositionMatrix, box):
     """First m in box^k, lexicographically, whose form is a witness."""
-    grams = _character_grams(A, table)
-    for m in iter_product(box, repeat=D.num_modular):
-        a = _decomposition_coefficients(table, D, m)
-        if not any(a):
-            continue
-        hit = _gram_candidate(A, table, grams, a)
-        if hit is not None:
-            n, form = hit
-            return MoritaWitness(m=m, n=n, a=a, form=form)
-    return None
+    box = list(box)
+    values = np.array(box, dtype=np.int64)
+
+    def candidates(digits):
+        return values[digits] @ D.entries.T, np.ones(len(digits), dtype=np.int64), 0
+
+    hit = _first_witness(A, table, [len(box)] * D.num_modular, candidates, False)
+    if hit is None:
+        return None
+    digits, n = hit
+    m = tuple(box[i] for i in digits)
+    a = _decomposition_coefficients(table, D, m)
+    return MoritaWitness(m=m, n=n, a=a, form=_witness_form(A, table, a, n))
 
 
 def morita_psp_search(A: Order, table: CharacterTable, D: DecompositionMatrix,
                       bound: int = 5):
     """Search positive integer vectors m with entries <= bound for a
-    symmetrising form p^{-n} sum (D m)_chi chi.
+    symmetrising form p^{-n} sum (D m)_chi chi, deciding each m in
+    lexicographic order by the test of :func:`_levels`.
 
     A witness certifies that the Morita class of the order contains one
     with the projective scalar property; absence within the box is a
-    bounded statement, not a refutation.  First witness in lexicographic
-    order is returned.
+    bounded statement, not a refutation.  The first witness is returned,
+    certified symmetrising.
     """
     return _morita_search(A, table, D, range(1, bound + 1))
 
@@ -200,31 +294,16 @@ def morita_shift_witness(A: Order, table: CharacterTable, D: DecompositionMatrix
     differs from the original by p times a ring form; the shifted form
     is then symmetrising with the same exponent.
     """
-    p = A.prime
-    n = witness.n
-    t = 1
-    while True:
-        shift_ok = all(m + p**t > 0 for m in witness.m)
-        depth_ok = True
-        for i in range(table.num_chars):
-            for j in range(D.num_modular):
-                for x in range(A.dim):
-                    value = (
-                        Fraction(p) ** (t - n)
-                        * int(D.entries[i, j])
-                        * table.values[i, x]
-                    )
-                    if value != 0 and val(value, p) < 1:
-                        depth_ok = False
-        if shift_ok and depth_ok:
-            break
+    p, n = A.prime, witness.n
+    # p^(t - n) D_ij chi_i(b_x) must lie in p times the ring for every i, j, x
+    depth = min((val(int(d) * x, p) for row, chi in zip(D.entries, table.values)
+                 for d in row if d for x in chi if x), default=INFINITY)
+    t = max(1, 1 + n - depth)
+    while not all(m + p**t > 0 for m in witness.m):
         t += 1
     m_shifted = tuple(m + p**t for m in witness.m)
     a = _decomposition_coefficients(table, D, m_shifted)
-    form = table.form_from_coefficients(a).scale(Fraction(1, p**n))
-    if not is_symmetrising(A, form):
-        raise AssertionError("shifted Morita form not symmetrising")
-    return MoritaWitness(m=m_shifted, n=n, a=a, form=form)
+    return MoritaWitness(m=m_shifted, n=n, a=a, form=_witness_form(A, table, a, n))
 
 
 # -- rational centre and rational symmetry --------------------------------
@@ -247,20 +326,18 @@ class RationalCentre:
 def rational_centre(A: Order, table: CharacterTable) -> RationalCentre:
     """Intersection of the order with the rational span of the central
     idempotents.  With a rational character table every central element
-    qualifies, so this is the center with its spectral coordinates."""
+    qualifies, so this is the center with its spectral coordinates.  It
+    is derived on first use with A and kept on the table."""
+    return kept(table._kept, "rational_centre", (A,), lambda: _rational_centre(A, table))
+
+
+def _rational_centre(A: Order, table: CharacterTable) -> RationalCentre:
     idems = central_idempotents(A, table.values)
     Z = A.center_basis()
-    spectral = linalg.zeros(Z.shape[1], table.num_chars)
-    for j in range(Z.shape[1]):
-        z = Z[:, j]
-        for i in range(table.num_chars):
-            chi_z = np.dot(table.values[i], z)
-            coeff = chi_z / table.degrees[i]
-            spectral[j, i] = coeff
-        recombined = A.zero()
-        for i in range(table.num_chars):
-            recombined = recombined + spectral[j, i] * idems[i]
-        if not linalg.vectors_equal(recombined, z):
+    spectral = linalg.as_matrix([[np.dot(chi, z) / d for chi, d in zip(table.values, table.degrees)]
+                                 for z in Z.T])
+    for z, coeffs in zip(Z.T, spectral):
+        if not linalg.vectors_equal(sum(c * e for c, e in zip(coeffs, idems)), z):
             raise ValueError("central element outside the rational centre")
     return RationalCentre(basis=Z, idempotents=idems, spectral=spectral)
 
@@ -288,23 +365,15 @@ def congruence_analysis(A: Order, table: CharacterTable, sigma_tilde, n: int) ->
     the unit parts; two-term relations are reported as residue ratios.
     """
     p = A.prime
-    sigma_tilde = linalg.as_vector(sigma_tilde)
-    w = [val(c, p) for c in sigma_tilde]
+    w = [val(c, p) for c in linalg.as_vector(sigma_tilde)]
     out = []
-    for b in range(A.dim):
-        levels = []
-        for i in range(table.num_chars):
-            chi_b = table.values[i, b]
-            levels.append(INFINITY if chi_b == 0 else w[i] + val(chi_b, p))
+    for b, chis in enumerate(table.values.T):
+        levels = [w_i + val(chi_b, p) for w_i, chi_b in zip(w, chis)]
         mu = min(levels)
         if mu == INFINITY or mu >= n:
             continue
-        terms = []
-        for i in range(table.num_chars):
-            if levels[i] == mu:
-                unit_part = table.values[i, b] / Fraction(p) ** int(mu - w[i])
-                c = (unit_part.numerator * pow(unit_part.denominator, -1, p)) % p
-                terms.append((i, c))
+        terms = [(i, residue_int(chis[i] / Fraction(p) ** int(mu - w[i]), p, 1))
+                 for i in range(len(chis)) if levels[i] == mu]
         ratio = None
         if len(terms) == 2:
             (i, ci), (j, cj) = terms
@@ -325,42 +394,8 @@ def _search_values(bound: int) -> list:
     """Deterministic list of nonzero rationals with |numerator| and
     denominator at most the bound, ordered by (denominator, |numerator|,
     sign)."""
-    vals = []
-    for den in range(1, bound + 1):
-        for num in range(1, bound + 1):
-            f = Fraction(num, den)
-            if f.denominator != den:
-                continue
-            vals.append(f)
-            vals.append(-f)
-    return vals
-
-
-def _integral_candidates(A: Order, table: CharacterTable, bound: int, power_range: int):
-    """The candidates sigma~ = p^k (c_1, ..., c_{r-1}, 1) of
-    :func:`rational_symmetry_search` whose element sum sigma~_chi e_chi
-    lies in the order, in search order.
-
-    Integrality is tested on integers: the matrix E with columns e_chi is
-    E_num / E_den and sigma~ is s / s_den, so E sigma~ is integral when
-    p^w divides E_num s for w the valuation of E_den s_den.  The Fraction
-    sigma~ is built only for the candidates that pass.
-    """
-    p = A.prime
-    idems = central_idempotents(A, table.values)
-    E_den = math.lcm(*[x.denominator for e in idems for x in e])
-    E_num = [[x.numerator * (E_den // x.denominator) for x in entries]
-             for entries in zip(*idems)]
-    values = _search_values(bound)
-    for k in range(power_range + 1):
-        pk = Fraction(p) ** k
-        for rest in iter_product(values, repeat=table.num_chars - 1):
-            s_den = math.lcm(*[c.denominator for c in rest])
-            s = [p**k * c.numerator * (s_den // c.denominator) for c in rest]
-            s.append(p**k * s_den)
-            pw = p ** int_val(E_den * s_den, p)
-            if not any(sum(x * y for x, y in zip(row, s)) % pw for row in E_num):
-                yield [pk * c for c in rest] + [pk]
+    return [sign * Fraction(num, den) for den in range(1, bound + 1)
+            for num in range(1, bound + 1) if math.gcd(num, den) == 1 for sign in (1, -1)]
 
 
 def rational_symmetry_search(A: Order, table: CharacterTable, bound: int = 5,
@@ -371,26 +406,37 @@ def rational_symmetry_search(A: Order, table: CharacterTable, bound: int = 5,
     Candidates sigma~ are normalized, using invariance under scaling by
     rationals of valuation zero, to the shape p^k (c_1, ..., c_{r-1}, 1)
     with k <= power_range and the c_i nonzero rationals of bounded
-    numerator and denominator.  A candidate must be an element of the
-    order (membership of sum sigma~_chi e_chi), and its form must have a
-    constant-exponent Gram matrix and pass the symmetrising test.
-    Returns the first witness plus the congruence report it implies;
-    absence is only a bounded statement.
+    numerator and denominator, scanned in order of k and then of the c_i.
+    A candidate must be an element of the order (membership of sum
+    sigma~_chi e_chi) and pass the witness test of :func:`_levels`;
+    only the first witness is certified symmetrising.  Returns it plus
+    the congruence report it implies; absence is only a bounded statement.
     """
-    grams = _character_grams(A, table)
-    for sigma in _integral_candidates(A, table, bound, power_range):
-        hit = _gram_candidate(A, table, grams, sigma)
-        if hit is None:
-            continue
-        n, form = hit
-        congruences = congruence_analysis(A, table, sigma, n)
-        return RationalSymmetryResult(
-            witness_sigma=tuple(sigma),
-            witness_n=n,
-            witness_form=form,
-            congruences=congruences,
-        )
-    return RationalSymmetryResult(None, None, None, [])
+    p = A.prime
+    values = _search_values(bound)
+    dtype = np.int64 if bound ** table.num_chars < 2**63 else object
+    nums = np.array([c.numerator for c in values], dtype=dtype)
+    dens = np.array([c.denominator for c in values], dtype=dtype)
+
+    def candidates(digits):
+        rest = digits[:, 1:]
+        d = np.prod(dens[rest], axis=1)
+        S = np.concatenate([nums[rest] * d[:, None] // dens[rest], d[:, None]], axis=1)
+        return S, d, digits[:, 0]
+
+    radices = [power_range + 1] + [len(values)] * (table.num_chars - 1)
+    hit = _first_witness(A, table, radices, candidates, True)
+    if hit is None:
+        return RationalSymmetryResult(None, None, None, [])
+    (k, *rest), n = hit
+    pk = Fraction(p) ** k
+    sigma = [pk * values[i] for i in rest] + [pk]
+    return RationalSymmetryResult(
+        witness_sigma=tuple(sigma),
+        witness_n=n,
+        witness_form=_witness_form(A, table, sigma, n),
+        congruences=congruence_analysis(A, table, sigma, n),
+    )
 
 
 # -- the orbit test for the scalar property --------------------------------
@@ -425,19 +471,13 @@ def _maximal_ideal_lattices(A: Order, centre: RationalCentre):
         raise ResourceBoundError(
             f"maximal ideal enumeration bound exceeded ({p}^{r} functionals > {MAX_FUNCTIONALS})"
         )
-    table = np.zeros((r, r, r), dtype=np.int64)
-    for i in range(r):
-        for j in range(r):
-            prod = A.multiply(Z[:, i], Z[:, j])
-            coords = linalg.solve_exact(Z, prod)
-            if coords is None or not linalg.is_integral(coords, p):
-                raise AssertionError("rational centre basis not multiplicatively closed")
-            table[i, j] = [residue_int(c, p, 1) for c in coords]
-    one_coords = linalg.solve_exact(Z, A.one)
-    if one_coords is None or not linalg.is_integral(one_coords, p):
-        raise AssertionError("unit not in the rational centre lattice")
-    one_mod = np.array([residue_int(c, p, 1) for c in one_coords])
-    alg = FpAlgebra(p, r, table, one_mod)
+    # coordinates of the products of basis elements, and of 1, on the basis
+    coords = linalg.solve_exact(Z, np.array(
+        [A.multiply(Z[:, i], Z[:, j]) for i in range(r) for j in range(r)] + [A.one]).T)
+    if coords is None or not linalg.is_integral(coords, p):
+        raise AssertionError("rational centre lattice not a ring with 1")
+    residues = np.array([[residue_int(c, p, 1) for c in col] for col in coords.T])
+    alg = FpAlgebra(p, r, residues[:-1].reshape(r, r, r), residues[-1])
     homs = alg.homs_to_prime_field()
     if not homs:
         raise ResourceBoundError(
@@ -452,19 +492,10 @@ def _maximal_ideal_lattices(A: Order, centre: RationalCentre):
     for phi in homs:
         t = next(c for c in range(r) if int(phi[c]) % p)
         inv_t = pow(int(phi[t]), -1, p)
-        gens = []
-        for c in range(r):
-            if c == t:
-                continue
-            v = linalg.zero_vector(r)
-            v[c] = Fraction(1)
-            v[t] = Fraction(-((int(phi[c]) * inv_t) % p))
-            gens.append(v)
-        for c in range(r):
-            v = linalg.zero_vector(r)
-            v[c] = Fraction(p)
-            gens.append(v)
-        G = np.array(gens, dtype=object).T
+        # e_c - (phi_c / phi_t mod p) e_t for c != t, and p e_c for every c
+        G = linalg.identity(r)
+        G[t] = [Fraction(-(int(phi[c]) * inv_t % p)) for c in range(r)]
+        G = np.concatenate([np.delete(G, t, axis=1), p * linalg.identity(r)], axis=1)
         ideals.append(linalg.lattice_basis_from_generators(G, p))
     return ideals
 
@@ -499,12 +530,8 @@ def rational_intersection_criterion(
     p = A.prime
 
     # orbit test on the line through sum (sigma~/deg) e
-    w_coeffs = linalg.as_vector(
-        [sigma_tilde[i] / table.degrees[i] for i in range(table.num_chars)]
-    )
-    w = A.zero()
-    for c, e in zip(w_coeffs, centre.idempotents):
-        w = w + c * e
+    w = sum((s / d * e for s, d, e in zip(sigma_tilde, table.degrees, centre.idempotents)),
+            A.zero())
     shift = -min(val(x, p) for x in w)
     z0 = w * Fraction(p) ** int(shift) if shift != -INFINITY else w
     if not linalg.is_integral(z0, p):
@@ -512,57 +539,29 @@ def rational_intersection_criterion(
     verdict = A.is_unit(z0)
 
     # span test against every maximal ideal of the rational centre
-    cols = []
-    for j in range(D.num_modular):
-        cols.append([Fraction(int(D.entries[i, j])) for i in range(table.num_chars)])
-    V = np.array(cols, dtype=object).T  # columns span the d-space
-    annihilator = linalg.left_null_space(V)
+    annihilator = linalg.left_null_space(linalg.as_matrix(D.entries))  # of the d-space
 
     def image_lattice(lattice_cols):
-        imgs = []
-        for jcol in range(lattice_cols.shape[1]):
-            z = lattice_cols[:, jcol]
-            coords = linalg.solve_exact(centre.basis, linalg.as_vector(z))
-            spectral = np.tensordot(coords, centre.spectral, axes=([0], [0]))
-            imgs.append(
-                linalg.as_vector(
-                    [sigma_tilde[i] * spectral[i] for i in range(table.num_chars)]
-                )
-            )
-        return np.array(imgs, dtype=object).T
+        coords = linalg.solve_exact(centre.basis, lattice_cols)
+        return (centre.spectral.T @ coords) * sigma_tilde[:, None]
 
     def intersect_with_span(L):
-        if annihilator.shape[0] == 0:
-            return L
-        coords = linalg.integral_kernel(annihilator @ L, p)
-        return L @ coords
+        return L @ linalg.integral_kernel(annihilator @ L, p) if len(annihilator) else L
 
     L_full = intersect_with_span(image_lattice(centre.basis))
-    morita_verdict = True
     ideals = _maximal_ideal_lattices(A, centre)
-    for ideal_basis in ideals:
-        ideal_cols = centre.basis @ ideal_basis
-        L_ideal = intersect_with_span(image_lattice(ideal_cols))
-        if not _proper_containment(L_full, L_ideal, p):
-            morita_verdict = False
-            break
-    return IntersectionCriterionResult(
-        verdict=verdict,
-        morita_verdict=morita_verdict,
-        orbit_generator=z0,
-        maximal_ideal_count=len(ideals),
-    )
+    morita_verdict = all(
+        _proper_containment(L_full, intersect_with_span(image_lattice(centre.basis @ I)), p)
+        for I in ideals)
+    return IntersectionCriterionResult(verdict=verdict, morita_verdict=morita_verdict,
+                                       orbit_generator=z0, maximal_ideal_count=len(ideals))
 
 
 def _proper_containment(big, small, p) -> bool:
     """big contains small, and not conversely, as lattices (column spans)."""
-    for j in range(small.shape[1]):
-        if linalg.lattice_membership(small[:, j], big, p) is None:
-            return False
-    for j in range(big.shape[1]):
-        if linalg.lattice_membership(big[:, j], small, p) is None:
-            return True
-    return False
+    def contains(L, M):
+        return all(linalg.lattice_membership(M[:, j], L, p) is not None for j in range(M.shape[1]))
+    return contains(big, small) and not contains(small, big)
 
 
 # -- heights and divisibility ----------------------------------------------

@@ -88,14 +88,16 @@ class FpAlgebra:
 
     p: int
     dim: int
-    table: np.ndarray  # (dim, dim, dim) ints mod p
+    table: np.ndarray  # (dim, dim, dim) ints, reduced mod p when the algebra is built
     one: np.ndarray  # (dim,)
+
+    def __post_init__(self):
+        object.__setattr__(self, "table", _reduced(self.table, self.p, self.dim))
 
     def left_rows(self, u) -> np.ndarray:
         """Rows u b_0, ..., u b_{dim-1}: the transposed matrix of left
         multiplication by u, with entries in [0, p)."""
-        table = _reduced(self.table, self.p, self.dim)
-        return np.tensordot(_reduced(u, self.p, self.dim), table, axes=([0], [0])) % self.p
+        return np.tensordot(_reduced(u, self.p, self.dim), self.table, axes=([0], [0])) % self.p
 
     def multiply(self, u, v) -> np.ndarray:
         return np.tensordot(_reduced(v, self.p, self.dim), self.left_rows(u),
@@ -172,21 +174,9 @@ class FpAlgebra:
         kernels is nilpotent.
         """
         homs = []
-        basis_products = self.table
         for phi in product(range(self.p), repeat=self.dim):
             phi = np.array(phi, dtype=np.int64)
-            if int(np.dot(phi, self.one)) % self.p != 1:
-                continue
-            ok = True
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    lhs = (phi[i] * phi[j]) % self.p
-                    rhs = int(np.dot(basis_products[i, j], phi)) % self.p
-                    if lhs != rhs:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if int(np.dot(phi, self.one)) % self.p == 1 and not (
+                    (np.outer(phi, phi) - self.table @ phi) % self.p).any():
                 homs.append(phi)
         return homs

@@ -16,6 +16,9 @@ from symorders.builders import (
     matrix_order,
     rank2_order,
     s3_character_ring_data,
+    s3_characters,
+    symmetric_group_characters,
+    symmetric_group_table,
 )
 from symorders.forms import gram_matrix
 
@@ -175,3 +178,21 @@ def test_builder_forms_all_symmetrising(s3, rank2_family, hecke_family):
         assert so.is_symmetrising(A2, s2)
     for (A3, s3_) in hecke_family.values():
         assert so.is_symmetrising(A3, s3_)
+
+
+def test_symmetric_group_characters():
+    assert (sorted(map(tuple, symmetric_group_characters(3).values()))
+            == sorted(map(tuple, s3_characters())))
+    for n, degrees in ((4, [1, 3, 2, 3, 1]), (5, [1, 4, 5, 6, 5, 4, 1])):
+        chars = symmetric_group_characters(n)
+        assert [chi[0] for chi in chars.values()] == degrees  # the identity comes first
+        table, labels, _ = symmetric_group_table(n)
+        A, _ = group_algebra(table, 2, labels=labels)
+        assert so.make_character_table(list(chars.values()), A).degrees == tuple(degrees)
+    # the decomposition matrices of S4 at p = 2 and p = 3
+    chars = symmetric_group_characters(4)
+    degrees = [chars[lam][0] for lam in ((4,), (1, 1, 1, 1), (2, 2), (3, 1), (2, 1, 1))]
+    so.make_decomposition_matrix([[1, 0], [1, 0], [0, 1], [1, 1], [1, 1]], (1, 2), degrees)
+    so.make_decomposition_matrix(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], (1, 1, 3, 3),
+        degrees)

@@ -76,6 +76,43 @@ def test_validation_errors_name_the_invariant(s3_doc):
         bundle_from_dict(doc)
 
 
+def _extra_row(doc):
+    doc["decomposition"]["matrix"].append([1, 0])
+
+
+def _longer_dims(doc):
+    doc["decomposition"]["modular_dims"].append(1)
+
+
+def _shorter_dims(doc):
+    doc["decomposition"]["modular_dims"].pop()
+
+
+def _table_degrees_mismatch(doc):
+    doc["tables"]["condensed"]["degrees"] = ["1", "3", "3"]
+
+
+def _table_without_dims(doc):
+    del doc["tables"]["condensed"]["modular_dims"]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_extra_row, "decomposition validation failed: decomposition matrix of shape"),
+    (_longer_dims, "decomposition validation failed: decomposition matrix of shape"),
+    (_shorter_dims, "decomposition validation failed: decomposition matrix of shape"),
+    (_table_degrees_mismatch, "table 'condensed' validation failed: degree 3"),
+    (_table_without_dims, "table 'condensed': missing field 'modular_dims'"),
+])
+def test_malformed_decomposition_data_is_an_input_error(s3_doc, tmp_path, capsys,
+                                                        corrupt, message):
+    doc = copy.deepcopy(s3_doc)
+    corrupt(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--bundle", str(path), "--check", "validate"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_decomposition_requires_characters(s3_doc):
     doc = copy.deepcopy(s3_doc)
     del doc["characters"]

@@ -430,3 +430,16 @@ def test_residue_algebra_product_beyond_int64_is_exact():
     table[0, 0, 0] = table[0, 1, 1] = table[1, 0, 1] = table[1, 1, 1] = 1
     alg = modp.FpAlgebra(p, 2, table, np.array([1, 0]))
     assert alg.multiply([p - 1, p - 2], [p - 3, p - 5]).tolist() == [3, 21]
+
+
+def test_fp_algebra_reduces_its_table_once(monkeypatch):
+    # F_3[x]/(x^2) on the basis 1, x, with its table shifted by multiples of 3
+    table = np.array([[[4, -3], [3, 7]], [[0, -2], [6, 0]]])
+    alg = modp.FpAlgebra(3, 2, table, np.array([1, 0]))
+    assert alg.table.tolist() == (table % 3).tolist()
+    ranks = []
+    reduced = modp._reduced
+    monkeypatch.setattr(modp, "_reduced", lambda a, m, terms: ranks.append(np.ndim(a))
+                        or reduced(a, m, terms))
+    assert alg.radical().tolist() == [[0, 1]]
+    assert ranks and 3 not in ranks  # no call reduces the table again

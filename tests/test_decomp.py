@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -6,16 +8,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import symorders as so
-from symorders import decomp, linalg
+from symorders import cli, decomp, linalg
 from symorders.builders import (
     four_dim_characters,
     four_dim_nonrational,
+    group_algebra,
     matrix_order,
     rank2_order,
+    s3_fixture_bundle,
+    symmetric_group_characters,
+    symmetric_group_table,
 )
-from symorders.forms import central_idempotents, gram_matrix, regular_character_form
+from symorders.forms import central_idempotents, gram_matrix
+from symorders.padic import int_val
 import fraction_lattices
-from test_orders import standard_orders
 
 def test_character_table_validation(s3, s3_chars):
     A, _ = s3
@@ -95,6 +101,27 @@ def test_rational_centre_ranks(s3, s3_table):
     M, _ = matrix_order(2, 3)
     tm = so.make_character_table([[1 if i in (0, 3) else 0 for i in range(4)]], M)
     assert so.rational_centre(M, tm).rank == 1
+
+
+def test_check_all_builds_the_rational_centre_and_the_witness_test_once(monkeypatch):
+    calls = []
+    for name in ("central_idempotents", "_rational_centre", "_witness_test"):
+        monkeypatch.setattr(decomp, name, lambda *args, f=getattr(decomp, name), name=name:
+                            calls.append(name) or f(*args))
+    assert cli.run("all", s3_fixture_bundle(3)).ok
+    assert sorted(calls) == ["_rational_centre", "_witness_test", "central_idempotents"]
+
+
+def test_witness_test_certifies_the_idempotents(monkeypatch, s3, s3_chars):
+    A, _ = s3
+    centre = so.rational_centre(A, so.make_character_table(s3_chars, A))
+    for idems, error, message in (
+            (centre.idempotents[::-1], ValueError, "no multiple of chi"),  # wrong pairing
+            (centre.idempotents[:1] * 3, AssertionError, "not orthogonal with sum 1")):
+        monkeypatch.setattr(decomp, "rational_centre", lambda A, table, idems=idems:
+                            dataclasses.replace(centre, idempotents=idems))
+        with pytest.raises(error, match=message):
+            decomp.witness_test(A, so.make_character_table(s3_chars, A))
 
 
 def test_rational_symmetry_rank2(rank2_family):
@@ -243,7 +270,7 @@ def test_height_invariance(s3_table):
         so.height_invariance_check([1, 3, 2], [1, 1, 1], [(3, 1)], 3)
 
 
-# -- the integer shortcuts of the rational symmetry search -----------------
+# -- the whole-candidate witness test against the Gram oracle ---------------
 
 
 def _constant_exponent_by_smith(G, p):
@@ -253,101 +280,115 @@ def _constant_exponent_by_smith(G, p):
     return snf.exponents[0]
 
 
-@st.composite
-def symmetric_integer_matrix(draw):
-    p = draw(st.sampled_from([2, 3, 5]))
-    n = draw(st.integers(1, 5))
-    scale = p ** draw(st.integers(0, 2))
-    upper = {(i, j): draw(st.integers(-6, 6)) for i in range(n) for j in range(i, n)}
-    return p, linalg.as_matrix([[scale * upper[min(i, j), max(i, j)] for j in range(n)]
-                                for i in range(n)])
-
-
 @settings(max_examples=150, deadline=None)
-@given(symmetric_integer_matrix())
-def test_constant_exponent_mod_p_agrees_with_the_smith_form(case):
-    p, G = case
-    N, _ = linalg.numerators(G)
-    assert decomp._constant_exponent(N, p) == _constant_exponent_by_smith(G, p)
+@given(st.sampled_from([2, 3, 5, 4294967311]), st.integers(1, 4), st.data())
+def test_valuations_equal_the_least_valuation_entry_by_entry(p, width, data):
+    entry = st.builds(lambda u, e: u * p**e, st.integers(-40, 40), st.integers(0, 70))
+    rows = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=1))
+    expected = [min((int_val(x, p) for x in row if x), default=2**40) for row in rows]
+    assert decomp._valuations(np.array(rows, dtype=object), p).tolist() == expected
+    small = [row for row in rows if all(abs(x) < 2**62 for x in row)]
+    if small:
+        assert (decomp._valuations(np.array(small, dtype=np.int64), p).tolist()
+                == [v for v, row in zip(expected, rows) if row in small])
+
+
+def _block(vectors):
+    """(S, d): rational coefficient vectors a as integer rows S_c over d_c."""
+    dens = [math.lcm(*[Fraction(x).denominator for x in a]) for a in vectors]
+    S = [[int(Fraction(x) * d) for x in a] for a, d in zip(vectors, dens)]
+    return np.array(S, dtype=object).reshape(len(vectors), -1), np.array(dens, dtype=object)
+
+
+def _witness_hits(A, table, vectors):
+    """The whole-candidate test on each vector a, after requiring that the
+    Gram oracle returns None as well, or the same exponent and the same
+    form, entry by entry; returns whether each is a witness."""
+    _, exponents = decomp._levels(decomp.witness_test(A, table), *_block(vectors), 0)
+    hits = []
+    for a, n in zip(vectors, exponents):
+        theirs = fraction_lattices.gram_candidate(A, table, a)
+        if n < 0 or theirs is None:
+            assert n < 0 and theirs is None, a
+        else:
+            ours = decomp._witness_form(A, table, a, int(n))
+            assert n == theirs[0], a
+            assert all(type(x) is Fraction and x == y
+                       for x, y in zip(ours.values, theirs[1].values)), a
+        hits.append(n >= 0)
+    return hits
 
 
 def test_s3_candidates_filter_and_gram_test_agree_with_fractions(s3, s3_table):
     A, _ = s3
-    candidates = list(decomp._integral_candidates(A, s3_table, 5, 1))
-    # the integer filter keeps exactly the sigma with sum sigma_chi e_chi in the order
+    test = decomp.witness_test(A, s3_table)
+    # each family has one distinct row per conjugacy class
+    assert [len(f[0]) for f in (test.idempotents, test.gram, test.inverse)] == [3, 3, 3]
     E = np.array([list(e) for e in central_idempotents(A, s3_table.values)], dtype=object).T
-    values = decomp._search_values(5)
-    expected = []
-    for k in (0, 1):
-        for rest in product(values, repeat=2):
-            sigma = [3**k * c for c in rest] + [Fraction(3**k)]
-            if linalg.is_integral(E @ linalg.as_vector(sigma), 3):
-                expected.append(sigma)
-    assert candidates == expected
     verdicts = set()
-    for sigma in candidates:
-        G = gram_matrix(A, s3_table.form_from_coefficients(sigma))
-        # the numerators are G times a unit, with the same Smith exponents
-        n = decomp._constant_exponent(linalg.numerators(G)[0], 3)
-        assert n == _constant_exponent_by_smith(G, 3)
-        verdicts.add(n is None)
+    for k in (0, 1):
+        sigmas = [[3**k * c for c in rest] + [Fraction(3**k)]
+                  for rest in product(decomp._search_values(5), repeat=2)]
+        integral, exponents = decomp._levels(test, *_block(sigmas), 0)
+        for sigma, ok, n in zip(sigmas, integral, exponents):
+            # the integer filter keeps exactly the sigma with sum sigma_chi e_chi in the order
+            assert ok == linalg.is_integral(E @ linalg.as_vector(sigma), 3)
+            G = gram_matrix(A, s3_table.form_from_coefficients(sigma))
+            m = _constant_exponent_by_smith(G, 3) if linalg.is_integral(G, 3) else None
+            assert n == (-1 if m is None else m), sigma
+            if ok:
+                verdicts.add(n < 0)
     assert verdicts == {True, False}
 
 
-# -- the integer Gram test against the Fraction version --------------------
-
-
-def _gram_hit(A, table, grams, a):
-    """The Fraction Gram test's result, after requiring that the integer
-    one returns None as well, or the same exponent and the same form,
-    entry by entry."""
-    ours = decomp._gram_candidate(A, table, grams, a)
-    theirs = fraction_lattices.gram_candidate(A, table, a)
-    if ours is None or theirs is None:
-        assert ours is None and theirs is None, a
-    else:
-        assert ours[0] == theirs[0], a
-        assert all(type(x) is Fraction and x == y
-                   for x, y in zip(ours[1].values, theirs[1].values)), a
-    return theirs
-
-
-def test_gram_candidate_equals_the_fraction_version_on_s3_searches(s3, s3_table,
-                                                                   s3_decomposition):
+def test_witness_test_equals_the_gram_oracle_on_s3_searches(s3, s3_table, s3_decomposition):
     A, _ = s3
-    grams = decomp._character_grams(A, s3_table)
-    hits = [_gram_hit(A, s3_table, grams, sigma) is not None
-            for sigma in decomp._integral_candidates(A, s3_table, 5, 4)]
+    test = decomp.witness_test(A, s3_table)
+    sigmas = [[3**k * c for c in rest] + [Fraction(3**k)] for k in range(5)
+              for rest in product(decomp._search_values(5), repeat=2)]
+    integral, _ = decomp._levels(test, *_block(sigmas), 0)
+    hits = _witness_hits(A, s3_table, [s for s, ok in zip(sigmas, integral) if ok])
     assert any(hits) and not all(hits)
     for box in (range(1, 6), range(-5, 6)):
-        for m in product(box, repeat=s3_decomposition.num_modular):
-            a = decomp._decomposition_coefficients(s3_table, s3_decomposition, m)
-            if any(a):
-                _gram_hit(A, s3_table, grams, a)
+        _witness_hits(A, s3_table, [
+            decomp._decomposition_coefficients(s3_table, s3_decomposition, m)
+            for m in product(box, repeat=s3_decomposition.num_modular)])
+
+
+def _symmetric_group(n, p):
+    table, labels, _ = symmetric_group_table(n)
+    A, _ = group_algebra(table, p, labels=labels)
+    return A, so.make_character_table(list(symmetric_group_characters(n).values()), A)
+
+
+@pytest.fixture(scope="module")
+def character_tables():
+    return {(n, p): _symmetric_group(n, p)
+            for n, p in ((3, 2), (3, 3), (3, 5), (3, 4294967311), (4, 2), (4, 3))}
+
+
+def test_s4_families_have_one_row_per_class(character_tables):
+    for p in (2, 3):
+        test = decomp.witness_test(*character_tables[(4, p)])
+        assert [len(f[0]) for f in (test.idempotents, test.gram, test.inverse)] == [5, 5, 5]
 
 
 @st.composite
-def form_combination(draw):
-    """An order, a table of forms on it and coefficients a p^e / d: the
-    forms are rational multiples of the regular character, whose Gram
-    matrices are symmetric, or arbitrary vectors."""
-    A = draw(standard_orders())
-    p = A.prime
-    scalar = st.builds(lambda a, e, d: Fraction(a * p**e, d), st.integers(-9, 9),
-                       st.integers(0, 2), st.integers(1, 12))
-    rho = regular_character_form(A).values
-    rows = []
-    for _ in range(draw(st.integers(1, 3))):
-        if draw(st.booleans()):
-            rows.append(list(rho * draw(scalar)))
-        else:
-            rows.append(draw(st.lists(scalar, min_size=A.dim, max_size=A.dim)))
-    table = decomp.CharacterTable(values=linalg.as_matrix(rows), degrees=())
-    return A, table, draw(st.lists(scalar, min_size=len(rows), max_size=len(rows)))
+def character_combination(draw):
+    """A real character table, coefficients a p^e / (d p^f) with zeros
+    allowed, and None or such a scalar c, which stands for c times the
+    degrees: the regular character times c."""
+    key = draw(st.sampled_from([(3, 2), (3, 3), (3, 5), (3, 4294967311), (4, 2), (4, 3)]))
+    p = key[1]
+    scalar = st.builds(lambda a, e, d, f: Fraction(a * p**e, d * p**f), st.integers(-9, 9),
+                       st.integers(0, 2), st.integers(1, 12), st.integers(0, 2))
+    r = {3: 3, 4: 5}[key[0]]
+    return key, draw(st.lists(scalar, min_size=r, max_size=r)), draw(st.none() | scalar)
 
 
 @settings(max_examples=150, deadline=None)
-@given(form_combination())
-def test_gram_candidate_equals_the_fraction_version(case):
-    A, table, a = case
-    _gram_hit(A, table, decomp._character_grams(A, table), a)
+@given(character_combination())
+def test_witness_test_equals_the_gram_oracle(character_tables, case):
+    key, a, c = case
+    A, table = character_tables[key]
+    _witness_hits(A, table, [a] if c is None else [a, [c * d for d in table.degrees]])

@@ -187,9 +187,10 @@ def test_check_all_derives_each_form_once(monkeypatch):
     pairs = [(id(A), id(s)) for A, s in derived]
     assert len(pairs) == len(set(pairs))
     # every bundle form is among them; the others are witness forms: the
-    # psp and regular-Gram witnesses
+    # psp, regular-Gram, Morita and rational symmetry witnesses, each
+    # certified once
     assert {(id(b.order), id(s)) for s in b.forms.values()} <= set(pairs)
-    assert len(pairs) == len(b.forms) + 2 == 3
+    assert len(pairs) == len(b.forms) + 4 == 5
     # check_psp and check_divisibility share one Casimir-orbit search
     assert searched == [b.forms["standard"]]
 

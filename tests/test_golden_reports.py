@@ -10,7 +10,18 @@ p = 3 (dimension 24) with its standard form and the trivial and sign
 lattices; and ``s4-p2``: the same group algebra at p = 2 with the
 trivial, sign and regular lattices, whose report covers the stable Hom
 of the regular lattice with itself and the twisted traces on its
-endomorphism ring of rank 24.
+endomorphism ring of rank 24.  ``s4-p2-chars`` and ``s4-p3-chars`` are
+that group algebra with the trivial, sign and regular lattices at p = 2
+and p = 3 together with the characters of
+``builders.symmetric_group_characters(4)``, ordered (4), (1111), (22),
+(31), (211), and the decomposition matrices
+
+    p = 2: [[1,0],[1,0],[0,1],[1,1],[1,1]], modular dimensions (1, 2);
+    p = 3: [[1,0,0,0],[0,1,0,0],[1,1,0,0],[0,0,1,0],[0,0,0,1]],
+           modular dimensions (1, 1, 3, 3);
+
+so all twelve checks run on them, ``morita-psp`` and ``rational``
+included.
 Each ``NAME.report.json`` and ``NAME.stdout.txt`` was written by
 
     symorders --bundle NAME.bundle.json --check all --json NAME.report.json > NAME.stdout.txt
@@ -25,7 +36,7 @@ import pytest
 from symorders.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
-NAMES = ("s3-p3", "m2-p3", "rank2-m2-p2", "s4-p3", "s4-p2")
+NAMES = ("s3-p3", "m2-p3", "rank2-m2-p2", "s4-p3", "s4-p2", "s4-p2-chars", "s4-p3-chars")
 
 
 @pytest.mark.parametrize("name", NAMES)
