@@ -70,6 +70,5 @@ from .decomp import (
     rational_symmetry_search,
 )
 from .bundle import Bundle, load_bundle, save_bundle
-from .errors import ResourceBoundError
 
 __version__ = "0.1.0"

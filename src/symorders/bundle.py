@@ -125,12 +125,12 @@ def bundle_from_dict(doc: dict) -> Bundle:
     except ValueError as exc:
         raise BundleError(f"order validation failed: {exc}") from exc
     forms = {}
-    for name, values in doc.get("forms", {}).items():
+    for name, values in _section(doc, "forms").items():
         if len(values) != A.dim:
             raise BundleError(f"form {name!r} has wrong length")
         forms[name] = LinearForm([Fraction(x) for x in values])
     lattices = {}
-    for name, actions in doc.get("lattices", {}).items():
+    for name, actions in _section(doc, "lattices").items():
         try:
             lattices[name] = make_lattice(
                 A, [[[Fraction(x) for x in row] for row in m] for m in actions]
@@ -140,12 +140,14 @@ def bundle_from_dict(doc: dict) -> Bundle:
     table = None
     names = ()
     if "characters" in doc:
-        cdoc = doc["characters"]
+        cdoc = _section(doc, "characters")
         names = tuple(cdoc.get("names", ()))
         try:
             table = make_character_table(
                 [[Fraction(x) for x in row] for row in cdoc["values"]], A, names=names
             )
+        except KeyError as exc:
+            raise BundleError(f"characters: missing field {exc}") from exc
         except ValueError as exc:
             raise BundleError(f"character validation failed: {exc}") from exc
         if "degrees" in cdoc:
@@ -156,15 +158,17 @@ def bundle_from_dict(doc: dict) -> Bundle:
     if "decomposition" in doc:
         if table is None:
             raise BundleError("decomposition matrix requires characters")
-        ddoc = doc["decomposition"]
+        ddoc = _section(doc, "decomposition")
         try:
             decomposition = make_decomposition_matrix(
                 ddoc["matrix"], ddoc["modular_dims"], table.degrees
             )
+        except KeyError as exc:
+            raise BundleError(f"decomposition: missing field {exc}") from exc
         except ValueError as exc:
             raise BundleError(f"decomposition validation failed: {exc}") from exc
     extra = {}
-    for name, tdoc in doc.get("tables", {}).items():
+    for name, tdoc in _section(doc, "tables").items():
         try:
             degrees = [Fraction(x) for x in tdoc["degrees"]]
             dims = [int(x) for x in tdoc["modular_dims"]]
@@ -175,7 +179,8 @@ def bundle_from_dict(doc: dict) -> Bundle:
         except ValueError as exc:
             raise BundleError(f"table {name!r} validation failed: {exc}") from exc
         extra[name] = (degrees, tuple(dims))
-    _check_expectation_names(doc.get("expectations", {}), lattices, forms)
+    expectations = _section(doc, "expectations")
+    _check_expectation_names(expectations, lattices, forms)
     return Bundle(
         prime=int(prime),
         order=A,
@@ -185,8 +190,16 @@ def bundle_from_dict(doc: dict) -> Bundle:
         character_names=names,
         decomposition=decomposition,
         extra_tables=extra,
-        expectations=copy.deepcopy(doc.get("expectations", {})),
+        expectations=copy.deepcopy(expectations),
     )
+
+
+def _section(doc: dict, key: str) -> dict:
+    """The JSON object under ``key`` (empty when absent)."""
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise BundleError(f"{key} must be a JSON object")
+    return section
 
 
 def _check_expectation_names(expectations: dict, lattices: dict, forms: dict) -> None:

@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks pass or are decided, 1 a check contradicts an
 expectation recorded in the bundle (or an internal certification
-fails), 2 input error, 3 a resource bound was exceeded (the maximal
-ideal enumeration of ``rational``).
+fails), 2 input error, 3 reserved for a resource bound; no check has
+one, since the maximal ideals of ``rational`` are read off the central
+characters rather than searched for.
 
 Reports are deterministic: the serialized payload contains only exact
 values (scalars as "a/b" strings); elapsed times are kept out of the
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 
 from . import decomp, forms, lattices, linalg
 from .bundle import Bundle, BundleError, load_bundle
-from .errors import ResourceBoundError
 from .padic import scalar_to_str
 
 @dataclass
@@ -403,9 +403,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except ResourceBoundError as exc:
-        print(f"resource bound exceeded: {exc}", file=sys.stderr)
-        return 3
 
     for r in report.results:
         print(f"[{r.verdict.upper():4s}] {r.name}")

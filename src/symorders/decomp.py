@@ -19,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .errors import ResourceBoundError
 from .forms import (
     LinearForm,
     central_idempotents,
@@ -450,51 +449,52 @@ class IntersectionCriterionResult:
     maximal_ideal_count: int
 
 
-# the most unital functionals _maximal_ideal_lattices tries, p^rank
-MAX_FUNCTIONALS = 10**6
-
-
-def _maximal_ideal_lattices(A: Order, centre: RationalCentre):
-    """Lattice bases of the maximal ideals of the rational centre.
-
-    Enumerate algebra homomorphisms of the residue algebra onto the
-    prime field, trying all p^r unital functionals for r the rank of the
-    centre, which is refused above ``MAX_FUNCTIONALS``; completeness is
-    certified by the intersection of their kernels being nilpotent
-    (otherwise the residue algebra is not split and the enumeration
-    refuses).
-    """
-    Z = centre.basis
+def _central_homs(A: Order, centre: RationalCentre):
+    """The residue algebra of the rational centre, and the distinct
+    reductions mod p of its central characters on the basis as sorted
+    tuples, certified as :func:`_maximal_ideal_lattices` says."""
+    Z, p = centre.basis, A.prime
     r = Z.shape[1]
-    p = A.prime
-    if p**r > MAX_FUNCTIONALS:
-        raise ResourceBoundError(
-            f"maximal ideal enumeration bound exceeded ({p}^{r} functionals > {MAX_FUNCTIONALS})"
-        )
     # coordinates of the products of basis elements, and of 1, on the basis
     coords = linalg.solve_exact(Z, np.array(
         [A.multiply(Z[:, i], Z[:, j]) for i in range(r) for j in range(r)] + [A.one]).T)
     if coords is None or not linalg.is_integral(coords, p):
         raise AssertionError("rational centre lattice not a ring with 1")
-    residues = np.array([[residue_int(c, p, 1) for c in col] for col in coords.T])
+    residues = np.array([[residue_int(c, p, 1) for c in col] for col in coords.T], dtype=object)
     alg = FpAlgebra(p, r, residues[:-1].reshape(r, r, r), residues[-1])
-    homs = alg.homs_to_prime_field()
-    if not homs:
-        raise ResourceBoundError(
-            "maximal ideal enumeration bound exceeded: residue algebra not split"
-        )
-    joint_kernel = nullspace(np.array(homs, dtype=np.int64), p)
-    if not alg.is_nilpotent_subspace(joint_kernel):
-        raise ResourceBoundError(
-            "maximal ideal enumeration bound exceeded: residue algebra not split"
-        )
+    if not linalg.is_integral(centre.spectral, p):
+        raise AssertionError("spectral coordinates not p-integral")
+    homs = sorted({tuple(residue_int(x, p, 1) for x in col) for col in centre.spectral.T})
+    H = np.array(homs, dtype=object)
+    if (H @ alg.one % p != 1).any() or any(((np.outer(h, h) - alg.table @ h) % p).any()
+                                           for h in H):
+        raise AssertionError("central character not a unital homomorphism mod p")
+    if not alg.is_nilpotent_subspace(nullspace(H, p)):
+        raise AssertionError("central characters miss a maximal ideal")
+    return alg, homs
+
+
+def _maximal_ideal_lattices(A: Order, centre: RationalCentre):
+    """Lattice bases of the maximal ideals of the rational centre Z.
+
+    Z is an O-order in K^r, hence integral over O, so by lying over
+    (Cohen-Seidenberg) every unital homomorphism Z -> F_p is z ->
+    omega_chi(z) mod p for a column chi of the spectral coordinates.  The
+    maximal ideals are the kernels of their distinct reductions, taken in
+    the order of the reductions as tuples of values on the basis.
+    Certified: the residue table of Z is a ring with 1, the spectral
+    coordinates are p-integral, each reduction is a unital homomorphism on
+    the table, and the joint kernel is nilpotent, so no ideal is missed.
+    """
+    p = A.prime
+    r = centre.rank
     ideals = []
-    for phi in homs:
-        t = next(c for c in range(r) if int(phi[c]) % p)
-        inv_t = pow(int(phi[t]), -1, p)
+    for phi in _central_homs(A, centre)[1]:
+        t = next(c for c in range(r) if phi[c])
+        inv_t = pow(phi[t], -1, p)
         # e_c - (phi_c / phi_t mod p) e_t for c != t, and p e_c for every c
         G = linalg.identity(r)
-        G[t] = [Fraction(-(int(phi[c]) * inv_t % p)) for c in range(r)]
+        G[t] = [Fraction(-(phi[c] * inv_t % p)) for c in range(r)]
         G = np.concatenate([np.delete(G, t, axis=1), p * linalg.identity(r)], axis=1)
         ideals.append(linalg.lattice_basis_from_generators(G, p))
     return ideals

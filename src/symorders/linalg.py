@@ -36,11 +36,10 @@ class NotSublatticeError(ValueError):
 
 def as_matrix(rows) -> np.ndarray:
     """Build an object-dtype matrix of Fractions from nested data; entries
-    that already are Fractions (immutable) are kept as they are."""
-    if isinstance(rows, np.ndarray) and rows.dtype == object:
-        data = rows.tolist()
-    else:
-        data = rows
+    that already are Fractions (immutable) are kept as they are.  Arrays
+    go through ``tolist``, so numpy integers become Python ints and no
+    numerator keeps a fixed width."""
+    data = rows.tolist() if isinstance(rows, np.ndarray) else rows
     m = len(data)
     if isinstance(rows, np.ndarray) and rows.ndim == 2:
         n = rows.shape[1]  # kept for m = 0, which nested data cannot show
@@ -56,6 +55,8 @@ def as_matrix(rows) -> np.ndarray:
 
 
 def as_vector(entries) -> np.ndarray:
+    if isinstance(entries, np.ndarray):
+        entries = entries.tolist()
     out = np.empty(len(entries), dtype=object)
     for i, x in enumerate(entries):
         out[i] = x if type(x) is Fraction else Fraction(x)

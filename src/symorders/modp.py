@@ -3,14 +3,12 @@
 Vectors are int tuples/arrays with entries reduced mod p.  Kernels,
 ranks and radicals come from elimination mod p, exact at every prime:
 in int64 while the products involved fit and in Python ints beyond.
-Only the algebra homomorphisms to the prime field are enumerated, over
-all p^dim unital functionals, so their callers bound p^dim.
+Nothing is enumerated, so nothing here bounds p or the dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -164,19 +162,3 @@ class FpAlgebra:
         if not self.is_nilpotent_subspace(ideal):
             raise AssertionError("radical not nilpotent")
         return ideal
-
-    def homs_to_prime_field(self) -> list:
-        """All unital algebra homomorphisms to the prime field.
-
-        Enumerates every linear functional phi with phi(1) = 1 and keeps
-        the multiplicative ones.  Commutative use only; the caller
-        certifies completeness by checking that the intersection of the
-        kernels is nilpotent.
-        """
-        homs = []
-        for phi in product(range(self.p), repeat=self.dim):
-            phi = np.array(phi, dtype=np.int64)
-            if int(np.dot(phi, self.one)) % self.p == 1 and not (
-                    (np.outer(phi, phi) - self.table @ phi) % self.p).any():
-                homs.append(phi)
-        return homs

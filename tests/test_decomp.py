@@ -364,7 +364,7 @@ def _symmetric_group(n, p):
 @pytest.fixture(scope="module")
 def character_tables():
     return {(n, p): _symmetric_group(n, p)
-            for n, p in ((3, 2), (3, 3), (3, 5), (3, 4294967311), (4, 2), (4, 3))}
+            for n, p in ((3, 2), (3, 3), (3, 5), (3, 4294967311), (4, 2), (4, 3), (4, 5))}
 
 
 def test_s4_families_have_one_row_per_class(character_tables):
@@ -392,3 +392,34 @@ def test_witness_test_equals_the_gram_oracle(character_tables, case):
     key, a, c = case
     A, table = character_tables[key]
     _witness_hits(A, table, [a] if c is None else [a, [c * d for d in table.degrees]])
+
+
+def enumerated_homs(alg):
+    """Every unital homomorphism of a commutative residue algebra onto the
+    prime field, by trying all p^dim functionals: the oracle for the
+    central characters read off by decomp._central_homs."""
+    p = alg.p
+    return [phi for phi in product(range(p), repeat=alg.dim)
+            if np.dot(phi, alg.one) % p == 1
+            and not ((np.outer(phi, phi) - alg.table @ phi) % p).any()]
+
+
+def test_central_homs_equal_the_enumerated_homs(character_tables):
+    counts = {}
+    for n, p in product((3, 4), (2, 3, 5)):
+        A, table = character_tables[(n, p)]
+        alg, homs = decomp._central_homs(A, decomp.rational_centre(A, table))
+        assert homs == enumerated_homs(alg)
+        counts[n, p] = len(homs)
+    assert counts == {(3, 2): 2, (3, 3): 1, (3, 5): 3, (4, 2): 1, (4, 3): 3, (4, 5): 5}
+
+
+def test_central_hom_certificates_raise(character_tables):
+    A, table = character_tables[(3, 5)]  # three maximal ideals
+    centre = decomp.rational_centre(A, table)
+    S = centre.spectral
+    for spectral, message in [(S / 5, "not p-integral"),
+                              (S + 1, "not a unital homomorphism"),
+                              (S[:, :1], "miss a maximal ideal")]:
+        with pytest.raises(AssertionError, match=message):
+            decomp._central_homs(A, dataclasses.replace(centre, spectral=spectral))

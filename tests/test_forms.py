@@ -142,9 +142,10 @@ def test_library_has_no_assert_statements():
 
 
 def test_only_box_and_homomorphism_searches_import_itertools_product():
-    # residue fields are not enumerated: the coefficient boxes of decomp and
-    # modp's homs_to_prime_field, bounded by its caller, are the only
-    # searches over product spaces
+    # residue fields are not enumerated, and the maximal ideals of the
+    # rational centre are read off the central characters: the coefficient
+    # boxes of decomp, within --bound, are the only searches over product
+    # spaces
     package = Path(so.__file__).resolve().parent
     found = {
         path.stem
@@ -155,7 +156,7 @@ def test_only_box_and_homomorphism_searches_import_itertools_product():
         or (isinstance(node, ast.Attribute) and node.attr == "product"
             and isinstance(node.value, ast.Name) and node.value.id == "itertools")
     }
-    assert found <= {"decomp", "modp"}
+    assert found <= {"decomp"}
 
 
 def test_dual_basis_is_derived_once_and_reused(s3):

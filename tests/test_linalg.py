@@ -166,6 +166,14 @@ def test_left_null_space():
     assert all(x == 0 for x in (N @ M).reshape(-1))
 
 
+def test_numpy_integers_become_python_ints():
+    # a Fraction of an int64 keeps an int64 numerator, whose products wrap
+    big = np.array([[2**40]])
+    assert type(linalg.as_matrix(big)[0, 0].numerator) is int
+    assert type(linalg.as_vector(big[0])[0].numerator) is int
+    assert (linalg.as_matrix(big) ** 2)[0, 0] == 2**80
+
+
 def _int_matrices(max_side=4, bound=12):
     return st.integers(1, max_side).flatmap(lambda m: st.integers(1, max_side).flatmap(
         lambda n: st.lists(st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
