@@ -438,7 +438,6 @@ def s3_fixture_bundle(p=3):
         forms={"standard": s},
         lattices={"trivial": trivial, "sign": sign, "regular": regular},
         character_table=table,
-        character_names=("chi_3", "chi_21", "chi_111"),
         decomposition=D,
         extra_tables={"condensed": condensed},
         expectations=expectations,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -38,7 +39,6 @@ class Bundle:
     forms: dict  # name -> LinearForm
     lattices: dict  # name -> Lattice
     character_table: CharacterTable | None = None
-    character_names: tuple = ()
     decomposition: DecompositionMatrix | None = None
     extra_tables: dict = field(default_factory=dict)  # name -> (degrees, modular_dims)
     expectations: dict = field(default_factory=dict)
@@ -76,7 +76,7 @@ def bundle_to_dict(b: Bundle) -> dict:
         doc["order"]["basis_labels"] = list(b.order.basis_labels)
     if b.character_table is not None:
         doc["characters"] = {
-            "names": list(b.character_names),
+            "names": list(b.character_table.names),
             "values": [_ser_vector(row) for row in b.character_table.values],
             "degrees": _ser_vector(b.character_table.degrees),
         }
@@ -105,93 +105,87 @@ def save_bundle(b: Bundle, path) -> None:
 
 
 def bundle_from_dict(doc: dict) -> Bundle:
-    try:
-        prime = doc["prime"]
+    with _reading("order"):
+        prime = int(doc["prime"])
         order_doc = doc["order"]
-        structure = order_doc["structure"]
-        one = order_doc["one"]
-    except KeyError as exc:
-        raise BundleError(f"missing field: {exc}") from exc
-    try:
         A = make_order(
             np.array(
-                [[[Fraction(x) for x in row] for row in plane] for plane in structure],
+                [[[Fraction(x) for x in row] for row in plane]
+                 for plane in order_doc["structure"]],
                 dtype=object,
             ),
-            [Fraction(x) for x in one],
+            [Fraction(x) for x in order_doc["one"]],
             prime,
             basis_labels=order_doc.get("basis_labels"),
         )
-    except ValueError as exc:
-        raise BundleError(f"order validation failed: {exc}") from exc
     forms = {}
     for name, values in _section(doc, "forms").items():
-        if len(values) != A.dim:
-            raise BundleError(f"form {name!r} has wrong length")
-        forms[name] = LinearForm([Fraction(x) for x in values])
+        with _reading(f"form {name!r}"):
+            if len(values) != A.dim:
+                raise BundleError(f"form {name!r} has wrong length")
+            forms[name] = LinearForm([Fraction(x) for x in values])
     lattices = {}
     for name, actions in _section(doc, "lattices").items():
-        try:
+        with _reading(f"lattice {name!r}"):
             lattices[name] = make_lattice(
                 A, [[[Fraction(x) for x in row] for row in m] for m in actions]
             )
-        except ValueError as exc:
-            raise BundleError(f"lattice {name!r} validation failed: {exc}") from exc
     table = None
-    names = ()
     if "characters" in doc:
         cdoc = _section(doc, "characters")
-        names = tuple(cdoc.get("names", ()))
-        try:
+        with _reading("characters"):
             table = make_character_table(
-                [[Fraction(x) for x in row] for row in cdoc["values"]], A, names=names
+                [[Fraction(x) for x in row] for row in cdoc["values"]], A,
+                names=cdoc.get("names"),
             )
-        except KeyError as exc:
-            raise BundleError(f"characters: missing field {exc}") from exc
-        except ValueError as exc:
-            raise BundleError(f"character validation failed: {exc}") from exc
-        if "degrees" in cdoc:
-            declared = [Fraction(x) for x in cdoc["degrees"]]
-            if list(table.degrees) != declared:
-                raise BundleError("declared degrees do not match the characters")
+            if "degrees" in cdoc:
+                declared = [Fraction(x) for x in cdoc["degrees"]]
+                if list(table.degrees) != declared:
+                    raise BundleError("declared degrees do not match the characters")
     decomposition = None
     if "decomposition" in doc:
         if table is None:
             raise BundleError("decomposition matrix requires characters")
         ddoc = _section(doc, "decomposition")
-        try:
+        with _reading("decomposition"):
             decomposition = make_decomposition_matrix(
                 ddoc["matrix"], ddoc["modular_dims"], table.degrees
             )
-        except KeyError as exc:
-            raise BundleError(f"decomposition: missing field {exc}") from exc
-        except ValueError as exc:
-            raise BundleError(f"decomposition validation failed: {exc}") from exc
     extra = {}
     for name, tdoc in _section(doc, "tables").items():
-        try:
+        with _reading(f"table {name!r}"):
             degrees = [Fraction(x) for x in tdoc["degrees"]]
-            dims = [int(x) for x in tdoc["modular_dims"]]
-            if "decomposition" in doc:
-                make_decomposition_matrix(doc["decomposition"]["matrix"], dims, degrees)
-        except KeyError as exc:
-            raise BundleError(f"table {name!r}: missing field {exc}") from exc
-        except ValueError as exc:
-            raise BundleError(f"table {name!r} validation failed: {exc}") from exc
-        extra[name] = (degrees, tuple(dims))
+            dims = tuple(int(x) for x in tdoc["modular_dims"])
+            if decomposition is not None:
+                make_decomposition_matrix(decomposition.entries, dims, degrees)
+        extra[name] = (degrees, dims)
     expectations = _section(doc, "expectations")
-    _check_expectation_names(expectations, lattices, forms)
+    with _reading("expectations"):
+        _check_expectation_names(expectations, lattices, forms)
     return Bundle(
-        prime=int(prime),
+        prime=prime,
         order=A,
         forms=forms,
         lattices=lattices,
         character_table=table,
-        character_names=names,
         decomposition=decomposition,
         extra_tables=extra,
         expectations=copy.deepcopy(expectations),
     )
+
+
+@contextmanager
+def _reading(section: str):
+    """Report a malformed value met while reading ``section`` as a
+    ``BundleError`` that names the section."""
+    try:
+        yield
+    except BundleError:
+        raise
+    except KeyError as exc:
+        raise BundleError(f"{section}: missing field {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise BundleError(f"{section} validation failed: {exc}") from exc
 
 
 def _section(doc: dict, key: str) -> dict:

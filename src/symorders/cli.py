@@ -6,6 +6,10 @@ fails), 2 input error, 3 reserved for a resource bound; no check has
 one, since the maximal ideals of ``rational`` are read off the central
 characters rather than searched for.
 
+Each check returns its details and records mismatches with the
+bundle's expectations as it goes; ``run`` alone turns that outcome into
+the check's verdict (pass, fail or skipped) and its ``CheckResult``.
+
 Reports are deterministic: the serialized payload contains only exact
 values (scalars as "a/b" strings); elapsed times are kept out of the
 canonical JSON so identical inputs give byte-identical output.
@@ -22,6 +26,7 @@ from dataclasses import dataclass, field
 from . import decomp, forms, lattices, linalg
 from .bundle import Bundle, BundleError, load_bundle
 from .padic import scalar_to_str
+
 
 @dataclass
 class RunOptions:
@@ -54,63 +59,62 @@ class Report:
         return out
 
 
-def _sorted_lattices(b: Bundle):
-    return sorted(b.lattices.items())
+class Skipped(Exception):
+    """Raised by a check that does not apply to the bundle; the message
+    is the reason reported."""
 
 
-def _expect(b: Bundle, check: str, key, actual, mismatches: list):
-    exp = b.expectations.get(check)
-    node = exp
-    for part in key:
-        if not isinstance(node, dict) or part not in node:
-            return
-        node = node[part]
-    if node != actual:
-        mismatches.append(f"{check}:{'/'.join(key)} expected {node!r} got {actual!r}")
+class Expect:
+    """The bundle's expectations for one check, compared as the check
+    reports its details.  ``mismatches`` keeps them in the order found;
+    a check appends a free-text mismatch to it directly."""
+
+    def __init__(self, check: str, expected):
+        self.check = check
+        self.expected = expected
+        self.mismatches = []
+
+    def __call__(self, key: tuple, actual):
+        """Record a mismatch when an expectation is present at ``key``
+        (JSON null included) and differs from ``actual``; return ``actual``."""
+        node = self.expected
+        for part in key:
+            if not isinstance(node, dict) or part not in node:
+                return actual
+            node = node[part]
+        if node != actual:
+            self.mismatches.append(
+                f"{self.check}:{'/'.join(key)} expected {node!r} got {actual!r}")
+        return actual
 
 
-def _result(name: str, details: dict, mismatches: list) -> CheckResult:
-    """Pass with the details, or fail with the mismatches added to them."""
-    if mismatches:
-        return CheckResult(name, "fail", {**details, "mismatches": mismatches})
-    return CheckResult(name, "pass", details)
-
-
-def check_validate(b: Bundle, opts: RunOptions) -> CheckResult:
-    details = {
+def check_validate(b: Bundle, opts: RunOptions, expect: Expect) -> dict:
+    table = b.character_table
+    return {
         "dim": b.order.dim,
         "forms": sorted(b.forms),
         "lattices": sorted(b.lattices),
-        "characters": list(b.character_names),
+        "characters": list(table.names) if table is not None else [],
     }
-    return CheckResult("validate", "pass", details)
 
 
-def check_symmetrising(b: Bundle, opts: RunOptions) -> CheckResult:
+def check_symmetrising(b: Bundle, opts: RunOptions, expect: Expect) -> dict:
+    return {name: expect((name,), forms.is_symmetrising(b.order, s))
+            for name, s in sorted(b.forms.items())}
+
+
+def check_casimir(b: Bundle, opts: RunOptions, expect: Expect) -> dict:
     details = {}
-    mismatches = []
-    for name, s in sorted(b.forms.items()):
-        verdict = forms.is_symmetrising(b.order, s)
-        details[name] = verdict
-        _expect(b, "symmetrising", (name,), verdict, mismatches)
-    return _result("symmetrising", details, mismatches)
-
-
-def check_casimir(b: Bundle, opts: RunOptions) -> CheckResult:
-    details = {}
-    mismatches = []
     for name, s in sorted(b.forms.items()):
         if not forms.is_symmetrising(b.order, s):
             details[name] = {"symmetrising": False}
             continue
         z = forms.casimir(b.order, s)
-        entry = {"coordinates": [scalar_to_str(c) for c in z]}
+        details[name] = entry = {"coordinates": [scalar_to_str(c) for c in z]}
         scalar = _scalar_of(b, z)
         if scalar is not None:
-            entry["scalar"] = scalar_to_str(scalar)
-            _expect(b, "casimir", (name, "scalar"), entry["scalar"], mismatches)
-        details[name] = entry
-    return _result("casimir", details, mismatches)
+            entry["scalar"] = expect((name, "scalar"), scalar_to_str(scalar))
+    return details
 
 
 def _scalar_of(b: Bundle, z):
@@ -121,21 +125,20 @@ def _scalar_of(b: Bundle, z):
     return coeff if linalg.vectors_equal(z, b.order.one * coeff) else None
 
 
-def check_psp(b: Bundle, opts: RunOptions) -> CheckResult:
-    mismatches = []
-    details = {}
+def check_psp(b: Bundle, opts: RunOptions, expect: Expect) -> dict:
     s = _primary_form(b)
     cert = forms.psp_direct(b.order, s)
-    details["direct"] = {
-        "verdict": "yes" if cert else "no",
-        "n": cert.n if cert else None,
-    }
+    verdict = "yes" if cert else "no"
+    details = {"direct": {"verdict": verdict, "n": cert.n if cert else None}}
     if cert:
         details["direct"]["witness_form"] = [
             scalar_to_str(v) for v in cert.witness_form.values
         ]
     try:
         rg = forms.psp_regular_gram(b.order)
+    except forms.RegularGramSingularError:
+        details["regular_gram"] = {"verdict": "inapplicable"}
+    else:
         details["regular_gram"] = {
             "verdict": "yes" if rg.verdict else "no",
             "n": rg.n,
@@ -146,14 +149,11 @@ def check_psp(b: Bundle, opts: RunOptions) -> CheckResult:
         )
         details["algorithms_agree"] = agree
         if not agree:
-            mismatches.append("psp: direct and regular-Gram algorithms disagree")
-    except forms.RegularGramSingularError:
-        details["regular_gram"] = {"verdict": "inapplicable"}
-    verdict = "yes" if cert else "no"
-    _expect(b, "psp", ("verdict",), verdict, mismatches)
+            expect.mismatches.append("psp: direct and regular-Gram algorithms disagree")
+    expect(("verdict",), verdict)
     if cert:
-        _expect(b, "psp", ("n",), cert.n, mismatches)
-    return _result("psp", details, mismatches)
+        expect(("n",), cert.n)
+    return details
 
 
 def _primary_form(b: Bundle):
@@ -162,158 +162,123 @@ def _primary_form(b: Bundle):
     return b.forms[sorted(b.forms)[0]]
 
 
-def check_tate(b: Bundle, opts: RunOptions) -> CheckResult:
+def check_tate(b: Bundle, opts: RunOptions, expect: Expect) -> dict:
     s = _primary_form(b)
     details = {}
-    mismatches = []
-    items = _sorted_lattices(b)
+    items = sorted(b.lattices.items())
     for uname, U in items:
         for vname, V in items:
             key = f"{uname}|{vname}"
             report = lattices.verify_tate_duality(b.order, s, U, V)
-            entry = {
-                "perfect": report.perfect,
-                "exponents": list(report.exponents_uv),
+            details[key] = {
+                "perfect": expect((key, "perfect"), report.perfect),
+                "exponents": expect((key, "exponents"), list(report.exponents_uv)),
                 "pairing": [[str(r) for r in row] for row in report.pairing],
             }
-            details[key] = entry
-            _expect(b, "tate", (key, "perfect"), report.perfect, mismatches)
-            _expect(b, "tate", (key, "exponents"), entry["exponents"], mismatches)
-    return _result("tate", details, mismatches)
+    return details
 
 
-def check_knorr(b: Bundle, opts: RunOptions) -> CheckResult:
+def check_knorr(b: Bundle, opts: RunOptions, expect: Expect) -> dict:
     details = {}
-    mismatches = []
-    for name, U in _sorted_lattices(b):
+    for name, U in sorted(b.lattices.items()):
         verdict = lattices.knorr_check(b.order, U)
         details[name] = {
-            "verdict": bool(verdict),
+            "verdict": expect((name,), bool(verdict)),
             "rank": U.rank,
             "failure": verdict.failure,
         }
-        _expect(b, "knorr", (name,), bool(verdict), mismatches)
-    return _result("knorr", details, mismatches)
+    return details
 
 
-def check_stable_exponent(b: Bundle, opts: RunOptions) -> CheckResult:
+def check_stable_exponent(b: Bundle, opts: RunOptions, expect: Expect) -> dict:
     s = _primary_form(b)
     details = {}
-    mismatches = []
-    for name, U in _sorted_lattices(b):
+    for name, U in sorted(b.lattices.items()):
         a = lattices.exponent(b.order, s, U)
         if a == 0:
             details[name] = {"verdict": "projective - property undefined"}
             continue
         verdict = lattices.stable_exponent_check(b.order, s, U)
-        details[name] = {"verdict": bool(verdict), "exponent": a}
-        _expect(b, "stable-exponent", (name,), bool(verdict), mismatches)
-    return _result("stable-exponent", details, mismatches)
+        details[name] = {"verdict": expect((name,), bool(verdict)), "exponent": a}
+    return details
 
 
-def check_constant_value(b: Bundle, opts: RunOptions) -> CheckResult:
+def check_constant_value(b: Bundle, opts: RunOptions, expect: Expect) -> dict:
     s = _primary_form(b)
-    details = {}
-    mismatches = []
-    for name, U in _sorted_lattices(b):
-        ok = lattices.constant_value_check(b.order, s, U)
-        details[name] = ok
-        _expect(b, "constant-value", (name,), ok, mismatches)
-    return _result("constant-value", details, mismatches)
+    return {name: expect((name,), lattices.constant_value_check(b.order, s, U))
+            for name, U in sorted(b.lattices.items())}
 
 
-def check_morita_psp(b: Bundle, opts: RunOptions) -> CheckResult:
+def check_morita_psp(b: Bundle, opts: RunOptions, expect: Expect) -> dict:
     if b.character_table is None or b.decomposition is None:
-        return CheckResult("morita-psp", "skipped", {"reason": "no decomposition data"})
-    details = {}
-    mismatches = []
+        raise Skipped("no decomposition data")
     witness = decomp.morita_psp_search(
         b.order, b.character_table, b.decomposition, bound=opts.bound
     )
     if witness is None:
-        details["witness"] = None
-        details["statement"] = f"none within bound {opts.bound}"
-    else:
-        details["witness"] = {
-            "m": list(witness.m),
-            "n": witness.n,
-            "a": list(witness.a),
-            "form": [scalar_to_str(v) for v in witness.form.values],
-        }
-        _expect(b, "morita-psp", ("witness_m",), list(witness.m), mismatches)
-        _expect(b, "morita-psp", ("n",), witness.n, mismatches)
-    return _result("morita-psp", details, mismatches)
+        return {"witness": None, "statement": f"none within bound {opts.bound}"}
+    return {"witness": {
+        "m": expect(("witness_m",), list(witness.m)),
+        "n": expect(("n",), witness.n),
+        "a": list(witness.a),
+        "form": [scalar_to_str(v) for v in witness.form.values],
+    }}
 
 
-def check_rational(b: Bundle, opts: RunOptions) -> CheckResult:
+def check_rational(b: Bundle, opts: RunOptions, expect: Expect) -> dict:
     if b.character_table is None:
-        return CheckResult("rational", "skipped", {"reason": "no character data"})
-    details = {}
-    mismatches = []
+        raise Skipped("no character data")
     centre = decomp.rational_centre(b.order, b.character_table)
-    details["rational_centre_rank"] = centre.rank
+    details = {"rational_centre_rank": centre.rank}
     search = decomp.rational_symmetry_search(
         b.order, b.character_table, bound=opts.bound
     )
     if search.witness_sigma is None:
         details["rational_symmetry"] = f"no witness within bound {opts.bound}"
-    else:
-        details["rational_symmetry"] = {
-            "sigma": [scalar_to_str(c) for c in search.witness_sigma],
-            "n": search.witness_n,
-            "congruences": [str(c) for c in search.congruences],
+        return details
+    details["rational_symmetry"] = {
+        "sigma": [scalar_to_str(c) for c in search.witness_sigma],
+        "n": search.witness_n,
+        "congruences": [str(c) for c in search.congruences],
+    }
+    if b.decomposition is not None:
+        crit = decomp.rational_intersection_criterion(
+            b.order,
+            b.character_table,
+            b.decomposition,
+            sigma_tilde=search.witness_sigma,
+        )
+        details["intersection_criterion"] = {
+            "verdict": expect(("verdict",), crit.verdict),
+            "morita_verdict": expect(("morita_verdict",), crit.morita_verdict),
+            "maximal_ideals": crit.maximal_ideal_count,
         }
-        if b.decomposition is not None:
-            crit = decomp.rational_intersection_criterion(
-                b.order,
-                b.character_table,
-                b.decomposition,
-                sigma_tilde=search.witness_sigma,
-            )
-            details["intersection_criterion"] = {
-                "verdict": crit.verdict,
-                "morita_verdict": crit.morita_verdict,
-                "maximal_ideals": crit.maximal_ideal_count,
-            }
-            _expect(b, "rational", ("verdict",), crit.verdict, mismatches)
-            _expect(
-                b, "rational", ("morita_verdict",), crit.morita_verdict, mismatches
-            )
-    return _result("rational", details, mismatches)
+    return details
 
 
-def check_heights(b: Bundle, opts: RunOptions) -> CheckResult:
+def check_heights(b: Bundle, opts: RunOptions, expect: Expect) -> dict:
     if b.character_table is None:
-        return CheckResult("heights", "skipped", {"reason": "no character data"})
-    details = {}
-    mismatches = []
+        raise Skipped("no character data")
     degrees = b.character_table.degrees
-    details["degrees"] = [
-        decomp.height(d, degrees, b.prime) for d in degrees
-    ]
+    details = {"degrees": [decomp.height(d, degrees, b.prime) for d in degrees]}
     for name, (tdeg, _dims) in sorted(b.extra_tables.items()):
-        hs = [decomp.height(d, tdeg, b.prime) for d in tdeg]
-        details[name] = hs
-        _expect(b, "heights", (name,), hs, mismatches)
+        details[name] = expect((name,), [decomp.height(d, tdeg, b.prime) for d in tdeg])
     details["lattice_ranks"] = {
         name: decomp.height(U.rank, degrees, b.prime)
-        for name, U in _sorted_lattices(b)
+        for name, U in sorted(b.lattices.items())
     }
-    return _result("heights", details, mismatches)
+    return details
 
 
-def check_divisibility(b: Bundle, opts: RunOptions) -> CheckResult:
+def check_divisibility(b: Bundle, opts: RunOptions, expect: Expect) -> dict:
     s = _primary_form(b)
     cert = forms.psp_direct(b.order, s)
     if cert is None:
-        return CheckResult(
-            "divisibility", "skipped", {"reason": "order lacks the scalar property"}
-        )
+        raise Skipped("order lacks the scalar property")
     details = {"n": cert.n}
-    mismatches = []
     verdicts = []
     exponents = []
-    for name, U in _sorted_lattices(b):
+    for name, U in sorted(b.lattices.items()):
         knorr = bool(lattices.knorr_check(b.order, U))
         a = lattices.exponent(b.order, s, U)
         exponents.append(a)
@@ -323,14 +288,15 @@ def check_divisibility(b: Bundle, opts: RunOptions) -> CheckResult:
             simple = lattices.knorr_projective_check(b.order, U)
             details[f"{name}_residue_simple"] = simple
             if not simple:
-                mismatches.append(f"divisibility: {name} projective Knorr, residue not simple")
+                expect.mismatches.append(
+                    f"divisibility: {name} projective Knorr, residue not simple")
     try:
         report = decomp.degree_divisibility_checks(b.prime, cert.n, verdicts)
         details["bounds"] = [list(e) for e in report.entries]
         details["ok"] = report.ok
     except ValueError as exc:
         details["ok"] = False
-        mismatches.append(str(exc))
+        expect.mismatches.append(str(exc))
     if b.character_table is not None:
         md = decomp.min_degree_check(
             b.character_table.degrees, b.prime, cert.n, exponents
@@ -340,8 +306,8 @@ def check_divisibility(b: Bundle, opts: RunOptions) -> CheckResult:
             "needed_valuation": md.needed_valuation,
             "status": md.status,
         }
-    _expect(b, "divisibility", ("ok",), details.get("ok"), mismatches)
-    return _result("divisibility", details, mismatches)
+    expect(("ok",), details["ok"])
+    return details
 
 
 CHECKS = {
@@ -362,7 +328,13 @@ CHECK_NAMES = tuple(CHECKS)
 
 
 def run(command: str, bundle: Bundle, options: RunOptions | None = None) -> Report:
-    """Run one named check, or all of them in the fixed registry order."""
+    """Run one named check, or all of them in the fixed registry order.
+
+    A check returns its details and compares them with the bundle through
+    its ``Expect``; this is the one place its outcome becomes a verdict:
+    skipped when it raised ``Skipped``, fail when a mismatch was recorded
+    (listed under ``mismatches`` in the order found), pass otherwise.
+    """
     options = options or RunOptions()
     if command == "all":
         names = list(CHECK_NAMES)
@@ -373,9 +345,17 @@ def run(command: str, bundle: Bundle, options: RunOptions | None = None) -> Repo
     report = Report()
     for name in names:
         start = time.perf_counter()
-        result = CHECKS[name](bundle, options)
-        result.elapsed = time.perf_counter() - start
-        report.results.append(result)
+        expect = Expect(name, bundle.expectations.get(name))
+        try:
+            details = CHECKS[name](bundle, options, expect)
+        except Skipped as skip:
+            verdict, details = "skipped", {"reason": str(skip)}
+        else:
+            verdict = "pass"
+            if expect.mismatches:
+                verdict, details = "fail", {**details, "mismatches": expect.mismatches}
+        elapsed = time.perf_counter() - start
+        report.results.append(CheckResult(name, verdict, details, elapsed))
     return report
 
 

@@ -42,7 +42,7 @@ class CharacterTable:
 
     values: np.ndarray  # (num_chars, dim)
     degrees: tuple  # chi(1) per character
-    names: tuple = None
+    names: tuple = ()
     _kept: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -64,8 +64,7 @@ def make_character_table(values, A: Order, names=None) -> CharacterTable:
     combo = np.tensordot(linalg.as_vector(degrees), values, axes=([0], [0]))
     if not linalg.vectors_equal(combo, rho):
         raise ValueError("degree-weighted character sum is not the regular character")
-    return CharacterTable(values=values, degrees=degrees,
-                          names=tuple(names) if names else None)
+    return CharacterTable(values=values, degrees=degrees, names=tuple(names or ()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,14 +396,17 @@ def _search_values(bound: int) -> list:
             for num in range(1, bound + 1) if math.gcd(num, den) == 1 for sign in (1, -1)]
 
 
-def rational_symmetry_search(A: Order, table: CharacterTable, bound: int = 5,
-                             power_range: int = 4):
+# largest power k of p in the normalized candidates p^k (c_1, ..., c_{r-1}, 1)
+POWER_RANGE = 4
+
+
+def rational_symmetry_search(A: Order, table: CharacterTable, bound: int = 5):
     """Bounded search for rational spectral coefficients of a symmetrising
     form.
 
     Candidates sigma~ are normalized, using invariance under scaling by
     rationals of valuation zero, to the shape p^k (c_1, ..., c_{r-1}, 1)
-    with k <= power_range and the c_i nonzero rationals of bounded
+    with k <= POWER_RANGE and the c_i nonzero rationals of bounded
     numerator and denominator, scanned in order of k and then of the c_i.
     A candidate must be an element of the order (membership of sum
     sigma~_chi e_chi) and pass the witness test of :func:`_levels`;
@@ -423,7 +425,7 @@ def rational_symmetry_search(A: Order, table: CharacterTable, bound: int = 5,
         S = np.concatenate([nums[rest] * d[:, None] // dens[rest], d[:, None]], axis=1)
         return S, d, digits[:, 0]
 
-    radices = [power_range + 1] + [len(values)] * (table.num_chars - 1)
+    radices = [POWER_RANGE + 1] + [len(values)] * (table.num_chars - 1)
     hit = _first_witness(A, table, radices, candidates, True)
     if hit is None:
         return RationalSymmetryResult(None, None, None, [])

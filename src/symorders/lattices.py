@@ -300,12 +300,11 @@ class StableHomPresentation:
         self.target = V
         self.hom = hom
         self.exponents = invariants.exponents
-        torsion = [i for i, e in enumerate(invariants.all_exponents) if e > 0]
         self.generators = tuple(
-            hom.from_coords(invariants.adapted_basis[:, i]) for i in torsion
+            hom.from_coords(f) for f in invariants.torsion_basis.T
         )
         # hom coordinates -> coordinates on the generators
-        self._left = invariants.left[torsion]
+        self._left = invariants.torsion_left
 
     @property
     def exponent(self) -> int:

@@ -435,19 +435,16 @@ class QuotientInvariants:
 
     ``exponents`` lists the exponents of the nontrivial cyclic factors
     p^{d_1} <= ... <= p^{d_k}; free_rank counts infinite factors.  The
-    columns of ``adapted_basis`` express a new basis f_1, ..., f_m of the
-    sup lattice in sup coordinates such that the sub lattice is spanned
-    by p^{d_i} f_i (with d_i = 0 for the dropped trivial factors and the
-    trailing free columns absent from the sub lattice altogether).
-    ``left`` is its inverse, the left Smith transform: it takes sup
-    coordinates to coordinates in the f_i.
+    columns of ``torsion_basis`` are sup-lattice vectors f_1, ..., f_k,
+    in sup coordinates, whose classes generate those factors: the sub
+    lattice contains p^{d_i} f_i.  The rows of ``torsion_left`` take sup
+    coordinates to the coefficients of the f_i.
     """
 
     exponents: tuple
     free_rank: int
-    all_exponents: tuple
-    adapted_basis: np.ndarray
-    left: np.ndarray
+    torsion_basis: np.ndarray
+    torsion_left: np.ndarray
 
 
 def lattice_quotient_invariants(sub_gens, sup_basis, p: int) -> QuotientInvariants:
@@ -469,12 +466,21 @@ def lattice_quotient_invariants(sub_gens, sup_basis, p: int) -> QuotientInvarian
 def quotient_invariants(coords, p: int) -> QuotientInvariants:
     """Invariant factors of ring^m modulo the span of the columns of
     ``coords``, an m-row matrix with ring entries: the sub lattice given
-    by its coordinates in a basis of the sup lattice."""
-    snf = smith_normal_form(coords, p)
+    by its coordinates in a basis of the sup lattice.
+
+    For the Smith form L C R = D, C R = L^{-1} D, so the adapted basis
+    vector f_i (column i of L^{-1}) of a factor of exponent d_i > 0 is
+    column i of C R over p^{d_i}; L is not inverted.
+    """
+    C = as_matrix(coords)
+    snf = smith_normal_form(C, p)
+    torsion = [i for i, e in enumerate(snf.exponents) if e > 0]
+    basis = C.dot(snf.right[:, torsion])
+    for j, i in enumerate(torsion):
+        basis[:, j] /= Fraction(p) ** snf.exponents[i]
     return QuotientInvariants(
-        exponents=tuple(e for e in snf.exponents if e > 0),
+        exponents=tuple(snf.exponents[i] for i in torsion),
         free_rank=snf.left.shape[0] - snf.rank,
-        all_exponents=snf.exponents,
-        adapted_basis=inverse(snf.left),
-        left=snf.left,
+        torsion_basis=basis,
+        torsion_left=snf.left[torsion],
     )

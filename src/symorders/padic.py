@@ -123,18 +123,15 @@ class ResidueClass:
 def residue_class(x, p: int) -> ResidueClass:
     """Canonical representative of x modulo the p-local integers.
 
-    Writes x = a / (p^k m) in lowest terms with m prime to p and solves
-    c = a * m^(-1) mod p^k, giving the representative c / p^k in [0, 1).
+    For x of valuation -k < 0, p^k x is a ring element and its residue
+    c mod p^k gives the representative c / p^k in [0, 1).
     """
     x = as_scalar(x)
     v = val(x, p)
     if v >= 0:
         return ResidueClass(Fraction(0), int(p))
     k = -int(v)
-    pk = p**k
-    m = x.denominator // pk
-    c = (x.numerator * pow(m, -1, pk)) % pk
-    rep = Fraction(c, pk)
+    rep = Fraction(residue_int(x * p**k, p, k), p**k)
     if val(x - rep, p) < 0:
         raise AssertionError("residue representative differs by a non-ring element")
     return ResidueClass(rep, int(p))

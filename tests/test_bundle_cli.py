@@ -143,6 +143,33 @@ def test_malformed_sections_are_an_input_error(s3_doc, tmp_path, capsys, corrupt
     _assert_input_error(s3_doc, corrupt, message, tmp_path, capsys)
 
 
+def _order_as_list(doc):
+    doc["order"] = list(doc["order"].values())
+
+
+def _action_as_number(doc):
+    doc["lattices"]["trivial"] = 1
+
+
+def _table_entry_as_list(doc):
+    doc["tables"]["condensed"] = list(doc["tables"]["condensed"].values())
+
+
+def _form_value_not_a_number(doc):
+    doc["forms"]["standard"][0] = "x"
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_order_as_list, "order validation failed: "),
+    (_action_as_number, "lattice 'trivial' validation failed: "),
+    (_table_entry_as_list, "table 'condensed' validation failed: "),
+    (_form_value_not_a_number, "form 'standard' validation failed: "),
+])
+def test_malformed_values_are_an_input_error_naming_the_section(s3_doc, tmp_path, capsys,
+                                                                corrupt, message):
+    _assert_input_error(s3_doc, corrupt, message, tmp_path, capsys)
+
+
 def test_decomposition_requires_characters(s3_doc):
     doc = copy.deepcopy(s3_doc)
     del doc["characters"]

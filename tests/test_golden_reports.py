@@ -21,7 +21,11 @@ and p = 3 together with the characters of
            modular dimensions (1, 1, 3, 3);
 
 so all twelve checks run on them, ``morita-psp`` and ``rational``
-included.
+included.  ``s3-p3-mismatch`` is the S3 fixture with wrong expectations
+(psp verdict and n, the Tate exponents of trivial|trivial, knorr on
+regular, morita-psp n, and a JSON null for divisibility ok): its report
+pins the ``mismatches`` of five failing checks, their text and order,
+the comparison of an expected null, and exit code 1.
 Each ``NAME.report.json`` and ``NAME.stdout.txt`` was written by
 
     symorders --bundle NAME.bundle.json --check all --json NAME.report.json > NAME.stdout.txt
@@ -36,7 +40,9 @@ import pytest
 from symorders.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
-NAMES = ("s3-p3", "m2-p3", "rank2-m2-p2", "s4-p3", "s4-p2", "s4-p2-chars", "s4-p3-chars")
+# name -> exit code
+NAMES = {"s3-p3": 0, "m2-p3": 0, "rank2-m2-p2": 0, "s4-p3": 0, "s4-p2": 0,
+         "s4-p2-chars": 0, "s4-p3-chars": 0, "s3-p3-mismatch": 1}
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -45,7 +51,7 @@ def test_check_all_reproduces_the_golden_report(name, tmp_path, capsys):
     code = main(["--bundle", str(DATA / f"{name}.bundle.json"), "--check", "all",
                  "--json", str(report)])
     captured = capsys.readouterr()
-    assert code == 0
+    assert code == NAMES[name]
     assert captured.err == ""
     assert captured.out == (DATA / f"{name}.stdout.txt").read_text()
     assert report.read_bytes() == (DATA / f"{name}.report.json").read_bytes()

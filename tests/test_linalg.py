@@ -275,6 +275,18 @@ def test_lattice_basis_equals_the_left_inverse_version(case, data):
     assert ours.shape[1] == linalg.smith_normal_form(G, p).rank
 
 
+@settings(max_examples=100, deadline=None)
+@given(local_matrix())
+def test_quotient_torsion_basis_equals_the_inverted_left_transform(case):
+    p, C = case
+    inv = linalg.quotient_invariants(C, p)
+    snf = linalg.smith_normal_form(C, p)
+    torsion = [i for i, e in enumerate(snf.exponents) if e > 0]
+    assert inv.exponents == tuple(snf.exponents[i] for i in torsion)
+    assert _identical(inv.torsion_basis, linalg.inverse(snf.left)[:, torsion])
+    assert _identical(inv.torsion_left, snf.left[torsion])
+
+
 def test_lattice_basis_of_empty_and_rank_deficient_generators():
     p = 4294967311
     for G in (linalg.zeros(0, 3), linalg.zeros(3, 0), linalg.zeros(2, 2),
