@@ -161,7 +161,7 @@ def bundle_from_dict(doc: dict) -> Bundle:
         extra[name] = (degrees, dims)
     expectations = _section(doc, "expectations")
     with _reading("expectations"):
-        _check_expectation_names(expectations, lattices, forms)
+        _check_expectation_names(expectations, lattices, forms, extra)
     return Bundle(
         prime=prime,
         order=A,
@@ -196,21 +196,48 @@ def _section(doc: dict, key: str) -> dict:
     return section
 
 
-def _check_expectation_names(expectations: dict, lattices: dict, forms: dict) -> None:
-    """Every name an expectation refers to must resolve in the bundle."""
-    per_lattice = ("knorr", "stable-exponent", "constant-value")
-    for check in per_lattice:
-        for name in expectations.get(check, {}):
-            if name not in lattices:
-                raise BundleError(f"unresolved name: {check} expects lattice {name!r}")
-    for check in ("symmetrising", "casimir"):
-        for name in expectations.get(check, {}):
-            if name not in forms:
-                raise BundleError(f"unresolved name: {check} expects form {name!r}")
-    for key in expectations.get("tate", {}):
+# the fields each fixed-key check compares, for the check as a whole and
+# for each of its named entries
+_FIELDS = {
+    "psp": ("verdict", "n"),
+    "divisibility": ("ok",),
+    "morita-psp": ("witness_m", "n"),
+    "rational": ("verdict", "morita_verdict"),
+}
+_ENTRY_FIELDS = {"casimir": ("scalar",), "tate": ("perfect", "exponents")}
+
+
+def _check_expectation_names(expectations: dict, lattices: dict, forms: dict,
+                             tables: dict) -> None:
+    """Every name an expectation refers to must resolve in the bundle, and
+    every node must be an object holding only fields its check compares:
+    the checks pass over any other expectation without reading it."""
+
+    def node(path: str, value, fields=None) -> dict:
+        if not isinstance(value, dict):
+            raise BundleError(f"expectations: {path} must be a JSON object")
+        for key in value:
+            if fields is not None and key not in fields:
+                raise BundleError(f"expectations: {path} has unknown field {key!r}")
+        return value
+
+    named = (("knorr", lattices, "lattice"), ("stable-exponent", lattices, "lattice"),
+             ("constant-value", lattices, "lattice"), ("symmetrising", forms, "form"),
+             ("casimir", forms, "form"), ("heights", tables, "table"))
+    for check, names, kind in named:
+        for name in node(check, expectations.get(check, {})):
+            if name not in names:
+                raise BundleError(f"unresolved name: {check} expects {kind} {name!r}")
+    for key in node("tate", expectations.get("tate", {})):
         parts = key.split("|")
         if len(parts) != 2 or any(part not in lattices for part in parts):
             raise BundleError(f"unresolved name: tate expects lattice pair {key!r}")
+    for check, fields in _FIELDS.items():
+        if check in expectations:
+            node(check, expectations[check], fields)
+    for check, fields in _ENTRY_FIELDS.items():
+        for name, entry in expectations.get(check, {}).items():
+            node(f"{check}/{name}", entry, fields)
 
 
 def load_bundle(path) -> Bundle:

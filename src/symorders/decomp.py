@@ -60,7 +60,7 @@ def make_character_table(values, A: Order, names=None) -> CharacterTable:
     if linalg.rational_rank(values) != values.shape[0]:
         raise ValueError("characters are linearly dependent")
     degrees = tuple(np.dot(values[i], A.one) for i in range(values.shape[0]))
-    rho = linalg.as_vector([A.regular_character(A.basis_element(i)) for i in range(A.dim)])
+    rho = A.regular_traces
     combo = np.tensordot(linalg.as_vector(degrees), values, axes=([0], [0]))
     if not linalg.vectors_equal(combo, rho):
         raise ValueError("degree-weighted character sum is not the regular character")

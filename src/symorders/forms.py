@@ -6,6 +6,14 @@ A linear form on an order is symmetrising when it is a trace form
 unit determinant; the induced self-duality then produces a dual basis,
 a relative trace map and the central Casimir element z = sum x x^v.
 
+The exact work runs on integer numerators: Gram matrices are one
+contraction of the order's integer table (:attr:`Order.products`) with
+the numerators of the form's values, and the dual basis is certified on
+integers (G D = I as an integer product, the Casimir element and its
+reverse as two contractions of the numerators of D with the table).
+Fractions are built only for the read-only arrays of :class:`DualBasis`
+and for the values of the forms returned.
+
 Two independent algorithms decide whether some symmetrising form has a
 scalar Casimir p^n 1 (the projective scalar property):
 
@@ -26,7 +34,7 @@ import numpy as np
 
 from . import linalg
 from .orders import Order, NotInvertibleError
-from .padic import INFINITY, val, scalar_to_str
+from .padic import INFINITY, int_val, val, scalar_to_str
 
 
 class NotSymmetrisingError(ValueError):
@@ -80,17 +88,25 @@ def kept(cache: dict, name: str, objects: tuple, build):
 
 def regular_character_form(A: Order) -> LinearForm:
     """The trace of the left regular representation as a linear form."""
-    return LinearForm([A.regular_character(A.basis_element(i)) for i in range(A.dim)])
+    return LinearForm(A.regular_traces)
+
+
+def _gram_numerators(A: Order, s: LinearForm, rows=None) -> tuple:
+    """(N, g): rows i of the Gram matrix of s (all of them by default) as
+    lists of integers N[i] over one denominator g.  With the table's
+    numerators d c_ijk over d and the values of s as numerators v over e,
+    N[i][j] = sum_k (d c_ijk) v_k and g = d e."""
+    v, e = linalg.numerators(s.values)
+    v = v.tolist()
+    rows = range(A.dim) if rows is None else rows
+    N = [[sum(c * v[k] for k, c in prods) for prods in A.products[i]] for i in rows]
+    return N, A.denominator * e
 
 
 def gram_matrix(A: Order, s: LinearForm) -> np.ndarray:
-    """Matrix (s(b_i b_j))_{ij}, summed over the nonzero structure constants."""
-    v = s.values
-    return np.array(
-        [[sum((c * v[k] for k, c in prods), Fraction(0)) for prods in row]
-         for row in A.products],
-        dtype=object,
-    )
+    """Matrix (s(b_i b_j))_{ij}, contracted on integers over the nonzero
+    structure constants."""
+    return linalg.from_numerators(*_gram_numerators(A, s))
 
 
 def is_symmetrising(A: Order, s: LinearForm) -> bool:
@@ -137,31 +153,49 @@ def _derive(A: Order, s: LinearForm) -> DualBasis:
     """Derive and certify the dual basis of a symmetrising form.
 
     Since s(b_i x) = (G x)_i for every x, the defining condition
-    s(b_i x_j^v) = delta_ij is exactly G D = I, which is certified with
-    one matrix product.  A ring matrix G is unimodular exactly when its
-    inverse D exists and has ring entries.  The Casimir element is
-    certified to equal sum_x x^v x, to be central and to have ring
-    coordinates; :meth:`Order.invert` certifies z z^{-1} = 1.
+    s(b_i x_j^v) = delta_ij is exactly G D = I.  A ring matrix G is
+    unimodular exactly when its inverse D exists and has ring entries.
+    The certificates run on integers: with G = N / g and D = M / d, G D = I
+    is the integer product N M = g d I, and the Casimir element
+    z = sum_i b_i x_i^v and sum_i x_i^v b_i are two contractions of M with
+    the table, over d times its denominator, certified equal.  z is
+    certified to be central and to have ring coordinates;
+    :meth:`Order.invert` certifies z z^{-1} = 1.
     """
-    G, p = gram_matrix(A, s), A.prime
-    if not (linalg.matrices_equal(G, G.T) and linalg.is_integral(G, p)):
+    N, g = _gram_numerators(A, s)
+    p, n = A.prime, A.dim
+    q = p ** int_val(g, p)  # G has ring entries when q divides every N_ij
+    if any(N[i][j] != N[j][i] or N[i][j] % q for i in range(n) for j in range(i + 1)):
         raise NotSymmetrisingError("form not symmetrising")
+    G = linalg.from_numerators(N, g)
     try:
         D = linalg.inverse(G)
     except ValueError:
         raise NotSymmetrisingError("form not symmetrising") from None
-    if not linalg.is_integral(D, p):
+    M, d = linalg.numerators(D)
+    if d % p == 0:
         raise NotSymmetrisingError("form not symmetrising")
-    if not linalg.matrices_equal(G @ D, linalg.identity(A.dim)):
-        raise AssertionError("dual basis fails s(b_i x_j^v) = delta_ij")
-    z = A.zero()
-    z_rev = A.zero()
-    for i in range(A.dim):
-        b = A.basis_element(i)
-        z = z + A.multiply(b, D[:, i])
-        z_rev = z_rev + A.multiply(D[:, i], b)
-    if not linalg.vectors_equal(z, z_rev):
+    D_rows = [[(j, y) for j, y in enumerate(row) if y] for row in M.tolist()]
+    for i, row in enumerate(N):
+        GD = [0] * n
+        for k, x in enumerate(row):
+            if x:
+                for j, y in D_rows[k]:
+                    GD[j] += x * y
+        GD[i] -= g * d
+        if any(GD):
+            raise AssertionError("dual basis fails s(b_i x_j^v) = delta_ij")
+    # D[j, i] = x / d adds x b_i b_j / d to z and x b_j b_i / d to sum x^v b
+    z, z_rev = [0] * n, [0] * n
+    for j, row in enumerate(D_rows):
+        for i, x in row:
+            for k, c in A.products[i][j]:
+                z[k] += x * c
+            for k, c in A.products[j][i]:
+                z_rev[k] += x * c
+    if z != z_rev:
         raise AssertionError("Casimir element differs from sum x^v x")
+    z = _read_only(linalg.from_numerators(z, d * A.denominator))
     if not A.is_central(z):
         raise AssertionError("Casimir element not central")
     if not A.has_ring_coords(z):
@@ -170,7 +204,7 @@ def _derive(A: Order, s: LinearForm) -> DualBasis:
         zinv = _read_only(A.invert(z))
     except NotInvertibleError:
         zinv = None
-    return DualBasis(A, _read_only(D), _read_only(G), _read_only(z), zinv)
+    return DualBasis(A, _read_only(D), _read_only(G), z, zinv)
 
 
 def casimir(A: Order, s: LinearForm) -> np.ndarray:
@@ -201,14 +235,19 @@ def relative_trace(A: Order, s: LinearForm, a) -> np.ndarray:
 def twist_form(A: Order, s: LinearForm, z) -> LinearForm:
     """The form a -> s(z a) for a central unit z.
 
-    Twisting multiplies the Casimir element by z^{-1}, so the twisted
-    form is again symmetrising.
+    Its values are the row-matrix product z G for the Gram matrix G of s,
+    since s(z b_i) = sum_j z_j s(b_j b_i); only the rows of G where z is
+    nonzero are contracted, on integers.  Twisting multiplies the Casimir
+    element by z^{-1}, so the twisted form is again symmetrising.
     """
     z = A.element(z)
     if not (A.has_ring_coords(z) and A.is_central(z) and A.is_unit(z)):
         raise ValueError("not a central unit")
-    values = [s(A.multiply(z, A.basis_element(i))) for i in range(A.dim)]
-    return LinearForm(values)
+    w, e = linalg.numerators(z)
+    support = [j for j, x in enumerate(w) if x]
+    N, g = _gram_numerators(A, s, support)
+    values = [sum(w[j] * row[i] for j, row in zip(support, N)) for i in range(A.dim)]
+    return LinearForm(linalg.from_numerators(values, g * e))
 
 
 def separability_check(A: Order, s: LinearForm) -> bool:

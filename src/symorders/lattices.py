@@ -115,13 +115,14 @@ def make_lattice(A: Order, action) -> Lattice:
 
     # act(b_k) = nums[k] / dens[k], integers over one unit denominator
     nums, dens = zip(*map(linalg.numerators, mats))
+    d = A.denominator  # of the table's numerators
 
     def realized(i, j) -> bool:
         terms = A.products[i][j]
-        q = math.lcm(dens[i] * dens[j], *[c.denominator * dens[k] for k, c in terms])
+        q = math.lcm(dens[i] * dens[j], *[d * dens[k] for k, _ in terms])
         rhs = np.zeros((rank, rank), dtype=object)
         for k, c in terms:
-            rhs += nums[k] * (c.numerator * (q // (c.denominator * dens[k])))
+            rhs += nums[k] * (c * (q // (d * dens[k])))
         return bool(((nums[i] @ nums[j]) * (q // (dens[i] * dens[j])) == rhs).all())
 
     failure = first_failure(A, range(A.dim), realized)

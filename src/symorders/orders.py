@@ -2,19 +2,24 @@
 
 An :class:`Order` is given by integral structure constants on a fixed
 basis, ``b_i b_j = sum_k structure[i, j, k] b_k``, together with the
-coordinate vector of its unit.  Products, action matrices and Gram
-matrices are contracted over the nonzero constants only
-(:attr:`Order.products`), so a group algebra, with one nonzero constant
-per pair of basis elements, multiplies in time proportional to the
-nonzero coordinates of the factors.  Elements of the order and of its
-rational span are plain coordinate vectors (object arrays of
-Fractions); elements with non-ring coordinates are allowed wherever an
-operation makes sense rationally (inverses, idempotents of the rational
-algebra, and so on).
+coordinate vector of its unit.  The exact work runs on one integer
+table (:attr:`Order.products`), built on first use and kept: the
+nonzero structure constants as numerators over one denominator
+(:attr:`Order.denominator`, a unit at p, and 1 for integer constants).
+Products, action matrices and the regular character here, and Gram
+matrices, dual bases and Casimir elements in ``forms``, are contracted
+over that table only, so a group algebra, with one nonzero constant per
+pair of basis elements, multiplies in time proportional to the nonzero
+coordinates of the factors.  Fractions are built for the results:
+elements of the order and of its rational span are plain coordinate
+vectors (object arrays of Fractions), and elements with non-ring
+coordinates are allowed wherever an operation makes sense rationally
+(inverses, idempotents of the rational algebra, and so on).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -68,25 +73,37 @@ class Order:
     # -- multiplication ----------------------------------------------
 
     @cached_property
+    def denominator(self) -> int:
+        """Least common denominator of the structure constants."""
+        return math.lcm(*[x.denominator for x in self.structure.flat])
+
+    @cached_property
     def products(self) -> tuple:
-        """Nonzero structure constants: ``products[i][j]`` lists the pairs
-        (k, c_ijk) with c_ijk != 0, so b_i b_j is the sum of c b_k over them."""
-        S = self.structure
-        n = self.dim
+        """Nonzero structure constants as integers over :attr:`denominator`:
+        ``products[i][j]`` lists the pairs (k, d c_ijk) with c_ijk != 0, so
+        d b_i b_j is the sum of c b_k over them."""
+        d = self.denominator
         return tuple(
             tuple(
-                tuple((k, S[i, j, k]) for k in range(n) if S[i, j, k] != 0)
-                for j in range(n)
+                tuple((k, c.numerator * (d // c.denominator)) for k, c in enumerate(cs) if c)
+                for cs in plane
             )
-            for i in range(n)
+            for plane in self.structure.tolist()
         )
 
     def _terms(self, a) -> list:
         """Nonzero coordinates of an element as (index, value) pairs."""
         return [(i, x) for i, x in enumerate(self.element(a)) if x != 0]
 
+    def _exact_terms(self, a) -> list:
+        """Nonzero coordinates of a / denominator, whose contractions with
+        the table are those of a with the structure constants."""
+        d = self.denominator
+        return [(i, x if d == 1 else x / d) for i, x in self._terms(a)]
+
     def _product(self, a_terms, b_terms) -> dict:
-        """Coordinates {k: value} of a b, from the nonzero terms of a and b."""
+        """Coordinates {k: value} of d a b, for d the denominator, from the
+        nonzero terms of a and b."""
         out = {}
         for i, x in a_terms:
             row = self.products[i]
@@ -98,14 +115,14 @@ class Order:
 
     def multiply(self, a, b) -> np.ndarray:
         out = self.zero()
-        for k, c in self._product(self._terms(a), self._terms(b)).items():
+        for k, c in self._product(self._exact_terms(a), self._terms(b)).items():
             out[k] = c
         return out
 
     def left_matrix(self, a) -> np.ndarray:
         """Matrix of x -> a x on the basis (columns are a * b_j)."""
         L = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for i, x in self._terms(a):
+        for i, x in self._exact_terms(a):
             for j, prods in enumerate(self.products[i]):
                 for k, c in prods:
                     L[k][j] += x * c
@@ -114,7 +131,7 @@ class Order:
     def right_matrix(self, a) -> np.ndarray:
         """Matrix of x -> x a on the basis."""
         R = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for j, x in self._terms(a):
+        for j, x in self._exact_terms(a):
             for i, row in enumerate(self.products):
                 for k, c in row[j]:
                     R[k][i] += x * c
@@ -151,10 +168,21 @@ class Order:
                 close([self.multiply(self.basis_element(i), v) for v in echelon.values()])
         return tuple(gens)
 
+    @cached_property
+    def regular_traces(self) -> np.ndarray:
+        """The values rho(b_i) = sum_j c_ijj of the trace rho of left
+        multiplication, read off the table.  Read-only."""
+        traces = linalg.from_numerators(
+            [sum(c for j, prods in enumerate(row) for k, c in prods if k == j)
+             for row in self.products],
+            self.denominator,
+        )
+        traces.flags.writeable = False
+        return traces
+
     def regular_character(self, a) -> Fraction:
         """Trace of left multiplication by a."""
-        L = self.left_matrix(a)
-        return sum((L[i, i] for i in range(self.dim)), Fraction(0))
+        return np.dot(self.element(a), self.regular_traces)
 
     # -- predicates ---------------------------------------------------
 

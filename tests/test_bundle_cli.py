@@ -170,6 +170,42 @@ def test_malformed_values_are_an_input_error_naming_the_section(s3_doc, tmp_path
     _assert_input_error(s3_doc, corrupt, message, tmp_path, capsys)
 
 
+def _set_expectation(path, value):
+    def corrupt(doc):
+        node = doc["expectations"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_set_expectation(["psp"], [1]), "expectations: psp must be a JSON object"),
+    (_set_expectation(["psp"], {"verdikt": "no"}),
+     "expectations: psp has unknown field 'verdikt'"),
+    (_set_expectation(["divisibility", "okay"], True),
+     "expectations: divisibility has unknown field 'okay'"),
+    (_set_expectation(["morita-psp", "m"], [1, 1]),
+     "expectations: morita-psp has unknown field 'm'"),
+    (_set_expectation(["rational", "morita"], True),
+     "expectations: rational has unknown field 'morita'"),
+    (_set_expectation(["casimir", "standard"], "6"),
+     "expectations: casimir/standard must be a JSON object"),
+    (_set_expectation(["casimir", "standard", "value"], "6"),
+     "expectations: casimir/standard has unknown field 'value'"),
+    (_set_expectation(["tate", "trivial|trivial", "exponent"], [1]),
+     "expectations: tate/trivial|trivial has unknown field 'exponent'"),
+    (_set_expectation(["heights", "condenced"], [0, 1, 0]),
+     "unresolved name: heights expects table 'condenced'"),
+    (_set_expectation(["knorr"], ["trivial"]), "expectations: knorr must be a JSON object"),
+])
+def test_malformed_expectations_are_an_input_error_naming_the_key(s3_doc, tmp_path, capsys,
+                                                                  corrupt, message):
+    # the checks pass over an expectation they do not read, so it would
+    # never be compared
+    _assert_input_error(s3_doc, corrupt, message, tmp_path, capsys)
+
+
 def test_decomposition_requires_characters(s3_doc):
     doc = copy.deepcopy(s3_doc)
     del doc["characters"]

@@ -1,4 +1,5 @@
 import ast
+import fractions
 import gc
 import os
 import random
@@ -10,11 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import symorders as so
 from symorders import cli, forms, linalg
 from symorders.builders import (
     four_dim_nonrational,
+    group_algebra,
+    hecke_rank1,
     matrix_order,
     rank2_embedding,
     rank2_order,
@@ -26,6 +30,9 @@ from symorders.forms import (
     RegularGramSingularError,
     gram_matrix,
 )
+
+import fraction_forms
+from test_orders import GROUP_TABLES, _scalars, rebase, unimodular
 
 
 def test_is_symmetrising_examples(s3):
@@ -446,3 +453,133 @@ def test_psp_products_and_tensors():
     st = tensor_product_form(sr, sr)
     cert = so.psp_direct(T, st)
     assert cert is not None and cert.n == 2
+
+
+# -- the integer dual basis against the Fraction oracle --------------------
+
+PRIMES = [2, 3, 5, 4294967311]
+ORACLE_ORDERS = [lambda p, table=table: group_algebra(table, p) for table in GROUP_TABLES] + [
+    lambda p: matrix_order(2, p),
+    lambda p: rank2_order(1, p),
+    lambda p: rank2_order(2, p),
+    lambda p: hecke_rank1(Fraction(-11, 7), p),
+]
+
+
+@st.composite
+def forms_on_orders(draw):
+    """Standard forms, scaled by units, by 1/p or by p, zero or random
+    forms, on standard orders; half of them on a dense change of basis
+    with denominators prime to p, so the structure constants and values
+    have unit denominators."""
+    p = draw(st.sampled_from(PRIMES))
+    A, s = draw(st.sampled_from(ORACLE_ORDERS))(p)
+    kind = draw(st.sampled_from(["standard", "unit", "1/p", "p", "zero", "random"]))
+    scale = {"standard": 1, "unit": draw(st.sampled_from([-1, Fraction(3, 7), 5])),
+             "1/p": Fraction(1, p), "p": p, "zero": 0, "random": 1}[kind]
+    values = s.values * Fraction(scale)
+    if kind == "random":
+        values = linalg.as_vector(draw(st.lists(_scalars(p), min_size=A.dim, max_size=A.dim)))
+    if draw(st.booleans()):
+        P = draw(unimodular(A.dim, p))
+        A = so.make_order(*rebase(A.structure, A.one, P), p)
+        values = P.T @ values
+    return A, LinearForm(values)
+
+
+def _outcome(derive, A, s):
+    try:
+        return derive(A, s)
+    except (NotSymmetrisingError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_dual_basis(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    for name in ("matrix", "gram", "casimir", "casimir_inverse"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        assert a is None or linalg.matrices_equal(a, b), name
+        assert a is None or all(type(x) is Fraction for x in a.flat), name
+
+
+@settings(max_examples=120, deadline=None)
+@given(forms_on_orders())
+def test_integer_dual_basis_equals_the_fraction_oracle(case):
+    A, s = case
+    G = gram_matrix(A, s)
+    assert linalg.matrices_equal(G, fraction_forms.gram_matrix(A, s))
+    assert all(type(x) is Fraction for x in G.flat)
+    _assert_same_dual_basis(_outcome(forms._derive, A, s),
+                            _outcome(fraction_forms.derive, A, s))
+
+
+def _non_symmetric(p):
+    # s(E11 E12) = s(E12) = 1 but s(E12 E11) = 0
+    A, _ = matrix_order(2, p)
+    return A, LinearForm([0, 1, 0, 0])
+
+
+def _non_integral(p):
+    A, s = matrix_order(2, p)
+    return A, s.scale(Fraction(1, p))
+
+
+def _singular(p):
+    # rank2_order(1, p) is spanned by 1 and (0, p); this form kills b_2^2 = p b_2
+    A, _ = rank2_order(1, p)
+    return A, LinearForm([1, 0])
+
+
+def _non_unimodular(p):
+    A, s = group_algebra(GROUP_TABLES[-1], p)
+    return A, s.scale(p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("case, shape", [
+    (_non_symmetric, "non-symmetric"),
+    (_non_integral, "non-integral"),
+    (_singular, "singular"),
+    (_non_unimodular, "non-unimodular"),
+])
+def test_non_symmetrising_forms_raise_like_the_oracle(case, shape, p):
+    A, s = case(p)
+    G = fraction_forms.gram_matrix(A, s)
+    symmetric = linalg.matrices_equal(G, G.T)
+    integral = linalg.is_integral(G, p)
+    det = linalg.det(G)
+    assert {
+        "non-symmetric": not symmetric,
+        "non-integral": symmetric and not integral,
+        "singular": symmetric and integral and det == 0,
+        "non-unimodular": symmetric and integral and det != 0 and det.numerator % p == 0,
+    }[shape]
+    want = _outcome(fraction_forms.derive, A, s)
+    assert want == (NotSymmetrisingError, "form not symmetrising")
+    assert _outcome(forms._derive, A, s) == want
+    assert not so.is_symmetrising(A, s)
+
+
+def test_s4_dual_basis_builds_fewer_fractions_than_dim_squared():
+    # the dual basis is certified on integers: Fractions are built for the
+    # result arrays only, which for a group algebra are mostly zero
+    b = so.load_bundle(Path(__file__).resolve().parent / "data" / "s4-p2.bundle.json")
+    A, s = b.order, LinearForm(b.forms["standard"].values)
+    count = 0
+    original = vars(fractions.Fraction)["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return original(cls, *args, **kwargs)
+
+    fractions.Fraction.__new__ = staticmethod(counting_new)
+    try:
+        so.dual_basis(A, s)
+    finally:
+        fractions.Fraction.__new__ = original
+    assert A.dim == 24
+    assert 0 < count < A.dim**2
