@@ -99,21 +99,7 @@ def s3_group_algebra(p=3):
 def s3_characters():
     """Character values of the symmetric group on three points, on the
     group-element basis, ordered (trivial, two-dimensional, sign)."""
-    _, _, elems = symmetric_group_table(3)
-
-    def sgn(g):
-        inv = sum(
-            1
-            for a in range(3)
-            for b in range(a + 1, 3)
-            if g[a] > g[b]
-        )
-        return (-1) ** inv
-
-    triv = [Fraction(1) for _ in elems]
-    two = [Fraction(sum(1 for i in range(3) if g[i] == i) - 1) for g in elems]
-    sign = [Fraction(sgn(g)) for g in elems]
-    return [triv, two, sign]
+    return list(symmetric_group_characters(3).values())
 
 
 def symmetric_group_characters(n: int) -> dict:

@@ -25,7 +25,7 @@ from .decomp import (
 from .forms import LinearForm
 from .lattices import make_lattice
 from .orders import Order, make_order
-from .padic import scalar_to_str
+from .padic import as_int, scalar_to_str
 
 
 class BundleError(ValueError):
@@ -105,39 +105,29 @@ def save_bundle(b: Bundle, path) -> None:
 
 
 def bundle_from_dict(doc: dict) -> Bundle:
+    """Build a bundle from its JSON document.  Each scalar is parsed once,
+    by the constructor that reads it."""
+    with _reading("prime"):
+        prime = as_int(doc["prime"])
     with _reading("order"):
-        prime = int(doc["prime"])
         order_doc = doc["order"]
-        A = make_order(
-            np.array(
-                [[[Fraction(x) for x in row] for row in plane]
-                 for plane in order_doc["structure"]],
-                dtype=object,
-            ),
-            [Fraction(x) for x in order_doc["one"]],
-            prime,
-            basis_labels=order_doc.get("basis_labels"),
-        )
+        A = make_order(order_doc["structure"], order_doc["one"], prime,
+                       basis_labels=order_doc.get("basis_labels"))
     forms = {}
     for name, values in _section(doc, "forms").items():
         with _reading(f"form {name!r}"):
             if len(values) != A.dim:
                 raise BundleError(f"form {name!r} has wrong length")
-            forms[name] = LinearForm([Fraction(x) for x in values])
+            forms[name] = LinearForm(values)
     lattices = {}
     for name, actions in _section(doc, "lattices").items():
         with _reading(f"lattice {name!r}"):
-            lattices[name] = make_lattice(
-                A, [[[Fraction(x) for x in row] for row in m] for m in actions]
-            )
+            lattices[name] = make_lattice(A, actions)
     table = None
     if "characters" in doc:
         cdoc = _section(doc, "characters")
         with _reading("characters"):
-            table = make_character_table(
-                [[Fraction(x) for x in row] for row in cdoc["values"]], A,
-                names=cdoc.get("names"),
-            )
+            table = make_character_table(cdoc["values"], A, names=cdoc.get("names"))
             if "degrees" in cdoc:
                 declared = [Fraction(x) for x in cdoc["degrees"]]
                 if list(table.degrees) != declared:
@@ -155,7 +145,7 @@ def bundle_from_dict(doc: dict) -> Bundle:
     for name, tdoc in _section(doc, "tables").items():
         with _reading(f"table {name!r}"):
             degrees = [Fraction(x) for x in tdoc["degrees"]]
-            dims = tuple(int(x) for x in tdoc["modular_dims"])
+            dims = tuple(as_int(x) for x in tdoc["modular_dims"])
             if decomposition is not None:
                 make_decomposition_matrix(decomposition.entries, dims, degrees)
         extra[name] = (degrees, dims)

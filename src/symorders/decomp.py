@@ -29,7 +29,7 @@ from .forms import (
 )
 from .modp import FpAlgebra, nullspace
 from .orders import Order
-from .padic import INFINITY, int_val, residue_int, val
+from .padic import INFINITY, as_int, int_val, residue_int, val
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,10 +81,10 @@ class DecompositionMatrix:
 
 
 def make_decomposition_matrix(entries, modular_dims, degrees) -> DecompositionMatrix:
-    entries = np.array([[int(x) for x in row] for row in entries], dtype=np.int64)
+    entries = np.array([[as_int(x) for x in row] for row in entries], dtype=np.int64)
     if (entries < 0).any():
         raise ValueError("decomposition entries must be non-negative")
-    modular_dims = tuple(int(x) for x in modular_dims)
+    modular_dims = tuple(as_int(x) for x in modular_dims)
     if entries.shape != (len(degrees), len(modular_dims)):
         raise ValueError(f"decomposition matrix of shape {entries.shape}, not "
                          f"{(len(degrees), len(modular_dims))}")
@@ -186,15 +186,18 @@ def _valuations(X, p: int) -> np.ndarray:
     return v
 
 
-def _levels(test: WitnessTest, S, d, k) -> tuple:
-    """(integral, n) for the candidates a = p^k S_c / d_c, one per row c
-    of the integer array S, with d > 0: whether sum a_chi e_chi lies in
-    the order, and the exponent m of f_a as a witness, else -1.  f_a is
-    one when no a_chi is 0, m >= 0 is the least valuation of an entry of
-    G, and every entry of G^{-1} = d_c / (p^k P) (``inverse`` rows applied
-    to Q) has valuation >= -m, for P the product of the S_c,chi and
-    Q_chi = P / S_c,chi.  In int64 while every product and sum is bounded
-    below 2^63, else on Python ints."""
+def _levels(test: WitnessTest, S, d) -> tuple:
+    """(e, m0) for the candidates a = S_c / d_c, one per row c of the
+    integer array S, with d > 0: sum p^k a_chi e_chi lies in the order
+    exactly when k >= e, and p^k a is a witness of exponent m0 + k exactly
+    when k >= -m0, with m0 = -2^40 when it is one at no k.
+
+    f_a is one when no a_chi is 0, m = m0 + k >= 0 is the least valuation
+    of an entry of G, and every entry of G^{-1} = d_c / (p^k P)
+    (``inverse`` rows applied to Q) has valuation >= -m, for P the product
+    of the S_c,chi and Q_chi = P / S_c,chi; p^k shifts both minima by k.
+    In int64 while every product and sum is bounded below 2^63, else on
+    Python ints."""
     p, r = test.p, S.shape[1]
     big = max(int(np.abs(S).max(initial=1)), int(d.max(initial=1)))
     width = max(int(np.abs(rows).max(initial=1)) for rows, _ in
@@ -206,32 +209,38 @@ def _levels(test: WitnessTest, S, d, k) -> tuple:
         return _valuations(X @ family[0].T.astype(dtype), p) - family[1]
 
     vd = _valuations(d[:, None], p)
-    integral = level(test.idempotents, S) - vd + k >= 0
-    m = level(test.gram, S) - vd + k
+    e = vd - level(test.idempotents, S)
+    m0 = level(test.gram, S) - vd
     nonzero = (S != 0).all(axis=1)
     S = np.where(nonzero[:, None], S, 1)  # those rows are rejected anyway
     P = np.prod(S, axis=1)
-    inverse = level(test.inverse, P[:, None] // S) + vd - k - _valuations(P[:, None], p)
-    return integral, np.where(nonzero & (m >= 0) & (inverse >= -m), m, -1)
+    inverse = level(test.inverse, P[:, None] // S) + vd - _valuations(P[:, None], p)
+    return e, np.where(nonzero & (inverse >= -m0), m0, -2**40)
 
 
 def _first_witness(A: Order, table: CharacterTable, radices, candidates, integral: bool):
-    """(digits, n) of the first witness among the digit vectors of the
-    radices in lexicographic order, or None; ``candidates`` maps digit
-    rows to the (S, d, k) of :func:`_levels`, and with ``integral`` a
-    witness must pass that test too.  Blocks of 2^11 are tested at once."""
+    """(k, digits, n) of the least witness p^k a, in lexicographic order,
+    among the digit vectors of the radices, or None; ``candidates`` maps
+    digit rows to the (S, d) of :func:`_levels`.  With ``integral`` a
+    witness must pass that test too and k <= POWER_RANGE, else k = 0.
+    Each candidate is tested once, at its least k, in blocks of 2^11, up
+    to the first block with a witness at k = 0."""
     test = witness_test(A, table)
-    total = math.prod(radices)
+    total, cap = math.prod(radices), POWER_RANGE if integral else 0
+    best = None
     for start in range(0, total, 1 << 11):
         index = np.arange(start, min(start + (1 << 11), total))
         digits = np.empty((len(index), len(radices)), dtype=np.int64)
         for j in reversed(range(len(radices))):
             index, digits[:, j] = np.divmod(index, radices[j])
-        ok, n = _levels(test, *candidates(digits))
-        hits = np.flatnonzero((n >= 0) & (ok | (not integral)))
-        if len(hits):
-            return tuple(int(x) for x in digits[hits[0]]), int(n[hits[0]])
-    return None
+        e, m0 = _levels(test, *candidates(digits))
+        k = np.maximum(np.maximum(e, 0) if integral else 0, -m0)
+        i = int(np.argmin(k))  # the first of the least
+        if k[i] <= cap and (best is None or k[i] < best[0]):
+            best = int(k[i]), tuple(int(x) for x in digits[i]), int(m0[i] + k[i])
+            if best[0] == 0:
+                break
+    return best
 
 
 def _witness_form(A: Order, table: CharacterTable, a, n: int) -> LinearForm:
@@ -253,12 +262,12 @@ def _morita_search(A: Order, table: CharacterTable, D: DecompositionMatrix, box)
     values = np.array(box, dtype=np.int64)
 
     def candidates(digits):
-        return values[digits] @ D.entries.T, np.ones(len(digits), dtype=np.int64), 0
+        return values[digits] @ D.entries.T, np.ones(len(digits), dtype=np.int64)
 
     hit = _first_witness(A, table, [len(box)] * D.num_modular, candidates, False)
     if hit is None:
         return None
-    digits, n = hit
+    _, digits, n = hit
     m = tuple(box[i] for i in digits)
     a = _decomposition_coefficients(table, D, m)
     return MoritaWitness(m=m, n=n, a=a, form=_witness_form(A, table, a, n))
@@ -407,11 +416,12 @@ def rational_symmetry_search(A: Order, table: CharacterTable, bound: int = 5):
     Candidates sigma~ are normalized, using invariance under scaling by
     rationals of valuation zero, to the shape p^k (c_1, ..., c_{r-1}, 1)
     with k <= POWER_RANGE and the c_i nonzero rationals of bounded
-    numerator and denominator, scanned in order of k and then of the c_i.
+    numerator and denominator, ordered by k and then by the c_i.
     A candidate must be an element of the order (membership of sum
-    sigma~_chi e_chi) and pass the witness test of :func:`_levels`;
-    only the first witness is certified symmetrising.  Returns it plus
-    the congruence report it implies; absence is only a bounded statement.
+    sigma~_chi e_chi) and pass the witness test of :func:`_levels`; both
+    hold from a least k on, so each c is scanned once, at that k.  Only
+    the first witness is certified symmetrising.  Returns it plus the
+    congruence report it implies; absence is only a bounded statement.
     """
     p = A.prime
     values = _search_values(bound)
@@ -420,16 +430,13 @@ def rational_symmetry_search(A: Order, table: CharacterTable, bound: int = 5):
     dens = np.array([c.denominator for c in values], dtype=dtype)
 
     def candidates(digits):
-        rest = digits[:, 1:]
-        d = np.prod(dens[rest], axis=1)
-        S = np.concatenate([nums[rest] * d[:, None] // dens[rest], d[:, None]], axis=1)
-        return S, d, digits[:, 0]
+        d = np.prod(dens[digits], axis=1)
+        return np.concatenate([nums[digits] * d[:, None] // dens[digits], d[:, None]], axis=1), d
 
-    radices = [POWER_RANGE + 1] + [len(values)] * (table.num_chars - 1)
-    hit = _first_witness(A, table, radices, candidates, True)
+    hit = _first_witness(A, table, [len(values)] * (table.num_chars - 1), candidates, True)
     if hit is None:
         return RationalSymmetryResult(None, None, None, [])
-    (k, *rest), n = hit
+    k, rest, n = hit
     pk = Fraction(p) ** k
     sigma = [pk * values[i] for i in rest] + [pk]
     return RationalSymmetryResult(
@@ -458,9 +465,9 @@ def _central_homs(A: Order, centre: RationalCentre):
     Z, p = centre.basis, A.prime
     r = Z.shape[1]
     # coordinates of the products of basis elements, and of 1, on the basis
-    coords = linalg.solve_exact(Z, np.array(
-        [A.multiply(Z[:, i], Z[:, j]) for i in range(r) for j in range(r)] + [A.one]).T)
-    if coords is None or not linalg.is_integral(coords, p):
+    coords = linalg.lattice_membership(np.array(
+        [A.multiply(Z[:, i], Z[:, j]) for i in range(r) for j in range(r)] + [A.one]).T, Z, p)
+    if coords is None:
         raise AssertionError("rational centre lattice not a ring with 1")
     residues = np.array([[residue_int(c, p, 1) for c in col] for col in coords.T], dtype=object)
     alg = FpAlgebra(p, r, residues[:-1].reshape(r, r, r), residues[-1])
@@ -561,9 +568,8 @@ def rational_intersection_criterion(
 
 def _proper_containment(big, small, p) -> bool:
     """big contains small, and not conversely, as lattices (column spans)."""
-    def contains(L, M):
-        return all(linalg.lattice_membership(M[:, j], L, p) is not None for j in range(M.shape[1]))
-    return contains(big, small) and not contains(small, big)
+    return (linalg.lattice_membership(small, big, p) is not None
+            and linalg.lattice_membership(big, small, p) is None)
 
 
 # -- heights and divisibility ----------------------------------------------

@@ -12,7 +12,9 @@ the numerators of the form's values, and the dual basis is certified on
 integers (G D = I as an integer product, the Casimir element and its
 reverse as two contractions of the numerators of D with the table).
 Fractions are built only for the read-only arrays of :class:`DualBasis`
-and for the values of the forms returned.
+and for the values of the forms returned.  Each datum is derived where
+it is read and kept on the form: z^{-1} only for the Casimir-orbit
+search and the twisted traces of ``lattices``.
 
 Two independent algorithms decide whether some symmetrising form has a
 scalar Casimir p^n 1 (the projective scalar property):
@@ -125,16 +127,14 @@ class DualBasis:
 
     Columns of ``matrix`` are the elements x_j^v with s(b_i x_j^v) =
     delta_ij, so ``matrix`` is the inverse of the Gram matrix ``gram``.
-    ``casimir`` is z = sum_x x x^v, and ``casimir_inverse`` is its
-    inverse in the rational algebra (None when z is not invertible).
-    Every array is read-only.
+    ``casimir`` is z = sum_x x x^v; its inverse is derived apart, when
+    read (:func:`casimir_inverse`).  Every array is read-only.
     """
 
     order: Order
     matrix: np.ndarray
     gram: np.ndarray
     casimir: np.ndarray
-    casimir_inverse: np.ndarray | None
 
     def element(self, j: int) -> np.ndarray:
         return np.array(self.matrix[:, j])
@@ -159,8 +159,7 @@ def _derive(A: Order, s: LinearForm) -> DualBasis:
     is the integer product N M = g d I, and the Casimir element
     z = sum_i b_i x_i^v and sum_i x_i^v b_i are two contractions of M with
     the table, over d times its denominator, certified equal.  z is
-    certified to be central and to have ring coordinates;
-    :meth:`Order.invert` certifies z z^{-1} = 1.
+    certified to be central and to have ring coordinates.
     """
     N, g = _gram_numerators(A, s)
     p, n = A.prime, A.dim
@@ -200,11 +199,7 @@ def _derive(A: Order, s: LinearForm) -> DualBasis:
         raise AssertionError("Casimir element not central")
     if not A.has_ring_coords(z):
         raise AssertionError("Casimir element has non-ring coordinates")
-    try:
-        zinv = _read_only(A.invert(z))
-    except NotInvertibleError:
-        zinv = None
-    return DualBasis(A, _read_only(D), _read_only(G), z, zinv)
+    return DualBasis(A, _read_only(D), _read_only(G), z)
 
 
 def casimir(A: Order, s: LinearForm) -> np.ndarray:
@@ -213,12 +208,12 @@ def casimir(A: Order, s: LinearForm) -> np.ndarray:
 
 
 def casimir_inverse(A: Order, s: LinearForm) -> np.ndarray:
-    """Inverse of the Casimir element in the rational algebra; raises
-    NotInvertibleError when the rational algebra is not separable."""
-    zinv = dual_basis(A, s).casimir_inverse
-    if zinv is None:
-        raise NotInvertibleError("not invertible in K⊗A")
-    return zinv
+    """Inverse of the Casimir element in the rational algebra, read-only;
+    raises NotInvertibleError when the rational algebra is not separable.
+    Derived on first use with A, certified z z^{-1} = 1 by
+    :meth:`Order.invert`, and kept on the form."""
+    return kept(s._kept, "casimir_inverse", (A,),
+                lambda: _read_only(A.invert(casimir(A, s))))
 
 
 def relative_trace(A: Order, s: LinearForm, a) -> np.ndarray:
@@ -252,7 +247,11 @@ def twist_form(A: Order, s: LinearForm, z) -> LinearForm:
 
 def separability_check(A: Order, s: LinearForm) -> bool:
     """True when the Casimir element is invertible in the rational algebra."""
-    return dual_basis(A, s).casimir_inverse is not None
+    try:
+        casimir_inverse(A, s)
+    except NotInvertibleError:
+        return False
+    return True
 
 
 # -- the projective scalar property ------------------------------------

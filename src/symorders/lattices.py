@@ -8,19 +8,22 @@ stable Hom group is the (finite, torsion) quotient, presented by its
 invariant factors together with lifted generators.
 
 The Hom layer runs on integer numerators over one unit denominator, as
-``linalg`` does, and builds Fractions once, for its results: the
-intertwining equations are integer rows, one block per generator; the
-relative traces of all elementary matrices are one integer product of
-the action of V with the dual actions on U, whose lattice basis comes
-off the right Smith transform; and the table of End(U) mod p comes from
-integer products of the hom basis.  The results are the same rationals
-as those of the Fraction computations.
+``linalg`` does, and builds Fractions once, for its results.  Each
+lattice keeps its action as one integer array (:attr:`Lattice.integer_action`),
+which the module axiom, the intertwining equations (one block of rows
+per generator), the relative traces of all elementary matrices (one
+integer product of the action of V with the dual actions on U, whose
+lattice basis comes off the right Smith transform) and the Knorr test
+mod p read; the table of End(U) mod p comes from integer products of
+the hom basis.  The results are the same rationals as those of the
+Fraction computations.
 
 On top of that sit the duality pairing (alpha, beta) -> trace of
 z^{-1} beta alpha modulo the ring, the Knorr trace criterion, and the
 twisted-trace criterion deciding absolute indecomposability plus the
-stable exponent property.  Every twisted trace tr(z^{-1} M) is read as
-a sum of entry products, without forming the matrix product.
+stable exponent property.  act_U(z^{-1}) is kept on U for each form,
+and every twisted trace tr(z^{-1} M) is read as a sum of entry
+products, without forming the matrix product.
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ def _trace_of_product(X, Y) -> Fraction:
 
 def _twisted_trace(A: Order, s: LinearForm, U: Lattice):
     """The z^{-1}-twisted trace M -> tr(act_U(z^{-1}) M) on rank_U x rank_U
-    matrices, for z the Casimir element of s."""
-    zu = U.act(casimir_inverse(A, s))
+    matrices, for z the Casimir element of s; act_U(z^{-1}) is kept on U."""
+    zu = kept(U._kept, "twisted_action", (A, s), lambda: U.act(casimir_inverse(A, s)))
     return lambda M: _trace_of_product(zu, M)
 
 
@@ -76,8 +79,16 @@ class Lattice:
     order: Order
     rank: int
     action: tuple  # one rank x rank matrix per order basis element
-    # Hom lattices, stable Homs and residue analyses out of this lattice
+    # Hom lattices, stable Homs, residue analyses and twisting matrices
     _kept: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @cached_property
+    def integer_action(self) -> tuple:
+        """(N, q): the action as one integer array N, indexed (basis
+        element, row, column), over q, the least common denominator of the
+        action matrices (a unit at p); act(b_k) = N[k] / q."""
+        return linalg.numerators(np.array(self.action).reshape(self.order.dim, self.rank,
+                                                              self.rank))
 
     def act(self, a) -> np.ndarray:
         """Action matrix of an arbitrary (possibly rational) element."""
@@ -93,10 +104,11 @@ def make_lattice(A: Order, action) -> Lattice:
     """Validate module axioms and build a Lattice.
 
     The action matrices must have ring entries, send the unit to the
-    identity, and realize the structure constants:
-    act(b_i) act(b_j) = sum_k c_ijk act(b_k), checked for generator rows
-    i by :func:`orders.first_failure`; an error names the first failing
-    basis pair in lexicographic order.
+    identity, and realize the structure constants: act(b_i) act(b_j) =
+    sum_k c_ijk act(b_k), which on the integer action N over q and the
+    table over d reads d N_i N_j = q sum_k (d c_ijk) N_k.  It is checked
+    for generator rows i by :func:`orders.first_failure`; an error names
+    the first failing basis pair in lexicographic order.
     """
     mats = [linalg.as_matrix(m) for m in action]
     if len(mats) != A.dim:
@@ -104,26 +116,21 @@ def make_lattice(A: Order, action) -> Lattice:
     rank = mats[0].shape[0]
     if rank == 0:
         raise InvalidLatticeError("rank must be positive")
-    for m in mats:
-        if m.shape != (rank, rank):
-            raise InvalidLatticeError("action matrices must be square, equal size")
-        if not linalg.is_integral(m, A.prime):
-            raise InvalidLatticeError("action entries must lie in the ring")
+    if any(m.shape != (rank, rank) for m in mats):
+        raise InvalidLatticeError("action matrices must be square, equal size")
     U = Lattice(order=A, rank=rank, action=tuple(mats))
+    N, q = U.integer_action
+    if q % A.prime == 0:
+        raise InvalidLatticeError("action entries must lie in the ring")
     if not linalg.matrices_equal(U.act(A.one), linalg.identity(rank)):
         raise InvalidLatticeError("unit acts nontrivially")
-
-    # act(b_k) = nums[k] / dens[k], integers over one unit denominator
-    nums, dens = zip(*map(linalg.numerators, mats))
-    d = A.denominator  # of the table's numerators
+    d = A.denominator
 
     def realized(i, j) -> bool:
-        terms = A.products[i][j]
-        q = math.lcm(dens[i] * dens[j], *[d * dens[k] for k, _ in terms])
         rhs = np.zeros((rank, rank), dtype=object)
-        for k, c in terms:
-            rhs += nums[k] * (c * (q // (d * dens[k])))
-        return bool(((nums[i] @ nums[j]) * (q // (dens[i] * dens[j])) == rhs).all())
+        for k, c in A.products[i][j]:
+            rhs += N[k] * c
+        return bool((d * (N[i] @ N[j]) == q * rhs).all())
 
     failure = first_failure(A, range(A.dim), realized)
     if failure is not None:
@@ -177,12 +184,7 @@ class HomLattice:
     def coords_of_many(self, mats):
         """Ring coordinate columns for several intertwiners in one elimination."""
         B = np.array([linalg.as_matrix(M).reshape(-1) for M in mats], dtype=object).T
-        if self.rank == 0:
-            return None if any(x != 0 for x in B.flat) else linalg.zeros(0, len(mats))
-        coords = linalg.solve_exact(self._vec_matrix, B)
-        if coords is None or not linalg.is_integral(coords, self.source.order.prime):
-            return None
-        return coords
+        return linalg.lattice_membership(B, self._vec_matrix, self.source.order.prime)
 
     def from_coords(self, coords) -> np.ndarray:
         out = linalg.zeros(self.target.rank, self.source.rank)
@@ -202,18 +204,12 @@ def hom_lattice(A: Order, U: Lattice, V: Lattice) -> HomLattice:
     return kept(U._kept, "hom_lattice", (A, V), lambda: _hom_lattice(A, U, V))
 
 
-def _action_numerators(U: Lattice) -> tuple:
-    """The action matrices of U as one integer array, indexed (basis
-    element, row, column), over one unit denominator."""
-    return linalg.numerators(np.array(U.action).reshape(U.order.dim, U.rank, U.rank))
-
-
 def _hom_lattice(A: Order, U: Lattice, V: Lattice) -> HomLattice:
     # act_V(b_g) phi - phi act_U(b_g), on phi flattened row by row, as
     # integer rows: q times the rational ones for the unit denominator q,
     # and scaling rows by positive units leaves the kernel basis as it is
-    nv, dv = _action_numerators(V)
-    nu, du = _action_numerators(U)
+    nv, dv = V.integer_action
+    nu, du = U.integer_action
     q = math.lcm(dv, du)
     iu, iv = np.identity(U.rank, dtype=object), np.identity(V.rank, dtype=object)
     blocks = [np.kron(nv[g] * (q // dv), iu) - np.kron(iv, nu[g].T * (q // du))
@@ -238,8 +234,8 @@ def _relative_trace_map(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> tupl
     dual actions, indexed (i, (b, b')).
     """
     ru, rv = U.rank, V.rank
-    nv, dv = _action_numerators(V)
-    nu, du = _action_numerators(U)
+    nv, dv = V.integer_action
+    nu, du = U.integer_action
     nd, dd = linalg.numerators(dual_basis(A, s).matrix)
     X = nv.reshape(A.dim, rv * rv).T
     Y = nd.T.dot(nu.reshape(A.dim, ru * ru))
@@ -260,8 +256,8 @@ def projective_hom_lattice(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> H
 
     The relative traces of the elementary matrices generate it over the
     ring; the generating set is reduced to a lattice basis (keeping any
-    finite index intact), and its containment in Hom(U, V) is certified
-    (an ``AssertionError`` otherwise).
+    finite index intact, on the integer matrix of the traces), and its
+    containment in Hom(U, V) is certified (an ``AssertionError`` otherwise).
     """
     return _projective_hom(A, s, U, V)[0]
 
@@ -271,8 +267,7 @@ def _projective_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> tuple:
     coordinates of its basis in that of Hom(U, V), one column each, which
     certify the containment."""
     H = hom_lattice(A, U, V)
-    T, q = _relative_trace_map(A, s, U, V)
-    basis_cols = linalg.lattice_basis_from_generators(linalg.from_numerators(T, q), A.prime)
+    basis_cols = linalg.lattice_basis_of_columns(_relative_trace_map(A, s, U, V)[0], A.prime)
     basis = tuple(
         np.array(basis_cols[:, j]).reshape(V.rank, U.rank)
         for j in range(basis_cols.shape[1])
@@ -667,8 +662,9 @@ def knorr_projective_check(A: Order, U: Lattice) -> bool:
     if not residue_endo_analysis(A, U).split_local:
         raise ValueError("endomorphism residue algebra not split local")
     p = A.prime
-    actions = [[residue_int(x, p, 1) for x in m.flat] for m in U.action]
-    return len(rref(actions, p)[1]) == U.rank**2
+    N, q = U.integer_action
+    actions = N.reshape(A.dim, U.rank**2) * pow(q, -1, p) % p
+    return len(rref(actions.tolist(), p)[1]) == U.rank**2
 
 
 @dataclass(frozen=True, eq=False)

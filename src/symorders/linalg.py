@@ -404,26 +404,34 @@ def lattice_basis_from_generators(gens, p: int) -> np.ndarray:
     of ``gens``.  Unlike :func:`integral_kernel` this does not saturate:
     torsion quotients are preserved.
 
-    For the Smith form L G R = D, G R = L^{-1} D: its first rank columns
-    are p^{e_i} times columns of the ring-invertible L^{-1}, a basis.
-    They are one integer product with the right transform, up to units;
-    the left transform is not formed.
+    The generators are scaled by their common denominator, a unit, which
+    spans the same lattice (:func:`lattice_basis_of_columns`).
     """
     G = as_matrix(gens)
     if not is_integral(G, p):
         raise ValueError("lattice generators must have ring entries")
-    (m, n), N = G.shape, numerators(G)[0]
+    return lattice_basis_of_columns(numerators(G)[0], p)
+
+
+def lattice_basis_of_columns(N, p: int) -> np.ndarray:
+    """:func:`lattice_basis_from_generators` of the columns of the integer
+    matrix N.
+
+    For the Smith form L N R = D, N R = L^{-1} D: its first rank columns
+    are p^{e_i} times columns of the ring-invertible L^{-1}, a basis.
+    They are one integer product with the right transform, up to units;
+    the left transform is not formed.
+    """
+    m, n = N.shape
     exponents, cols, _ = _smith(N.tolist(), [1] * m, n, p)
     R = np.array(cols[: len(exponents)], dtype=object).reshape(len(exponents), n).T
     return _unit_normalize_columns(N.dot(R).T.tolist(), m, p)
 
 
 def lattice_membership(v, basis, p: int):
-    """Coordinates of v in the ring-span of the basis columns, or None."""
-    basis = as_matrix(basis)
-    if basis.shape[1] == 0:
-        return zero_vector(0) if all(x == 0 for x in v) else None
-    coords = solve_exact(basis, as_vector(v))
+    """Ring coordinates of v, a vector or the columns of a matrix, in the
+    basis columns (of full column rank), or None when v has none."""
+    coords = solve_exact(as_matrix(basis), v)
     if coords is None or not is_integral(coords, p):
         return None
     return coords
@@ -453,12 +461,8 @@ def lattice_quotient_invariants(sub_gens, sup_basis, p: int) -> QuotientInvarian
     Every generator of sub must be a ring combination of the sup basis;
     otherwise raises ``NotSublatticeError``.
     """
-    sup = as_matrix(sup_basis)
-    sub = as_matrix(sub_gens)
-    if sub.shape[1] == 0:
-        return quotient_invariants(zeros(sup.shape[1], 0), p)
-    coords = solve_exact(sup, sub)
-    if coords is None or not is_integral(coords, p):
+    coords = lattice_membership(as_matrix(sub_gens), sup_basis, p)
+    if coords is None:
         raise NotSublatticeError("not a sublattice")
     return quotient_invariants(coords, p)
 

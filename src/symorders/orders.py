@@ -249,7 +249,7 @@ def make_order(structure, one, p, basis_labels=None) -> Order:
     """
     p = Prime(p)
     structure = np.asarray(structure, dtype=object)
-    dim = structure.shape[0]
+    dim = len(structure) if structure.ndim else 0
     if structure.shape != (dim, dim, dim):
         raise InvalidOrderError("structure constants must form a cube")
     flat = linalg.as_matrix(structure.reshape(dim, dim * dim))
@@ -328,18 +328,15 @@ def condense(A: Order, e) -> tuple:
     else:
         embedding = linalg.identity(A.dim)
     rank = embedding.shape[1]
-    structure = np.empty((rank, rank, rank), dtype=object)
-    for i in range(rank):
-        for j in range(rank):
-            prod = A.multiply(embedding[:, i], embedding[:, j])
-            coords = linalg.solve_exact(embedding, prod)
-            if coords is None or not linalg.is_integral(coords, A.prime):
-                raise AssertionError("corner basis not multiplicatively closed")
-            structure[i, j, :] = coords
-    unit = linalg.solve_exact(embedding, e)
-    if unit is None or not linalg.is_integral(unit, A.prime):
+    products = np.array([A.multiply(embedding[:, i], embedding[:, j])
+                         for i in range(rank) for j in range(rank)], dtype=object)
+    coords = linalg.lattice_membership(products.T, embedding, A.prime)
+    if coords is None:
+        raise AssertionError("corner basis not multiplicatively closed")
+    unit = linalg.lattice_membership(e, embedding, A.prime)
+    if unit is None:
         raise AssertionError("idempotent not in the corner lattice")
-    corner = make_order(structure, unit, A.prime)
+    corner = make_order(coords.T.reshape(rank, rank, rank), unit, A.prime)
     return corner, embedding
 
 

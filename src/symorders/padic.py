@@ -62,6 +62,14 @@ def as_scalar(x) -> Fraction:
     raise TypeError(f"cannot build an exact scalar from {type(x).__name__}")
 
 
+def as_int(x) -> int:
+    """Coerce an integer, or a number or string of integral value, to an
+    int; a bool, or a value with a fractional part, raises ValueError."""
+    if isinstance(x, bool) or Fraction(x).denominator != 1:
+        raise ValueError(f"{x!r} is not an integer")
+    return int(Fraction(x))
+
+
 def scalar_to_str(x: Fraction) -> str:
     """Serialize a scalar as "a/b", omitting the denominator when it is 1."""
     x = as_scalar(x)

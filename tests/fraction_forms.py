@@ -14,7 +14,6 @@ import numpy as np
 
 from symorders import linalg
 from symorders.forms import DualBasis, NotSymmetrisingError
-from symorders.orders import NotInvertibleError
 
 import fraction_linalg
 
@@ -29,8 +28,8 @@ def gram_matrix(A, s) -> np.ndarray:
 
 
 def derive(A, s) -> DualBasis:
-    """The dual basis of s with its Casimir element and inverse, under the
-    same certificates as ``forms._derive``."""
+    """The dual basis of s with its Casimir element, under the same
+    certificates as ``forms._derive``."""
     G, p = gram_matrix(A, s), A.prime
     if not (linalg.matrices_equal(G, G.T) and linalg.is_integral(G, p)):
         raise NotSymmetrisingError("form not symmetrising")
@@ -54,8 +53,10 @@ def derive(A, s) -> DualBasis:
         raise AssertionError("Casimir element not central")
     if not A.has_ring_coords(z):
         raise AssertionError("Casimir element has non-ring coordinates")
-    try:
-        zinv = A.invert(z)
-    except NotInvertibleError:
-        zinv = None
-    return DualBasis(A, D, G, z, zinv)
+    return DualBasis(A, D, G, z)
+
+
+def casimir_inverse(A, s):
+    """z^{-1} for the Casimir element z of :func:`derive`; raises
+    NotInvertibleError as ``forms.casimir_inverse`` does."""
+    return A.invert(derive(A, s).casimir)

@@ -170,6 +170,34 @@ def test_malformed_values_are_an_input_error_naming_the_section(s3_doc, tmp_path
     _assert_input_error(s3_doc, corrupt, message, tmp_path, capsys)
 
 
+def _prime_not_integral(doc):
+    doc["prime"] = 3.9
+
+
+def _decomposition_entry_not_integral(doc):
+    doc["decomposition"]["matrix"][0][0] = 1.9
+
+
+def _decomposition_entry_a_bool(doc):
+    doc["decomposition"]["matrix"][0][0] = True
+
+
+def _modular_dim_not_integral(doc):
+    doc["decomposition"]["modular_dims"][0] = 1.2
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_prime_not_integral, "prime validation failed: 3.9 is not an integer"),
+    (_decomposition_entry_not_integral,
+     "decomposition validation failed: 1.9 is not an integer"),
+    (_decomposition_entry_a_bool, "decomposition validation failed: True is not an integer"),
+    (_modular_dim_not_integral, "decomposition validation failed: 1.2 is not an integer"),
+])
+def test_integer_fields_are_not_truncated(s3_doc, tmp_path, capsys, corrupt, message):
+    # int() would load 3.9 as 3, 1.9 and true as 1, and 1.2 as 1
+    _assert_input_error(s3_doc, corrupt, message, tmp_path, capsys)
+
+
 def _set_expectation(path, value):
     def corrupt(doc):
         node = doc["expectations"]

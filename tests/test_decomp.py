@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -300,11 +301,19 @@ def _block(vectors):
     return np.array(S, dtype=object).reshape(len(vectors), -1), np.array(dens, dtype=object)
 
 
+def _at_power_zero(test, S, d):
+    """(integral, n) for the candidates a = S_c / d_c themselves: whether
+    sum a_chi e_chi lies in the order, and the exponent of a as a
+    witness, else -1."""
+    e, m0 = decomp._levels(test, S, d)
+    return e <= 0, np.where(m0 >= 0, m0, -1)
+
+
 def _witness_hits(A, table, vectors):
     """The whole-candidate test on each vector a, after requiring that the
     Gram oracle returns None as well, or the same exponent and the same
     form, entry by entry; returns whether each is a witness."""
-    _, exponents = decomp._levels(decomp.witness_test(A, table), *_block(vectors), 0)
+    _, exponents = _at_power_zero(decomp.witness_test(A, table), *_block(vectors))
     hits = []
     for a, n in zip(vectors, exponents):
         theirs = fraction_lattices.gram_candidate(A, table, a)
@@ -329,7 +338,7 @@ def test_s3_candidates_filter_and_gram_test_agree_with_fractions(s3, s3_table):
     for k in (0, 1):
         sigmas = [[3**k * c for c in rest] + [Fraction(3**k)]
                   for rest in product(decomp._search_values(5), repeat=2)]
-        integral, exponents = decomp._levels(test, *_block(sigmas), 0)
+        integral, exponents = _at_power_zero(test, *_block(sigmas))
         for sigma, ok, n in zip(sigmas, integral, exponents):
             # the integer filter keeps exactly the sigma with sum sigma_chi e_chi in the order
             assert ok == linalg.is_integral(E @ linalg.as_vector(sigma), 3)
@@ -346,13 +355,119 @@ def test_witness_test_equals_the_gram_oracle_on_s3_searches(s3, s3_table, s3_dec
     test = decomp.witness_test(A, s3_table)
     sigmas = [[3**k * c for c in rest] + [Fraction(3**k)] for k in range(5)
               for rest in product(decomp._search_values(5), repeat=2)]
-    integral, _ = decomp._levels(test, *_block(sigmas), 0)
+    integral, _ = _at_power_zero(test, *_block(sigmas))
     hits = _witness_hits(A, s3_table, [s for s, ok in zip(sigmas, integral) if ok])
     assert any(hits) and not all(hits)
     for box in (range(1, 6), range(-5, 6)):
         _witness_hits(A, s3_table, [
             decomp._decomposition_coefficients(s3_table, s3_decomposition, m)
             for m in product(box, repeat=s3_decomposition.num_modular)])
+
+
+# -- the one-pass scan against the k-major scan ------------------------------
+
+
+def _k_major_levels(test, S, d, k):
+    """The witness test of the candidates p^k S_c / d_c at the one power
+    k, as the scan over (k, c) ran it: (integral, n) with n the exponent
+    of a witness, else -1.  On Python ints."""
+    p = test.p
+    S, d = S.astype(object), d.astype(object)
+
+    def level(family, X):
+        return decomp._valuations(X @ family[0].T.astype(object), p) - family[1]
+
+    vd = decomp._valuations(d[:, None], p)
+    integral = level(test.idempotents, S) - vd + k >= 0
+    m = level(test.gram, S) - vd + k
+    nonzero = (S != 0).all(axis=1)
+    S = np.where(nonzero[:, None], S, 1)
+    P = np.prod(S, axis=1)
+    inverse = level(test.inverse, P[:, None] // S) + vd - k - decomp._valuations(P[:, None], p)
+    return integral, np.where(nonzero & (m >= 0) & (inverse >= -m), m, -1)
+
+
+def _k_major_first_witness(A, table, vectors, powers, integral):
+    """(k, index, n) of the first witness p^k a, a in ``vectors``, scanning
+    every vector at k = 0, then every vector at k = 1, and so on; None
+    when there is none.  With ``integral`` it must pass that test too."""
+    test = decomp.witness_test(A, table)
+    S, d = _block(vectors)
+    for k in powers:
+        ok, n = _k_major_levels(test, S, d, k)
+        for i in range(len(vectors)):
+            if n[i] >= 0 and (ok[i] or not integral):
+                return k, i, int(n[i])
+    return None
+
+
+def _same_first_witnesses(A, table, D, bound):
+    """The rational symmetry search, and the Morita searches when D is
+    given, return the witness the k-major scan finds first."""
+    p, r = A.prime, table.num_chars
+    sigmas = [[*rest, 1] for rest in product(decomp._search_values(bound), repeat=r - 1)]
+    hit = _k_major_first_witness(A, table, sigmas, range(decomp.POWER_RANGE + 1), True)
+    found = decomp.rational_symmetry_search(A, table, bound=bound)
+    if hit is None:
+        assert found.witness_sigma is None
+    else:
+        k, i, n = hit
+        assert found.witness_sigma == tuple(Fraction(p) ** k * c for c in sigmas[i])
+        assert found.witness_n == n
+    if D is None:
+        return
+    for box, search in ((range(1, bound + 1), so.morita_psp_search),
+                        (range(-bound, bound + 1), so.morita_psp_search_integers)):
+        ms = list(product(box, repeat=D.num_modular))
+        vectors = [decomp._decomposition_coefficients(table, D, m) for m in ms]
+        hit = _k_major_first_witness(A, table, vectors, [0], False)
+        witness = search(A, table, D, bound=bound)
+        if hit is None:
+            assert witness is None
+        else:
+            assert (witness.m, witness.n) == (ms[hit[1]], hit[2])
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4, 5])
+def test_one_pass_scan_finds_the_k_major_witness_on_s3(s3, s3_table, s3_decomposition, bound):
+    _same_first_witnesses(s3[0], s3_table, s3_decomposition, bound)
+
+
+def test_one_pass_scan_finds_the_k_major_witness_on_small_orders():
+    for m, p in [(1, 2), (2, 2), (1, 3), (3, 5)]:
+        A, _ = rank2_order(m, p)
+        table = so.make_character_table([[1, 0], [1, Fraction(p) ** m]], A)
+        D = so.make_decomposition_matrix([[1], [1]], (1,), table.degrees)
+        for bound in (2, 3, 4):
+            _same_first_witnesses(A, table, D, bound)
+    for p in (2, 3):
+        M, _ = matrix_order(2, p)
+        table = so.make_character_table([[1 if i in (0, 3) else 0 for i in range(4)]], M)
+        D = so.make_decomposition_matrix([[1]], (2,), table.degrees)
+        _same_first_witnesses(M, table, D, 3)
+    B, _ = four_dim_nonrational(3, 2)
+    _same_first_witnesses(B, so.make_character_table(four_dim_characters(3), B), None, 3)
+
+
+@pytest.mark.parametrize("integral", [True, False])
+def test_first_witness_is_the_k_major_one_in_any_candidate_order(character_tables, integral):
+    # the least (k, index) is found wherever the least k sits in the scan:
+    # each vector comes scaled by 1 / p, 1 and p, whose least k differ,
+    # in shuffled order and, for S4, over two blocks
+    rng = random.Random(7)
+    for key in ((3, 2), (3, 3), (3, 5), (4, 2), (4, 3)):
+        A, table = character_tables[key]
+        vectors = [[Fraction(A.prime) ** j * c for c in (*rest, 1)] for j in (-1, 0, 1)
+                   for rest in product(decomp._search_values(2), repeat=table.num_chars - 1)]
+        for _ in range(3):
+            rng.shuffle(vectors)
+            S, d = _block(vectors)
+            hit = decomp._first_witness(A, table, [len(vectors)],
+                                        lambda digits: (S[digits[:, 0]], d[digits[:, 0]]),
+                                        integral)
+            powers = range(decomp.POWER_RANGE + 1) if integral else [0]
+            assert (None if hit is None else (hit[0], hit[1][0], hit[2])
+                    ) == _k_major_first_witness(A, table, vectors, powers, integral)
 
 
 def _symmetric_group(n, p):

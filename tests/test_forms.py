@@ -30,6 +30,7 @@ from symorders.forms import (
     RegularGramSingularError,
     gram_matrix,
 )
+from symorders.orders import NotInvertibleError, Order
 
 import fraction_forms
 from test_orders import GROUP_TABLES, _scalars, rebase, unimodular
@@ -113,6 +114,14 @@ def test_dual_basis_certificate_survives_optimisation():
         "with pytest.raises(AssertionError, match='Casimir element not central'):\n"
         "    so.casimir(A, so.LinearForm(s.values))\n"
         "so.Order.is_central = central\n"
+        # z^{-1} is derived apart from the dual basis, under its own certificate
+        "f = so.LinearForm(s.values)\n"
+        "so.casimir(A, f)\n"
+        "solve = linalg.solve_exact\n"
+        "linalg.solve_exact = lambda M, B: 2 * solve(M, B)\n"
+        "with pytest.raises(AssertionError, match='inverse fails b a = 1'):\n"
+        "    so.casimir_inverse(A, f)\n"
+        "linalg.solve_exact = solve\n"
         "from symorders import lattices\n"
         "from symorders.builders import s3_fixture_bundle\n"
         "b = s3_fixture_bundle(3)\n"
@@ -141,7 +150,7 @@ def test_library_has_no_assert_statements():
     package = Path(so.__file__).resolve().parent
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(package.glob("*.py"))
+        for path in sorted(package.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
@@ -203,6 +212,20 @@ def test_check_all_derives_each_form_once(monkeypatch):
     assert searched == [b.forms["standard"]]
 
 
+def test_check_all_inverts_only_the_primary_casimir_element(monkeypatch):
+    # z^{-1} is derived where it is read, for the primary form: its
+    # Casimir-orbit search and twisted traces read it, and no witness form
+    # is inverted.  The other two inversions are the unit tests of the
+    # psp twist and of the rational orbit test.
+    b = s3_fixture_bundle(3)
+    inverted = []
+    invert = Order.invert
+    monkeypatch.setattr(Order, "invert", lambda A, a: inverted.append(a) or invert(A, a))
+    assert cli.run("all", b).ok
+    z = so.casimir(b.order, b.forms["standard"])
+    assert len(inverted) == 3 and sum(a is z for a in inverted) == 1
+
+
 def test_dual_basis_dies_with_its_form(s3):
     A, s = s3
     fresh = LinearForm(s.values)
@@ -216,7 +239,7 @@ def test_dual_basis_dies_with_its_form(s3):
 def test_dual_basis_arrays_are_read_only(s3):
     A, s = s3
     d = so.dual_basis(A, s)
-    for array in (s.values, d.matrix, d.gram, d.casimir, d.casimir_inverse):
+    for array in (s.values, d.matrix, d.gram, d.casimir, so.casimir_inverse(A, s)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = Fraction(7)
     assert linalg.vectors_equal(so.casimir(A, s), A.scalar(6))
@@ -498,11 +521,27 @@ def _assert_same_dual_basis(got, want):
     if isinstance(want, tuple):
         assert got == want
         return
-    for name in ("matrix", "gram", "casimir", "casimir_inverse"):
+    for name in ("matrix", "gram", "casimir"):
         a, b = getattr(got, name), getattr(want, name)
-        assert (a is None) == (b is None), name
-        assert a is None or linalg.matrices_equal(a, b), name
-        assert a is None or all(type(x) is Fraction for x in a.flat), name
+        assert linalg.matrices_equal(a, b), name
+        assert all(type(x) is Fraction for x in a.flat), name
+
+
+def _assert_same_casimir_inverse(A, s):
+    """z^{-1} equals the oracle's, or both raise; when it exists it is
+    read-only and kept on the form."""
+    try:
+        want = fraction_forms.casimir_inverse(A, s)
+    except NotInvertibleError:
+        with pytest.raises(NotInvertibleError):
+            so.casimir_inverse(A, s)
+        assert not so.separability_check(A, s)
+        return
+    got = so.casimir_inverse(A, s)
+    assert got is so.casimir_inverse(A, s) and so.separability_check(A, s)
+    assert linalg.vectors_equal(got, want) and all(type(x) is Fraction for x in got)
+    with pytest.raises(ValueError, match="read-only"):
+        got[0] = Fraction(7)
 
 
 @settings(max_examples=120, deadline=None)
@@ -512,8 +551,10 @@ def test_integer_dual_basis_equals_the_fraction_oracle(case):
     G = gram_matrix(A, s)
     assert linalg.matrices_equal(G, fraction_forms.gram_matrix(A, s))
     assert all(type(x) is Fraction for x in G.flat)
-    _assert_same_dual_basis(_outcome(forms._derive, A, s),
-                            _outcome(fraction_forms.derive, A, s))
+    want = _outcome(fraction_forms.derive, A, s)
+    _assert_same_dual_basis(_outcome(forms._derive, A, s), want)
+    if not isinstance(want, tuple):
+        _assert_same_casimir_inverse(A, s)
 
 
 def _non_symmetric(p):

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -26,7 +27,7 @@ from symorders.lattices import (
     projective_hom_lattice,
     relative_trace_hom,
 )
-from symorders.padic import residue_class, val
+from symorders.padic import residue_class, residue_int, val
 import fraction_lattices
 import fraction_linalg
 from test_orders import GROUP_TABLES
@@ -111,6 +112,18 @@ def test_check_all_builds_each_stable_hom_and_radical_once(monkeypatch):
     # one build per ordered lattice pair, one radical per lattice
     assert sorted(built) == sorted((id(U), id(V)) for U in items for V in items)
     assert len(built) == 9 and len(radicals) == 3
+
+
+def test_check_all_builds_each_twisted_action_once(monkeypatch):
+    # act_U(z^{-1}) is kept on U per form: one build per lattice for the
+    # primary form, however many twisted traces read it
+    b = s3_fixture_bundle(3)
+    built = []
+    exact = lattices.casimir_inverse
+    monkeypatch.setattr(lattices, "casimir_inverse", lambda A, s: built.append(s) or exact(A, s))
+    assert cli.run("all", b).ok
+    assert len(built) == len(b.lattices) == 3
+    assert all(s is b.forms["standard"] for s in built)
 
 
 def test_projective_homs_trivial_lattice(s3, s3_lattices):
@@ -457,6 +470,22 @@ def _identical(a, b) -> bool:
 
 def _same_basis(ours, theirs) -> bool:
     return len(ours) == len(theirs) and all(map(_identical, ours, theirs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(conjugated_lattices())
+def test_integer_action_equals_the_numerators_of_the_action(case):
+    A, _, U, _ = case
+    p = A.prime
+    N, q = U.integer_action
+    assert U.integer_action is U.integer_action  # built once, on first use
+    assert N.shape == (A.dim, U.rank, U.rank) and all(type(x) is int for x in N.flat)
+    assert q % p and q == math.lcm(*(linalg.numerators(m)[1] for m in U.action))
+    for n, m in zip(N, U.action):
+        Nm, d = linalg.numerators(m)
+        assert (n * d == Nm * q).all()
+        # the action mod p that knorr_projective_check reads
+        assert (n * pow(q, -1, p) % p == [[residue_int(x, p, 1) for x in row] for row in m]).all()
 
 
 @settings(max_examples=60, deadline=None)
