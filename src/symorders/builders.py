@@ -78,14 +78,10 @@ def group_algebra(mult_table, p, labels=None):
     for i in range(n):
         if not any(mult_table[i][j] == identity for j in range(n)):
             raise ValueError("not a group table: missing inverse")
-    structure = np.zeros((n, n, n), dtype=object)
-    structure[:] = Fraction(0)
-    for i in range(n):
-        for j in range(n):
-            structure[i, j, mult_table[i][j]] = Fraction(1)
+    constants = [(i, j, k, 1) for i, row in enumerate(mult_table) for j, k in enumerate(row)]
     one = [Fraction(0)] * n
     one[identity] = Fraction(1)
-    A = make_order(structure, one, p, basis_labels=labels)
+    A = make_order(constants, one, p, basis_labels=labels)
     values = [Fraction(0)] * n
     values[identity] = Fraction(1)
     return A, LinearForm(values)
@@ -165,14 +161,8 @@ def rank2_order(m: int, p):
     second to 1."""
     if m < 1:
         raise ValueError("depth m must be at least 1")
-    pm = Fraction(p) ** m
-    structure = np.zeros((2, 2, 2), dtype=object)
-    structure[:] = Fraction(0)
-    structure[0, 0, 0] = Fraction(1)
-    structure[0, 1, 1] = Fraction(1)
-    structure[1, 0, 1] = Fraction(1)
-    structure[1, 1, 1] = pm
-    A = make_order(structure, [Fraction(1), Fraction(0)], p,
+    constants = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, Fraction(p) ** m)]
+    A = make_order(constants, [Fraction(1), Fraction(0)], p,
                    basis_labels=("l1", "l2"))
     return A, LinearForm([Fraction(0), Fraction(1)])
 
@@ -205,14 +195,8 @@ def hecke_rank1(q: int, p=2):
 
     if val(Fraction(q), p) != 0:
         raise ValueError("q not a unit")
-    structure = np.zeros((2, 2, 2), dtype=object)
-    structure[:] = Fraction(0)
-    structure[0, 0, 0] = Fraction(1)
-    structure[0, 1, 1] = Fraction(1)
-    structure[1, 0, 1] = Fraction(1)
-    structure[1, 1, 0] = Fraction(q)
-    structure[1, 1, 1] = Fraction(1 - q)
-    A = make_order(structure, [Fraction(1), Fraction(0)], p,
+    constants = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, q), (1, 1, 1, 1 - q)]
+    A = make_order(constants, [Fraction(1), Fraction(0)], p,
                    basis_labels=("T1", "Ts"))
     return A, LinearForm([Fraction(1), Fraction(0)])
 
@@ -253,21 +237,18 @@ def character_ring(char_table, class_sizes, p):
             break
     if trivial is None:
         raise ValueError("orthogonality fails: no trivial character")
-    structure = np.zeros((r, r, r), dtype=object)
-    structure[:] = Fraction(0)
+    constants = []
     for i in range(r):
         for j in range(r):
             prod = [table[i, c] * table[j, c] for c in range(ncls)]
             for k in range(r):
                 mult = inner(prod, table[k])
                 if mult.denominator != 1 or mult < 0:
-                    raise ValueError(
-                        "orthogonality fails: non-integral product multiplicity"
-                    )
-                structure[i, j, k] = mult
+                    raise ValueError("orthogonality fails: non-integral product multiplicity")
+                constants.append((i, j, k, mult))
     one = [Fraction(0)] * r
     one[trivial] = Fraction(1)
-    A = make_order(structure, one, p)
+    A = make_order(constants, one, p)
     values = [Fraction(0)] * r
     values[trivial] = Fraction(1)
     return A, LinearForm(values)
@@ -300,15 +281,13 @@ def four_dim_nonrational(x: int, p=2):
     rows = four_dim_embedding(x)
     B = np.array(rows, dtype=object).T  # columns are the basis vectors
     Binv = linalg.inverse(B)
-    structure = np.zeros((4, 4, 4), dtype=object)
+    constants = []
     for i in range(4):
         for j in range(4):
-            prod = linalg.as_vector(
-                [rows[i][c] * rows[j][c] for c in range(4)]
-            )
-            structure[i, j, :] = Binv @ prod
+            prod = linalg.as_vector([rows[i][c] * rows[j][c] for c in range(4)])
+            constants.extend((i, j, k, c) for k, c in enumerate(Binv @ prod))
     one_coords = Binv @ linalg.as_vector([1, 1, 1, 1])
-    A = make_order(structure, one_coords, p)
+    A = make_order(constants, one_coords, p)
     coeffs = [
         (2 - Fraction(1, x)) / 4,
         Fraction(1, 4),
@@ -354,19 +333,13 @@ def matrix_order(n: int, p):
     def ind(i, j):
         return i * n + j
 
-    structure = np.zeros((d, d, d), dtype=object)
-    structure[:] = Fraction(0)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        structure[ind(i, j), ind(k, l), ind(i, l)] = Fraction(1)
+    constants = [(ind(i, j), ind(j, l), ind(i, l), 1)
+                 for i in range(n) for j in range(n) for l in range(n)]
     one = [Fraction(0)] * d
     for i in range(n):
         one[ind(i, i)] = Fraction(1)
     labels = tuple(f"E{i}{j}" for i in range(n) for j in range(n))
-    A = make_order(structure, one, p, basis_labels=labels)
+    A = make_order(constants, one, p, basis_labels=labels)
     values = [Fraction(1) if i % (n + 1) == 0 else Fraction(0) for i in range(d)]
     return A, LinearForm(values)
 

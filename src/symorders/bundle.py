@@ -2,8 +2,11 @@
 lattices, character data, decomposition matrix and expected verdicts.
 
 All scalars are serialized as strings "a/b" (denominator omitted when
-1), so fixtures double as human-readable documentation.  Loading
-re-runs every structural validator and reports the failed invariant.
+1), so fixtures double as human-readable documentation.  The order's
+structure constants are written as the dense cube ``structure[i][j][k]``
+from the order's integer table, and read back as its nonzero entries:
+an entry "0" is skipped unparsed.  Loading re-runs every structural
+validator and reports the failed invariant.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .decomp import (
 )
 from .forms import LinearForm
 from .lattices import make_lattice
-from .orders import Order, make_order
+from .orders import InvalidOrderError, Order, make_order
 from .padic import as_int, scalar_to_str
 
 
@@ -57,13 +60,15 @@ def _ser_matrix(m):
 
 
 def bundle_to_dict(b: Bundle) -> dict:
+    n = b.order.dim
+    cube = [[["0"] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, c in b.order.constants():
+        cube[i][j][k] = _ser_scalar(c)
     doc = {
         "prime": int(b.prime),
         "order": {
-            "dim": b.order.dim,
-            "structure": [
-                _ser_matrix(b.order.structure[i]) for i in range(b.order.dim)
-            ],
+            "dim": n,
+            "structure": cube,
             "one": _ser_vector(b.order.one),
         },
         "forms": {name: _ser_vector(f.values) for name, f in sorted(b.forms.items())},
@@ -111,7 +116,8 @@ def bundle_from_dict(doc: dict) -> Bundle:
         prime = as_int(doc["prime"])
     with _reading("order"):
         order_doc = doc["order"]
-        A = make_order(order_doc["structure"], order_doc["one"], prime,
+        one = order_doc["one"]
+        A = make_order(_nonzero_entries(order_doc["structure"], len(one)), one, prime,
                        basis_labels=order_doc.get("basis_labels"))
     forms = {}
     for name, values in _section(doc, "forms").items():
@@ -162,6 +168,18 @@ def bundle_from_dict(doc: dict) -> Bundle:
         extra_tables=extra,
         expectations=copy.deepcopy(expectations),
     )
+
+
+def _nonzero_entries(cube, n: int) -> list:
+    """The entries (i, j, k, c) of a JSON cube of side n with c not "0"."""
+
+    def side(rows) -> list:
+        if not (isinstance(rows, list) and len(rows) == n):
+            raise InvalidOrderError("structure constants must form a cube")
+        return rows
+
+    return [(i, j, k, c) for i, plane in enumerate(side(cube))
+            for j, row in enumerate(side(plane)) for k, c in enumerate(side(row)) if c != "0"]
 
 
 @contextmanager

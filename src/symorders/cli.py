@@ -157,9 +157,14 @@ def check_psp(b: Bundle, opts: RunOptions, expect: Expect) -> dict:
 
 
 def _primary_form(b: Bundle):
+    """The bundle's first form by name; a check that reads it is skipped
+    when it is not symmetrising."""
     if not b.forms:
         raise BundleError("bundle carries no form")
-    return b.forms[sorted(b.forms)[0]]
+    name = sorted(b.forms)[0]
+    if not forms.is_symmetrising(b.order, b.forms[name]):
+        raise Skipped(f"primary form {name!r} not symmetrising")
+    return b.forms[name]
 
 
 def check_tate(b: Bundle, opts: RunOptions, expect: Expect) -> dict:

@@ -238,6 +238,11 @@ def twist_form(A: Order, s: LinearForm, z) -> LinearForm:
     z = A.element(z)
     if not (A.has_ring_coords(z) and A.is_central(z) and A.is_unit(z)):
         raise ValueError("not a central unit")
+    return _twist(A, s, z)
+
+
+def _twist(A: Order, s: LinearForm, z) -> LinearForm:
+    """:func:`twist_form` for z certified a central unit by the caller."""
     w, e = linalg.numerators(z)
     support = [j for j, x in enumerate(w) if x]
     N, g = _gram_numerators(A, s, support)
@@ -295,7 +300,8 @@ def _psp_search(A: Order, s: LinearForm):
     pt = Fraction(p) ** t
     if not (A.has_ring_coords(zinv * pt) and A.has_ring_coords(z / pt)):
         return None
-    cert = PspCertificate(n=t, witness_form=twist_form(A, s, z / pt))
+    # z / p^t is central (z is) and a unit: its inverse p^t z^{-1} has ring coordinates
+    cert = PspCertificate(n=t, witness_form=_twist(A, s, z / pt))
     if not cert.verify(A):
         raise AssertionError("twisted form fails the scalar Casimir certificate")
     return cert

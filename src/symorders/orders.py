@@ -1,11 +1,12 @@
 """Finite-rank associative algebras over the p-local integers.
 
 An :class:`Order` is given by integral structure constants on a fixed
-basis, ``b_i b_j = sum_k structure[i, j, k] b_k``, together with the
-coordinate vector of its unit.  The exact work runs on one integer
-table (:attr:`Order.products`), built on first use and kept: the
-nonzero structure constants as numerators over one denominator
-(:attr:`Order.denominator`, a unit at p, and 1 for integer constants).
+basis, ``b_i b_j = sum_k c_ijk b_k``, together with the coordinate
+vector of its unit.  Its one representation of them is an integer table
+(:attr:`Order.products`): the nonzero structure constants as numerators
+over one denominator (:attr:`Order.denominator`, a unit at p, and 1 for
+integer constants).  :func:`make_order` builds it from the nonzero
+constants as entries (i, j, k, c) and validates the order on it.
 Products, action matrices and the regular character here, and Gram
 matrices, dual bases and Casimir elements in ``forms``, are contracted
 over that table only, so a group algebra, with one nonzero constant per
@@ -44,7 +45,10 @@ class Order:
 
     prime: Prime
     dim: int
-    structure: np.ndarray  # (dim, dim, dim), ring entries
+    # products[i][j] lists the pairs (k, d c_ijk) with c_ijk != 0, in
+    # increasing k, for d the denominator: d b_i b_j is the sum of c b_k
+    products: tuple = field(repr=False)
+    denominator: int
     one: np.ndarray  # (dim,)
     basis_labels: tuple = field(default=None)
 
@@ -72,24 +76,11 @@ class Order:
 
     # -- multiplication ----------------------------------------------
 
-    @cached_property
-    def denominator(self) -> int:
-        """Least common denominator of the structure constants."""
-        return math.lcm(*[x.denominator for x in self.structure.flat])
-
-    @cached_property
-    def products(self) -> tuple:
-        """Nonzero structure constants as integers over :attr:`denominator`:
-        ``products[i][j]`` lists the pairs (k, d c_ijk) with c_ijk != 0, so
-        d b_i b_j is the sum of c b_k over them."""
+    def constants(self) -> list:
+        """The nonzero structure constants as entries (i, j, k, c_ijk)."""
         d = self.denominator
-        return tuple(
-            tuple(
-                tuple((k, c.numerator * (d // c.denominator)) for k, c in enumerate(cs) if c)
-                for cs in plane
-            )
-            for plane in self.structure.tolist()
-        )
+        return [(i, j, k, Fraction(c, d)) for i, row in enumerate(self.products)
+                for j, prods in enumerate(row) for k, c in prods]
 
     def _terms(self, a) -> list:
         """Nonzero coordinates of an element as (index, value) pairs."""
@@ -141,31 +132,32 @@ class Order:
     def generators(self) -> tuple:
         """Basis indices g such that 1 and its images under repeated left
         multiplication by the b_g span K⊗A, picked greedily in index
-        order; the span, kept in echelon form, is the certificate.  An
-        order of dimension 1 has none."""
-        echelon, gens = {}, []  # pivot -> row, zero at earlier pivots
+        order; the span, kept in echelon form on integer rows, is the
+        certificate.  An order of dimension 1 has none."""
+        echelon, gens = {}, []  # pivot -> {index: value}, zero at earlier pivots
 
-        def reduce(v) -> list:
-            v = list(v)
+        def reduce(v: dict) -> dict:
             for c, row in echelon.items():
-                if v[c]:
-                    f = v[c]
-                    v = [x - f * y for x, y in zip(v, row)]
+                f = v.get(c)
+                if f:  # v <- row[c] v - f row, which is zero at c
+                    r = row[c]
+                    v = {k: x for k in v.keys() | row.keys()
+                         if (x := r * v.get(k, 0) - f * row.get(k, 0))}
             return v
 
         def close(work) -> None:
             while work:
-                v = reduce(work.pop())
-                if any(v):
-                    c = next(k for k, x in enumerate(v) if x)
-                    echelon[c] = [x / v[c] for x in v]
-                    work.extend(self.multiply(self.basis_element(g), v) for g in gens)
+                v = reduce({k: x for k, x in work.pop().items() if x})
+                if v:
+                    g = math.gcd(*v.values())
+                    echelon[min(v)] = v = {k: x // g for k, x in v.items()}
+                    work.extend(self._product([(h, 1)], v.items()) for h in gens)
 
-        close([self.one])
+        close([dict(enumerate(linalg.numerators(self.one)[0].tolist()))])
         for i in range(self.dim):
-            if len(echelon) < self.dim and any(reduce(self.basis_element(i))):
+            if len(echelon) < self.dim and reduce({i: 1}):
                 gens.append(i)
-                close([self.multiply(self.basis_element(i), v) for v in echelon.values()])
+                close([self._product([(i, 1)], v.items()) for v in echelon.values()])
         return tuple(gens)
 
     @cached_property
@@ -238,32 +230,45 @@ class Order:
         return linalg.integral_kernel(self.commutator_rows, self.prime)
 
 
-def make_order(structure, one, p, basis_labels=None) -> Order:
+def make_order(constants, one, p, basis_labels=None) -> Order:
     """Validate structure constants and build an Order.
 
-    Checks run at construction: every structure constant lies in the
-    ring, the designated vector is a two-sided unit, and associativity
+    ``constants`` are entries (i, j, k, c_ijk); the dimension is the
+    length of ``one``, a triple left out is a zero constant and zero
+    constants are dropped.  Checks run at construction on the integer
+    table: every index lies in range and no triple repeats, every
+    structure constant lies in the ring, the designated vector is a
+    two-sided unit (1 b_j = b_j 1 = b_j for every j), and associativity
     (b_i b_j) b_k = b_i (b_j b_k) holds, checked with the sparse product
     for generator rows i by :func:`first_failure`; an error names the
     first failing basis triple in lexicographic order.
     """
     p = Prime(p)
-    structure = np.asarray(structure, dtype=object)
-    dim = len(structure) if structure.ndim else 0
-    if structure.shape != (dim, dim, dim):
-        raise InvalidOrderError("structure constants must form a cube")
-    flat = linalg.as_matrix(structure.reshape(dim, dim * dim))
-    if not linalg.is_integral(flat, p):
-        raise InvalidOrderError("non-integral structure constant")
-    structure = np.array(flat.reshape(dim, dim, dim))
     one = linalg.as_vector(one)
-
-    A = Order(prime=p, dim=dim, structure=structure, one=one,
+    dim = len(one)
+    cells = [[{} for _ in range(dim)] for _ in range(dim)]
+    for i, j, k, c in constants:
+        if not all(0 <= x < dim for x in (i, j, k)):
+            raise InvalidOrderError(f"structure constant index out of range: ({i}, {j}, {k})")
+        if k in cells[i][j]:
+            raise InvalidOrderError(f"repeated structure constant: ({i}, {j}, {k})")
+        cells[i][j][k] = c if type(c) is Fraction else Fraction(c)
+    nonzero = [c for row in cells for cell in row for c in cell.values() if c]
+    if any(c.denominator % p == 0 for c in nonzero):
+        raise InvalidOrderError("non-integral structure constant")
+    d = math.lcm(*[c.denominator for c in nonzero])
+    products = tuple(
+        tuple(tuple((k, c.numerator * (d // c.denominator)) for k, c in sorted(cell.items()) if c)
+              for cell in row)
+        for row in cells
+    )
+    A = Order(prime=p, dim=dim, products=products, denominator=d, one=one,
               basis_labels=tuple(basis_labels) if basis_labels else None)
 
-    ident = linalg.identity(dim)
-    if not (linalg.matrices_equal(A.left_matrix(one), ident)
-            and linalg.matrices_equal(A.right_matrix(one), ident)):
+    w, e = linalg.numerators(one)
+    unit = [(i, x) for i, x in enumerate(w.tolist()) if x]
+    if not all(_nonzero(A._product(unit, [(j, 1)])) == {j: d * e}
+               == _nonzero(A._product([(j, 1)], unit)) for j in range(dim)):
         raise InvalidOrderError("unit fails")
 
     T = A.products
@@ -336,7 +341,8 @@ def condense(A: Order, e) -> tuple:
     unit = linalg.lattice_membership(e, embedding, A.prime)
     if unit is None:
         raise AssertionError("idempotent not in the corner lattice")
-    corner = make_order(coords.T.reshape(rank, rank, rank), unit, A.prime)
+    constants = [(ij // rank, ij % rank, k, c) for (k, ij), c in np.ndenumerate(coords) if c]
+    corner = make_order(constants, unit, A.prime)
     return corner, embedding
 
 
@@ -344,27 +350,16 @@ def direct_product(A: Order, B: Order) -> Order:
     """Block-diagonal product order on the concatenated bases."""
     if A.prime != B.prime:
         raise InvalidOrderError("direct product needs a common prime")
-    n = A.dim + B.dim
-    structure = np.empty((n, n, n), dtype=object)
-    structure[:] = Fraction(0)
-    structure[: A.dim, : A.dim, : A.dim] = A.structure
-    structure[A.dim:, A.dim:, A.dim:] = B.structure
-    one = np.concatenate([A.one, B.one])
-    return make_order(structure, one, A.prime)
+    n = A.dim
+    constants = A.constants() + [(i + n, j + n, k + n, c) for i, j, k, c in B.constants()]
+    return make_order(constants, np.concatenate([A.one, B.one]), A.prime)
 
 
 def tensor_product(A: Order, B: Order) -> Order:
     """Tensor product order on the basis pairs (i, j) -> i * dim(B) + j."""
     if A.prime != B.prime:
         raise InvalidOrderError("tensor product needs a common prime")
-    da, db = A.dim, B.dim
-    n = da * db
-    structure = np.empty((n, n, n), dtype=object)
-    for i1 in range(da):
-        for j1 in range(db):
-            for i2 in range(da):
-                for j2 in range(db):
-                    block = np.outer(A.structure[i1, i2], B.structure[j1, j2])
-                    structure[i1 * db + j1, i2 * db + j2, :] = block.reshape(n)
-    one = np.outer(A.one, B.one).reshape(n)
-    return make_order(structure, one, A.prime)
+    n = B.dim
+    constants = [(i1 * n + j1, i2 * n + j2, k1 * n + k2, a * b)
+                 for i1, i2, k1, a in A.constants() for j1, j2, k2, b in B.constants()]
+    return make_order(constants, np.outer(A.one, B.one).reshape(-1), A.prime)

@@ -3,7 +3,7 @@
 These are the ``Fraction`` versions of ``forms.gram_matrix`` and
 ``forms._derive``, which the library runs on integer numerators over the
 order's integer table.  Here every product is a dense contraction of the
-structure constants ``A.structure`` as Fractions, the inverse comes from
+structure constants as the dense cube of Fractions of ``dense_orders.cube``, the inverse comes from
 the ``Fraction`` elimination of ``fraction_linalg`` and G D = I is
 certified with a ``Fraction`` matrix product.  The tests require the
 library to give the same arrays entry by entry and to raise the same
@@ -16,15 +16,16 @@ from symorders import linalg
 from symorders.forms import DualBasis, NotSymmetrisingError
 
 import fraction_linalg
+from dense_orders import cube
 
 
 def multiply(A, a, b) -> np.ndarray:
-    return np.tensordot(a, np.tensordot(b, A.structure, axes=([0], [1])), axes=([0], [0]))
+    return np.tensordot(a, np.tensordot(b, cube(A), axes=([0], [1])), axes=([0], [0]))
 
 
 def gram_matrix(A, s) -> np.ndarray:
     """Matrix (s(b_i b_j))_{ij}."""
-    return np.tensordot(A.structure, s.values, axes=([2], [0]))
+    return np.tensordot(cube(A), s.values, axes=([2], [0]))
 
 
 def derive(A, s) -> DualBasis:

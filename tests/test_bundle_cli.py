@@ -19,15 +19,21 @@ def s3_doc(s3_bundle):
     return bundle_to_dict(s3_bundle)
 
 
-def test_round_trip(tmp_path, s3_bundle):
-    path = tmp_path / "s3.json"
-    so.save_bundle(s3_bundle, path)
-    loaded = so.load_bundle(path)
-    assert bundle_to_dict(loaded) == bundle_to_dict(s3_bundle)
-    # serialization is stable: saving again is byte-identical
-    path2 = tmp_path / "s3b.json"
-    so.save_bundle(loaded, path2)
-    assert path.read_bytes() == path2.read_bytes()
+BUNDLES = sorted((Path(__file__).resolve().parent / "data").glob("*.bundle.json"))
+
+
+@pytest.mark.parametrize("source", [None, *BUNDLES],
+                         ids=["s3-fixture", *(path.name for path in BUNDLES)])
+def test_round_trip(tmp_path, s3_bundle, source):
+    # the S3 fixture as saved, or a committed bundle
+    if source is None:
+        source = tmp_path / "s3.json"
+        so.save_bundle(s3_bundle, source)
+        assert bundle_to_dict(so.load_bundle(source)) == bundle_to_dict(s3_bundle)
+    # serialization is stable: loading and saving again gives the same bytes
+    path = tmp_path / "saved.json"
+    so.save_bundle(so.load_bundle(source), path)
+    assert path.read_bytes() == source.read_bytes()
 
 
 def test_expectations_are_not_shared_between_bundle_and_document():
@@ -159,8 +165,23 @@ def _form_value_not_a_number(doc):
     doc["forms"]["standard"][0] = "x"
 
 
+def _structure_not_a_cube(doc):
+    doc["order"]["structure"][2][4].pop()
+
+
+def _structure_as_number(doc):
+    doc["order"]["structure"] = 1
+
+
+def _one_of_wrong_length(doc):
+    doc["order"]["one"].append("0")
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_order_as_list, "order validation failed: "),
+    (_structure_not_a_cube, "order validation failed: structure constants must form a cube"),
+    (_structure_as_number, "order validation failed: structure constants must form a cube"),
+    (_one_of_wrong_length, "order validation failed: structure constants must form a cube"),
     (_action_as_number, "lattice 'trivial' validation failed: "),
     (_table_entry_as_list, "table 'condensed' validation failed: "),
     (_form_value_not_a_number, "form 'standard' validation failed: "),

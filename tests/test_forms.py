@@ -9,7 +9,6 @@ import weakref
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,6 +32,7 @@ from symorders.forms import (
 from symorders.orders import NotInvertibleError, Order
 
 import fraction_forms
+from dense_orders import cube, dense_order
 from test_orders import GROUP_TABLES, _scalars, rebase, unimodular
 
 
@@ -215,15 +215,28 @@ def test_check_all_derives_each_form_once(monkeypatch):
 def test_check_all_inverts_only_the_primary_casimir_element(monkeypatch):
     # z^{-1} is derived where it is read, for the primary form: its
     # Casimir-orbit search and twisted traces read it, and no witness form
-    # is inverted.  The other two inversions are the unit tests of the
-    # psp twist and of the rational orbit test.
+    # is inverted.  The other inversion is the unit test of the rational
+    # orbit test; the psp twist reads the unit certified by its search.
     b = s3_fixture_bundle(3)
     inverted = []
     invert = Order.invert
     monkeypatch.setattr(Order, "invert", lambda A, a: inverted.append(a) or invert(A, a))
     assert cli.run("all", b).ok
     z = so.casimir(b.order, b.forms["standard"])
-    assert len(inverted) == 3 and sum(a is z for a in inverted) == 1
+    assert len(inverted) == 2 and sum(a is z for a in inverted) == 1
+
+
+def test_psp_direct_inverts_the_casimir_element_once(monkeypatch):
+    # the search certifies z / p^t a central unit (z central, z / p^t and
+    # p^t z^{-1} with ring coordinates), so the twist does not invert it again
+    b = s3_fixture_bundle(3)
+    A, s = b.order, b.forms["standard"]
+    inverted = []
+    invert = Order.invert
+    monkeypatch.setattr(Order, "invert", lambda A, a: inverted.append(a) or invert(A, a))
+    cert = so.psp_direct(A, s)
+    assert cert is not None and cert.n == 1 and cert.verify(A)
+    assert len(inverted) == 1 and inverted[0] is so.casimir(A, s)
 
 
 def test_dual_basis_dies_with_its_form(s3):
@@ -352,12 +365,8 @@ def test_psp_regular_gram(s3):
 
 def test_psp_regular_gram_singular():
     # nilpotent commutative algebra: 1, t with t^2 = 0
-    structure = np.zeros((2, 2, 2), dtype=object)
-    structure[:] = Fraction(0)
-    structure[0, 0, 0] = Fraction(1)
-    structure[0, 1, 1] = Fraction(1)
-    structure[1, 0, 1] = Fraction(1)
-    A = so.make_order(structure, [1, 0], 2)
+    constants = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)]
+    A = so.make_order(constants, [1, 0], 2)
     with pytest.raises(RegularGramSingularError, match="regular Gram singular"):
         so.psp_regular_gram(A)
 
@@ -368,12 +377,8 @@ def test_separability(s3, rank2_family):
     R, sr, _ = rank2_family[(2, 2)]
     assert so.separability_check(R, sr)
     # dual numbers: Casimir 2t is nilpotent
-    structure = np.zeros((2, 2, 2), dtype=object)
-    structure[:] = Fraction(0)
-    structure[0, 0, 0] = Fraction(1)
-    structure[0, 1, 1] = Fraction(1)
-    structure[1, 0, 1] = Fraction(1)
-    D = so.make_order(structure, [1, 0], 3)
+    constants = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)]
+    D = so.make_order(constants, [1, 0], 3)
     s_nil = LinearForm([0, 1])
     assert so.is_symmetrising(D, s_nil)
     assert linalg.vectors_equal(so.casimir(D, s_nil), D.element([0, 2]))
@@ -505,7 +510,7 @@ def forms_on_orders(draw):
         values = linalg.as_vector(draw(st.lists(_scalars(p), min_size=A.dim, max_size=A.dim)))
     if draw(st.booleans()):
         P = draw(unimodular(A.dim, p))
-        A = so.make_order(*rebase(A.structure, A.one, P), p)
+        A = dense_order(*rebase(cube(A), A.one, P), p)
         values = P.T @ values
     return A, LinearForm(values)
 

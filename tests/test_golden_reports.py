@@ -26,6 +26,11 @@ included.  ``s3-p3-mismatch`` is the S3 fixture with wrong expectations
 regular, morita-psp n, and a JSON null for divisibility ok): its report
 pins the ``mismatches`` of five failing checks, their text and order,
 the comparison of an expected null, and exit code 1.
+``s3-p3-scaled`` is the S3 fixture with its standard form scaled by 3,
+which is not symmetrising: its report pins that the five checks reading
+the primary form (psp, tate, stable-exponent, constant-value and
+divisibility) are skipped and the other seven still report, with exit
+code 0; its expectations are those of the checks that run.
 Each ``NAME.report.json`` and ``NAME.stdout.txt`` was written by
 
     symorders --bundle NAME.bundle.json --check all --json NAME.report.json > NAME.stdout.txt
@@ -33,16 +38,20 @@ Each ``NAME.report.json`` and ``NAME.stdout.txt`` was written by
 and is regenerated the same way only when a report is meant to change.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import symorders
 from symorders.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
 # name -> exit code
 NAMES = {"s3-p3": 0, "m2-p3": 0, "rank2-m2-p2": 0, "s4-p3": 0, "s4-p2": 0,
-         "s4-p2-chars": 0, "s4-p3-chars": 0, "s3-p3-mismatch": 1}
+         "s4-p2-chars": 0, "s4-p3-chars": 0, "s3-p3-mismatch": 1, "s3-p3-scaled": 0}
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -54,4 +63,20 @@ def test_check_all_reproduces_the_golden_report(name, tmp_path, capsys):
     assert code == NAMES[name]
     assert captured.err == ""
     assert captured.out == (DATA / f"{name}.stdout.txt").read_text()
+    assert report.read_bytes() == (DATA / f"{name}.report.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["s3-p3", "s3-p3-mismatch"])
+def test_golden_report_is_reproduced_under_python_O(name, tmp_path):
+    # -O strips assert statements, so no certificate may rest on one
+    report = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(symorders.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "symorders.cli", "--bundle",
+         str(DATA / f"{name}.bundle.json"), "--check", "all", "--json", str(report)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == NAMES[name]
+    assert done.stderr == ""
+    assert done.stdout == (DATA / f"{name}.stdout.txt").read_text()
     assert report.read_bytes() == (DATA / f"{name}.report.json").read_bytes()

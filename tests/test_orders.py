@@ -23,6 +23,8 @@ from symorders.builders import (
 from symorders.forms import LinearForm, gram_matrix
 from symorders.orders import InvalidOrderError, NotInvertibleError
 
+from dense_orders import cube, dense_order
+
 
 def test_make_order_rank2_valid():
     A, _ = rank2_order(1, 2)
@@ -31,41 +33,72 @@ def test_make_order_rank2_valid():
 
 
 def test_make_order_one_dimensional():
-    A = so.make_order([[[Fraction(1)]]], [Fraction(1)], 7)
+    A = so.make_order([(0, 0, 0, Fraction(1))], [Fraction(1)], 7)
     assert A.dim == 1
 
 
 def test_make_order_unit_failure():
     # b1*b1 = b2 while b1 is declared as the unit
-    structure = np.zeros((2, 2, 2), dtype=object)
-    structure[:] = Fraction(0)
-    structure[0, 0, 1] = Fraction(1)
     with pytest.raises(InvalidOrderError, match="unit fails"):
-        so.make_order(structure, [Fraction(1), Fraction(0)], 2)
+        so.make_order([(0, 0, 1, 1)], [Fraction(1), Fraction(0)], 2)
 
 
 def test_make_order_not_associative():
     # unit plus x with x*x = 1 + x, then corrupt one product
-    structure = np.zeros((3, 3, 3), dtype=object)
-    structure[:] = Fraction(0)
-    for i in range(3):
-        structure[0, i, i] = Fraction(1)
-        structure[i, 0, i] = Fraction(1)
-    structure[1, 1, 2] = Fraction(1)
-    structure[1, 2, 0] = Fraction(1)
-    structure[2, 1, 1] = Fraction(1)
-    structure[2, 2, 2] = Fraction(1)
+    constants = [(0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (1, 0, 1, 1), (2, 0, 2, 1),
+                 (1, 1, 2, 1), (1, 2, 0, 1), (2, 1, 1, 1), (2, 2, 2, 1)]
     with pytest.raises(InvalidOrderError) as err:
-        so.make_order(structure, [1, 0, 0], 2)
+        so.make_order(constants, [1, 0, 0], 2)
     # b1 (b1 b1) = b1 b2 = b0, but (b1 b1) b1 = b2 b1 = b1
     assert str(err.value) == "not associative: basis triple (1, 1, 1)"
 
 
 def test_make_order_non_integral():
-    structure = np.zeros((1, 1, 1), dtype=object)
-    structure[0, 0, 0] = Fraction(1, 2)
     with pytest.raises(InvalidOrderError, match="non-integral structure constant"):
-        so.make_order(structure, [Fraction(2)], 2)
+        so.make_order([(0, 0, 0, Fraction(1, 2))], [Fraction(2)], 2)
+
+
+def test_make_order_rejects_bad_entries():
+    rank2 = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 2)]
+    for bad in [(0, 2, 0, 1), (-1, 0, 0, 1), (0, 0, 5, 0)]:
+        with pytest.raises(InvalidOrderError,
+                           match=r"structure constant index out of range: \(%d, %d, %d\)" % bad[:3]):
+            so.make_order(rank2 + [bad], [1, 0], 2)
+    # a repeated triple raises, even when the values agree or one is zero
+    for value in (2, 0):
+        with pytest.raises(InvalidOrderError, match=r"repeated structure constant: \(1, 1, 1\)"):
+            so.make_order(rank2 + [(1, 1, 1, value)], [1, 0], 2)
+
+
+def test_explicit_zeros_and_entry_order_give_the_same_table():
+    for A in (s3_group_algebra(3)[0], four_dim_nonrational(3)[0], matrix_order(2, 3)[0]):
+        constants = A.constants()
+        present = {c[:3] for c in constants}
+        zeros = [(i, j, k, Fraction(0)) for i in range(A.dim) for j in range(A.dim)
+                 for k in range(A.dim) if (i, j, k) not in present][:7]
+        shuffled = constants + zeros
+        random.Random(A.dim).shuffle(shuffled)
+        B = so.make_order(shuffled, A.one, A.prime)
+        assert B.products == A.products and B.denominator == A.denominator
+        assert B.constants() == constants
+        assert B.generators == A.generators
+
+
+def test_unit_denominator_constants_after_a_rebase():
+    # on the basis 1, g + b/2, ... the constants of the S3 group algebra get
+    # denominators 2 and 4, units at p = 3, kept as numerators over 4
+    A, _ = s3_group_algebra(3)
+    P = linalg.identity(A.dim)
+    P[0, 1] = P[2, 3] = Fraction(1, 2)
+    S, one = rebase(cube(A), A.one, P)
+    B = dense_order(S, one, 3)
+    assert B.denominator == 4
+    assert np.array_equal(cube(B), S)
+    for i, j, k, c in B.constants():
+        assert (k, c * 4) in B.products[i][j]
+    assert all(type(c) is int for row in B.products for prods in row for _, c in prods)
+    with pytest.raises(InvalidOrderError, match="non-integral structure constant"):
+        dense_order(S, one, 2)
 
 
 def test_multiply_unit_and_relations():
@@ -169,7 +202,7 @@ def test_unit_and_idempotent_predicates(s3):
 def test_condense_unit_is_identity(s3):
     A, _ = s3
     corner, embedding = so.condense(A, A.one)
-    assert np.array_equal(corner.structure, A.structure)
+    assert np.array_equal(cube(corner), cube(A))
     assert linalg.matrices_equal(embedding, linalg.identity(6))
 
 
@@ -211,7 +244,7 @@ def test_tensor_with_trivial_factor():
     B, _ = matrix_order(1, 2)
     T = so.tensor_product(A, B)
     assert T.dim == 2
-    assert np.array_equal(T.structure, A.structure)
+    assert np.array_equal(cube(T), cube(A))
 
 
 def test_tensor_rank_multiplies():
@@ -337,7 +370,7 @@ def orders(draw):
     A = draw(standard_orders())
     if draw(st.booleans()):
         P = draw(unimodular(A.dim, A.prime))
-        A = so.make_order(*rebase(A.structure, A.one, P), A.prime)
+        A = dense_order(*rebase(cube(A), A.one, P), A.prime)
     return A
 
 
@@ -357,7 +390,7 @@ def test_sparse_products_match_dense_contraction(data):
     A = data.draw(orders())
     n = A.dim
     a, b, v = (data.draw(elements(n)) for _ in range(3))
-    S = A.structure
+    S = cube(A)
     assert linalg.vectors_equal(A.multiply(a, b), dense_multiply(S, a, b))
     assert linalg.matrices_equal(A.left_matrix(a), dense_left(S, a))
     assert linalg.matrices_equal(A.right_matrix(a), dense_right(S, a))
@@ -386,7 +419,7 @@ def test_perturbed_structure_matches_associativity_oracle(data):
     # perturbing products b_i b_j with neither factor the unit keeps it a unit
     units = [i for i in range(n) if linalg.vectors_equal(A.one, A.basis_element(i))]
     factors = st.sampled_from([i for i in range(n) if i not in units] or [0])
-    S = np.array(A.structure)
+    S = cube(A)
     for _ in range(data.draw(st.integers(1, 3))):
         i, j = data.draw(factors), data.draw(factors)
         k = data.draw(st.integers(0, n - 1))
@@ -401,10 +434,10 @@ def test_perturbed_structure_matches_associativity_oracle(data):
     triple = first_non_associative_triple(S)
     if not unital:
         with pytest.raises(InvalidOrderError, match="unit fails"):
-            so.make_order(S, one, A.prime)
+            dense_order(S, one, A.prime)
     elif triple is not None:
         with pytest.raises(InvalidOrderError) as err:
-            so.make_order(S, one, A.prime)
+            dense_order(S, one, A.prime)
         assert str(err.value) == "not associative: basis triple (%d, %d, %d)" % triple
     else:
-        assert np.array_equal(so.make_order(S, one, A.prime).structure, S)
+        assert np.array_equal(cube(dense_order(S, one, A.prime)), S)
