@@ -5,9 +5,10 @@ symmetrising forms built out of decomposition columns, the rational
 centre and rational symmetry of an order, the orbit test deciding the
 scalar property through exact lattice arithmetic, and the arithmetic
 checks relating exponents, ranks and character degrees (heights).  Both
-searches decide their candidates with one whole-candidate test, valuations
-of integer combinations built once from the central idempotents
-(:class:`WitnessTest`), and certify only the witness they return.
+searches decide their candidates with one whole-candidate test on the
+centre, valuations of integer combinations of the central idempotents and
+the characters against one determinant valuation (:class:`WitnessTest`),
+and certify only the witness they return.
 """
 
 from __future__ import annotations
@@ -81,22 +82,23 @@ class DecompositionMatrix:
 
 
 def make_decomposition_matrix(entries, modular_dims, degrees) -> DecompositionMatrix:
-    entries = np.array([[as_int(x) for x in row] for row in entries], dtype=np.int64)
-    if (entries < 0).any():
+    """Validated on Python ints, before any entry meets int64."""
+    rows = [[as_int(x) for x in row] for row in entries]
+    if any(x < 0 for row in rows for x in row):
         raise ValueError("decomposition entries must be non-negative")
     modular_dims = tuple(as_int(x) for x in modular_dims)
-    if entries.shape != (len(degrees), len(modular_dims)):
-        raise ValueError(f"decomposition matrix of shape {entries.shape}, not "
+    shape = (len(rows), *sorted({len(row) for row in rows}))
+    if shape != (len(degrees), len(modular_dims)):
+        raise ValueError(f"decomposition matrix of shape {shape}, not "
                          f"{(len(degrees), len(modular_dims))}")
     if any(d <= 0 for d in modular_dims):
         raise ValueError("modular dimensions must be positive")
-    for i, chi1 in enumerate(degrees):
-        total = sum(int(entries[i, j]) * modular_dims[j] for j in range(entries.shape[1]))
-        if Fraction(total) != Fraction(chi1):
+    for i, (chi1, row) in enumerate(zip(degrees, rows)):
+        if Fraction(sum(x * d for x, d in zip(row, modular_dims))) != Fraction(chi1):
             raise ValueError(
                 f"degree {chi1} of character {i} does not match decomposition row"
             )
-    return DecompositionMatrix(entries=entries, modular_dims=modular_dims)
+    return DecompositionMatrix(np.array(rows, dtype=np.int64).reshape(shape), modular_dims)
 
 
 # -- the whole-candidate witness test --------------------------------------
@@ -117,56 +119,54 @@ class WitnessTest:
     K⊗A is separable, so the Gram matrix G_rho of the regular character
     is invertible.  With the central idempotents e_chi and the scalars
     rho(e_chi x) = c_chi chi(x), f_a(x) = rho(u x) for u = sum (a_chi /
-    c_chi) e_chi.  So when no a_chi is 0, G = G_{f_a} = L(u)^T G_rho and
-    G^{-1} = sum (c_chi / a_chi) G_rho^{-1} L(e_chi)^T, for L(x) the
-    matrix of y -> x y.  Each family is (rows, v_p(d)): the distinct
-    nonzero coefficient rows of one expansion, as integers over one
-    denominator d; ``idempotents`` and ``gram`` expand sum a_chi e_chi
-    and G in the a_chi, and ``inverse`` expands G^{-1} in the 1 / a_chi.
+    c_chi) e_chi, so G_{f_a} = L(u)^T G_rho for L(x) the matrix of
+    y -> x y.  L(u) is a_chi / c_chi on e_chi K⊗A, of dimension r_chi =
+    rho(e_chi), so v_p(det G_{f_a}) = sum r_chi v_p(a_chi) + ``determinant``
+    with ``determinant`` = v_p(det G_rho) - sum r_chi v_p(c_chi).
+    ``idempotents`` and ``values`` are (rows, v_p(d)): the distinct
+    nonzero rows of the e_chi and of the chi(b_k) on the basis, as
+    integers over one denominator d, which expand sum a_chi e_chi and the
+    values f_a(b_k) in the a_chi.
     """
 
     p: int
     idempotents: tuple
-    gram: tuple
-    inverse: tuple
+    values: tuple
+    ranks: np.ndarray  # r_chi
+    determinant: int
 
 
 def witness_test(A: Order, table: CharacterTable) -> WitnessTest:
     """Derived on first use with A and kept on the table, certifying that
-    the e_chi are orthogonal with sum 1, that each c_chi is one nonzero
-    scalar on every basis element and that each chi has a symmetric Gram
-    matrix."""
+    the e_chi are orthogonal with sum 1 and that each c_chi is one nonzero
+    scalar on every basis element; the e_chi are central, so each f_a is
+    then a trace form."""
     return kept(table._kept, "witness_test", (A,), lambda: _witness_test(A, table))
 
 
 def _witness_test(A: Order, table: CharacterTable) -> WitnessTest:
-    idems = rational_centre(A, table).idempotents
+    p, idems = A.prime, rational_centre(A, table).idempotents
     if not linalg.vectors_equal(sum(idems, A.zero()), A.one) or any(
             any(A.multiply(e, f)) for i, e in enumerate(idems) for f in idems[:i]):
         raise AssertionError("central idempotents not orthogonal with sum 1")
     G_rho = gram_matrix(A, regular_character_form(A))
-    try:
-        G_rho_inv = linalg.inverse(G_rho)
-    except ValueError:
-        raise ValueError("regular Gram matrix singular: K⊗A not separable") from None
-    grams, inverses = [], []
+    det = linalg.det(G_rho)
+    if det == 0:
+        raise ValueError("regular Gram matrix singular: K⊗A not separable")
+    ranks, determinant = [], val(det, p)
     for chi, e in zip(table.values, idems):
         traces = G_rho.T @ e  # rho(e b_i)
         c = next(t / x for t, x in zip(traces, chi) if x)
         if c == 0 or not linalg.vectors_equal(traces, c * chi):
             raise ValueError("regular character on e_chi A is no multiple of chi")
-        N = gram_matrix(A, LinearForm(chi))
-        if not linalg.matrices_equal(N, N.T):
-            raise ValueError("character Gram matrix not symmetric")
-        grams.append(N.flat)
-        inverses.append((c * G_rho_inv @ A.left_matrix(e).T).flat)
+        ranks.append(as_int(np.dot(A.regular_traces, e)))
+        determinant -= ranks[-1] * val(c, p)
     families = []
-    for columns in (idems, grams, inverses):
+    for columns in (idems, table.values):
         N, d = linalg.numerators(np.array([list(c) for c in columns], dtype=object).T)
         rows = list(dict.fromkeys(tuple(row) for row in N if any(row)))
-        families.append((np.array(rows, dtype=object).reshape(-1, N.shape[1]),
-                         int_val(d, A.prime)))
-    return WitnessTest(A.prime, *families)
+        families.append((np.array(rows, dtype=object).reshape(-1, N.shape[1]), int_val(d, p)))
+    return WitnessTest(p, *families, np.array(ranks, dtype=np.int64), determinant)
 
 
 def _valuations(X, p: int) -> np.ndarray:
@@ -192,30 +192,28 @@ def _levels(test: WitnessTest, S, d) -> tuple:
     exactly when k >= e, and p^k a is a witness of exponent m0 + k exactly
     when k >= -m0, with m0 = -2^40 when it is one at no k.
 
-    f_a is one when no a_chi is 0, m = m0 + k >= 0 is the least valuation
-    of an entry of G, and every entry of G^{-1} = d_c / (p^k P)
-    (``inverse`` rows applied to Q) has valuation >= -m, for P the product
-    of the S_c,chi and Q_chi = P / S_c,chi; p^k shifts both minima by k.
-    In int64 while every product and sum is bounded below 2^63, else on
-    Python ints."""
+    m0 is the least valuation of a value f_a(b_k).  That is the least
+    valuation of an entry f_a(b_i b_j) of G = G_{f_a}: each b_i b_j is a
+    ring combination of the b_k, and b_k = b_k 1 with 1 in the order.  So
+    f_a is a witness when no a_chi is 0 and G / p^m0 is unimodular, that
+    is v_p(det G) = dim m0, read off :class:`WitnessTest`; p^k shifts both
+    sides by dim k.  In int64 when S is and every sum of products stays
+    below 2^63, else on Python ints."""
     p, r = test.p, S.shape[1]
     big = max(int(np.abs(S).max(initial=1)), int(d.max(initial=1)))
-    width = max(int(np.abs(rows).max(initial=1)) for rows, _ in
-                (test.idempotents, test.gram, test.inverse))
-    dtype = np.int64 if r * width * big**r < 2**63 else object
+    width = max(int(np.abs(rows).max(initial=1)) for rows, _ in (test.idempotents, test.values))
+    dtype = np.int64 if S.dtype != object and r * width * big < 2**63 else object
     S, d = S.astype(dtype), d.astype(dtype)
 
-    def level(family, X):
-        return _valuations(X @ family[0].T.astype(dtype), p) - family[1]
+    def level(family):
+        return _valuations(S @ family[0].T.astype(dtype), p) - family[1]
 
-    vd = _valuations(d[:, None], p)
-    e = vd - level(test.idempotents, S)
-    m0 = level(test.gram, S) - vd
+    vd, values = _valuations(d[:, None], p), level(test.values)
     nonzero = (S != 0).all(axis=1)
-    S = np.where(nonzero[:, None], S, 1)  # those rows are rejected anyway
-    P = np.prod(S, axis=1)
-    inverse = level(test.inverse, P[:, None] // S) + vd - _valuations(P[:, None], p)
-    return e, np.where(nonzero & (inverse >= -m0), m0, -2**40)
+    entries = np.where(nonzero[:, None], _valuations(S.reshape(-1, 1), p).reshape(S.shape), 0)
+    # v_p(det G) - dim m0, in which v_p(d) cancels
+    excess = entries @ test.ranks + test.determinant - int(test.ranks.sum()) * values
+    return vd - level(test.idempotents), np.where(nonzero & (excess == 0), values - vd, -2**40)
 
 
 def _first_witness(A: Order, table: CharacterTable, radices, candidates, integral: bool):

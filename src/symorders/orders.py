@@ -237,11 +237,11 @@ def make_order(constants, one, p, basis_labels=None) -> Order:
     length of ``one``, a triple left out is a zero constant and zero
     constants are dropped.  Checks run at construction on the integer
     table: every index lies in range and no triple repeats, every
-    structure constant lies in the ring, the designated vector is a
-    two-sided unit (1 b_j = b_j 1 = b_j for every j), and associativity
-    (b_i b_j) b_k = b_i (b_j b_k) holds, checked with the sparse product
-    for generator rows i by :func:`first_failure`; an error names the
-    first failing basis triple in lexicographic order.
+    structure constant lies in the ring, the designated vector lies in the
+    ring and is a two-sided unit (1 b_j = b_j 1 = b_j for every j), and
+    associativity (b_i b_j) b_k = b_i (b_j b_k) holds, checked with the
+    sparse product for generator rows i by :func:`first_failure`; an error
+    names the first failing basis triple in lexicographic order.
     """
     p = Prime(p)
     one = linalg.as_vector(one)
@@ -266,6 +266,8 @@ def make_order(constants, one, p, basis_labels=None) -> Order:
               basis_labels=tuple(basis_labels) if basis_labels else None)
 
     w, e = linalg.numerators(one)
+    if e % p == 0:
+        raise InvalidOrderError("unit has non-ring coordinates")
     unit = [(i, x) for i, x in enumerate(w.tolist()) if x]
     if not all(_nonzero(A._product(unit, [(j, 1)])) == {j: d * e}
                == _nonzero(A._product([(j, 1)], unit)) for j in range(dim)):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -177,11 +178,20 @@ def _one_of_wrong_length(doc):
     doc["order"]["one"].append("0")
 
 
+def _one_outside_the_ring(doc):
+    # b_i b_j = 3 b_ij has the unit b_e / 3, which at p = 3 is no element of the order
+    order = doc["order"]
+    order["structure"] = [[[str(3 * Fraction(c)) for c in cell] for cell in row]
+                          for row in order["structure"]]
+    order["one"] = [str(Fraction(c) / 3) for c in order["one"]]
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_order_as_list, "order validation failed: "),
     (_structure_not_a_cube, "order validation failed: structure constants must form a cube"),
     (_structure_as_number, "order validation failed: structure constants must form a cube"),
     (_one_of_wrong_length, "order validation failed: structure constants must form a cube"),
+    (_one_outside_the_ring, "order validation failed: unit has non-ring coordinates"),
     (_action_as_number, "lattice 'trivial' validation failed: "),
     (_table_entry_as_list, "table 'condensed' validation failed: "),
     (_form_value_not_a_number, "form 'standard' validation failed: "),
@@ -207,15 +217,26 @@ def _modular_dim_not_integral(doc):
     doc["decomposition"]["modular_dims"][0] = 1.2
 
 
+def _decomposition_entry(value):
+    def corrupt(doc):
+        doc["decomposition"]["matrix"][0][0] = value
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_prime_not_integral, "prime validation failed: 3.9 is not an integer"),
     (_decomposition_entry_not_integral,
      "decomposition validation failed: 1.9 is not an integer"),
     (_decomposition_entry_a_bool, "decomposition validation failed: True is not an integer"),
     (_modular_dim_not_integral, "decomposition validation failed: 1.2 is not an integer"),
+    (_decomposition_entry(2**70),
+     "decomposition validation failed: degree 1 of character 0 does not match"),
+    (_decomposition_entry(-2**70),
+     "decomposition validation failed: decomposition entries must be non-negative"),
 ])
 def test_integer_fields_are_not_truncated(s3_doc, tmp_path, capsys, corrupt, message):
-    # int() would load 3.9 as 3, 1.9 and true as 1, and 1.2 as 1
+    # int() would load 3.9 as 3, 1.9 and true as 1, and 1.2 as 1; an int64
+    # array would overflow on 2^70
     _assert_input_error(s3_doc, corrupt, message, tmp_path, capsys)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import symorders as so
-from symorders import cli, decomp, linalg
+from symorders import cli, decomp, forms, linalg
 from symorders.builders import (
     four_dim_characters,
     four_dim_nonrational,
@@ -23,6 +23,7 @@ from symorders.builders import (
 from symorders.forms import central_idempotents, gram_matrix
 from symorders.padic import int_val
 import fraction_lattices
+import gram_witness
 
 def test_character_table_validation(s3, s3_chars):
     A, _ = s3
@@ -332,12 +333,11 @@ def test_s3_candidates_filter_and_gram_test_agree_with_fractions(s3, s3_table):
     A, _ = s3
     test = decomp.witness_test(A, s3_table)
     # each family has one distinct row per conjugacy class
-    assert [len(f[0]) for f in (test.idempotents, test.gram, test.inverse)] == [3, 3, 3]
+    assert [len(f[0]) for f in (test.idempotents, test.values)] == [3, 3]
     E = np.array([list(e) for e in central_idempotents(A, s3_table.values)], dtype=object).T
     verdicts = set()
     for k in (0, 1):
-        sigmas = [[3**k * c for c in rest] + [Fraction(3**k)]
-                  for rest in product(decomp._search_values(5), repeat=2)]
+        sigmas = _s3_search_candidates([k])
         integral, exponents = _at_power_zero(test, *_block(sigmas))
         for sigma, ok, n in zip(sigmas, integral, exponents):
             # the integer filter keeps exactly the sigma with sum sigma_chi e_chi in the order
@@ -350,18 +350,38 @@ def test_s3_candidates_filter_and_gram_test_agree_with_fractions(s3, s3_table):
     assert verdicts == {True, False}
 
 
+def _s3_search_candidates(powers):
+    """The rational search's candidates 3^k (c_1, c_2, 1) on S3 at bound 5."""
+    return [[3**k * c for c in rest] + [Fraction(3**k)] for k in powers
+            for rest in product(decomp._search_values(5), repeat=2)]
+
+
+def _s3_morita_candidates(table, D):
+    """The Morita searches' candidates D m on S3, one block per box."""
+    return [[decomp._decomposition_coefficients(table, D, m)
+             for m in product(box, repeat=D.num_modular)]
+            for box in (range(1, 6), range(-5, 6))]
+
+
 def test_witness_test_equals_the_gram_oracle_on_s3_searches(s3, s3_table, s3_decomposition):
     A, _ = s3
     test = decomp.witness_test(A, s3_table)
-    sigmas = [[3**k * c for c in rest] + [Fraction(3**k)] for k in range(5)
-              for rest in product(decomp._search_values(5), repeat=2)]
+    sigmas = _s3_search_candidates(range(5))
     integral, _ = _at_power_zero(test, *_block(sigmas))
     hits = _witness_hits(A, s3_table, [s for s, ok in zip(sigmas, integral) if ok])
     assert any(hits) and not all(hits)
-    for box in (range(1, 6), range(-5, 6)):
-        _witness_hits(A, s3_table, [
-            decomp._decomposition_coefficients(s3_table, s3_decomposition, m)
-            for m in product(box, repeat=s3_decomposition.num_modular)])
+    for vectors in _s3_morita_candidates(s3_table, s3_decomposition):
+        _witness_hits(A, s3_table, vectors)
+
+
+def test_witness_test_inverts_no_matrix_and_builds_one_gram_matrix(monkeypatch, s3, s3_chars):
+    A, _ = s3
+    calls = []
+    for module, name in ((linalg, "inverse"), (forms, "gram_matrix"), (decomp, "gram_matrix")):
+        monkeypatch.setattr(module, name, lambda *args, f=getattr(module, name), name=name:
+                            calls.append(name) or f(*args))
+    decomp.witness_test(A, so.make_character_table(s3_chars, A))
+    assert (calls.count("inverse"), calls.count("gram_matrix")) == (0, 1)
 
 
 # -- the one-pass scan against the k-major scan ------------------------------
@@ -369,8 +389,9 @@ def test_witness_test_equals_the_gram_oracle_on_s3_searches(s3, s3_table, s3_dec
 
 def _k_major_levels(test, S, d, k):
     """The witness test of the candidates p^k S_c / d_c at the one power
-    k, as the scan over (k, c) ran it: (integral, n) with n the exponent
-    of a witness, else -1.  On Python ints."""
+    k, as the scan over (k, c) ran it on the Gram and inverse families of
+    ``gram_witness``: (integral, n) with n the exponent of a witness, else
+    -1.  On Python ints."""
     p = test.p
     S, d = S.astype(object), d.astype(object)
 
@@ -391,7 +412,7 @@ def _k_major_first_witness(A, table, vectors, powers, integral):
     """(k, index, n) of the first witness p^k a, a in ``vectors``, scanning
     every vector at k = 0, then every vector at k = 1, and so on; None
     when there is none.  With ``integral`` it must pass that test too."""
-    test = decomp.witness_test(A, table)
+    test = gram_witness.witness_test(A, table)
     S, d = _block(vectors)
     for k in powers:
         ok, n = _k_major_levels(test, S, d, k)
@@ -433,20 +454,28 @@ def test_one_pass_scan_finds_the_k_major_witness_on_s3(s3, s3_table, s3_decompos
     _same_first_witnesses(s3[0], s3_table, s3_decomposition, bound)
 
 
-def test_one_pass_scan_finds_the_k_major_witness_on_small_orders():
+@pytest.fixture(scope="module")
+def small_tables():
+    """(A, table, D) for rank-2 orders, M2 and the four-dimensional order,
+    keyed by (kind, parameter, p)."""
+    out = {}
     for m, p in [(1, 2), (2, 2), (1, 3), (3, 5)]:
         A, _ = rank2_order(m, p)
         table = so.make_character_table([[1, 0], [1, Fraction(p) ** m]], A)
-        D = so.make_decomposition_matrix([[1], [1]], (1,), table.degrees)
-        for bound in (2, 3, 4):
-            _same_first_witnesses(A, table, D, bound)
+        out["rank2", m, p] = A, table, so.make_decomposition_matrix([[1], [1]], (1,), table.degrees)
     for p in (2, 3):
         M, _ = matrix_order(2, p)
         table = so.make_character_table([[1 if i in (0, 3) else 0 for i in range(4)]], M)
-        D = so.make_decomposition_matrix([[1]], (2,), table.degrees)
-        _same_first_witnesses(M, table, D, 3)
+        out["m2", 2, p] = M, table, so.make_decomposition_matrix([[1]], (2,), table.degrees)
     B, _ = four_dim_nonrational(3, 2)
-    _same_first_witnesses(B, so.make_character_table(four_dim_characters(3), B), None, 3)
+    out["four-dim", 3, 2] = B, so.make_character_table(four_dim_characters(3), B), None
+    return out
+
+
+def test_one_pass_scan_finds_the_k_major_witness_on_small_orders(small_tables):
+    for key, case in small_tables.items():
+        for bound in (2, 3, 4) if key[0] == "rank2" else (3,):
+            _same_first_witnesses(*case, bound)
 
 
 @pytest.mark.parametrize("integral", [True, False])
@@ -485,7 +514,13 @@ def character_tables():
 def test_s4_families_have_one_row_per_class(character_tables):
     for p in (2, 3):
         test = decomp.witness_test(*character_tables[(4, p)])
-        assert [len(f[0]) for f in (test.idempotents, test.gram, test.inverse)] == [5, 5, 5]
+        assert [len(f[0]) for f in (test.idempotents, test.values)] == [5, 5]
+
+
+def _scalars(p):
+    """Coefficients a p^e / (d p^f), zero allowed."""
+    return st.builds(lambda a, e, d, f: Fraction(a * p**e, d * p**f), st.integers(-9, 9),
+                     st.integers(0, 2), st.integers(1, 12), st.integers(0, 2))
 
 
 @st.composite
@@ -494,9 +529,7 @@ def character_combination(draw):
     allowed, and None or such a scalar c, which stands for c times the
     degrees: the regular character times c."""
     key = draw(st.sampled_from([(3, 2), (3, 3), (3, 5), (3, 4294967311), (4, 2), (4, 3)]))
-    p = key[1]
-    scalar = st.builds(lambda a, e, d, f: Fraction(a * p**e, d * p**f), st.integers(-9, 9),
-                       st.integers(0, 2), st.integers(1, 12), st.integers(0, 2))
+    scalar = _scalars(key[1])
     r = {3: 3, 4: 5}[key[0]]
     return key, draw(st.lists(scalar, min_size=r, max_size=r)), draw(st.none() | scalar)
 
@@ -507,6 +540,81 @@ def test_witness_test_equals_the_gram_oracle(character_tables, case):
     key, a, c = case
     A, table = character_tables[key]
     _witness_hits(A, table, [a] if c is None else [a, [c * d for d in table.degrees]])
+
+
+# -- the determinant valuation against the Gram and inverse families -------
+
+
+def _same_levels(A, table, vectors, python_ints):
+    """decomp._levels gives the (e, m0) of gram_witness.levels entry by
+    entry: on Python ints when ``python_ints``, else with S in int64
+    wherever the block fits."""
+    S, d = _block(vectors)
+    theirs = gram_witness.levels(gram_witness.witness_test(A, table), S, d)
+    if not python_ints and max(np.abs(S).max(), d.max()) < 2**62:
+        S, d = S.astype(np.int64), d.astype(np.int64)
+    ours = decomp._levels(decomp.witness_test(A, table), S, d)
+    assert [x.tolist() for x in ours] == [x.tolist() for x in theirs]
+
+
+@st.composite
+def small_order_block(draw):
+    """A key of ``small_tables`` and one to four coefficient vectors."""
+    key = draw(st.sampled_from([("rank2", 1, 2), ("rank2", 2, 2), ("rank2", 1, 3),
+                                ("rank2", 3, 5), ("m2", 2, 2), ("m2", 2, 3),
+                                ("four-dim", 3, 2)]))
+    r = {"rank2": 2, "m2": 1, "four-dim": 4}[key[0]]
+    vector = st.lists(_scalars(key[2]), min_size=r, max_size=r)
+    return key, draw(st.lists(vector, min_size=1, max_size=4))
+
+
+@pytest.mark.parametrize("python_ints", [True, False])
+@settings(max_examples=100, deadline=None)
+@given(case=character_combination())
+def test_levels_equal_the_gram_levels_on_group_algebras(character_tables, python_ints, case):
+    key, a, c = case
+    A, table = character_tables[key]
+    _same_levels(A, table, [a] if c is None else [a, [c * d for d in table.degrees]],
+                 python_ints)
+
+
+@pytest.mark.parametrize("python_ints", [True, False])
+@settings(max_examples=100, deadline=None)
+@given(case=small_order_block())
+def test_levels_equal_the_gram_levels_on_small_orders(small_tables, python_ints, case):
+    key, vectors = case
+    A, table, _ = small_tables[key]
+    _same_levels(A, table, vectors, python_ints)
+
+
+@pytest.mark.parametrize("python_ints", [True, False])
+def test_levels_equal_the_gram_levels_on_s3_search_blocks(s3, s3_table, s3_decomposition,
+                                                          python_ints):
+    A, _ = s3
+    for vectors in [_s3_search_candidates(range(5)),
+                    *_s3_morita_candidates(s3_table, s3_decomposition)]:
+        _same_levels(A, s3_table, vectors, python_ints)
+
+
+def test_levels_equal_the_fraction_gram_test_on_s5():
+    # dimension 120 with seven characters; the regular character is a
+    # witness at n = 1
+    A, table = _symmetric_group(5, 5)
+    test = decomp.witness_test(A, table)
+    assert test.ranks.tolist() == [d * d for d in table.degrees]
+    degrees = list(table.degrees)
+    assert _at_power_zero(test, *_block([degrees]))[1].tolist() == [1]
+    rng = random.Random(5)
+    values = decomp._search_values(3)
+
+    def scalar():
+        return Fraction(5) ** rng.randint(-1, 1) * rng.choice(values)
+
+    scaled = [[c * x for x in degrees] for c in (scalar() for _ in range(6))]
+    mixed = [[scalar() for _ in degrees] for _ in range(6)]
+    hits = _witness_hits(A, table, [degrees] + scaled + mixed)
+    # every multiple of the regular character is a witness, these mixtures are not
+    assert all(hits[:7]) and not any(hits[7:])
 
 
 def enumerated_homs(alg):

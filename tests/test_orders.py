@@ -43,6 +43,12 @@ def test_make_order_unit_failure():
         so.make_order([(0, 0, 1, 1)], [Fraction(1), Fraction(0)], 2)
 
 
+def test_make_order_unit_with_non_ring_coordinates():
+    # b0 b0 = 3 b0, so b0 / 3 is the unit of the algebra, outside the order at 3
+    with pytest.raises(InvalidOrderError, match="unit has non-ring coordinates"):
+        so.make_order([(0, 0, 0, 3)], [Fraction(1, 3)], 3)
+
+
 def test_make_order_not_associative():
     # unit plus x with x*x = 1 + x, then corrupt one product
     constants = [(0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (1, 0, 1, 1), (2, 0, 2, 1),
