@@ -633,9 +633,9 @@ def stable_socle_property(A: Order, s: LinearForm, U: Lattice) -> bool:
 
     def socle_is_top(side) -> bool:
         # entry i: the layer coordinates of side(r, t_i) for every lift r
-        images = [[x for r in lifts for x in _layer_coords(S, side(r, t))] for t in layer]
-        return (not any(any(images[i]) for i in top)
-                and len(rref([images[i] for i in low], p)[1]) == len(low))
+        images = np.array([[x for r in lifts for x in _layer_coords(S, side(r, t))]
+                           for t in layer], dtype=np.int64)
+        return not images[top].any() and len(rref(images[low], p)[1]) == len(low)
 
     return socle_is_top(lambda r, t: r @ t) and socle_is_top(lambda r, t: t @ r)
 
@@ -664,7 +664,7 @@ def knorr_projective_check(A: Order, U: Lattice) -> bool:
     p = A.prime
     N, q = U.integer_action
     actions = N.reshape(A.dim, U.rank**2) * pow(q, -1, p) % p
-    return len(rref(actions.tolist(), p)[1]) == U.rank**2
+    return len(rref(actions.astype(np.int64), p)[1]) == U.rank**2
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,6 +4,13 @@ Vectors are int tuples/arrays with entries reduced mod p.  Kernels,
 ranks and radicals come from elimination mod p, exact at every prime:
 in int64 while the products involved fit and in Python ints beyond.
 Nothing is enumerated, so nothing here bounds p or the dimension.
+
+Every step works on whole arrays.  Elimination clears a pivot's column
+with one rank-one update.  The products of a subspace with the basis
+come from one contraction with the structure constants, and the radical's
+trace chain raises, for each row of the current ideal, the dim matrices
+of left multiplication by its products with the basis as one stack of
+dim^3 entries: that stack is the chain's largest array.
 """
 
 from __future__ import annotations
@@ -14,25 +21,30 @@ import numpy as np
 
 
 def rref(rows, p: int):
-    """Reduced row echelon form mod p; returns (rows, pivot_columns)."""
-    dtype = np.int64 if p * p < 2**63 else object  # keeps products exact
-    M = np.array([[int(x) % p for x in row] for row in rows], dtype=dtype)
+    """Reduced row echelon form mod p; returns (rows, pivot_columns).
+
+    An int64 array is reduced as it is; other rows entry by entry."""
+    wide = p * p >= 2**63  # products of residues leave int64; Python ints stay exact
+    if isinstance(rows, np.ndarray) and rows.dtype == np.int64:
+        M = (rows.astype(object) if wide else rows) % p
+    else:
+        M = np.array([[int(x) % p for x in row] for row in rows],
+                     dtype=object if wide else np.int64)
     m, n = M.shape if M.size else (0, 0)
     pivots = []
     r = 0
     for c in range(n):
-        pivot = None
-        for i in range(r, m):
-            if M[i, c] % p:
-                pivot = i
-                break
-        if pivot is None:
+        below = M[r:, c].nonzero()[0]
+        if not len(below):
             continue
-        M[[r, pivot]] = M[[pivot, r]]
-        M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
-        for i in range(m):
-            if i != r and M[i, c] % p:
-                M[i] = (M[i] - M[i, c] * M[r]) % p
+        i = r + below[0]
+        row = M[i] * pow(int(M[i, c]), -1, p) % p
+        M[i] = M[r]
+        factors = M[:, c].copy()
+        factors[r] = 0
+        if factors.any():
+            M = (M - factors[:, None] * row) % p
+        M[r] = row
         pivots.append(c)
         r += 1
         if r == m:
@@ -47,10 +59,10 @@ def nullspace(M, p: int) -> np.ndarray:
     reduced, pivots = rref(M, p)
     free = [c for c in range(n) if c not in pivots]
     out = np.zeros((len(free), n), dtype=reduced.dtype)
-    for row, c in enumerate(free):
-        out[row, c] = 1
-        for pivot_row, pc in zip(reduced, pivots):
-            out[row, pc] = -pivot_row[c] % p
+    if free:
+        out[np.arange(len(free)), free] = 1
+        if pivots:
+            out[:, pivots] = (-reduced.take(free, axis=1) % p).T
     return out
 
 
@@ -62,22 +74,27 @@ def _reduced(a, m: int, terms: int) -> np.ndarray:
     return np.asarray(a).astype(object) % m
 
 
-def _power_trace(M, e: int, q: int) -> int:
-    """Trace of M^e mod q, for a square integer matrix M and e >= 1."""
-    M = _reduced(M, q, len(M))
-    P = M
-    for bit in bin(e)[3:]:
-        P = P @ P % q
-        if bit == "1":
-            P = P @ M % q
-    return int(np.trace(P)) % q
-
-
 def subspace_basis(vectors, p: int) -> np.ndarray:
     if not len(vectors):
         return np.zeros((0, 0), dtype=np.int64)
     basis, _ = rref(vectors, p)
     return basis
+
+
+def _trace_gram(table, p: int) -> np.ndarray:
+    """Gram matrix of the trace form of the left regular representation:
+    entry (a, b) is the trace of left multiplication by b_a b_b, that is
+    tau . (b_a b_b) for tau_k = sum_j table[k, j, j]."""
+    tau = np.trace(table, axis1=1, axis2=2) % p
+    return table @ tau % p
+
+
+def _quotient_table(table, ideal, pivots, p: int) -> np.ndarray:
+    """Structure constants of A / I on the images of the non-pivot basis
+    elements, for I in reduced row echelon form with these pivots."""
+    free = [c for c in range(table.shape[0]) if c not in pivots]
+    products = table[np.ix_(free, free)]
+    return (products[..., free] - products[..., pivots] @ ideal[:, free]) % p
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,24 +118,47 @@ class FpAlgebra:
         return np.tensordot(_reduced(v, self.p, self.dim), self.left_rows(u),
                             axes=([0], [0])) % self.p
 
+    def _times(self, basis) -> np.ndarray:
+        """(dim, m dim) matrix whose row x holds b_x w for the m rows w of
+        basis, one block of dim columns each: a row vector u times it gives
+        the products u w."""
+        n = self.dim
+        right = np.tensordot(self.table, _reduced(basis, self.p, n), axes=([1], [1])) % self.p
+        return right.transpose(0, 2, 1).reshape(n, -1)
+
+    def _span(self, vectors, times) -> np.ndarray:
+        """Reduced basis of the products u w, u a row of vectors and w
+        a row of the basis that ``times`` was built from."""
+        products = _reduced(vectors, self.p, self.dim) @ times % self.p
+        return rref(products.reshape(-1, self.dim), self.p)[0].reshape(-1, self.dim)
+
     def subspace_product(self, basis_a, basis_b) -> np.ndarray:
-        prods = [
-            self.multiply(a, b)
-            for a in basis_a
-            for b in basis_b
-        ]
-        prods = [v for v in prods if any(v % self.p)]
-        if not prods:
-            return np.zeros((0, self.dim), dtype=np.int64)
-        return subspace_basis(prods, self.p)
+        return self._span(basis_a, self._times(basis_b))
 
     def is_nilpotent_subspace(self, basis) -> bool:
+        if not len(basis):
+            return True
+        times = self._times(basis)
         current = basis
         for _ in range(self.dim + 1):
             if current.shape[0] == 0:
                 return True
-            current = self.subspace_product(current, basis)
+            current = self._span(current, times)
         return False
+
+    def _chain_values(self, rows, i: int) -> np.ndarray:
+        """g_i(y) for each row y of rows, i >= 1 (see radical)."""
+        p, n, q = self.p, self.dim, self.p ** (i + 1)
+        stack = _reduced(np.tensordot(rows, self.table, axes=([1], [0])) % p, q, n)
+        power = stack
+        for bit in bin(p**i)[3:]:
+            power = np.matmul(power, power) % q
+            if bit == "1":
+                power = np.matmul(power, stack) % q
+        traces = np.trace(power, axis1=1, axis2=2) % q
+        if (traces % p**i).any():
+            raise AssertionError("trace of a p^i-th power not divisible by p^i")
+        return traces // p**i
 
     def radical(self) -> np.ndarray:
         """Basis of the Jacobson radical, in reduced row echelon form.
@@ -131,34 +171,47 @@ class FpAlgebra:
         whole algebra, the ideals
         I_i = {x in I_{i-1} : g_i(x b_j) = 0 for every basis element b_j},
         for the i with p^i <= dim, end at the radical.  g_i is linear on
-        I_{i-1}, so each step is one kernel mod p; for p > dim the chain
-        is the single step of Dickson's criterion, the kernel of the
-        trace form.  The result is certified to be a two-sided ideal and
-        nilpotent.
+        I_{i-1}, so each step is one kernel mod p.  g_0 is the trace form,
+        a product with the vector tau of :func:`_trace_gram`; for p > dim
+        the chain is that single step, Dickson's criterion.  Each later
+        step raises one stack of dim matrices per row of I_{i-1}.
+
+        The result is certified to be a two-sided ideal and nilpotent, and
+        for p > dim the quotient by it to be semisimple: its own trace
+        form is nondegenerate.
         """
         p, n = self.p, self.dim
-        units = np.eye(n, dtype=np.int64)
-        ideal = units
-        i = 0
+        gram = _trace_gram(self.table, p)
+        ideal = rref(nullspace(gram.T, p), p)[0].reshape(-1, n)
+        i = 1
         while p**i <= n and len(ideal):
-            values = []  # g_i(x b_j) for the basis rows x of I_{i-1}
-            for x in ideal:
-                for b in units:
-                    t = _power_trace(self.left_rows(self.multiply(x, b)), p**i, p ** (i + 1))
-                    if t % p**i:
-                        raise AssertionError("trace of a p^i-th power not divisible by p^i")
-                    values.append(t // p**i)
-            G = np.array(values, dtype=object).reshape(len(ideal), n)
-            kernel = nullspace(G.T, p)
-            combined = np.array(kernel, dtype=object) @ np.array(ideal, dtype=object)
-            ideal = rref(combined, p)[0]
+            # products[a, j] = x_a b_j for the rows x_a of I_{i-1}
+            products = np.tensordot(_reduced(ideal, p, n), self.table, axes=([1], [0])) % p
+            values = np.array([self._chain_values(rows, i) for rows in products])
+            kernel = nullspace(values.T, p)
+            m = len(ideal)
+            ideal = rref(_reduced(kernel, p, m) @ _reduced(ideal, p, m) % p, p)[0].reshape(-1, n)
             i += 1
-        if not len(ideal):
-            ideal = np.zeros((0, n), dtype=np.int64)
-        products = [self.multiply(u, r) for r in ideal for u in units]
-        products += [self.multiply(r, u) for r in ideal for u in units]
-        if len(rref(list(ideal) + products, p)[1]) != len(ideal):
-            raise AssertionError("radical not a two-sided ideal")
+        self._certify(ideal)
+        return ideal
+
+    def _certify(self, ideal) -> None:
+        """Raise unless the ideal is two-sided and nilpotent, and for
+        p > dim the trace form of the quotient by it nondegenerate.  A zero
+        ideal is then the kernel of the algebra's own trace form, which is
+        so already nondegenerate."""
+        p, n = self.p, self.dim
+        if len(ideal):
+            R = _reduced(ideal, p, n)
+            left = np.tensordot(R, self.table, axes=([1], [0]))  # r b_j
+            right = np.tensordot(R, self.table, axes=([1], [1]))  # b_j r
+            spanned = np.concatenate([R, left.reshape(-1, n) % p, right.reshape(-1, n) % p])
+            if len(rref(spanned, p)[1]) != len(ideal):
+                raise AssertionError("radical not a two-sided ideal")
+            if p > n:
+                pivots = list((R != 0).argmax(axis=1))
+                quotient = _quotient_table(self.table, R, pivots, p)
+                if len(rref(_trace_gram(quotient, p), p)[1]) != n - len(ideal):
+                    raise AssertionError("quotient by the radical not semisimple")
         if not self.is_nilpotent_subspace(ideal):
             raise AssertionError("radical not nilpotent")
-        return ideal

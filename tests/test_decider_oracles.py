@@ -6,7 +6,8 @@ algebra on the p-torsion layer of the stable Hom groups,
 ``knorr_projective_check`` by Burnside's theorem.  The oracles here
 enumerate instead: every stable class, every element of the residue
 algebra, every residue vector.  That is exponential, so they only run
-on small cases.
+on small cases.  ``scalar_modp`` keeps the row-by-row elimination and
+the per-pair trace chain that ``modp`` replaced, as oracles at any size.
 """
 
 import ast
@@ -32,6 +33,8 @@ from symorders.builders import (
 )
 from symorders.lattices import TateDualityError, _trace
 from symorders.padic import residue_int, val
+
+import scalar_modp
 
 
 def socle_oracle(A, s, U) -> bool:
@@ -433,13 +436,134 @@ def test_residue_algebra_product_beyond_int64_is_exact():
 
 
 def test_fp_algebra_reduces_its_table_once(monkeypatch):
-    # F_3[x]/(x^2) on the basis 1, x, with its table shifted by multiples of 3
-    table = np.array([[[4, -3], [3, 7]], [[0, -2], [6, 0]]])
-    alg = modp.FpAlgebra(3, 2, table, np.array([1, 0]))
-    assert alg.table.tolist() == (table % 3).tolist()
-    ranks = []
-    reduced = modp._reduced
-    monkeypatch.setattr(modp, "_reduced", lambda a, m, terms: ranks.append(np.ndim(a))
-                        or reduced(a, m, terms))
+    # F_p[x]/(x^2) on the basis 1, x, with its table shifted by multiples of
+    # p; at p = 2 <= dim the chain raises one stack of matrices
+    for p, table in [(3, [[[4, -3], [3, 7]], [[0, -2], [6, 0]]]),
+                     (2, [[[3, -2], [2, 5]], [[0, -1], [4, 0]]])]:
+        table = np.array(table)
+        alg = modp.FpAlgebra(p, 2, table, np.array([1, 0]))
+        assert alg.table.tolist() == (table % p).tolist()
+        again = []
+        reduced = modp._reduced
+        monkeypatch.setattr(modp, "_reduced", lambda a, m, terms: again.append(a is alg.table)
+                            or reduced(a, m, terms))
+        assert alg.radical().tolist() == [[0, 1]]
+        assert again and not any(again)  # no call reduces the table again
+        monkeypatch.undo()
+
+
+@st.composite
+def _rows_mod_p(draw):
+    """(p, n, rows): a few random rows with entries in [-2p, 2p] and some
+    random combinations of them mod p, shuffled."""
+    p = draw(st.sampled_from([2, 3, 5, 101, 4294967311]))
+    n = draw(st.integers(1, 7))
+    base = draw(st.lists(st.lists(st.integers(-2 * p, 2 * p), min_size=n, max_size=n),
+                         max_size=5))
+    coefficients = st.lists(st.integers(0, p - 1), min_size=len(base), max_size=len(base))
+    combined = [[sum(c * row[j] for c, row in zip(cs, base)) % p for j in range(n)]
+                for cs in draw(st.lists(coefficients, max_size=4 if base else 0))]
+    rows = draw(st.permutations(base + combined))
+    return p, n, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_rows_mod_p())
+def test_rref_and_nullspace_equal_the_scalar_elimination(case):
+    p, n, rows = case
+    array = np.array(rows, dtype=np.int64).reshape(-1, n)
+    expected, pivots = scalar_modp.rref(rows, p)
+    for given_rows in (rows, array):
+        reduced, found = modp.rref(given_rows, p)
+        assert found == pivots
+        assert np.array_equal(reduced.reshape(-1, n), expected.reshape(-1, n))
+        if len(given_rows):
+            assert np.array_equal(modp.nullspace(given_rows, p), scalar_modp.nullspace(rows, p))
+    assert array.tolist() == np.array(rows, dtype=np.int64).reshape(-1, n).tolist()  # untouched
+    assert np.array_equal(modp.nullspace(array, p), scalar_modp.nullspace(array, p))
+
+
+@pytest.mark.parametrize("p", [3, 101, 4294967311])
+def test_rref_of_an_int64_array_equals_rref_of_its_rows(p):
+    rng = np.random.default_rng(p)
+    full = rng.integers(-10**9, 10**9, size=(52, 6))
+    low = rng.integers(-50, 50, size=(52, 3)) @ rng.integers(-50, 50, size=(3, 6))
+    for rows in (full, low):
+        reduced, pivots = modp.rref(rows, p)
+        expected, expected_pivots = modp.rref(rows.tolist(), p)
+        assert pivots == expected_pivots
+        assert np.array_equal(reduced, expected)
+    assert len(modp.rref(low, p)[1]) == 3
+
+
+def _wide_algebras():
+    """Algebras at primes where residue products leave int64."""
+    p = 4294967311
+    return [(f"C{n}-p{p}", _group_algebra_mod(cyclic_group_table(n)[0], p)) for n in (2, 3)] + [
+        (f"UT2-p{p}", _matrix_units(2, p, upper=True)), (f"M2-p{p}", _matrix_units(2, p))]
+
+
+def test_radical_equals_the_scalar_trace_chain(residue_algebras):
+    m3 = _rebased(_matrix_units(3, 3), np.array([[int(i == j or j == (i + 1) % 9) for j in range(9)]
+                                                 for i in range(9)]))
+    cases = _small_algebras() + residue_algebras + _wide_algebras() + [("M3-p3", m3)]
+    for label, alg in cases:
+        assert np.array_equal(alg.radical(), scalar_modp.radical(alg)), label
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_radical_equals_the_scalar_trace_chain_on_random_bases(residue_algebras, data):
+    label, alg = data.draw(st.sampled_from(_small_algebras() + residue_algebras))
+    n = alg.dim
+    entries = st.integers(0, alg.p - 1)
+    P = np.array(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                    min_size=n, max_size=n)), dtype=np.int64)
+    rebased = _rebased(alg, P)
+    assume(rebased is not None)
+    assert np.array_equal(rebased.radical(), scalar_modp.radical(rebased)), label
+
+
+def test_radical_beyond_int64_products_is_exact():
+    p = 4294967311
+    dual = np.zeros((2, 2, 2), dtype=np.int64)  # F_p[x]/(x^2) on 1, x
+    dual[0, 0, 0] = dual[0, 1, 1] = dual[1, 0, 1] = 1
+    split = dual.copy()  # F_p x F_p on 1, e with e^2 = e
+    split[1, 1, 1] = 1
+    assert modp.FpAlgebra(p, 2, dual, np.array([1, 0])).radical().tolist() == [[0, 1]]
+    assert modp.FpAlgebra(p, 2, split, np.array([1, 0])).radical().shape == (0, 2)
+    # F_p[x]/(x^2) on 1, y = 1 + x, with y^2 = 2y - 1: the radical is y - 1
+    shifted = dual.copy()
+    shifted[1, 1] = [p - 1, 2]
+    radical = modp.FpAlgebra(p, 2, shifted, np.array([1, 0])).radical()
+    assert radical.tolist() == [[1, p - 1]]
+
+
+def test_radical_certifies_a_two_sided_ideal(monkeypatch):
+    # UT_2(F_5) on e11, e12, e22: e11 spans a left ideal (b e11 lies in it
+    # for every b) and e22 a right one, but e11 e12 = e12 = e12 e22
+    alg = _matrix_units(2, 5, upper=True)
+    for one_sided in ([1, 0, 0], [0, 0, 1]):
+        monkeypatch.setattr(modp, "nullspace", lambda M, p: np.array([one_sided]))
+        with pytest.raises(AssertionError, match="radical not a two-sided ideal"):
+            alg.radical()
+
+
+def test_radical_certifies_a_semisimple_quotient(monkeypatch):
+    # F_5[x]/(x^2): the radical is (x) and the quotient F_5 has trace form 1
+    table = np.zeros((2, 2, 2), dtype=np.int64)
+    table[0, 0, 0] = table[0, 1, 1] = table[1, 0, 1] = 1
+    alg = modp.FpAlgebra(5, 2, table, np.array([1, 0]))
+    quotients = []
+    quotient = modp._quotient_table
+    monkeypatch.setattr(modp, "_quotient_table",
+                        lambda *args: quotients.append(args) or quotient(*args))
     assert alg.radical().tolist() == [[0, 1]]
-    assert ranks and 3 not in ranks  # no call reduces the table again
+    assert len(quotients) == 1
+    # a zero radical leaves the trace form of the whole algebra, already known
+    # to be nondegenerate: no quotient is built
+    assert _group_algebra_mod(cyclic_group_table(3)[0], 5).radical().shape == (0, 3)
+    assert len(quotients) == 1
+    monkeypatch.setattr(modp, "_quotient_table", lambda *args: 0 * quotient(*args))
+    with pytest.raises(AssertionError, match="quotient by the radical not semisimple"):
+        alg.radical()
