@@ -2,10 +2,11 @@
 
 Everything here runs on rational character data: bounded searches for
 symmetrising forms built out of decomposition columns, the rational
-centre and rational symmetry of an order, the orbit test deciding the
-scalar property through exact lattice arithmetic, and the arithmetic
-checks relating exponents, ranks and character degrees (heights).  Both
-searches decide their candidates with one whole-candidate test on the
+centre (the centre as one ring, with the central characters as its
+homomorphisms) and rational symmetry of an order, the orbit test
+deciding the scalar property through exact lattice arithmetic, and the
+arithmetic checks relating exponents, ranks and character degrees
+(heights).  Both searches decide their candidates with one whole-candidate test on the
 centre, valuations of integer combinations of the central idempotents and
 the characters against one determinant valuation (:class:`WitnessTest`),
 and certify only the witness they return.
@@ -22,7 +23,7 @@ import numpy as np
 from . import linalg
 from .forms import (
     LinearForm,
-    central_idempotents,
+    central_characters,
     gram_matrix,
     is_symmetrising,
     kept,
@@ -138,17 +139,14 @@ class WitnessTest:
 
 def witness_test(A: Order, table: CharacterTable) -> WitnessTest:
     """Derived on first use with A and kept on the table, certifying that
-    the e_chi are orthogonal with sum 1 and that each c_chi is one nonzero
-    scalar on every basis element; the e_chi are central, so each f_a is
-    then a trace form."""
+    each c_chi is one nonzero scalar on every basis element.  The e_chi
+    are central, orthogonal and sum to 1, as the rational centre certifies
+    on its table, so each f_a is then a trace form."""
     return kept(table._kept, "witness_test", (A,), lambda: _witness_test(A, table))
 
 
 def _witness_test(A: Order, table: CharacterTable) -> WitnessTest:
     p, idems = A.prime, rational_centre(A, table).idempotents
-    if not linalg.vectors_equal(sum(idems, A.zero()), A.one) or any(
-            any(A.multiply(e, f)) for i, e in enumerate(idems) for f in idems[:i]):
-        raise AssertionError("central idempotents not orthogonal with sum 1")
     G_rho = gram_matrix(A, regular_character_form(A))
     det = linalg.det(G_rho)
     if det == 0:
@@ -316,12 +314,14 @@ def morita_shift_witness(A: Order, table: CharacterTable, D: DecompositionMatrix
 
 @dataclass(frozen=True, eq=False)
 class RationalCentre:
-    """Saturated basis of the central elements with rational coordinates
-    on the primitive central idempotents."""
+    """The centre Z as a ring on its own saturated basis, with its central
+    characters and the primitive central idempotents dual to them."""
 
-    basis: np.ndarray  # columns, coordinates in the order basis
-    idempotents: list  # the rational central idempotents
-    spectral: np.ndarray  # (rank, num_chars): chi(z)/chi(1) per basis column
+    basis: np.ndarray  # columns z_i, coordinates in the order basis
+    idempotents: list  # the rational central idempotents e_chi
+    spectral: np.ndarray  # (rank, num_chars): omega_chi(z_i) = chi(z_i)/chi(1)
+    table: np.ndarray  # (rank, rank, rank): z_i z_j = sum_k table[i, j, k] z_k
+    unit: np.ndarray  # (rank,): 1 = sum_k unit[k] z_k
 
     @property
     def rank(self) -> int:
@@ -329,22 +329,19 @@ class RationalCentre:
 
 
 def rational_centre(A: Order, table: CharacterTable) -> RationalCentre:
-    """Intersection of the order with the rational span of the central
-    idempotents.  With a rational character table every central element
-    qualifies, so this is the center with its spectral coordinates.  It
+    """The centre of the order (:attr:`Order.centre`) with the central
+    characters omega_chi of the table as its ring homomorphisms, and the
+    idempotents dual to them (:func:`forms.central_characters`).  With a
+    rational character table Z(K⊗A) is K^r, so this is the intersection
+    of the order with the rational span of the central idempotents.  It
     is derived on first use with A and kept on the table."""
     return kept(table._kept, "rational_centre", (A,), lambda: _rational_centre(A, table))
 
 
 def _rational_centre(A: Order, table: CharacterTable) -> RationalCentre:
-    idems = central_idempotents(A, table.values)
-    Z = A.center_basis()
-    spectral = linalg.as_matrix([[np.dot(chi, z) / d for chi, d in zip(table.values, table.degrees)]
-                                 for z in Z.T])
-    for z, coeffs in zip(Z.T, spectral):
-        if not linalg.vectors_equal(sum(c * e for c, e in zip(coeffs, idems)), z):
-            raise ValueError("central element outside the rational centre")
-    return RationalCentre(basis=Z, idempotents=idems, spectral=spectral)
+    spectral, idems = central_characters(A.centre, table.values)
+    Z, C, u = A.centre
+    return RationalCentre(basis=Z, idempotents=idems, spectral=spectral, table=C, unit=u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,18 +457,12 @@ def _central_homs(A: Order, centre: RationalCentre):
     """The residue algebra of the rational centre, and the distinct
     reductions mod p of its central characters on the basis as sorted
     tuples, certified as :func:`_maximal_ideal_lattices` says."""
-    Z, p = centre.basis, A.prime
-    r = Z.shape[1]
-    # coordinates of the products of basis elements, and of 1, on the basis
-    coords = linalg.lattice_membership(np.array(
-        [A.multiply(Z[:, i], Z[:, j]) for i in range(r) for j in range(r)] + [A.one]).T, Z, p)
-    if coords is None:
-        raise AssertionError("rational centre lattice not a ring with 1")
-    residues = np.array([[residue_int(c, p, 1) for c in col] for col in coords.T], dtype=object)
-    alg = FpAlgebra(p, r, residues[:-1].reshape(r, r, r), residues[-1])
+    p = A.prime
     if not linalg.is_integral(centre.spectral, p):
         raise AssertionError("spectral coordinates not p-integral")
-    homs = sorted({tuple(residue_int(x, p, 1) for x in col) for col in centre.spectral.T})
+    residues = np.vectorize(lambda c: residue_int(c, p, 1), otypes=[object])
+    alg = FpAlgebra(p, centre.rank, residues(centre.table), residues(centre.unit))
+    homs = sorted(set(map(tuple, residues(centre.spectral).T.tolist())))
     H = np.array(homs, dtype=object)
     if (H @ alg.one % p != 1).any() or any(((np.outer(h, h) - alg.table @ h) % p).any()
                                            for h in H):
@@ -489,22 +480,15 @@ def _maximal_ideal_lattices(A: Order, centre: RationalCentre):
     omega_chi(z) mod p for a column chi of the spectral coordinates.  The
     maximal ideals are the kernels of their distinct reductions, taken in
     the order of the reductions as tuples of values on the basis.
-    Certified: the residue table of Z is a ring with 1, the spectral
-    coordinates are p-integral, each reduction is a unital homomorphism on
-    the table, and the joint kernel is nilpotent, so no ideal is missed.
+    Certified: the table of Z is a ring with 1 (:attr:`Order.centre`), the
+    spectral coordinates are p-integral, each reduction is a unital
+    homomorphism on the table, and the joint kernel is nilpotent, so no
+    ideal is missed.
     """
-    p = A.prime
-    r = centre.rank
-    ideals = []
-    for phi in _central_homs(A, centre)[1]:
-        t = next(c for c in range(r) if phi[c])
-        inv_t = pow(phi[t], -1, p)
-        # e_c - (phi_c / phi_t mod p) e_t for c != t, and p e_c for every c
-        G = linalg.identity(r)
-        G[t] = [Fraction(-(phi[c] * inv_t % p)) for c in range(r)]
-        G = np.concatenate([np.delete(G, t, axis=1), p * linalg.identity(r)], axis=1)
-        ideals.append(linalg.lattice_basis_from_generators(G, p))
-    return ideals
+    p, pZ = A.prime, A.prime * np.identity(centre.rank, dtype=object)
+    # spanned by a basis of the kernel of phi mod p and by p Z
+    return [linalg.lattice_basis_from_generators(np.concatenate([nullspace([phi], p).T, pZ], 1), p)
+            for phi in _central_homs(A, centre)[1]]
 
 
 def rational_intersection_criterion(
@@ -548,17 +532,16 @@ def rational_intersection_criterion(
     # span test against every maximal ideal of the rational centre
     annihilator = linalg.left_null_space(linalg.as_matrix(D.entries))  # of the d-space
 
-    def image_lattice(lattice_cols):
-        coords = linalg.solve_exact(centre.basis, lattice_cols)
+    def image_lattice(coords):  # of the lattice with these columns of Z-coordinates
         return (centre.spectral.T @ coords) * sigma_tilde[:, None]
 
     def intersect_with_span(L):
         return L @ linalg.integral_kernel(annihilator @ L, p) if len(annihilator) else L
 
-    L_full = intersect_with_span(image_lattice(centre.basis))
+    L_full = intersect_with_span(image_lattice(linalg.identity(centre.rank)))
     ideals = _maximal_ideal_lattices(A, centre)
     morita_verdict = all(
-        _proper_containment(L_full, intersect_with_span(image_lattice(centre.basis @ I)), p)
+        _proper_containment(L_full, intersect_with_span(image_lattice(I)), p)
         for I in ideals)
     return IntersectionCriterionResult(verdict=verdict, morita_verdict=morita_verdict,
                                        orbit_generator=z0, maximal_ideal_count=len(ideals))

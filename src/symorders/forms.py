@@ -25,6 +25,8 @@ scalar Casimir p^n 1 (the projective scalar property):
 * :func:`psp_regular_gram` tests whether the Gram matrix of the regular
   character is p^n times a ring-invertible matrix, which requires the
   rational algebra to be split semisimple.
+The central characters chi / chi(1) are the ring homomorphisms of the
+centre, and the central idempotents the basis dual to them.
 """
 
 from __future__ import annotations
@@ -380,9 +382,7 @@ def casimir_spectrum(A: Order, s: LinearForm, characters) -> np.ndarray:
     spectrum = casimir_spectrum_from_data(sigma, degrees)
     idems = central_idempotents(A, chars)
     z = casimir(A, s)
-    recombined = A.zero()
-    for c, e in zip(spectrum, idems):
-        recombined = recombined + Fraction(c) * e
+    recombined = sum((c * e for c, e in zip(spectrum, idems)), A.zero())
     if not linalg.vectors_equal(recombined, z):
         raise AssertionError("Casimir spectrum does not recombine to the Casimir element")
     return spectrum
@@ -402,32 +402,38 @@ def scalar_spectrum_test(spectrum, p: int):
     return False, None
 
 
-def central_idempotents(A: Order, characters) -> list:
-    """Primitive central idempotents of the rational algebra.
+def central_characters(centre, characters) -> tuple:
+    """(S, idempotents) of rational characters chi, one per simple factor
+    of K⊗A, on the centre (Z, C, u) of :attr:`Order.centre`.
 
-    Solves, for each character chi, the linear system asking for a
-    central element e with chi(e) = chi(1) and chi'(e) = 0 for the other
-    characters; verifies idempotency.  Characters must be rational
-    valued, one per simple factor.
-    """
-    chars = linalg.as_matrix(characters)
-    r = chars.shape[0]
-    central_rows = A.commutator_rows
-    out = []
-    for k in range(r):
-        rows = np.concatenate([central_rows, chars], axis=0)
-        rhs = linalg.zero_vector(central_rows.shape[0] + r)
-        rhs[central_rows.shape[0] + k] = np.dot(chars[k], A.one)
-        try:
-            e = linalg.solve_exact(rows, rhs)
-        except ValueError:
-            e = None
-        if e is None:
-            raise ValueError("system inconsistent")
-        if not A.is_idempotent(e):
-            raise ValueError("system inconsistent: solution not idempotent")
-        out.append(e)
-    return out
+    S[i, chi] = omega_chi(z_i) = chi(z_i) / chi(1), with chi(1) read as
+    sum u_i chi(z_i), so omega_chi(1) = 1.  Certified on C, else
+    ValueError("system inconsistent: ..."): S is square and invertible and
+    each omega_chi is multiplicative.  So K⊗Z = K^r with the omega_chi as
+    its homomorphisms, and the primitive central idempotents are the dual
+    basis e = Z (S^T)^{-1}, which z_i = sum_chi S[i, chi] e_chi certifies."""
+    Z, C, u = centre
+    X = linalg.as_matrix(characters) @ Z  # chi(z_i)
+    degrees = X @ u
+    if X.shape[0] != X.shape[1] or 0 in degrees:
+        raise ValueError(f"system inconsistent: {X.shape[0]} characters of degrees "
+                         f"{', '.join(map(str, degrees))} on a centre of rank {X.shape[1]}")
+    S = (X / degrees[:, None]).T
+    try:
+        E = Z @ linalg.inverse(S.T)
+    except ValueError:
+        raise ValueError("system inconsistent: central characters linearly dependent") from None
+    if any(not linalg.matrices_equal(np.outer(w, w), C @ w) for w in S.T):
+        raise ValueError("system inconsistent: a central character is not multiplicative")
+    if not linalg.matrices_equal(E @ S.T, Z):
+        raise AssertionError("centre basis differs from sum omega_chi(z) e_chi")
+    return S, list(E.T.copy())
+
+
+def central_idempotents(A: Order, characters) -> list:
+    """Primitive central idempotents of the rational algebra, dual to the
+    central characters of rational characters (:func:`central_characters`)."""
+    return central_characters(A.centre, characters)[1]
 
 
 # -- forms on product orders ---------------------------------------------

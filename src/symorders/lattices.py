@@ -45,7 +45,7 @@ from .forms import (  # noqa: F401  (perfbench patches lattices.casimir)
 )
 from .modp import FpAlgebra, nullspace, rref
 from .orders import Order, first_failure
-from .padic import INFINITY, ResidueClass, residue_class, residue_int, val
+from .padic import INFINITY, ResidueClass, int_val, residue_class, residue_int, val
 
 
 class InvalidLatticeError(ValueError):
@@ -487,17 +487,23 @@ def _residue_algebra(A: Order, E: HomLattice) -> FpAlgebra:
     dens = [1] * len(rows)
     if len(linalg.eliminate(rows, dens, e)[0]) < e:
         raise AssertionError("hom basis not linearly independent")
-    # row k < e is now [e_k | coordinates] over dens[k]; the rows below vanish
-    coords = np.array([[Fraction(x, den) for x in row[e:]] for row, den in zip(rows[:e], dens)],
-                      dtype=object).reshape(e, e * e + 1)
-    products = coords[:, :-1] / d
-    if any(any(row[e:-1]) for row in rows[e:]) or not linalg.is_integral(products, p):
+    # row k < e is now [e_k | coordinates] over dens[k], the products' over
+    # d dens[k]; the rows below vanish
+    coords = [_residues(row[e:-1] + [row[-1] * d], den * d, p) for row, den in zip(rows[:e], dens)]
+    if any(any(row[e:-1]) for row in rows[e:]) or any(None in c[:-1] for c in coords):
         raise AssertionError("hom basis not multiplicatively closed")
-    if any(row[-1] for row in rows[e:]) or not linalg.is_integral(coords[:, -1], p):
+    if any(row[-1] for row in rows[e:]) or any(c[-1] is None for c in coords):
         raise AssertionError("identity not in the hom lattice")
-    table = np.array([[residue_int(c, p, 1) for c in column] for column in products.T],
-                     dtype=np.int64).reshape(e, e, e)
-    return FpAlgebra(p, e, table, np.array([residue_int(c, p, 1) for c in coords[:, -1]]))
+    table = np.array([c[:-1] for c in coords], dtype=np.int64).T.reshape(e, e, e)
+    return FpAlgebra(p, e, table, np.array([c[-1] for c in coords]))
+
+
+def _residues(row: list, den: int, p: int) -> list:
+    """x / den mod p for each integer x of the row; None where p^v_p(den)
+    does not divide x, so that x / den lies outside the ring."""
+    pv = p ** int_val(den, p)
+    inv = pow(den // pv, -1, p)
+    return [None if x % pv else x // pv * inv % p for x in row]
 
 
 def _residue_endo_analysis(A: Order, U: Lattice) -> ResidueEndoAnalysis:

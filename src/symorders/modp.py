@@ -132,9 +132,6 @@ class FpAlgebra:
         products = _reduced(vectors, self.p, self.dim) @ times % self.p
         return rref(products.reshape(-1, self.dim), self.p)[0].reshape(-1, self.dim)
 
-    def subspace_product(self, basis_a, basis_b) -> np.ndarray:
-        return self._span(basis_a, self._times(basis_b))
-
     def is_nilpotent_subspace(self, basis) -> bool:
         if not len(basis):
             return True

@@ -16,6 +16,9 @@ elements of the order and of its rational span are plain coordinate
 vectors (object arrays of Fractions), and elements with non-ring
 coordinates are allowed wherever an operation makes sense rationally
 (inverses, idempotents of the rational algebra, and so on).
+The centre is derived once, as a ring on its own basis
+(:attr:`Order.centre`) whose homomorphisms to K are the central
+characters (``forms``).
 """
 
 from __future__ import annotations
@@ -119,15 +122,6 @@ class Order:
                     L[k][j] += x * c
         return np.array(L, dtype=object)
 
-    def right_matrix(self, a) -> np.ndarray:
-        """Matrix of x -> x a on the basis."""
-        R = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for j, x in self._exact_terms(a):
-            for i, row in enumerate(self.products):
-                for k, c in row[j]:
-                    R[k][i] += x * c
-        return np.array(R, dtype=object)
-
     @cached_property
     def generators(self) -> tuple:
         """Basis indices g such that 1 and its images under repeated left
@@ -213,21 +207,31 @@ class Order:
         return b
 
     @cached_property
-    def commutator_rows(self) -> np.ndarray:
-        """The matrices L(b_g) - R(b_g) for the generators g stacked
-        vertically: their common kernel is the center.  Read-only."""
-        stacked = np.concatenate(
-            [linalg.zeros(0, self.dim)]
-            + [self.left_matrix(b) - self.right_matrix(b)
-               for b in map(self.basis_element, self.generators)],
-            axis=0,
-        )
-        stacked.flags.writeable = False
-        return stacked
+    def centre(self) -> tuple:
+        """The centre as a ring on its own basis: (Z, C, u), read-only.  Z
+        (columns) is the saturated kernel of the integer commutator rows
+        d (L(b_g) - R(b_g)) of the generators g, C its table and u the
+        coordinates of 1, certified ring by :func:`lattice_ring`."""
+        rows = []
+        for g in self.generators:
+            block = [[0] * self.dim for _ in range(self.dim)]
+            for j in range(self.dim):
+                for k, c in self.products[g][j]:
+                    block[k][j] += c
+                for k, c in self.products[j][g]:
+                    block[k][j] -= c
+            rows.extend(block)
+        Z = linalg.integral_kernel_of_rows(rows, self.dim, self.prime)
+        C, u = lattice_ring(self, Z, self.one)
+        if C is None or u is None:
+            raise AssertionError("centre lattice not a ring with 1")
+        for a in (Z, C, u):
+            a.flags.writeable = False
+        return Z, C, u
 
     def center_basis(self) -> np.ndarray:
-        """Saturated lattice basis (columns) of the center."""
-        return linalg.integral_kernel(self.commutator_rows, self.prime)
+        """Saturated lattice basis (columns) of the center, read-only."""
+        return self.centre[0]
 
 
 def make_order(constants, one, p, basis_labels=None) -> Order:
@@ -307,6 +311,18 @@ def _nonzero(coords: dict) -> dict:
     return {k: c for k, c in coords.items() if c != 0}
 
 
+def lattice_ring(A: Order, basis, unit) -> tuple:
+    """(C, u) for the lattice with the given basis columns z_i: the
+    coordinates of z_i z_j = sum_k C_ijk z_k and of ``unit`` on the basis,
+    each None when it is not ring-valued (the lattice is not closed under
+    products, or ``unit`` lies outside)."""
+    r = basis.shape[1]
+    products = np.array([A.multiply(a, b) for a in basis.T for b in basis.T]).T
+    C = linalg.lattice_membership(products, basis, A.prime)
+    return (None if C is None else C.T.reshape(r, r, r),
+            linalg.lattice_membership(unit, basis, A.prime))
+
+
 def condense(A: Order, e) -> tuple:
     """Corner order e A e for an idempotent e, with embedding data.
 
@@ -323,27 +339,15 @@ def condense(A: Order, e) -> tuple:
         raise InvalidOrderError("not idempotent")
     if all(x == 0 for x in e):
         raise InvalidOrderError("not idempotent: condensation by zero")
-    gens = []
-    for i in range(A.dim):
-        g = A.multiply(A.multiply(e, A.basis_element(i)), e)
-        gens.append(g)
-    G = np.array(gens, dtype=object).T
+    G = np.array([A.multiply(A.multiply(e, A.basis_element(i)), e) for i in range(A.dim)]).T
     spanning = linalg.lattice_basis_from_generators(G, A.prime)
-    ann = linalg.left_null_space(spanning)
-    if ann.shape[0]:
-        embedding = linalg.integral_kernel(ann, A.prime)
-    else:
-        embedding = linalg.identity(A.dim)
-    rank = embedding.shape[1]
-    products = np.array([A.multiply(embedding[:, i], embedding[:, j])
-                         for i in range(rank) for j in range(rank)], dtype=object)
-    coords = linalg.lattice_membership(products.T, embedding, A.prime)
-    if coords is None:
+    embedding = linalg.integral_kernel(linalg.left_null_space(spanning), A.prime)
+    table, unit = lattice_ring(A, embedding, e)
+    if table is None:
         raise AssertionError("corner basis not multiplicatively closed")
-    unit = linalg.lattice_membership(e, embedding, A.prime)
     if unit is None:
         raise AssertionError("idempotent not in the corner lattice")
-    constants = [(ij // rank, ij % rank, k, c) for (k, ij), c in np.ndenumerate(coords) if c]
+    constants = [(i, j, k, c) for (i, j, k), c in np.ndenumerate(table) if c]
     corner = make_order(constants, unit, A.prime)
     return corner, embedding
 

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +23,12 @@ from symorders.builders import (
 )
 from symorders.forms import central_idempotents, gram_matrix
 from symorders.padic import int_val
+import dense_orders
 import fraction_lattices
 import gram_witness
+
+GOLDEN = Path(__file__).resolve().parent / "data"
+
 
 def test_character_table_validation(s3, s3_chars):
     A, _ = s3
@@ -107,23 +112,52 @@ def test_rational_centre_ranks(s3, s3_table):
 
 def test_check_all_builds_the_rational_centre_and_the_witness_test_once(monkeypatch):
     calls = []
-    for name in ("central_idempotents", "_rational_centre", "_witness_test"):
+    for name in ("central_characters", "_rational_centre", "_witness_test"):
         monkeypatch.setattr(decomp, name, lambda *args, f=getattr(decomp, name), name=name:
                             calls.append(name) or f(*args))
     assert cli.run("all", s3_fixture_bundle(3)).ok
-    assert sorted(calls) == ["_rational_centre", "_witness_test", "central_idempotents"]
+    assert sorted(calls) == ["_rational_centre", "_witness_test", "central_characters"]
 
 
 def test_witness_test_certifies_the_idempotents(monkeypatch, s3, s3_chars):
     A, _ = s3
     centre = so.rational_centre(A, so.make_character_table(s3_chars, A))
-    for idems, error, message in (
-            (centre.idempotents[::-1], ValueError, "no multiple of chi"),  # wrong pairing
-            (centre.idempotents[:1] * 3, AssertionError, "not orthogonal with sum 1")):
-        monkeypatch.setattr(decomp, "rational_centre", lambda A, table, idems=idems:
-                            dataclasses.replace(centre, idempotents=idems))
-        with pytest.raises(error, match=message):
-            decomp.witness_test(A, so.make_character_table(s3_chars, A))
+    wrong_pairing = centre.idempotents[::-1]
+    monkeypatch.setattr(decomp, "rational_centre", lambda A, table:
+                        dataclasses.replace(centre, idempotents=wrong_pairing))
+    with pytest.raises(ValueError, match="no multiple of chi"):
+        decomp.witness_test(A, so.make_character_table(s3_chars, A))
+
+
+def test_central_characters_certify_the_table_and_the_inverse(monkeypatch, s3, s3_chars):
+    # orthogonality with sum 1 is certified on the centre's table: a table
+    # on which some omega_chi is not multiplicative is an input fault
+    A, _ = s3
+    Z, C, u = A.centre
+    forged = C.copy()
+    forged[1, 1] = C[1, 1] + C[0, 0]
+    with pytest.raises(ValueError, match="system inconsistent: a central character is not mult"):
+        forms.central_characters((Z, forged, u), s3_chars)
+    inverse = linalg.inverse
+    monkeypatch.setattr(linalg, "inverse", lambda M: 2 * inverse(M))
+    with pytest.raises(AssertionError, match="centre basis differs from sum omega_chi"):
+        forms.central_characters(A.centre, s3_chars)
+
+
+def test_rational_centre_of_a_non_semisimple_algebra_is_an_input_fault(tmp_path, capsys):
+    # O[x]/(x^2): the characters (1, 1) and (1, -1) sum to the regular
+    # character, but omega(x)^2 = 1 while x^2 = 0
+    A = so.make_order([(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], [1, 0], 3)
+    table = so.make_character_table([[1, 1], [1, -1]], A)
+    with pytest.raises(ValueError, match="system inconsistent"):
+        so.rational_centre(A, table)
+    path = tmp_path / "dual-numbers.bundle.json"
+    so.save_bundle(so.Bundle(prime=3, order=A, forms={}, lattices={}, character_table=table),
+                   path)
+    assert cli.main(["--bundle", str(path), "--check", "rational"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: system inconsistent: a central character")
+    assert "Traceback" not in err
 
 
 def test_rational_symmetry_rank2(rank2_family):
@@ -379,9 +413,11 @@ def test_witness_test_inverts_no_matrix_and_builds_one_gram_matrix(monkeypatch, 
     calls = []
     for module, name in ((linalg, "inverse"), (forms, "gram_matrix"), (decomp, "gram_matrix")):
         monkeypatch.setattr(module, name, lambda *args, f=getattr(module, name), name=name:
-                            calls.append(name) or f(*args))
+                            calls.append((name, np.shape(args[0]) if name == "inverse" else None))
+                            or f(*args))
     decomp.witness_test(A, so.make_character_table(s3_chars, A))
-    assert (calls.count("inverse"), calls.count("gram_matrix")) == (0, 1)
+    # the one inverse is of the centre's 3 x 3 spectral matrix, none of a 6 x 6 one
+    assert sorted(calls) == [("gram_matrix", None), ("inverse", (3, 3))]
 
 
 # -- the one-pass scan against the k-major scan ------------------------------
@@ -470,6 +506,25 @@ def small_tables():
     B, _ = four_dim_nonrational(3, 2)
     out["four-dim", 3, 2] = B, so.make_character_table(four_dim_characters(3), B), None
     return out
+
+
+def _golden_tables():
+    """(A, table) of every golden bundle that carries characters."""
+    bundles = [so.load_bundle(path) for path in sorted(GOLDEN.glob("*.bundle.json"))]
+    return [(b.order, b.character_table) for b in bundles if b.character_table is not None]
+
+
+def test_centre_and_idempotents_equal_the_fraction_oracles(character_tables, small_tables):
+    cases = [*character_tables.values(), *[case[:2] for case in small_tables.values()],
+             *_golden_tables()]
+    assert len(cases) == 7 + 7 + 5
+    for A, table in cases:
+        assert linalg.matrices_equal(A.center_basis(), dense_orders.center_basis(A))
+        ours = so.rational_centre(A, table).idempotents
+        theirs = dense_orders.central_idempotents(A, table.values)
+        assert all(linalg.vectors_equal(e, f) for e, f in zip(ours, theirs, strict=True))
+        assert all(linalg.vectors_equal(e, f) for e, f in
+                   zip(so.central_idempotents(A, table.values), theirs, strict=True))
 
 
 def test_one_pass_scan_finds_the_k_major_witness_on_small_orders(small_tables):

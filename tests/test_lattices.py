@@ -274,6 +274,30 @@ def test_residue_endo_analysis(s3, s3_lattices):
     assert an.dimension == 9 and an.quotient_dim == 3
 
 
+def test_residue_algebra_certifies_the_hom_basis(s3, s3_lattices):
+    # End(T + T) = M_2(O) at p = 3, on forged bases of matrix units E_ij
+    A, _ = s3
+    TT = so.direct_sum(s3_lattices["trivial"], s3_lattices["trivial"])
+
+    def unit(i, j):
+        E = linalg.zeros(2, 2)
+        E[i, j] = Fraction(1)
+        return E
+
+    I = linalg.identity(2)
+    for basis, message in [((I, I), "not linearly independent"),
+                           ((unit(0, 1), unit(1, 0)), "not multiplicatively closed"),
+                           ((I, unit(0, 0) / 3), "not multiplicatively closed"),
+                           ((3 * unit(0, 0),), "identity not in the hom lattice"),
+                           ((3 * I,), "identity not in the hom lattice")]:
+        with pytest.raises(AssertionError, match=message):
+            lattices._residue_algebra(A, HomLattice(TT, TT, basis))
+    # a basis over the unit denominator 2 passes all three: (E_00 / 2)^2 = (E_00 / 2) / 2
+    alg = lattices._residue_algebra(A, HomLattice(TT, TT, (I, unit(0, 0) / 2)))
+    assert alg.table.tolist() == [[[1, 0], [0, 1]], [[0, 1], [0, 2]]]
+    assert alg.one.tolist() == [1, 0]
+
+
 def test_knorr_checks(s3, s3_lattices, rank2_family):
     A, _ = s3
     assert so.knorr_check(A, s3_lattices["trivial"]).verdict

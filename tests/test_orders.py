@@ -21,7 +21,7 @@ from symorders.builders import (
     symmetric_group_table,
 )
 from symorders.forms import LinearForm, gram_matrix
-from symorders.orders import InvalidOrderError, NotInvertibleError
+from symorders.orders import InvalidOrderError, NotInvertibleError, lattice_ring
 
 from dense_orders import cube, dense_order
 
@@ -172,6 +172,39 @@ def test_center_matrix_order():
 def test_center_commutative_full():
     A, _ = rank2_order(2, 3)
     assert A.center_basis().shape[1] == 2
+
+
+def _s3_elements(A, *labels):
+    return [A.basis_element(A.basis_labels.index(label)) for label in labels]
+
+
+def test_lattice_ring_certifies_closure_and_the_unit(s3):
+    A, _ = s3
+    one, t, c = _s3_elements(A, "012", "102", "120")  # 1, (01) and (012)
+    C, u = lattice_ring(A, np.array([one, t]).T, A.one)
+    assert C.tolist() == [[[1, 0], [0, 1]], [[0, 1], [1, 0]]] and u.tolist() == [1, 0]
+    # (01) (012) is a transposition other than (01), and (01)^2 = (3 1) / 3
+    assert lattice_ring(A, np.array([t, c]).T, A.one)[0] is None
+    assert lattice_ring(A, np.array([3 * one, t]).T, A.one) == (None, None)
+    # 3 O is closed, but 1 = (3 1) / 3 is no ring combination at p = 3
+    C, u = lattice_ring(A, np.array([3 * one]).T, A.one)
+    assert C.tolist() == [[[3]]] and u is None
+
+
+def test_condense_gives_the_corner_order(s3, s3_chars):
+    A, _ = s3
+    one, t = _s3_elements(A, "012", "102")
+    B, _ = s3_group_algebra(2)
+    cases = [(A, (one + t) / 2, 2),  # End of the permutation module on S3 / <(01)>
+             (B, so.central_idempotents(B, s3_chars)[1], 4)]  # M_2(O) at p = 2
+    for order, e, dim in cases:
+        corner, E = so.condense(order, e)
+        assert corner.dim == dim and linalg.vectors_equal(E @ corner.one, e)
+        for i in range(dim):
+            for j in range(dim):
+                product = corner.multiply(corner.basis_element(i), corner.basis_element(j))
+                assert linalg.vectors_equal(E @ product, order.multiply(E[:, i], E[:, j]))
+    assert corner.center_basis().shape[1] == 1
 
 
 def test_invert(s3):
@@ -399,7 +432,6 @@ def test_sparse_products_match_dense_contraction(data):
     S = cube(A)
     assert linalg.vectors_equal(A.multiply(a, b), dense_multiply(S, a, b))
     assert linalg.matrices_equal(A.left_matrix(a), dense_left(S, a))
-    assert linalg.matrices_equal(A.right_matrix(a), dense_right(S, a))
     assert linalg.matrices_equal(gram_matrix(A, LinearForm(v)), dense_gram(S, v))
     assert all(isinstance(x, Fraction) for x in A.multiply(a, b))
 
