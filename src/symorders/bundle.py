@@ -2,11 +2,14 @@
 lattices, character data, decomposition matrix and expected verdicts.
 
 All scalars are serialized as strings "a/b" (denominator omitted when
-1), so fixtures double as human-readable documentation.  The order's
-structure constants are written as the dense cube ``structure[i][j][k]``
-from the order's integer table, and read back as its nonzero entries:
-an entry "0" is skipped unparsed.  Loading re-runs every structural
-validator and reports the failed invariant.
+1), so fixtures double as human-readable documentation; on reading, a
+scalar may also be a JSON integer, but never a float or a boolean.  The
+order's structure constants are written as the dense cube
+``structure[i][j][k]`` from the order's integer table, and read back as
+its nonzero entries: an entry "0" is skipped unparsed.  A lattice is
+written as its action matrices N[k] / q, from its integer action.
+Loading re-runs every structural validator and reports the failed
+invariant.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .decomp import (
     CharacterTable,
     DecompositionMatrix,
@@ -26,7 +27,7 @@ from .decomp import (
     make_decomposition_matrix,
 )
 from .forms import LinearForm
-from .lattices import make_lattice
+from .lattices import Lattice, make_lattice
 from .orders import InvalidOrderError, Order, make_order
 from .padic import as_int, scalar_to_str
 
@@ -55,8 +56,10 @@ def _ser_vector(v):
     return [_ser_scalar(x) for x in v]
 
 
-def _ser_matrix(m):
-    return [[_ser_scalar(x) for x in row] for row in np.asarray(m, dtype=object)]
+def _ser_action(U: Lattice):
+    """The action matrices N[k] / q of a lattice, entry by entry."""
+    N, q = U.integer_action
+    return [[[scalar_to_str(Fraction(x, q)) for x in row] for row in m] for m in N.tolist()]
 
 
 def bundle_to_dict(b: Bundle) -> dict:
@@ -72,10 +75,7 @@ def bundle_to_dict(b: Bundle) -> dict:
             "one": _ser_vector(b.order.one),
         },
         "forms": {name: _ser_vector(f.values) for name, f in sorted(b.forms.items())},
-        "lattices": {
-            name: [_ser_matrix(m) for m in U.action]
-            for name, U in sorted(b.lattices.items())
-        },
+        "lattices": {name: _ser_action(U) for name, U in sorted(b.lattices.items())},
     }
     if b.order.basis_labels:
         doc["order"]["basis_labels"] = list(b.order.basis_labels)
@@ -116,7 +116,7 @@ def bundle_from_dict(doc: dict) -> Bundle:
         prime = as_int(doc["prime"])
     with _reading("order"):
         order_doc = doc["order"]
-        one = order_doc["one"]
+        one = _exact(order_doc["one"])
         A = make_order(_nonzero_entries(order_doc["structure"], len(one)), one, prime,
                        basis_labels=order_doc.get("basis_labels"))
     forms = {}
@@ -124,18 +124,18 @@ def bundle_from_dict(doc: dict) -> Bundle:
         with _reading(f"form {name!r}"):
             if len(values) != A.dim:
                 raise BundleError(f"form {name!r} has wrong length")
-            forms[name] = LinearForm(values)
+            forms[name] = LinearForm(_exact(values))
     lattices = {}
     for name, actions in _section(doc, "lattices").items():
         with _reading(f"lattice {name!r}"):
-            lattices[name] = make_lattice(A, actions)
+            lattices[name] = make_lattice(A, _exact(actions))
     table = None
     if "characters" in doc:
         cdoc = _section(doc, "characters")
         with _reading("characters"):
-            table = make_character_table(cdoc["values"], A, names=cdoc.get("names"))
+            table = make_character_table(_exact(cdoc["values"]), A, names=cdoc.get("names"))
             if "degrees" in cdoc:
-                declared = [Fraction(x) for x in cdoc["degrees"]]
+                declared = [Fraction(x) for x in _exact(cdoc["degrees"])]
                 if list(table.degrees) != declared:
                     raise BundleError("declared degrees do not match the characters")
     decomposition = None
@@ -150,7 +150,7 @@ def bundle_from_dict(doc: dict) -> Bundle:
     extra = {}
     for name, tdoc in _section(doc, "tables").items():
         with _reading(f"table {name!r}"):
-            degrees = [Fraction(x) for x in tdoc["degrees"]]
+            degrees = [Fraction(x) for x in _exact(tdoc["degrees"])]
             dims = tuple(as_int(x) for x in tdoc["modular_dims"])
             if decomposition is not None:
                 make_decomposition_matrix(decomposition.entries, dims, degrees)
@@ -171,15 +171,28 @@ def bundle_from_dict(doc: dict) -> Bundle:
 
 
 def _nonzero_entries(cube, n: int) -> list:
-    """The entries (i, j, k, c) of a JSON cube of side n with c not "0"."""
+    """The entries (i, j, k, c) of a JSON cube of side n with c not "0",
+    each checked by :func:`_exact`."""
 
     def side(rows) -> list:
         if not (isinstance(rows, list) and len(rows) == n):
             raise InvalidOrderError("structure constants must form a cube")
         return rows
 
-    return [(i, j, k, c) for i, plane in enumerate(side(cube))
+    return [(i, j, k, _exact(c)) for i, plane in enumerate(side(cube))
             for j, row in enumerate(side(plane)) for k, c in enumerate(side(row)) if c != "0"]
+
+
+def _exact(data):
+    """Nested JSON lists of scalars, returned as they are once every leaf
+    is a string or an integer: a JSON float or boolean holds no exact
+    rational, so it is refused here, before any constructor reads it."""
+    if isinstance(data, list):
+        for x in data:
+            _exact(x)
+    elif isinstance(data, bool) or not isinstance(data, (int, str)):
+        raise TypeError(f"{data!r} is not an exact scalar")
+    return data
 
 
 @contextmanager

@@ -23,8 +23,8 @@ import numpy as np
 from . import linalg
 from .forms import (
     LinearForm,
+    _gram_numerators,
     central_characters,
-    gram_matrix,
     is_symmetrising,
     kept,
     regular_character_form,
@@ -147,23 +147,24 @@ def witness_test(A: Order, table: CharacterTable) -> WitnessTest:
 
 def _witness_test(A: Order, table: CharacterTable) -> WitnessTest:
     p, idems = A.prime, rational_centre(A, table).idempotents
-    G_rho = gram_matrix(A, regular_character_form(A))
-    det = linalg.det(G_rho)
+    N, g = _gram_numerators(A, regular_character_form(A))  # G_rho = N / g
+    N = np.array(N, dtype=object)
+    det = linalg.det(N)
     if det == 0:
         raise ValueError("regular Gram matrix singular: K⊗A not separable")
-    ranks, determinant = [], val(det, p)
-    for chi, e in zip(table.values, idems):
-        traces = G_rho.T @ e  # rho(e b_i)
-        c = next(t / x for t, x in zip(traces, chi) if x)
-        if c == 0 or not linalg.vectors_equal(traces, c * chi):
+    ranks, determinant = [], val(det, p) - A.dim * int_val(g, p)
+    (E, h), (X, m) = (linalg.numerators(np.array([list(c) for c in columns], dtype=object).T)
+                      for columns in (idems, table.values))  # columns e_chi h, chi(b_k) m
+    for traces, chi, e in zip(N.T.dot(E).T, X.T, idems):  # rho(e_chi b_k) g h
+        i = next(i for i, x in enumerate(chi) if x)  # c_chi = traces[i] m / (chi[i] g h)
+        if traces[i] == 0 or any(t * chi[i] != traces[i] * x for t, x in zip(traces, chi)):
             raise ValueError("regular character on e_chi A is no multiple of chi")
         ranks.append(as_int(np.dot(A.regular_traces, e)))
-        determinant -= ranks[-1] * val(c, p)
+        determinant -= ranks[-1] * val(Fraction(traces[i] * m, chi[i] * g * h), p)
     families = []
-    for columns in (idems, table.values):
-        N, d = linalg.numerators(np.array([list(c) for c in columns], dtype=object).T)
-        rows = list(dict.fromkeys(tuple(row) for row in N if any(row)))
-        families.append((np.array(rows, dtype=object).reshape(-1, N.shape[1]), int_val(d, p)))
+    for M, d in ((E, h), (X, m)):
+        rows = list(dict.fromkeys(tuple(row) for row in M if any(row)))
+        families.append((np.array(rows, dtype=object).reshape(-1, M.shape[1]), int_val(d, p)))
     return WitnessTest(p, *families, np.array(ranks, dtype=np.int64), determinant)
 
 

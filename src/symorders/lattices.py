@@ -1,22 +1,24 @@
 """Lattices over an order and their stable homomorphism theory.
 
 A lattice is a module given by one ring-entry action matrix per order
-basis element.  The intertwiner lattice Hom(U, V) is computed as a
-saturated integral kernel; the relatively projective homomorphisms are
-the image of the relative trace map on elementary matrices, and the
-stable Hom group is the (finite, torsion) quotient, presented by its
-invariant factors together with lifted generators.
+basis element, kept only as one integer array over one unit denominator
+(:attr:`Lattice.integer_action`); the regular lattice and direct sums
+are built from certified data, not validated again.  The intertwiner
+lattice Hom(U, V) is computed as a saturated integral kernel; the
+relatively projective homomorphisms are the image of the relative trace
+map on elementary matrices, and the stable Hom group is the (finite,
+torsion) quotient, presented by its invariant factors together with
+lifted generators.
 
 The Hom layer runs on integer numerators over one unit denominator, as
-``linalg`` does, and builds Fractions once, for its results.  Each
-lattice keeps its action as one integer array (:attr:`Lattice.integer_action`),
-which the module axiom, the intertwining equations (one block of rows
-per generator), the relative traces of all elementary matrices (one
-integer product of the action of V with the dual actions on U, whose
-lattice basis comes off the right Smith transform) and the Knorr test
-mod p read; the table of End(U) mod p comes from integer products of
-the hom basis.  The results are the same rationals as those of the
-Fraction computations.
+``linalg`` does, and builds Fractions once, for its results.  The
+module axiom, the intertwining equations (one block of rows per
+generator), the relative traces of all elementary matrices (one integer
+product of the action of V with the dual actions on U, whose lattice
+basis comes off the right Smith transform) and the Knorr test mod p
+read the integer action; the table of End(U) mod p comes from integer
+products of the hom basis.  The results are the same rationals as those
+of the Fraction computations.
 
 On top of that sit the duality pairing (alpha, beta) -> trace of
 z^{-1} beta alpha modulo the ring, the Knorr trace criterion, and the
@@ -78,26 +80,19 @@ class Lattice:
 
     order: Order
     rank: int
-    action: tuple  # one rank x rank matrix per order basis element
+    # (N, q): the action as one integer array N, indexed (basis element,
+    # row, column), over q, the least common denominator of its entries
+    # (a unit at p); act(b_k) = N[k] / q
+    integer_action: tuple = field(repr=False)
     # Hom lattices, stable Homs, residue analyses and twisting matrices
     _kept: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    @cached_property
-    def integer_action(self) -> tuple:
-        """(N, q): the action as one integer array N, indexed (basis
-        element, row, column), over q, the least common denominator of the
-        action matrices (a unit at p); act(b_k) = N[k] / q."""
-        return linalg.numerators(np.array(self.action).reshape(self.order.dim, self.rank,
-                                                              self.rank))
-
     def act(self, a) -> np.ndarray:
-        """Action matrix of an arbitrary (possibly rational) element."""
-        a = linalg.as_vector(a)
-        out = linalg.zeros(self.rank, self.rank)
-        for i, m in enumerate(self.action):
-            if a[i] != 0:
-                out = out + a[i] * m
-        return out
+        """Action matrix of an arbitrary (possibly rational) element a = w / e:
+        sum_k w_k N[k] over e q."""
+        w, e = linalg.numerators(linalg.as_vector(a))
+        N, q = self.integer_action
+        return linalg.from_numerators(np.tensordot(w, N, 1), e * q)
 
 
 def make_lattice(A: Order, action) -> Lattice:
@@ -118,11 +113,11 @@ def make_lattice(A: Order, action) -> Lattice:
         raise InvalidLatticeError("rank must be positive")
     if any(m.shape != (rank, rank) for m in mats):
         raise InvalidLatticeError("action matrices must be square, equal size")
-    U = Lattice(order=A, rank=rank, action=tuple(mats))
-    N, q = U.integer_action
+    N, q = linalg.numerators(np.array(mats))
     if q % A.prime == 0:
         raise InvalidLatticeError("action entries must lie in the ring")
-    if not linalg.matrices_equal(U.act(A.one), linalg.identity(rank)):
+    w, e = linalg.numerators(A.one)
+    if not (np.tensordot(w, N, 1) == e * q * np.identity(rank, dtype=object)).all():
         raise InvalidLatticeError("unit acts nontrivially")
     d = A.denominator
 
@@ -135,24 +130,30 @@ def make_lattice(A: Order, action) -> Lattice:
     failure = first_failure(A, range(A.dim), realized)
     if failure is not None:
         raise InvalidLatticeError("module axiom fails: basis pair (%d, %d)" % failure)
-    return U
+    return Lattice(order=A, rank=rank, integer_action=(N, q))
 
 
 def regular_lattice(A: Order) -> Lattice:
-    return make_lattice(A, [A.left_matrix(A.basis_element(i)) for i in range(A.dim)])
+    """N[i][k, j] = d c_ijk over q = d, off the table: its module axioms are
+    the associativity and the unit axiom that :func:`make_order` certified."""
+    N = np.zeros((A.dim, A.dim, A.dim), dtype=object)
+    for i, row in enumerate(A.products):
+        for j, prods in enumerate(row):
+            for k, c in prods:
+                N[i, k, j] = c
+    return Lattice(order=A, rank=A.dim, integer_action=(N, A.denominator))
 
 
 def direct_sum(U: Lattice, V: Lattice) -> Lattice:
+    """The block-diagonal action over lcm(q_U, q_V), with no new validation."""
     if U.order is not V.order:
         raise InvalidLatticeError("direct sum needs a common order")
-    n = U.rank + V.rank
-    mats = []
-    for i in range(U.order.dim):
-        m = linalg.zeros(n, n)
-        m[: U.rank, : U.rank] = U.action[i]
-        m[U.rank:, U.rank:] = V.action[i]
-        mats.append(m)
-    return make_lattice(U.order, mats)
+    (nu, du), (nv, dv) = U.integer_action, V.integer_action
+    q, n = math.lcm(du, dv), U.rank + V.rank
+    N = np.zeros((U.order.dim, n, n), dtype=object)
+    N[:, :U.rank, :U.rank] = nu * (q // du)
+    N[:, U.rank:, U.rank:] = nv * (q // dv)
+    return Lattice(order=U.order, rank=n, integer_action=(N, q))
 
 
 # -- Hom lattices --------------------------------------------------------

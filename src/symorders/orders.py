@@ -245,11 +245,14 @@ def make_order(constants, one, p, basis_labels=None) -> Order:
     ring and is a two-sided unit (1 b_j = b_j 1 = b_j for every j), and
     associativity (b_i b_j) b_k = b_i (b_j b_k) holds, checked with the
     sparse product for generator rows i by :func:`first_failure`; an error
-    names the first failing basis triple in lexicographic order.
+    names the first failing basis triple in lexicographic order.  The
+    dimension must be positive.
     """
     p = Prime(p)
     one = linalg.as_vector(one)
     dim = len(one)
+    if dim == 0:
+        raise InvalidOrderError("order must have positive dimension")
     cells = [[{} for _ in range(dim)] for _ in range(dim)]
     for i, j, k, c in constants:
         if not all(0 <= x < dim for x in (i, j, k)):

@@ -21,10 +21,16 @@ from symorders.padic import int_val, residue_int
 import fraction_linalg
 
 
+def action(U) -> tuple:
+    """The action matrices N[k] / q of a lattice, as Fraction matrices."""
+    return tuple(linalg.from_numerators(*U.integer_action))
+
+
 def hom_basis(A, U, V) -> tuple:
     """Saturated kernel of phi act_U(b_g) = act_V(b_g) phi for the generators g."""
     iu, iv = linalg.identity(U.rank), linalg.identity(V.rank)
-    blocks = [np.kron(V.action[g], iu) - np.kron(iv, np.array(U.action[g].T))
+    act_u, act_v = action(U), action(V)
+    blocks = [np.kron(act_v[g], iu) - np.kron(iv, np.array(act_u[g].T))
               for g in A.generators]
     rows = np.concatenate([linalg.zeros(0, U.rank * V.rank)] + blocks, axis=0)
     kernel = fraction_linalg.integral_kernel(rows, A.prime)
@@ -37,12 +43,13 @@ def relative_trace_generators(A, s, U, V) -> np.ndarray:
     flattened row by row, in the order (a, b)."""
     d = dual_basis(A, s)
     acts_dual = [U.act(d.element(i)) for i in range(A.dim)]
+    act_v = action(V)
     gens = []
     for a in range(V.rank):
         for b in range(U.rank):
             T = linalg.zeros(V.rank, U.rank)
             for i in range(A.dim):
-                T = T + np.outer(V.action[i][:, a], acts_dual[i][b, :])
+                T = T + np.outer(act_v[i][:, a], acts_dual[i][b, :])
             gens.append(np.array(T).reshape(-1))
     return np.array(gens, dtype=object).T
 
@@ -51,8 +58,8 @@ def relative_trace_hom(A, s, U, V, alpha) -> np.ndarray:
     """sum_x act_V(x) alpha act_U(x^v)."""
     d = dual_basis(A, s)
     out = linalg.zeros(V.rank, U.rank)
-    for i in range(A.dim):
-        out = out + V.action[i] @ linalg.as_matrix(alpha) @ U.act(d.element(i))
+    for i, m in enumerate(action(V)):
+        out = out + m @ linalg.as_matrix(alpha) @ U.act(d.element(i))
     return out
 
 

@@ -166,6 +166,17 @@ def _form_value_not_a_number(doc):
     doc["forms"]["standard"][0] = "x"
 
 
+def _scalar(value, *keys):
+    """Set the scalar at the path of keys; JSON floats and booleans hold no
+    exact rational (0.1 would load as 3602879701896397/36028797018963968)."""
+    def corrupt(doc):
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    return corrupt
+
+
 def _structure_not_a_cube(doc):
     doc["order"]["structure"][2][4].pop()
 
@@ -195,10 +206,38 @@ def _one_outside_the_ring(doc):
     (_action_as_number, "lattice 'trivial' validation failed: "),
     (_table_entry_as_list, "table 'condensed' validation failed: "),
     (_form_value_not_a_number, "form 'standard' validation failed: "),
+    (_scalar(1.0, "order", "structure", 0, 0, 0),
+     "order validation failed: 1.0 is not an exact scalar"),
+    (_scalar(True, "order", "one", 0), "order validation failed: True is not an exact scalar"),
+    (_scalar(0.1, "forms", "standard", 1),
+     "form 'standard' validation failed: 0.1 is not an exact scalar"),
+    (_scalar(1.0, "lattices", "trivial", 0, 0, 0),
+     "lattice 'trivial' validation failed: 1.0 is not an exact scalar"),
+    (_scalar(True, "characters", "values", 0, 0),
+     "characters validation failed: True is not an exact scalar"),
+    (_scalar(2.0, "characters", "degrees", 1),
+     "characters validation failed: 2.0 is not an exact scalar"),
+    (_scalar(1.0, "tables", "condensed", "degrees", 0),
+     "table 'condensed' validation failed: 1.0 is not an exact scalar"),
 ])
 def test_malformed_values_are_an_input_error_naming_the_section(s3_doc, tmp_path, capsys,
                                                                 corrupt, message):
     _assert_input_error(s3_doc, corrupt, message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("lattices", [{"zero": []}, {}], ids=["with-lattice", "without"])
+def test_an_order_of_dimension_zero_is_an_input_error(tmp_path, capsys, lattices):
+    # before the check, the lattice died with an IndexError and, without
+    # it, the checks ran into "not invertible in K⊗A"
+    doc = {"prime": 3, "order": {"dim": 0, "structure": [], "one": []},
+           "forms": {"standard": []}, "lattices": lattices}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    assert main(["--bundle", str(path), "--json", str(report)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err and not report.exists()
+    assert "order validation failed: order must have positive dimension" in err
 
 
 def _prime_not_integral(doc):

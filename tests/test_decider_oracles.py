@@ -34,6 +34,7 @@ from symorders.builders import (
 from symorders.lattices import TateDualityError, _trace
 from symorders.padic import residue_int, val
 
+import fraction_lattices
 import scalar_modp
 
 
@@ -160,7 +161,7 @@ def spun_simple(A, U) -> bool:
     """U/pU simple: every nonzero residue vector spins to all of it."""
     p = A.prime
     actions = [np.array([[residue_int(x, p, 1) for x in row] for row in m], dtype=np.int64)
-               for m in U.action]
+               for m in fraction_lattices.action(U)]
     for coeffs in product(range(p), repeat=U.rank):
         if not any(coeffs):
             continue

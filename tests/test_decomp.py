@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import types
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -122,11 +123,23 @@ def test_check_all_builds_the_rational_centre_and_the_witness_test_once(monkeypa
 def test_witness_test_certifies_the_idempotents(monkeypatch, s3, s3_chars):
     A, _ = s3
     centre = so.rational_centre(A, so.make_character_table(s3_chars, A))
-    wrong_pairing = centre.idempotents[::-1]
+    # the idempotents in the wrong order, and one of them 0, on which rho vanishes
+    for idempotents in (centre.idempotents[::-1], [A.zero(), *centre.idempotents[1:]]):
+        monkeypatch.setattr(decomp, "rational_centre", lambda A, table:
+                            dataclasses.replace(centre, idempotents=idempotents))
+        with pytest.raises(ValueError, match="no multiple of chi"):
+            decomp.witness_test(A, so.make_character_table(s3_chars, A))
+
+
+def test_witness_test_needs_an_invertible_regular_gram_matrix(monkeypatch):
+    # O[x]/(x^2) is not separable: rho(x) = 0, so G_rho = [[2, 0], [0, 0]];
+    # its centre raises first, so hand the test some idempotents
+    A = so.make_order([(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], [1, 0], 3)
+    table = so.make_character_table([[1, 1], [1, -1]], A)
     monkeypatch.setattr(decomp, "rational_centre", lambda A, table:
-                        dataclasses.replace(centre, idempotents=wrong_pairing))
-    with pytest.raises(ValueError, match="no multiple of chi"):
-        decomp.witness_test(A, so.make_character_table(s3_chars, A))
+                        types.SimpleNamespace(idempotents=[A.one, A.zero()]))
+    with pytest.raises(ValueError, match="regular Gram matrix singular"):
+        decomp.witness_test(A, table)
 
 
 def test_central_characters_certify_the_table_and_the_inverse(monkeypatch, s3, s3_chars):
@@ -408,16 +421,18 @@ def test_witness_test_equals_the_gram_oracle_on_s3_searches(s3, s3_table, s3_dec
         _witness_hits(A, s3_table, vectors)
 
 
-def test_witness_test_inverts_no_matrix_and_builds_one_gram_matrix(monkeypatch, s3, s3_chars):
+def test_witness_test_inverts_no_matrix_and_builds_no_gram_matrix(monkeypatch, s3, s3_chars):
     A, _ = s3
     calls = []
     for module, name in ((linalg, "inverse"), (forms, "gram_matrix"), (decomp, "gram_matrix")):
-        monkeypatch.setattr(module, name, lambda *args, f=getattr(module, name), name=name:
+        f = getattr(module, name, forms.gram_matrix)
+        monkeypatch.setattr(module, name, lambda *args, f=f, name=name:
                             calls.append((name, np.shape(args[0]) if name == "inverse" else None))
-                            or f(*args))
+                            or f(*args), raising=False)
     decomp.witness_test(A, so.make_character_table(s3_chars, A))
-    # the one inverse is of the centre's 3 x 3 spectral matrix, none of a 6 x 6 one
-    assert sorted(calls) == [("gram_matrix", None), ("inverse", (3, 3))]
+    # the one inverse is of the centre's 3 x 3 spectral matrix, none of a 6 x 6 one;
+    # the regular Gram matrix is read as integer numerators, never as Fractions
+    assert calls == [("inverse", (3, 3))]
 
 
 # -- the one-pass scan against the k-major scan ------------------------------

@@ -29,6 +29,7 @@ from symorders.builders import (
 )
 from symorders.lattices import HomLattice, InvalidLatticeError, direct_sum, hom_lattice
 from symorders.orders import direct_product, tensor_product
+import fraction_lattices
 import fraction_linalg
 from dense_orders import cube
 from test_orders import standard_orders
@@ -105,8 +106,9 @@ def test_dimension_one_order_has_every_matrix_as_homomorphism():
 def all_blocks_hom_basis(A, U, V) -> tuple:
     """Oracle: saturated kernel of phi act_U(b_i) = act_V(b_i) phi for every i."""
     iu, iv = linalg.identity(U.rank), linalg.identity(V.rank)
+    act_u, act_v = fraction_lattices.action(U), fraction_lattices.action(V)
     rows = np.concatenate(
-        [np.kron(V.action[i], iu) - np.kron(iv, np.array(U.action[i].T))
+        [np.kron(act_v[i], iu) - np.kron(iv, np.array(act_u[i].T))
          for i in range(A.dim)],
         axis=0,
     )
@@ -162,7 +164,7 @@ def test_make_lattice_error_names_the_first_failing_pair(data):
     units = st.sampled_from([d for d in (1, 2, 3, 5, 7) if d % A.prime])
     d = [data.draw(units) for _ in range(U.rank)]
     mats = [linalg.as_matrix([[m[a, b] * Fraction(d[b], d[a]) for b in range(U.rank)]
-                              for a in range(U.rank)]) for m in U.action]
+                              for a in range(U.rank)]) for m in fraction_lattices.action(U)]
     i = data.draw(st.integers(0, A.dim - 1))
     a, b = (data.draw(st.integers(0, U.rank - 1)) for _ in range(2))
     mats[i][a, b] += data.draw(st.sampled_from([-2, -1, 1, 2])) * Fraction(1, data.draw(units))

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import random
@@ -12,11 +13,13 @@ import symorders as so
 from symorders import cli, lattices, linalg, modp
 from symorders.builders import (
     group_algebra,
+    hecke_rank1,
     matrix_column_lattice,
     matrix_order,
     rank2_order,
     rank2_projection_lattice,
     s3_fixture_bundle,
+    symmetric_group_table,
 )
 from symorders.lattices import (
     HomLattice,
@@ -30,7 +33,8 @@ from symorders.lattices import (
 from symorders.padic import residue_class, residue_int, val
 import fraction_lattices
 import fraction_linalg
-from test_orders import GROUP_TABLES
+from dense_orders import cube, dense_order
+from test_orders import GROUP_TABLES, rebase
 
 
 def test_make_lattice_validation(s3):
@@ -49,7 +53,59 @@ def test_make_lattice_validation(s3):
 def test_projection_lattice_validates(rank2_family):
     A, _, U = rank2_family[(1, 2)]
     assert U.rank == 1
-    assert U.action[1][0, 0] == 0
+    assert fraction_lattices.action(U)[1][0, 0] == 0
+
+
+def _rebased_s3():
+    # constants with denominators 2 and 4, units at p = 3 (see test_orders)
+    A, _ = group_algebra(symmetric_group_table(3)[0], 3)
+    P = linalg.identity(A.dim)
+    P[0, 1] = P[2, 3] = Fraction(1, 2)
+    B = dense_order(*rebase(cube(A), A.one, P), 3)
+    assert B.denominator == 4
+    return B, None
+
+
+@pytest.mark.parametrize("build", [
+    lambda: group_algebra(symmetric_group_table(3)[0], 3),
+    lambda: group_algebra(symmetric_group_table(4)[0], 2),
+    lambda: group_algebra(symmetric_group_table(4)[0], 3),
+    lambda: rank2_order(2, 2),
+    lambda: rank2_order(1, 3),
+    lambda: matrix_order(2, 3),
+    lambda: hecke_rank1(3, 2),
+    _rebased_s3,
+], ids=["s3-p3", "s4-p2", "s4-p3", "rank2-m2-p2", "rank2-m1-p3", "m2-p3", "hecke-q3-p2",
+        "s3-p3-rebased"])
+def test_regular_lattice_and_direct_sums_equal_the_validated_construction(monkeypatch, build):
+    A, _ = build()
+    dense = [A.left_matrix(A.basis_element(i)) for i in range(A.dim)]
+    # a second lattice whose entries have the denominator u, a unit at p
+    u = 2 if A.prime != 2 else 3
+    conj = linalg.identity(A.dim)
+    conj[0, 0] = Fraction(u)
+    conjugated = [linalg.inverse(conj) @ m @ conj for m in dense]
+    U = so.make_lattice(A, conjugated)
+
+    def blocks(X, Y):
+        out = []
+        for x, y in zip(X, Y):
+            r = x.shape[0]
+            m = linalg.zeros(r + y.shape[0], r + y.shape[0])
+            m[:r, :r], m[r:, r:] = x, y
+            out.append(m)
+        return out
+
+    oracles = [so.make_lattice(A, dense), so.make_lattice(A, blocks(dense, conjugated)),
+               so.make_lattice(A, blocks(conjugated, dense))]
+    monkeypatch.setattr(lattices, "make_lattice", lambda *args: pytest.fail("make_lattice called"))
+    monkeypatch.setattr(so.Order, "left_matrix", lambda *args: pytest.fail("left_matrix called"))
+    R = so.regular_lattice(A)
+    for ours, oracle in zip([R, so.direct_sum(R, U), so.direct_sum(U, R)], oracles):
+        (N, q), (M, d) = ours.integer_action, oracle.integer_action
+        assert ours.rank == oracle.rank and q == d
+        assert N.shape == M.shape
+        assert all(type(x) is int and x == y for x, y in zip(N.flat, M.flat))
 
 
 def test_hom_lattice_ranks(s3, s3_lattices):
@@ -458,10 +514,11 @@ LOCAL_PRIMES = (2, 3, 5, 4294967311)
 
 
 @st.composite
-def conjugated_lattices(draw):
-    """(A, s, U, V): an order with a symmetrising form and two lattices
-    over it, builder lattices or direct sums of two, each conjugated by a
-    diagonal matrix of units so that its entries have denominators."""
+def conjugated_actions(draw):
+    """(A, s, X, Y): an order with a symmetrising form and the action
+    matrices of two lattices over it, builder lattices or direct sums of
+    two, each conjugated by a diagonal matrix of units so that its entries
+    have denominators."""
     p = draw(st.sampled_from(LOCAL_PRIMES))
     kind = draw(st.sampled_from(["group", "rank2", "matrix"]))
     if kind == "group":
@@ -479,11 +536,18 @@ def conjugated_lattices(draw):
 
     def conjugate(U):
         d = [draw(units) for _ in range(U.rank)]
-        return so.make_lattice(A, [[[m[a, b] * Fraction(d[b], d[a]) for b in range(U.rank)]
-                                    for a in range(U.rank)] for m in U.action])
+        return [[[m[a, b] * Fraction(d[b], d[a]) for b in range(U.rank)]
+                 for a in range(U.rank)] for m in fraction_lattices.action(U)]
 
     return A, s, conjugate(draw(st.sampled_from(choices))), conjugate(
         draw(st.sampled_from(choices)))
+
+
+def conjugated_lattices():
+    """(A, s, U, V): the lattices of :func:`conjugated_actions`."""
+    return conjugated_actions().map(
+        lambda case: (*case[:2], so.make_lattice(case[0], case[2]),
+                      so.make_lattice(case[0], case[3])))
 
 
 def _identical(a, b) -> bool:
@@ -497,15 +561,17 @@ def _same_basis(ours, theirs) -> bool:
 
 
 @settings(max_examples=40, deadline=None)
-@given(conjugated_lattices())
+@given(conjugated_actions())
 def test_integer_action_equals_the_numerators_of_the_action(case):
-    A, _, U, _ = case
+    A, _, X, _ = case
     p = A.prime
+    U = so.make_lattice(A, X)
     N, q = U.integer_action
-    assert U.integer_action is U.integer_action  # built once, on first use
+    assert "integer_action" in {f.name for f in dataclasses.fields(U)}
+    assert not hasattr(U, "action")  # the integer action is the one representation
     assert N.shape == (A.dim, U.rank, U.rank) and all(type(x) is int for x in N.flat)
-    assert q % p and q == math.lcm(*(linalg.numerators(m)[1] for m in U.action))
-    for n, m in zip(N, U.action):
+    assert q % p and q == math.lcm(*(linalg.numerators(m)[1] for m in X))
+    for n, m in zip(N, X):
         Nm, d = linalg.numerators(m)
         assert (n * d == Nm * q).all()
         # the action mod p that knorr_projective_check reads
