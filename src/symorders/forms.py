@@ -8,7 +8,8 @@ a relative trace map and the central Casimir element z = sum x x^v.
 
 The exact work runs on integer numerators: Gram matrices are one
 contraction of the order's integer table (:attr:`Order.products`) with
-the numerators of the form's values, and the dual basis is certified on
+the numerators of the form's values, the dual basis is G^{-1} from one
+elimination of the integer numerators of G, and it is certified on
 integers (G D = I as an integer product, the Casimir element and its
 reverse as two contractions of the numerators of D with the table).
 Fractions are built only for the read-only arrays of :class:`DualBasis`
@@ -31,6 +32,7 @@ centre, and the central idempotents the basis dual to them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -157,26 +159,29 @@ def _derive(A: Order, s: LinearForm) -> DualBasis:
     Since s(b_i x) = (G x)_i for every x, the defining condition
     s(b_i x_j^v) = delta_ij is exactly G D = I.  A ring matrix G is
     unimodular exactly when its inverse D exists and has ring entries.
-    The certificates run on integers: with G = N / g and D = M / d, G D = I
-    is the integer product N M = g d I, and the Casimir element
-    z = sum_i b_i x_i^v and sum_i x_i^v b_i are two contractions of M with
-    the table, over d times its denominator, certified equal.  z is
-    certified to be central and to have ring coordinates.
+    G is inverted on its integer numerators, D = g N^{-1}, by one
+    elimination of [N | g I].  The certificates run on integers: with
+    G = N / g and D = M / d, G D = I is the integer product N M = g d I,
+    and the Casimir element z = sum_i b_i x_i^v and sum_i x_i^v b_i are
+    two contractions of M with the table, over d times its denominator,
+    certified equal.  z is certified to be central and to have ring
+    coordinates.
     """
     N, g = _gram_numerators(A, s)
     p, n = A.prime, A.dim
     q = p ** int_val(g, p)  # G has ring entries when q divides every N_ij
     if any(N[i][j] != N[j][i] or N[i][j] % q for i in range(n) for j in range(i + 1)):
         raise NotSymmetrisingError("form not symmetrising")
-    G = linalg.from_numerators(N, g)
-    try:
-        D = linalg.inverse(G)
-    except ValueError:
-        raise NotSymmetrisingError("form not symmetrising") from None
-    M, d = linalg.numerators(D)
+    # D = g N^{-1}: eliminating [N | g 1] leaves row i as [e_i | D_i] over dens[i]
+    rows = [row + [g if k == i else 0 for k in range(n)] for i, row in enumerate(N)]
+    dens = [1] * n
+    if len(linalg.eliminate(rows, dens, n)[0]) < n:
+        raise NotSymmetrisingError("form not symmetrising")
+    d = math.lcm(*dens)
     if d % p == 0:
         raise NotSymmetrisingError("form not symmetrising")
-    D_rows = [[(j, y) for j, y in enumerate(row) if y] for row in M.tolist()]
+    M = [[x * (d // den) for x in row[n:]] for row, den in zip(rows, dens)]
+    D_rows = [[(j, y) for j, y in enumerate(row) if y] for row in M]
     for i, row in enumerate(N):
         GD = [0] * n
         for k, x in enumerate(row):
@@ -201,6 +206,7 @@ def _derive(A: Order, s: LinearForm) -> DualBasis:
         raise AssertionError("Casimir element not central")
     if not A.has_ring_coords(z):
         raise AssertionError("Casimir element has non-ring coordinates")
+    D, G = linalg.from_numerators(M, d), linalg.from_numerators(N, g)
     return DualBasis(A, _read_only(D), _read_only(G), z)
 
 
@@ -326,11 +332,11 @@ def psp_regular_gram(A: Order) -> RegularGramResult:
     scalar's exponent and p^{-n} rho is a witness form.
     """
     rho = regular_character_form(A)
-    G = gram_matrix(A, rho)
-    snf = linalg.smith_normal_form(G, A.prime)
-    if snf.rank < A.dim:
+    N, g = _gram_numerators(A, rho)
+    # G = N / g for a unit g, so G and N have the same Smith exponents
+    exps = tuple(linalg._smith(N, [1] * A.dim, A.dim, A.prime)[0])
+    if len(exps) < A.dim:
         raise RegularGramSingularError("regular Gram singular")
-    exps = snf.exponents
     n = exps[0]
     if any(e != n for e in exps):
         return RegularGramResult(False, None, exps, None)

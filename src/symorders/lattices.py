@@ -4,28 +4,20 @@ A lattice is a module given by one ring-entry action matrix per order
 basis element, kept only as one integer array over one unit denominator
 (:attr:`Lattice.integer_action`); the regular lattice and direct sums
 are built from certified data, not validated again.  The intertwiner
-lattice Hom(U, V) is computed as a saturated integral kernel; the
-relatively projective homomorphisms are the image of the relative trace
-map on elementary matrices, and the stable Hom group is the (finite,
-torsion) quotient, presented by its invariant factors together with
-lifted generators.
+lattice Hom(U, V) is a saturated integral kernel; the relatively
+projective homomorphisms are the image of the relative trace map on
+elementary matrices, and the stable Hom group is the (finite, torsion)
+quotient, presented by its invariant factors and lifted generators.
 
-The Hom layer runs on integer numerators over one unit denominator, as
-``linalg`` does, and builds Fractions once, for its results.  The
-module axiom, the intertwining equations (one block of rows per
-generator), the relative traces of all elementary matrices (one integer
-product of the action of V with the dual actions on U, whose lattice
-basis comes off the right Smith transform) and the Knorr test mod p
-read the integer action; the table of End(U) mod p comes from integer
-products of the hom basis.  The results are the same rationals as those
-of the Fraction computations.
-
-On top of that sit the duality pairing (alpha, beta) -> trace of
-z^{-1} beta alpha modulo the ring, the Knorr trace criterion, and the
-twisted-trace criterion deciding absolute indecomposability plus the
-stable exponent property.  act_U(z^{-1}) is kept on U for each form,
-and every twisted trace tr(z^{-1} M) is read as a sum of entry
-products, without forming the matrix product.
+The Hom layer keeps one representation per datum, integer arrays over
+one unit denominator: Hom bases (:attr:`HomLattice.integer_basis`),
+stable Hom generators (:attr:`StableHomPresentation.integer_generators`)
+and act_U(z^{-1}), kept on U for each form.  Coordinates and classes of
+intertwiners come from one integer elimination; the Tate pairing
+(alpha, beta) -> tr(z^{-1} beta alpha) modulo the ring and the plain
+and twisted traces that the Knorr and stable-exponent criteria read are
+each one integer contraction.  Fractions are built only for what is
+reported or returned.
 """
 
 from __future__ import annotations
@@ -33,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +38,7 @@ from .forms import (  # noqa: F401  (perfbench patches lattices.casimir)
 )
 from .modp import FpAlgebra, nullspace, rref
 from .orders import Order, first_failure
-from .padic import INFINITY, ResidueClass, int_val, residue_class, residue_int, val
+from .padic import INFINITY, ResidueClass, residue_class, residues_over, val_over
 
 
 class InvalidLatticeError(ValueError):
@@ -56,22 +47,6 @@ class InvalidLatticeError(ValueError):
 
 class TateDualityError(ValueError):
     pass
-
-
-def _trace(M) -> Fraction:
-    return sum((M[i, i] for i in range(M.shape[0])), Fraction(0))
-
-
-def _trace_of_product(X, Y) -> Fraction:
-    """tr(X Y) as sum_ab X[a, b] Y[b, a], without forming X Y."""
-    return sum((x * y for x, y in zip(X.flat, Y.T.flat) if x), Fraction(0))
-
-
-def _twisted_trace(A: Order, s: LinearForm, U: Lattice):
-    """The z^{-1}-twisted trace M -> tr(act_U(z^{-1}) M) on rank_U x rank_U
-    matrices, for z the Casimir element of s; act_U(z^{-1}) is kept on U."""
-    zu = kept(U._kept, "twisted_action", (A, s), lambda: U.act(casimir_inverse(A, s)))
-    return lambda M: _trace_of_product(zu, M)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,12 +62,16 @@ class Lattice:
     # Hom lattices, stable Homs, residue analyses and twisting matrices
     _kept: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def act(self, a) -> np.ndarray:
-        """Action matrix of an arbitrary (possibly rational) element a = w / e:
-        sum_k w_k N[k] over e q."""
+    def integer_act(self, a) -> tuple:
+        """(M, m): the action matrix M / m of an arbitrary (possibly
+        rational) element a = w / e, namely sum_k w_k N[k] over e q."""
         w, e = linalg.numerators(linalg.as_vector(a))
         N, q = self.integer_action
-        return linalg.from_numerators(np.tensordot(w, N, 1), e * q)
+        return np.tensordot(w, N, 1), e * q
+
+    def act(self, a) -> np.ndarray:
+        """Action matrix of an arbitrary (possibly rational) element."""
+        return linalg.from_numerators(*self.integer_act(a))
 
 
 def make_lattice(A: Order, action) -> Lattice:
@@ -165,17 +144,27 @@ class HomLattice:
 
     source: Lattice
     target: Lattice
-    basis: tuple  # rank_V x rank_U matrices
+    # (N, d): basis element k is N[k] / d, for an integer array N indexed
+    # (basis element, row of V, column of U) and a positive integer d, a
+    # unit for the lattices built here and 1 for the saturated kernels
+    integer_basis: tuple
+
+    @classmethod
+    def of_matrices(cls, source: Lattice, target: Lattice, mats) -> HomLattice:
+        """The lattice with the given basis of rank_V x rank_U matrices."""
+        M = np.array([linalg.as_matrix(m) for m in mats], dtype=object)
+        M = M.reshape(len(mats), target.rank, source.rank)
+        return cls(source, target, linalg.numerators(M))
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return self.integer_basis[0].shape[0]
 
-    @cached_property
-    def _vec_matrix(self) -> np.ndarray:
-        if not self.basis:
-            return linalg.zeros(self.target.rank * self.source.rank, 0)
-        return np.array([np.array(m).reshape(-1) for m in self.basis], dtype=object).T
+    @property
+    def basis(self) -> tuple:
+        """The basis as Fraction matrices."""
+        N, d = self.integer_basis
+        return tuple(linalg.from_numerators(n, d) for n in N)
 
     def coords_of(self, M):
         """Ring coordinates of an intertwiner in this basis, or None."""
@@ -184,15 +173,22 @@ class HomLattice:
 
     def coords_of_many(self, mats):
         """Ring coordinate columns for several intertwiners in one elimination."""
-        B = np.array([linalg.as_matrix(M).reshape(-1) for M in mats], dtype=object).T
-        return linalg.lattice_membership(B, self._vec_matrix, self.source.order.prime)
+        M = np.array([linalg.as_matrix(m) for m in mats], dtype=object)
+        n = self.target.rank * self.source.rank
+        coords = self._coords(*linalg.numerators(M.reshape(len(mats), n).T))
+        return None if coords is None else linalg.from_numerators(*coords)
+
+    def _coords(self, B, b: int):
+        """:func:`linalg.lattice_membership_of_columns` of the columns of
+        the integer matrix B / b (intertwiners flattened row by row)."""
+        N, d = self.integer_basis
+        N = N.reshape(N.shape[0], N.shape[1] * N.shape[2]).T
+        return linalg.lattice_membership_of_columns((N, d), (B, b), self.source.order.prime)
 
     def from_coords(self, coords) -> np.ndarray:
-        out = linalg.zeros(self.target.rank, self.source.rank)
-        for c, m in zip(linalg.as_vector(coords), self.basis):
-            if c != 0:
-                out = out + c * m
-        return out
+        c, e = linalg.numerators(linalg.as_vector(coords))
+        N, d = self.integer_basis
+        return linalg.from_numerators(np.tensordot(c, N, 1), e * d)
 
 
 def hom_lattice(A: Order, U: Lattice, V: Lattice) -> HomLattice:
@@ -208,20 +204,25 @@ def hom_lattice(A: Order, U: Lattice, V: Lattice) -> HomLattice:
 def _hom_lattice(A: Order, U: Lattice, V: Lattice) -> HomLattice:
     # act_V(b_g) phi - phi act_U(b_g), on phi flattened row by row, as
     # integer rows: q times the rational ones for the unit denominator q,
-    # and scaling rows by positive units leaves the kernel basis as it is
-    nv, dv = V.integer_action
-    nu, du = U.integer_action
+    # and scaling rows by positive units leaves the kernel basis as it is.
+    # Row (a, b) of generator g has V_g[a, c] at column (c, b) and
+    # -U_g[c, b] at column (a, c).
+    (nv, dv), (nu, du) = V.integer_action, U.integer_action
     q = math.lcm(dv, du)
-    iu, iv = np.identity(U.rank, dtype=object), np.identity(V.rank, dtype=object)
-    blocks = [np.kron(nv[g] * (q // dv), iu) - np.kron(iv, nu[g].T * (q // du))
-              for g in A.generators]
-    rows = np.concatenate([np.zeros((0, U.rank * V.rank), dtype=object)] + blocks)
-    kernel = linalg.integral_kernel_of_rows(rows.tolist(), U.rank * V.rank, A.prime)
-    basis = tuple(
-        np.array(kernel[:, j]).reshape(V.rank, U.rank)
-        for j in range(kernel.shape[1])
-    )
-    return HomLattice(source=U, target=V, basis=basis)
+    ru, rv = U.rank, V.rank
+    rows = []
+    for g in A.generators:
+        v, u = (nv[g] * (q // dv)).tolist(), (nu[g] * (q // du)).tolist()
+        for a in range(rv):
+            for b in range(ru):
+                row = [0] * (rv * ru)
+                for c in range(rv):
+                    row[c * ru + b] = v[a][c]
+                for c in range(ru):
+                    row[a * ru + c] -= u[c][b]
+                rows.append(row)
+    K = linalg.integral_kernel_of_rows(rows, rv * ru, A.prime)
+    return HomLattice(U, V, (K.T.reshape(K.shape[1], rv, ru), 1))
 
 
 def _relative_trace_map(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> tuple:
@@ -264,19 +265,14 @@ def projective_hom_lattice(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> H
 
 
 def _projective_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> tuple:
-    """(P, C): the lattice of :func:`projective_hom_lattice` and the ring
-    coordinates of its basis in that of Hom(U, V), one column each, which
-    certify the containment."""
-    H = hom_lattice(A, U, V)
-    basis_cols = linalg.lattice_basis_of_columns(_relative_trace_map(A, s, U, V)[0], A.prime)
-    basis = tuple(
-        np.array(basis_cols[:, j]).reshape(V.rank, U.rank)
-        for j in range(basis_cols.shape[1])
-    )
-    coords = H.coords_of_many(basis) if basis else linalg.zeros(H.rank, 0)
+    """(P, (X, x)): the lattice of :func:`projective_hom_lattice` and the
+    ring coordinates X / x of its basis in that of Hom(U, V), one column
+    each, which certify the containment."""
+    B = linalg.lattice_basis_of_columns(_relative_trace_map(A, s, U, V)[0], A.prime)
+    coords = hom_lattice(A, U, V)._coords(B, 1)
     if coords is None:
         raise AssertionError("projective hom escaped the hom lattice")
-    return HomLattice(source=U, target=V, basis=basis), coords
+    return HomLattice(U, V, (B.T.reshape(B.shape[1], V.rank, U.rank), 1)), coords
 
 
 # -- stable Hom ----------------------------------------------------------
@@ -297,11 +293,18 @@ class StableHomPresentation:
         self.target = V
         self.hom = hom
         self.exponents = invariants.exponents
-        self.generators = tuple(
-            hom.from_coords(f) for f in invariants.torsion_basis.T
-        )
-        # hom coordinates -> coordinates on the generators
-        self._left = invariants.torsion_left
+        # (G, g): generator i is G[i] / g, the combination sum_k F[k, i] N[k]
+        # over f d of the hom basis N / d by the torsion basis F / f
+        F, f = linalg.numerators(invariants.torsion_basis)
+        N, d = hom.integer_basis
+        self.integer_generators = (np.tensordot(F.T, N, 1), f * d)
+        # (L, l): hom coordinates -> coordinates on the generators, L / l
+        self._left = linalg.numerators(invariants.torsion_left)
+
+    @property
+    def generators(self) -> tuple:
+        G, g = self.integer_generators
+        return tuple(linalg.from_numerators(x, g) for x in G)
 
     @property
     def exponent(self) -> int:
@@ -312,22 +315,28 @@ class StableHomPresentation:
 
     def class_of(self, M) -> tuple:
         """Class of an intertwiner in the invariant-factor coordinates."""
-        coords = self.hom.coords_of(M)
+        B, b = linalg.numerators(linalg.as_matrix(M).reshape(-1, 1))
+        return self._classes(B, b)[0]
+
+    def _classes(self, B, b: int) -> list:
+        """:meth:`class_of` of each column of the integer matrix B / b
+        (intertwiners flattened row by row)."""
+        coords = self.hom._coords(B, b)
         if coords is None:
             raise ValueError("not an intertwiner with ring coordinates")
+        X, x = coords
+        L, l = self._left
         p = self.order.prime
-        out = []
-        for c, d in zip(self._left @ coords, self.exponents):
-            if val(c, p) < 0:
-                raise AssertionError("stable class has non-ring coordinates")
-            out.append(residue_int(c, p, d))
-        return tuple(out)
+        rows = [residues_over(row, l * x, p, d)
+                for row, d in zip(L.dot(X).tolist(), self.exponents)]
+        if any(None in row for row in rows):
+            raise AssertionError("stable class has non-ring coordinates")
+        return [tuple(row[j] for row in rows) for j in range(B.shape[1])]
 
     def from_class(self, cls) -> np.ndarray:
-        out = linalg.zeros(self.target.rank, self.source.rank)
-        for c, g in zip(cls, self.generators):
-            out = out + Fraction(c) * g
-        return out
+        G, g = self.integer_generators
+        c = np.array([int(x) for x in cls], dtype=object)
+        return linalg.from_numerators(np.tensordot(c, G, 1), g)
 
     def element_count(self) -> int:
         n = 1
@@ -346,7 +355,8 @@ def stable_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> StableHomPres
 
 
 def _stable_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> StableHomPresentation:
-    inv = linalg.quotient_invariants(_projective_hom(A, s, U, V)[1], A.prime)
+    X, x = _projective_hom(A, s, U, V)[1]
+    inv = linalg.quotient_invariants_of_rows(X.tolist(), [x] * len(X), X.shape[1], A.prime)
     if inv.free_rank != 0:
         raise AssertionError("free part nonzero: rational algebra not separable")
     return StableHomPresentation(A, s, U, V, hom_lattice(A, U, V), inv)
@@ -360,6 +370,22 @@ def exponent(A: Order, s: LinearForm, U: Lattice) -> int:
 # -- Tate duality --------------------------------------------------------
 
 
+def _twisted_action(A: Order, s: LinearForm, U: Lattice) -> tuple:
+    """(Z, z): act_U(z^{-1}) = Z / z for the Casimir element of s, an
+    integer matrix over a positive integer, kept on U for each form."""
+    return kept(U._kept, "twisted_action", (A, s),
+                lambda: U.integer_act(casimir_inverse(A, s)))
+
+
+def _pairings(Z, X, H) -> np.ndarray:
+    """The integers tr(Z H_j X_i) = vec((X_i Z)^T) . vec(H_j), for integer
+    arrays X of maps U -> V and H of maps V -> U and Z on U: one
+    contraction, without forming the products H_j X_i."""
+    n = X.shape[1] * Z.shape[0]
+    XZ = X.dot(Z).transpose(0, 2, 1).reshape(X.shape[0], n)
+    return XZ.dot(H.reshape(H.shape[0], n).T)
+
+
 def tate_pair(A: Order, s: LinearForm, U: Lattice, V: Lattice, alpha, beta) -> ResidueClass:
     """Pairing value of (alpha, beta) in K modulo the ring.
 
@@ -367,8 +393,9 @@ def tate_pair(A: Order, s: LinearForm, U: Lattice, V: Lattice, alpha, beta) -> R
     the trace on the rationalized U of multiplication by z^{-1} composed
     with beta alpha.
     """
-    value = _twisted_trace(A, s, U)(linalg.as_matrix(beta) @ linalg.as_matrix(alpha))
-    return residue_class(value, A.prime)
+    (a, da), (b, db) = (linalg.numerators(linalg.as_matrix(m)) for m in (alpha, beta))
+    Z, z = _twisted_action(A, s, U)
+    return residue_class(Fraction(_pairings(Z, a[None], b[None])[0, 0], z * da * db), A.prime)
 
 
 def adjunction_check(A: Order, s: LinearForm, U: Lattice, V: Lattice, alpha, beta) -> bool:
@@ -377,11 +404,13 @@ def adjunction_check(A: Order, s: LinearForm, U: Lattice, V: Lattice, alpha, bet
 
     The identity with the roles swapped (an intertwiner gamma : U -> V
     and an arbitrary delta : V -> U) is this one on (V, U, delta, gamma):
-    the trace is cyclic and gamma commutes with z^{-1}."""
-    alpha = linalg.as_matrix(alpha)
-    beta = linalg.as_matrix(beta)
-    lhs = _twisted_trace(A, s, U)(beta @ relative_trace_hom(A, s, U, V, alpha))
-    return lhs == _trace_of_product(beta, alpha)
+    the trace is cyclic and gamma commutes with z^{-1}.  Both sides are
+    compared as integers over the denominator of the left one."""
+    (a, da), (b, db) = (linalg.numerators(linalg.as_matrix(m)) for m in (alpha, beta))
+    T, q = _relative_trace_map(A, s, U, V)
+    Z, z = _twisted_action(A, s, U)
+    traced = T.dot(a.reshape(-1)).reshape(1, V.rank, U.rank)
+    return _pairings(Z, traced, b[None])[0, 0] == z * q * (a * b.T).sum()
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,7 +433,8 @@ def verify_tate_duality(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> Tate
     in the ring) modulo p.  So (b) holds exactly when that residue matrix
     has full row rank.  Otherwise ``TateDualityError`` names the first
     class of its left nullspace, certified to pair integrally with every
-    h_j.
+    h_j.  All pairing values are one integer contraction
+    (:func:`_pairings`) over one denominator.
     """
     S_uv = stable_hom(A, s, U, V)
     S_vu = stable_hom(A, s, V, U)
@@ -414,21 +444,21 @@ def verify_tate_duality(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> Tate
             f"{S_uv.exponents} vs {S_vu.exponents}"
         )
     p = A.prime
-    twisted = _twisted_trace(A, s, U)
-    values = [[twisted(h @ g) for h in S_vu.generators] for g in S_uv.generators]
-    pairing = tuple(tuple(residue_class(v, p) for v in row) for row in values)
-    layer = []
-    for d, row in zip(S_uv.exponents, values):
-        scaled = [p**d * v for v in row]
-        if any(val(x, p) < 0 for x in scaled):
-            raise AssertionError("p^d times a generator of order p^d pairs non-integrally")
-        layer.append([residue_int(x, p, 1) for x in scaled])
+    Z, z = _twisted_action(A, s, U)
+    (G, g), (H, h) = S_uv.integer_generators, S_vu.integer_generators
+    den = z * g * h
+    values = _pairings(Z, G, H).tolist()
+    pairing = tuple(tuple(residue_class(Fraction(v, den), p) for v in row) for row in values)
+    layer = [residues_over([p**d * v for v in row], den, p)
+             for d, row in zip(S_uv.exponents, values)]
+    if any(None in row for row in layer):
+        raise AssertionError("p^d times a generator of order p^d pairs non-integrally")
     k = len(layer)
     kernel = nullspace(np.array(layer, dtype=object).reshape(k, k).T, p)
     if len(kernel):
         cls = tuple(int(c) * p ** (d - 1) for c, d in zip(kernel[0], S_uv.exponents))
-        x = S_uv.from_class(cls)
-        if any(val(twisted(h @ x), p) < 0 for h in S_vu.generators):
+        x = np.tensordot(np.array(cls, dtype=object), G, 1)
+        if None in residues_over(_pairings(Z, x[None], H)[0].tolist(), den, p):
             raise AssertionError("nullspace class pairs non-integrally")
         raise TateDualityError(f"pairing degenerate: kernel class {cls}")
     return TateDualityReport(
@@ -451,11 +481,6 @@ class ResidueEndoAnalysis:
     radical_basis: np.ndarray  # rows, mod-p coordinates in the hom basis
     split_local: bool
     quotient_dim: int
-
-    def radical_lifts(self) -> list:
-        """Intertwiners lifting the radical basis."""
-        return [self.hom.from_coords([Fraction(int(c)) for c in row])
-                for row in self.radical_basis]
 
 
 def residue_endo_analysis(A: Order, U: Lattice) -> ResidueEndoAnalysis:
@@ -480,7 +505,7 @@ def _residue_algebra(A: Order, E: HomLattice) -> FpAlgebra:
     gives them all.
     """
     e, p, r = E.rank, A.prime, E.source.rank
-    N, d = linalg.numerators(np.array(E.basis, dtype=object).reshape(e, r, r))
+    N, d = E.integer_basis
     products = N.reshape(e * r, r).dot(N.transpose(1, 0, 2).reshape(r, e * r))
     products = products.reshape(e, r, e, r).transpose(1, 3, 0, 2).reshape(r * r, e * e)
     unit = (np.identity(r, dtype=object) * d).reshape(r * r, 1)
@@ -490,21 +515,14 @@ def _residue_algebra(A: Order, E: HomLattice) -> FpAlgebra:
         raise AssertionError("hom basis not linearly independent")
     # row k < e is now [e_k | coordinates] over dens[k], the products' over
     # d dens[k]; the rows below vanish
-    coords = [_residues(row[e:-1] + [row[-1] * d], den * d, p) for row, den in zip(rows[:e], dens)]
+    coords = [residues_over(row[e:-1] + [row[-1] * d], den * d, p)
+              for row, den in zip(rows[:e], dens)]
     if any(any(row[e:-1]) for row in rows[e:]) or any(None in c[:-1] for c in coords):
         raise AssertionError("hom basis not multiplicatively closed")
     if any(row[-1] for row in rows[e:]) or any(c[-1] is None for c in coords):
         raise AssertionError("identity not in the hom lattice")
     table = np.array([c[:-1] for c in coords], dtype=np.int64).T.reshape(e, e, e)
     return FpAlgebra(p, e, table, np.array([c[-1] for c in coords]))
-
-
-def _residues(row: list, den: int, p: int) -> list:
-    """x / den mod p for each integer x of the row; None where p^v_p(den)
-    does not divide x, so that x / den lies outside the ring."""
-    pv = p ** int_val(den, p)
-    inv = pow(den // pv, -1, p)
-    return [None if x % pv else x // pv * inv % p for x in row]
 
 
 def _residue_endo_analysis(A: Order, U: Lattice) -> ResidueEndoAnalysis:
@@ -519,6 +537,15 @@ def _residue_endo_analysis(A: Order, U: Lattice) -> ResidueEndoAnalysis:
         split_local=(qdim == 1),
         quotient_dim=qdim,
     )
+
+
+def _traces(E: HomLattice, W, w: int) -> tuple:
+    """(t, den): the values vec(W) . vec(M) / w = tr(W^T M) / w of the
+    functional given by the integer matrix W over w on the basis M =
+    N_k / d of End(U), as integers t_k over den = w d; one contraction."""
+    N, d = E.integer_basis
+    r = E.source.rank
+    return N.reshape(E.rank, r * r).dot(W.reshape(r * r)), w * d
 
 
 @dataclass(frozen=True, eq=False)
@@ -543,10 +570,15 @@ class TraceCriterionVerdict:
         return self.verdict
 
 
-def _trace_criterion(A, analysis, functional, reference_value) -> TraceCriterionVerdict:
+def _trace_criterion(A, analysis, W, w: int) -> TraceCriterionVerdict:
+    """The criterion for the functional M -> tr(W^T M) / w, whose reference
+    value is that of the identity, tr(W) / w.  A radical lift is the
+    combination of the basis by a radical row, so its value is that
+    combination of the basis values."""
     p = A.prime
-    ref = val(reference_value, p)
-    basis_vals = tuple(val(functional(M), p) for M in analysis.hom.basis)
+    ref = val_over(sum(W.diagonal()), w, p)
+    traces, den = _traces(analysis.hom, W, w)
+    basis_vals = tuple(val_over(t, den, p) for t in traces)
     if ref == INFINITY or any(v < ref for v in basis_vals):
         return TraceCriterionVerdict(
             False, ref, basis_vals, analysis.split_local, (), "trace valuation below reference"
@@ -555,7 +587,8 @@ def _trace_criterion(A, analysis, functional, reference_value) -> TraceCriterion
         return TraceCriterionVerdict(
             False, ref, basis_vals, False, (), "endomorphism residue algebra not split local"
         )
-    rad_vals = tuple(val(functional(N), p) for N in analysis.radical_lifts())
+    rad_traces = analysis.radical_basis.astype(object).dot(traces)
+    rad_vals = tuple(val_over(t, den, p) for t in rad_traces)
     if any(v <= ref for v in rad_vals):
         return TraceCriterionVerdict(
             False, ref, basis_vals, True, rad_vals,
@@ -575,7 +608,7 @@ def knorr_check(A: Order, U: Lattice) -> TraceCriterionVerdict:
     valuation.
     """
     analysis = residue_endo_analysis(A, U)
-    return _trace_criterion(A, analysis, _trace, Fraction(U.rank))
+    return _trace_criterion(A, analysis, np.identity(U.rank, dtype=object), 1)
 
 
 def stable_exponent_check(A: Order, s: LinearForm, U: Lattice) -> TraceCriterionVerdict:
@@ -591,11 +624,9 @@ def stable_exponent_check(A: Order, s: LinearForm, U: Lattice) -> TraceCriterion
     S = stable_hom(A, s, U, U)
     if S.exponent == 0:
         raise ValueError("U projective - property undefined")
-    twisted = _twisted_trace(A, s, U)
+    Z, z = _twisted_action(A, s, U)
     analysis = residue_endo_analysis(A, U)
-    verdict = _trace_criterion(
-        A, analysis, twisted, twisted(linalg.identity(U.rank))
-    )
+    verdict = _trace_criterion(A, analysis, Z.T, z)
     socle = stable_socle_property(A, s, U)
     if bool(verdict) != (analysis.split_local and socle):
         raise AssertionError(
@@ -604,14 +635,17 @@ def stable_exponent_check(A: Order, s: LinearForm, U: Lattice) -> TraceCriterion
     return verdict
 
 
-def _layer_coords(S: StableHomPresentation, M) -> list:
-    """Coordinates over the residue field of a p-torsion stable class in
-    the layer basis p^(d_l-1) g_l."""
+def _layer_coords(S: StableHomPresentation, M, m: int) -> list:
+    """Coordinates over the residue field of the p-torsion stable classes
+    of the intertwiners M[i] / m, for an integer array M, in the layer
+    basis p^(d_l-1) g_l."""
     steps = [S.order.prime ** (d - 1) for d in S.exponents]
-    cls = S.class_of(M)
-    if any(c % q for c, q in zip(cls, steps)):
-        raise AssertionError("product left the p-torsion layer")
-    return [c // q for c, q in zip(cls, steps)]
+    out = []
+    for cls in S._classes(M.reshape(M.shape[0], M.shape[1] * M.shape[2]).T, m):
+        if any(c % q for c, q in zip(cls, steps)):
+            raise AssertionError("product left the p-torsion layer")
+        out.append([c // q for c, q in zip(cls, steps)])
+    return out
 
 
 def stable_socle_property(A: Order, s: LinearForm, U: Lattice) -> bool:
@@ -625,7 +659,9 @@ def stable_socle_property(A: Order, s: LinearForm, U: Lattice) -> bool:
     socle is the kernel on S[p] of x -> (r x)_r over the lifts r, the
     right socle that of x -> (x r)_r, and p^{a-1} S is spanned by the t_i
     with d_i = a.  They agree exactly when those t_i map to zero and the
-    t_i with d_i < a have linearly independent images.
+    t_i with d_i < a have linearly independent images.  The products
+    r t_i (or t_i r) are integer matrices over one denominator, and their
+    classes come from one elimination per side.
     """
     S = stable_hom(A, s, U, U)
     a = S.exponent
@@ -633,26 +669,31 @@ def stable_socle_property(A: Order, s: LinearForm, U: Lattice) -> bool:
         raise ValueError("U projective - property undefined")
     analysis = residue_endo_analysis(A, U)
     p = A.prime
-    layer = [p ** (d - 1) * g for d, g in zip(S.exponents, S.generators)]
-    lifts = analysis.radical_lifts()
-    top = [i for i, d in enumerate(S.exponents) if d == a]
-    low = [i for i, d in enumerate(S.exponents) if d < a]
+    G, g = S.integer_generators
+    N, d = analysis.hom.integer_basis
+    layer = [p ** (e - 1) * t for e, t in zip(S.exponents, G)]
+    lifts = list(np.tensordot(analysis.radical_basis.astype(object), N, 1))
+    top = [i for i, e in enumerate(S.exponents) if e == a]
+    low = [i for i, e in enumerate(S.exponents) if e < a]
 
     def socle_is_top(side) -> bool:
-        # entry i: the layer coordinates of side(r, t_i) for every lift r
-        images = np.array([[x for r in lifts for x in _layer_coords(S, side(r, t))]
-                           for t in layer], dtype=np.int64)
+        # row i: the layer coordinates of side(r, t_i) for every lift r, over d g
+        products = np.empty((len(layer) * len(lifts), U.rank, U.rank), dtype=object)
+        for k, (t, r) in enumerate((t, r) for t in layer for r in lifts):
+            products[k] = side(r, t)
+        images = np.array(_layer_coords(S, products, d * g), dtype=np.int64)
+        images = images.reshape(len(layer), -1)
         return not images[top].any() and len(rref(images[low], p)[1]) == len(low)
 
-    return socle_is_top(lambda r, t: r @ t) and socle_is_top(lambda r, t: t @ r)
+    return socle_is_top(lambda r, t: r.dot(t)) and socle_is_top(lambda r, t: t.dot(r))
 
 
 def constant_value_check(A: Order, s: LinearForm, U: Lattice) -> bool:
     """Minimal twisted-trace valuation over End(U) equals minus the exponent."""
     S = stable_hom(A, s, U, U)
-    twisted = _twisted_trace(A, s, U)
-    vals = [val(twisted(M), A.prime) for M in S.hom.basis]
-    return min(vals) == -S.exponent
+    Z, z = _twisted_action(A, s, U)
+    traces, den = _traces(S.hom, Z.T, z)
+    return min(val_over(t, den, A.prime) for t in traces) == -S.exponent
 
 
 def knorr_projective_check(A: Order, U: Lattice) -> bool:

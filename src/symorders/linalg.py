@@ -1,8 +1,12 @@
 """Exact linear algebra over the rationals and the p-local integers.
 
 Matrices at the API are numpy arrays of dtype ``object`` holding
-``Fraction`` entries; ``eliminate`` and ``integral_kernel_of_rows`` take
-integer rows, and ``numerators`` turns Fractions into integers over one
+``Fraction`` entries.  The functions named ``*_of_rows`` and
+``*_of_columns``, and ``eliminate``, are the integer layer that the Hom
+layer of ``lattices`` runs on: they take integer rows (or columns) and
+give integer matrices (kernel and lattice bases, coordinates) or, for
+:func:`quotient_invariants_of_rows`, Fractions only for the torsion part
+of the result; ``numerators`` turns Fractions into integers over one
 denominator.  Inside, the eliminations run on Python ints: each row (and
 each column of a right transform) is a list of integer numerators over
 one positive denominator, a unit at p for ring matrices, divided by the
@@ -359,8 +363,8 @@ def _smith(rows: list, dens: list, n: int, p: int) -> tuple:
     return exponents, cols, col_dens
 
 
-def _unit_normalize_columns(cols: list, n: int, p: int) -> np.ndarray:
-    """The integer columns (lists of length n) as a Fraction matrix, each
+def _unit_normalize(cols: list, n: int, p: int) -> np.ndarray:
+    """The integer columns (lists of length n) as an integer matrix, each
     scaled by a unit to a primitive integer vector with positive leading
     entry.  The ring span of a column, and this normal form, do not
     change when the column is scaled by a unit."""
@@ -371,7 +375,7 @@ def _unit_normalize_columns(cols: list, n: int, p: int) -> np.ndarray:
             g //= p
         if next((x for x in col if x), 0) < 0:
             g = -g
-        out[:, j] = [Fraction(x // g) if x else _ZERO for x in col]
+        out[:, j] = [x // g if x else 0 for x in col]
     return out
 
 
@@ -383,20 +387,20 @@ def integral_kernel(M, p: int) -> np.ndarray:
     """
     rows, dens, n = _int_rows(M)
     lcm = math.lcm(*dens)
-    return integral_kernel_of_rows([[x * (lcm // d) for x in row]
-                                    for row, d in zip(rows, dens)], n, p)
+    return from_numerators(integral_kernel_of_rows([[x * (lcm // d) for x in row]
+                                                    for row, d in zip(rows, dens)], n, p), 1)
 
 
 def integral_kernel_of_rows(rows: list, n: int, p: int) -> np.ndarray:
     """:func:`integral_kernel` of the matrix with the given integer rows
-    of length n, which are consumed.
+    of length n, which are consumed, as an integer matrix.
 
     The last n - rank columns of the right Smith transform are a basis,
     saturated because the transform is invertible over the ring; the
     left transform is not formed.
     """
     exponents, cols, _ = _smith(rows, [1] * len(rows), n, p)
-    return _unit_normalize_columns(cols[len(exponents):], n, p)
+    return _unit_normalize(cols[len(exponents):], n, p)
 
 
 def lattice_basis_from_generators(gens, p: int) -> np.ndarray:
@@ -410,12 +414,12 @@ def lattice_basis_from_generators(gens, p: int) -> np.ndarray:
     G = as_matrix(gens)
     if not is_integral(G, p):
         raise ValueError("lattice generators must have ring entries")
-    return lattice_basis_of_columns(numerators(G)[0], p)
+    return from_numerators(lattice_basis_of_columns(numerators(G)[0], p), 1)
 
 
 def lattice_basis_of_columns(N, p: int) -> np.ndarray:
     """:func:`lattice_basis_from_generators` of the columns of the integer
-    matrix N.
+    matrix N, as an integer matrix.
 
     For the Smith form L N R = D, N R = L^{-1} D: its first rank columns
     are p^{e_i} times columns of the ring-invertible L^{-1}, a basis.
@@ -425,16 +429,45 @@ def lattice_basis_of_columns(N, p: int) -> np.ndarray:
     m, n = N.shape
     exponents, cols, _ = _smith(N.tolist(), [1] * m, n, p)
     R = np.array(cols[: len(exponents)], dtype=object).reshape(len(exponents), n).T
-    return _unit_normalize_columns(N.dot(R).T.tolist(), m, p)
+    return _unit_normalize(N.dot(R).T.tolist(), m, p)
 
 
 def lattice_membership(v, basis, p: int):
     """Ring coordinates of v, a vector or the columns of a matrix, in the
     basis columns (of full column rank), or None when v has none."""
-    coords = solve_exact(as_matrix(basis), v)
-    if coords is None or not is_integral(coords, p):
+    vector = np.asarray(v, dtype=object).ndim == 1
+    V = as_matrix([v]).T if vector else as_matrix(v)
+    found = lattice_membership_of_columns(numerators(as_matrix(basis)), numerators(V), p)
+    if found is None:
         return None
-    return coords
+    coords = from_numerators(*found)
+    return coords[:, 0] if vector else coords
+
+
+def lattice_membership_of_columns(basis: tuple, v: tuple, p: int):
+    """:func:`lattice_membership` of the columns of V / b in those of N / d,
+    for integer matrices N (of full column rank) and V: the coordinates
+    as an integer matrix X over x, or None.
+
+    One elimination on the integer rows [N | V]: row k < rank ends as
+    [e_k | X_k] over its denominator, and N X = V puts the coordinates of
+    V / b at X d / b.
+    """
+    (N, d), (V, b) = basis, v
+    n = N.shape[1]
+    rows = np.concatenate([N, V], axis=1).tolist()
+    dens = [1] * len(rows)
+    if len(eliminate(rows, dens, n)[0]) < n:
+        raise ValueError("matrix does not have full column rank")
+    if any(any(row[n:]) for row in rows[n:]):
+        return None
+    x = math.lcm(*dens[:n])
+    X = np.empty((n, V.shape[1]), dtype=object)
+    for k, (row, den) in enumerate(zip(rows, dens[:n])):
+        X[k] = [y * d * (x // den) for y in row[n:]]
+    x *= b
+    pv = p ** int_val(x, p)
+    return None if any(y % pv for y in X.flat) else (X, x)
 
 
 @dataclass(frozen=True)
@@ -470,21 +503,40 @@ def lattice_quotient_invariants(sub_gens, sup_basis, p: int) -> QuotientInvarian
 def quotient_invariants(coords, p: int) -> QuotientInvariants:
     """Invariant factors of ring^m modulo the span of the columns of
     ``coords``, an m-row matrix with ring entries: the sub lattice given
-    by its coordinates in a basis of the sup lattice.
+    by its coordinates in a basis of the sup lattice."""
+    rows, dens, n = _int_rows(coords)
+    return quotient_invariants_of_rows(rows, dens, n, p)
+
+
+def quotient_invariants_of_rows(rows: list, dens: list, n: int, p: int) -> QuotientInvariants:
+    """:func:`quotient_invariants` of the matrix C whose rows are the given
+    integer rows of length n over their denominators, which are consumed.
 
     For the Smith form L C R = D, C R = L^{-1} D, so the adapted basis
     vector f_i (column i of L^{-1}) of a factor of exponent d_i > 0 is
-    column i of C R over p^{d_i}; L is not inverted.
+    column i of C R over p^{d_i}; L is not inverted.  The reduction runs
+    on the integer rows with the identity appended, which the row
+    operations turn into L; only the torsion columns of C R / p^{d_i}
+    and the torsion rows of L become Fractions.
     """
-    C = as_matrix(coords)
-    snf = smith_normal_form(C, p)
-    torsion = [i for i, e in enumerate(snf.exponents) if e > 0]
-    basis = C.dot(snf.right[:, torsion])
-    for j, i in enumerate(torsion):
-        basis[:, j] /= Fraction(p) ** snf.exponents[i]
+    m = len(rows)
+    if any(den % p == 0 for den in dens):
+        raise ValueError("smith normal form needs entries of valuation >= 0")
+    C = [(list(row), den) for row, den in zip(rows, dens)]
+    for i, (row, den) in enumerate(zip(rows, dens)):
+        row.extend(den if k == i else 0 for k in range(m))
+    exponents, cols, col_dens = _smith(rows, dens, n, p)
+    torsion = [i for i, e in enumerate(exponents) if e > 0]
+    basis = np.empty((m, len(torsion)), dtype=object)
+    for t, j in enumerate(torsion):
+        col, den = cols[j], col_dens[j] * p ** exponents[j]
+        for i, (row, row_den) in enumerate(C):
+            x = sum(a * b for a, b in zip(row, col))
+            basis[i, t] = Fraction(x, row_den * den) if x else _ZERO
     return QuotientInvariants(
-        exponents=tuple(snf.exponents[i] for i in torsion),
-        free_rank=snf.left.shape[0] - snf.rank,
+        exponents=tuple(exponents[i] for i in torsion),
+        free_rank=m - len(exponents),
         torsion_basis=basis,
-        torsion_left=snf.left[torsion],
+        torsion_left=_fraction_rows([rows[i] for i in torsion], [dens[i] for i in torsion],
+                                    n, n + m),
     )

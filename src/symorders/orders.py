@@ -221,7 +221,7 @@ class Order:
                 for k, c in self.products[j][g]:
                     block[k][j] -= c
             rows.extend(block)
-        Z = linalg.integral_kernel_of_rows(rows, self.dim, self.prime)
+        Z = linalg.from_numerators(linalg.integral_kernel_of_rows(rows, self.dim, self.prime), 1)
         C, u = lattice_ring(self, Z, self.one)
         if C is None or u is None:
             raise AssertionError("centre lattice not a ring with 1")

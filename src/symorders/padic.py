@@ -3,7 +3,8 @@
 The base ring throughout the package is the localisation of the integers
 at a prime p: rationals whose denominator is prime to p.  Its uniformizer
 is p itself and its residue field is the prime field with p elements.
-Every scalar is an exact ``fractions.Fraction``; there is no floating
+Every scalar is an exact ``fractions.Fraction``, or an integer over one
+denominator for the helpers named ``*_over``; there is no floating
 point anywhere.
 """
 
@@ -93,6 +94,19 @@ def val(x, p: int):
     if x == 0:
         return INFINITY
     return int_val(x.numerator, p) - int_val(x.denominator, p)
+
+
+def val_over(x: int, den: int, p: int):
+    """Valuation of x / den for integers x and den != 0."""
+    return INFINITY if x == 0 else int_val(x, p) - int_val(den, p)
+
+
+def residues_over(row: list, den: int, p: int, d: int = 1) -> list:
+    """x / den mod p^d for each integer x of the row; None where p^v_p(den)
+    does not divide x, so that x / den lies outside the ring."""
+    pv, pd = p ** int_val(den, p), p**d
+    inv = pow(den // pv, -1, pd)
+    return [None if x % pv else x // pv * inv % pd for x in row]
 
 
 def residue_int(c: Fraction, p: int, d: int) -> int:

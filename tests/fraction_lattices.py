@@ -4,7 +4,10 @@ These are the entry-by-entry ``Fraction`` versions of what ``lattices``
 and ``decomp`` now compute on integer numerators over one unit
 denominator: the intertwining rows of a Hom lattice as Kronecker blocks,
 the relative traces of the elementary matrices as sums of outer
-products, the multiplication table of End(U) mod p from products of the
+products, the stable Hom group from the Smith form of the coordinates
+of the projective homs, the classes of intertwiners in it, the Tate
+pairing as tr(act_U(z^{-1}) h g), the plain and twisted traces of a hom
+basis, the multiplication table of End(U) mod p from products of the
 basis matrices, and the Gram test of a character combination.  They use
 ``fraction_linalg`` for their kernels and eliminations, so they share no
 arithmetic with the code under test.
@@ -15,10 +18,19 @@ from fractions import Fraction
 import numpy as np
 
 from symorders import linalg
-from symorders.forms import dual_basis, gram_matrix
+from symorders.forms import casimir_inverse, dual_basis, gram_matrix
 from symorders.modp import rref
 from symorders.padic import int_val, residue_int
 import fraction_linalg
+
+
+def trace(M) -> Fraction:
+    return sum((M[i, i] for i in range(M.shape[0])), Fraction(0))
+
+
+def twisted_action(A, s, U) -> np.ndarray:
+    """act_U(z^{-1}) for the Casimir element z of s."""
+    return U.act(casimir_inverse(A, s))
 
 
 def action(U) -> tuple:
@@ -61,6 +73,60 @@ def relative_trace_hom(A, s, U, V, alpha) -> np.ndarray:
     for i, m in enumerate(action(V)):
         out = out + m @ linalg.as_matrix(alpha) @ U.act(d.element(i))
     return out
+
+
+def flat(mats) -> np.ndarray:
+    """The matrices flattened row by row, as the columns of one matrix."""
+    return np.array([np.array(m).reshape(-1) for m in mats], dtype=object).T
+
+
+class StableHom:
+    """Hom(U, V) modulo the relatively projective homs: the exponents of
+    the Smith form of the coordinates C of the projective basis in the hom
+    basis H, the generators H C R / p^(d_i) on the torsion columns of the
+    right transform R, and the torsion rows of the left transform."""
+
+    def __init__(self, A, s, U, V):
+        p, rv, ru = A.prime, V.rank, U.rank
+        self.prime = p
+        self.hom = hom_basis(A, U, V)
+        P = fraction_linalg.lattice_basis_from_generators(
+            relative_trace_generators(A, s, U, V), p)
+        self._H = flat(self.hom) if self.hom else linalg.zeros(rv * ru, 0)
+        C = fraction_linalg.solve_exact(self._H, P)
+        assert C is not None and linalg.is_integral(C, p)
+        snf = fraction_linalg.smith_normal_form(C, p)
+        assert snf.rank == C.shape[0]
+        torsion = [i for i, e in enumerate(snf.exponents) if e > 0]
+        self.exponents = tuple(snf.exponents[i] for i in torsion)
+        self.generators = []
+        for i in torsion:
+            f = C.dot(snf.right[:, i]) / Fraction(p) ** snf.exponents[i]
+            g = linalg.zeros(rv, ru)
+            for c, m in zip(f, self.hom):
+                g = g + c * m
+            self.generators.append(g)
+        self._left = snf.left[torsion]
+
+    def class_of(self, M) -> tuple:
+        coords = fraction_linalg.solve_exact(self._H, np.array(M).reshape(-1))
+        assert coords is not None and linalg.is_integral(coords, self.prime)
+        return tuple(residue_int(c, self.prime, d)
+                     for c, d in zip(self._left.dot(coords), self.exponents))
+
+
+def pairing_values(A, s, U, S_uv, S_vu) -> np.ndarray:
+    """tr(act_U(z^{-1}) h g) for the generators g of S_uv and h of S_vu."""
+    zu = twisted_action(A, s, U)
+    values = [[trace(zu @ h @ g) for h in S_vu.generators] for g in S_uv.generators]
+    return np.array(values, dtype=object).reshape(len(S_uv.generators), len(S_vu.generators))
+
+
+def basis_traces(A, s, U, basis) -> tuple:
+    """The traces tr(M) and the twisted traces tr(act_U(z^{-1}) M) of the
+    endomorphisms M of U."""
+    zu = twisted_action(A, s, U)
+    return [trace(M) for M in basis], [trace(zu @ M) for M in basis]
 
 
 def residue_algebra(A, E) -> tuple:

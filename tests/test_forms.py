@@ -32,6 +32,7 @@ from symorders.forms import (
 from symorders.orders import NotInvertibleError, Order
 
 import fraction_forms
+import fraction_linalg
 from dense_orders import cube, dense_order
 from test_orders import GROUP_TABLES, _scalars, rebase, unimodular
 
@@ -75,14 +76,16 @@ def test_dual_basis_matrix_order_trivial():
 
 
 def _perturbed_inverse(monkeypatch):
-    exact = linalg.inverse
+    # _derive reads D = g N^{-1} off the eliminated rows [N | g 1]: row 0
+    # ends as [e_0 | D_0] over dens[0], so this adds 1 to D[0, 0]
+    exact = linalg.eliminate
 
-    def perturbed(M):
-        D = exact(M)
-        D[0, 0] += 1
-        return D
+    def perturbed(rows, dens, ncols):
+        out = exact(rows, dens, ncols)
+        rows[0][ncols] += dens[0]
+        return out
 
-    monkeypatch.setattr(linalg, "inverse", perturbed)
+    monkeypatch.setattr(linalg, "eliminate", perturbed)
 
 
 def test_dual_basis_certificate_rejects_wrong_inverse(s3, monkeypatch):
@@ -100,15 +103,15 @@ def test_dual_basis_certificate_survives_optimisation():
         "from symorders import linalg\n"
         "from symorders.builders import s3_group_algebra\n"
         "A, s = s3_group_algebra(3)\n"
-        "exact = linalg.inverse\n"
-        "def perturbed(M):\n"
-        "    D = exact(M)\n"
-        "    D[0, 0] += 1\n"
-        "    return D\n"
-        "linalg.inverse = perturbed\n"
+        "exact = linalg.eliminate\n"
+        "def perturbed(rows, dens, ncols):\n"
+        "    out = exact(rows, dens, ncols)\n"
+        "    rows[0][ncols] += dens[0]\n"
+        "    return out\n"
+        "linalg.eliminate = perturbed\n"
         "with pytest.raises(AssertionError, match='dual basis fails'):\n"
         "    so.dual_basis(A, s)\n"
-        "linalg.inverse = exact\n"
+        "linalg.eliminate = exact\n"
         "central = so.Order.is_central\n"
         "so.Order.is_central = lambda self, a: False\n"
         "with pytest.raises(AssertionError, match='Casimir element not central'):\n"
@@ -560,6 +563,23 @@ def test_integer_dual_basis_equals_the_fraction_oracle(case):
     _assert_same_dual_basis(_outcome(forms._derive, A, s), want)
     if not isinstance(want, tuple):
         _assert_same_casimir_inverse(A, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms_on_orders())
+def test_regular_gram_exponents_equal_the_fraction_smith_form(case):
+    # psp_regular_gram reads the Smith exponents of the integer numerators
+    # of the regular Gram matrix, whose denominator is a unit
+    A, _ = case
+    snf = fraction_linalg.smith_normal_form(
+        fraction_forms.gram_matrix(A, so.regular_character_form(A)), A.prime)
+    if snf.rank < A.dim:
+        with pytest.raises(RegularGramSingularError):
+            so.psp_regular_gram(A)
+        return
+    res = so.psp_regular_gram(A)
+    assert res.exponents == snf.exponents
+    assert res.verdict == (len(set(snf.exponents)) == 1)
 
 
 def _non_symmetric(p):

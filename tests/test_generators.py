@@ -132,7 +132,7 @@ def lattice_pair(draw):
 def test_hom_lattice_spans_the_all_blocks_kernel(pair):
     A, U, V = pair
     H = hom_lattice(A, U, V)
-    oracle = HomLattice(source=U, target=V, basis=all_blocks_hom_basis(A, U, V))
+    oracle = HomLattice.of_matrices(U, V, all_blocks_hom_basis(A, U, V))
     assert H.rank == oracle.rank
     if H.rank:
         assert oracle.coords_of_many(H.basis) is not None

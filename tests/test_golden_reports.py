@@ -4,7 +4,11 @@ by a byte when the exact kernels underneath are rewritten.
 
 The bundles under ``tests/data`` are the S3 fixture at p = 3
 (``builders.s3_fixture_bundle(3)``), the small-survey benchmark
-bundles ``m2-p3`` and ``rank2-m2-p2`` on the dense basis of seed 7, and
+bundles ``m2-p3`` and ``rank2-m2-p2`` on the dense basis of seed 7;
+``rank2-m2-p2-doubled``, the enum-rank2 benchmark bundle of that order
+with the lattices ``projection`` and ``projection2`` = projection ⊕
+projection on the same basis, whose stable Homs have up to four
+generators, so its report pins 2 x 2 and 4 x 4 Tate pairings; and
 ``s4-p3``: the group algebra of the symmetric group on four points at
 p = 3 (dimension 24) with its standard form and the trivial and sign
 lattices; and ``s4-p2``: the same group algebra at p = 2 with the
@@ -50,7 +54,8 @@ from symorders.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
 # name -> exit code
-NAMES = {"s3-p3": 0, "m2-p3": 0, "rank2-m2-p2": 0, "s4-p3": 0, "s4-p2": 0,
+NAMES = {"s3-p3": 0, "m2-p3": 0, "rank2-m2-p2": 0, "rank2-m2-p2-doubled": 0,
+         "s4-p3": 0, "s4-p2": 0,
          "s4-p2-chars": 0, "s4-p3-chars": 0, "s3-p3-mismatch": 1, "s3-p3-scaled": 0}
 
 

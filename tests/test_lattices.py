@@ -4,6 +4,7 @@ import math
 import random
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import symorders as so
 from symorders import cli, lattices, linalg, modp
 from symorders.builders import (
+    cyclic_group_table,
     group_algebra,
     hecke_rank1,
     matrix_column_lattice,
@@ -25,13 +27,13 @@ from symorders.lattices import (
     HomLattice,
     InvalidLatticeError,
     TateDualityError,
-    _trace,
     hom_lattice,
     projective_hom_lattice,
     relative_trace_hom,
 )
 from symorders.padic import residue_class, residue_int, val
 import fraction_lattices
+from fraction_lattices import trace
 import fraction_linalg
 from dense_orders import cube, dense_order
 from test_orders import GROUP_TABLES, rebase
@@ -347,9 +349,9 @@ def test_residue_algebra_certifies_the_hom_basis(s3, s3_lattices):
                            ((3 * unit(0, 0),), "identity not in the hom lattice"),
                            ((3 * I,), "identity not in the hom lattice")]:
         with pytest.raises(AssertionError, match=message):
-            lattices._residue_algebra(A, HomLattice(TT, TT, basis))
+            lattices._residue_algebra(A, HomLattice.of_matrices(TT, TT, basis))
     # a basis over the unit denominator 2 passes all three: (E_00 / 2)^2 = (E_00 / 2) / 2
-    alg = lattices._residue_algebra(A, HomLattice(TT, TT, (I, unit(0, 0) / 2)))
+    alg = lattices._residue_algebra(A, HomLattice.of_matrices(TT, TT, (I, unit(0, 0) / 2)))
     assert alg.table.tolist() == [[[1, 0], [0, 1]], [[0, 1], [0, 2]]]
     assert alg.one.tolist() == [1, 0]
 
@@ -421,7 +423,7 @@ def test_constant_value_random_instances(s3, s3_lattices):
         for _ in range(100):
             coords = [Fraction(rng.randint(-4, 4)) for _ in range(S.hom.rank)]
             alpha = S.hom.from_coords(coords)
-            assert val(_trace(zu @ alpha), A.prime) >= -a
+            assert val(trace(zu @ alpha), A.prime) >= -a
 
 
 def test_knorr_projective(m2_at_2):
@@ -578,6 +580,45 @@ def test_integer_action_equals_the_numerators_of_the_action(case):
         assert (n * pow(q, -1, p) % p == [[residue_int(x, p, 1) for x in row] for row in m]).all()
 
 
+def _assert_stable_layer_equals_the_fraction_version(A, s, U, V, coeffs):
+    """The stable Homs both ways, the classes of the hom basis, of the
+    generators and of the combination of the hom basis by coeffs, the
+    pairing, and the plain and twisted traces on End(U) with the
+    valuations the trace criteria read, against the Fraction versions."""
+    p = A.prime
+    zu = fraction_lattices.twisted_action(A, s, U)
+    S_uv, S_vu = so.stable_hom(A, s, U, V), so.stable_hom(A, s, V, U)
+    theirs_uv = fraction_lattices.StableHom(A, s, U, V)
+    theirs_vu = fraction_lattices.StableHom(A, s, V, U)
+    for ours, theirs in ((S_uv, theirs_uv), (S_vu, theirs_vu)):
+        assert ours.exponents == theirs.exponents
+        assert _same_basis(ours.generators, theirs.generators)
+    H = S_uv.hom
+    for M in (*H.basis, *S_uv.generators, H.from_coords(coeffs)):
+        assert S_uv.class_of(M) == theirs_uv.class_of(M)
+    Z, z = lattices._twisted_action(A, s, U)
+    (G, g), (Gvu, h) = S_uv.integer_generators, S_vu.integer_generators
+    values = fraction_lattices.pairing_values(A, s, U, theirs_uv, theirs_vu)
+    assert _identical(linalg.from_numerators(lattices._pairings(Z, G, Gvu), z * g * h), values)
+    assert so.verify_tate_duality(A, s, U, V).pairing == tuple(
+        tuple(residue_class(v, p) for v in row) for row in values)
+    # plain and twisted traces on End(U), and the valuations the criteria read
+    E = hom_lattice(A, U, U)
+    analysis = so.residue_endo_analysis(A, U)
+    lifts = [sum((int(c) * M for c, M in zip(row, E.basis)), linalg.zeros(U.rank, U.rank))
+             for row in analysis.radical_basis]
+    plain, twisted = fraction_lattices.basis_traces(A, s, U, E.basis)
+    one = linalg.identity(U.rank)
+    for (W, w), verdict, theirs, X in (
+            ((np.identity(U.rank, dtype=object), 1), so.knorr_check(A, U), plain, one),
+            ((Z.T, z), lattices._trace_criterion(A, analysis, Z.T, z), twisted, zu)):
+        assert _identical(linalg.from_numerators(*lattices._traces(E, W, w)), theirs)
+        assert verdict.reference_valuation == val(trace(X), p)
+        assert verdict.basis_valuations == tuple(val(x, p) for x in theirs)
+        if verdict.radical_valuations:
+            assert verdict.radical_valuations == tuple(val(trace(X @ L), p) for L in lifts)
+
+
 @settings(max_examples=60, deadline=None)
 @given(conjugated_lattices(), st.data())
 def test_hom_layer_equals_the_fraction_version(case, data):
@@ -601,20 +642,51 @@ def test_hom_layer_equals_the_fraction_version(case, data):
     alpha = matrix(V.rank, U.rank)
     assert _identical(relative_trace_hom(A, s, U, V, alpha),
                       fraction_lattices.relative_trace_hom(A, s, U, V, alpha))
-    # twisted traces against the product formed in full, on arbitrary
-    # (not symmetric) matrices
-    zu = U.act(so.casimir_inverse(A, s))
-    M, beta = matrix(U.rank, U.rank), matrix(U.rank, V.rank)
-    assert lattices._trace_of_product(beta, alpha) == _trace(beta @ alpha)
-    assert lattices._twisted_trace(A, s, U)(M) == _trace(zu @ M)
-    assert so.tate_pair(A, s, U, V, alpha, beta) == residue_class(_trace(zu @ beta @ alpha), p)
+    # the pairing against the product formed in full, on arbitrary (not
+    # intertwining) matrices
+    zu = fraction_lattices.twisted_action(A, s, U)
+    beta = matrix(U.rank, V.rank)
+    assert so.tate_pair(A, s, U, V, alpha, beta) == residue_class(trace(zu @ beta @ alpha), p)
     assert so.adjunction_check(A, s, U, V, alpha, beta) == (
-        _trace(zu @ beta @ relative_trace_hom(A, s, U, V, alpha)) == _trace(beta @ alpha))
-    # End(U) on its saturated integer basis, and on that basis divided by units
+        trace(zu @ beta @ relative_trace_hom(A, s, U, V, alpha)) == trace(beta @ alpha))
+    H = hom_lattice(A, U, V)
+    _assert_stable_layer_equals_the_fraction_version(
+        A, s, U, V, data.draw(st.lists(st.integers(-20, 20), min_size=H.rank, max_size=H.rank)))
     E = hom_lattice(A, U, U)
+    # End(U) on its saturated integer basis, and on that basis divided by units
     units = st.sampled_from([d for d in (1, 2, 3, 5, 7, 11) if d % p])
-    scaled = HomLattice(U, U, tuple(M * Fraction(1, data.draw(units)) for M in E.basis))
+    scaled = HomLattice.of_matrices(U, U, [M * Fraction(1, data.draw(units)) for M in E.basis])
     for F in (E, scaled):
         table, one = fraction_lattices.residue_algebra(A, F)
         ours = lattices._residue_algebra(A, F)
         assert np.array_equal(ours.table, table) and np.array_equal(ours.one, one)
+    # coordinates in the basis over a unit denominator d != 1
+    assert _identical(scaled.coords_of_many(E.basis), fraction_linalg.solve_exact(
+        fraction_lattices.flat(scaled.basis), fraction_lattices.flat(E.basis)))
+
+
+def test_stable_layer_of_a_doubled_lattice_equals_the_fraction_version():
+    # stable Homs with two and four generators, on a dense basis with unit
+    # denominators: the bundle of the golden report rank2-m2-p2-doubled
+    b = so.load_bundle(Path(__file__).resolve().parent / "data"
+                       / "rank2-m2-p2-doubled.bundle.json")
+    A, s = b.order, b.forms["standard"]
+    for U in b.lattices.values():
+        for V in b.lattices.values():
+            rank = hom_lattice(A, U, V).rank
+            _assert_stable_layer_equals_the_fraction_version(
+                A, s, U, V, [(-1) ** k * (k + 2) for k in range(rank)])
+    doubled = b.lattices["projection2"]
+    assert len(so.stable_hom(A, s, doubled, doubled).exponents) == 4
+
+
+
+@pytest.mark.parametrize("n, p", [(4, 2), (9, 3)])
+def test_trace_criteria_on_a_cyclic_p_group_equal_the_fraction_version(n, p):
+    # End of the regular lattice is local with a nonzero radical, so both
+    # criteria read radical lifts
+    A, s = group_algebra(cyclic_group_table(n)[0], p)
+    R, T = so.regular_lattice(A), so.make_lattice(A, [[[1]]] * n)
+    assert so.knorr_check(A, R).radical_valuations
+    for U, V in [(R, T), (T, R), (T, T)]:
+        _assert_stable_layer_equals_the_fraction_version(A, s, U, V, [1] * hom_lattice(A, U, V).rank)
