@@ -108,11 +108,14 @@ def check_casimir(b: Bundle, opts: RunOptions, expect: Expect) -> dict:
     for name, s in sorted(b.forms.items()):
         if not forms.is_symmetrising(b.order, s):
             details[name] = {"symmetrising": False}
+            expect((name, "scalar"), None)
             continue
         z = forms.casimir(b.order, s)
         details[name] = entry = {"coordinates": [scalar_to_str(c) for c in z]}
         scalar = _scalar_of(b, z)
-        if scalar is not None:
+        if scalar is None:
+            expect((name, "scalar"), None)
+        else:
             entry["scalar"] = expect((name, "scalar"), scalar_to_str(scalar))
     return details
 
@@ -202,6 +205,7 @@ def check_stable_exponent(b: Bundle, opts: RunOptions, expect: Expect) -> dict:
         a = lattices.exponent(b.order, s, U)
         if a == 0:
             details[name] = {"verdict": "projective - property undefined"}
+            expect((name,), None)
             continue
         verdict = lattices.stable_exponent_check(b.order, s, U)
         details[name] = {"verdict": expect((name,), bool(verdict)), "exponent": a}

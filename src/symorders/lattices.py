@@ -18,6 +18,17 @@ intertwiners come from one integer elimination; the Tate pairing
 and twisted traces that the Knorr and stable-exponent criteria read are
 each one integer contraction.  Fractions are built only for what is
 reported or returned.
+
+Free lattices take closed forms.  A lattice of rank dim A is free on
+its basis vector u when the orbit matrix M = [act(b_j) u]_j has full
+rank mod p (:func:`free_generator`).  Then Hom(U, V) is read off V, the
+hom with u -> v being W_v M^{-1} for W_v = [act_V(b_j) v]_j, and a
+stable Hom with U on either side is zero by Higman's criterion,
+certified once per form as Tr(u (s o M^{-1})) = id_U (:func:`_higman`).
+The integral kernel (:func:`_hom_lattice`) serves every other source
+and is the oracle of the closed form in the tests.  Free targets are
+not read off the form, and sums of several free lattices and
+permutation lattices take the Smith path.
 """
 
 from __future__ import annotations
@@ -59,7 +70,8 @@ class Lattice:
     # row, column), over q, the least common denominator of its entries
     # (a unit at p); act(b_k) = N[k] / q
     integer_action: tuple = field(repr=False)
-    # Hom lattices, stable Homs, residue analyses and twisting matrices
+    # Hom lattices, stable Homs, residue analyses, twisting matrices, a
+    # free generator and its Higman certificate
     _kept: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def integer_act(self, a) -> tuple:
@@ -191,14 +203,76 @@ class HomLattice:
         return linalg.from_numerators(np.tensordot(c, N, 1), e * d)
 
 
+def free_generator(A: Order, U: Lattice):
+    """(k, (Y, y)) when U is free on its basis vector e_k, else None.
+
+    For rank U = dim A, e_k generates U freely exactly when its orbit
+    matrix M = [act(b_j) e_k]_j, the matrix of a -> a e_k from the
+    regular lattice to U, is invertible over the ring: when it has full rank mod p,
+    which is the certificate.  k is the first such index, and M^{-1} =
+    Y / y over a unit y comes from one elimination.  A lattice whose
+    traces are not those of the regular one is not free, and is
+    dismissed before any rank is taken.  Kept on U.
+    """
+    if U.rank != A.dim:
+        return None
+    return kept(U._kept, "free_generator", (A,), lambda: _free_generator(A, U))
+
+
+def _free_generator(A: Order, U: Lattice):
+    N, q = U.integer_action
+    n = U.rank
+    t, d = linalg.numerators(A.regular_traces)
+    if not (N.trace(axis1=1, axis2=2) * d == t * q).all():
+        return None
+    k = next((k for k in range(n) if len(rref(N[:, :, k].T, A.prime)[1]) == n), None)
+    if k is None:
+        return None
+    # M = N[:, :, k]^T / q; eliminating [q M | 1] leaves row i as
+    # [e_i | row i of (q M)^{-1}] over dens[i], and M^{-1} = q (q M)^{-1}
+    rows = N[:, :, k].T.tolist()
+    for i, row in enumerate(rows):
+        row.extend(int(i == j) for j in range(n))
+    dens = [1] * n
+    linalg.eliminate(rows, dens, n)
+    y = math.lcm(*dens)
+    Y = np.array([[x * q * (y // den) for x in row[n:]] for row, den in zip(rows, dens)],
+                 dtype=object)
+    return k, (Y, y)
+
+
 def hom_lattice(A: Order, U: Lattice, V: Lattice) -> HomLattice:
     """Saturated basis of {phi : phi act_U(b_g) = act_V(b_g) phi for the
-    generators g}: the a that phi intertwines form a subalgebra.
+    generators g}: the a that phi intertwines form a subalgebra.  For U
+    free on u it is read off V (:func:`_free_hom_lattice`), otherwise it
+    is the integral kernel of the intertwining system (:func:`_hom_lattice`).
 
     Orders and lattices are immutable, so the result is kept on the
     source lattice U (see :func:`kept`); it lives exactly as long as U.
     """
-    return kept(U._kept, "hom_lattice", (A, V), lambda: _hom_lattice(A, U, V))
+    def build():
+        free = free_generator(A, U)
+        return _hom_lattice(A, U, V) if free is None else _free_hom_lattice(A, U, V, free[1])
+
+    return kept(U._kept, "hom_lattice", (A, V), build)
+
+
+def _free_hom_lattice(A: Order, U: Lattice, V: Lattice, inverse: tuple) -> HomLattice:
+    """Hom(A u, V) for U free on u with orbit matrix M, M^{-1} = Y / y.
+
+    The hom with u -> v is alpha_v = W_v M^{-1} for W_v = [act_V(b_j) v]_j,
+    and v -> alpha_v is an isomorphism V -> Hom(U, V), so the alpha_v of
+    the basis vectors of V are a saturated basis: alpha_{e_i} = W_i Y over
+    q_V y, with q_V W_i = N_V[:, :, i]^T.  Each is certified to intertwine
+    the generators, on integers.
+    """
+    Y, y = inverse
+    (nv, qv), (nu, qu) = V.integer_action, U.integer_action
+    B = np.tensordot(nv.transpose(2, 1, 0), Y, 1)
+    for g in A.generators:
+        if not (nv[g].dot(B).transpose(1, 0, 2) * qu == B.dot(nu[g]) * qv).all():
+            raise AssertionError("closed-form hom does not intertwine")
+    return HomLattice(U, V, (B, qv * y))
 
 
 def _hom_lattice(A: Order, U: Lattice, V: Lattice) -> HomLattice:
@@ -355,11 +429,47 @@ def stable_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> StableHomPres
 
 
 def _stable_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> StableHomPresentation:
+    """With U or V projective by :func:`_higman` every hom is projective
+    and the presentation has no factor; otherwise the invariants come
+    from the Smith form of the coordinates of the projective homs."""
+    if _higman(A, s, U) or _higman(A, s, V):
+        hom = hom_lattice(A, U, V)
+        empty = np.empty((hom.rank, 0), dtype=object)
+        inv = linalg.QuotientInvariants((), 0, empty, empty.T)
+        return StableHomPresentation(A, s, U, V, hom, inv)
     X, x = _projective_hom(A, s, U, V)[1]
     inv = linalg.quotient_invariants_of_rows(X.tolist(), [x] * len(X), X.shape[1], A.prime)
     if inv.free_rank != 0:
         raise AssertionError("free part nonzero: rational algebra not separable")
     return StableHomPresentation(A, s, U, V, hom_lattice(A, U, V), inv)
+
+
+def _higman(A: Order, s: LinearForm, U: Lattice) -> bool:
+    """Whether U is free (:func:`free_generator`) and so projective, by
+    Higman's criterion: Tr(beta) = id_U for beta = u (s o M^{-1}), the
+    relative trace sum_i act(b_i) beta act(b_i^v) taken with the dual
+    basis D of s.  Column i of M is act(b_i) u, so Tr(beta) = M D^T F
+    for the rows F_j = (s o M^{-1}) act(b_j); it is checked as one
+    integer identity.  Then alpha = alpha Tr(beta) = Tr(alpha beta) for
+    every hom alpha out of U, and alpha = Tr(beta alpha) for every hom
+    into U.  Kept on U for each form.
+    """
+    free = free_generator(A, U)
+    if free is None:
+        return False
+
+    def certify() -> bool:
+        k, (Y, y) = free
+        N, q = U.integer_action
+        nd, dd = linalg.numerators(dual_basis(A, s).matrix)
+        v, e = linalg.numerators(s.values)
+        F = np.tensordot(v.dot(Y), N, (0, 1))  # over e y q
+        if not (N[:, :, k].T.dot(nd.T).dot(F) == np.identity(U.rank, dtype=object)
+                * (q * dd * e * y * q)).all():
+            raise AssertionError("Higman's certificate fails on a free lattice")
+        return True
+
+    return kept(U._kept, "higman", (A, s), certify)
 
 
 def exponent(A: Order, s: LinearForm, U: Lattice) -> int:

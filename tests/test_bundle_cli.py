@@ -406,6 +406,41 @@ def test_cli_exit_codes(tmp_path, s3_bundle):
     assert main(["--bundle", str(good), "--check", "knorr"]) == 0
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("name, check, key, expected, mismatch", [
+    # the Casimir element of rank2-m2-p2 is not scalar
+    ("rank2-m2-p2", "casimir", ("standard", "scalar"), "2",
+     "casimir:standard/scalar expected '2' got None"),
+    # the regular lattice is projective, so it has no stable-exponent verdict
+    ("s3-p3", "stable-exponent", ("regular",), True,
+     "stable-exponent:regular expected True got None"),
+])
+def test_an_expectation_without_a_reported_value_is_compared_with_none(
+        tmp_path, capsys, name, check, key, expected, mismatch):
+    doc = json.loads((DATA / f"{name}.bundle.json").read_text())
+    node = doc.setdefault("expectations", {}).setdefault(check, {})
+    for part in key[:-1]:
+        node = node.setdefault(part, {})
+    node[key[-1]] = expected
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--bundle", str(path), "--check", "all"]) == 1
+    assert f"[FAIL] {check}" in capsys.readouterr().out
+    (result,) = run(check, bundle_from_dict(doc)).results
+    assert result.verdict == "fail" and result.details["mismatches"] == [mismatch]
+
+
+def test_casimir_of_a_form_that_is_not_symmetrising_compares_a_scalar_with_none(s3_doc):
+    doc = copy.deepcopy(s3_doc)
+    doc["forms"]["scaled"] = [str(3 * Fraction(v)) for v in doc["forms"]["standard"]]
+    doc["expectations"]["casimir"] = {"scaled": {"scalar": "6"}}
+    (result,) = run("casimir", bundle_from_dict(doc)).results
+    assert result.details["scaled"] == {"symmetrising": False}
+    assert result.details["mismatches"] == ["casimir:scaled/scalar expected '6' got None"]
+
+
 def test_a_rank_zero_lattice_is_an_input_error(tmp_path, capsys):
     doc = bundle_to_dict(s3_fixture_bundle(3))
     doc["lattices"]["zero"] = [[]] * doc["order"]["dim"]

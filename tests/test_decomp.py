@@ -532,7 +532,7 @@ def _golden_tables():
 def test_centre_and_idempotents_equal_the_fraction_oracles(character_tables, small_tables):
     cases = [*character_tables.values(), *[case[:2] for case in small_tables.values()],
              *_golden_tables()]
-    assert len(cases) == 7 + 7 + 5
+    assert len(cases) == 7 + 7 + 6
     for A, table in cases:
         assert linalg.matrices_equal(A.center_basis(), dense_orders.center_basis(A))
         ours = so.rational_centre(A, table).idempotents

@@ -3,7 +3,11 @@ bundle, the ``--json`` report and the printed summary must not change
 by a byte when the exact kernels underneath are rewritten.
 
 The bundles under ``tests/data`` are the S3 fixture at p = 3
-(``builders.s3_fixture_bundle(3)``), the small-survey benchmark
+(``builders.s3_fixture_bundle(3)``); ``s3-p3-permuted``, the
+s3-fixture benchmark bundle of seed 2, whose group elements are
+reordered and whose regular lattice keeps the lattice basis with the
+action recombined, so its integer action is not the array of
+``regular_lattice``; the small-survey benchmark
 bundles ``m2-p3`` and ``rank2-m2-p2`` on the dense basis of seed 7;
 ``rank2-m2-p2-doubled``, the enum-rank2 benchmark bundle of that order
 with the lattices ``projection`` and ``projection2`` = projection ⊕
@@ -54,8 +58,8 @@ from symorders.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
 # name -> exit code
-NAMES = {"s3-p3": 0, "m2-p3": 0, "rank2-m2-p2": 0, "rank2-m2-p2-doubled": 0,
-         "s4-p3": 0, "s4-p2": 0,
+NAMES = {"s3-p3": 0, "s3-p3-permuted": 0, "m2-p3": 0, "rank2-m2-p2": 0,
+         "rank2-m2-p2-doubled": 0, "s4-p3": 0, "s4-p2": 0,
          "s4-p2-chars": 0, "s4-p3-chars": 0, "s3-p3-mismatch": 1, "s3-p3-scaled": 0}
 
 
@@ -71,7 +75,7 @@ def test_check_all_reproduces_the_golden_report(name, tmp_path, capsys):
     assert report.read_bytes() == (DATA / f"{name}.report.json").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["s3-p3", "s3-p3-mismatch"])
+@pytest.mark.parametrize("name", ["s3-p3", "s3-p3-permuted", "s3-p3-mismatch", "s4-p2"])
 def test_golden_report_is_reproduced_under_python_O(name, tmp_path):
     # -O strips assert statements, so no certificate may rest on one
     report = tmp_path / "report.json"

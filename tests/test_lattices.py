@@ -5,6 +5,7 @@ import random
 import weakref
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,12 +32,13 @@ from symorders.lattices import (
     projective_hom_lattice,
     relative_trace_hom,
 )
+from symorders.orders import NotInvertibleError
 from symorders.padic import residue_class, residue_int, val
 import fraction_lattices
 from fraction_lattices import trace
 import fraction_linalg
 from dense_orders import cube, dense_order
-from test_orders import GROUP_TABLES, rebase
+from test_orders import GROUP_TABLES, rebase, unimodular
 
 
 def test_make_lattice_validation(s3):
@@ -690,3 +692,195 @@ def test_trace_criteria_on_a_cyclic_p_group_equal_the_fraction_version(n, p):
     assert so.knorr_check(A, R).radical_valuations
     for U, V in [(R, T), (T, R), (T, T)]:
         _assert_stable_layer_equals_the_fraction_version(A, s, U, V, [1] * hom_lattice(A, U, V).rank)
+
+
+# -- free lattices in closed form against the Smith path ----------------------
+
+
+def _moved(A, s, lattice_list, P):
+    """The order, the form and the lattices on the basis given by the
+    columns of P: b'_i = sum_k P[k, i] b_k acts as sum_k P[k, i] act(b_k)."""
+    B = dense_order(*rebase(cube(A), A.one, P), A.prime)
+    moved = [so.make_lattice(B, [sum((P[k, i] * m for k, m in enumerate(
+        fraction_lattices.action(U))), linalg.zeros(U.rank, U.rank)) for i in range(A.dim)])
+        for U in lattice_list]
+    return B, so.LinearForm(P.T @ s.values), moved
+
+
+def _fresh(U):
+    """U as a new object, with nothing kept on it."""
+    return lattices.Lattice(order=U.order, rank=U.rank, integer_action=U.integer_action)
+
+
+def _results(A, s, U, V) -> list:
+    """Everything the reports read of the pair: the stable Homs and the
+    Tate report both ways, and the Knorr, stable-exponent and
+    constant-value verdicts on each lattice, with the basis-independent
+    parts of the trace criteria."""
+    out = []
+    for X, Y in ((U, V), (V, U)):
+        rep = so.verify_tate_duality(A, s, X, Y)
+        out.append((rep.perfect, rep.exponents_uv, rep.exponents_vu, rep.pairing))
+    for W in (U, V):
+        knorr = so.knorr_check(A, W)
+        a = so.exponent(A, s, W)
+        out.append((knorr.verdict, knorr.failure, knorr.reference_valuation,
+                    min(knorr.basis_valuations), knorr.split_local, a,
+                    bool(so.stable_exponent_check(A, s, W)) if a else None,
+                    so.constant_value_check(A, s, W)))
+    return out
+
+
+def _assert_closed_forms_equal_the_smith_path(A, s, U, V):
+    """The Homs of the pairs of U and V span the lattices of the Smith
+    kernel (ring coordinates both ways), Higman's certificate holds on
+    every free lattice, and the stable Homs, the Tate reports and the
+    trace verdicts equal those of fresh copies of U and V on which no
+    generator is found, so that everything takes the Smith path.  A pair
+    with a free argument reaches no relative trace and no Smith form."""
+    free = {id(W): lattices.free_generator(A, W) is not None for W in (U, V)}
+    assert all(lattices._higman(A, s, W) == free[id(W)] for W in (U, V))
+    for X, Y in ((U, V), (V, U), (U, U), (V, V)):
+        ours, theirs = hom_lattice(A, X, Y), lattices._hom_lattice(A, X, Y)
+        assert ours.rank == theirs.rank
+        assert ours.coords_of_many(theirs.basis) is not None
+        assert theirs.coords_of_many(ours.basis) is not None
+    with mock.patch.object(lattices, "_projective_hom", wraps=lattices._projective_hom) as spy:
+        ours = _results(A, s, U, V)
+    reached = {(id(X), id(Y)) for (_, _, X, Y), _ in spy.call_args_list}
+    pairs = {(id(X), id(Y)) for X in (U, V) for Y in (U, V)}
+    assert reached == {(x, y) for x, y in pairs if not (free[x] or free[y])}
+    U2, V2 = _fresh(U), _fresh(V)
+    with mock.patch.object(lattices, "free_generator", lambda A, U: None):
+        theirs = _results(A, s, U2, V2)
+    assert ours == theirs
+
+
+@st.composite
+def free_cases(draw):
+    """(on_group, A, s, U, V): a group algebra, a rank-2 order or M2 on its own
+    basis, on permuted elements or on a dense basis, with its regular
+    lattice (on the old basis of A or on the new one) and a second
+    lattice (regular, a builder lattice, or for the rank-2 orders
+    projection + projection), each conjugated by a diagonal matrix of
+    units.  on_group tells that the lattice basis of U is the group."""
+    p = draw(st.sampled_from(LOCAL_PRIMES))
+    kind = draw(st.sampled_from(["group", "rank2", "matrix"]))
+    if kind == "group":
+        A, s = group_algebra(draw(st.sampled_from(GROUP_TABLES)), p)
+        small = so.make_lattice(A, [[[1]]] * A.dim)
+    elif kind == "rank2":
+        A, s = rank2_order(draw(st.integers(1, 2)), p)
+        small = rank2_projection_lattice(A)
+        small = so.direct_sum(small, small) if draw(st.booleans()) else small
+    else:
+        A, s = matrix_order(2, p)
+        small = matrix_column_lattice(A, 2)
+    R = so.regular_lattice(A)
+    basis = draw(st.sampled_from(["own", "permuted", "dense"]))
+    if basis == "permuted":
+        perm = draw(st.permutations(range(A.dim)))
+        P = linalg.zeros(A.dim, A.dim)
+        for i, k in enumerate(perm):
+            P[k, i] = Fraction(1)
+    else:
+        P = draw(unimodular(A.dim, p)) if basis == "dense" else linalg.identity(A.dim)
+    A, s, (R, small) = _moved(A, s, [R, small], P)
+    new = draw(st.booleans())
+    if new:
+        R = so.regular_lattice(A)  # on the new basis of A, not the old one
+    units = st.sampled_from([d for d in (1, 2, 3, 5, 7, 11) if d % p])
+
+    def conjugate(U):
+        d = [draw(units) for _ in range(U.rank)]
+        return so.make_lattice(A, [[[m[a, b] * Fraction(d[b], d[a]) for b in range(U.rank)]
+                                    for a in range(U.rank)]
+                                   for m in fraction_lattices.action(U)])
+
+    on_group = kind == "group" and not (new and basis == "dense")
+    return on_group, A, s, conjugate(R), conjugate(draw(st.sampled_from([R, small])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(free_cases())
+def test_free_lattices_in_closed_form_equal_the_smith_path(case):
+    on_group, A, s, U, V = case
+    if on_group:
+        # the group elements are units, so each of them generates the
+        # regular lattice
+        assert lattices.free_generator(A, U)[0] == 0
+    _assert_closed_forms_equal_the_smith_path(A, s, U, V)
+
+
+def _c2_on_idempotents(p):
+    """The regular lattice of the group algebra of C2 at an odd p on the
+    basis of the idempotents (1 +- g) / 2: free, with no basis vector
+    generating it."""
+    A, s = group_algebra(cyclic_group_table(2)[0], p)
+    half = Fraction(1, 2)
+    P = linalg.as_matrix([[half, half], [half, -half]])
+    R = so.regular_lattice(A)
+    action = [linalg.inverse(P) @ m @ P for m in fraction_lattices.action(R)]
+    return A, s, so.make_lattice(A, action)
+
+
+def _trivial_s3():
+    """A lattice of rank 1 < dim = 6."""
+    A, s = group_algebra(symmetric_group_table(3)[0], 3)
+    return A, s, so.make_lattice(A, [[[1]]] * A.dim)
+
+
+def _projection_doubled():
+    """projection + projection over a rank-2 order: rank = dim = 2, not free."""
+    A, s = rank2_order(2, 2)
+    U = rank2_projection_lattice(A)
+    return A, s, so.direct_sum(U, U)
+
+
+def _m2_regular():
+    """The regular lattice of M2 on the elementary matrices, none of which
+    is a unit."""
+    A, s = matrix_order(2, 3)
+    return A, s, so.regular_lattice(A)
+
+
+@pytest.mark.parametrize("build", [_trivial_s3, _projection_doubled, _m2_regular,
+                                   lambda: _c2_on_idempotents(3)],
+                         ids=["rank-below-dim", "projection-doubled", "m2-regular",
+                              "c2-idempotents"])
+def test_lattices_that_no_basis_vector_generates_take_the_smith_path(build):
+    A, s, U = build()
+    assert lattices.free_generator(A, U) is None and not lattices._higman(A, s, U)
+    _assert_closed_forms_equal_the_smith_path(A, s, U, so.regular_lattice(A))
+
+
+def test_the_closed_forms_reject_a_matrix_that_is_no_inverse_of_the_orbit_matrix():
+    # M^{-1} + E_00 in place of M^{-1}: the maps W_v (M^{-1} + E_00) do not
+    # intertwine, and u (s o (M^{-1} + E_00)) has relative trace other than 1
+    A, s = group_algebra(symmetric_group_table(3)[0], 3)
+    R = so.regular_lattice(A)
+    k, (Y, y) = lattices.free_generator(A, R)
+    wrong = Y.copy()
+    wrong[0, 0] += y
+    with mock.patch.object(lattices, "free_generator", lambda A, U: (k, (wrong, y))):
+        with pytest.raises(AssertionError, match="closed-form hom does not intertwine"):
+            hom_lattice(A, _fresh(R), R)
+        with pytest.raises(AssertionError, match="Higman's certificate fails"):
+            lattices._higman(A, s, _fresh(R))
+
+
+def test_tate_on_a_non_separable_order_raises_through_the_twisted_action():
+    # O[x]/(x^2) with s(x) = 1: the Casimir element 2x is not invertible.
+    # Stable Homs with the free regular lattice are zero by Higman's
+    # criterion, so the pairing raises when it inverts z; the trivial
+    # lattice has a stable End with a free part
+    A = so.make_order([(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], [1, 0], 3)
+    s = so.LinearForm([0, 1])
+    R, T = so.regular_lattice(A), so.make_lattice(A, [[[1]], [[0]]])
+    assert lattices._higman(A, s, R)
+    for U, V in [(R, R), (R, T), (T, R)]:
+        assert so.stable_hom(A, s, U, V).is_stably_zero()
+        with pytest.raises(NotInvertibleError):
+            so.verify_tate_duality(A, s, U, V)
+    with pytest.raises(AssertionError, match="free part nonzero"):
+        so.verify_tate_duality(A, s, T, T)
