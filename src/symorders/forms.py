@@ -8,13 +8,17 @@ a relative trace map and the central Casimir element z = sum x x^v.
 
 The exact work runs on integer numerators: Gram matrices are one
 contraction of the order's integer table (:attr:`Order.products`) with
-the numerators of the form's values, the dual basis is G^{-1} from one
-elimination of the integer numerators of G, and it is certified on
-integers (G D = I as an integer product, the Casimir element and its
+the numerators of the form's values, the dual basis of a form is G^{-1}
+from one elimination of the integer numerators of G, and it is certified
+on integers (G D = I as an integer product, the Casimir element and its
 reverse as two contractions of the numerators of D with the table).
-Fractions are built only for the read-only arrays of :class:`DualBasis`
-and for the values of the forms returned.  Each datum is derived where
-it is read and kept on the form: z^{-1} only for the Casimir-orbit
+Every symmetrising form is s(u .) for a central unit u (Broué, Michigan
+Math. J. 58, 2009), and the twist s(w .) of s has dual basis w^{-1} D:
+a twist takes that from its parent, under the same certificates, with
+no elimination.  Fractions are built only for results: the values of
+forms, the Casimir element and its inverse, and, on first read, the
+arrays of :class:`DualBasis`.  Each datum is derived where it is read and kept on its form: the Gram
+numerators, the dual basis, and z^{-1} only for the Casimir-orbit
 search and the twisted traces of ``lattices``.
 
 Two independent algorithms decide whether some symmetrising form has a
@@ -26,6 +30,11 @@ scalar Casimir p^n 1 (the projective scalar property):
 * :func:`psp_regular_gram` tests whether the Gram matrix of the regular
   character is p^n times a ring-invertible matrix, which requires the
   rational algebra to be split semisimple.
+
+The regular character is rho = s(z .), so the twist of the first is
+p^{-t} rho, the witness of the second: one form, kept with rho on the
+order and certified once.
+
 The central characters chi / chi(1) are the ring homomorphisms of the
 centre, and the central idempotents the basis dual to them.
 """
@@ -35,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -83,7 +93,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def kept(cache: dict, name: str, objects: tuple, build):
+def kept(cache: dict, name, objects: tuple, build):
     """build(), kept in cache under name and the ids of objects.  The entry
     holds the objects, so no other object takes their ids while it lives."""
     key = (name, *map(id, objects))
@@ -93,20 +103,37 @@ def kept(cache: dict, name: str, objects: tuple, build):
 
 
 def regular_character_form(A: Order) -> LinearForm:
-    """The trace of the left regular representation as a linear form."""
-    return LinearForm(A.regular_traces)
+    """The trace rho of the left regular representation as a linear form,
+    kept on the order."""
+    return kept(A._kept, "regular_character", (), lambda: LinearForm(A.regular_traces))
 
 
-def _gram_numerators(A: Order, s: LinearForm, rows=None) -> tuple:
-    """(N, g): rows i of the Gram matrix of s (all of them by default) as
-    lists of integers N[i] over one denominator g.  With the table's
-    numerators d c_ijk over d and the values of s as numerators v over e,
-    N[i][j] = sum_k (d c_ijk) v_k and g = d e."""
-    v, e = linalg.numerators(s.values)
-    v = v.tolist()
-    rows = range(A.dim) if rows is None else rows
-    N = [[sum(c * v[k] for k, c in prods) for prods in A.products[i]] for i in rows]
-    return N, A.denominator * e
+def _regular_witness(A: Order, n: int) -> LinearForm:
+    """The form p^{-n} rho, kept on rho for each n.  rho = s(z .) for
+    every symmetrising form s with Casimir element z, so this is the one
+    form with Casimir p^n 1 that either psp algorithm can find."""
+    rho = regular_character_form(A)
+    return kept(rho._kept, ("witness", n), (A,), lambda: rho.scale(Fraction(1, A.prime**n)))
+
+
+def _gram_numerators(A: Order, s: LinearForm) -> tuple:
+    """(N, g): the Gram matrix of s as rows N[i], tuples of integers, over
+    one denominator g; derived on first use with A and kept on the form.
+    With the table's numerators d c_ijk over d and the values of s as
+    numerators v over e, N[i][j] = sum_k (d c_ijk) v_k and g = d e."""
+    def build() -> tuple:
+        v, e = linalg.numerators(s.values)
+        v = v.tolist()
+        N = []
+        for row in A.products:
+            Ni = [0] * A.dim
+            for j, prods in enumerate(row):
+                for k, c in prods:
+                    Ni[j] += c * v[k]
+            N.append(tuple(Ni))
+        return tuple(N), A.denominator * e
+
+    return kept(s._kept, "gram", (A,), build)
 
 
 def gram_matrix(A: Order, s: LinearForm) -> np.ndarray:
@@ -131,14 +158,26 @@ class DualBasis:
 
     Columns of ``matrix`` are the elements x_j^v with s(b_i x_j^v) =
     delta_ij, so ``matrix`` is the inverse of the Gram matrix ``gram``.
-    ``casimir`` is z = sum_x x x^v; its inverse is derived apart, when
-    read (:func:`casimir_inverse`).  Every array is read-only.
+    Both are kept as integers: ``integer_matrix`` is (M, d), an integer
+    array over the least common denominator d of its entries (a unit),
+    and ``integer_gram`` is (N, g) of :func:`_gram_numerators`; their
+    ``Fraction`` arrays are built on first read.  ``casimir`` is z =
+    sum_x x x^v; its inverse is derived apart, when read
+    (:func:`casimir_inverse`).  Every array is read-only.
     """
 
     order: Order
-    matrix: np.ndarray
-    gram: np.ndarray
+    integer_matrix: tuple
+    integer_gram: tuple
     casimir: np.ndarray
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _read_only(linalg.from_numerators(*self.integer_matrix))
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return _read_only(linalg.from_numerators(*self.integer_gram))
 
     def element(self, j: int) -> np.ndarray:
         return np.array(self.matrix[:, j])
@@ -153,34 +192,40 @@ def dual_basis(A: Order, s: LinearForm) -> DualBasis:
     return kept(s._kept, "dual_basis", (A,), lambda: _derive(A, s))
 
 
-def _derive(A: Order, s: LinearForm) -> DualBasis:
+def _derive(A: Order, s: LinearForm, candidate=None) -> DualBasis:
     """Derive and certify the dual basis of a symmetrising form.
 
     Since s(b_i x) = (G x)_i for every x, the defining condition
     s(b_i x_j^v) = delta_ij is exactly G D = I.  A ring matrix G is
     unimodular exactly when its inverse D exists and has ring entries.
     G is inverted on its integer numerators, D = g N^{-1}, by one
-    elimination of [N | g I].  The certificates run on integers: with
-    G = N / g and D = M / d, G D = I is the integer product N M = g d I,
-    and the Casimir element z = sum_i b_i x_i^v and sum_i x_i^v b_i are
-    two contractions of M with the table, over d times its denominator,
-    certified equal.  z is certified to be central and to have ring
-    coordinates.
+    elimination of [N | g I], unless ``candidate`` gives D as integer
+    rows M over d (:func:`_inherit`).  The certificates run on integers
+    and are the same for both: with G = N / g and D = M / d, G D = I is
+    the integer product N M = g d I, and the Casimir element
+    z = sum_i b_i x_i^v and sum_i x_i^v b_i are two contractions of M
+    with the table, over d times its denominator, certified equal.  z is
+    certified to be central and to have ring coordinates.
     """
     N, g = _gram_numerators(A, s)
     p, n = A.prime, A.dim
     q = p ** int_val(g, p)  # G has ring entries when q divides every N_ij
     if any(N[i][j] != N[j][i] or N[i][j] % q for i in range(n) for j in range(i + 1)):
         raise NotSymmetrisingError("form not symmetrising")
-    # D = g N^{-1}: eliminating [N | g 1] leaves row i as [e_i | D_i] over dens[i]
-    rows = [row + [g if k == i else 0 for k in range(n)] for i, row in enumerate(N)]
-    dens = [1] * n
-    if len(linalg.eliminate(rows, dens, n)[0]) < n:
-        raise NotSymmetrisingError("form not symmetrising")
-    d = math.lcm(*dens)
+    if candidate is None:
+        # D = g N^{-1}: eliminating [N | g 1] leaves row i as [e_i | D_i] over dens[i]
+        rows = [[*row, *(g if k == i else 0 for k in range(n))] for i, row in enumerate(N)]
+        dens = [1] * n
+        if len(linalg.eliminate(rows, dens, n)[0]) < n:
+            raise NotSymmetrisingError("form not symmetrising")
+        d = math.lcm(*dens)  # each row is in lowest terms, so d is least
+        M = [[x * (d // den) for x in row[n:]] for row, den in zip(rows, dens)]
+    else:
+        M, d = candidate
+        h = math.gcd(d, *(x for row in M for x in row))
+        M, d = [[x // h for x in row] for row in M], d // h
     if d % p == 0:
         raise NotSymmetrisingError("form not symmetrising")
-    M = [[x * (d // den) for x in row[n:]] for row, den in zip(rows, dens)]
     D_rows = [[(j, y) for j, y in enumerate(row) if y] for row in M]
     for i, row in enumerate(N):
         GD = [0] * n
@@ -201,13 +246,38 @@ def _derive(A: Order, s: LinearForm) -> DualBasis:
                 z_rev[k] += x * c
     if z != z_rev:
         raise AssertionError("Casimir element differs from sum x^v x")
-    z = _read_only(linalg.from_numerators(z, d * A.denominator))
-    if not A.is_central(z):
+    if not A._central([(k, x) for k, x in enumerate(z) if x]):
         raise AssertionError("Casimir element not central")
-    if not A.has_ring_coords(z):
+    if not _ring(z, d * A.denominator, p):
         raise AssertionError("Casimir element has non-ring coordinates")
-    D, G = linalg.from_numerators(M, d), linalg.from_numerators(N, g)
-    return DualBasis(A, _read_only(D), _read_only(G), z)
+    z = _read_only(linalg.from_numerators(z, d * A.denominator))
+    return DualBasis(A, (_read_only(np.array(M, dtype=object)), d), (N, g), z)
+
+
+def _ring(X, den: int, p: int) -> bool:
+    """Whether the integers X over den are all p-integral."""
+    q = p ** int_val(den, p)
+    return not any(x % q for x in X)
+
+
+def _inherit(A: Order, s: LinearForm, t: LinearForm, u: tuple) -> DualBasis:
+    """The dual basis of the twist t = s(w .) by a central unit w, kept
+    on t: u D for the dual basis D of s and u = w^{-1} = U / e, certified
+    a unit by the caller.  s(w b_i u x_j^v) = s(b_i x_j^v) = delta_ij, so
+    column j of t's dual basis is u x_j^v, one contraction of U and the
+    numerators M of D with the table, over e d and the table's
+    denominator.  :func:`_derive` certifies it and runs no elimination."""
+    def build() -> DualBasis:
+        M, d = dual_basis(A, s).integer_matrix
+        U, e = u
+        terms = [(i, x) for i, x in enumerate(U) if x]
+        W = [[0] * A.dim for _ in range(A.dim)]
+        for j, column in enumerate(M.T.tolist()):
+            for k, x in A._product(terms, [(i, y) for i, y in enumerate(column) if y]).items():
+                W[k][j] = x
+        return _derive(A, t, (W, e * d * A.denominator))
+
+    return kept(t._kept, "dual_basis", (A,), build)
 
 
 def casimir(A: Order, s: LinearForm) -> np.ndarray:
@@ -241,20 +311,30 @@ def twist_form(A: Order, s: LinearForm, z) -> LinearForm:
     Its values are the row-matrix product z G for the Gram matrix G of s,
     since s(z b_i) = sum_j z_j s(b_j b_i); only the rows of G where z is
     nonzero are contracted, on integers.  Twisting multiplies the Casimir
-    element by z^{-1}, so the twisted form is again symmetrising.
+    element by z^{-1}, so the twist of a symmetrising form is again
+    symmetrising, and its dual basis is z^{-1} D (:func:`_inherit`).
     """
     z = A.element(z)
-    if not (A.has_ring_coords(z) and A.is_central(z) and A.is_unit(z)):
+    if not (A.has_ring_coords(z) and A.is_central(z)):
         raise ValueError("not a central unit")
-    return _twist(A, s, z)
+    try:
+        u = A.invert(z)
+    except NotInvertibleError:
+        raise ValueError("not a central unit") from None
+    if not A.has_ring_coords(u):
+        raise ValueError("not a central unit")
+    t = _twist(A, s, *linalg.numerators(z))
+    if is_symmetrising(A, s):
+        U, e = linalg.numerators(u)
+        _inherit(A, s, t, (U.tolist(), e))
+    return t
 
 
-def _twist(A: Order, s: LinearForm, z) -> LinearForm:
-    """:func:`twist_form` for z certified a central unit by the caller."""
-    w, e = linalg.numerators(z)
-    support = [j for j, x in enumerate(w) if x]
-    N, g = _gram_numerators(A, s, support)
-    values = [sum(w[j] * row[i] for j, row in zip(support, N)) for i in range(A.dim)]
+def _twist(A: Order, s: LinearForm, w, e: int) -> LinearForm:
+    """:func:`twist_form` by the central unit w / e, for integers w."""
+    N, g = _gram_numerators(A, s)
+    terms = [(j, x) for j, x in enumerate(w) if x]
+    values = [sum(x * N[j][i] for j, x in terms) for i in range(A.dim)]
     return LinearForm(linalg.from_numerators(values, g * e))
 
 
@@ -294,22 +374,31 @@ def psp_direct(A: Order, s: LinearForm):
     central unit of the order, which happens exactly when both p^t z^{-1}
     and its inverse p^{-t} z have ring coordinates.  Only one t can do:
     the least t with p^t z^{-1} in the order, since p times an element
-    of the order is no unit.  Returns a PspCertificate or None, kept on
-    the form.
+    of the order is no unit, and none when z is singular in K⊗A.  The
+    twist is s(z p^{-t} .) = p^{-t} rho, certified equal to the order's
+    kept witness (:func:`_regular_witness`), whose dual basis is derived
+    from that of s.  Returns a PspCertificate or None, kept on the form.
     """
     return kept(s._kept, "psp_direct", (A,), lambda: _psp_search(A, s))
 
 
 def _psp_search(A: Order, s: LinearForm):
-    z = casimir(A, s)
-    zinv = casimir_inverse(A, s)
-    p = A.prime
-    t = max(0, -min(val(c, p) for c in zinv))
-    pt = Fraction(p) ** t
-    if not (A.has_ring_coords(zinv * pt) and A.has_ring_coords(z / pt)):
+    try:
+        zinv = casimir_inverse(A, s)
+    except NotInvertibleError:
         return None
-    # z / p^t is central (z is) and a unit: its inverse p^t z^{-1} has ring coordinates
-    cert = PspCertificate(n=t, witness_form=_twist(A, s, z / pt))
+    p = A.prime
+    (Z, c), (Y, e) = (linalg.numerators(x) for x in (casimir(A, s), zinv))
+    Z, Y = Z.tolist(), Y.tolist()
+    t = max(0, int_val(e, p) - min(int_val(y, p) for y in Y if y))
+    u = [y * p**t for y in Y]  # p^t z^{-1} = u / e, and its inverse z / p^t = Z / (c p^t)
+    if not (_ring(u, e, p) and _ring(Z, c * p**t, p)):
+        return None
+    witness = _regular_witness(A, t)
+    if _twist(A, s, Z, c * p**t) != witness:
+        raise AssertionError("twist by z / p^t differs from p^-t rho")
+    _inherit(A, s, witness, (u, e))
+    cert = PspCertificate(n=t, witness_form=witness)
     if not cert.verify(A):
         raise AssertionError("twisted form fails the scalar Casimir certificate")
     return cert
@@ -331,16 +420,15 @@ def psp_regular_gram(A: Order) -> RegularGramResult:
     matrix of the regular character coincide; the common exponent is the
     scalar's exponent and p^{-n} rho is a witness form.
     """
-    rho = regular_character_form(A)
-    N, g = _gram_numerators(A, rho)
+    N, g = _gram_numerators(A, regular_character_form(A))
     # G = N / g for a unit g, so G and N have the same Smith exponents
-    exps = tuple(linalg._smith(N, [1] * A.dim, A.dim, A.prime)[0])
+    exps = tuple(linalg._smith([list(row) for row in N], [1] * A.dim, A.dim, A.prime)[0])
     if len(exps) < A.dim:
         raise RegularGramSingularError("regular Gram singular")
     n = exps[0]
     if any(e != n for e in exps):
         return RegularGramResult(False, None, exps, None)
-    witness = rho.scale(Fraction(1, A.prime**n))
+    witness = _regular_witness(A, n)
     if not is_symmetrising(A, witness):
         raise AssertionError("scaled regular character not symmetrising")
     if not linalg.vectors_equal(casimir(A, witness), A.scalar(Fraction(A.prime) ** n)):

@@ -312,7 +312,7 @@ def _relative_trace_map(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> tupl
     ru, rv = U.rank, V.rank
     nv, dv = V.integer_action
     nu, du = U.integer_action
-    nd, dd = linalg.numerators(dual_basis(A, s).matrix)
+    nd, dd = dual_basis(A, s).integer_matrix
     X = nv.reshape(A.dim, rv * rv).T
     Y = nd.T.dot(nu.reshape(A.dim, ru * ru))
     T = X.dot(Y).reshape(rv, rv, ru, ru).transpose(0, 3, 1, 2).reshape(rv * ru, rv * ru)
@@ -461,7 +461,7 @@ def _higman(A: Order, s: LinearForm, U: Lattice) -> bool:
     def certify() -> bool:
         k, (Y, y) = free
         N, q = U.integer_action
-        nd, dd = linalg.numerators(dual_basis(A, s).matrix)
+        nd, dd = dual_basis(A, s).integer_matrix
         v, e = linalg.numerators(s.values)
         F = np.tensordot(v.dot(Y), N, (0, 1))  # over e y q
         if not (N[:, :, k].T.dot(nd.T).dot(F) == np.identity(U.rank, dtype=object)
@@ -546,6 +546,9 @@ def verify_tate_duality(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> Tate
     h_j.  All pairing values are one integer contraction
     (:func:`_pairings`) over one denominator.
     """
+    # z^{-1} first: when z is singular in K⊗A, NotInvertibleError says so
+    # before the stable Homs, whose free part is then nonzero
+    Z, z = _twisted_action(A, s, U)
     S_uv = stable_hom(A, s, U, V)
     S_vu = stable_hom(A, s, V, U)
     if S_uv.exponents != S_vu.exponents:
@@ -554,7 +557,6 @@ def verify_tate_duality(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> Tate
             f"{S_uv.exponents} vs {S_vu.exponents}"
         )
     p = A.prime
-    Z, z = _twisted_action(A, s, U)
     (G, g), (H, h) = S_uv.integer_generators, S_vu.integer_generators
     den = z * g * h
     values = _pairings(Z, G, H).tolist()

@@ -11,14 +11,18 @@ Products, action matrices and the regular character here, and Gram
 matrices, dual bases and Casimir elements in ``forms``, are contracted
 over that table only, so a group algebra, with one nonzero constant per
 pair of basis elements, multiplies in time proportional to the nonzero
-coordinates of the factors.  Fractions are built for the results:
+coordinates of the factors.  An inverse is one elimination of the
+integer rows of left multiplication, certified by one contraction with
+the table.  Fractions are built for the results:
 elements of the order and of its rational span are plain coordinate
 vectors (object arrays of Fractions), and elements with non-ring
 coordinates are allowed wherever an operation makes sense rationally
 (inverses, idempotents of the rational algebra, and so on).
 The centre is derived once, as a ring on its own basis
 (:attr:`Order.centre`) whose homomorphisms to K are the central
-characters (``forms``).
+characters (``forms``).  The regular character as a linear form is
+kept on the order (``Order._kept``), and with it what ``forms`` derives
+from it: its Gram numerators and its scaled psp witnesses.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ class Order:
     denominator: int
     one: np.ndarray  # (dim,)
     basis_labels: tuple = field(default=None)
+    _kept: dict = field(default_factory=dict, init=False, repr=False)  # see forms.kept
 
     # -- elements ----------------------------------------------------
 
@@ -174,7 +179,11 @@ class Order:
 
     def is_central(self, a) -> bool:
         """a commutes with every generator, hence with all of K⊗A."""
-        terms = self._terms(a)
+        return self._central(self._terms(a))
+
+    def _central(self, terms) -> bool:
+        """:meth:`is_central` for the nonzero terms (index, value) of an
+        element, or of any multiple of it, such as its integer numerators."""
         return all(
             _nonzero(self._product(terms, [(g, 1)])) == _nonzero(self._product([(g, 1)], terms))
             for g in self.generators
@@ -197,14 +206,33 @@ class Order:
     # -- rational-algebra operations ----------------------------------
 
     def invert(self, a) -> np.ndarray:
-        """Inverse in the rational algebra; raises NotInvertibleError."""
-        try:
-            b = linalg.solve_exact(self.left_matrix(a), self.one)
-        except ValueError:  # left multiplication by a is singular
-            raise NotInvertibleError("not invertible in K⊗A") from None
-        if not linalg.vectors_equal(self.multiply(b, a), self.one):
+        """Inverse in the rational algebra; raises NotInvertibleError.
+
+        For a = w / e and 1 = o / f, the left multiplication rows of a
+        are the integers L[k][j] = sum_i w_i (d c_ijk), over e d for d the
+        denominator, and b' = f b solves L b' = e d o.  One elimination of
+        [L | e d o] gives b'; b a = 1 is certified as one contraction of
+        the numerators of b and a with the table.
+        """
+        w, e = linalg.numerators(self.element(a))
+        o, f = linalg.numerators(self.one)
+        n, d = self.dim, self.denominator
+        a_terms = [(i, x) for i, x in enumerate(w.tolist()) if x]
+        rows = [[0] * n + [e * d * x] for x in o.tolist()]
+        for i, x in a_terms:
+            for j, prods in enumerate(self.products[i]):
+                for k, c in prods:
+                    rows[k][j] += x * c
+        dens = [1] * n
+        if len(linalg.eliminate(rows, dens, n)[0]) < n:  # left multiplication is singular
+            raise NotInvertibleError("not invertible in K⊗A")
+        h = math.lcm(*dens)  # row i is [e_i | b'_i] over dens[i], so b = B / (h f)
+        B = [row[n] * (h // den) for row, den in zip(rows, dens)]
+        ba = self._product([(i, x) for i, x in enumerate(B) if x], a_terms)
+        if _nonzero({k: f * x for k, x in ba.items()}) != {
+                k: h * f * e * d * x for k, x in enumerate(o.tolist()) if x}:
             raise AssertionError("inverse fails b a = 1")
-        return b
+        return linalg.from_numerators(B, h * f)
 
     @cached_property
     def centre(self) -> tuple:

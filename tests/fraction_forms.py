@@ -1,22 +1,26 @@
 """Reference Gram matrices and dual bases on ``Fraction`` object arrays.
 
-These are the ``Fraction`` versions of ``forms.gram_matrix`` and
-``forms._derive``, which the library runs on integer numerators over the
-order's integer table.  Here every product is a dense contraction of the
-structure constants as the dense cube of Fractions of ``dense_orders.cube``, the inverse comes from
-the ``Fraction`` elimination of ``fraction_linalg`` and G D = I is
-certified with a ``Fraction`` matrix product.  The tests require the
-library to give the same arrays entry by entry and to raise the same
-errors.
+These are the ``Fraction`` versions of ``forms.gram_matrix``,
+``forms._derive`` and ``Order.invert``, which the library runs on integer
+numerators over the order's integer table.  Here every product is a
+dense contraction of the structure constants as the dense cube of
+Fractions of ``dense_orders.cube``, inverses come from the ``Fraction``
+elimination of ``fraction_linalg``, G D = I is certified with a
+``Fraction`` matrix product and centrality with the dense commutator
+matrices.  The tests require the library to give the same arrays entry
+by entry and to raise the same errors.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
 from symorders import linalg
-from symorders.forms import DualBasis, NotSymmetrisingError
+from symorders.forms import NotSymmetrisingError
+from symorders.orders import NotInvertibleError
 
 import fraction_linalg
-from dense_orders import cube
+from dense_orders import commutator_rows, cube
 
 
 def multiply(A, a, b) -> np.ndarray:
@@ -28,9 +32,24 @@ def gram_matrix(A, s) -> np.ndarray:
     return np.tensordot(cube(A), s.values, axes=([2], [0]))
 
 
-def derive(A, s) -> DualBasis:
-    """The dual basis of s with its Casimir element, under the same
-    certificates as ``forms._derive``."""
+def left_matrix(A, a) -> np.ndarray:
+    """Matrix of x -> a x on the basis (columns are a b_j)."""
+    return np.tensordot(linalg.as_vector(a), cube(A), axes=([0], [0])).T
+
+
+def invert(A, a) -> np.ndarray:
+    """a^{-1} in K⊗A, solving L(a) b = 1 for the dense left matrix;
+    raises NotInvertibleError as ``Order.invert`` does."""
+    try:
+        return fraction_linalg.solve_exact(left_matrix(A, a), A.one)
+    except ValueError:
+        raise NotInvertibleError("not invertible in K⊗A") from None
+
+
+def derive(A, s) -> SimpleNamespace:
+    """The dual basis ``matrix`` of s with its ``gram`` matrix and
+    ``casimir`` element, under the same certificates as
+    ``forms._derive``."""
     G, p = gram_matrix(A, s), A.prime
     if not (linalg.matrices_equal(G, G.T) and linalg.is_integral(G, p)):
         raise NotSymmetrisingError("form not symmetrising")
@@ -50,14 +69,14 @@ def derive(A, s) -> DualBasis:
         z_rev = z_rev + multiply(A, D[:, i], b)
     if not linalg.vectors_equal(z, z_rev):
         raise AssertionError("Casimir element differs from sum x^v x")
-    if not A.is_central(z):
+    if any(x != 0 for x in commutator_rows(A) @ z):
         raise AssertionError("Casimir element not central")
     if not A.has_ring_coords(z):
         raise AssertionError("Casimir element has non-ring coordinates")
-    return DualBasis(A, D, G, z)
+    return SimpleNamespace(matrix=D, gram=G, casimir=z)
 
 
 def casimir_inverse(A, s):
     """z^{-1} for the Casimir element z of :func:`derive`; raises
     NotInvertibleError as ``forms.casimir_inverse`` does."""
-    return A.invert(derive(A, s).casimir)
+    return invert(A, derive(A, s).casimir)

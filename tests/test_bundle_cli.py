@@ -494,3 +494,23 @@ def test_cli_output_is_the_same_under_python_O(tmp_path):
         runs.append((done.returncode, done.stdout, done.stderr, out.read_bytes()))
     assert runs[0][0] == 0 and runs[0][1]
     assert runs[0] == runs[1]
+
+
+def test_psp_of_a_singular_casimir_element_is_no(tmp_path, capsys):
+    # O[x]/(x^2) at p = 3 with t(1) = 0 and t(x) = 1: t is symmetrising and
+    # its Casimir element 2x is nilpotent, so no twist of it is p^n 1
+    A = so.make_order([(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], [1, 0], 3)
+    b = Bundle(prime=3, order=A, forms={"t": so.LinearForm([0, 1])},
+               lattices={"trivial": so.make_lattice(A, [[[1]], [[0]]])})
+    (psp,) = run("psp", b).results
+    assert (psp.verdict, psp.details) == ("pass", {
+        "direct": {"verdict": "no", "n": None}, "regular_gram": {"verdict": "inapplicable"}})
+    (divisibility,) = run("divisibility", b).results
+    assert divisibility.verdict == "skipped"
+    assert divisibility.details == {"reason": "order lacks the scalar property"}
+    path = tmp_path / "dual-numbers.json"
+    so.save_bundle(b, path)
+    assert main(["--bundle", str(path), "--check", "psp"]) == 0
+    # the Tate pairing still reads z^{-1}, so the whole run is an input error
+    assert main(["--bundle", str(path), "--check", "all"]) == 2
+    assert capsys.readouterr().err == "input error: not invertible in K⊗A\n"

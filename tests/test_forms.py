@@ -9,6 +9,7 @@ import weakref
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -112,19 +113,24 @@ def test_dual_basis_certificate_survives_optimisation():
         "with pytest.raises(AssertionError, match='dual basis fails'):\n"
         "    so.dual_basis(A, s)\n"
         "linalg.eliminate = exact\n"
-        "central = so.Order.is_central\n"
-        "so.Order.is_central = lambda self, a: False\n"
+        "from symorders import forms\n"
+        "M, d = so.dual_basis(A, s).integer_matrix\n"
+        "wrong = M.tolist()\n"
+        "wrong[0][0] += d\n"
+        "with pytest.raises(AssertionError, match='dual basis fails'):\n"
+        "    forms._derive(A, so.LinearForm(s.values), (wrong, d))\n"
+        "central = so.Order._central\n"
+        "so.Order._central = lambda self, terms: False\n"
         "with pytest.raises(AssertionError, match='Casimir element not central'):\n"
         "    so.casimir(A, so.LinearForm(s.values))\n"
-        "so.Order.is_central = central\n"
+        "so.Order._central = central\n"
         # z^{-1} is derived apart from the dual basis, under its own certificate
         "f = so.LinearForm(s.values)\n"
         "so.casimir(A, f)\n"
-        "solve = linalg.solve_exact\n"
-        "linalg.solve_exact = lambda M, B: 2 * solve(M, B)\n"
+        "linalg.eliminate = perturbed\n"
         "with pytest.raises(AssertionError, match='inverse fails b a = 1'):\n"
         "    so.casimir_inverse(A, f)\n"
-        "linalg.solve_exact = solve\n"
+        "linalg.eliminate = exact\n"
         "from symorders import lattices\n"
         "from symorders.builders import s3_fixture_bundle\n"
         "b = s3_fixture_bundle(3)\n"
@@ -193,9 +199,9 @@ def test_check_all_derives_each_form_once(monkeypatch):
     searched = []
     derive, search = forms._derive, forms._psp_search
 
-    def counting(A, s):
-        derived.append((A, s))  # kept alive, so their ids stay distinct
-        return derive(A, s)
+    def counting(A, s, candidate=None):
+        derived.append((A, s, candidate))  # kept alive, so their ids stay distinct
+        return derive(A, s, candidate)
 
     def counting_search(A, s):
         searched.append(s)
@@ -204,13 +210,18 @@ def test_check_all_derives_each_form_once(monkeypatch):
     monkeypatch.setattr(forms, "_derive", counting)
     monkeypatch.setattr(forms, "_psp_search", counting_search)
     assert cli.run("all", b).ok
-    pairs = [(id(A), id(s)) for A, s in derived]
+    pairs = [(id(A), id(s)) for A, s, _ in derived]
     assert len(pairs) == len(set(pairs))
     # every bundle form is among them; the others are witness forms: the
-    # psp, regular-Gram, Morita and rational symmetry witnesses, each
-    # certified once
+    # psp witness p^-1 rho, which both psp algorithms read, and the Morita
+    # and rational symmetry witnesses, each certified once
     assert {(id(b.order), id(s)) for s in b.forms.values()} <= set(pairs)
-    assert len(pairs) == len(b.forms) + 4 == 5
+    assert len(pairs) == len(b.forms) + 3 == 4
+    witness = forms.psp_direct(b.order, b.forms["standard"]).witness_form
+    assert witness is forms.psp_regular_gram(b.order).witness_form
+    # only the psp witness has a candidate: its dual basis comes from the
+    # primary form's, with no elimination
+    assert [s for _, s, candidate in derived if candidate is not None] == [witness]
     # check_psp and check_divisibility share one Casimir-orbit search
     assert searched == [b.forms["standard"]]
 
@@ -563,6 +574,78 @@ def test_integer_dual_basis_equals_the_fraction_oracle(case):
     _assert_same_dual_basis(_outcome(forms._derive, A, s), want)
     if not isinstance(want, tuple):
         _assert_same_casimir_inverse(A, s)
+
+
+@st.composite
+def elements_of_orders(draw):
+    """Random elements (often zero divisors), zero and the sum of the
+    basis (a zero divisor in a group algebra of order > 1 and in M2) of
+    standard orders; half of them moved with the order to a dense change
+    of basis with denominators prime to p, which gives the table a
+    denominator other than 1."""
+    p = draw(st.sampled_from(PRIMES))
+    A, _ = draw(st.sampled_from(ORACLE_ORDERS))(p)
+    kind = draw(st.sampled_from(["random", "zero", "basis sum"]))
+    a = {"random": linalg.as_vector(draw(st.lists(_scalars(p), min_size=A.dim, max_size=A.dim))),
+         "zero": A.zero(), "basis sum": linalg.as_vector([1] * A.dim)}[kind]
+    if draw(st.booleans()):
+        P = draw(unimodular(A.dim, p))
+        A = dense_order(*rebase(cube(A), A.one, P), p)
+        a = linalg.inverse(P) @ a
+    return A, a
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements_of_orders())
+def test_integer_invert_equals_the_fraction_solve(case):
+    A, a = case
+    try:
+        want = fraction_forms.invert(A, a)
+    except NotInvertibleError:
+        with pytest.raises(NotInvertibleError, match="not invertible in K⊗A"):
+            A.invert(a)
+        return
+    got = A.invert(a)
+    assert linalg.vectors_equal(got, want) and all(type(x) is Fraction for x in got)
+
+
+@st.composite
+def central_units(draw):
+    """(A, s, w): a symmetrising form on a standard order, scaled by a
+    unit and half of the time on a dense change of basis, with a central
+    unit w = c (1 + p y) for a unit scalar c and y in the centre, which is
+    a unit since det L(1 + p y) = 1 mod p."""
+    p = draw(st.sampled_from(PRIMES))
+    A, s = draw(st.sampled_from(ORACLE_ORDERS))(p)
+    values = s.values * draw(st.sampled_from([1, -1, Fraction(-11, 13)]))
+    if draw(st.booleans()):
+        P = draw(unimodular(A.dim, p))
+        A = dense_order(*rebase(cube(A), A.one, P), p)
+        values = P.T @ values
+    Z = A.center_basis()
+    y = Z @ linalg.as_vector(draw(st.lists(st.integers(-3, 3), min_size=Z.shape[1],
+                                           max_size=Z.shape[1])))
+    c = draw(st.sampled_from([1, -1, Fraction(-11, 13)]))
+    return A, LinearForm(values), (A.one + y * A.prime) * Fraction(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(central_units())
+def test_a_twist_derived_from_its_parent_equals_its_elimination(case):
+    A, s, w = case
+    t = so.twist_form(A, s, w)
+    inherited = so.dual_basis(A, t)  # u D, kept on t by twist_form
+    eliminated = forms._derive(A, LinearForm(t.values))
+    for got, want in (inherited.integer_matrix, eliminated.integer_matrix), (
+            inherited.integer_gram, eliminated.integer_gram):
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    _assert_same_dual_basis(inherited, eliminated)
+    # a wrong candidate fails the certificate
+    M, d = inherited.integer_matrix
+    wrong = M.tolist()
+    wrong[0][0] += d
+    with pytest.raises(AssertionError, match="dual basis fails"):
+        forms._derive(A, t, (wrong, d))
 
 
 @settings(max_examples=60, deadline=None)
