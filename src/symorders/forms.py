@@ -9,7 +9,7 @@ a relative trace map and the central Casimir element z = sum x x^v.
 The exact work runs on integer numerators: Gram matrices are one
 contraction of the order's integer table (:attr:`Order.products`) with
 the numerators of the form's values, the dual basis of a form is G^{-1}
-from one elimination of the integer numerators of G, and it is certified
+from one exact solve on the integer numerators of G, and it is certified
 on integers (G D = I as an integer product, the Casimir element and its
 reverse as two contractions of the numerators of D with the table).
 Every symmetrising form is s(u .) for a central unit u (Broué, Michigan
@@ -198,11 +198,11 @@ def _derive(A: Order, s: LinearForm, candidate=None) -> DualBasis:
     Since s(b_i x) = (G x)_i for every x, the defining condition
     s(b_i x_j^v) = delta_ij is exactly G D = I.  A ring matrix G is
     unimodular exactly when its inverse D exists and has ring entries.
-    G is inverted on its integer numerators, D = g N^{-1}, by one
-    elimination of [N | g I], unless ``candidate`` gives D as integer
-    rows M over d (:func:`_inherit`).  The certificates run on integers
-    and are the same for both: with G = N / g and D = M / d, G D = I is
-    the integer product N M = g d I, and the Casimir element
+    G is inverted on its integer numerators, D = g N^{-1}, by solving
+    N D = g I (:func:`linalg.solve_of_rows`), unless ``candidate`` gives
+    D as integer rows M over d (:func:`_inherit`).  The certificates run
+    on integers and are the same for both: with G = N / g and D = M / d,
+    G D = I is the integer product N M = g d I, and the Casimir element
     z = sum_i b_i x_i^v and sum_i x_i^v b_i are two contractions of M
     with the table, over d times its denominator, certified equal.  z is
     certified to be central and to have ring coordinates.
@@ -213,13 +213,12 @@ def _derive(A: Order, s: LinearForm, candidate=None) -> DualBasis:
     if any(N[i][j] != N[j][i] or N[i][j] % q for i in range(n) for j in range(i + 1)):
         raise NotSymmetrisingError("form not symmetrising")
     if candidate is None:
-        # D = g N^{-1}: eliminating [N | g 1] leaves row i as [e_i | D_i] over dens[i]
+        # D = g N^{-1} solves N D = g 1
         rows = [[*row, *(g if k == i else 0 for k in range(n))] for i, row in enumerate(N)]
-        dens = [1] * n
-        if len(linalg.eliminate(rows, dens, n)[0]) < n:
-            raise NotSymmetrisingError("form not symmetrising")
-        d = math.lcm(*dens)  # each row is in lowest terms, so d is least
-        M = [[x * (d // den) for x in row[n:]] for row, den in zip(rows, dens)]
+        try:
+            M, d = linalg.solve_of_rows(rows, n)
+        except ValueError:
+            raise NotSymmetrisingError("form not symmetrising") from None
     else:
         M, d = candidate
         h = math.gcd(d, *(x for row in M for x in row))
@@ -422,7 +421,7 @@ def psp_regular_gram(A: Order) -> RegularGramResult:
     """
     N, g = _gram_numerators(A, regular_character_form(A))
     # G = N / g for a unit g, so G and N have the same Smith exponents
-    exps = tuple(linalg._smith([list(row) for row in N], [1] * A.dim, A.dim, A.prime)[0])
+    exps = tuple(linalg.smith_of_rows([list(row) for row in N], [1] * A.dim, A.dim, A.prime)[0])
     if len(exps) < A.dim:
         raise RegularGramSingularError("regular Gram singular")
     n = exps[0]

@@ -40,13 +40,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .forms import (  # noqa: F401  (perfbench patches lattices.casimir)
-    LinearForm,
-    casimir,
-    casimir_inverse,
-    dual_basis,
-    kept,
-)
+# casimir is not called here, but perfbench's tracer test checks that it is patched
+from .forms import LinearForm, casimir, casimir_inverse, dual_basis, kept  # noqa: F401
 from .modp import FpAlgebra, nullspace, rref
 from .orders import Order, first_failure
 from .padic import INFINITY, ResidueClass, residue_class, residues_over, val_over
@@ -210,7 +205,7 @@ def free_generator(A: Order, U: Lattice):
     matrix M = [act(b_j) e_k]_j, the matrix of a -> a e_k from the
     regular lattice to U, is invertible over the ring: when it has full rank mod p,
     which is the certificate.  k is the first such index, and M^{-1} =
-    Y / y over a unit y comes from one elimination.  A lattice whose
+    Y / y over a unit y comes from one exact solve.  A lattice whose
     traces are not those of the regular one is not free, and is
     dismissed before any rank is taken.  Kept on U.
     """
@@ -228,17 +223,11 @@ def _free_generator(A: Order, U: Lattice):
     k = next((k for k in range(n) if len(rref(N[:, :, k].T, A.prime)[1]) == n), None)
     if k is None:
         return None
-    # M = N[:, :, k]^T / q; eliminating [q M | 1] leaves row i as
-    # [e_i | row i of (q M)^{-1}] over dens[i], and M^{-1} = q (q M)^{-1}
-    rows = N[:, :, k].T.tolist()
-    for i, row in enumerate(rows):
-        row.extend(int(i == j) for j in range(n))
-    dens = [1] * n
-    linalg.eliminate(rows, dens, n)
-    y = math.lcm(*dens)
-    Y = np.array([[x * q * (y // den) for x in row[n:]] for row, den in zip(rows, dens)],
-                 dtype=object)
-    return k, (Y, y)
+    # M = N[:, :, k]^T / q, so M^{-1} = q (q M)^{-1} and q M X = 1
+    rows = [[*row, *(int(i == j) for j in range(n))]
+            for i, row in enumerate(N[:, :, k].T.tolist())]
+    X, y = linalg.solve_of_rows(rows, n)
+    return k, (np.array(X, dtype=object) * q, y)
 
 
 def hom_lattice(A: Order, U: Lattice, V: Lattice) -> HomLattice:
@@ -423,7 +412,8 @@ def stable_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> StableHomPres
     """Invariant factors and lifted generators of the stable Hom group.
 
     The quotient must be torsion; a nonzero free part signals that the
-    rational algebra is not separable and raises an assertion.  Kept on U.
+    rational algebra is not separable: NotInvertibleError when the
+    Casimir element is singular in K⊗A, an assertion otherwise.  Kept on U.
     """
     return kept(U._kept, "stable_hom", (A, s, V), lambda: _stable_hom(A, s, U, V))
 
@@ -440,6 +430,7 @@ def _stable_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> StableHomPre
     X, x = _projective_hom(A, s, U, V)[1]
     inv = linalg.quotient_invariants_of_rows(X.tolist(), [x] * len(X), X.shape[1], A.prime)
     if inv.free_rank != 0:
+        casimir_inverse(A, s)  # NotInvertibleError when z is singular in K⊗A
         raise AssertionError("free part nonzero: rational algebra not separable")
     return StableHomPresentation(A, s, U, V, hom_lattice(A, U, V), inv)
 

@@ -2,15 +2,17 @@
 
 Matrices at the API are numpy arrays of dtype ``object`` holding
 ``Fraction`` entries.  The functions named ``*_of_rows`` and
-``*_of_columns``, and ``eliminate``, are the integer layer that the Hom
-layer of ``lattices`` runs on: they take integer rows (or columns) and
-give integer matrices (kernel and lattice bases, coordinates) or, for
-:func:`quotient_invariants_of_rows`, Fractions only for the torsion part
-of the result; ``numerators`` turns Fractions into integers over one
-denominator.  Inside, the eliminations run on Python ints: each row (and
-each column of a right transform) is a list of integer numerators over
-one positive denominator, a unit at p for ring matrices, divided by the
-row gcd after every operation; Fractions are built once, for the result.
+``*_of_columns``, and ``eliminate``, are the integer layer that the
+other modules run on: they take integer rows (or columns) and give
+integer matrices (solutions, kernel and lattice bases, coordinates) or,
+for :func:`quotient_invariants_of_rows`, Fractions only for the torsion
+part of the result; ``numerators`` turns Fractions into integers over
+one denominator.  Every exact solve N X = V is :func:`solve_of_rows`,
+and every Smith reduction :func:`smith_of_rows`.  Inside, the
+eliminations run on Python ints: each row (and each column of a right
+transform) is a list of integer numerators over one positive
+denominator, a unit at p for ring matrices, divided by the row gcd
+after every operation; Fractions are built once, for the result.
 On top of plain rational elimination (solve, det, inverse) this module
 provides the lattice layer used everywhere else:
 
@@ -217,15 +219,28 @@ def solve_exact(M, B):
     M = as_matrix(M) if not isinstance(M, np.ndarray) else M
     vector_rhs = np.asarray(B, dtype=object).ndim == 1
     Bm = as_matrix([B]).T if vector_rhs else as_matrix(B)
-    m, n = M.shape
-    rows, dens, width = _int_rows(np.concatenate([M, Bm], axis=1))
-    pivots, _ = eliminate(rows, dens, n)
-    if len(pivots) < n:
-        raise ValueError("matrix does not have full column rank")
-    if any(any(row[n:]) for row in rows[len(pivots):]):
+    n = M.shape[1]
+    rows, _, width = _int_rows(np.concatenate([M, Bm], axis=1))  # scaled rows, same solutions
+    solved = solve_of_rows(rows, n)
+    if solved is None:
         return None
-    out = _fraction_rows(rows[:n], dens[:n], n, width)
+    out = from_numerators(np.array(solved[0], dtype=object).reshape(n, width - n), solved[1])
     return out[:, 0] if vector_rhs else out
+
+
+def solve_of_rows(rows: list, n: int):
+    """Solve N X = V on the integer rows [N | V], which are consumed, for
+    N of n columns: (X, x), the rows of X as integers over their least
+    common denominator, or None when the system is inconsistent; raises
+    ValueError when N has rank below n.  One elimination leaves row k < n
+    as [e_k | X_k] over its denominator, in lowest terms."""
+    dens = [1] * len(rows)
+    if len(eliminate(rows, dens, n)[0]) < n:
+        raise ValueError("matrix does not have full column rank")
+    if any(any(row[n:]) for row in rows[n:]):
+        return None
+    x = math.lcm(*dens[:n])
+    return [[y * (x // den) for y in row[n:]] for row, den in zip(rows, dens[:n])], x
 
 
 def det(M) -> Fraction:
@@ -290,13 +305,13 @@ def smith_normal_form(M, p: int) -> SmithDecomposition:
         raise ValueError("smith normal form needs entries of valuation >= 0")
     for i, (row, den) in enumerate(zip(rows, dens)):
         row.extend(den if k == i else 0 for k in range(m))
-    exponents, cols, col_dens = _smith(rows, dens, n, p)
+    exponents, cols, col_dens = smith_of_rows(rows, dens, n, p)
     left = _fraction_rows(rows, dens, n, n + m)
     right = _fraction_rows(cols, col_dens, 0, n).T.copy()
     return SmithDecomposition(tuple(exponents), left, right, len(exponents))
 
 
-def _smith(rows: list, dens: list, n: int, p: int) -> tuple:
+def smith_of_rows(rows: list, dens: list, n: int, p: int) -> tuple:
     """Smith reduction of the first n columns of integer rows over unit
     denominators, in place; the columns past n (the left transform, when
     the caller appended one) follow the row operations.
@@ -399,7 +414,7 @@ def integral_kernel_of_rows(rows: list, n: int, p: int) -> np.ndarray:
     saturated because the transform is invertible over the ring; the
     left transform is not formed.
     """
-    exponents, cols, _ = _smith(rows, [1] * len(rows), n, p)
+    exponents, cols, _ = smith_of_rows(rows, [1] * len(rows), n, p)
     return _unit_normalize(cols[len(exponents):], n, p)
 
 
@@ -427,7 +442,7 @@ def lattice_basis_of_columns(N, p: int) -> np.ndarray:
     the left transform is not formed.
     """
     m, n = N.shape
-    exponents, cols, _ = _smith(N.tolist(), [1] * m, n, p)
+    exponents, cols, _ = smith_of_rows(N.tolist(), [1] * m, n, p)
     R = np.array(cols[: len(exponents)], dtype=object).reshape(len(exponents), n).T
     return _unit_normalize(N.dot(R).T.tolist(), m, p)
 
@@ -449,23 +464,15 @@ def lattice_membership_of_columns(basis: tuple, v: tuple, p: int):
     for integer matrices N (of full column rank) and V: the coordinates
     as an integer matrix X over x, or None.
 
-    One elimination on the integer rows [N | V]: row k < rank ends as
-    [e_k | X_k] over its denominator, and N X = V puts the coordinates of
-    V / b at X d / b.
+    N X = V is solved on the integer rows [N | V] (:func:`solve_of_rows`),
+    and puts the coordinates of V / b at X d / b.
     """
     (N, d), (V, b) = basis, v
     n = N.shape[1]
-    rows = np.concatenate([N, V], axis=1).tolist()
-    dens = [1] * len(rows)
-    if len(eliminate(rows, dens, n)[0]) < n:
-        raise ValueError("matrix does not have full column rank")
-    if any(any(row[n:]) for row in rows[n:]):
+    solved = solve_of_rows(np.concatenate([N, V], axis=1).tolist(), n)
+    if solved is None:
         return None
-    x = math.lcm(*dens[:n])
-    X = np.empty((n, V.shape[1]), dtype=object)
-    for k, (row, den) in enumerate(zip(rows, dens[:n])):
-        X[k] = [y * d * (x // den) for y in row[n:]]
-    x *= b
+    X, x = np.array(solved[0], dtype=object).reshape(n, V.shape[1]) * d, solved[1] * b
     pv = p ** int_val(x, p)
     return None if any(y % pv for y in X.flat) else (X, x)
 
@@ -525,7 +532,7 @@ def quotient_invariants_of_rows(rows: list, dens: list, n: int, p: int) -> Quoti
     C = [(list(row), den) for row, den in zip(rows, dens)]
     for i, (row, den) in enumerate(zip(rows, dens)):
         row.extend(den if k == i else 0 for k in range(m))
-    exponents, cols, col_dens = _smith(rows, dens, n, p)
+    exponents, cols, col_dens = smith_of_rows(rows, dens, n, p)
     torsion = [i for i, e in enumerate(exponents) if e > 0]
     basis = np.empty((m, len(torsion)), dtype=object)
     for t, j in enumerate(torsion):

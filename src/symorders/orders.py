@@ -11,9 +11,10 @@ Products, action matrices and the regular character here, and Gram
 matrices, dual bases and Casimir elements in ``forms``, are contracted
 over that table only, so a group algebra, with one nonzero constant per
 pair of basis elements, multiplies in time proportional to the nonzero
-coordinates of the factors.  An inverse is one elimination of the
-integer rows of left multiplication, certified by one contraction with
-the table.  Fractions are built for the results:
+coordinates of the factors.  Left multiplication is one set of integer
+rows (``Order._left_rows``), read as the left matrix or solved for the
+inverse (``linalg.solve_of_rows``), which one contraction with the table
+certifies.  Fractions are built for the results:
 elements of the order and of its rational span are plain coordinate
 vectors (object arrays of Fractions), and elements with non-ring
 coordinates are allowed wherever an operation makes sense rationally
@@ -120,12 +121,19 @@ class Order:
 
     def left_matrix(self, a) -> np.ndarray:
         """Matrix of x -> a x on the basis (columns are a * b_j)."""
-        L = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for i, x in self._exact_terms(a):
-            for j, prods in enumerate(self.products[i]):
-                for k, c in prods:
-                    L[k][j] += x * c
-        return np.array(L, dtype=object)
+        w, e = linalg.numerators(self.element(a))
+        return linalg.from_numerators(self._left_rows(w.tolist()), e * self.denominator)
+
+    def _left_rows(self, w) -> list:
+        """The integer rows L[k][j] = sum_i w_i (d c_ijk) of left
+        multiplication by the element w / d, for d the denominator."""
+        L = [[0] * self.dim for _ in range(self.dim)]
+        for i, x in enumerate(w):
+            if x:
+                for j, prods in enumerate(self.products[i]):
+                    for k, c in prods:
+                        L[k][j] += x * c
+        return L
 
     @cached_property
     def generators(self) -> tuple:
@@ -208,29 +216,24 @@ class Order:
     def invert(self, a) -> np.ndarray:
         """Inverse in the rational algebra; raises NotInvertibleError.
 
-        For a = w / e and 1 = o / f, the left multiplication rows of a
-        are the integers L[k][j] = sum_i w_i (d c_ijk), over e d for d the
-        denominator, and b' = f b solves L b' = e d o.  One elimination of
-        [L | e d o] gives b'; b a = 1 is certified as one contraction of
-        the numerators of b and a with the table.
+        For a = w / e and 1 = o / f, the rows L of a (:meth:`_left_rows`)
+        are over e d for d the denominator, and b' = f b solves
+        L b' = e d o (:func:`linalg.solve_of_rows`); b a = 1 is certified
+        as one contraction of the numerators of b and a with the table.
         """
         w, e = linalg.numerators(self.element(a))
         o, f = linalg.numerators(self.one)
-        n, d = self.dim, self.denominator
-        a_terms = [(i, x) for i, x in enumerate(w.tolist()) if x]
-        rows = [[0] * n + [e * d * x] for x in o.tolist()]
-        for i, x in a_terms:
-            for j, prods in enumerate(self.products[i]):
-                for k, c in prods:
-                    rows[k][j] += x * c
-        dens = [1] * n
-        if len(linalg.eliminate(rows, dens, n)[0]) < n:  # left multiplication is singular
-            raise NotInvertibleError("not invertible in K⊗A")
-        h = math.lcm(*dens)  # row i is [e_i | b'_i] over dens[i], so b = B / (h f)
-        B = [row[n] * (h // den) for row, den in zip(rows, dens)]
-        ba = self._product([(i, x) for i, x in enumerate(B) if x], a_terms)
+        w, o, d = w.tolist(), o.tolist(), self.denominator
+        rows = [[*row, e * d * x] for row, x in zip(self._left_rows(w), o)]
+        try:
+            B, h = linalg.solve_of_rows(rows, self.dim)
+        except ValueError:  # left multiplication is singular
+            raise NotInvertibleError("not invertible in K⊗A") from None
+        B = [x for (x,) in B]  # b = B / (h f)
+        ba = self._product([(i, x) for i, x in enumerate(B) if x],
+                           [(i, x) for i, x in enumerate(w) if x])
         if _nonzero({k: f * x for k, x in ba.items()}) != {
-                k: h * f * e * d * x for k, x in enumerate(o.tolist()) if x}:
+                k: h * f * e * d * x for k, x in enumerate(o) if x}:
             raise AssertionError("inverse fails b a = 1")
         return linalg.from_numerators(B, h * f)
 

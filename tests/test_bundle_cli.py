@@ -496,12 +496,17 @@ def test_cli_output_is_the_same_under_python_O(tmp_path):
     assert runs[0] == runs[1]
 
 
-def test_psp_of_a_singular_casimir_element_is_no(tmp_path, capsys):
+def _dual_numbers_bundle() -> Bundle:
     # O[x]/(x^2) at p = 3 with t(1) = 0 and t(x) = 1: t is symmetrising and
-    # its Casimir element 2x is nilpotent, so no twist of it is p^n 1
+    # its Casimir element 2x is nilpotent; x acts as 0 on the trivial lattice
     A = so.make_order([(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], [1, 0], 3)
-    b = Bundle(prime=3, order=A, forms={"t": so.LinearForm([0, 1])},
-               lattices={"trivial": so.make_lattice(A, [[[1]], [[0]]])})
+    return Bundle(prime=3, order=A, forms={"t": so.LinearForm([0, 1])},
+                  lattices={"trivial": so.make_lattice(A, [[[1]], [[0]]])})
+
+
+def test_psp_of_a_singular_casimir_element_is_no(tmp_path, capsys):
+    # no twist of t has Casimir element p^n 1
+    b = _dual_numbers_bundle()
     (psp,) = run("psp", b).results
     assert (psp.verdict, psp.details) == ("pass", {
         "direct": {"verdict": "no", "n": None}, "regular_gram": {"verdict": "inapplicable"}})
@@ -513,4 +518,15 @@ def test_psp_of_a_singular_casimir_element_is_no(tmp_path, capsys):
     assert main(["--bundle", str(path), "--check", "psp"]) == 0
     # the Tate pairing still reads z^{-1}, so the whole run is an input error
     assert main(["--bundle", str(path), "--check", "all"]) == 2
+    assert capsys.readouterr().err == "input error: not invertible in K⊗A\n"
+
+
+@pytest.mark.parametrize("check", ["stable-exponent", "constant-value"])
+def test_stable_homs_of_a_singular_casimir_element_are_an_input_error(tmp_path, capsys, check):
+    # the trivial lattice is not projective and its stable endomorphisms
+    # have a free part; z^{-1} is read before that is reported, and names
+    # the cause
+    path = tmp_path / "dual-numbers.json"
+    so.save_bundle(_dual_numbers_bundle(), path)
+    assert main(["--bundle", str(path), "--check", check]) == 2
     assert capsys.readouterr().err == "input error: not invertible in K⊗A\n"

@@ -166,6 +166,38 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _linalg_reads(tree: ast.AST, scope: str = "") -> list:
+    """(innermost function, name) for every read of linalg.<name> and
+    every name imported from linalg."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _linalg_reads(node, node.name)
+            continue
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "linalg"):
+            found.append((scope, node.attr))
+        if isinstance(node, ast.ImportFrom) and node.module == "linalg":
+            found += [(scope, alias.name) for alias in node.names]
+        found += _linalg_reads(node, scope)
+    return found
+
+
+def test_linalg_privates_stay_inside_and_only_residue_algebra_eliminates():
+    # every exact solve outside linalg is linalg.solve_of_rows; only the
+    # residue table of End(U) reads its elimination row by row, to tell
+    # its two failures apart
+    package = Path(so.__file__).resolve().parent
+    reads = {
+        (path.stem, scope, attr)
+        for path in sorted(package.glob("*.py")) if path.stem != "linalg"
+        for scope, attr in _linalg_reads(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert [read for read in sorted(reads) if read[2].startswith("_")] == []
+    assert {read for read in reads if read[2] == "eliminate"} == {
+        ("lattices", "_residue_algebra", "eliminate")}
+
+
 def test_only_box_and_homomorphism_searches_import_itertools_product():
     # residue fields are not enumerated, and the maximal ideals of the
     # rational centre are read off the central characters: the coefficient

@@ -325,3 +325,26 @@ def test_elimination_equals_the_fraction_version(case, data):
     if m == n:
         assert linalg.det(M) == fraction_linalg.det(M)
         assert _same_outcome(linalg.inverse, fraction_linalg.inverse, M)
+
+
+def _ring_solution(v, basis, p):
+    """The oracle of lattice_membership: the rational solution of
+    basis @ x = v when it has ring entries, else None."""
+    coords = fraction_linalg.solve_exact(basis, v)
+    return coords if coords is None or linalg.is_integral(coords, p) else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(local_matrix(), st.data())
+def test_lattice_membership_equals_the_fraction_solve(case, data):
+    p, basis = case
+    m, n = basis.shape
+    k = data.draw(st.integers(0, 3))
+    _, V = data.draw(local_matrix(p=p, shape=(m, k)))
+    _, C = data.draw(local_matrix(p=p, shape=(n, k)))
+    inside = linalg.as_matrix(basis.dot(C))  # ring coordinates C
+    # V is mostly outside the span when m > n; inside / p mostly has
+    # coordinates outside the ring; a basis with m < n is rank deficient
+    for v in (V, inside, inside * Fraction(1, p)):
+        for rhs in (v, v[:, 0]) if k else (v,):
+            assert _same_outcome(linalg.lattice_membership, _ring_solution, rhs, basis, p)
