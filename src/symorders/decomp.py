@@ -3,8 +3,8 @@
 Everything here runs on rational character data: bounded searches for
 symmetrising forms built out of decomposition columns, the rational
 centre (the centre as one ring, with the central characters as its
-homomorphisms) and rational symmetry of an order, the orbit test
-deciding the scalar property through exact lattice arithmetic, and the
+homomorphisms) and rational symmetry of an order, the orbit and span
+tests deciding the scalar property on those homomorphisms mod p, and the
 arithmetic checks relating exponents, ranks and character degrees
 (heights).  Both searches decide their candidates with one whole-candidate test on the
 centre, valuations of integer combinations of the central idempotents and
@@ -455,9 +455,19 @@ class IntersectionCriterionResult:
 
 
 def _central_homs(A: Order, centre: RationalCentre):
-    """The residue algebra of the rational centre, and the distinct
+    """The residue algebra of the rational centre Z, and the distinct
     reductions mod p of its central characters on the basis as sorted
-    tuples, certified as :func:`_maximal_ideal_lattices` says."""
+    tuples: the unital homomorphisms Z -> F_p, whose kernels are the
+    maximal ideals of Z.
+
+    Z is an O-order in K^r, hence integral over O, so by lying over
+    (Cohen-Seidenberg) every unital homomorphism Z -> F_p is z ->
+    omega_chi(z) mod p for a column chi of the spectral coordinates.
+    Certified: the table of Z is a ring with 1 (:attr:`Order.centre`), the
+    spectral coordinates are p-integral, each reduction is a unital
+    homomorphism on the table, and the joint kernel is nilpotent, so no
+    maximal ideal is missed.
+    """
     p = A.prime
     if not linalg.is_integral(centre.spectral, p):
         raise AssertionError("spectral coordinates not p-integral")
@@ -473,44 +483,34 @@ def _central_homs(A: Order, centre: RationalCentre):
     return alg, homs
 
 
-def _maximal_ideal_lattices(A: Order, centre: RationalCentre):
-    """Lattice bases of the maximal ideals of the rational centre Z.
-
-    Z is an O-order in K^r, hence integral over O, so by lying over
-    (Cohen-Seidenberg) every unital homomorphism Z -> F_p is z ->
-    omega_chi(z) mod p for a column chi of the spectral coordinates.  The
-    maximal ideals are the kernels of their distinct reductions, taken in
-    the order of the reductions as tuples of values on the basis.
-    Certified: the table of Z is a ring with 1 (:attr:`Order.centre`), the
-    spectral coordinates are p-integral, each reduction is a unital
-    homomorphism on the table, and the joint kernel is nilpotent, so no
-    ideal is missed.
-    """
-    p, pZ = A.prime, A.prime * np.identity(centre.rank, dtype=object)
-    # spanned by a basis of the kernel of phi mod p and by p Z
-    return [linalg.lattice_basis_from_generators(np.concatenate([nullspace([phi], p).T, pZ], 1), p)
-            for phi in _central_homs(A, centre)[1]]
-
-
 def rational_intersection_criterion(
     A: Order,
     table: CharacterTable,
     D: DecompositionMatrix,
     sigma_tilde=None,
 ) -> IntersectionCriterionResult:
-    """Exact-linear-algebra decision of the scalar property from rational
-    character data.
+    """Decision of the scalar property from rational character data, on
+    the homomorphisms omega-bar: Z -> F_p of the rational centre Z
+    (:func:`_central_homs`), whose kernels are its maximal ideals.
 
-    Two tests are computed from a rational symmetry witness sigma~:
+    Two tests are computed from a rational symmetry witness sigma~, which
+    has no zero entry:
 
     * the orbit test (``verdict``): the Casimir orbit meets the scalars
-      exactly when the line through sum (sigma~_chi / chi(1)) e_chi meets
-      the unit group of the order, decided on the primitive lattice point
-      of that line.  This agrees with the direct Casimir algorithms.
-    * the span test (``morita_verdict``): the d-column span of the
-      character lattice image of the rational centre properly contains
-      its image of every maximal ideal.  A pass produces a decomposition
-      -shaped symmetrising form for some member of the Morita class.
+      exactly when the line through w = sum (sigma~_chi / chi(1)) e_chi
+      meets the unit group of the order, decided on the primitive lattice
+      point z0 = p^shift w of that line.  z0 is central with ring
+      coordinates, so it lies in Z, and it is a unit exactly when no
+      omega-bar kills it: when every omega_chi(z0) = p^shift sigma~_chi /
+      chi(1) has valuation 0.  This agrees with the direct Casimir
+      algorithms.
+    * the span test (``morita_verdict``): Z_W, the saturated lattice of
+      the z in Z whose image (sigma~_chi omega_chi(z))_chi lies in the
+      span of the columns of D, properly contains its intersection with
+      every maximal ideal I, that is, lies in no I: every omega-bar is
+      nonzero mod p on some basis vector of Z_W.  A pass produces a
+      decomposition-shaped symmetrising form for some member of the
+      Morita class.
     """
     if sigma_tilde is None:
         found = rational_symmetry_search(A, table)
@@ -518,40 +518,26 @@ def rational_intersection_criterion(
             raise ValueError("no rational symmetry witness within the default bound")
         sigma_tilde = found.witness_sigma
     sigma_tilde = linalg.as_vector(sigma_tilde)
+    if any(x == 0 for x in sigma_tilde):
+        raise ValueError("zero Schur coefficient")
     centre = rational_centre(A, table)
-    p = A.prime
+    p, homs = A.prime, _central_homs(A, centre)[1]
 
-    # orbit test on the line through sum (sigma~/deg) e
-    w = sum((s / d * e for s, d, e in zip(sigma_tilde, table.degrees, centre.idempotents)),
-            A.zero())
+    # orbit test on the line through w, with omega_chi(w) = sigma~_chi / chi(1)
+    spectrum = [s / d for s, d in zip(sigma_tilde, table.degrees)]
+    w = sum((c * e for c, e in zip(spectrum, centre.idempotents)), A.zero())
     shift = -min(val(x, p) for x in w)
-    z0 = w * Fraction(p) ** int(shift) if shift != -INFINITY else w
+    z0 = w * Fraction(p) ** int(shift)
     if not linalg.is_integral(z0, p):
         raise AssertionError("scaled orbit element has non-ring coordinates")
-    verdict = A.is_unit(z0)
+    verdict = all(val(c, p) == -shift for c in spectrum)
 
-    # span test against every maximal ideal of the rational centre
+    # span test: Z_W against the kernel of every homomorphism
     annihilator = linalg.left_null_space(linalg.as_matrix(D.entries))  # of the d-space
-
-    def image_lattice(coords):  # of the lattice with these columns of Z-coordinates
-        return (centre.spectral.T @ coords) * sigma_tilde[:, None]
-
-    def intersect_with_span(L):
-        return L @ linalg.integral_kernel(annihilator @ L, p) if len(annihilator) else L
-
-    L_full = intersect_with_span(image_lattice(linalg.identity(centre.rank)))
-    ideals = _maximal_ideal_lattices(A, centre)
-    morita_verdict = all(
-        _proper_containment(L_full, intersect_with_span(image_lattice(I)), p)
-        for I in ideals)
+    Z_W = linalg.integral_kernel(annihilator @ (centre.spectral.T * sigma_tilde[:, None]), p)
+    morita_verdict = bool((np.array(homs, dtype=object) @ Z_W % p != 0).any(axis=1).all())
     return IntersectionCriterionResult(verdict=verdict, morita_verdict=morita_verdict,
-                                       orbit_generator=z0, maximal_ideal_count=len(ideals))
-
-
-def _proper_containment(big, small, p) -> bool:
-    """big contains small, and not conversely, as lattices (column spans)."""
-    return (linalg.lattice_membership(small, big, p) is not None
-            and linalg.lattice_membership(big, small, p) is None)
+                                       orbit_generator=z0, maximal_ideal_count=len(homs))
 
 
 # -- heights and divisibility ----------------------------------------------

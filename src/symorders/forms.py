@@ -428,10 +428,8 @@ def psp_regular_gram(A: Order) -> RegularGramResult:
     if any(e != n for e in exps):
         return RegularGramResult(False, None, exps, None)
     witness = _regular_witness(A, n)
-    if not is_symmetrising(A, witness):
-        raise AssertionError("scaled regular character not symmetrising")
-    if not linalg.vectors_equal(casimir(A, witness), A.scalar(Fraction(A.prime) ** n)):
-        raise AssertionError("scaled regular character has Casimir other than p^n")
+    if not PspCertificate(n, witness).verify(A):
+        raise AssertionError("scaled regular character fails the scalar Casimir certificate")
     return RegularGramResult(True, n, exps, witness)
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import symorders as so
-from symorders import cli, decomp, forms, linalg
+from symorders import cli, decomp, forms, linalg, modp
 from symorders.builders import (
     four_dim_characters,
     four_dim_nonrational,
@@ -720,3 +720,103 @@ def test_central_hom_certificates_raise(character_tables):
                               (S[:, :1], "miss a maximal ideal")]:
         with pytest.raises(AssertionError, match=message):
             decomp._central_homs(A, dataclasses.replace(centre, spectral=spectral))
+
+
+# -- the intersection criterion against its lattice and inverse oracles ---
+
+
+def maximal_ideal_span_verdict(A, table, D, sigma):
+    """The span test on lattices: the image (sigma_chi omega_chi(z))_chi
+    of the rational centre Z, cut down to the span of the columns of D,
+    properly contains that of every maximal ideal, each spanned by a
+    basis of the kernel of one enumerated homomorphism mod p and by p Z.
+    The oracle for the homomorphism test of the criterion."""
+    centre = decomp.rational_centre(A, table)
+    p, pZ = A.prime, A.prime * np.identity(centre.rank, dtype=object)
+    annihilator = linalg.left_null_space(linalg.as_matrix(D.entries))
+
+    def in_span(coords):
+        L = (centre.spectral.T @ coords) * sigma[:, None]
+        return L @ linalg.integral_kernel(annihilator @ L, p) if len(annihilator) else L
+
+    full = in_span(linalg.identity(centre.rank))
+    homs = enumerated_homs(decomp._central_homs(A, centre)[0])
+    ideals = [linalg.lattice_basis_from_generators(
+        np.concatenate([modp.nullspace([phi], p).T, pZ], 1), p) for phi in homs]
+    return len(homs), all(linalg.lattice_membership(small, full, p) is not None
+                          and linalg.lattice_membership(full, small, p) is None
+                          for small in map(in_span, ideals))
+
+
+def _unit_multiples(rng, sigma, p, powers):
+    """sigma_chi times a random unit u/v and a power p^k, k in ``powers``."""
+    units = [u for u in range(-7, 8) if u % p]
+    return linalg.as_vector([c * Fraction(rng.choice(units), abs(rng.choice(units)))
+                             * Fraction(p) ** rng.choice(powers) for c in sigma])
+
+
+def _random_decomposition(rng, table):
+    """A non-negative matrix D with D m = chi(1) for modular dimensions m,
+    the first of which is 1 and takes up what the others leave."""
+    dims = [1] + [rng.randint(1, 3) for _ in range(rng.randint(0, table.num_chars - 1))]
+    rows = []
+    for degree in map(int, table.degrees):
+        row = [0] * len(dims)
+        for j in rng.sample(range(1, len(dims)), len(dims) - 1):
+            row[j] = rng.randint(0, (degree - sum(x * d for x, d in zip(row, dims))) // dims[j])
+        row[0] = degree - sum(x * d for x, d in zip(row, dims))
+        rows.append(row)
+    return so.make_decomposition_matrix(rows, dims, table.degrees)
+
+
+def _sigmas(A, table):
+    """The search witness and the Schur coefficients of the standard form
+    rho / |G|."""
+    witness = decomp.rational_symmetry_search(A, table, bound=3).witness_sigma
+    standard = so.regular_character_form(A).scale(Fraction(1, A.dim))
+    return linalg.as_vector(witness), so.schur_coefficients(A, standard, table.values)
+
+
+@pytest.fixture(scope="module")
+def criterion_cases(character_tables):
+    return {key: (*character_tables[key], _sigmas(*character_tables[key]))
+            for key in product((3, 4), (2, 3, 5))}
+
+
+def test_span_test_equals_the_maximal_ideal_lattices(criterion_cases):
+    rng, seen = random.Random(25), set()
+    for A, table, sigmas in criterion_cases.values():
+        for _ in range(20):
+            D = _random_decomposition(rng, table)
+            sigma = _unit_multiples(rng, rng.choice(sigmas), A.prime, [0, 1])
+            crit = so.rational_intersection_criterion(A, table, D, sigma)
+            assert (crit.maximal_ideal_count, crit.morita_verdict) == \
+                maximal_ideal_span_verdict(A, table, D, sigma)
+            seen.add(crit.morita_verdict)
+    assert seen == {True, False}
+
+
+def test_orbit_test_equals_the_unit_test_of_the_orbit_generator(criterion_cases):
+    rng, seen = random.Random(26), set()
+    for A, table, sigmas in criterion_cases.values():
+        p, D = A.prime, so.make_decomposition_matrix([[d] for d in table.degrees], (1,),
+                                                     table.degrees)
+        idempotents = dense_orders.central_idempotents(A, table.values)
+        for _ in range(40):
+            sigma = _unit_multiples(rng, rng.choice(sigmas), p, [0, 0, 1, 2])
+            crit = so.rational_intersection_criterion(A, table, D, sigma)
+            z0 = crit.orbit_generator
+            # z0 is the primitive point of the line through sum (sigma_chi / chi(1)) e_chi
+            w = sum(s / d * e for s, d, e in zip(sigma, table.degrees, idempotents))
+            assert linalg.rational_rank(linalg.as_matrix([w, z0])) == 1
+            assert min(so.val(x, p) for x in z0) == 0
+            assert crit.verdict == A.is_unit(z0)
+            seen.add(crit.verdict)
+    assert seen == {True, False}
+
+
+def test_intersection_criterion_rejects_a_zero_schur_coefficient(s3, s3_table,
+                                                                 s3_decomposition):
+    # a witness has no zero entry: sum sigma_chi chi with sigma_chi = 0 vanishes on e_chi A
+    with pytest.raises(ValueError, match="zero Schur coefficient"):
+        so.rational_intersection_criterion(s3[0], s3_table, s3_decomposition, (3, 0, 3))

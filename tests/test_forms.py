@@ -261,15 +261,15 @@ def test_check_all_derives_each_form_once(monkeypatch):
 def test_check_all_inverts_only_the_primary_casimir_element(monkeypatch):
     # z^{-1} is derived where it is read, for the primary form: its
     # Casimir-orbit search and twisted traces read it, and no witness form
-    # is inverted.  The other inversion is the unit test of the rational
-    # orbit test; the psp twist reads the unit certified by its search.
+    # is inverted.  The rational orbit test reads valuations, and the psp
+    # twist reads the unit certified by its search.
     b = s3_fixture_bundle(3)
     inverted = []
     invert = Order.invert
     monkeypatch.setattr(Order, "invert", lambda A, a: inverted.append(a) or invert(A, a))
     assert cli.run("all", b).ok
     z = so.casimir(b.order, b.forms["standard"])
-    assert len(inverted) == 2 and sum(a is z for a in inverted) == 1
+    assert len(inverted) == 1 and inverted[0] is z
 
 
 def test_psp_direct_inverts_the_casimir_element_once(monkeypatch):

@@ -75,7 +75,8 @@ def test_check_all_reproduces_the_golden_report(name, tmp_path, capsys):
     assert report.read_bytes() == (DATA / f"{name}.report.json").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["s3-p3", "s3-p3-permuted", "s3-p3-mismatch", "s4-p2"])
+@pytest.mark.parametrize("name", ["s3-p3", "s3-p3-permuted", "s3-p3-mismatch", "s4-p2",
+                                  "s4-p3-chars"])
 def test_golden_report_is_reproduced_under_python_O(name, tmp_path):
     # -O strips assert statements, so no certificate may rest on one
     report = tmp_path / "report.json"

@@ -10,6 +10,7 @@ from symorders.padic import (
     Prime,
     residue_class,
     residue_int,
+    residues_over,
     scalar_to_str,
     val,
 )
@@ -92,6 +93,24 @@ def test_residue_int_congruence(x, p, d):
     r = residue_int(c, p, d)
     assert 0 <= r < p**d
     assert val(c - r, p) >= d
+
+
+def _times_powers(p, bound):
+    """Integers a p^e, |a| <= bound and e <= 4, zero allowed."""
+    return st.builds(lambda a, e: a * p**e, st.integers(-bound, bound), st.integers(0, 4))
+
+
+@given(st.sampled_from([2, 3, 5, 4294967311]), st.integers(1, 4), st.data())
+def test_residues_over_are_ring_residues_mod_p_to_the_d(p, d, data):
+    row = data.draw(st.lists(_times_powers(p, 10**6), max_size=6))
+    den = data.draw(_times_powers(p, 60).filter(bool))
+    for x, r in zip(row, residues_over(row, den, p, d), strict=True):
+        c = Fraction(x, den)
+        if val(c, p) < 0:
+            assert r is None
+        else:
+            assert 0 <= r < p**d
+            assert val(c - r, p) >= d
 
 
 def test_scalar_strings():
