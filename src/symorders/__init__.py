@@ -3,8 +3,6 @@
 from .padic import Prime, ResidueClass, residue_class, scalar_to_str, val
 from .linalg import (
     integral_kernel,
-    lattice_basis_from_generators,
-    lattice_quotient_invariants,
     smith_normal_form,
 )
 from .orders import (

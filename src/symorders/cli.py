@@ -380,6 +380,8 @@ def main(argv=None) -> int:
                         help="box bound for coefficient searches")
     parser.add_argument("--json", help="write the deterministic report here")
     args = parser.parse_args(argv)
+    if args.bound < 1:
+        parser.error(f"--bound must be at least 1, not {args.bound}")
 
     try:
         bundle = load_bundle(args.bundle)

@@ -56,12 +56,14 @@ class CharacterTable:
 
 
 def make_character_table(values, A: Order, names=None) -> CharacterTable:
-    """Validate characters: linearly independent, degrees read off the
-    unit, and weighted by their degrees they sum to the regular character."""
+    """Validate characters: linearly independent, with positive degrees
+    read off the unit that weight them to sum to the regular character."""
     values = linalg.as_matrix(values)
     if linalg.rational_rank(values) != values.shape[0]:
         raise ValueError("characters are linearly dependent")
     degrees = tuple(np.dot(values[i], A.one) for i in range(values.shape[0]))
+    if any(d <= 0 for d in degrees):
+        raise ValueError("character degrees must be positive")
     rho = A.regular_traces
     combo = np.tensordot(linalg.as_vector(degrees), values, axes=([0], [0]))
     if not linalg.vectors_equal(combo, rho):
@@ -533,7 +535,7 @@ def rational_intersection_criterion(
     verdict = all(val(c, p) == -shift for c in spectrum)
 
     # span test: Z_W against the kernel of every homomorphism
-    annihilator = linalg.left_null_space(linalg.as_matrix(D.entries))  # of the d-space
+    annihilator = linalg.integral_kernel_of_rows(D.entries.T.tolist(), len(D.entries), p).T
     Z_W = linalg.integral_kernel(annihilator @ (centre.spectral.T * sigma_tilde[:, None]), p)
     morita_verdict = bool((np.array(homs, dtype=object) @ Z_W % p != 0).any(axis=1).all())
     return IntersectionCriterionResult(verdict=verdict, morita_verdict=morita_verdict,

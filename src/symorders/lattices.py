@@ -358,11 +358,11 @@ class StableHomPresentation:
         self.exponents = invariants.exponents
         # (G, g): generator i is G[i] / g, the combination sum_k F[k, i] N[k]
         # over f d of the hom basis N / d by the torsion basis F / f
-        F, f = linalg.numerators(invariants.torsion_basis)
+        F, f = invariants.torsion_basis
         N, d = hom.integer_basis
         self.integer_generators = (np.tensordot(F.T, N, 1), f * d)
         # (L, l): hom coordinates -> coordinates on the generators, L / l
-        self._left = linalg.numerators(invariants.torsion_left)
+        self._left = invariants.torsion_left
 
     @property
     def generators(self) -> tuple:
@@ -425,7 +425,7 @@ def _stable_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> StableHomPre
     if _higman(A, s, U) or _higman(A, s, V):
         hom = hom_lattice(A, U, V)
         empty = np.empty((hom.rank, 0), dtype=object)
-        inv = linalg.QuotientInvariants((), 0, empty, empty.T)
+        inv = linalg.QuotientInvariants((), 0, (empty, 1), (empty.T, 1))
         return StableHomPresentation(A, s, U, V, hom, inv)
     X, x = _projective_hom(A, s, U, V)[1]
     inv = linalg.quotient_invariants_of_rows(X.tolist(), [x] * len(X), X.shape[1], A.prime)

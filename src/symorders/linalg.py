@@ -1,28 +1,25 @@
 """Exact linear algebra over the rationals and the p-local integers.
 
-Matrices at the API are numpy arrays of dtype ``object`` holding
-``Fraction`` entries.  The functions named ``*_of_rows`` and
-``*_of_columns``, and ``eliminate``, are the integer layer that the
-other modules run on: they take integer rows (or columns) and give
-integer matrices (solutions, kernel and lattice bases, coordinates) or,
-for :func:`quotient_invariants_of_rows`, Fractions only for the torsion
-part of the result; ``numerators`` turns Fractions into integers over
-one denominator.  Every exact solve N X = V is :func:`solve_of_rows`,
-and every Smith reduction :func:`smith_of_rows`.  Inside, the
-eliminations run on Python ints: each row (and each column of a right
-transform) is a list of integer numerators over one positive
-denominator, a unit at p for ring matrices, divided by the row gcd
-after every operation; Fractions are built once, for the result.
-On top of plain rational elimination (solve, det, inverse) this module
-provides the lattice layer used everywhere else:
+The functions named ``*_of_rows`` and ``*_of_columns``, and
+``eliminate``, are the integer layer that the other modules run on:
+integer rows (or columns) in, integer matrices over one denominator
+out.  Every exact solve N X = V is :func:`solve_of_rows`; every Smith
+reduction is :func:`smith_of_rows`, pivoting on an entry of least
+valuation (ties by lowest row, then column), and saturated kernels,
+lattice bases, coordinates in a lattice and the torsion data of a
+lattice quotient are read off it.  Each row is a list of Python ints
+over one positive denominator, a unit at p for ring matrices, divided
+by the row gcd after every operation.  ``numerators`` and
+``from_numerators`` convert arrays of Fractions to and from integers
+over one denominator.
 
-* Smith normal form over the p-local integers, pivoting on an entry of
-  minimal valuation (ties broken by lowest row, then column), so the
-  diagonal comes out as p^{e_1} <= ... <= p^{e_r} deterministically;
-* saturated integral kernels and bases of lattices spanned by finite
-  generating sets, both read off the right Smith transform without
-  forming the left one;
-* invariant factors of a finite-index (or torsion) lattice quotient.
+The front-ends on Fractions remain where a caller holds Fractions:
+:func:`rational_rank` (character tables), :func:`integral_kernel`
+(rational equations), :func:`solve_exact` (Schur coefficients),
+:func:`det` (the witness test) and :func:`inverse` (the rational
+centre, builders).  :func:`smith_normal_form`, with both transforms,
+has no caller in the library; the benchmark times it and the other
+front-ends by name.
 """
 
 from __future__ import annotations
@@ -34,10 +31,6 @@ from fractions import Fraction
 import numpy as np
 
 from .padic import int_val
-
-
-class NotSublatticeError(ValueError):
-    pass
 
 
 def as_matrix(rows) -> np.ndarray:
@@ -261,20 +254,6 @@ def inverse(M) -> np.ndarray:
     return X
 
 
-def left_null_space(M) -> np.ndarray:
-    """Rows spanning {w : w @ M = 0} over the rationals.
-
-    Row-reduces [M | I]; the transform rows that zero out M are a basis.
-    """
-    rows, dens, n = _int_rows(M)
-    m = len(rows)
-    for i, (row, den) in enumerate(zip(rows, dens)):
-        row.extend(den if k == i else 0 for k in range(m))
-    eliminate(rows, dens, n)
-    kept = [i for i in range(m) if not any(rows[i][:n])]
-    return _fraction_rows([rows[i] for i in kept], [dens[i] for i in kept], n, n + m)
-
-
 @dataclass(frozen=True)
 class SmithDecomposition:
     """left @ M @ right = diag(p^e_1, ..., p^e_r, 0, ..)."""
@@ -418,23 +397,12 @@ def integral_kernel_of_rows(rows: list, n: int, p: int) -> np.ndarray:
     return _unit_normalize(cols[len(exponents):], n, p)
 
 
-def lattice_basis_from_generators(gens, p: int) -> np.ndarray:
-    """Basis (columns) of the lattice spanned over the ring by the columns
-    of ``gens``.  Unlike :func:`integral_kernel` this does not saturate:
-    torsion quotients are preserved.
-
-    The generators are scaled by their common denominator, a unit, which
-    spans the same lattice (:func:`lattice_basis_of_columns`).
-    """
-    G = as_matrix(gens)
-    if not is_integral(G, p):
-        raise ValueError("lattice generators must have ring entries")
-    return from_numerators(lattice_basis_of_columns(numerators(G)[0], p), 1)
-
-
 def lattice_basis_of_columns(N, p: int) -> np.ndarray:
-    """:func:`lattice_basis_from_generators` of the columns of the integer
-    matrix N, as an integer matrix.
+    """Basis (columns) of the lattice spanned over the ring by the columns
+    of the integer matrix N, as an integer matrix.  Unlike
+    :func:`integral_kernel_of_rows` this does not saturate: torsion
+    quotients are preserved.  Generators over a unit denominator span the
+    lattice of their numerators.
 
     For the Smith form L N R = D, N R = L^{-1} D: its first rank columns
     are p^{e_i} times columns of the ring-invertible L^{-1}, a basis.
@@ -447,22 +415,11 @@ def lattice_basis_of_columns(N, p: int) -> np.ndarray:
     return _unit_normalize(N.dot(R).T.tolist(), m, p)
 
 
-def lattice_membership(v, basis, p: int):
-    """Ring coordinates of v, a vector or the columns of a matrix, in the
-    basis columns (of full column rank), or None when v has none."""
-    vector = np.asarray(v, dtype=object).ndim == 1
-    V = as_matrix([v]).T if vector else as_matrix(v)
-    found = lattice_membership_of_columns(numerators(as_matrix(basis)), numerators(V), p)
-    if found is None:
-        return None
-    coords = from_numerators(*found)
-    return coords[:, 0] if vector else coords
-
-
 def lattice_membership_of_columns(basis: tuple, v: tuple, p: int):
-    """:func:`lattice_membership` of the columns of V / b in those of N / d,
-    for integer matrices N (of full column rank) and V: the coordinates
-    as an integer matrix X over x, or None.
+    """Ring coordinates of the columns of V / b in the basis columns of
+    N / d, for integer matrices N (of full column rank) and V: the
+    coordinates as an integer matrix X over x, or None when some column
+    has none.
 
     N X = V is solved on the integer rows [N | V] (:func:`solve_of_rows`),
     and puts the coordinates of V / b at X d / b.
@@ -483,67 +440,57 @@ class QuotientInvariants:
 
     ``exponents`` lists the exponents of the nontrivial cyclic factors
     p^{d_1} <= ... <= p^{d_k}; free_rank counts infinite factors.  The
-    columns of ``torsion_basis`` are sup-lattice vectors f_1, ..., f_k,
-    in sup coordinates, whose classes generate those factors: the sub
-    lattice contains p^{d_i} f_i.  The rows of ``torsion_left`` take sup
+    columns of ``torsion_basis`` (F, f), an integer matrix over one
+    denominator, are sup-lattice vectors f_1, ..., f_k, in sup
+    coordinates, whose classes generate those factors: the sub lattice
+    contains p^{d_i} f_i.  The rows of ``torsion_left`` (L, l) take sup
     coordinates to the coefficients of the f_i.
     """
 
     exponents: tuple
     free_rank: int
-    torsion_basis: np.ndarray
-    torsion_left: np.ndarray
+    torsion_basis: tuple
+    torsion_left: tuple
 
 
-def lattice_quotient_invariants(sub_gens, sup_basis, p: int) -> QuotientInvariants:
-    """Invariant factors of the quotient of lattices sup / <sub>.
-
-    Every generator of sub must be a ring combination of the sup basis;
-    otherwise raises ``NotSublatticeError``.
-    """
-    coords = lattice_membership(as_matrix(sub_gens), sup_basis, p)
-    if coords is None:
-        raise NotSublatticeError("not a sublattice")
-    return quotient_invariants(coords, p)
-
-
-def quotient_invariants(coords, p: int) -> QuotientInvariants:
-    """Invariant factors of ring^m modulo the span of the columns of
-    ``coords``, an m-row matrix with ring entries: the sub lattice given
-    by its coordinates in a basis of the sup lattice."""
-    rows, dens, n = _int_rows(coords)
-    return quotient_invariants_of_rows(rows, dens, n, p)
+def _over_one_denominator(rows: list, dens: list, width: int) -> tuple:
+    """(N, d): integer rows of the given width over their denominators as
+    one integer matrix N over d, the entries' least common denominator."""
+    d = math.lcm(*dens)
+    N = np.array([[x * (d // den) for x in row] for row, den in zip(rows, dens)],
+                 dtype=object).reshape(len(rows), width)
+    g = math.gcd(d, *N.flat)
+    return N // g, d // g
 
 
 def quotient_invariants_of_rows(rows: list, dens: list, n: int, p: int) -> QuotientInvariants:
-    """:func:`quotient_invariants` of the matrix C whose rows are the given
-    integer rows of length n over their denominators, which are consumed.
+    """Invariant factors of ring^m modulo the span of the columns of the
+    matrix C whose m rows are the given integer rows of length n over
+    their denominators, which are consumed: the sub lattice given by its
+    coordinates in a basis of the sup lattice.
 
     For the Smith form L C R = D, C R = L^{-1} D, so the adapted basis
     vector f_i (column i of L^{-1}) of a factor of exponent d_i > 0 is
     column i of C R over p^{d_i}; L is not inverted.  The reduction runs
     on the integer rows with the identity appended, which the row
-    operations turn into L; only the torsion columns of C R / p^{d_i}
-    and the torsion rows of L become Fractions.
+    operations turn into L.
     """
     m = len(rows)
     if any(den % p == 0 for den in dens):
         raise ValueError("smith normal form needs entries of valuation >= 0")
-    C = [(list(row), den) for row, den in zip(rows, dens)]
+    c = math.lcm(*dens)
+    C = [[x * (c // den) for x in row] for row, den in zip(rows, dens)]  # C over c
     for i, (row, den) in enumerate(zip(rows, dens)):
         row.extend(den if k == i else 0 for k in range(m))
     exponents, cols, col_dens = smith_of_rows(rows, dens, n, p)
     torsion = [i for i, e in enumerate(exponents) if e > 0]
-    basis = np.empty((m, len(torsion)), dtype=object)
-    for t, j in enumerate(torsion):
-        col, den = cols[j], col_dens[j] * p ** exponents[j]
-        for i, (row, row_den) in enumerate(C):
-            x = sum(a * b for a, b in zip(row, col))
-            basis[i, t] = Fraction(x, row_den * den) if x else _ZERO
+    F, f = _over_one_denominator(
+        [[sum(a * b for a, b in zip(row, cols[j])) for row in C] for j in torsion],
+        [c * col_dens[j] * p ** exponents[j] for j in torsion], m)
     return QuotientInvariants(
         exponents=tuple(exponents[i] for i in torsion),
         free_rank=m - len(exponents),
-        torsion_basis=basis,
-        torsion_left=_fraction_rows([rows[i] for i in torsion], [dens[i] for i in torsion],
-                                    n, n + m),
+        torsion_basis=(F.T, f),
+        torsion_left=_over_one_denominator([rows[i][n:] for i in torsion],
+                                           [dens[i] for i in torsion], m),
     )

@@ -12,8 +12,8 @@ matrices, dual bases and Casimir elements in ``forms``, are contracted
 over that table only, so a group algebra, with one nonzero constant per
 pair of basis elements, multiplies in time proportional to the nonzero
 coordinates of the factors.  Left multiplication is one set of integer
-rows (``Order._left_rows``), read as the left matrix or solved for the
-inverse (``linalg.solve_of_rows``), which one contraction with the table
+rows (``Order._left_rows``), solved for the inverse
+(``linalg.solve_of_rows``), which one contraction with the table
 certifies.  Fractions are built for the results:
 elements of the order and of its rational span are plain coordinate
 vectors (object arrays of Fractions), and elements with non-ring
@@ -119,11 +119,6 @@ class Order:
             out[k] = c
         return out
 
-    def left_matrix(self, a) -> np.ndarray:
-        """Matrix of x -> a x on the basis (columns are a * b_j)."""
-        w, e = linalg.numerators(self.element(a))
-        return linalg.from_numerators(self._left_rows(w.tolist()), e * self.denominator)
-
     def _left_rows(self, w) -> list:
         """The integer rows L[k][j] = sum_i w_i (d c_ijk) of left
         multiplication by the element w / d, for d the denominator."""
@@ -201,16 +196,6 @@ class Order:
         a = linalg.as_vector(a)
         return linalg.vectors_equal(self.multiply(a, a), a)
 
-    def is_unit(self, a) -> bool:
-        """a has an inverse in the order: its rational inverse exists and
-        has ring coordinates."""
-        if not self.has_ring_coords(a):
-            raise ValueError("is_unit needs ring coordinates")
-        try:
-            return self.has_ring_coords(self.invert(a))
-        except NotInvertibleError:
-            return False
-
     # -- rational-algebra operations ----------------------------------
 
     def invert(self, a) -> np.ndarray:
@@ -252,17 +237,14 @@ class Order:
                 for k, c in self.products[j][g]:
                     block[k][j] -= c
             rows.extend(block)
-        Z = linalg.from_numerators(linalg.integral_kernel_of_rows(rows, self.dim, self.prime), 1)
-        C, u = lattice_ring(self, Z, self.one)
+        N = linalg.integral_kernel_of_rows(rows, self.dim, self.prime)
+        C, u = lattice_ring(self, N, self.one)
+        Z = linalg.from_numerators(N, 1)
         if C is None or u is None:
             raise AssertionError("centre lattice not a ring with 1")
         for a in (Z, C, u):
             a.flags.writeable = False
         return Z, C, u
-
-    def center_basis(self) -> np.ndarray:
-        """Saturated lattice basis (columns) of the center, read-only."""
-        return self.centre[0]
 
 
 def make_order(constants, one, p, basis_labels=None) -> Order:
@@ -345,16 +327,21 @@ def _nonzero(coords: dict) -> dict:
     return {k: c for k, c in coords.items() if c != 0}
 
 
-def lattice_ring(A: Order, basis, unit) -> tuple:
-    """(C, u) for the lattice with the given basis columns z_i: the
+def lattice_ring(A: Order, N, unit) -> tuple:
+    """(C, u) for the lattice with the integer basis columns z_i of N: the
     coordinates of z_i z_j = sum_k C_ijk z_k and of ``unit`` on the basis,
     each None when it is not ring-valued (the lattice is not closed under
-    products, or ``unit`` lies outside)."""
-    r = basis.shape[1]
-    products = np.array([A.multiply(a, b) for a in basis.T for b in basis.T]).T
-    C = linalg.lattice_membership(products, basis, A.prime)
-    return (None if C is None else C.T.reshape(r, r, r),
-            linalg.lattice_membership(unit, basis, A.prime))
+    products, or ``unit`` lies outside).  Products come from the table."""
+    r = N.shape[1]
+    terms = [[(k, x) for k, x in enumerate(col) if x] for col in N.T.tolist()]
+    P = np.array([[prod.get(k, 0) for k in range(A.dim)]
+                  for prod in (A._product(a, b) for a in terms for b in terms)],
+                 dtype=object).reshape(r * r, A.dim).T  # column i r + j: z_i z_j
+    w, e = linalg.numerators(unit)
+    C, u = (linalg.lattice_membership_of_columns((N, 1), v, A.prime)
+            for v in ((P, A.denominator), (w.reshape(-1, 1), e)))
+    return (None if C is None else linalg.from_numerators(*C).T.reshape(r, r, r),
+            None if u is None else linalg.from_numerators(*u)[:, 0])
 
 
 def condense(A: Order, e) -> tuple:
@@ -362,9 +349,10 @@ def condense(A: Order, e) -> tuple:
 
     Returns (order, embedding) where the columns of ``embedding`` express
     the new basis as elements of A.  The generating set {e b_i e} spans
-    e A e as a lattice; a basis is extracted with Smith normal form and
-    then saturated inside A (intersection of the rational span with the
-    ring vectors), so the corner is a full lattice in its rational span.
+    e A e as a lattice, and a basis is read off its numerators
+    (:func:`linalg.lattice_basis_of_columns`).  The corner is already
+    saturated inside A, a full lattice in its rational span: an x of A
+    in that span is e x e.
     """
     e = A.element(e)
     if not A.has_ring_coords(e):
@@ -374,16 +362,14 @@ def condense(A: Order, e) -> tuple:
     if all(x == 0 for x in e):
         raise InvalidOrderError("not idempotent: condensation by zero")
     G = np.array([A.multiply(A.multiply(e, A.basis_element(i)), e) for i in range(A.dim)]).T
-    spanning = linalg.lattice_basis_from_generators(G, A.prime)
-    embedding = linalg.integral_kernel(linalg.left_null_space(spanning), A.prime)
-    table, unit = lattice_ring(A, embedding, e)
+    N = linalg.lattice_basis_of_columns(linalg.numerators(G)[0], A.prime)
+    table, unit = lattice_ring(A, N, e)
     if table is None:
         raise AssertionError("corner basis not multiplicatively closed")
     if unit is None:
         raise AssertionError("idempotent not in the corner lattice")
     constants = [(i, j, k, c) for (i, j, k), c in np.ndenumerate(table) if c]
-    corner = make_order(constants, unit, A.prime)
-    return corner, embedding
+    return make_order(constants, unit, A.prime), linalg.from_numerators(N, 1)
 
 
 def direct_product(A: Order, B: Order) -> Order:

@@ -4,10 +4,11 @@ tests.
 The library keeps an order's structure constants only as its integer
 table (``Order.products``) and builds orders from their nonzero entries
 (i, j, k, c).  The oracles contract the dense cube S[i, j, k] = c_ijk of
-Fractions instead; these helpers convert between the two.  The centre and
-the central idempotents, which the library reads off the centre's own
-table, are derived here from stacked Fraction commutator matrices, one
-linear solve per character.
+Fractions instead; these helpers convert between the two.  The left
+matrix of an element and the unit test are read off the cube.  The
+centre and the central idempotents, which the library reads off the
+centre's own table, are derived here from stacked Fraction commutator
+matrices, one linear solve per character.
 """
 
 from fractions import Fraction
@@ -35,6 +36,24 @@ def entries(S) -> list:
 def dense_order(S, one, p):
     """make_order on the nonzero entries of a dense cube."""
     return so.make_order(entries(S), one, p)
+
+
+def left_matrix(A, a) -> np.ndarray:
+    """Matrix of x -> a x on the basis (columns are a b_j)."""
+    return np.tensordot(linalg.as_vector(a), cube(A), axes=([0], [0])).T
+
+
+def is_unit(A, a) -> bool:
+    """a, with ring coordinates, has an inverse in the order: a b = 1 has
+    a rational solution b, found on the left matrix, with ring
+    coordinates."""
+    if not A.has_ring_coords(a):
+        raise ValueError("is_unit needs ring coordinates")
+    try:
+        b = linalg.solve_exact(left_matrix(A, a), A.one)
+    except ValueError:  # left multiplication is singular
+        return False
+    return A.has_ring_coords(b)
 
 
 def commutator_rows(A) -> np.ndarray:

@@ -20,7 +20,7 @@ from symorders.forms import NotSymmetrisingError
 from symorders.orders import NotInvertibleError
 
 import fraction_linalg
-from dense_orders import commutator_rows, cube
+from dense_orders import commutator_rows, cube, left_matrix
 
 
 def multiply(A, a, b) -> np.ndarray:
@@ -30,11 +30,6 @@ def multiply(A, a, b) -> np.ndarray:
 def gram_matrix(A, s) -> np.ndarray:
     """Matrix (s(b_i b_j))_{ij}."""
     return np.tensordot(cube(A), s.values, axes=([2], [0]))
-
-
-def left_matrix(A, a) -> np.ndarray:
-    """Matrix of x -> a x on the basis (columns are a b_j)."""
-    return np.tensordot(linalg.as_vector(a), cube(A), axes=([0], [0])).T
 
 
 def invert(A, a) -> np.ndarray:

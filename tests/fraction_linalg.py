@@ -8,6 +8,9 @@ so the tests require their results to be equal entry by entry, not
 merely equivalent.  The lattice basis of a generating set is read here
 off the inverted left Smith transform, where the library reads it off
 the right one; the normal form of its columns makes the two equal too.
+Coordinates in a lattice are the rational solution when it has ring
+entries, and the left null space is the transform rows of elimination
+on [M | I] that zero out M.
 """
 
 import math
@@ -67,6 +70,14 @@ def inverse(M):
     if X is None:
         raise ValueError("matrix not invertible")
     return X
+
+
+def lattice_membership(v, basis, p: int):
+    """Ring coordinates of v, a vector or the columns of a matrix, in the
+    basis columns: the rational solution of basis @ x = v when it has ring
+    entries, else None."""
+    coords = solve_exact(basis, v)
+    return coords if coords is None or linalg.is_integral(coords, p) else None
 
 
 def left_null_space(M):

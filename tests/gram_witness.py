@@ -20,6 +20,8 @@ from symorders import decomp, linalg
 from symorders.forms import LinearForm, gram_matrix, kept, regular_character_form
 from symorders.padic import int_val
 
+from dense_orders import left_matrix
+
 
 @dataclass(frozen=True, eq=False)
 class GramWitnessTest:
@@ -51,7 +53,7 @@ def _derive(A, table) -> GramWitnessTest:
         N = gram_matrix(A, LinearForm(chi))
         assert linalg.matrices_equal(N, N.T)
         grams.append(N.flat)
-        inverses.append((c * G_rho_inv @ A.left_matrix(e).T).flat)
+        inverses.append((c * G_rho_inv @ left_matrix(A, e).T).flat)
     families = []
     for columns in (idems, grams, inverses):
         N, d = linalg.numerators(np.array([list(c) for c in columns], dtype=object).T)

@@ -115,6 +115,40 @@ def test_malformed_decomposition_data_is_an_input_error(s3_doc, tmp_path, capsys
     _assert_input_error(s3_doc, corrupt, message, tmp_path, capsys)
 
 
+def _without_decomposition(doc) -> dict:
+    del doc["decomposition"]
+    return doc["characters"]
+
+
+def _character_of_degree_zero(doc):
+    # weighted by its degree 0, it adds nothing to the regular character
+    chars = _without_decomposition(doc)
+    chars["values"].append(["0", "1"] + ["0"] * (doc["order"]["dim"] - 2))
+    chars["names"].append("zero")
+    chars["degrees"].append("0")
+
+
+def _negated_sign_character(doc):
+    # -chi weighted by its degree -chi(1) is chi weighted by chi(1)
+    chars = _without_decomposition(doc)
+    assert chars["names"][2] == "chi_111"
+    chars["values"][2] = [str(-int(x)) for x in chars["values"][2]]
+    chars["degrees"][2] = "-1"
+
+
+@pytest.mark.parametrize("corrupt, check", [(_character_of_degree_zero, "heights"),
+                                            (_negated_sign_character, "all")])
+def test_a_character_of_degree_at_most_zero_is_an_input_error(s3_doc, tmp_path, capsys,
+                                                              corrupt, check):
+    doc = copy.deepcopy(s3_doc)
+    corrupt(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--bundle", str(path), "--check", check]) == 2
+    err = capsys.readouterr().err
+    assert "characters validation failed: character degrees must be positive" in err
+
+
 def _assert_input_error(s3_doc, corrupt, message, tmp_path, capsys):
     doc = copy.deepcopy(s3_doc)
     corrupt(doc)
@@ -404,6 +438,17 @@ def test_cli_exit_codes(tmp_path, s3_bundle):
     so.save_bundle(s3_bundle, good)
     assert main(["--bundle", str(good), "--check", "validate"]) == 0
     assert main(["--bundle", str(good), "--check", "knorr"]) == 0
+
+
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_a_bound_below_one_is_a_usage_error(tmp_path, s3_bundle, capsys, bound):
+    path = tmp_path / "s3.json"
+    so.save_bundle(s3_bundle, path)
+    with pytest.raises(SystemExit) as stop:
+        main(["--bundle", str(path), "--check", "rational", "--bound", bound])
+    assert stop.value.code == 2
+    assert f"--bound must be at least 1, not {bound}" in capsys.readouterr().err
+    assert main(["--bundle", str(path), "--check", "rational", "--bound", "1"]) == 0
 
 
 DATA = Path(__file__).resolve().parent / "data"

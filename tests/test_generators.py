@@ -31,13 +31,13 @@ from symorders.lattices import HomLattice, InvalidLatticeError, direct_sum, hom_
 from symorders.orders import direct_product, tensor_product
 import fraction_lattices
 import fraction_linalg
-from dense_orders import cube
+from dense_orders import cube, left_matrix
 from test_orders import standard_orders
 
 
 def closure_rank(A, gens) -> int:
     """Rank of the span of 1 under repeated left multiplication by b_g."""
-    lefts = [A.left_matrix(A.basis_element(g)) for g in gens]
+    lefts = [left_matrix(A, A.basis_element(g)) for g in gens]
     basis = linalg.as_matrix([A.one])
     while True:
         rows = np.concatenate([basis] + [(L @ basis.T).T for L in lefts], axis=0)
@@ -85,7 +85,7 @@ def test_s4_needs_few_generators():
 def test_dimension_one_order_has_every_matrix_as_homomorphism():
     A, _ = matrix_order(1, 2)
     assert A.generators == ()
-    assert linalg.matrices_equal(A.center_basis(), linalg.identity(1))
+    assert linalg.matrices_equal(A.centre[0], linalg.identity(1))
     assert A.is_central(A.basis_element(0))
     U = so.make_lattice(A, [linalg.identity(2)])
     V = so.make_lattice(A, [linalg.identity(3)])

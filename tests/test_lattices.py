@@ -37,7 +37,7 @@ from symorders.padic import residue_class, residue_int, val
 import fraction_lattices
 from fraction_lattices import trace
 import fraction_linalg
-from dense_orders import cube, dense_order
+from dense_orders import cube, dense_order, is_unit, left_matrix
 from test_orders import GROUP_TABLES, rebase, unimodular
 
 
@@ -83,7 +83,7 @@ def _rebased_s3():
         "s3-p3-rebased"])
 def test_regular_lattice_and_direct_sums_equal_the_validated_construction(monkeypatch, build):
     A, _ = build()
-    dense = [A.left_matrix(A.basis_element(i)) for i in range(A.dim)]
+    dense = [left_matrix(A, A.basis_element(i)) for i in range(A.dim)]
     # a second lattice whose entries have the denominator u, a unit at p
     u = 2 if A.prime != 2 else 3
     conj = linalg.identity(A.dim)
@@ -103,7 +103,6 @@ def test_regular_lattice_and_direct_sums_equal_the_validated_construction(monkey
     oracles = [so.make_lattice(A, dense), so.make_lattice(A, blocks(dense, conjugated)),
                so.make_lattice(A, blocks(conjugated, dense))]
     monkeypatch.setattr(lattices, "make_lattice", lambda *args: pytest.fail("make_lattice called"))
-    monkeypatch.setattr(so.Order, "left_matrix", lambda *args: pytest.fail("left_matrix called"))
     R = so.regular_lattice(A)
     for ours, oracle in zip([R, so.direct_sum(R, U), so.direct_sum(U, R)], oracles):
         (N, q), (M, d) = ours.integer_action, oracle.integer_action
@@ -468,13 +467,13 @@ def test_knorr_exponent_equivalence(s3, s3_lattices, rank2_family):
 def test_twisting_invariance(s3, s3_lattices):
     # exponents and both verdicts are unchanged under form twists
     A, s = s3
-    Z = A.center_basis()
+    Z = A.centre[0]
     rng = random.Random(43)
     units = []
     while len(units) < 3:
         coords = [Fraction(rng.randint(-3, 3)) for _ in range(Z.shape[1])]
         z = Z @ linalg.as_vector(coords)
-        if A.has_ring_coords(z) and A.is_unit(z):
+        if A.has_ring_coords(z) and is_unit(A, z):
             units.append(z)
     for z in units:
         twisted = so.twist_form(A, s, z)

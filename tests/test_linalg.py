@@ -120,31 +120,40 @@ def test_integral_kernel_saturated(seed):
         # dividing a basis vector by p must leave the ring-entry solutions
         assert not (
             linalg.is_integral(shrunk, p)
-            and linalg.lattice_membership(shrunk, K, p) is not None
+            and fraction_linalg.lattice_membership(shrunk, K, p) is not None
         )
 
 
 def test_lattice_quotient_examples():
-    inv = linalg.lattice_quotient_invariants([[Fraction(3)]], [[Fraction(1)]], 3)
+    inv = linalg.quotient_invariants_of_rows([[3]], [1], 1, 3)
     assert inv.exponents == (1,) and inv.free_rank == 0
-    # 6 = unit * 3 in the 3-local integers
-    inv = linalg.lattice_quotient_invariants([[Fraction(6)]], [[Fraction(1)]], 3)
+    assert _over_one([[1]], 1, inv.torsion_basis) and _over_one([[1]], 1, inv.torsion_left)
+    # 6 = unit * 3 in the 3-local integers: f_1 = 2, and its coefficient
+    # is the coordinate over 2
+    inv = linalg.quotient_invariants_of_rows([[6]], [1], 1, 3)
     assert inv.exponents == (1,)
-    inv = linalg.lattice_quotient_invariants([[Fraction(1)]], [[Fraction(1)]], 3)
+    assert _over_one([[2]], 1, inv.torsion_basis) and _over_one([[1]], 2, inv.torsion_left)
+    inv = linalg.quotient_invariants_of_rows([[1]], [1], 1, 3)
     assert inv.exponents == () and inv.free_rank == 0
-    with pytest.raises(linalg.NotSublatticeError, match="not a sublattice"):
-        linalg.lattice_quotient_invariants([[Fraction(1, 3)]], [[Fraction(1)]], 3)
+    assert _over_one(np.empty((1, 0)), 1, inv.torsion_basis)
+    assert _over_one(np.empty((0, 1)), 1, inv.torsion_left)
+    with pytest.raises(ValueError, match="valuation >= 0"):
+        linalg.quotient_invariants_of_rows([[1]], [3], 1, 3)
+
+
+def _over_one(N, d, ours) -> bool:
+    """ours is the integer matrix N over the denominator d."""
+    M, e = ours
+    return e == d and M.shape == np.shape(N) and all(x == y for x, y in zip(M.flat, np.ravel(N)))
 
 
 def test_lattice_quotient_free_rank():
-    sup = linalg.identity(2)
-    inv = linalg.lattice_quotient_invariants([[Fraction(2)], [Fraction(0)]], sup, 2)
+    inv = linalg.quotient_invariants_of_rows([[2], [0]], [1, 1], 1, 2)
     assert inv.exponents == (1,) and inv.free_rank == 1
 
 
-def test_lattice_basis_from_generators_keeps_index():
-    gens = linalg.as_matrix([[2, 4], [0, 0]])
-    basis = linalg.lattice_basis_from_generators(gens, 2)
+def test_lattice_basis_of_columns_keeps_index():
+    basis = linalg.lattice_basis_of_columns(np.array([[2, 4], [0, 0]], dtype=object), 2)
     assert basis.shape == (2, 1)
     assert abs(basis[0, 0]) == 2 and basis[1, 0] == 0
 
@@ -159,11 +168,13 @@ def test_solve_and_inverse():
     assert linalg.solve_exact([[1], [1]], linalg.as_vector([1, 2])) is None
 
 
-def test_left_null_space():
-    M = linalg.as_matrix([[1, 2], [2, 4], [0, 1]])
-    N = linalg.left_null_space(M)
-    assert N.shape[0] == 1
-    assert all(x == 0 for x in (N @ M).reshape(-1))
+def test_annihilator_of_columns_is_the_integral_kernel_of_their_rows():
+    # the rows w with w M = 0, as the rational intersection criterion
+    # takes them from a decomposition matrix
+    M = np.array([[1, 2], [2, 4], [0, 1]], dtype=object)
+    W = linalg.integral_kernel_of_rows(M.T.tolist(), 3, 5).T
+    assert W.shape == (1, 3) == fraction_linalg.left_null_space(M).shape
+    assert not any(W.dot(M).flat)
 
 
 def test_numpy_integers_become_python_ints():
@@ -269,31 +280,42 @@ def test_lattice_basis_equals_the_left_inverse_version(case, data):
         C = linalg.as_matrix(data.draw(st.lists(st.lists(coeff, min_size=k, max_size=k),
                                                 min_size=G.shape[1], max_size=G.shape[1])))
         G = np.concatenate([G, G @ C], axis=1)
-    ours = linalg.lattice_basis_from_generators(G, p)
+    ours = _lattice_basis(G, p)
     oracle = fraction_linalg.lattice_basis_from_generators(G, p)
     assert _identical(ours, oracle)
     assert ours.shape[1] == linalg.smith_normal_form(G, p).rank
+
+
+def _lattice_basis(G, p):
+    """lattice_basis_of_columns of the numerators of G, whose denominator
+    is a unit, as Fractions."""
+    return linalg.from_numerators(linalg.lattice_basis_of_columns(linalg.numerators(G)[0], p), 1)
 
 
 @settings(max_examples=100, deadline=None)
 @given(local_matrix())
 def test_quotient_torsion_basis_equals_the_inverted_left_transform(case):
     p, C = case
-    inv = linalg.quotient_invariants(C, p)
-    snf = linalg.smith_normal_form(C, p)
+    N, d = linalg.numerators(C)
+    inv = linalg.quotient_invariants_of_rows(N.tolist(), [d] * len(N), C.shape[1], p)
+    snf = fraction_linalg.smith_normal_form(C, p)
     torsion = [i for i, e in enumerate(snf.exponents) if e > 0]
     assert inv.exponents == tuple(snf.exponents[i] for i in torsion)
-    assert _identical(inv.torsion_basis, linalg.inverse(snf.left)[:, torsion])
-    assert _identical(inv.torsion_left, snf.left[torsion])
+    assert inv.free_rank == C.shape[0] - snf.rank
+    # each over the least common denominator of the oracle's entries
+    assert _over_one(*linalg.numerators(fraction_linalg.inverse(snf.left)[:, torsion]),
+                     inv.torsion_basis)
+    assert _over_one(*linalg.numerators(snf.left[torsion]), inv.torsion_left)
 
 
 def test_lattice_basis_of_empty_and_rank_deficient_generators():
     p = 4294967311
     for G in (linalg.zeros(0, 3), linalg.zeros(3, 0), linalg.zeros(2, 2),
               linalg.as_matrix([[p, 2 * p, 0], [p * p, 2 * p * p, 0]])):
-        assert _identical(linalg.lattice_basis_from_generators(G, p),
+        assert _identical(_lattice_basis(G, p),
                           fraction_linalg.lattice_basis_from_generators(G, p))
-    basis = linalg.lattice_basis_from_generators([[p, 2 * p], [p * p, 2 * p * p]], p)
+    basis = linalg.lattice_basis_of_columns(
+        np.array([[p, 2 * p], [p * p, 2 * p * p]], dtype=object), p)
     assert basis.shape == (2, 1) and list(basis[:, 0]) == [p, p * p]
 
 
@@ -317,7 +339,6 @@ def _same_outcome(f, oracle, *args) -> bool:
 def test_elimination_equals_the_fraction_version(case, data):
     p, M = case
     m, n = M.shape
-    assert _identical(linalg.left_null_space(M), fraction_linalg.left_null_space(M))
     assert linalg.rational_rank(M) == len(fraction_linalg.eliminate(np.array(M), n))
     _, B = data.draw(local_matrix(p=p, shape=(m, data.draw(st.integers(1, 3)))))
     for rhs in (B, B[:, 0]):
@@ -327,11 +348,12 @@ def test_elimination_equals_the_fraction_version(case, data):
         assert _same_outcome(linalg.inverse, fraction_linalg.inverse, M)
 
 
-def _ring_solution(v, basis, p):
-    """The oracle of lattice_membership: the rational solution of
-    basis @ x = v when it has ring entries, else None."""
-    coords = fraction_linalg.solve_exact(basis, v)
-    return coords if coords is None or linalg.is_integral(coords, p) else None
+def _membership(V, basis, p):
+    """lattice_membership_of_columns of the columns of V in the basis, on
+    their numerators, as Fractions."""
+    found = linalg.lattice_membership_of_columns(linalg.numerators(basis),
+                                                 linalg.numerators(V), p)
+    return None if found is None else linalg.from_numerators(*found)
 
 
 @settings(max_examples=150, deadline=None)
@@ -346,5 +368,4 @@ def test_lattice_membership_equals_the_fraction_solve(case, data):
     # V is mostly outside the span when m > n; inside / p mostly has
     # coordinates outside the ring; a basis with m < n is rank deficient
     for v in (V, inside, inside * Fraction(1, p)):
-        for rhs in (v, v[:, 0]) if k else (v,):
-            assert _same_outcome(linalg.lattice_membership, _ring_solution, rhs, basis, p)
+        assert _same_outcome(_membership, fraction_linalg.lattice_membership, v, basis, p)
