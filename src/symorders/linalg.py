@@ -263,12 +263,6 @@ class SmithDecomposition:
     right: np.ndarray
     rank: int
 
-    def diagonal(self, p: int, shape) -> np.ndarray:
-        D = zeros(*shape)
-        for i, e in enumerate(self.exponents):
-            D[i, i] = Fraction(p) ** e
-        return D
-
 
 def smith_normal_form(M, p: int) -> SmithDecomposition:
     """Smith normal form over the p-local integers.

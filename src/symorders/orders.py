@@ -174,10 +174,6 @@ class Order:
         traces.flags.writeable = False
         return traces
 
-    def regular_character(self, a) -> Fraction:
-        """Trace of left multiplication by a."""
-        return np.dot(self.element(a), self.regular_traces)
-
     # -- predicates ---------------------------------------------------
 
     def is_central(self, a) -> bool:

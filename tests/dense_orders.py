@@ -5,10 +5,10 @@ The library keeps an order's structure constants only as its integer
 table (``Order.products``) and builds orders from their nonzero entries
 (i, j, k, c).  The oracles contract the dense cube S[i, j, k] = c_ijk of
 Fractions instead; these helpers convert between the two.  The left
-matrix of an element and the unit test are read off the cube.  The
-centre and the central idempotents, which the library reads off the
-centre's own table, are derived here from stacked Fraction commutator
-matrices, one linear solve per character.
+matrix of an element, its trace and the unit test are read off the
+cube.  The centre and the central idempotents, which the library reads
+off the centre's own table, are derived here from stacked Fraction
+commutator matrices, one linear solve per character.
 """
 
 from fractions import Fraction
@@ -41,6 +41,11 @@ def dense_order(S, one, p):
 def left_matrix(A, a) -> np.ndarray:
     """Matrix of x -> a x on the basis (columns are a b_j)."""
     return np.tensordot(linalg.as_vector(a), cube(A), axes=([0], [0])).T
+
+
+def regular_character(A, a) -> Fraction:
+    """Trace of left multiplication by a, on the left matrix."""
+    return sum(left_matrix(A, a).diagonal())
 
 
 def is_unit(A, a) -> bool:

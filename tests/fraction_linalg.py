@@ -113,6 +113,14 @@ def det(M) -> Fraction:
     return sign * result
 
 
+def smith_diagonal(snf: linalg.SmithDecomposition, p: int, shape) -> np.ndarray:
+    """diag(p^e_1, ..., p^e_r, 0, ..) of the given shape."""
+    D = linalg.zeros(*shape)
+    for i, e in enumerate(snf.exponents):
+        D[i, i] = Fraction(p) ** e
+    return D
+
+
 def smith_normal_form(M, p: int) -> linalg.SmithDecomposition:
     """Pivot on an entry of least valuation (ties: lowest row, then
     column), clear its row and column once, divide the pivot row by the

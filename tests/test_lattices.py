@@ -21,6 +21,7 @@ from symorders.builders import (
     matrix_order,
     rank2_order,
     rank2_projection_lattice,
+    s3_characters,
     s3_fixture_bundle,
     symmetric_group_table,
 )
@@ -152,9 +153,9 @@ def test_kept_lattice_data_dies_with_its_lattice(tmp_path):
 
 def test_check_all_builds_each_stable_hom_and_radical_once(monkeypatch):
     b = s3_fixture_bundle(3)
-    built = []
-    radicals = []
-    build, radical = lattices._stable_hom, modp.FpAlgebra.radical
+    built, analysed, radicals = [], [], []
+    build, analyse, radical = (lattices._stable_hom, lattices._residue_endo_analysis,
+                               modp.FpAlgebra.radical)
 
     def counting_build(A, s, U, V):
         built.append((id(U), id(V)))
@@ -165,12 +166,17 @@ def test_check_all_builds_each_stable_hom_and_radical_once(monkeypatch):
         return radical(alg)
 
     monkeypatch.setattr(lattices, "_stable_hom", counting_build)
+    monkeypatch.setattr(lattices, "_residue_endo_analysis",
+                        lambda A, U: analysed.append(id(U)) or analyse(A, U))
     monkeypatch.setattr(modp.FpAlgebra, "radical", counting_radical)
     assert cli.run("all", b).ok
     items = b.lattices.values()
-    # one build per ordered lattice pair, one radical per lattice
+    # one build per ordered lattice pair and one analysis per lattice; the
+    # End of the trivial and the sign lattice has rank one and needs no
+    # radical, so only the regular lattice's is computed
     assert sorted(built) == sorted((id(U), id(V)) for U in items for V in items)
-    assert len(built) == 9 and len(radicals) == 3
+    assert len(built) == 9 and sorted(analysed) == sorted(map(id, items))
+    assert len(radicals) == 1 and radicals[0].dim == 6
 
 
 def test_check_all_builds_each_twisted_action_once(monkeypatch):
@@ -735,24 +741,51 @@ def _assert_closed_forms_equal_the_smith_path(A, s, U, V):
     kernel (ring coordinates both ways), Higman's certificate holds on
     every free lattice, and the stable Homs, the Tate reports and the
     trace verdicts equal those of fresh copies of U and V on which no
-    generator is found, so that everything takes the Smith path.  A pair
-    with a free argument reaches no relative trace and no Smith form."""
+    generator is found and no Hom has low rank, so that everything takes
+    the Smith path and the radical.  A pair with a free argument or a Hom
+    of rank at most one reaches no Smith form of its relative traces."""
     free = {id(W): lattices.free_generator(A, W) is not None for W in (U, V)}
     assert all(lattices._higman(A, s, W) == free[id(W)] for W in (U, V))
+    low = {}
     for X, Y in ((U, V), (V, U), (U, U), (V, V)):
         ours, theirs = hom_lattice(A, X, Y), lattices._hom_lattice(A, X, Y)
         assert ours.rank == theirs.rank
         assert ours.coords_of_many(theirs.basis) is not None
         assert theirs.coords_of_many(ours.basis) is not None
+        low[id(X), id(Y)] = ours.rank <= 1
     with mock.patch.object(lattices, "_projective_hom", wraps=lattices._projective_hom) as spy:
         ours = _results(A, s, U, V)
     reached = {(id(X), id(Y)) for (_, _, X, Y), _ in spy.call_args_list}
-    pairs = {(id(X), id(Y)) for X in (U, V) for Y in (U, V)}
-    assert reached == {(x, y) for x, y in pairs if not (free[x] or free[y])}
+    assert reached == {(x, y) for (x, y), rank_one in low.items()
+                       if not (free[x] or free[y] or rank_one)}
     U2, V2 = _fresh(U), _fresh(V)
-    with mock.patch.object(lattices, "free_generator", lambda A, U: None):
+    with mock.patch.object(lattices, "free_generator", lambda A, U: None), \
+            mock.patch.object(lattices, "_low_rank", lambda H: False):
         theirs = _results(A, s, U2, V2)
     assert ours == theirs
+
+
+def _new_basis(draw, n, p) -> tuple:
+    """(kind, P): the own basis, a permutation of it or a dense change of
+    basis over the ring, as the columns of P."""
+    basis = draw(st.sampled_from(["own", "permuted", "dense"]))
+    if basis == "permuted":
+        P = linalg.zeros(n, n)
+        for i, k in enumerate(draw(st.permutations(range(n)))):
+            P[k, i] = Fraction(1)
+    else:
+        P = draw(unimodular(n, p)) if basis == "dense" else linalg.identity(n)
+    return basis, P
+
+
+def _conjugated(draw, U):
+    """U conjugated by a diagonal matrix of units at p."""
+    A = U.order
+    d = [draw(st.sampled_from([d for d in (1, 2, 3, 5, 7, 11) if d % A.prime]))
+         for _ in range(U.rank)]
+    return so.make_lattice(A, [[[m[a, b] * Fraction(d[b], d[a]) for b in range(U.rank)]
+                                for a in range(U.rank)]
+                               for m in fraction_lattices.action(U)])
 
 
 @st.composite
@@ -776,28 +809,14 @@ def free_cases(draw):
         A, s = matrix_order(2, p)
         small = matrix_column_lattice(A, 2)
     R = so.regular_lattice(A)
-    basis = draw(st.sampled_from(["own", "permuted", "dense"]))
-    if basis == "permuted":
-        perm = draw(st.permutations(range(A.dim)))
-        P = linalg.zeros(A.dim, A.dim)
-        for i, k in enumerate(perm):
-            P[k, i] = Fraction(1)
-    else:
-        P = draw(unimodular(A.dim, p)) if basis == "dense" else linalg.identity(A.dim)
+    basis, P = _new_basis(draw, A.dim, p)
     A, s, (R, small) = _moved(A, s, [R, small], P)
     new = draw(st.booleans())
     if new:
         R = so.regular_lattice(A)  # on the new basis of A, not the old one
-    units = st.sampled_from([d for d in (1, 2, 3, 5, 7, 11) if d % p])
-
-    def conjugate(U):
-        d = [draw(units) for _ in range(U.rank)]
-        return so.make_lattice(A, [[[m[a, b] * Fraction(d[b], d[a]) for b in range(U.rank)]
-                                    for a in range(U.rank)]
-                                   for m in fraction_lattices.action(U)])
-
     on_group = kind == "group" and not (new and basis == "dense")
-    return on_group, A, s, conjugate(R), conjugate(draw(st.sampled_from([R, small])))
+    return on_group, A, s, _conjugated(draw, R), _conjugated(
+        draw, draw(st.sampled_from([R, small])))
 
 
 @settings(max_examples=60, deadline=None)
@@ -866,6 +885,115 @@ def test_the_closed_forms_reject_a_matrix_that_is_no_inverse_of_the_orbit_matrix
             hom_lattice(A, _fresh(R), R)
         with pytest.raises(AssertionError, match="Higman's certificate fails"):
             lattices._higman(A, s, _fresh(R))
+
+
+# -- Homs of rank at most one in closed form against the Smith path ----------
+
+
+def _alternating_group_table(n):
+    _, _, elems = symmetric_group_table(n)
+    even = [g for g in elems if sum(g[a] > g[b] for a in range(n) for b in range(a + 1, n)) % 2 == 0]
+    index = {g: i for i, g in enumerate(even)}
+    return [[index[tuple(g[h[k]] for k in range(n))] for h in even] for g in even]
+
+
+A4_TABLE = _alternating_group_table(4)
+
+
+@st.composite
+def rank_one_cases(draw):
+    """(A, s, U, V): a Hecke or rank-2 order, a cyclic group, S3 or A4, or
+    M2, on its own basis, on permuted elements or on a dense basis, with a
+    lattice U whose End has rank one (the Hecke lattices, the projection,
+    the trivial and sign lattices, the column lattice) and a second
+    lattice (one of those or, below A4, the regular one), each conjugated
+    by a diagonal matrix of units."""
+    p = draw(st.sampled_from(LOCAL_PRIMES))
+    kind = draw(st.sampled_from(["hecke", "rank2", "cyclic", "s3", "a4", "matrix"]))
+    if kind == "hecke":
+        q = draw(st.sampled_from([q for q in (3, 5, 7, 9, 15, 17, 31) if q % p]))
+        A, s = hecke_rank1(q, p)
+        small = [so.make_lattice(A, [[[1]], [[1]]]), so.make_lattice(A, [[[1]], [[-q]]])]
+    elif kind == "rank2":
+        A, s = rank2_order(draw(st.integers(1, 2)), p)
+        small = [rank2_projection_lattice(A)]
+    elif kind == "matrix":
+        A, s = matrix_order(2, p)
+        small = [matrix_column_lattice(A, 2)]
+    else:
+        if kind == "cyclic":
+            table = cyclic_group_table(draw(st.integers(2, 5)))[0]
+        else:
+            table = symmetric_group_table(3)[0] if kind == "s3" else A4_TABLE
+        A, s = group_algebra(table, p)
+        small = [so.make_lattice(A, [[[1]]] * A.dim)]
+        if kind == "s3":
+            small.append(so.make_lattice(A, [[[x]] for x in s3_characters()[2]]))  # the sign
+    regular = [so.regular_lattice(A)] if kind != "a4" else []
+    A, s, moved = _moved(A, s, small + regular, _new_basis(draw, A.dim, p)[1])
+    return A, s, _conjugated(draw, draw(st.sampled_from(moved[:len(small)]))), _conjugated(
+        draw, draw(st.sampled_from(moved)))
+
+
+def _assert_rank_one_presentations_equal_the_smith_path(A, s, U, V):
+    """On each pair of U and V whose Hom has rank at most one, the stable
+    Hom (exponents, generators, left transform) and on each such End(U)
+    the residue analysis equal those of the Smith path and the radical on
+    fresh copies."""
+    fresh = {id(W): _fresh(W) for W in (U, V)}
+    for X, Y in ((U, V), (V, U), (U, U), (V, V)):
+        if hom_lattice(A, X, Y).rank > 1:
+            continue
+        ours = so.stable_hom(A, s, X, Y)
+        with mock.patch.object(lattices, "_low_rank", lambda H: False):
+            theirs = so.stable_hom(A, s, fresh[id(X)], fresh[id(Y)])
+        assert ours.exponents == theirs.exponents
+        for (M, m), (N, n) in ((ours.integer_generators, theirs.integer_generators),
+                               (ours._left, theirs._left)):
+            assert M.shape == N.shape and m == n
+            assert all(type(x) is int and x == y for x, y in zip(M.flat, N.flat))
+    for W in (U, V):
+        if hom_lattice(A, W, W).rank == 1:
+            ours = so.residue_endo_analysis(A, W)
+            with mock.patch.object(lattices, "_low_rank", lambda H: False):
+                theirs = so.residue_endo_analysis(A, fresh[id(W)])
+            assert (ours.dimension, ours.split_local, ours.quotient_dim) == (
+                theirs.dimension, theirs.split_local, theirs.quotient_dim) == (1, True, 1)
+            assert ours.radical_basis.shape == theirs.radical_basis.shape == (0, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank_one_cases())
+def test_homs_of_rank_at_most_one_in_closed_form_equal_the_smith_path(case):
+    A, s, U, V = case
+    assert hom_lattice(A, U, U).rank == 1
+    _assert_rank_one_presentations_equal_the_smith_path(A, s, U, V)
+    _assert_closed_forms_equal_the_smith_path(A, s, U, V)
+
+
+def test_the_rank_one_closed_forms_reject_what_they_do_not_certify():
+    # End of the M2 column lattice has rank one, and its relative traces are
+    # 4 x 4: one of them moved off the line of the hom basis is caught
+    A, s = matrix_order(2, 3)
+    U = matrix_column_lattice(A, 2)
+    exact = lattices._relative_trace_map
+
+    def perturbed(*args):
+        T, q = exact(*args)
+        T = T.copy()
+        T[0, 1] += 1
+        return T, q
+
+    with mock.patch.object(lattices, "_relative_trace_map", perturbed):
+        with pytest.raises(AssertionError, match="not a multiple of the hom basis"):
+            so.stable_hom(A, s, U, U)
+    # a basis of End(U) that is 2 times the identity spans 2 End(U) at p = 2
+    A, s = hecke_rank1(3, 2)
+    T = so.make_lattice(A, [[[1]], [[1]]])
+    doubled = HomLattice.of_matrices(T, T, [[[2]]])
+    with mock.patch.object(lattices, "hom_lattice", lambda *args: doubled):
+        with pytest.raises(AssertionError, match="End\\(U\\) of rank one is not the ring"):
+            so.residue_endo_analysis(A, T)
 
 
 def test_tate_on_a_non_separable_order_raises_through_the_twisted_action():

@@ -136,17 +136,22 @@ def test_left_regular_matrices():
 
 
 def test_regular_character_values():
+    # the traces of left multiplication on the dense cube, and the
+    # regular traces the library reads off the table
     G, _ = s3_group_algebra(3)
-    assert G.regular_character(G.one) == 6
+    assert dense_orders.regular_character(G, G.one) == 6
     for i in range(1, 6):
-        assert G.regular_character(G.basis_element(i)) == 0
+        assert dense_orders.regular_character(G, G.basis_element(i)) == 0
 
     H, _ = hecke_rank1(3, 2)
-    assert H.regular_character(H.basis_element(1)) == 1 - 3
+    assert dense_orders.regular_character(H, H.basis_element(1)) == 1 - 3
 
     for m, p in [(1, 2), (2, 2), (2, 3)]:
         R, _ = rank2_order(m, p)
-        assert R.regular_character(R.basis_element(1)) == Fraction(p) ** m
+        assert dense_orders.regular_character(R, R.basis_element(1)) == Fraction(p) ** m
+    for A in (G, H, R):
+        assert list(A.regular_traces) == [
+            dense_orders.regular_character(A, A.basis_element(i)) for i in range(A.dim)]
 
 
 def test_center_basis_class_sums(s3):
@@ -310,9 +315,8 @@ def test_random_associativity_and_trace_property(s3):
         assert linalg.vectors_equal(
             A.multiply(A.multiply(a, b), c), A.multiply(a, A.multiply(b, c))
         )
-        assert A.regular_character(A.multiply(a, b)) == A.regular_character(
-            A.multiply(b, a)
-        )
+        assert dense_orders.regular_character(A, A.multiply(a, b)) == (
+            dense_orders.regular_character(A, A.multiply(b, a)))
 
 
 def test_center_saturation(s3):
