@@ -205,7 +205,7 @@ def _reading(section: str):
         raise
     except KeyError as exc:
         raise BundleError(f"{section}: missing field {exc}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
         raise BundleError(f"{section} validation failed: {exc}") from exc
 
 

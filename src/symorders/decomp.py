@@ -6,10 +6,15 @@ centre (the centre as one ring, with the central characters as its
 homomorphisms) and rational symmetry of an order, the orbit and span
 tests deciding the scalar property on those homomorphisms mod p, and the
 arithmetic checks relating exponents, ranks and character degrees
-(heights).  Both searches decide their candidates with one whole-candidate test on the
-centre, valuations of integer combinations of the central idempotents and
-the characters against one determinant valuation (:class:`WitnessTest`),
-and certify only the witness they return.
+(heights).  Both searches decide their candidates with one
+whole-candidate test on the centre, valuations of integer combinations
+of the central idempotents and the characters against one determinant
+valuation (:class:`WitnessTest`), and certify only the witness they
+return.  The character layer runs on integer numerators over one
+denominator: the characters, the centre's table, the spectral
+coordinates and the idempotents (:class:`RationalCentre`), their
+residues mod p and their valuations.  Fractions are built for what the
+reports print and the public fields return.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +37,7 @@ from .forms import (
 )
 from .modp import FpAlgebra, nullspace
 from .orders import Order
-from .padic import INFINITY, as_int, int_val, residue_int, val
+from .padic import INFINITY, as_int, int_val, residues_over, val
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,23 +154,23 @@ def witness_test(A: Order, table: CharacterTable) -> WitnessTest:
 
 
 def _witness_test(A: Order, table: CharacterTable) -> WitnessTest:
-    p, idems = A.prime, rational_centre(A, table).idempotents
+    centre = rational_centre(A, table)
+    (E, h), (X, m) = centre.integer_idempotents, centre.integer_characters
+    p, (R, r) = A.prime, linalg.numerators(A.regular_traces)  # rho(b_k) = R_k / r
     N, g = _gram_numerators(A, regular_character_form(A))  # G_rho = N / g
-    N = np.array(N, dtype=object)
-    det = linalg.det(N)
-    if det == 0:
+    pivots, (num, den) = linalg.eliminate([list(row) for row in N], [1] * A.dim, A.dim)
+    if len(pivots) < A.dim:
         raise ValueError("regular Gram matrix singular: K⊗A not separable")
-    ranks, determinant = [], val(det, p) - A.dim * int_val(g, p)
-    (E, h), (X, m) = (linalg.numerators(np.array([list(c) for c in columns], dtype=object).T)
-                      for columns in (idems, table.values))  # columns e_chi h, chi(b_k) m
-    for traces, chi, e in zip(N.T.dot(E).T, X.T, idems):  # rho(e_chi b_k) g h
+    ranks, determinant = [], int_val(num, p) - int_val(den, p) - A.dim * int_val(g, p)
+    # columns e_chi h, rows chi(b_k) m, and rho(e_chi b_k) g h
+    for traces, chi, e in zip(np.array(N, dtype=object).T.dot(E).T, X, E.T):
         i = next(i for i, x in enumerate(chi) if x)  # c_chi = traces[i] m / (chi[i] g h)
         if traces[i] == 0 or any(t * chi[i] != traces[i] * x for t, x in zip(traces, chi)):
             raise ValueError("regular character on e_chi A is no multiple of chi")
-        ranks.append(as_int(np.dot(A.regular_traces, e)))
-        determinant -= ranks[-1] * val(Fraction(traces[i] * m, chi[i] * g * h), p)
+        ranks.append(as_int(Fraction(R.dot(e), r * h)))
+        determinant -= ranks[-1] * (int_val(traces[i] * m, p) - int_val(chi[i] * g * h, p))
     families = []
-    for M, d in ((E, h), (X, m)):
+    for M, d in ((E, h), (X.T, m)):
         rows = list(dict.fromkeys(tuple(row) for row in M if any(row)))
         families.append((np.array(rows, dtype=object).reshape(-1, M.shape[1]), int_val(d, p)))
     return WitnessTest(p, *families, np.array(ranks, dtype=np.int64), determinant)
@@ -318,21 +324,45 @@ def morita_shift_witness(A: Order, table: CharacterTable, D: DecompositionMatrix
 @dataclass(frozen=True, eq=False)
 class RationalCentre:
     """The centre Z as a ring on its own saturated basis, with its central
-    characters and the primitive central idempotents dual to them."""
+    characters and the primitive central idempotents dual to them, each
+    as integers M over one denominator d, (M, d) for M / d, as
+    :func:`forms.central_characters` reads and returns them.  Their
+    Fraction arrays are built on first read."""
 
-    basis: np.ndarray  # columns z_i, coordinates in the order basis
-    idempotents: list  # the rational central idempotents e_chi
-    spectral: np.ndarray  # (rank, num_chars): omega_chi(z_i) = chi(z_i)/chi(1)
-    table: np.ndarray  # (rank, rank, rank): z_i z_j = sum_k table[i, j, k] z_k
-    unit: np.ndarray  # (rank,): 1 = sum_k unit[k] z_k
+    integer_basis: tuple  # columns z_i, coordinates in the order basis
+    integer_table: tuple  # (rank, rank, rank): z_i z_j = sum_k table[i, j, k] z_k
+    integer_unit: tuple  # (rank,): 1 = sum_k unit[k] z_k
+    integer_characters: tuple  # (num_chars, dim): chi(b_k)
+    integer_spectral: tuple  # (rank, num_chars): omega_chi(z_i) = chi(z_i)/chi(1)
+    integer_idempotents: tuple  # (dim, num_chars): columns e_chi
 
     @property
     def rank(self) -> int:
-        return self.basis.shape[1]
+        return self.integer_basis[0].shape[1]
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return linalg.from_numerators(*self.integer_basis)
+
+    @cached_property
+    def idempotents(self) -> list:
+        return list(linalg.from_numerators(*self.integer_idempotents).T.copy())
+
+    @cached_property
+    def spectral(self) -> np.ndarray:
+        return linalg.from_numerators(*self.integer_spectral)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        return linalg.from_numerators(*self.integer_table)
+
+    @cached_property
+    def unit(self) -> np.ndarray:
+        return linalg.from_numerators(*self.integer_unit)
 
 
 def rational_centre(A: Order, table: CharacterTable) -> RationalCentre:
-    """The centre of the order (:attr:`Order.centre`) with the central
+    """The centre of the order (:attr:`Order.integer_centre`) with the central
     characters omega_chi of the table as its ring homomorphisms, and the
     idempotents dual to them (:func:`forms.central_characters`).  With a
     rational character table Z(K⊗A) is K^r, so this is the intersection
@@ -342,9 +372,9 @@ def rational_centre(A: Order, table: CharacterTable) -> RationalCentre:
 
 
 def _rational_centre(A: Order, table: CharacterTable) -> RationalCentre:
-    spectral, idems = central_characters(A.centre, table.values)
-    Z, C, u = A.centre
-    return RationalCentre(basis=Z, idempotents=idems, spectral=spectral, table=C, unit=u)
+    characters = linalg.numerators(table.values)
+    return RationalCentre(*A.integer_centre, characters,
+                          *central_characters(A.integer_centre, characters))
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,16 +399,18 @@ def congruence_analysis(A: Order, table: CharacterTable, sigma_tilde, n: int) ->
     integrality constraint is binding below level n, the relation among
     the unit parts; two-term relations are reported as residue ratios.
     """
-    p = A.prime
+    p, (X, m) = A.prime, rational_centre(A, table).integer_characters
     w = [val(c, p) for c in linalg.as_vector(sigma_tilde)]
+    vm, unit = int_val(m, p), pow(m // p ** int_val(m, p), -1, p)  # chi(b) = X / m
     out = []
-    for b, chis in enumerate(table.values.T):
-        levels = [w_i + val(chi_b, p) for w_i, chi_b in zip(w, chis)]
+    for b, chis in enumerate(X.T.tolist()):
+        levels = [w_i + int_val(x, p) - vm if x else INFINITY for w_i, x in zip(w, chis)]
         mu = min(levels)
         if mu == INFINITY or mu >= n:
             continue
-        terms = [(i, residue_int(chis[i] / Fraction(p) ** int(mu - w[i]), p, 1))
-                 for i in range(len(chis)) if levels[i] == mu]
+        # the unit part of chi(b), chi(b) / p^(mu - w_chi), mod p
+        terms = [(i, x // p ** int_val(x, p) * unit % p)
+                 for i, x in enumerate(chis) if levels[i] == mu]
         ratio = None
         if len(terms) == 2:
             (i, ci), (j, cj) = terms
@@ -397,9 +429,9 @@ class RationalSymmetryResult:
 
 def _search_values(bound: int) -> list:
     """Deterministic list of nonzero rationals with |numerator| and
-    denominator at most the bound, ordered by (denominator, |numerator|,
-    sign)."""
-    return [sign * Fraction(num, den) for den in range(1, bound + 1)
+    denominator at most the bound, in lowest terms as pairs (numerator,
+    denominator), ordered by (denominator, |numerator|, sign)."""
+    return [(sign * num, den) for den in range(1, bound + 1)
             for num in range(1, bound + 1) if math.gcd(num, den) == 1 for sign in (1, -1)]
 
 
@@ -424,8 +456,7 @@ def rational_symmetry_search(A: Order, table: CharacterTable, bound: int = 5):
     p = A.prime
     values = _search_values(bound)
     dtype = np.int64 if bound ** table.num_chars < 2**63 else object
-    nums = np.array([c.numerator for c in values], dtype=dtype)
-    dens = np.array([c.denominator for c in values], dtype=dtype)
+    nums, dens = (np.array(column, dtype=dtype) for column in zip(*values))
 
     def candidates(digits):
         d = np.prod(dens[digits], axis=1)
@@ -435,8 +466,7 @@ def rational_symmetry_search(A: Order, table: CharacterTable, bound: int = 5):
     if hit is None:
         return RationalSymmetryResult(None, None, None, [])
     k, rest, n = hit
-    pk = Fraction(p) ** k
-    sigma = [pk * values[i] for i in rest] + [pk]
+    sigma = [Fraction(p**k * values[i][0], values[i][1]) for i in rest] + [Fraction(p**k)]
     return RationalSymmetryResult(
         witness_sigma=tuple(sigma),
         witness_n=n,
@@ -465,17 +495,19 @@ def _central_homs(A: Order, centre: RationalCentre):
     Z is an O-order in K^r, hence integral over O, so by lying over
     (Cohen-Seidenberg) every unital homomorphism Z -> F_p is z ->
     omega_chi(z) mod p for a column chi of the spectral coordinates.
-    Certified: the table of Z is a ring with 1 (:attr:`Order.centre`), the
-    spectral coordinates are p-integral, each reduction is a unital
-    homomorphism on the table, and the joint kernel is nilpotent, so no
-    maximal ideal is missed.
+    Certified: the table of Z is a ring with 1
+    (:attr:`Order.integer_centre`), the spectral coordinates are
+    p-integral, each reduction is a unital homomorphism on the table, and
+    the joint kernel is nilpotent, so no maximal ideal is missed.
     """
     p = A.prime
-    if not linalg.is_integral(centre.spectral, p):
+    spectral, table, unit = (np.array(residues_over(M.flat, d, p), dtype=object).reshape(M.shape)
+                             for M, d in (centre.integer_spectral, centre.integer_table,
+                                          centre.integer_unit))
+    if None in spectral:
         raise AssertionError("spectral coordinates not p-integral")
-    residues = np.vectorize(lambda c: residue_int(c, p, 1), otypes=[object])
-    alg = FpAlgebra(p, centre.rank, residues(centre.table), residues(centre.unit))
-    homs = sorted(set(map(tuple, residues(centre.spectral).T.tolist())))
+    alg = FpAlgebra(p, centre.rank, table, unit)
+    homs = sorted(set(map(tuple, spectral.T.tolist())))
     H = np.array(homs, dtype=object)
     if (H @ alg.one % p != 1).any() or any(((np.outer(h, h) - alg.table @ h) % p).any()
                                            for h in H):
@@ -524,19 +556,23 @@ def rational_intersection_criterion(
         raise ValueError("zero Schur coefficient")
     centre = rational_centre(A, table)
     p, homs = A.prime, _central_homs(A, centre)[1]
+    (E, h), (S, _) = centre.integer_idempotents, centre.integer_spectral
 
-    # orbit test on the line through w, with omega_chi(w) = sigma~_chi / chi(1)
-    spectrum = [s / d for s, d in zip(sigma_tilde, table.degrees)]
-    w = sum((c * e for c, e in zip(spectrum, centre.idempotents)), A.zero())
-    shift = -min(val(x, p) for x in w)
-    z0 = w * Fraction(p) ** int(shift)
+    # orbit test on the line through w = W / (h q), with omega_chi(w) =
+    # sigma~_chi / chi(1) = a_chi / q
+    a, q = linalg.numerators([s / d for s, d in zip(sigma_tilde, table.degrees)])
+    W = E.dot(a)
+    shift = int_val(h * q, p) - min(int_val(x, p) for x in W if x)
+    z0 = linalg.from_numerators(W * p ** max(shift, 0), h * q * p ** max(-shift, 0))
     if not linalg.is_integral(z0, p):
         raise AssertionError("scaled orbit element has non-ring coordinates")
-    verdict = all(val(c, p) == -shift for c in spectrum)
+    verdict = all(int_val(x, p) - int_val(q, p) == -shift for x in a)
 
-    # span test: Z_W against the kernel of every homomorphism
+    # span test: Z_W against the kernel of every homomorphism, on the
+    # numerators of sigma~, which scale the equations by a constant
     annihilator = linalg.integral_kernel_of_rows(D.entries.T.tolist(), len(D.entries), p).T
-    Z_W = linalg.integral_kernel(annihilator @ (centre.spectral.T * sigma_tilde[:, None]), p)
+    span = annihilator.dot(S.T * linalg.numerators(sigma_tilde)[0][:, None])
+    Z_W = linalg.integral_kernel_of_rows(span.tolist(), centre.rank, p)
     morita_verdict = bool((np.array(homs, dtype=object) @ Z_W % p != 0).any(axis=1).all())
     return IntersectionCriterionResult(verdict=verdict, morita_verdict=morita_verdict,
                                        orbit_generator=z0, maximal_ideal_count=len(homs))

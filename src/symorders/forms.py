@@ -17,9 +17,10 @@ Math. J. 58, 2009), and the twist s(w .) of s has dual basis w^{-1} D:
 a twist takes that from its parent, under the same certificates, with
 no elimination.  Fractions are built only for results: the values of
 forms, the Casimir element and its inverse, and, on first read, the
-arrays of :class:`DualBasis`.  Each datum is derived where it is read and kept on its form: the Gram
-numerators, the dual basis, and z^{-1} only for the Casimir-orbit
-search and the twisted traces of ``lattices``.
+arrays of :class:`DualBasis`.  Each datum is derived where it is read
+and kept on its form: the Gram numerators, the dual basis, and z^{-1}
+only for the Casimir-orbit search and the twisted traces of
+``lattices``.
 
 Two independent algorithms decide whether some symmetrising form has a
 scalar Casimir p^n 1 (the projective scalar property):
@@ -36,7 +37,9 @@ p^{-t} rho, the witness of the second: one form, kept with rho on the
 order and certified once.
 
 The central characters chi / chi(1) are the ring homomorphisms of the
-centre, and the central idempotents the basis dual to them.
+centre, and the central idempotents the basis dual to them, both read
+off the centre's integer table and the characters' numerators with one
+integer solve.
 """
 
 from __future__ import annotations
@@ -494,37 +497,46 @@ def scalar_spectrum_test(spectrum, p: int):
 
 
 def central_characters(centre, characters) -> tuple:
-    """(S, idempotents) of rational characters chi, one per simple factor
-    of K⊗A, on the centre (Z, C, u) of :attr:`Order.centre`.
+    """((S, s), (E, h)): the central characters S[i, chi] / s =
+    omega_chi(z_i) and the idempotents e_chi = E[:, chi] / h of rational
+    characters chi(b_k) = X[chi, k] / m, ``characters`` (X, m), one per
+    simple factor of K⊗A, on the centre ((N, n), (C, c), (u, e)) of
+    :attr:`Order.integer_centre`: basis z_i = N / n, table C / c, unit u / e.
 
-    S[i, chi] = omega_chi(z_i) = chi(z_i) / chi(1), with chi(1) read as
-    sum u_i chi(z_i), so omega_chi(1) = 1.  Certified on C, else
-    ValueError("system inconsistent: ..."): S is square and invertible and
-    each omega_chi is multiplicative.  So K⊗Z = K^r with the omega_chi as
-    its homomorphisms, and the primitive central idempotents are the dual
-    basis e = Z (S^T)^{-1}, which z_i = sum_chi S[i, chi] e_chi certifies."""
-    Z, C, u = centre
-    X = linalg.as_matrix(characters) @ Z  # chi(z_i)
-    degrees = X @ u
-    if X.shape[0] != X.shape[1] or 0 in degrees:
-        raise ValueError(f"system inconsistent: {X.shape[0]} characters of degrees "
-                         f"{', '.join(map(str, degrees))} on a centre of rank {X.shape[1]}")
-    S = (X / degrees[:, None]).T
-    try:
-        E = Z @ linalg.inverse(S.T)
+    For Y = X N and D = Y u, chi(z_i) = Y[chi, i] / (m n) and chi(1) =
+    D_chi / (m n e), so omega_chi(z_i) = e Y[chi, i] / D_chi.  Certified on
+    integers, else ValueError("system inconsistent: ..."): Y is square and
+    invertible and each omega_chi is multiplicative, e c y_i y_j = D_chi
+    (C y)_ij for y = Y[chi].  So K⊗Z = K^r, and the primitive central
+    idempotents are the dual basis: F Y = N / n is one integer solve on the
+    rows [Y^T | N^T] (:func:`linalg.solve_of_rows`), and e_chi = (D_chi / e)
+    F[:, chi].  F Y = N / n, checked as an integer product, certifies them."""
+    (N, n), (C, c), (u, e), (X, m) = *centre, characters
+    Y = X.dot(N)  # chi(z_i) m n
+    D = Y.dot(u).tolist()  # chi(1) m n e
+    if Y.shape[0] != Y.shape[1] or 0 in D:
+        degrees = (Fraction(x, m * n * e) for x in D)
+        raise ValueError(f"system inconsistent: {Y.shape[0]} characters of degrees "
+                         f"{', '.join(map(str, degrees))} on a centre of rank {Y.shape[1]}")
+    try:  # the rows of n F^T, over f
+        G, f = linalg.solve_of_rows([a + b for a, b in zip(Y.T.tolist(), N.T.tolist())], len(D))
     except ValueError:
         raise ValueError("system inconsistent: central characters linearly dependent") from None
-    if any(not linalg.matrices_equal(np.outer(w, w), C @ w) for w in S.T):
+    if any((np.outer(y, y) * (e * c) != C.dot(y) * d).any() for y, d in zip(Y, D)):
         raise ValueError("system inconsistent: a central character is not multiplicative")
-    if not linalg.matrices_equal(E @ S.T, Z):
+    F = np.array(G, dtype=object).T  # F f n
+    if (F.dot(Y) != f * N).any():
         raise AssertionError("centre basis differs from sum omega_chi(z) e_chi")
-    return S, list(E.T.copy())
+    s, E, h = math.lcm(*D), F * np.array(D, dtype=object), f * n * e
+    g = math.gcd(h, *E.flat)  # E / h in lowest terms
+    return (Y.T * np.array([e * (s // d) for d in D], dtype=object), s), (E // g, h // g)
 
 
 def central_idempotents(A: Order, characters) -> list:
     """Primitive central idempotents of the rational algebra, dual to the
     central characters of rational characters (:func:`central_characters`)."""
-    return central_characters(A.centre, characters)[1]
+    X = linalg.numerators(linalg.as_matrix(characters))
+    return list(linalg.from_numerators(*central_characters(A.integer_centre, X)[1]).T.copy())
 
 
 # -- forms on product orders ---------------------------------------------

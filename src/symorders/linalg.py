@@ -14,11 +14,10 @@ by the row gcd after every operation.  ``numerators`` and
 over one denominator.
 
 The front-ends on Fractions remain where a caller holds Fractions:
-:func:`rational_rank` (character tables), :func:`integral_kernel`
-(rational equations), :func:`solve_exact` (Schur coefficients),
-:func:`det` (the witness test) and :func:`inverse` (the rational
-centre, builders).  :func:`smith_normal_form`, with both transforms,
-has no caller in the library; the benchmark times it and the other
+:func:`rational_rank` (character tables), :func:`solve_exact` (Schur
+coefficients) and :func:`inverse` (builders).  :func:`integral_kernel`,
+:func:`det` and :func:`smith_normal_form`, with both transforms, have
+no caller in the library; the benchmark times them and the other
 front-ends by name.
 """
 

@@ -20,7 +20,7 @@ vectors (object arrays of Fractions), and elements with non-ring
 coordinates are allowed wherever an operation makes sense rationally
 (inverses, idempotents of the rational algebra, and so on).
 The centre is derived once, as a ring on its own basis
-(:attr:`Order.centre`) whose homomorphisms to K are the central
+(:attr:`Order.integer_centre`) whose homomorphisms to K are the central
 characters (``forms``).  The regular character as a linear form is
 kept on the order (``Order._kept``), and with it what ``forms`` derives
 from it: its Gram numerators and its scaled psp witnesses.
@@ -219,11 +219,12 @@ class Order:
         return linalg.from_numerators(B, h * f)
 
     @cached_property
-    def centre(self) -> tuple:
-        """The centre as a ring on its own basis: (Z, C, u), read-only.  Z
-        (columns) is the saturated kernel of the integer commutator rows
-        d (L(b_g) - R(b_g)) of the generators g, C its table and u the
-        coordinates of 1, certified ring by :func:`lattice_ring`."""
+    def integer_centre(self) -> tuple:
+        """The centre as a ring on its own basis, on integers: ((N, 1), (C,
+        c), (u, e)), read-only.  N (columns) is the saturated kernel of the
+        integer commutator rows d (L(b_g) - R(b_g)) of the generators g,
+        C / c its table and u / e the coordinates of 1, certified ring by
+        :func:`lattice_ring`."""
         rows = []
         for g in self.generators:
             block = [[0] * self.dim for _ in range(self.dim)]
@@ -235,12 +236,11 @@ class Order:
             rows.extend(block)
         N = linalg.integral_kernel_of_rows(rows, self.dim, self.prime)
         C, u = lattice_ring(self, N, self.one)
-        Z = linalg.from_numerators(N, 1)
         if C is None or u is None:
             raise AssertionError("centre lattice not a ring with 1")
-        for a in (Z, C, u):
+        for a in (N, C[0], u[0]):
             a.flags.writeable = False
-        return Z, C, u
+        return (N, 1), C, u
 
 
 def make_order(constants, one, p, basis_labels=None) -> Order:
@@ -326,8 +326,9 @@ def _nonzero(coords: dict) -> dict:
 def lattice_ring(A: Order, N, unit) -> tuple:
     """(C, u) for the lattice with the integer basis columns z_i of N: the
     coordinates of z_i z_j = sum_k C_ijk z_k and of ``unit`` on the basis,
-    each None when it is not ring-valued (the lattice is not closed under
-    products, or ``unit`` lies outside).  Products come from the table."""
+    each as integers over one denominator, or None when it is not
+    ring-valued (the lattice is not closed under products, or ``unit``
+    lies outside).  Products come from the table."""
     r = N.shape[1]
     terms = [[(k, x) for k, x in enumerate(col) if x] for col in N.T.tolist()]
     P = np.array([[prod.get(k, 0) for k in range(A.dim)]
@@ -336,8 +337,8 @@ def lattice_ring(A: Order, N, unit) -> tuple:
     w, e = linalg.numerators(unit)
     C, u = (linalg.lattice_membership_of_columns((N, 1), v, A.prime)
             for v in ((P, A.denominator), (w.reshape(-1, 1), e)))
-    return (None if C is None else linalg.from_numerators(*C).T.reshape(r, r, r),
-            None if u is None else linalg.from_numerators(*u)[:, 0])
+    return (None if C is None else (C[0].T.reshape(r, r, r), C[1]),
+            None if u is None else (u[0][:, 0], u[1]))
 
 
 def condense(A: Order, e) -> tuple:
@@ -364,7 +365,8 @@ def condense(A: Order, e) -> tuple:
         raise AssertionError("corner basis not multiplicatively closed")
     if unit is None:
         raise AssertionError("idempotent not in the corner lattice")
-    constants = [(i, j, k, c) for (i, j, k), c in np.ndenumerate(table) if c]
+    (C, c), unit = table, linalg.from_numerators(*unit)
+    constants = [(i, j, k, Fraction(x, c)) for (i, j, k), x in np.ndenumerate(C) if x]
     return make_order(constants, unit, A.prime), linalg.from_numerators(N, 1)
 
 

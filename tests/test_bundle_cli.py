@@ -259,6 +259,27 @@ def test_malformed_values_are_an_input_error_naming_the_section(s3_doc, tmp_path
     _assert_input_error(s3_doc, corrupt, message, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("keys, section", [
+    (("prime",), "prime"),
+    (("order", "structure", 0, 0, 0), "order"),
+    (("order", "one", 0), "order"),
+    (("forms", "standard", 1), "form 'standard'"),
+    (("lattices", "trivial", 0, 0, 0), "lattice 'trivial'"),
+    (("characters", "values", 0, 0), "characters"),
+    (("characters", "degrees", 1), "characters"),
+    (("decomposition", "matrix", 0, 0), "decomposition"),
+    (("decomposition", "modular_dims", 0), "decomposition"),
+    (("tables", "condensed", "degrees", 0), "table 'condensed'"),
+    (("tables", "condensed", "modular_dims", 0), "table 'condensed'"),
+])
+def test_a_zero_denominator_is_an_input_error_naming_the_section(s3_doc, tmp_path, capsys,
+                                                                 keys, section):
+    # Fraction("1/0") raises ZeroDivisionError, which is no ValueError
+    _assert_input_error(s3_doc, _scalar("1/0", *keys),
+                        f"input error: {section} validation failed: Fraction(1, 0)\n",
+                        tmp_path, capsys)
+
+
 @pytest.mark.parametrize("lattices", [{"zero": []}, {}], ids=["with-lattice", "without"])
 def test_an_order_of_dimension_zero_is_an_input_error(tmp_path, capsys, lattices):
     # before the check, the lattice died with an IndexError and, without

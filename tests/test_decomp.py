@@ -26,9 +26,11 @@ from symorders.builders import (
 from symorders.forms import central_idempotents, gram_matrix
 from symorders.padic import int_val
 import dense_orders
+import fraction_characters
 import fraction_lattices
 import fraction_linalg
 import gram_witness
+from test_orders import unimodular
 
 GOLDEN = Path(__file__).resolve().parent / "data"
 
@@ -126,9 +128,12 @@ def test_witness_test_certifies_the_idempotents(monkeypatch, s3, s3_chars):
     A, _ = s3
     centre = so.rational_centre(A, so.make_character_table(s3_chars, A))
     # the idempotents in the wrong order, and one of them 0, on which rho vanishes
-    for idempotents in (centre.idempotents[::-1], [A.zero(), *centre.idempotents[1:]]):
+    E, h = centre.integer_idempotents
+    zero = E.copy()
+    zero[:, 0] = 0
+    for idempotents in ((E[:, ::-1], h), (zero, h)):
         monkeypatch.setattr(decomp, "rational_centre", lambda A, table:
-                            dataclasses.replace(centre, idempotents=idempotents))
+                            dataclasses.replace(centre, integer_idempotents=idempotents))
         with pytest.raises(ValueError, match="no multiple of chi"):
             decomp.witness_test(A, so.make_character_table(s3_chars, A))
 
@@ -138,8 +143,9 @@ def test_witness_test_needs_an_invertible_regular_gram_matrix(monkeypatch):
     # its centre raises first, so hand the test some idempotents
     A = so.make_order([(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], [1, 0], 3)
     table = so.make_character_table([[1, 1], [1, -1]], A)
-    monkeypatch.setattr(decomp, "rational_centre", lambda A, table:
-                        types.SimpleNamespace(idempotents=[A.one, A.zero()]))
+    idempotents = np.array([[1, 0], [0, 0]], dtype=object), 1  # columns 1 and 0
+    monkeypatch.setattr(decomp, "rational_centre", lambda A, table: types.SimpleNamespace(
+        integer_idempotents=idempotents, integer_characters=linalg.numerators(table.values)))
     with pytest.raises(ValueError, match="regular Gram matrix singular"):
         decomp.witness_test(A, table)
 
@@ -148,15 +154,18 @@ def test_central_characters_certify_the_table_and_the_inverse(monkeypatch, s3, s
     # orthogonality with sum 1 is certified on the centre's table: a table
     # on which some omega_chi is not multiplicative is an input fault
     A, _ = s3
-    Z, C, u = A.centre
+    basis, (C, c), unit = A.integer_centre
+    characters = linalg.numerators(linalg.as_matrix(s3_chars))
     forged = C.copy()
     forged[1, 1] = C[1, 1] + C[0, 0]
     with pytest.raises(ValueError, match="system inconsistent: a central character is not mult"):
-        forms.central_characters((Z, forged, u), s3_chars)
-    inverse = linalg.inverse
-    monkeypatch.setattr(linalg, "inverse", lambda M: 2 * inverse(M))
+        forms.central_characters((basis, (forged, c), unit), characters)
+    # the idempotents solved for, halved
+    solve = linalg.solve_of_rows
+    monkeypatch.setattr(linalg, "solve_of_rows",
+                        lambda rows, n: (lambda X, x: (X, 2 * x))(*solve(rows, n)))
     with pytest.raises(AssertionError, match="centre basis differs from sum omega_chi"):
-        forms.central_characters(A.centre, s3_chars)
+        forms.central_characters(A.integer_centre, characters)
 
 
 def test_rational_centre_of_a_non_semisimple_algebra_is_an_input_fault(tmp_path, capsys):
@@ -399,10 +408,15 @@ def test_s3_candidates_filter_and_gram_test_agree_with_fractions(s3, s3_table):
     assert verdicts == {True, False}
 
 
+def _search_values(bound):
+    """The search values of the rational symmetry search as Fractions."""
+    return [Fraction(*value) for value in decomp._search_values(bound)]
+
+
 def _s3_search_candidates(powers):
     """The rational search's candidates 3^k (c_1, c_2, 1) on S3 at bound 5."""
     return [[3**k * c for c in rest] + [Fraction(3**k)] for k in powers
-            for rest in product(decomp._search_values(5), repeat=2)]
+            for rest in product(_search_values(5), repeat=2)]
 
 
 def _s3_morita_candidates(table, D):
@@ -432,9 +446,9 @@ def test_witness_test_inverts_no_matrix_and_builds_no_gram_matrix(monkeypatch, s
                             calls.append((name, np.shape(args[0]) if name == "inverse" else None))
                             or f(*args), raising=False)
     decomp.witness_test(A, so.make_character_table(s3_chars, A))
-    # the one inverse is of the centre's 3 x 3 spectral matrix, none of a 6 x 6 one;
-    # the regular Gram matrix is read as integer numerators, never as Fractions
-    assert calls == [("inverse", (3, 3))]
+    # the idempotents are one integer solve on the centre, and the regular
+    # Gram matrix is read as integer numerators, never as Fractions
+    assert calls == []
 
 
 # -- the one-pass scan against the k-major scan ------------------------------
@@ -479,7 +493,7 @@ def _same_first_witnesses(A, table, D, bound):
     """The rational symmetry search, and the Morita searches when D is
     given, return the witness the k-major scan finds first."""
     p, r = A.prime, table.num_chars
-    sigmas = [[*rest, 1] for rest in product(decomp._search_values(bound), repeat=r - 1)]
+    sigmas = [[*rest, 1] for rest in product(_search_values(bound), repeat=r - 1)]
     hit = _k_major_first_witness(A, table, sigmas, range(decomp.POWER_RANGE + 1), True)
     found = decomp.rational_symmetry_search(A, table, bound=bound)
     if hit is None:
@@ -539,7 +553,7 @@ def test_centre_and_idempotents_equal_the_fraction_oracles(character_tables, sma
     assert with_characters
     assert len(cases) == len(character_tables) + len(small_tables) + len(with_characters)
     for A, table in cases:
-        assert linalg.matrices_equal(A.centre[0], dense_orders.center_basis(A))
+        assert linalg.matrices_equal(A.integer_centre[0][0], dense_orders.center_basis(A))
         ours = so.rational_centre(A, table).idempotents
         theirs = dense_orders.central_idempotents(A, table.values)
         assert all(linalg.vectors_equal(e, f) for e, f in zip(ours, theirs, strict=True))
@@ -562,7 +576,7 @@ def test_first_witness_is_the_k_major_one_in_any_candidate_order(character_table
     for key in ((3, 2), (3, 3), (3, 5), (4, 2), (4, 3)):
         A, table = character_tables[key]
         vectors = [[Fraction(A.prime) ** j * c for c in (*rest, 1)] for j in (-1, 0, 1)
-                   for rest in product(decomp._search_values(2), repeat=table.num_chars - 1)]
+                   for rest in product(_search_values(2), repeat=table.num_chars - 1)]
         for _ in range(3):
             rng.shuffle(vectors)
             S, d = _block(vectors)
@@ -680,7 +694,7 @@ def test_levels_equal_the_fraction_gram_test_on_s5():
     degrees = list(table.degrees)
     assert _at_power_zero(test, *_block([degrees]))[1].tolist() == [1]
     rng = random.Random(5)
-    values = decomp._search_values(3)
+    values = _search_values(3)
 
     def scalar():
         return Fraction(5) ** rng.randint(-1, 1) * rng.choice(values)
@@ -715,12 +729,12 @@ def test_central_homs_equal_the_enumerated_homs(character_tables):
 def test_central_hom_certificates_raise(character_tables):
     A, table = character_tables[(3, 5)]  # three maximal ideals
     centre = decomp.rational_centre(A, table)
-    S = centre.spectral
-    for spectral, message in [(S / 5, "not p-integral"),
-                              (S + 1, "not a unital homomorphism"),
-                              (S[:, :1], "miss a maximal ideal")]:
+    S, s = centre.integer_spectral
+    for spectral, message in [((S, 5 * s), "not p-integral"),
+                              ((S + s, s), "not a unital homomorphism"),
+                              ((S[:, :1], s), "miss a maximal ideal")]:
         with pytest.raises(AssertionError, match=message):
-            decomp._central_homs(A, dataclasses.replace(centre, spectral=spectral))
+            decomp._central_homs(A, dataclasses.replace(centre, integer_spectral=spectral))
 
 
 # -- the intersection criterion against its lattice and inverse oracles ---
@@ -821,3 +835,110 @@ def test_intersection_criterion_rejects_a_zero_schur_coefficient(s3, s3_table,
     # a witness has no zero entry: sum sigma_chi chi with sigma_chi = 0 vanishes on e_chi A
     with pytest.raises(ValueError, match="zero Schur coefficient"):
         so.rational_intersection_criterion(s3[0], s3_table, s3_decomposition, (3, 0, 3))
+
+
+# -- the character layer on integers against its Fraction oracles ----------
+
+
+def _on_basis(A, values, P):
+    """The order A and its character values on the basis given by the
+    columns of P, a change of basis over the ring, as ``test_orders.rebase``
+    gives them, contracted on the integer numerators of the table and of P
+    (on Fractions, a dense basis of S4 takes seconds)."""
+    n, d = A.dim, A.denominator
+    C = np.zeros((n, n, n), dtype=object)
+    for i, row in enumerate(A.products):
+        for j, prods in enumerate(row):
+            for k, c in prods:
+                C[i, j, k] = c
+    (Pn, q), (Qn, r) = (linalg.numerators(M) for M in (P, fraction_linalg.inverse(P)))
+    C = np.tensordot(np.tensordot(Pn, C, axes=([0], [0])), Pn, axes=([1], [0]))  # [i, k, j]
+    C = np.tensordot(C, Qn, axes=([1], [1]))  # [i, j, l]
+    one = linalg.from_numerators(Qn, r) @ A.one
+    B = dense_orders.dense_order(linalg.from_numerators(C, q * q * r * d), one, A.prime)
+    return B, so.make_character_table(values @ P, B)
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """(A, table, sigma) for S3 at p = 2, 3 and 5, the S4 goldens with
+    characters and the four-dimensional order, with the Schur
+    coefficients sigma of a symmetrising form, which a change of basis
+    keeps."""
+    out = {}
+    for p in (2, 3, 5):
+        A, table = _symmetric_group(3, p)
+        out["s3", p] = A, table, so.regular_character_form(A).scale(Fraction(1, 6))
+    for name in ("s4-p2-chars", "s4-p3-chars"):
+        b = so.load_bundle(GOLDEN / f"{name}.bundle.json")
+        out[name, b.prime] = b.order, b.character_table, b.forms["standard"]
+    B, s = four_dim_nonrational(3, 2)
+    out["four-dim", 2] = B, so.make_character_table(four_dim_characters(3), B), s
+    return {key: (A, table, so.schur_coefficients(A, s, table.values))
+            for key, (A, table, s) in out.items()}
+
+
+@st.composite
+def oracle_case(draw):
+    """A key of ``oracle_cases``, a basis (as given, permuted or dense
+    unimodular), a generator for the decomposition matrix and the unit
+    multiples of sigma, and an exponent n for the congruences."""
+    key = draw(st.sampled_from([("s3", 2), ("s3", 3), ("s3", 5), ("s4-p2-chars", 2),
+                                ("s4-p3-chars", 3), ("four-dim", 2)]))
+    return key, draw(st.sampled_from(["given", "permuted", "dense"])), draw(st.randoms()), \
+        draw(st.integers(0, 3)), draw(st.data())
+
+
+def _same_witness_tests(ours, theirs):
+    assert (ours.p, ours.determinant, ours.ranks.tolist()) == \
+        (theirs.p, theirs.determinant, theirs.ranks.tolist())
+    for (rows, v), (their_rows, their_v) in zip((ours.idempotents, ours.values),
+                                                (theirs.idempotents, theirs.values)):
+        assert (rows.tolist(), v) == (their_rows.tolist(), their_v)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=oracle_case())
+def test_character_layer_equals_the_fraction_oracles(oracle_cases, case):
+    key, basis, rng, n, data = case
+    A, table, sigma = oracle_cases[key]
+    if basis != "given":
+        P = linalg.identity(A.dim)
+        if basis == "permuted":
+            P = P[:, data.draw(st.permutations(range(A.dim)))]
+        else:  # with the columns scaled by units, so denominators of any residue appear
+            units = [Fraction(a, b) for a in (1, 2, 3, 4) for b in (1, 3, 5, 7) if a * b % A.prime]
+            P = data.draw(unimodular(A.dim, A.prime)) * data.draw(
+                st.lists(st.sampled_from(units), min_size=A.dim, max_size=A.dim))
+        A, table = _on_basis(A, table.values, P)
+    ours, theirs = decomp.rational_centre(A, table), fraction_characters.rational_centre(A, table)
+    assert all(linalg.vectors_equal(e, f)
+               for e, f in zip(ours.idempotents, theirs.idempotents, strict=True))
+    for name in ("spectral", "basis", "table", "unit"):
+        assert linalg.matrices_equal(getattr(ours, name), getattr(theirs, name)), name
+    _same_witness_tests(decomp.witness_test(A, table), fraction_characters.witness_test(A, table))
+    sigma = _unit_multiples(rng, sigma, A.prime, [-1, 0, 1, 2])
+    D = _random_decomposition(rng, table)
+    crit = so.rational_intersection_criterion(A, table, D, sigma)
+    oracle = fraction_characters.rational_intersection_criterion(A, table, D, sigma)
+    assert (crit.verdict, crit.morita_verdict, crit.maximal_ideal_count) == \
+        (oracle.verdict, oracle.morita_verdict, oracle.maximal_ideal_count)
+    assert all(type(x) is Fraction for x in crit.orbit_generator)
+    assert linalg.vectors_equal(crit.orbit_generator, oracle.orbit_generator)
+    assert [(c.basis_index, c.terms, c.ratio) for c in decomp.congruence_analysis(
+        A, table, sigma, n)] == [(c.basis_index, c.terms, c.ratio) for c in
+                                 fraction_characters.congruence_analysis(A, table, sigma, n)]
+
+
+@pytest.mark.parametrize("name", ["s3-p3", "s4-p3-chars"])
+def test_check_all_calls_no_fraction_front_end_of_linalg(monkeypatch, name):
+    # the character layer runs on the integer layer: the Fraction front-ends
+    # stay in linalg for the benchmark and the tests, with no caller here
+    bundle = so.load_bundle(GOLDEN / f"{name}.bundle.json")
+    calls = []
+    for front_end in ("inverse", "det", "integral_kernel", "solve_exact"):
+        f = getattr(linalg, front_end)
+        monkeypatch.setattr(linalg, front_end, lambda *args, f=f, front_end=front_end:
+                            calls.append(front_end) or f(*args))
+    assert cli.run("all", bundle).ok
+    assert calls == []

@@ -186,7 +186,8 @@ def _linalg_reads(tree: ast.AST, scope: str = "") -> list:
 def test_linalg_privates_stay_inside_and_only_residue_algebra_eliminates():
     # every exact solve outside linalg is linalg.solve_of_rows; only the
     # residue table of End(U) reads its elimination row by row, to tell
-    # its two failures apart
+    # its two failures apart, and only the witness test reads the product
+    # of the pivots, for the valuation of a determinant
     package = Path(so.__file__).resolve().parent
     reads = {
         (path.stem, scope, attr)
@@ -195,7 +196,7 @@ def test_linalg_privates_stay_inside_and_only_residue_algebra_eliminates():
     }
     assert [read for read in sorted(reads) if read[2].startswith("_")] == []
     assert {read for read in reads if read[2] == "eliminate"} == {
-        ("lattices", "_residue_algebra", "eliminate")}
+        ("lattices", "_residue_algebra", "eliminate"), ("decomp", "_witness_test", "eliminate")}
 
 
 def test_only_box_and_homomorphism_searches_import_itertools_product():
@@ -353,7 +354,7 @@ def test_twist_form(s3):
 
 def test_twist_law_random_central_units(s3):
     A, s = s3
-    Z = A.centre[0]
+    Z = A.integer_centre[0][0]
     rng = random.Random(19)
     found = 0
     while found < 5:
@@ -654,7 +655,7 @@ def central_units(draw):
         P = draw(unimodular(A.dim, p))
         A = dense_order(*rebase(cube(A), A.one, P), p)
         values = P.T @ values
-    Z = A.centre[0]
+    Z = A.integer_centre[0][0]
     y = Z @ linalg.as_vector(draw(st.lists(st.integers(-3, 3), min_size=Z.shape[1],
                                            max_size=Z.shape[1])))
     c = draw(st.sampled_from([1, -1, Fraction(-11, 13)]))

@@ -85,7 +85,7 @@ def test_s4_needs_few_generators():
 def test_dimension_one_order_has_every_matrix_as_homomorphism():
     A, _ = matrix_order(1, 2)
     assert A.generators == ()
-    assert linalg.matrices_equal(A.centre[0], linalg.identity(1))
+    assert linalg.matrices_equal(A.integer_centre[0][0], linalg.identity(1))
     assert A.is_central(A.basis_element(0))
     U = so.make_lattice(A, [linalg.identity(2)])
     V = so.make_lattice(A, [linalg.identity(3)])

@@ -473,7 +473,7 @@ def test_knorr_exponent_equivalence(s3, s3_lattices, rank2_family):
 def test_twisting_invariance(s3, s3_lattices):
     # exponents and both verdicts are unchanged under form twists
     A, s = s3
-    Z = A.centre[0]
+    Z = A.integer_centre[0][0]
     rng = random.Random(43)
     units = []
     while len(units) < 3:
