@@ -263,10 +263,12 @@ def _check_expectation_names(expectations: dict, lattices: dict, forms: dict,
 
 def load_bundle(path) -> Bundle:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError as exc:
         raise BundleError(f"no such bundle: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BundleError(f"cannot read bundle: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise BundleError(f"parse error at line {exc.lineno}: {exc.msg}") from exc
     return bundle_from_dict(doc)

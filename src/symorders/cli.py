@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -382,6 +383,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.bound < 1:
         parser.error(f"--bound must be at least 1, not {args.bound}")
+    if args.json:  # a writable file, or a new one in a writable folder
+        folder = os.path.dirname(os.path.abspath(args.json))
+        target = args.json if os.path.exists(args.json) else folder
+        if os.path.isdir(args.json) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
+            print(f"input error: cannot write the report to {args.json}", file=sys.stderr)
+            return 2
 
     try:
         bundle = load_bundle(args.bundle)

@@ -13,8 +13,8 @@ valuation (:class:`WitnessTest`), and certify only the witness they
 return.  The character layer runs on integer numerators over one
 denominator: the characters, the centre's table, the spectral
 coordinates and the idempotents (:class:`RationalCentre`), their
-residues mod p and their valuations.  Fractions are built for what the
-reports print and the public fields return.
+residues mod p and their valuations.  Results hold these as ``integer_*``
+pairs (M, d); ``linalg.from_numerators(*pair)`` gives the Fraction array.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from . import linalg
 from .forms import (
     LinearForm,
     _gram_numerators,
+    _regular_gram_exponents,
     central_characters,
     is_symmetrising,
     kept,
@@ -158,10 +158,10 @@ def _witness_test(A: Order, table: CharacterTable) -> WitnessTest:
     (E, h), (X, m) = centre.integer_idempotents, centre.integer_characters
     p, (R, r) = A.prime, linalg.numerators(A.regular_traces)  # rho(b_k) = R_k / r
     N, g = _gram_numerators(A, regular_character_form(A))  # G_rho = N / g
-    pivots, (num, den) = linalg.eliminate([list(row) for row in N], [1] * A.dim, A.dim)
-    if len(pivots) < A.dim:
+    exps = _regular_gram_exponents(A)
+    if len(exps) < A.dim:
         raise ValueError("regular Gram matrix singular: K⊗A not separable")
-    ranks, determinant = [], int_val(num, p) - int_val(den, p) - A.dim * int_val(g, p)
+    ranks, determinant = [], sum(exps) - A.dim * int_val(g, p)
     # columns e_chi h, rows chi(b_k) m, and rho(e_chi b_k) g h
     for traces, chi, e in zip(np.array(N, dtype=object).T.dot(E).T, X, E.T):
         i = next(i for i, x in enumerate(chi) if x)  # c_chi = traces[i] m / (chi[i] g h)
@@ -326,8 +326,8 @@ class RationalCentre:
     """The centre Z as a ring on its own saturated basis, with its central
     characters and the primitive central idempotents dual to them, each
     as integers M over one denominator d, (M, d) for M / d, as
-    :func:`forms.central_characters` reads and returns them.  Their
-    Fraction arrays are built on first read."""
+    :func:`forms.central_characters` reads and returns them;
+    ``linalg.from_numerators(*pair)`` gives the Fraction array."""
 
     integer_basis: tuple  # columns z_i, coordinates in the order basis
     integer_table: tuple  # (rank, rank, rank): z_i z_j = sum_k table[i, j, k] z_k
@@ -339,26 +339,6 @@ class RationalCentre:
     @property
     def rank(self) -> int:
         return self.integer_basis[0].shape[1]
-
-    @cached_property
-    def basis(self) -> np.ndarray:
-        return linalg.from_numerators(*self.integer_basis)
-
-    @cached_property
-    def idempotents(self) -> list:
-        return list(linalg.from_numerators(*self.integer_idempotents).T.copy())
-
-    @cached_property
-    def spectral(self) -> np.ndarray:
-        return linalg.from_numerators(*self.integer_spectral)
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        return linalg.from_numerators(*self.integer_table)
-
-    @cached_property
-    def unit(self) -> np.ndarray:
-        return linalg.from_numerators(*self.integer_unit)
 
 
 def rational_centre(A: Order, table: CharacterTable) -> RationalCentre:

@@ -17,7 +17,7 @@ Math. J. 58, 2009), and the twist s(w .) of s has dual basis w^{-1} D:
 a twist takes that from its parent, under the same certificates, with
 no elimination.  Fractions are built only for results: the values of
 forms, the Casimir element and its inverse, and, on first read, the
-arrays of :class:`DualBasis`.  Each datum is derived where it is read
+matrix of :class:`DualBasis`.  Each datum is derived where it is read
 and kept on its form: the Gram numerators, the dual basis, and z^{-1}
 only for the Casimir-orbit search and the twisted traces of
 ``lattices``.
@@ -160,11 +160,11 @@ class DualBasis:
     """Dual basis of a symmetrising form s, with what it determines.
 
     Columns of ``matrix`` are the elements x_j^v with s(b_i x_j^v) =
-    delta_ij, so ``matrix`` is the inverse of the Gram matrix ``gram``.
-    Both are kept as integers: ``integer_matrix`` is (M, d), an integer
-    array over the least common denominator d of its entries (a unit),
-    and ``integer_gram`` is (N, g) of :func:`_gram_numerators`; their
-    ``Fraction`` arrays are built on first read.  ``casimir`` is z =
+    delta_ij, so ``matrix`` is the inverse of the Gram matrix.  Both are
+    held as integers: ``integer_matrix`` is (M, d), an integer array over
+    the least common denominator d of its entries (a unit), and
+    ``integer_gram`` is (N, g) of :func:`_gram_numerators`; ``matrix`` is
+    ``linalg.from_numerators(*integer_matrix)``.  ``casimir`` is z =
     sum_x x x^v; its inverse is derived apart, when read
     (:func:`casimir_inverse`).  Every array is read-only.
     """
@@ -177,10 +177,6 @@ class DualBasis:
     @cached_property
     def matrix(self) -> np.ndarray:
         return _read_only(linalg.from_numerators(*self.integer_matrix))
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        return _read_only(linalg.from_numerators(*self.integer_gram))
 
     def element(self, j: int) -> np.ndarray:
         return np.array(self.matrix[:, j])
@@ -406,6 +402,14 @@ def _psp_search(A: Order, s: LinearForm):
     return cert
 
 
+def _regular_gram_exponents(A: Order) -> tuple:
+    """Smith exponents at p of the numerators N of rho's Gram matrix N / g,
+    fewer than dim A when it is singular; kept on rho.  Their sum is v_p(det N)."""
+    rho = regular_character_form(A)
+    return kept(rho._kept, "gram_exponents", (A,), lambda: tuple(linalg.smith_of_rows(
+        [list(row) for row in _gram_numerators(A, rho)[0]], [1] * A.dim, A.dim, A.prime)[0]))
+
+
 @dataclass(frozen=True, eq=False)
 class RegularGramResult:
     verdict: bool
@@ -422,9 +426,7 @@ def psp_regular_gram(A: Order) -> RegularGramResult:
     matrix of the regular character coincide; the common exponent is the
     scalar's exponent and p^{-n} rho is a witness form.
     """
-    N, g = _gram_numerators(A, regular_character_form(A))
-    # G = N / g for a unit g, so G and N have the same Smith exponents
-    exps = tuple(linalg.smith_of_rows([list(row) for row in N], [1] * A.dim, A.dim, A.prime)[0])
+    exps = _regular_gram_exponents(A)  # those of G = N / g too, as g is a unit
     if len(exps) < A.dim:
         raise RegularGramSingularError("regular Gram singular")
     n = exps[0]

@@ -16,8 +16,8 @@ and act_U(z^{-1}), kept on U for each form.  Coordinates and classes of
 intertwiners come from one integer elimination; the Tate pairing
 (alpha, beta) -> tr(z^{-1} beta alpha) modulo the ring and the plain
 and twisted traces that the Knorr and stable-exponent criteria read are
-each one integer contraction.  Fractions are built only for what is
-reported or returned.
+each one integer contraction.  ``linalg.from_numerators(*pair)`` gives
+the Fraction array of a pair.
 
 Free lattices take closed forms.  A lattice of rank dim A is free on
 its basis vector u when the orbit matrix M = [act(b_j) u]_j has full
@@ -26,9 +26,7 @@ hom with u -> v being W_v M^{-1} for W_v = [act_V(b_j) v]_j, and a
 stable Hom with U on either side is zero by Higman's criterion,
 certified once per form as Tr(u (s o M^{-1})) = id_U (:func:`_higman`).
 The integral kernel (:func:`_hom_lattice`) serves every other source
-and is the oracle of the closed form in the tests.  Free targets are
-not read off the form, and sums of several free lattices and
-permutation lattices take the Smith path.
+and is the oracle of the closed form in the tests.
 
 Homs of rank at most one (:func:`_low_rank`) take closed forms whatever
 the lattices: a zero Hom has a zero stable Hom, and on a basis phi of a
@@ -87,10 +85,6 @@ class Lattice:
         w, e = linalg.numerators(linalg.as_vector(a))
         N, q = self.integer_action
         return _combine(w, N), e * q
-
-    def act(self, a) -> np.ndarray:
-        """Action matrix of an arbitrary (possibly rational) element."""
-        return linalg.from_numerators(*self.integer_act(a))
 
 
 def _combine(C, M) -> np.ndarray:
@@ -177,46 +171,16 @@ class HomLattice:
     # unit for the lattices built here and 1 for the saturated kernels
     integer_basis: tuple
 
-    @classmethod
-    def of_matrices(cls, source: Lattice, target: Lattice, mats) -> HomLattice:
-        """The lattice with the given basis of rank_V x rank_U matrices."""
-        M = np.array([linalg.as_matrix(m) for m in mats], dtype=object)
-        M = M.reshape(len(mats), target.rank, source.rank)
-        return cls(source, target, linalg.numerators(M))
-
     @property
     def rank(self) -> int:
         return self.integer_basis[0].shape[0]
 
-    @property
-    def basis(self) -> tuple:
-        """The basis as Fraction matrices."""
-        N, d = self.integer_basis
-        return tuple(linalg.from_numerators(n, d) for n in N)
-
-    def coords_of(self, M):
-        """Ring coordinates of an intertwiner in this basis, or None."""
-        coords = self.coords_of_many([M])
-        return None if coords is None else coords[:, 0]
-
-    def coords_of_many(self, mats):
-        """Ring coordinate columns for several intertwiners in one elimination."""
-        M = np.array([linalg.as_matrix(m) for m in mats], dtype=object)
-        n = self.target.rank * self.source.rank
-        coords = self._coords(*linalg.numerators(M.reshape(len(mats), n).T))
-        return None if coords is None else linalg.from_numerators(*coords)
-
     def _coords(self, B, b: int):
-        """:func:`linalg.lattice_membership_of_columns` of the columns of
-        the integer matrix B / b (intertwiners flattened row by row)."""
+        """Ring coordinates in this basis of the columns of the integer
+        matrix B / b (intertwiners flattened row by row), or None."""
         N, d = self.integer_basis
         N = N.reshape(N.shape[0], N.shape[1] * N.shape[2]).T
         return linalg.lattice_membership_of_columns((N, d), (B, b), self.source.order.prime)
-
-    def from_coords(self, coords) -> np.ndarray:
-        c, e = linalg.numerators(linalg.as_vector(coords))
-        N, d = self.integer_basis
-        return linalg.from_numerators(_combine(c, N), e * d)
 
 
 def free_generator(A: Order, U: Lattice):
@@ -329,14 +293,6 @@ def _relative_trace_map(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> tupl
     return T, dv * du * dd
 
 
-def relative_trace_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice, alpha):
-    """Relative trace of an arbitrary ring-linear map alpha : U -> V,
-    namely sum_x act_V(x) alpha act_U(x^v); always an intertwiner."""
-    T, q = _relative_trace_map(A, s, U, V)
-    na, da = linalg.numerators(linalg.as_matrix(alpha))
-    return linalg.from_numerators(T.dot(na.reshape(-1)).reshape(V.rank, U.rank), q * da)
-
-
 def projective_hom_lattice(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> HomLattice:
     """Lattice of relatively projective homomorphisms U -> V.
 
@@ -366,15 +322,12 @@ class StableHomPresentation:
     """Finite presentation of Hom(U, V) modulo projective homomorphisms.
 
     The quotient decomposes as a direct sum of cyclic factors
-    ring/p^{d_1} <= ... <= ring/p^{d_k}; ``generators`` are intertwiners
-    whose classes generate the factors.
+    ring/p^{d_1} <= ... <= ring/p^{d_k}; ``integer_generators`` are
+    intertwiners whose classes generate the factors.
     """
 
-    def __init__(self, A, s, U, V, hom, invariants):
+    def __init__(self, A, hom, invariants):
         self.order = A
-        self.form = s
-        self.source = U
-        self.target = V
         self.hom = hom
         self.exponents = invariants.exponents
         # (G, g): generator i is G[i] / g, the combination sum_k F[k, i] N[k]
@@ -386,25 +339,12 @@ class StableHomPresentation:
         self._left = invariants.torsion_left
 
     @property
-    def generators(self) -> tuple:
-        G, g = self.integer_generators
-        return tuple(linalg.from_numerators(x, g) for x in G)
-
-    @property
     def exponent(self) -> int:
         return max(self.exponents) if self.exponents else 0
 
-    def is_stably_zero(self) -> bool:
-        return not self.exponents
-
-    def class_of(self, M) -> tuple:
-        """Class of an intertwiner in the invariant-factor coordinates."""
-        B, b = linalg.numerators(linalg.as_matrix(M).reshape(-1, 1))
-        return self._classes(B, b)[0]
-
     def _classes(self, B, b: int) -> list:
-        """:meth:`class_of` of each column of the integer matrix B / b
-        (intertwiners flattened row by row)."""
+        """The class in the invariant-factor coordinates of each column of
+        the integer matrix B / b (intertwiners flattened row by row)."""
         coords = self.hom._coords(B, b)
         if coords is None:
             raise ValueError("not an intertwiner with ring coordinates")
@@ -416,11 +356,6 @@ class StableHomPresentation:
         if any(None in row for row in rows):
             raise AssertionError("stable class has non-ring coordinates")
         return [tuple(row[j] for row in rows) for j in range(B.shape[1])]
-
-    def from_class(self, cls) -> np.ndarray:
-        G, g = self.integer_generators
-        c = np.array([int(x) for x in cls], dtype=object)
-        return linalg.from_numerators(_combine(c, G), g)
 
     def element_count(self) -> int:
         n = 1
@@ -456,7 +391,7 @@ def _stable_hom(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> StableHomPre
     if inv.free_rank != 0:
         casimir_inverse(A, s)  # NotInvertibleError when z is singular in K⊗A
         raise AssertionError("free part nonzero: rational algebra not separable")
-    return StableHomPresentation(A, s, U, V, hom, inv)
+    return StableHomPresentation(A, hom, inv)
 
 
 def _low_rank(H: HomLattice) -> bool:

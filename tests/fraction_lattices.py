@@ -30,7 +30,7 @@ def trace(M) -> Fraction:
 
 def twisted_action(A, s, U) -> np.ndarray:
     """act_U(z^{-1}) for the Casimir element z of s."""
-    return U.act(casimir_inverse(A, s))
+    return linalg.from_numerators(*U.integer_act(casimir_inverse(A, s)))
 
 
 def action(U) -> tuple:
@@ -54,7 +54,7 @@ def relative_trace_generators(A, s, U, V) -> np.ndarray:
     """Columns: the relative traces of the elementary matrices E_ab,
     flattened row by row, in the order (a, b)."""
     d = dual_basis(A, s)
-    acts_dual = [U.act(d.element(i)) for i in range(A.dim)]
+    acts_dual = [linalg.from_numerators(*U.integer_act(d.element(i))) for i in range(A.dim)]
     act_v = action(V)
     gens = []
     for a in range(V.rank):
@@ -71,7 +71,8 @@ def relative_trace_hom(A, s, U, V, alpha) -> np.ndarray:
     d = dual_basis(A, s)
     out = linalg.zeros(V.rank, U.rank)
     for i, m in enumerate(action(V)):
-        out = out + m @ linalg.as_matrix(alpha) @ U.act(d.element(i))
+        out = out + m @ linalg.as_matrix(alpha) @ linalg.from_numerators(
+            *U.integer_act(d.element(i)))
     return out
 
 
@@ -132,9 +133,9 @@ def basis_traces(A, s, U, basis) -> tuple:
 def residue_algebra(A, E) -> tuple:
     """(table, one) of End(U) mod p on the hom basis E: the coordinates
     of the products of basis matrices and of the identity, mod p."""
-    e, p = E.rank, A.prime
-    B = np.array([np.array(m).reshape(-1) for m in E.basis], dtype=object).T
-    products = [np.array(E.basis[i] @ E.basis[j]).reshape(-1)
+    e, p, basis = E.rank, A.prime, linalg.from_numerators(*E.integer_basis)
+    B = np.array([np.array(m).reshape(-1) for m in basis], dtype=object).T
+    products = [np.array(basis[i] @ basis[j]).reshape(-1)
                 for i in range(e) for j in range(e)]
     rhs = np.array(products + [np.array(linalg.identity(E.source.rank)).reshape(-1)],
                    dtype=object).T

@@ -42,7 +42,7 @@ def witness_test(A, table) -> GramWitnessTest:
 
 
 def _derive(A, table) -> GramWitnessTest:
-    idems = decomp.rational_centre(A, table).idempotents
+    idems = linalg.from_numerators(*decomp.rational_centre(A, table).integer_idempotents).T
     G_rho = gram_matrix(A, regular_character_form(A))
     G_rho_inv = linalg.inverse(G_rho)
     grams, inverses = [], []

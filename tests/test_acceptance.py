@@ -4,6 +4,8 @@ tolerance (all checks are exact) and prints one pass/fail line."""
 import random
 from fractions import Fraction
 
+import numpy as np
+
 import symorders as so
 from symorders import linalg
 from symorders.builders import (
@@ -125,16 +127,18 @@ def test_criterion_6_adjunction_and_constant_value(s3, s3_lattices, rank2_family
                  for _ in range(Y.rank)]
             )
             coords = [Fraction(rng.randint(-3, 3)) for _ in range(Hom.rank)]
-            beta = Hom.from_coords(coords) if Hom.rank else linalg.zeros(X.rank, Y.rank)
+            beta = (np.tensordot(coords, linalg.from_numerators(*Hom.integer_basis), 1)
+                    if Hom.rank else linalg.zeros(X.rank, Y.rank))
             assert so.adjunction_check(B, f, X, Y, alpha, beta)
     for B, f, X, _ in cases:
         z = B.invert(so.casimir(B, f))
-        zu = X.act(z)
+        zu = linalg.from_numerators(*X.integer_act(z))
         S = so.stable_hom(B, f, X, X)
+        basis = linalg.from_numerators(*S.hom.integer_basis)
         assert so.constant_value_check(B, f, X)
         for _ in range(100):
             coords = [Fraction(rng.randint(-5, 5)) for _ in range(S.hom.rank)]
-            alpha = S.hom.from_coords(coords)
+            alpha = np.tensordot(coords, basis, 1)
             assert val(trace(zu @ alpha), B.prime) >= -S.exponent
     _report(6, "adjunction and constant-value identities exact on 100 "
                "randomized instances per fixture algebra")

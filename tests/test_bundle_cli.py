@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import symorders as so
+from symorders import cli
 from symorders.builders import matrix_column_lattice, matrix_order, s3_fixture_bundle
 from symorders.bundle import Bundle, BundleError, bundle_from_dict, bundle_to_dict
 from symorders.cli import RunOptions, main, run
@@ -428,6 +429,37 @@ def test_cli_main_deterministic(tmp_path, s3_bundle):
         "casimir",
     ]
     assert all("elapsed_seconds" not in c for c in doc["checks"])
+
+
+def test_a_folder_as_bundle_is_an_input_error(tmp_path, capsys):
+    # before, open() raised IsADirectoryError: a traceback and exit 1
+    assert main(["--bundle", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: cannot read bundle: ")
+    assert "Is a directory" in err and "Traceback" not in err
+
+
+def test_a_bundle_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    # before, reading raised UnicodeDecodeError: a traceback and exit 1
+    path = tmp_path / "latin-1.json"
+    path.write_bytes('{"prime": "3", "name": "Ré"}'.encode("latin-1"))
+    assert main(["--bundle", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(
+        "input error: cannot read bundle: 'utf-8' codec can't decode byte 0xe9")
+
+
+@pytest.mark.parametrize("report", [lambda folder: folder / "missing" / "r.json",
+                                    lambda folder: folder], ids=["no-such-folder", "a-folder"])
+def test_an_unwritable_report_path_is_an_input_error_before_any_check(
+        tmp_path, s3_bundle, capsys, monkeypatch, report):
+    # before, all twelve checks ran and printed, then open() raised
+    path = tmp_path / "s3.json"
+    so.save_bundle(s3_bundle, path)
+    monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("a check ran"))
+    assert main(["--bundle", str(path), "--json", str(report(tmp_path))]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"input error: cannot write the report to {report(tmp_path)}\n"
 
 
 def test_cli_exit_codes(tmp_path, s3_bundle):

@@ -50,10 +50,12 @@ def socle_oracle(A, s, U) -> bool:
     p = A.prime
     mods = [p**d for d in S.exponents]
     k = len(mods)
-    gen_prod = [
-        [S.class_of(S.generators[i] @ S.generators[j]) for j in range(k)]
-        for i in range(k)
-    ]
+    G = linalg.from_numerators(*S.integer_generators)
+    # the classes of the products of generators and of the identity, in one solve
+    mats = [G[i] @ G[j] for i in range(k) for j in range(k)] + [linalg.identity(U.rank)]
+    found = S._classes(*linalg.numerators(fraction_lattices.flat(mats)))
+    gen_prod = [found[i * k:(i + 1) * k] for i in range(k)]
+    one = found[-1]
     zero = tuple(0 for _ in mods)
 
     def mul(x, y):
@@ -65,7 +67,6 @@ def socle_oracle(A, s, U) -> bool:
         return tuple(out)
 
     classes = list(product(*[range(m) for m in mods]))
-    one = S.class_of(linalg.identity(U.rank))
     units = {x for x in classes
              if any(mul(x, y) == one and mul(y, x) == one for y in classes)}
     radical = [
@@ -84,12 +85,14 @@ def tate_kernel_oracle(A, s, U, V):
     factor coordinates) pairing integrally with all of Hom(V, U), or None."""
     S_uv = so.stable_hom(A, s, U, V)
     S_vu = so.stable_hom(A, s, V, U)
-    zu = U.act(lattices.casimir_inverse(A, s))
+    zu = linalg.from_numerators(*U.integer_act(lattices.casimir_inverse(A, s)))
+    G, g = S_uv.integer_generators
+    others = linalg.from_numerators(*S_vu.integer_generators)
     p = A.prime
     for coeffs in product(*[range(p**d) for d in S_uv.exponents]):
         if any(coeffs):
-            x = S_uv.from_class(coeffs)
-            if all(val(trace(zu @ h @ x), p) >= 0 for h in S_vu.generators):
+            x = linalg.from_numerators(np.tensordot(np.array(coeffs, dtype=object), G, 1), g)
+            if all(val(trace(zu @ h @ x), p) >= 0 for h in others):
                 return coeffs
     return None
 
@@ -266,10 +269,11 @@ def test_degenerate_pairing_names_a_kernel_class(monkeypatch, case):
     S_xy = so.stable_hom(A, s, X, Y)
     assert len(cls) == len(S_xy.exponents)
     assert any(c % A.prime**d for c, d in zip(cls, S_xy.exponents))
-    x = S_xy.from_class(cls)
-    zu = X.act(lattices.casimir_inverse(A, s))
+    G, g = S_xy.integer_generators
+    x = linalg.from_numerators(np.tensordot(np.array(cls, dtype=object), G, 1), g)
+    zu = linalg.from_numerators(*X.integer_act(lattices.casimir_inverse(A, s)))
     assert all(val(trace(zu @ h @ x), A.prime) >= 0
-               for h in so.stable_hom(A, s, Y, X).generators)
+               for h in linalg.from_numerators(*so.stable_hom(A, s, Y, X).integer_generators))
 
 
 def test_socle_property_takes_no_fourth_positional_argument(s3, s3_lattices):

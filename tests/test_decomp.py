@@ -554,7 +554,7 @@ def test_centre_and_idempotents_equal_the_fraction_oracles(character_tables, sma
     assert len(cases) == len(character_tables) + len(small_tables) + len(with_characters)
     for A, table in cases:
         assert linalg.matrices_equal(A.integer_centre[0][0], dense_orders.center_basis(A))
-        ours = so.rational_centre(A, table).idempotents
+        ours = linalg.from_numerators(*so.rational_centre(A, table).integer_idempotents).T
         theirs = dense_orders.central_idempotents(A, table.values)
         assert all(linalg.vectors_equal(e, f) for e, f in zip(ours, theirs, strict=True))
         assert all(linalg.vectors_equal(e, f) for e, f in
@@ -749,9 +749,10 @@ def maximal_ideal_span_verdict(A, table, D, sigma):
     centre = decomp.rational_centre(A, table)
     p, pZ = A.prime, A.prime * np.identity(centre.rank, dtype=object)
     annihilator = fraction_linalg.left_null_space(D.entries)
+    spectral = linalg.from_numerators(*centre.integer_spectral)
 
     def in_span(coords):
-        L = (centre.spectral.T @ coords) * sigma[:, None]
+        L = (spectral.T @ coords) * sigma[:, None]
         return L @ linalg.integral_kernel(annihilator @ L, p) if len(annihilator) else L
 
     full = in_span(linalg.identity(centre.rank))
@@ -912,10 +913,12 @@ def test_character_layer_equals_the_fraction_oracles(oracle_cases, case):
                 st.lists(st.sampled_from(units), min_size=A.dim, max_size=A.dim))
         A, table = _on_basis(A, table.values, P)
     ours, theirs = decomp.rational_centre(A, table), fraction_characters.rational_centre(A, table)
+    idempotents = linalg.from_numerators(*ours.integer_idempotents).T
     assert all(linalg.vectors_equal(e, f)
-               for e, f in zip(ours.idempotents, theirs.idempotents, strict=True))
+               for e, f in zip(idempotents, theirs.idempotents, strict=True))
     for name in ("spectral", "basis", "table", "unit"):
-        assert linalg.matrices_equal(getattr(ours, name), getattr(theirs, name)), name
+        assert linalg.matrices_equal(linalg.from_numerators(*getattr(ours, f"integer_{name}")),
+                                     getattr(theirs, name)), name
     _same_witness_tests(decomp.witness_test(A, table), fraction_characters.witness_test(A, table))
     sigma = _unit_multiples(rng, sigma, A.prime, [-1, 0, 1, 2])
     D = _random_decomposition(rng, table)
@@ -942,3 +945,21 @@ def test_check_all_calls_no_fraction_front_end_of_linalg(monkeypatch, name):
                             calls.append(front_end) or f(*args))
     assert cli.run("all", bundle).ok
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["s3-p3", "s4-p3-chars"])
+def test_check_all_reduces_the_regular_gram_matrix_once(monkeypatch, name):
+    # psp takes the Smith exponents of rho's Gram numerators, and the
+    # witness test reads v_p(det G_rho) off the same exponents, kept on rho
+    bundle = so.load_bundle(GOLDEN / f"{name}.bundle.json")
+    A = bundle.order
+    gram = [list(row) for row in forms._gram_numerators(A, so.regular_character_form(A))[0]]
+    reductions = []
+    for reduction in ("smith_of_rows", "eliminate"):
+        def counted(rows, *args, f=getattr(linalg, reduction), reduction=reduction):
+            if rows == gram:
+                reductions.append(reduction)
+            return f(rows, *args)
+        monkeypatch.setattr(linalg, reduction, counted)
+    assert cli.run("all", bundle).ok
+    assert reductions == ["smith_of_rows"]

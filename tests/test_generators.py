@@ -91,13 +91,10 @@ def test_dimension_one_order_has_every_matrix_as_homomorphism():
     V = so.make_lattice(A, [linalg.identity(3)])
     H = hom_lattice(A, U, V)
     assert H.rank == 6
-    assert all(linalg.is_integral(m, A.prime) for m in H.basis)
-    for a in range(3):
-        for b in range(2):
-            E = linalg.zeros(3, 2)
-            E[a, b] = Fraction(1)
-            assert H.coords_of(E) is not None
-    assert H.coords_of(linalg.zeros(3, 2) + Fraction(1, 2)) is None
+    assert H.integer_basis[1] % A.prime  # one unit denominator: an integral basis
+    # the six matrix units E_ab, flattened row by row, and the matrix of halves
+    assert H._coords(np.identity(6, dtype=object), 1) is not None
+    assert H._coords(np.ones((6, 1), dtype=object), 2) is None
 
 
 # -- Hom lattices against the all-blocks kernel ------------------------------
@@ -132,11 +129,14 @@ def lattice_pair(draw):
 def test_hom_lattice_spans_the_all_blocks_kernel(pair):
     A, U, V = pair
     H = hom_lattice(A, U, V)
-    oracle = HomLattice.of_matrices(U, V, all_blocks_hom_basis(A, U, V))
+    basis = all_blocks_hom_basis(A, U, V)
+    oracle = HomLattice(U, V, linalg.numerators(
+        np.array(basis, dtype=object).reshape(len(basis), V.rank, U.rank)))
     assert H.rank == oracle.rank
     if H.rank:
-        assert oracle.coords_of_many(H.basis) is not None
-        assert H.coords_of_many(oracle.basis) is not None
+        ours = fraction_lattices.flat(linalg.from_numerators(*H.integer_basis))
+        assert oracle._coords(*linalg.numerators(ours)) is not None
+        assert H._coords(*linalg.numerators(fraction_lattices.flat(basis))) is not None
 
 
 # -- make_lattice names the first failing pair --------------------------------
