@@ -6,11 +6,15 @@ centre (the centre as one ring, with the central characters as its
 homomorphisms) and rational symmetry of an order, the orbit and span
 tests deciding the scalar property on those homomorphisms mod p, and the
 arithmetic checks relating exponents, ranks and character degrees
-(heights).  Both searches decide their candidates with one
-whole-candidate test on the centre, valuations of integer combinations
-of the central idempotents and the characters against one determinant
-valuation (:class:`WitnessTest`), and certify only the witness they
-return.  The character layer runs on integer numerators over one
+(heights).  Both searches rest on one whole-candidate test on the
+centre, valuations of integer combinations of the central idempotents
+and the characters against one determinant valuation
+(:class:`WitnessTest`), and certify only the witness they return.  The
+Morita searches scan their boxes with it; the rational symmetry search
+turns it into congruences mod a power of p, which meet in the middle of
+its box (:func:`_rational_witness`): about 2 * 38^3 half vectors per
+(k, exponent) at seven characters and bound 5, where a scan reads
+38^6.  The character layer runs on integer numerators over one
 denominator: the characters, the centre's table, the spectral
 coordinates and the idempotents (:class:`RationalCentre`), their
 residues mod p and their valuations.  Results hold these as ``integer_*``
@@ -56,9 +60,6 @@ class CharacterTable:
     @property
     def num_chars(self) -> int:
         return self.values.shape[0]
-
-    def form_from_coefficients(self, coeffs) -> LinearForm:
-        return LinearForm(np.tensordot(linalg.as_vector(coeffs), self.values, axes=([0], [0])))
 
 
 def make_character_table(values, A: Order, names=None) -> CharacterTable:
@@ -223,34 +224,31 @@ def _levels(test: WitnessTest, S, d) -> tuple:
     return vd - level(test.idempotents), np.where(nonzero & (excess == 0), values - vd, -2**40)
 
 
-def _first_witness(A: Order, table: CharacterTable, radices, candidates, integral: bool):
-    """(k, digits, n) of the least witness p^k a, in lexicographic order,
-    among the digit vectors of the radices, or None; ``candidates`` maps
-    digit rows to the (S, d) of :func:`_levels`.  With ``integral`` a
-    witness must pass that test too and k <= POWER_RANGE, else k = 0.
-    Each candidate is tested once, at its least k, in blocks of 2^11, up
-    to the first block with a witness at k = 0."""
+def _first_witness(A: Order, table: CharacterTable, radices, candidates):
+    """(digits, n) of the first witness a, in lexicographic order, among
+    the digit vectors of the radices, or None; ``candidates`` maps digit
+    rows to the (S, d) of :func:`_levels`.  Tested in blocks of 2^11, up
+    to the first block with a witness."""
     test = witness_test(A, table)
-    total, cap = math.prod(radices), POWER_RANGE if integral else 0
-    best = None
+    total = math.prod(radices)
     for start in range(0, total, 1 << 11):
         index = np.arange(start, min(start + (1 << 11), total))
         digits = np.empty((len(index), len(radices)), dtype=np.int64)
         for j in reversed(range(len(radices))):
             index, digits[:, j] = np.divmod(index, radices[j])
-        e, m0 = _levels(test, *candidates(digits))
-        k = np.maximum(np.maximum(e, 0) if integral else 0, -m0)
-        i = int(np.argmin(k))  # the first of the least
-        if k[i] <= cap and (best is None or k[i] < best[0]):
-            best = int(k[i]), tuple(int(x) for x in digits[i]), int(m0[i] + k[i])
-            if best[0] == 0:
-                break
-    return best
+        m0 = _levels(test, *candidates(digits))[1]
+        hits = np.flatnonzero(m0 >= 0)
+        if len(hits):
+            return tuple(int(x) for x in digits[hits[0]]), int(m0[hits[0]])
+    return None
 
 
 def _witness_form(A: Order, table: CharacterTable, a, n: int) -> LinearForm:
-    """p^{-n} sum a_chi chi, certified symmetrising, which certifies n."""
-    form = table.form_from_coefficients(a).scale(Fraction(1, A.prime**n))
+    """p^{-n} sum a_chi chi, one integer dot on the characters X / m of the
+    rational centre, certified symmetrising, which certifies n."""
+    X, m = rational_centre(A, table).integer_characters
+    N, q = linalg.numerators(a)
+    form = LinearForm(linalg.from_numerators(N.dot(X), q * m * A.prime**n))
     if not is_symmetrising(A, form):
         raise AssertionError("witness form not symmetrising")
     return form
@@ -269,10 +267,10 @@ def _morita_search(A: Order, table: CharacterTable, D: DecompositionMatrix, box)
     def candidates(digits):
         return values[digits] @ D.entries.T, np.ones(len(digits), dtype=np.int64)
 
-    hit = _first_witness(A, table, [len(box)] * D.num_modular, candidates, False)
+    hit = _first_witness(A, table, [len(box)] * D.num_modular, candidates)
     if hit is None:
         return None
-    _, digits, n = hit
+    digits, n = hit
     m = tuple(box[i] for i in digits)
     a = _decomposition_coefficients(table, D, m)
     return MoritaWitness(m=m, n=n, a=a, form=_witness_form(A, table, a, n))
@@ -419,6 +417,69 @@ def _search_values(bound: int) -> list:
 POWER_RANGE = 4
 
 
+def _rational_witness(test: WitnessTest, values: list):
+    """(k, digits, n) of the least witness p^k (c_1, ..., c_{r-1}, 1), for
+    c_i = values[digits[i]] as (numerator, denominator), k-major with
+    k <= POWER_RANGE and then lexicographic in the digits, or None.
+
+    c is a witness of exponent mu exactly when mu = (sum r_chi v_p(c_chi)
+    + ``determinant``) / dim is an integer and every value sum c_chi
+    chi(b_k) has valuation >= mu: the least valuation of a value never
+    exceeds v_p(det G) / dim (see :func:`_levels`).  Then p^k c is a
+    witness of exponent mu + k when mu + k >= 0, and sum p^k c_chi e_chi
+    lies in the order when every row of ``test.idempotents`` applied to c
+    has valuation >= its v_p(d) - k.  For fixed (k, mu) both are one
+    congruence mod p^W on the residues of p^top c, which is p-integral on
+    the whole box, linear in the c_chi, beside a sum of r_chi v_p(c_chi).
+    So the box is split in two halves (Horowitz and Sahni's meet in the
+    middle, J. ACM 21, 1974): the second, with c_r = 1, is hashed on its
+    (valuation sum, residues), keeping the least row per key, and the
+    first is walked in lexicographic order, looking up the sum it lacks
+    and its negated residues; its first hit is the least witness at
+    (k, mu).  No other mu has one: the symmetrising forms are t(u .) for
+    one of them, t, and the units u of the centre (Broue, Michigan Math.
+    J. 58, 2009), whose omega_chi(u) are units, so v_p(c_chi) - mu is the
+    same for every witness, and c_r = 1 fixes mu."""
+    p, r, dim = test.p, len(test.ranks), int(test.ranks.sum())
+    (E, ve), (X, vx) = test.idempotents, test.values
+    v = {x: int_val(x, p) for value in values for x in map(abs, value)}
+    top = max(v[den] for _, den in values)
+    vals = np.array([v[abs(num)] - v[den] for num, den in values], dtype=np.int64)
+    cuts = [range(r // 2), range(r // 2, r - 1)]
+    digits = [np.indices((len(values),) * len(c)).reshape(len(c), len(values) ** len(c)).T
+              for c in cuts]
+    sums = [sum((int(test.ranks[i]) * vals[d[:, j]] for j, i in enumerate(c)),
+                np.zeros(len(d), dtype=np.int64)) for c, d in zip(cuts, digits)]
+    totals = {a + b + test.determinant for a in set(sums[0].tolist())
+              for b in set(sums[1].tolist())}
+    mus = sorted(t // dim for t in totals if t % dim == 0 and t >= -dim * POWER_RANGE)
+    if not mus:
+        return None
+    P = p ** max(0, ve + top, mus[-1] + vx + top)
+    dtype = np.int64 if P * P * r < 2**63 else object
+    scale = {den: p ** (top - v[den]) * pow(den // p ** v[den], -1, P) for _, den in values}
+    units = np.array([num * scale[den] % P for num, den in values], dtype=dtype)
+    M = (np.concatenate([E, X]).astype(object) % P).astype(dtype)
+    constants = [np.zeros((1, len(M)), dtype=dtype), p**top * M[None, :, r - 1] % P]
+    # per half: the valuation sum, then the residues of sum_chi p^top c_chi M_chi
+    tables = [np.concatenate([s[:, None], (sum((units[d[:, j], None] * M[:, i] for j, i in
+                                                enumerate(c)), constant) % P)], axis=1)
+              for s, c, d, constant in zip(sums, cuts, digits, constants)]
+    for k in range(POWER_RANGE + 1):
+        for mu in (mu for mu in mus if mu + k >= 0):
+            # the sums are equal mod 2^40 exactly when they are equal
+            mods = np.array([2**40] + [p ** max(0, ve - k + top)] * len(E)
+                            + [p ** max(0, mu + vx + top)] * len(X), dtype=dtype)
+            right = (tables[1] % mods).tolist()
+            least = dict(zip(map(tuple, reversed(right)), range(len(right) - 1, -1, -1)))
+            target = np.zeros(len(mods), dtype=dtype)
+            target[0] = dim * mu - test.determinant
+            for i, key in enumerate(map(tuple, ((target - tables[0]) % mods).tolist())):
+                if key in least:
+                    return k, (*digits[0][i].tolist(), *digits[1][least[key]].tolist()), mu + k
+    return None
+
+
 def rational_symmetry_search(A: Order, table: CharacterTable, bound: int = 5):
     """Bounded search for rational spectral coefficients of a symmetrising
     form.
@@ -428,25 +489,19 @@ def rational_symmetry_search(A: Order, table: CharacterTable, bound: int = 5):
     with k <= POWER_RANGE and the c_i nonzero rationals of bounded
     numerator and denominator, ordered by k and then by the c_i.
     A candidate must be an element of the order (membership of sum
-    sigma~_chi e_chi) and pass the witness test of :func:`_levels`; both
-    hold from a least k on, so each c is scanned once, at that k.  Only
-    the first witness is certified symmetrising.  Returns it plus the
+    sigma~_chi e_chi) and pass the witness test of :class:`WitnessTest`;
+    the least one is found by a meet in the middle over the box
+    (:func:`_rational_witness`), hashing about 2 N^ceil((r-1)/2) half
+    vectors per (k, exponent) for N values, where a scan reads N^(r-1).
+    Only that witness is certified symmetrising.  Returns it plus the
     congruence report it implies; absence is only a bounded statement.
     """
-    p = A.prime
-    values = _search_values(bound)
-    dtype = np.int64 if bound ** table.num_chars < 2**63 else object
-    nums, dens = (np.array(column, dtype=dtype) for column in zip(*values))
-
-    def candidates(digits):
-        d = np.prod(dens[digits], axis=1)
-        return np.concatenate([nums[digits] * d[:, None] // dens[digits], d[:, None]], axis=1), d
-
-    hit = _first_witness(A, table, [len(values)] * (table.num_chars - 1), candidates, True)
+    p, values = A.prime, _search_values(bound)
+    hit = _rational_witness(witness_test(A, table), values)
     if hit is None:
         return RationalSymmetryResult(None, None, None, [])
-    k, rest, n = hit
-    sigma = [Fraction(p**k * values[i][0], values[i][1]) for i in rest] + [Fraction(p**k)]
+    k, digits, n = hit
+    sigma = [Fraction(p**k * values[i][0], values[i][1]) for i in digits] + [Fraction(p**k)]
     return RationalSymmetryResult(
         witness_sigma=tuple(sigma),
         witness_n=n,

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from symorders import linalg
-from symorders.forms import casimir_inverse, dual_basis, gram_matrix
+from symorders.forms import LinearForm, casimir_inverse, dual_basis, gram_matrix
 from symorders.modp import rref
 from symorders.padic import int_val, residue_int
 import fraction_linalg
@@ -146,12 +146,17 @@ def residue_algebra(A, E) -> tuple:
     return table, np.array(residues[-1])
 
 
+def character_form(table, a):
+    """The form sum a_chi chi on Fractions."""
+    return LinearForm(np.tensordot(linalg.as_vector(a), table.values, axes=([0], [0])))
+
+
 def gram_candidate(A, table, a):
     """(n, p^-n f) when the Gram matrix G of f = sum a_chi chi is a
     symmetric ring matrix and G / p^n is unimodular for n the least
     valuation of an entry; else None."""
     p = A.prime
-    f = table.form_from_coefficients(a)
+    f = character_form(table, a)
     G = gram_matrix(A, f)
     if not (linalg.matrices_equal(G, G.T) and linalg.is_integral(G, p)):
         return None

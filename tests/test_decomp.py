@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import symorders as so
 from symorders import cli, decomp, forms, linalg, modp
 from symorders.builders import (
+    cyclic_group_table,
     four_dim_characters,
     four_dim_nonrational,
     group_algebra,
@@ -25,6 +26,7 @@ from symorders.builders import (
 )
 from symorders.forms import central_idempotents, gram_matrix
 from symorders.padic import int_val
+import box_scan
 import dense_orders
 import fraction_characters
 import fraction_lattices
@@ -400,7 +402,7 @@ def test_s3_candidates_filter_and_gram_test_agree_with_fractions(s3, s3_table):
         for sigma, ok, n in zip(sigmas, integral, exponents):
             # the integer filter keeps exactly the sigma with sum sigma_chi e_chi in the order
             assert ok == linalg.is_integral(E @ linalg.as_vector(sigma), 3)
-            G = gram_matrix(A, s3_table.form_from_coefficients(sigma))
+            G = gram_matrix(A, fraction_lattices.character_form(s3_table, sigma))
             m = _constant_exponent_by_smith(G, 3) if linalg.is_integral(G, 3) else None
             assert n == (-1 if m is None else m), sigma
             if ok:
@@ -451,7 +453,7 @@ def test_witness_test_inverts_no_matrix_and_builds_no_gram_matrix(monkeypatch, s
     assert calls == []
 
 
-# -- the one-pass scan against the k-major scan ------------------------------
+# -- the searches against the k-major scan ---------------------------------
 
 
 def _k_major_levels(test, S, d, k):
@@ -517,7 +519,7 @@ def _same_first_witnesses(A, table, D, bound):
 
 
 @pytest.mark.parametrize("bound", [2, 3, 4, 5])
-def test_one_pass_scan_finds_the_k_major_witness_on_s3(s3, s3_table, s3_decomposition, bound):
+def test_searches_find_the_k_major_witness_on_s3(s3, s3_table, s3_decomposition, bound):
     _same_first_witnesses(s3[0], s3_table, s3_decomposition, bound)
 
 
@@ -561,7 +563,7 @@ def test_centre_and_idempotents_equal_the_fraction_oracles(character_tables, sma
                    zip(so.central_idempotents(A, table.values), theirs, strict=True))
 
 
-def test_one_pass_scan_finds_the_k_major_witness_on_small_orders(small_tables):
+def test_searches_find_the_k_major_witness_on_small_orders(small_tables):
     for key, case in small_tables.items():
         for bound in (2, 3, 4) if key[0] == "rank2" else (3,):
             _same_first_witnesses(*case, bound)
@@ -571,7 +573,9 @@ def test_one_pass_scan_finds_the_k_major_witness_on_small_orders(small_tables):
 def test_first_witness_is_the_k_major_one_in_any_candidate_order(character_tables, integral):
     # the least (k, index) is found wherever the least k sits in the scan:
     # each vector comes scaled by 1 / p, 1 and p, whose least k differ,
-    # in shuffled order and, for S4, over two blocks
+    # in shuffled order and, for S4, over two blocks; with ``integral`` the
+    # box scan of the rational search (the oracle), else the Morita
+    # searches' scan at k = 0
     rng = random.Random(7)
     for key in ((3, 2), (3, 3), (3, 5), (4, 2), (4, 3)):
         A, table = character_tables[key]
@@ -580,12 +584,139 @@ def test_first_witness_is_the_k_major_one_in_any_candidate_order(character_table
         for _ in range(3):
             rng.shuffle(vectors)
             S, d = _block(vectors)
-            hit = decomp._first_witness(A, table, [len(vectors)],
-                                        lambda digits: (S[digits[:, 0]], d[digits[:, 0]]),
-                                        integral)
-            powers = range(decomp.POWER_RANGE + 1) if integral else [0]
+
+            def candidates(digits):
+                return S[digits[:, 0]], d[digits[:, 0]]
+
+            if integral:
+                hit = box_scan.first_witness(decomp.witness_test(A, table), [len(vectors)],
+                                             candidates)
+                powers = range(decomp.POWER_RANGE + 1)
+            else:
+                hit = decomp._first_witness(A, table, [len(vectors)], candidates)
+                hit, powers = hit and (0, *hit), [0]
             assert (None if hit is None else (hit[0], hit[1][0], hit[2])
                     ) == _k_major_first_witness(A, table, vectors, powers, integral)
+
+
+def _s3_times_c2(p):
+    """S3 x C2, the dihedral group of order 12, as the tensor product of the
+    two group algebras, with the six product characters."""
+    S3, s3_table = _symmetric_group(3, p)
+    C2, _ = group_algebra(cyclic_group_table(2)[0], p)
+    A = so.tensor_product(S3, C2)
+    psi = [[1, 1], [1, -1]]
+    return A, so.make_character_table([[x * y for x in chi for y in ps]
+                                       for chi in s3_table.values for ps in psi], A)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rational_search_finds_the_k_major_witness_on_s3_times_c2(p):
+    _same_first_witnesses(*_s3_times_c2(p), None, 2)
+
+
+def test_rational_search_finds_the_k_major_witness_on_s4_and_a_large_prime(character_tables):
+    for key in ((4, 2), (4, 3), (3, 4294967311)):
+        _same_first_witnesses(*character_tables[key], None, 2)
+
+
+def test_rational_search_finds_the_k_major_witness_with_residues_beyond_int64():
+    # the idempotent rows are (p^m, 0) and (-1, 1) over p^m, so the residues
+    # are taken mod p^m, and their products pass 2^63
+    p = 4294967311
+    for m in (1, 2):
+        A, _ = rank2_order(m, p)
+        table = so.make_character_table([[1, 0], [1, Fraction(p) ** m]], A)
+        assert decomp.witness_test(A, table).idempotents[1] == m
+        for bound in (2, 3):
+            _same_first_witnesses(A, table, None, bound)
+
+
+def _golden_oracle_cases():
+    """(name, bound) for every golden with characters at bounds 1 to 5; the
+    box of S3 x C2 at bound 4 holds 22^5 vectors, so the scan stops at 3."""
+    names = sorted(path.name.removesuffix(".bundle.json") for path in GOLDEN.glob("*.bundle.json")
+                   if "characters" in json.loads(path.read_text()))
+    return [(name, bound) for name in names
+            for bound in range(1, 4 if name.startswith("s3xc2") else 6)]
+
+
+@pytest.mark.parametrize("name, bound", _golden_oracle_cases())
+def test_rational_search_returns_the_box_scan_witness_on_the_goldens(name, bound):
+    b = so.load_bundle(GOLDEN / f"{name}.bundle.json")
+    found = decomp.rational_symmetry_search(b.order, b.character_table, bound=bound)
+    hit = box_scan.rational_witness(decomp.witness_test(b.order, b.character_table), bound)
+    if hit is None:
+        assert found.witness_sigma is None
+    else:
+        k, digits, n = hit
+        values = decomp._search_values(bound)
+        assert found.witness_sigma == tuple(Fraction(b.prime) ** k * Fraction(*values[i])
+                                            for i in digits) + (Fraction(b.prime) ** k,)
+        assert found.witness_n == n
+
+
+@st.composite
+def made_up_witness_test(draw):
+    """A witness test on one to four made-up characters, and a bound.  Its
+    value rows hold the unit rows, so m0 <= min v_p(a_chi) - v_p(d) and,
+    with ``determinant`` >= -dim v_p(d), v_p(det G) >= dim m0 as on an
+    order."""
+    p, r = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 4))
+    entry = st.builds(lambda u, e: u * p**e, st.integers(-6, 6), st.integers(0, 3))
+    rows = st.lists(st.lists(entry, min_size=r, max_size=r).filter(any), min_size=1, max_size=3)
+    units = [[int(i == j) for j in range(r)] for i in range(r)]
+    ranks = draw(st.lists(st.integers(1, 4), min_size=r, max_size=r))
+    vx = draw(st.integers(0, 3))
+    test = decomp.WitnessTest(
+        p, (np.array(draw(rows), dtype=object), draw(st.integers(0, 4))),
+        (np.array(units + draw(rows), dtype=object), vx), np.array(ranks, dtype=np.int64),
+        -sum(ranks) * vx + draw(st.integers(0, 3 * sum(ranks))))
+    return test, draw(st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(made_up_witness_test())
+def test_rational_witness_is_the_box_scan_witness_on_made_up_tests(case):
+    test, bound = case
+    assert decomp._rational_witness(test, decomp._search_values(bound)) == \
+        box_scan.rational_witness(test, bound)
+
+
+def _no_box_scan(monkeypatch):
+    def levels(*args):
+        raise AssertionError("the rational search ran the box scan")
+
+    monkeypatch.setattr(decomp, "_levels", levels)
+
+
+def test_rational_search_runs_no_box_scan(monkeypatch, s3, s3_table, character_tables):
+    _no_box_scan(monkeypatch)
+    assert so.rational_symmetry_search(s3[0], s3_table).witness_n == 2
+    for key in ((4, 2), (4, 3)):
+        assert so.rational_symmetry_search(*character_tables[key]).witness_sigma is not None
+    with pytest.raises(AssertionError, match="box scan"):
+        so.morita_psp_search(s3[0], s3_table, so.make_decomposition_matrix(
+            [[1, 0], [1, 1], [0, 1]], (1, 1), s3_table.degrees))
+
+
+def test_rational_search_passes_the_box_scan_wall_on_s3_times_c2(monkeypatch):
+    # the box scan returns this witness at k = 1 after reading all 38^5
+    # vectors at k = 0 (about 55 s of `check all` on a shared two-core VM);
+    # it is recorded here from the scan, not recomputed
+    _no_box_scan(monkeypatch)
+    b = so.load_bundle(GOLDEN / "s3xc2-p3-chars.bundle.json")
+    found = decomp.rational_symmetry_search(b.order, b.character_table, bound=5)
+    assert found.witness_sigma == (3, 3, -3, -3, 3, 3) and found.witness_n == 2
+    assert so.is_symmetrising(b.order, found.witness_form)
+
+
+def test_rational_search_at_bound_5_on_s5():
+    # seven characters: a box of 38^6 vectors, out of reach of the box scan
+    A, table = _symmetric_group(5, 5)
+    found = decomp.rational_symmetry_search(A, table, bound=5)
+    assert found.witness_sigma == (5, -5, 25, 5, 25, -5, 5) and found.witness_n == 2
+    assert _witness_hits(A, table, [found.witness_sigma]) == [True]
 
 
 def _symmetric_group(n, p):

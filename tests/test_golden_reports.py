@@ -29,7 +29,16 @@ and p = 3 together with the characters of
            modular dimensions (1, 1, 3, 3);
 
 so all twelve checks run on them, ``morita-psp`` and ``rational``
-included.  ``s3-p3-mismatch`` is the S3 fixture with wrong expectations
+included.  ``s3xc2-p3-chars`` is S3 x C2, the dihedral group of order
+12, at p = 3: ``orders.tensor_product`` of the group algebras of S3 and
+C2 (basis pairs (g, h) -> 2 g + h), its standard form, the trivial
+lattice and the sign lattice of S3 x C2 as the Young subgroup S3 x S2 of
+S5, the six products of the characters of ``builders.s3_characters()``
+and the characters (1, eps) of C2, and the decomposition matrix
+D(S3) (x) I_2, since p does not divide 2, with modular dimensions
+(1, 1, 1, 1).  Its ``rational`` witness lies at k = 1, past all 38^5
+vectors of the box at k = 0; its report was written by the box scan.
+``s3-p3-mismatch`` is the S3 fixture with wrong expectations
 (psp verdict and n, the Tate exponents of trivial|trivial, knorr on
 regular, morita-psp n, and a JSON null for divisibility ok): its report
 pins the ``mismatches`` of five failing checks, their text and order,
@@ -60,7 +69,8 @@ DATA = Path(__file__).resolve().parent / "data"
 # name -> exit code
 NAMES = {"s3-p3": 0, "s3-p3-permuted": 0, "m2-p3": 0, "rank2-m2-p2": 0,
          "rank2-m2-p2-doubled": 0, "s4-p3": 0, "s4-p2": 0,
-         "s4-p2-chars": 0, "s4-p3-chars": 0, "s3-p3-mismatch": 1, "s3-p3-scaled": 0}
+         "s4-p2-chars": 0, "s4-p3-chars": 0, "s3xc2-p3-chars": 0, "s3-p3-mismatch": 1,
+         "s3-p3-scaled": 0}
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -76,7 +86,7 @@ def test_check_all_reproduces_the_golden_report(name, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", ["s3-p3", "s3-p3-permuted", "s3-p3-mismatch", "s4-p2",
-                                  "s4-p3-chars"])
+                                  "s4-p3-chars", "s3xc2-p3-chars"])
 def test_golden_report_is_reproduced_under_python_O(name, tmp_path):
     # -O strips assert statements, so no certificate may rest on one
     report = tmp_path / "report.json"
