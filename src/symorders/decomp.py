@@ -10,11 +10,12 @@ arithmetic checks relating exponents, ranks and character degrees
 centre, valuations of integer combinations of the central idempotents
 and the characters against one determinant valuation
 (:class:`WitnessTest`), and certify only the witness they return.  The
-Morita searches scan their boxes with it; the rational symmetry search
-turns it into congruences mod a power of p, which meet in the middle of
-its box (:func:`_rational_witness`): about 2 * 38^3 half vectors per
-(k, exponent) at seven characters and bound 5, where a scan reads
-38^6.  The character layer runs on integer numerators over one
+Morita searches test one candidate at a time on Python ints and store no
+part of their boxes; the rational symmetry search turns the test into
+congruences mod a power of p, which meet in the middle of its box
+(:func:`_rational_witness`): about 2 * 38^3 half vectors per (k,
+exponent) at seven characters and bound 5, where a scan reads 38^6.
+The character layer runs on integer numerators over one
 denominator: the characters, the centre's table, the spectral
 coordinates and the idempotents (:class:`RationalCentre`), their
 residues mod p and their valuations.  Results hold these as ``integer_*``
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -145,6 +147,26 @@ class WitnessTest:
     ranks: np.ndarray  # r_chi
     determinant: int
 
+    @cached_property
+    def _python_ints(self) -> tuple:  # the ranks and the value rows
+        return self.ranks.tolist(), self.values[0].tolist()
+
+    def exponent(self, a) -> int | None:
+        """n when f_a = sum a_chi chi, for integers a_chi, is a witness of
+        exponent n, else None, on Python ints: no a_chi is 0, n = v_p(det
+        G_{f_a}) / dim is a nonnegative integer, and every value f_a(b_k)
+        lies in p^n O.  The least valuation of a value is that of an entry
+        f_a(b_i b_j) of G_{f_a} (b_k = b_k 1), so it never exceeds n."""
+        if 0 in a:
+            return None
+        ranks, rows = self._python_ints
+        n, rest = divmod(sum(r * int_val(x, self.p) for r, x in zip(ranks, a))
+                         + self.determinant, sum(ranks))
+        if rest or n < 0:
+            return None
+        q = self.p ** (n + self.values[1])
+        return None if any(sum(x * y for x, y in zip(row, a)) % q for row in rows) else n
+
 
 def witness_test(A: Order, table: CharacterTable) -> WitnessTest:
     """Derived on first use with A and kept on the table, certifying that
@@ -177,72 +199,6 @@ def _witness_test(A: Order, table: CharacterTable) -> WitnessTest:
     return WitnessTest(p, *families, np.array(ranks, dtype=np.int64), determinant)
 
 
-def _valuations(X, p: int) -> np.ndarray:
-    """Least valuation of an entry in each row of the integer array X
-    (2^40 for a zero row): that of the row's gcd, whose factors p^e,
-    e = 2^j, are taken out largest first."""
-    g = np.abs(np.gcd.reduce(X, axis=1))  # reduce leaves a single column's sign
-    v = np.where(g == 0, 2**40, 0)
-    top, e = int(g.max(initial=0)), 1
-    while p ** (2 * e) <= top:
-        e *= 2
-    while e:
-        if p**e <= top:
-            divisible = np.asarray(g % p**e == 0, dtype=bool) & (g != 0)
-            g, v = np.where(divisible, g // p**e, g), v + e * divisible
-        e //= 2
-    return v
-
-
-def _levels(test: WitnessTest, S, d) -> tuple:
-    """(e, m0) for the candidates a = S_c / d_c, one per row c of the
-    integer array S, with d > 0: sum p^k a_chi e_chi lies in the order
-    exactly when k >= e, and p^k a is a witness of exponent m0 + k exactly
-    when k >= -m0, with m0 = -2^40 when it is one at no k.
-
-    m0 is the least valuation of a value f_a(b_k).  That is the least
-    valuation of an entry f_a(b_i b_j) of G = G_{f_a}: each b_i b_j is a
-    ring combination of the b_k, and b_k = b_k 1 with 1 in the order.  So
-    f_a is a witness when no a_chi is 0 and G / p^m0 is unimodular, that
-    is v_p(det G) = dim m0, read off :class:`WitnessTest`; p^k shifts both
-    sides by dim k.  In int64 when S is and every sum of products stays
-    below 2^63, else on Python ints."""
-    p, r = test.p, S.shape[1]
-    big = max(int(np.abs(S).max(initial=1)), int(d.max(initial=1)))
-    width = max(int(np.abs(rows).max(initial=1)) for rows, _ in (test.idempotents, test.values))
-    dtype = np.int64 if S.dtype != object and r * width * big < 2**63 else object
-    S, d = S.astype(dtype), d.astype(dtype)
-
-    def level(family):
-        return _valuations(S @ family[0].T.astype(dtype), p) - family[1]
-
-    vd, values = _valuations(d[:, None], p), level(test.values)
-    nonzero = (S != 0).all(axis=1)
-    entries = np.where(nonzero[:, None], _valuations(S.reshape(-1, 1), p).reshape(S.shape), 0)
-    # v_p(det G) - dim m0, in which v_p(d) cancels
-    excess = entries @ test.ranks + test.determinant - int(test.ranks.sum()) * values
-    return vd - level(test.idempotents), np.where(nonzero & (excess == 0), values - vd, -2**40)
-
-
-def _first_witness(A: Order, table: CharacterTable, radices, candidates):
-    """(digits, n) of the first witness a, in lexicographic order, among
-    the digit vectors of the radices, or None; ``candidates`` maps digit
-    rows to the (S, d) of :func:`_levels`.  Tested in blocks of 2^11, up
-    to the first block with a witness."""
-    test = witness_test(A, table)
-    total = math.prod(radices)
-    for start in range(0, total, 1 << 11):
-        index = np.arange(start, min(start + (1 << 11), total))
-        digits = np.empty((len(index), len(radices)), dtype=np.int64)
-        for j in reversed(range(len(radices))):
-            index, digits[:, j] = np.divmod(index, radices[j])
-        m0 = _levels(test, *candidates(digits))[1]
-        hits = np.flatnonzero(m0 >= 0)
-        if len(hits):
-            return tuple(int(x) for x in digits[hits[0]]), int(m0[hits[0]])
-    return None
-
-
 def _witness_form(A: Order, table: CharacterTable, a, n: int) -> LinearForm:
     """p^{-n} sum a_chi chi, one integer dot on the characters X / m of the
     rational centre, certified symmetrising, which certifies n."""
@@ -259,34 +215,33 @@ def _decomposition_coefficients(table: CharacterTable, D: DecompositionMatrix, m
     return tuple(sum(int(d) * x for d, x in zip(row, m)) for row in D.entries)
 
 
-def _morita_search(A: Order, table: CharacterTable, D: DecompositionMatrix, box):
-    """First m in box^k, lexicographically, whose form is a witness."""
-    box = list(box)
-    values = np.array(box, dtype=np.int64)
-
-    def candidates(digits):
-        return values[digits] @ D.entries.T, np.ones(len(digits), dtype=np.int64)
-
-    hit = _first_witness(A, table, [len(box)] * D.num_modular, candidates)
-    if hit is None:
-        return None
-    digits, n = hit
-    m = tuple(box[i] for i in digits)
-    a = _decomposition_coefficients(table, D, m)
-    return MoritaWitness(m=m, n=n, a=a, form=_witness_form(A, table, a, n))
+def _morita_search(A: Order, table: CharacterTable, D: DecompositionMatrix, box: range):
+    """First m in box^l, lexicographically, whose form is a witness.  Each m
+    is decoded from its index digit by digit and tested on its own
+    (:meth:`WitnessTest.exponent`), so no part of the box is stored and the
+    walk stops at the first witness."""
+    test, rows, l = witness_test(A, table), D.entries.tolist(), D.num_modular
+    size = box.stop - box.start  # len(box) stops at 2^63
+    for index in range(size**l):
+        m = tuple(box[index // size ** (l - 1 - j) % size] for j in range(l))
+        a = tuple(sum(d * x for d, x in zip(row, m)) for row in rows)
+        n = test.exponent(a)
+        if n is not None:
+            return MoritaWitness(m=m, n=n, a=a, form=_witness_form(A, table, a, n))
+    return None
 
 
 def morita_psp_search(A: Order, table: CharacterTable, D: DecompositionMatrix,
                       bound: int = 5):
     """Search positive integer vectors m with entries <= bound for a
-    symmetrising form p^{-n} sum (D m)_chi chi, deciding each m in
-    lexicographic order by the test of :func:`_levels`.
+    symmetrising form p^{-n} sum (D m)_chi chi, one m at a time in
+    lexicographic order (:meth:`WitnessTest.exponent`), in memory that
+    does not grow with the bound.
 
     A witness certifies that the Morita class of the order contains one
     with the projective scalar property; absence within the box is a
     bounded statement, not a refutation.  The first witness is returned,
-    certified symmetrising.
-    """
+    certified symmetrising."""
     return _morita_search(A, table, D, range(1, bound + 1))
 
 
@@ -425,21 +380,21 @@ def _rational_witness(test: WitnessTest, values: list):
     c is a witness of exponent mu exactly when mu = (sum r_chi v_p(c_chi)
     + ``determinant``) / dim is an integer and every value sum c_chi
     chi(b_k) has valuation >= mu: the least valuation of a value never
-    exceeds v_p(det G) / dim (see :func:`_levels`).  Then p^k c is a
-    witness of exponent mu + k when mu + k >= 0, and sum p^k c_chi e_chi
-    lies in the order when every row of ``test.idempotents`` applied to c
-    has valuation >= its v_p(d) - k.  For fixed (k, mu) both are one
-    congruence mod p^W on the residues of p^top c, which is p-integral on
-    the whole box, linear in the c_chi, beside a sum of r_chi v_p(c_chi).
-    So the box is split in two halves (Horowitz and Sahni's meet in the
-    middle, J. ACM 21, 1974): the second, with c_r = 1, is hashed on its
-    (valuation sum, residues), keeping the least row per key, and the
-    first is walked in lexicographic order, looking up the sum it lacks
-    and its negated residues; its first hit is the least witness at
-    (k, mu).  No other mu has one: the symmetrising forms are t(u .) for
-    one of them, t, and the units u of the centre (Broue, Michigan Math.
-    J. 58, 2009), whose omega_chi(u) are units, so v_p(c_chi) - mu is the
-    same for every witness, and c_r = 1 fixes mu."""
+    exceeds v_p(det G) / dim (see :meth:`WitnessTest.exponent`).  Then
+    p^k c is a witness of exponent mu + k when mu + k >= 0, and sum p^k
+    c_chi e_chi lies in the order when every row of ``test.idempotents``
+    applied to c has valuation >= its v_p(d) - k.  For fixed (k, mu) both
+    are one congruence mod p^W on the residues of p^top c, which is
+    p-integral on the whole box, linear in the c_chi, beside a sum of r_chi
+    v_p(c_chi).  So the box is split in two halves (Horowitz and Sahni's
+    meet in the middle, J. ACM 21, 1974): the second, with c_r = 1, is
+    hashed on its (valuation sum, residues), keeping the least row per
+    key, and the first is walked in lexicographic order, looking up the
+    sum it lacks and its negated residues; its first hit is the least
+    witness at (k, mu).  No other mu has one: the symmetrising forms are
+    t(u .) for one of them, t, and the units u of the centre (Broue,
+    Michigan Math. J. 58, 2009), whose omega_chi(u) are units, so
+    v_p(c_chi) - mu is the same for every witness, and c_r = 1 fixes mu."""
     p, r, dim = test.p, len(test.ranks), int(test.ranks.sum())
     (E, ve), (X, vx) = test.idempotents, test.values
     v = {x: int_val(x, p) for value in values for x in map(abs, value)}

@@ -610,31 +610,31 @@ def residue_endo_analysis(A: Order, U: Lattice) -> ResidueEndoAnalysis:
 def _residue_algebra(A: Order, E: HomLattice) -> FpAlgebra:
     """End(U) modulo p, on the reduction of the hom basis E of End(U).
 
-    The basis is N_k / d for integer matrices N_k.  The coordinates of
-    N_i N_j in the N_k are d times those of the product of basis
-    elements, and those of d times the identity are the identity's; one
-    elimination on the integer rows (a, b) of [N_k | N_i N_j | d 1]
-    gives them all.
+    The basis is N_k / d for integer matrices N_k.  The products N_i N_j /
+    d^2 and the identity have ring coordinates in it exactly when it is
+    multiplicatively closed and holds 1: one
+    :func:`linalg.lattice_membership_of_columns` of the columns [N_i N_j |
+    d^2 1] over d^2 gives them all.  When some column has none, a second
+    membership of the products alone tells the two failures apart.
     """
     e, p, r = E.rank, A.prime, E.source.rank
     N, d = E.integer_basis
     products = N.reshape(e * r, r).dot(N.transpose(1, 0, 2).reshape(r, e * r))
     products = products.reshape(e, r, e, r).transpose(1, 3, 0, 2).reshape(r * r, e * e)
-    unit = (np.identity(r, dtype=object) * d).reshape(r * r, 1)
-    rows = np.concatenate([N.reshape(e, r * r).T, products, unit], axis=1).tolist()
-    dens = [1] * len(rows)
-    if len(linalg.eliminate(rows, dens, e)[0]) < e:
-        raise AssertionError("hom basis not linearly independent")
-    # row k < e is now [e_k | coordinates] over dens[k], the products' over
-    # d dens[k]; the rows below vanish
-    coords = [residues_over(row[e:-1] + [row[-1] * d], den * d, p)
-              for row, den in zip(rows[:e], dens)]
-    if any(any(row[e:-1]) for row in rows[e:]) or any(None in c[:-1] for c in coords):
-        raise AssertionError("hom basis not multiplicatively closed")
-    if any(row[-1] for row in rows[e:]) or any(c[-1] is None for c in coords):
+    unit = (np.identity(r, dtype=object) * d * d).reshape(r * r, 1)
+    basis = (N.reshape(e, r * r).T, d)
+    try:
+        coords = linalg.lattice_membership_of_columns(
+            basis, (np.concatenate([products, unit], axis=1), d * d), p)
+    except ValueError:
+        raise AssertionError("hom basis not linearly independent") from None
+    if coords is None:
+        if linalg.lattice_membership_of_columns(basis, (products, d * d), p) is None:
+            raise AssertionError("hom basis not multiplicatively closed")
         raise AssertionError("identity not in the hom lattice")
-    table = np.array([c[:-1] for c in coords], dtype=np.int64).T.reshape(e, e, e)
-    return FpAlgebra(p, e, table, np.array([c[-1] for c in coords]))
+    X, x = coords  # column i e + j holds the coordinates of N_i N_j
+    table = np.array(residues_over(X[:, :-1].T.flat, x, p), dtype=np.int64).reshape(e, e, e)
+    return FpAlgebra(p, e, table, np.array(residues_over(X[:, -1], x, p)))
 
 
 def _residue_endo_analysis(A: Order, U: Lattice) -> ResidueEndoAnalysis:

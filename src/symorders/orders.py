@@ -371,19 +371,24 @@ def condense(A: Order, e) -> tuple:
 
 
 def direct_product(A: Order, B: Order) -> Order:
-    """Block-diagonal product order on the concatenated bases."""
+    """Block-diagonal product order on the concatenated bases, labelled by
+    the factors' labels when both have them."""
     if A.prime != B.prime:
         raise InvalidOrderError("direct product needs a common prime")
     n = A.dim
     constants = A.constants() + [(i + n, j + n, k + n, c) for i, j, k, c in B.constants()]
-    return make_order(constants, np.concatenate([A.one, B.one]), A.prime)
+    labels = A.basis_labels + B.basis_labels if A.basis_labels and B.basis_labels else None
+    return make_order(constants, np.concatenate([A.one, B.one]), A.prime, labels)
 
 
 def tensor_product(A: Order, B: Order) -> Order:
-    """Tensor product order on the basis pairs (i, j) -> i * dim(B) + j."""
+    """Tensor product order on the basis pairs (i, j) -> i * dim(B) + j,
+    labelled g.h for labels g of A and h of B when both have them."""
     if A.prime != B.prime:
         raise InvalidOrderError("tensor product needs a common prime")
     n = B.dim
     constants = [(i1 * n + j1, i2 * n + j2, k1 * n + k2, a * b)
                  for i1, i2, k1, a in A.constants() for j1, j2, k2, b in B.constants()]
-    return make_order(constants, np.outer(A.one, B.one).reshape(-1), A.prime)
+    labels = ([f"{g}.{h}" for g in A.basis_labels for h in B.basis_labels]
+              if A.basis_labels and B.basis_labels else None)
+    return make_order(constants, np.outer(A.one, B.one).reshape(-1), A.prime, labels)

@@ -9,7 +9,7 @@ e_chi, so G^{-1} = sum (c_chi / a_chi) G_rho^{-1} L(e_chi)^T when no a_chi
 is 0, for L(x) the matrix of y -> x y.  The rows come from the inverse of
 G_rho and one Gram matrix per character, and :func:`levels` reads the
 least valuations of G and G^{-1} off them, on Python ints.  The tests
-require ``decomp._levels`` to give the same (e, m0) entry by entry.
+require ``box_scan.levels`` to give the same (e, m0) entry by entry.
 """
 
 from dataclasses import dataclass
@@ -20,6 +20,7 @@ from symorders import decomp, linalg
 from symorders.forms import LinearForm, gram_matrix, kept, regular_character_form
 from symorders.padic import int_val
 
+from box_scan import valuations
 from dense_orders import left_matrix
 
 
@@ -64,7 +65,7 @@ def _derive(A, table) -> GramWitnessTest:
 
 
 def levels(test: GramWitnessTest, S, d) -> tuple:
-    """(e, m0) for the candidates a = S_c / d_c, as ``decomp._levels``
+    """(e, m0) for the candidates a = S_c / d_c, as ``box_scan.levels``
     defines them: f_a is a witness when no a_chi is 0, m0 is the least
     valuation of an entry of G, and every entry of G^{-1} = d_c / P (the
     ``inverse`` rows applied to Q) has valuation >= -m0, for P the
@@ -73,13 +74,13 @@ def levels(test: GramWitnessTest, S, d) -> tuple:
     S, d = S.astype(object), d.astype(object)
 
     def level(family, X):
-        return decomp._valuations(X @ family[0].T.astype(object), p) - family[1]
+        return valuations(X @ family[0].T.astype(object), p) - family[1]
 
-    vd = decomp._valuations(d[:, None], p)
+    vd = valuations(d[:, None], p)
     e = vd - level(test.idempotents, S)
     m0 = level(test.gram, S) - vd
     nonzero = (S != 0).all(axis=1)
     S = np.where(nonzero[:, None], S, 1)  # those rows are rejected anyway
     P = np.prod(S, axis=1)
-    inverse = level(test.inverse, P[:, None] // S) + vd - decomp._valuations(P[:, None], p)
+    inverse = level(test.inverse, P[:, None] // S) + vd - valuations(P[:, None], p)
     return e, np.where(nonzero & (inverse >= -m0), m0, -2**40)

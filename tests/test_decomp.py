@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import tracemalloc
 import types
 from fractions import Fraction
 from itertools import product
@@ -348,10 +349,10 @@ def test_valuations_equal_the_least_valuation_entry_by_entry(p, width, data):
     entry = st.builds(lambda u, e: u * p**e, st.integers(-40, 40), st.integers(0, 70))
     rows = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=1))
     expected = [min((int_val(x, p) for x in row if x), default=2**40) for row in rows]
-    assert decomp._valuations(np.array(rows, dtype=object), p).tolist() == expected
+    assert box_scan.valuations(np.array(rows, dtype=object), p).tolist() == expected
     small = [row for row in rows if all(abs(x) < 2**62 for x in row)]
     if small:
-        assert (decomp._valuations(np.array(small, dtype=np.int64), p).tolist()
+        assert (box_scan.valuations(np.array(small, dtype=np.int64), p).tolist()
                 == [v for v, row in zip(expected, rows) if row in small])
 
 
@@ -366,7 +367,7 @@ def _at_power_zero(test, S, d):
     """(integral, n) for the candidates a = S_c / d_c themselves: whether
     sum a_chi e_chi lies in the order, and the exponent of a as a
     witness, else -1."""
-    e, m0 = decomp._levels(test, S, d)
+    e, m0 = box_scan.levels(test, S, d)
     return e <= 0, np.where(m0 >= 0, m0, -1)
 
 
@@ -465,15 +466,15 @@ def _k_major_levels(test, S, d, k):
     S, d = S.astype(object), d.astype(object)
 
     def level(family, X):
-        return decomp._valuations(X @ family[0].T.astype(object), p) - family[1]
+        return box_scan.valuations(X @ family[0].T.astype(object), p) - family[1]
 
-    vd = decomp._valuations(d[:, None], p)
+    vd = box_scan.valuations(d[:, None], p)
     integral = level(test.idempotents, S) - vd + k >= 0
     m = level(test.gram, S) - vd + k
     nonzero = (S != 0).all(axis=1)
     S = np.where(nonzero[:, None], S, 1)
     P = np.prod(S, axis=1)
-    inverse = level(test.inverse, P[:, None] // S) + vd - k - decomp._valuations(P[:, None], p)
+    inverse = level(test.inverse, P[:, None] // S) + vd - k - box_scan.valuations(P[:, None], p)
     return integral, np.where(nonzero & (m >= 0) & (inverse >= -m), m, -1)
 
 
@@ -571,32 +572,35 @@ def test_searches_find_the_k_major_witness_on_small_orders(small_tables):
 
 @pytest.mark.parametrize("integral", [True, False])
 def test_first_witness_is_the_k_major_one_in_any_candidate_order(character_tables, integral):
-    # the least (k, index) is found wherever the least k sits in the scan:
-    # each vector comes scaled by 1 / p, 1 and p, whose least k differ,
-    # in shuffled order and, for S4, over two blocks; with ``integral`` the
-    # box scan of the rational search (the oracle), else the Morita
-    # searches' scan at k = 0
+    # the least (k, index) is found wherever the least k sits in the scan,
+    # over vectors in shuffled order: with ``integral`` the box scan of the
+    # rational search (the oracle), over each vector scaled by 1 / p, 1 and
+    # p, whose least k differ, and for S4 over two blocks; else the Morita
+    # searches' test of one integer vector at a time at k = 0, over each
+    # vector, zeros allowed, scaled by 1, p and p^2
     rng = random.Random(7)
     for key in ((3, 2), (3, 3), (3, 5), (4, 2), (4, 3)):
         A, table = character_tables[key]
-        vectors = [[Fraction(A.prime) ** j * c for c in (*rest, 1)] for j in (-1, 0, 1)
-                   for rest in product(_search_values(2), repeat=table.num_chars - 1)]
+        test = decomp.witness_test(A, table)
+        p, r = A.prime, table.num_chars
+        if integral:
+            vectors = [[Fraction(p) ** j * c for c in (*rest, 1)] for j in (-1, 0, 1)
+                       for rest in product(_search_values(2), repeat=r - 1)]
+        else:
+            vectors = [[p**j * c for c in (*rest, 1)] for j in (0, 1, 2)
+                       for rest in product(range(-2, 3), repeat=r - 1)]
         for _ in range(3):
             rng.shuffle(vectors)
-            S, d = _block(vectors)
-
-            def candidates(digits):
-                return S[digits[:, 0]], d[digits[:, 0]]
-
             if integral:
-                hit = box_scan.first_witness(decomp.witness_test(A, table), [len(vectors)],
-                                             candidates)
-                powers = range(decomp.POWER_RANGE + 1)
+                S, d = _block(vectors)
+                hit = box_scan.first_witness(test, [len(vectors)],
+                                             lambda digits: (S[digits[:, 0]], d[digits[:, 0]]))
+                hit, powers = hit and (hit[0], hit[1][0], hit[2]), range(decomp.POWER_RANGE + 1)
             else:
-                hit = decomp._first_witness(A, table, [len(vectors)], candidates)
-                hit, powers = hit and (0, *hit), [0]
-            assert (None if hit is None else (hit[0], hit[1][0], hit[2])
-                    ) == _k_major_first_witness(A, table, vectors, powers, integral)
+                hit = next(((0, i, n) for i, a in enumerate(vectors)
+                            if (n := test.exponent(tuple(a))) is not None), None)
+                powers = [0]
+            assert hit == _k_major_first_witness(A, table, vectors, powers, integral)
 
 
 def _s3_times_c2(p):
@@ -683,11 +687,67 @@ def test_rational_witness_is_the_box_scan_witness_on_made_up_tests(case):
         box_scan.rational_witness(test, bound)
 
 
-def _no_box_scan(monkeypatch):
-    def levels(*args):
-        raise AssertionError("the rational search ran the box scan")
+def _same_exponents(test, vectors):
+    """WitnessTest.exponent gives the m0 of box_scan.levels on each integer
+    vector a, entry by entry: a is a witness at k = 0 exactly when m0 >= 0,
+    of exponent m0."""
+    S = np.array(vectors, dtype=object).reshape(len(vectors), len(test.ranks))
+    m0 = box_scan.levels(test, S, np.ones(len(vectors), dtype=object))[1]
+    assert [test.exponent(tuple(a)) for a in vectors] == [n if n >= 0 else None
+                                                          for n in m0.tolist()]
 
-    monkeypatch.setattr(decomp, "_levels", levels)
+
+@settings(max_examples=200, deadline=None)
+@given(made_up_witness_test(), st.data())
+def test_exponent_is_the_box_scan_level_on_made_up_tests(case, data):
+    test, _ = case
+    p, r = test.p, len(test.ranks)
+    entry = st.builds(lambda u, e: u * p**e, st.integers(-6, 6), st.integers(0, 3))
+    _same_exponents(test, data.draw(st.lists(st.lists(entry, min_size=r, max_size=r),
+                                             min_size=1, max_size=8)))
+
+
+def _golden_morita_names():
+    return sorted(path.name.removesuffix(".bundle.json") for path in GOLDEN.glob("*.bundle.json")
+                  if "decomposition" in json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("name", _golden_morita_names())
+def test_exponent_is_the_box_scan_level_on_the_golden_morita_boxes(name):
+    # the integer box [-5, 5]^l of the Morita searches, which holds their
+    # positive box [1, 5]^l, zeros included
+    b = so.load_bundle(GOLDEN / f"{name}.bundle.json")
+    table, D = b.character_table, b.decomposition
+    vectors = [decomp._decomposition_coefficients(table, D, m)
+               for m in product(range(-5, 6), repeat=D.num_modular)]
+    test = decomp.witness_test(b.order, table)
+    _same_exponents(test, vectors)
+    assert any(test.exponent(a) is not None for a in vectors)
+
+
+def test_morita_search_stores_no_part_of_its_box():
+    # the box [1, 10^6]^2 holds 10^12 vectors; the first, (1, 1), is the
+    # witness, and the walk stops there, on a cold table
+    b = s3_fixture_bundle(3)
+    tracemalloc.start()
+    try:
+        witness = so.morita_psp_search(b.order, b.character_table, b.decomposition,
+                                       bound=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (witness.m, witness.n) == ((1, 1), 1)
+    assert peak < 2**20
+    # a box of more than 2^63 entries per coordinate is walked the same way
+    assert so.morita_psp_search(b.order, b.character_table, b.decomposition,
+                                bound=10**20).m == (1, 1)
+
+
+def _no_box_scan(monkeypatch):
+    def exponent(*args):
+        raise AssertionError("a search tested one candidate at a time")
+
+    monkeypatch.setattr(decomp.WitnessTest, "exponent", exponent)
 
 
 def test_rational_search_runs_no_box_scan(monkeypatch, s3, s3_table, character_tables):
@@ -695,7 +755,7 @@ def test_rational_search_runs_no_box_scan(monkeypatch, s3, s3_table, character_t
     assert so.rational_symmetry_search(s3[0], s3_table).witness_n == 2
     for key in ((4, 2), (4, 3)):
         assert so.rational_symmetry_search(*character_tables[key]).witness_sigma is not None
-    with pytest.raises(AssertionError, match="box scan"):
+    with pytest.raises(AssertionError, match="one candidate at a time"):
         so.morita_psp_search(s3[0], s3_table, so.make_decomposition_matrix(
             [[1, 0], [1, 1], [0, 1]], (1, 1), s3_table.degrees))
 
@@ -766,14 +826,14 @@ def test_witness_test_equals_the_gram_oracle(character_tables, case):
 
 
 def _same_levels(A, table, vectors, python_ints):
-    """decomp._levels gives the (e, m0) of gram_witness.levels entry by
+    """box_scan.levels gives the (e, m0) of gram_witness.levels entry by
     entry: on Python ints when ``python_ints``, else with S in int64
     wherever the block fits."""
     S, d = _block(vectors)
     theirs = gram_witness.levels(gram_witness.witness_test(A, table), S, d)
     if not python_ints and max(np.abs(S).max(), d.max()) < 2**62:
         S, d = S.astype(np.int64), d.astype(np.int64)
-    ours = decomp._levels(decomp.witness_test(A, table), S, d)
+    ours = box_scan.levels(decomp.witness_test(A, table), S, d)
     assert [x.tolist() for x in ours] == [x.tolist() for x in theirs]
 
 

@@ -183,10 +183,9 @@ def _linalg_reads(tree: ast.AST, scope: str = "") -> list:
     return found
 
 
-def test_linalg_privates_stay_inside_and_only_residue_algebra_eliminates():
-    # every exact solve outside linalg is linalg.solve_of_rows; only the
-    # residue table of End(U) reads its elimination row by row, to tell
-    # its two failures apart
+def test_linalg_privates_stay_inside_and_no_other_module_eliminates():
+    # every exact solve outside linalg is linalg.solve_of_rows, the residue
+    # table of End(U) included: no module outside linalg eliminates
     package = Path(so.__file__).resolve().parent
     reads = {
         (path.stem, scope, attr)
@@ -194,8 +193,7 @@ def test_linalg_privates_stay_inside_and_only_residue_algebra_eliminates():
         for scope, attr in _linalg_reads(ast.parse(path.read_text(), filename=str(path)))
     }
     assert [read for read in sorted(reads) if read[2].startswith("_")] == []
-    assert {read for read in reads if read[2] == "eliminate"} == {
-        ("lattices", "_residue_algebra", "eliminate")}
+    assert {read for read in reads if read[2] == "eliminate"} == set()
 
 
 def test_only_box_and_homomorphism_searches_import_itertools_product():

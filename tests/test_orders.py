@@ -305,6 +305,19 @@ def test_tensor_rank_multiplies():
     assert T.dim == 4
 
 
+def test_product_orders_carry_the_factors_labels():
+    C2, _ = group_algebra(cyclic_group_table(2)[0], 3, labels=("e", "t"))
+    C3, _ = group_algebra(cyclic_group_table(3)[0], 3, labels=("1", "a", "b"))
+    R, _ = group_algebra(cyclic_group_table(2)[0], 3)
+    assert so.tensor_product(C2, C3).basis_labels == ("e.1", "e.a", "e.b", "t.1", "t.a", "t.b")
+    assert so.direct_product(C2, C3).basis_labels == ("e", "t", "1", "a", "b")
+    # a product with an unlabelled factor stays unlabelled
+    assert R.basis_labels is None
+    for product_order in (so.tensor_product, so.direct_product):
+        assert product_order(C2, R).basis_labels is None
+        assert product_order(R, C2).basis_labels is None
+
+
 def test_random_associativity_and_trace_property(s3):
     A, _ = s3
     rng = random.Random(11)
