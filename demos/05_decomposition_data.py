@@ -18,8 +18,9 @@ s = bundle.forms["standard"]
 table = bundle.character_table
 D = bundle.decomposition
 
-# Box search over positive integer vectors m: for each candidate the Gram
-# matrix of sum (D m)_chi chi must have constant Smith exponents.
+# Box search over positive integer vectors m, one at a time: with a = D m,
+# the form sum a_chi chi is a witness when no a_chi is 0, n = v_p(det G) / dim
+# is a nonnegative integer and every value of the form lies in p^n O.
 w = so.morita_psp_search(A, table, D, bound=5)
 print("box search witness: m =", w.m, " n =", w.n,
       " form =", [scalar_to_str(v) for v in w.form.values])

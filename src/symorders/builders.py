@@ -279,8 +279,10 @@ def four_dim_nonrational(x: int, p=2):
     if x % 2 == 0:
         raise ValueError("x must be odd")
     rows = four_dim_embedding(x)
-    B = np.array(rows, dtype=object).T  # columns are the basis vectors
-    Binv = linalg.inverse(B)
+    # the columns of B = N / b are the basis vectors, and N B^{-1} = b 1
+    N, b = linalg.numerators(np.array(rows, dtype=object).T)
+    Binv = linalg.from_numerators(*linalg.solve_of_rows(
+        [[*row, *(b if k == i else 0 for k in range(4))] for i, row in enumerate(N.tolist())], 4))
     constants = []
     for i in range(4):
         for j in range(4):

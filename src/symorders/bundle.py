@@ -230,9 +230,10 @@ _ENTRY_FIELDS = {"casimir": ("scalar",), "tate": ("perfect", "exponents")}
 
 def _check_expectation_names(expectations: dict, lattices: dict, forms: dict,
                              tables: dict) -> None:
-    """Every name an expectation refers to must resolve in the bundle, and
-    every node must be an object holding only fields its check compares:
-    the checks pass over any other expectation without reading it."""
+    """Every check an expectation names must compare expectations, every
+    name it refers to must resolve in the bundle, and every node must be
+    an object holding only fields its check compares: the checks pass
+    over any other expectation without reading it."""
 
     def node(path: str, value, fields=None) -> dict:
         if not isinstance(value, dict):
@@ -245,6 +246,10 @@ def _check_expectation_names(expectations: dict, lattices: dict, forms: dict,
     named = (("knorr", lattices, "lattice"), ("stable-exponent", lattices, "lattice"),
              ("constant-value", lattices, "lattice"), ("symmetrising", forms, "form"),
              ("casimir", forms, "form"), ("heights", tables, "table"))
+    checks = {check for check, _, _ in named} | {"tate", *_FIELDS}
+    for check in expectations:
+        if check not in checks:
+            raise BundleError(f"expectations: unknown check {check!r}")
     for check, names, kind in named:
         for name in node(check, expectations.get(check, {})):
             if name not in names:

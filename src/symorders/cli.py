@@ -155,8 +155,7 @@ def check_psp(b: Bundle, opts: RunOptions, expect: Expect) -> dict:
         if not agree:
             expect.mismatches.append("psp: direct and regular-Gram algorithms disagree")
     expect(("verdict",), verdict)
-    if cert:
-        expect(("n",), cert.n)
+    expect(("n",), cert.n if cert else None)
     return details
 
 
@@ -226,6 +225,8 @@ def check_morita_psp(b: Bundle, opts: RunOptions, expect: Expect) -> dict:
         b.order, b.character_table, b.decomposition, bound=opts.bound
     )
     if witness is None:
+        expect(("witness_m",), None)
+        expect(("n",), None)
         return {"witness": None, "statement": f"none within bound {opts.bound}"}
     return {"witness": {
         "m": expect(("witness_m",), list(witness.m)),
@@ -245,24 +246,27 @@ def check_rational(b: Bundle, opts: RunOptions, expect: Expect) -> dict:
     )
     if search.witness_sigma is None:
         details["rational_symmetry"] = f"no witness within bound {opts.bound}"
-        return details
-    details["rational_symmetry"] = {
-        "sigma": [scalar_to_str(c) for c in search.witness_sigma],
-        "n": search.witness_n,
-        "congruences": [str(c) for c in search.congruences],
-    }
-    if b.decomposition is not None:
-        crit = decomp.rational_intersection_criterion(
-            b.order,
-            b.character_table,
-            b.decomposition,
-            sigma_tilde=search.witness_sigma,
-        )
-        details["intersection_criterion"] = {
-            "verdict": expect(("verdict",), crit.verdict),
-            "morita_verdict": expect(("morita_verdict",), crit.morita_verdict),
-            "maximal_ideals": crit.maximal_ideal_count,
+    else:
+        details["rational_symmetry"] = {
+            "sigma": [scalar_to_str(c) for c in search.witness_sigma],
+            "n": search.witness_n,
+            "congruences": [str(c) for c in search.congruences],
         }
+    if search.witness_sigma is None or b.decomposition is None:
+        expect(("verdict",), None)
+        expect(("morita_verdict",), None)
+        return details
+    crit = decomp.rational_intersection_criterion(
+        b.order,
+        b.character_table,
+        b.decomposition,
+        sigma_tilde=search.witness_sigma,
+    )
+    details["intersection_criterion"] = {
+        "verdict": expect(("verdict",), crit.verdict),
+        "morita_verdict": expect(("morita_verdict",), crit.morita_verdict),
+        "maximal_ideals": crit.maximal_ideal_count,
+    }
     return details
 
 

@@ -66,10 +66,16 @@ class CharacterTable:
 
 def make_character_table(values, A: Order, names=None) -> CharacterTable:
     """Validate characters: linearly independent, with positive degrees
-    read off the unit that weight them to sum to the regular character."""
+    read off the unit that weight them to sum to the regular character,
+    and no names or one per character."""
     values = linalg.as_matrix(values)
-    if linalg.rational_rank(values) != values.shape[0]:
-        raise ValueError("characters are linearly dependent")
+    r = values.shape[0]
+    if names and len(names) != r:
+        raise ValueError(f"{len(names)} character names for {r} characters")
+    try:  # the columns of the numerators have rank r
+        linalg.solve_of_rows(linalg.numerators(values)[0].T.tolist(), r)
+    except ValueError:
+        raise ValueError("characters are linearly dependent") from None
     degrees = tuple(np.dot(values[i], A.one) for i in range(values.shape[0]))
     if any(d <= 0 for d in degrees):
         raise ValueError("character degrees must be positive")

@@ -8,19 +8,16 @@ a relative trace map and the central Casimir element z = sum x x^v.
 
 The exact work runs on integer numerators: Gram matrices are one
 contraction of the order's integer table (:attr:`Order.products`) with
-the numerators of the form's values, the dual basis of a form is G^{-1}
-from one exact solve on the integer numerators of G, and it is certified
-on integers (G D = I as an integer product, the Casimir element and its
-reverse as two contractions of the numerators of D with the table).
-Every symmetrising form is s(u .) for a central unit u (Broué, Michigan
-Math. J. 58, 2009), and the twist s(w .) of s has dual basis w^{-1} D:
-a twist takes that from its parent, under the same certificates, with
-no elimination.  Fractions are built only for results: the values of
-forms, the Casimir element and its inverse, and, on first read, the
-matrix of :class:`DualBasis`.  Each datum is derived where it is read
-and kept on its form: the Gram numerators, the dual basis, and z^{-1}
-only for the Casimir-orbit search and the twisted traces of
-``lattices``.
+the numerators of the form's values, the dual basis of every form
+(bundle forms, twists and witnesses alike) is G^{-1} from one exact
+solve on the integer numerators of G, and it is certified on integers
+(G D = I as an integer product, the Casimir element and its reverse as
+two contractions of the numerators of D with the table).  Fractions are
+built only for results: the values of forms, the Casimir element and
+its inverse, and, on first read, the matrix of :class:`DualBasis`.
+Each datum is derived where it is read and kept on its form: the Gram
+numerators, the dual basis, and z^{-1} only for the Casimir-orbit
+search and the twisted traces of ``lattices``.
 
 Two independent algorithms decide whether some symmetrising form has a
 scalar Casimir p^n 1 (the projective scalar property):
@@ -160,18 +157,15 @@ class DualBasis:
     """Dual basis of a symmetrising form s, with what it determines.
 
     Columns of ``matrix`` are the elements x_j^v with s(b_i x_j^v) =
-    delta_ij, so ``matrix`` is the inverse of the Gram matrix.  Both are
+    delta_ij, so ``matrix`` is the inverse of the Gram matrix.  It is
     held as integers: ``integer_matrix`` is (M, d), an integer array over
     the least common denominator d of its entries (a unit), and
-    ``integer_gram`` is (N, g) of :func:`_gram_numerators`; ``matrix`` is
-    ``linalg.from_numerators(*integer_matrix)``.  ``casimir`` is z =
-    sum_x x x^v; its inverse is derived apart, when read
-    (:func:`casimir_inverse`).  Every array is read-only.
+    ``matrix`` is ``linalg.from_numerators(*integer_matrix)``.
+    ``casimir`` is z = sum_x x x^v; its inverse is derived apart, when
+    read (:func:`casimir_inverse`).  Every array is read-only.
     """
 
-    order: Order
     integer_matrix: tuple
-    integer_gram: tuple
     casimir: np.ndarray
 
     @cached_property
@@ -191,37 +185,31 @@ def dual_basis(A: Order, s: LinearForm) -> DualBasis:
     return kept(s._kept, "dual_basis", (A,), lambda: _derive(A, s))
 
 
-def _derive(A: Order, s: LinearForm, candidate=None) -> DualBasis:
+def _derive(A: Order, s: LinearForm) -> DualBasis:
     """Derive and certify the dual basis of a symmetrising form.
 
     Since s(b_i x) = (G x)_i for every x, the defining condition
     s(b_i x_j^v) = delta_ij is exactly G D = I.  A ring matrix G is
     unimodular exactly when its inverse D exists and has ring entries.
     G is inverted on its integer numerators, D = g N^{-1}, by solving
-    N D = g I (:func:`linalg.solve_of_rows`), unless ``candidate`` gives
-    D as integer rows M over d (:func:`_inherit`).  The certificates run
-    on integers and are the same for both: with G = N / g and D = M / d,
-    G D = I is the integer product N M = g d I, and the Casimir element
-    z = sum_i b_i x_i^v and sum_i x_i^v b_i are two contractions of M
-    with the table, over d times its denominator, certified equal.  z is
-    certified to be central and to have ring coordinates.
+    N D = g I (:func:`linalg.solve_of_rows`).  The certificates run on
+    integers: with G = N / g and D = M / d, G D = I is the integer
+    product N M = g d I, and the Casimir element z = sum_i b_i x_i^v and
+    sum_i x_i^v b_i are two contractions of M with the table, over d
+    times its denominator, certified equal.  z is certified to be
+    central and to have ring coordinates.
     """
     N, g = _gram_numerators(A, s)
     p, n = A.prime, A.dim
     q = p ** int_val(g, p)  # G has ring entries when q divides every N_ij
     if any(N[i][j] != N[j][i] or N[i][j] % q for i in range(n) for j in range(i + 1)):
         raise NotSymmetrisingError("form not symmetrising")
-    if candidate is None:
-        # D = g N^{-1} solves N D = g 1
-        rows = [[*row, *(g if k == i else 0 for k in range(n))] for i, row in enumerate(N)]
-        try:
-            M, d = linalg.solve_of_rows(rows, n)
-        except ValueError:
-            raise NotSymmetrisingError("form not symmetrising") from None
-    else:
-        M, d = candidate
-        h = math.gcd(d, *(x for row in M for x in row))
-        M, d = [[x // h for x in row] for row in M], d // h
+    # D = g N^{-1} solves N D = g 1
+    rows = [[*row, *(g if k == i else 0 for k in range(n))] for i, row in enumerate(N)]
+    try:
+        M, d = linalg.solve_of_rows(rows, n)
+    except ValueError:
+        raise NotSymmetrisingError("form not symmetrising") from None
     if d % p == 0:
         raise NotSymmetrisingError("form not symmetrising")
     D_rows = [[(j, y) for j, y in enumerate(row) if y] for row in M]
@@ -249,33 +237,13 @@ def _derive(A: Order, s: LinearForm, candidate=None) -> DualBasis:
     if not _ring(z, d * A.denominator, p):
         raise AssertionError("Casimir element has non-ring coordinates")
     z = _read_only(linalg.from_numerators(z, d * A.denominator))
-    return DualBasis(A, (_read_only(np.array(M, dtype=object)), d), (N, g), z)
+    return DualBasis((_read_only(np.array(M, dtype=object)), d), z)
 
 
 def _ring(X, den: int, p: int) -> bool:
     """Whether the integers X over den are all p-integral."""
     q = p ** int_val(den, p)
     return not any(x % q for x in X)
-
-
-def _inherit(A: Order, s: LinearForm, t: LinearForm, u: tuple) -> DualBasis:
-    """The dual basis of the twist t = s(w .) by a central unit w, kept
-    on t: u D for the dual basis D of s and u = w^{-1} = U / e, certified
-    a unit by the caller.  s(w b_i u x_j^v) = s(b_i x_j^v) = delta_ij, so
-    column j of t's dual basis is u x_j^v, one contraction of U and the
-    numerators M of D with the table, over e d and the table's
-    denominator.  :func:`_derive` certifies it and runs no elimination."""
-    def build() -> DualBasis:
-        M, d = dual_basis(A, s).integer_matrix
-        U, e = u
-        terms = [(i, x) for i, x in enumerate(U) if x]
-        W = [[0] * A.dim for _ in range(A.dim)]
-        for j, column in enumerate(M.T.tolist()):
-            for k, x in A._product(terms, [(i, y) for i, y in enumerate(column) if y]).items():
-                W[k][j] = x
-        return _derive(A, t, (W, e * d * A.denominator))
-
-    return kept(t._kept, "dual_basis", (A,), build)
 
 
 def casimir(A: Order, s: LinearForm) -> np.ndarray:
@@ -308,9 +276,10 @@ def twist_form(A: Order, s: LinearForm, z) -> LinearForm:
 
     Its values are the row-matrix product z G for the Gram matrix G of s,
     since s(z b_i) = sum_j z_j s(b_j b_i); only the rows of G where z is
-    nonzero are contracted, on integers.  Twisting multiplies the Casimir
-    element by z^{-1}, so the twist of a symmetrising form is again
-    symmetrising, and its dual basis is z^{-1} D (:func:`_inherit`).
+    nonzero are contracted, on integers.  The twist of a symmetrising
+    form is again symmetrising, with dual basis z^{-1} D and Casimir
+    element z^{-1} times that of s; :func:`dual_basis` derives them when
+    read, as for any form.
     """
     z = A.element(z)
     if not (A.has_ring_coords(z) and A.is_central(z)):
@@ -321,11 +290,7 @@ def twist_form(A: Order, s: LinearForm, z) -> LinearForm:
         raise ValueError("not a central unit") from None
     if not A.has_ring_coords(u):
         raise ValueError("not a central unit")
-    t = _twist(A, s, *linalg.numerators(z))
-    if is_symmetrising(A, s):
-        U, e = linalg.numerators(u)
-        _inherit(A, s, t, (U.tolist(), e))
-    return t
+    return _twist(A, s, *linalg.numerators(z))
 
 
 def _twist(A: Order, s: LinearForm, w, e: int) -> LinearForm:
@@ -375,7 +340,8 @@ def psp_direct(A: Order, s: LinearForm):
     of the order is no unit, and none when z is singular in K⊗A.  The
     twist is s(z p^{-t} .) = p^{-t} rho, certified equal to the order's
     kept witness (:func:`_regular_witness`), whose dual basis is derived
-    from that of s.  Returns a PspCertificate or None, kept on the form.
+    once whichever psp algorithm reads it first.  Returns a
+    PspCertificate or None, kept on the form.
     """
     return kept(s._kept, "psp_direct", (A,), lambda: _psp_search(A, s))
 
@@ -395,7 +361,6 @@ def _psp_search(A: Order, s: LinearForm):
     witness = _regular_witness(A, t)
     if _twist(A, s, Z, c * p**t) != witness:
         raise AssertionError("twist by z / p^t differs from p^-t rho")
-    _inherit(A, s, witness, (u, e))
     cert = PspCertificate(n=t, witness_form=witness)
     if not cert.verify(A):
         raise AssertionError("twisted form fails the scalar Casimir certificate")
@@ -445,16 +410,20 @@ def schur_coefficients(A: Order, s: LinearForm, characters) -> np.ndarray:
     """Coefficients sigma with s = sum_chi sigma_chi chi on the basis.
 
     ``characters`` is a sequence of value vectors on the order basis.
-    Raises when the characters do not span the form.
+    Raises when the characters do not span the form.  With the characters
+    X / m and the values v / e, sigma solves (e X^T) sigma = m v, one
+    integer solve on the rows [e X^T | m v].
     """
-    M = linalg.as_matrix(characters).T
+    X, m = linalg.numerators(linalg.as_matrix(characters))
+    v, e = linalg.numerators(s.values)
+    rows = [[x * e for x in col] + [y * m] for col, y in zip(X.T.tolist(), v.tolist())]
     try:
-        sigma = linalg.solve_exact(M, s.values)
+        solved = linalg.solve_of_rows(rows, X.shape[0])
     except ValueError:
-        sigma = None
-    if sigma is None:
+        solved = None
+    if solved is None:
         raise ValueError("characters do not span the form")
-    return sigma
+    return linalg.from_numerators([row[0] for row in solved[0]], solved[1])
 
 
 def casimir_spectrum_from_data(sigma, degrees) -> np.ndarray:

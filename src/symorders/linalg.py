@@ -13,12 +13,10 @@ by the row gcd after every operation.  ``numerators`` and
 ``from_numerators`` convert arrays of Fractions to and from integers
 over one denominator.
 
-The front-ends on Fractions remain where a caller holds Fractions:
-:func:`rational_rank` (character tables), :func:`solve_exact` (Schur
-coefficients) and :func:`inverse` (builders).  :func:`integral_kernel`,
-:func:`det` and :func:`smith_normal_form`, with both transforms, have
-no caller in the library; the benchmark times them and the other
-front-ends by name.
+The front-ends on Fractions, :func:`solve_exact`, :func:`inverse`,
+:func:`det`, :func:`integral_kernel` and :func:`smith_normal_form` (with
+both transforms), have no caller in the library; the benchmark times
+them by name.
 """
 
 from __future__ import annotations
@@ -195,11 +193,6 @@ def eliminate(rows: list, dens: list, ncols: int) -> tuple:
         if r == m:
             break
     return pivots, (det_num, det_den)
-
-
-def rational_rank(M) -> int:
-    rows, dens, n = _int_rows(M)
-    return len(eliminate(rows, dens, n)[0])
 
 
 def solve_exact(M, B):

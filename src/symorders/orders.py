@@ -255,13 +255,16 @@ def make_order(constants, one, p, basis_labels=None) -> Order:
     associativity (b_i b_j) b_k = b_i (b_j b_k) holds, checked with the
     sparse product for generator rows i by :func:`first_failure`; an error
     names the first failing basis triple in lexicographic order.  The
-    dimension must be positive.
+    dimension must be positive, and ``basis_labels`` are none or one per
+    basis element.
     """
     p = Prime(p)
     one = linalg.as_vector(one)
     dim = len(one)
     if dim == 0:
         raise InvalidOrderError("order must have positive dimension")
+    if basis_labels and len(basis_labels) != dim:
+        raise InvalidOrderError(f"{len(basis_labels)} basis labels for dimension {dim}")
     cells = [[{} for _ in range(dim)] for _ in range(dim)]
     for i, j, k, c in constants:
         if not all(0 <= x < dim for x in (i, j, k)):

@@ -363,12 +363,35 @@ def _set_expectation(path, value):
     (_set_expectation(["heights", "condenced"], [0, 1, 0]),
      "unresolved name: heights expects table 'condenced'"),
     (_set_expectation(["knorr"], ["trivial"]), "expectations: knorr must be a JSON object"),
+    (_set_expectation(["knor"], {"trivial": False}), "expectations: unknown check 'knor'"),
+    (_set_expectation(["validate"], {"dim": 7}), "expectations: unknown check 'validate'"),
 ])
 def test_malformed_expectations_are_an_input_error_naming_the_key(s3_doc, tmp_path, capsys,
                                                                   corrupt, message):
     # the checks pass over an expectation they do not read, so it would
     # never be compared
     _assert_input_error(s3_doc, corrupt, message, tmp_path, capsys)
+
+
+def _one_character_name(doc):
+    doc["characters"]["names"] = doc["characters"]["names"][:1]
+
+
+def _two_basis_labels(doc):
+    doc["order"]["basis_labels"] = doc["order"]["basis_labels"][:2]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_one_character_name, "characters validation failed: 1 character names for 3 characters"),
+    (_two_basis_labels, "order validation failed: 2 basis labels for dimension 6"),
+])
+def test_names_and_labels_of_the_wrong_length_are_an_input_error(s3_doc, corrupt, message):
+    # validate would list one name for three characters
+    doc = copy.deepcopy(s3_doc)
+    corrupt(doc)
+    with pytest.raises(BundleError) as raised:
+        bundle_from_dict(doc)
+    assert str(raised.value) == message
 
 
 def test_decomposition_requires_characters(s3_doc):
@@ -528,6 +551,42 @@ def test_an_expectation_without_a_reported_value_is_compared_with_none(
     assert f"[FAIL] {check}" in capsys.readouterr().out
     (result,) = run(check, bundle_from_dict(doc)).results
     assert result.verdict == "fail" and result.details["mismatches"] == [mismatch]
+
+
+def _s4_p3_chars(doc):
+    return json.loads((DATA / "s4-p3-chars.bundle.json").read_text())
+
+
+def _rank2_m2_p2(doc):
+    return json.loads((DATA / "rank2-m2-p2.bundle.json").read_text())
+
+
+def _s3_without_decomposition(doc):
+    doc = copy.deepcopy(doc)
+    del doc["decomposition"]
+    return doc
+
+
+@pytest.mark.parametrize("source, bound, check, expected, mismatch", [
+    # rank2-m2-p2 lacks the scalar property, so psp reports no n
+    (_rank2_m2_p2, 5, "psp", {"verdict": "no", "n": 1}, ["psp:n expected 1 got None"]),
+    # s4-p3-chars has neither witness within bound 2
+    (_s4_p3_chars, 2, "morita-psp", {"witness_m": [1, 1, 3, 3], "n": 1},
+     ["morita-psp:witness_m expected [1, 1, 3, 3] got None",
+      "morita-psp:n expected 1 got None"]),
+    (_s4_p3_chars, 2, "rational", {"verdict": True},
+     ["rational:verdict expected True got None"]),
+    # a rational witness, but no decomposition matrix to test it against
+    (_s3_without_decomposition, 5, "rational", {"verdict": False, "morita_verdict": True},
+     ["rational:verdict expected False got None",
+      "rational:morita_verdict expected True got None"]),
+])
+def test_an_expectation_on_a_value_the_check_did_not_compute_is_compared_with_none(
+        s3_doc, source, bound, check, expected, mismatch):
+    doc = source(s3_doc)
+    doc.setdefault("expectations", {})[check] = expected
+    (result,) = run(check, bundle_from_dict(doc), RunOptions(bound=bound)).results
+    assert result.verdict == "fail" and result.details["mismatches"] == mismatch
 
 
 def test_casimir_of_a_form_that_is_not_symmetrising_compares_a_scalar_with_none(s3_doc):
