@@ -24,9 +24,11 @@ print("exponent a(U):", S.exponent)
 value = so.tate_pair(A, s, trivial, trivial, [[Fraction(1)]], [[Fraction(1)]])
 print("pairing value on (id, id):", value, "in K modulo the ring")
 
+# verify_tate_duality raises TateDualityError unless the pairing is
+# perfect, so a report is a certificate; both sides share its factors.
 report = so.verify_tate_duality(A, s, trivial, trivial)
-print("perfect:", report.perfect, " both sides:", report.exponents_uv,
-      report.exponents_vu)
+print("perfect, with invariant factors", report.exponents_uv,
+      "and pairing", [[str(v) for v in row] for row in report.pairing])
 
 # Projective lattices are stably zero, so the pairing is trivially perfect.
 report = so.verify_tate_duality(A, s, regular, regular)

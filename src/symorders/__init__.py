@@ -1,6 +1,6 @@
 """Exact computations with symmetric orders over the p-local integers."""
 
-from .padic import Prime, ResidueClass, residue_class, scalar_to_str, val
+from .padic import Prime, scalar_to_str, val
 from .linalg import (
     integral_kernel,
     smith_normal_form,

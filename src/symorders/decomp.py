@@ -41,7 +41,7 @@ from .forms import (
     kept,
     regular_character_form,
 )
-from .modp import FpAlgebra, nullspace
+from .modp import FpAlgebra, nullspace, residue_dtype
 from .orders import Order
 from .padic import INFINITY, as_int, int_val, residues_over, val
 
@@ -340,15 +340,15 @@ def congruence_analysis(A: Order, table: CharacterTable, sigma_tilde, n: int) ->
     """
     p, (X, m) = A.prime, rational_centre(A, table).integer_characters
     w = [val(c, p) for c in linalg.as_vector(sigma_tilde)]
-    vm, unit = int_val(m, p), pow(m // p ** int_val(m, p), -1, p)  # chi(b) = X / m
+    vm = int_val(m, p)  # chi(b) = X / m
     out = []
     for b, chis in enumerate(X.T.tolist()):
         levels = [w_i + int_val(x, p) - vm if x else INFINITY for w_i, x in zip(w, chis)]
         mu = min(levels)
         if mu == INFINITY or mu >= n:
             continue
-        # the unit part of chi(b), chi(b) / p^(mu - w_chi), mod p
-        terms = [(i, x // p ** int_val(x, p) * unit % p)
+        # the unit part of chi(b), chi(b) / p^(mu - w_chi) = x / (p^v_p(x) m / p^v_p(m)), mod p
+        terms = [(i, residues_over([x], p ** int_val(x, p) * (m // p**vm), p)[0])
                  for i, x in enumerate(chis) if levels[i] == mu]
         ratio = None
         if len(terms) == 2:
@@ -376,6 +376,9 @@ def _search_values(bound: int) -> list:
 
 # largest power k of p in the normalized candidates p^k (c_1, ..., c_{r-1}, 1)
 POWER_RANGE = 4
+# most cells one half of the meet in the middle may hold: its vectors times
+# (1 + rows of the idempotent and value tests); a larger half is refused
+HALF_CELL_LIMIT = 2**25
 
 
 def _rational_witness(test: WitnessTest, values: list):
@@ -403,10 +406,15 @@ def _rational_witness(test: WitnessTest, values: list):
     v_p(c_chi) - mu is the same for every witness, and c_r = 1 fixes mu."""
     p, r, dim = test.p, len(test.ranks), int(test.ranks.sum())
     (E, ve), (X, vx) = test.idempotents, test.values
+    cuts = [range(r // 2), range(r // 2, r - 1)]
+    vectors = len(values) ** max(map(len, cuts))
+    if vectors * (1 + len(E) + len(X)) > HALF_CELL_LIMIT:
+        raise ValueError(f"rational: a search half of {vectors} vectors, "
+                         f"{vectors * (1 + len(E) + len(X))} cells, exceeds the limit "
+                         f"of {HALF_CELL_LIMIT} cells; lower --bound")
     v = {x: int_val(x, p) for value in values for x in map(abs, value)}
     top = max(v[den] for _, den in values)
     vals = np.array([v[abs(num)] - v[den] for num, den in values], dtype=np.int64)
-    cuts = [range(r // 2), range(r // 2, r - 1)]
     digits = [np.indices((len(values),) * len(c)).reshape(len(c), len(values) ** len(c)).T
               for c in cuts]
     sums = [sum((int(test.ranks[i]) * vals[d[:, j]] for j, i in enumerate(c)),
@@ -417,7 +425,7 @@ def _rational_witness(test: WitnessTest, values: list):
     if not mus:
         return None
     P = p ** max(0, ve + top, mus[-1] + vx + top)
-    dtype = np.int64 if P * P * r < 2**63 else object
+    dtype = residue_dtype(P, r)
     scale = {den: p ** (top - v[den]) * pow(den // p ** v[den], -1, P) for _, den in values}
     units = np.array([num * scale[den] % P for num, den in values], dtype=dtype)
     M = (np.concatenate([E, X]).astype(object) % P).astype(dtype)
@@ -602,7 +610,8 @@ def degree_divisibility_checks(p: int, psp_n: int, lattice_verdicts) -> Divisibi
 
     ``lattice_verdicts`` is a sequence of (name, rank, is_knorr,
     is_projective).  Knorr lattices must satisfy val(rank) <= n and
-    projective lattices val(rank) >= n.
+    projective lattices val(rank) >= n.  Every row is reported, each with
+    its verdict; ``ok`` is False when one fails.
     """
     rows = []
     for name, rank, is_knorr, is_projective in lattice_verdicts:
@@ -611,11 +620,7 @@ def degree_divisibility_checks(p: int, psp_n: int, lattice_verdicts) -> Divisibi
             rows.append((name, rank, "knorr", v, psp_n, v <= psp_n))
         if is_projective:
             rows.append((name, rank, "projective", v, psp_n, v >= psp_n))
-    report = DivisibilityReport(entries=tuple(rows))
-    if not report.ok:
-        bad = [e for e in report.entries if not e[-1]]
-        raise ValueError(f"violation: {bad}")
-    return report
+    return DivisibilityReport(entries=tuple(rows))
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import linalg
 from .orders import Order, NotInvertibleError
-from .padic import INFINITY, int_val, val, scalar_to_str
+from .padic import INFINITY, int_val, integral_over, val, scalar_to_str
 
 
 class NotSymmetrisingError(ValueError):
@@ -234,16 +234,10 @@ def _derive(A: Order, s: LinearForm) -> DualBasis:
         raise AssertionError("Casimir element differs from sum x^v x")
     if not A._central([(k, x) for k, x in enumerate(z) if x]):
         raise AssertionError("Casimir element not central")
-    if not _ring(z, d * A.denominator, p):
+    if not integral_over(z, d * A.denominator, p):
         raise AssertionError("Casimir element has non-ring coordinates")
     z = _read_only(linalg.from_numerators(z, d * A.denominator))
     return DualBasis((_read_only(np.array(M, dtype=object)), d), z)
-
-
-def _ring(X, den: int, p: int) -> bool:
-    """Whether the integers X over den are all p-integral."""
-    q = p ** int_val(den, p)
-    return not any(x % q for x in X)
 
 
 def casimir(A: Order, s: LinearForm) -> np.ndarray:
@@ -356,7 +350,7 @@ def _psp_search(A: Order, s: LinearForm):
     Z, Y = Z.tolist(), Y.tolist()
     t = max(0, int_val(e, p) - min(int_val(y, p) for y in Y if y))
     u = [y * p**t for y in Y]  # p^t z^{-1} = u / e, and its inverse z / p^t = Z / (c p^t)
-    if not (_ring(u, e, p) and _ring(Z, c * p**t, p)):
+    if not (integral_over(u, e, p) and integral_over(Z, c * p**t, p)):
         return None
     witness = _regular_witness(A, t)
     if _twist(A, s, Z, c * p**t) != witness:

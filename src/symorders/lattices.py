@@ -54,7 +54,7 @@ from . import linalg
 from .forms import LinearForm, casimir, casimir_inverse, dual_basis, kept  # noqa: F401
 from .modp import FpAlgebra, nullspace, rref
 from .orders import Order, first_failure
-from .padic import INFINITY, ResidueClass, int_val, residue_class, residues_over, val_over
+from .padic import INFINITY, int_val, integral_over, residues_over, val_over
 
 
 class InvalidLatticeError(ValueError):
@@ -493,8 +493,10 @@ def _pairings(Z, X, H) -> np.ndarray:
     return XZ.dot(H.reshape(H.shape[0], n).T)
 
 
-def tate_pair(A: Order, s: LinearForm, U: Lattice, V: Lattice, alpha, beta) -> ResidueClass:
-    """Pairing value of (alpha, beta) in K modulo the ring.
+def tate_pair(A: Order, s: LinearForm, U: Lattice, V: Lattice, alpha, beta) -> Fraction:
+    """Pairing value of (alpha, beta) in K modulo the ring, as its
+    representative in [0, 1): c / p^k for the value x / den, with p^k
+    exactly dividing den and c = x / (den / p^k) mod p^k.
 
     alpha : U -> V and beta : V -> U intertwine the actions; the value is
     the trace on the rationalized U of multiplication by z^{-1} composed
@@ -502,7 +504,10 @@ def tate_pair(A: Order, s: LinearForm, U: Lattice, V: Lattice, alpha, beta) -> R
     """
     (a, da), (b, db) = (linalg.numerators(linalg.as_matrix(m)) for m in (alpha, beta))
     Z, z = _twisted_action(A, s, U)
-    return residue_class(Fraction(_pairings(Z, a[None], b[None])[0, 0], z * da * db), A.prime)
+    p, den = A.prime, z * da * db
+    k = int_val(den, p)
+    (c,) = residues_over([_pairings(Z, a[None], b[None])[0, 0]], den // p**k, p, k)
+    return Fraction(c, p**k)
 
 
 def adjunction_check(A: Order, s: LinearForm, U: Lattice, V: Lattice, alpha, beta) -> bool:
@@ -522,10 +527,8 @@ def adjunction_check(A: Order, s: LinearForm, U: Lattice, V: Lattice, alpha, bet
 
 @dataclass(frozen=True, eq=False)
 class TateDualityReport:
-    perfect: bool
-    exponents_uv: tuple
-    exponents_vu: tuple
-    pairing: tuple  # pairing residues on generator pairs
+    exponents_uv: tuple  # of a perfect pairing: the same on both sides
+    pairing: tuple  # values on generator pairs, in [0, 1)
 
 
 def verify_tate_duality(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> TateDualityReport:
@@ -534,14 +537,14 @@ def verify_tate_duality(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> Tate
     Checks (a) matching invariant factors on both sides and (b) trivial
     kernel of the induced map into the character group.  A map between
     finite p-groups is injective exactly on its p-torsion, which is
-    spanned over the residue field by t_i = p^(d_i-1) g_i; and t_i pairs
-    with a generator h_j of the other side to p^(d_i-1) <g_i, h_j>, whose
-    class modulo the ring is read off p^(d_i) <g_i, h_j> (certified to lie
-    in the ring) modulo p.  So (b) holds exactly when that residue matrix
-    has full row rank.  Otherwise ``TateDualityError`` names the first
-    class of its left nullspace, certified to pair integrally with every
-    h_j.  All pairing values are one integer contraction
-    (:func:`_pairings`) over one denominator.
+    spanned over the residue field by t_i = p^(d_i-1) g_i.  One integer
+    contraction (:func:`_pairings`) gives the values <g_i, h_j> on the
+    generators h_j of the other side, and the residue c = p^a <g_i, h_j>
+    mod p^a, for a the largest d_i, both the value c / p^a and the class
+    of <t_i, h_j>, (c / p^(a-d_i)) mod p, where p^(a-d_i) dividing c is
+    certified.  So (b) holds exactly when that layer matrix has full row
+    rank.  Otherwise ``TateDualityError`` names the first class of its
+    left nullspace, certified to pair integrally with every h_j.
     """
     # z^{-1} first: when z is singular in K⊗A, NotInvertibleError says so
     # before the stable Homs, whose free part is then nonzero
@@ -554,30 +557,26 @@ def verify_tate_duality(A: Order, s: LinearForm, U: Lattice, V: Lattice) -> Tate
             f"{S_uv.exponents} vs {S_vu.exponents}"
         )
     if not S_uv.exponents:
-        return TateDualityReport(perfect=True, exponents_uv=(), exponents_vu=(), pairing=())
-    p = A.prime
+        return TateDualityReport(exponents_uv=(), pairing=())
+    p, a = A.prime, S_uv.exponent
     (G, g), (H, h) = S_uv.integer_generators, S_vu.integer_generators
-    den = z * g * h
-    values = _pairings(Z, G, H).tolist()
-    pairing = tuple(tuple(residue_class(Fraction(v, den), p) for v in row) for row in values)
-    layer = [residues_over([p**d * v for v in row], den, p)
-             for d, row in zip(S_uv.exponents, values)]
-    if any(None in row for row in layer):
-        raise AssertionError("p^d times a generator of order p^d pairs non-integrally")
-    k = len(layer)
-    kernel = nullspace(np.array(layer, dtype=object).reshape(k, k).T, p)
+    den, pa = z * g * h, p**a
+    residues = [residues_over([pa * v for v in row], den, p, a)
+                for row in _pairings(Z, G, H).tolist()]
+    layer = []
+    for d, row in zip(S_uv.exponents, residues):
+        if any(c is None or c % p ** (a - d) for c in row):
+            raise AssertionError("p^d times a generator of order p^d pairs non-integrally")
+        layer.append([c // p ** (a - d) % p for c in row])
+    kernel = nullspace(list(zip(*layer)), p)
     if len(kernel):
         cls = tuple(int(c) * p ** (d - 1) for c, d in zip(kernel[0], S_uv.exponents))
         x = _combine(np.array(cls, dtype=object), G)
-        if None in residues_over(_pairings(Z, x[None], H)[0].tolist(), den, p):
+        if not integral_over(_pairings(Z, x[None], H)[0], den, p):
             raise AssertionError("nullspace class pairs non-integrally")
         raise TateDualityError(f"pairing degenerate: kernel class {cls}")
-    return TateDualityReport(
-        perfect=True,
-        exponents_uv=S_uv.exponents,
-        exponents_vu=S_vu.exponents,
-        pairing=pairing,
-    )
+    pairing = tuple(tuple(Fraction(c, pa) for c in row) for row in residues)
+    return TateDualityReport(exponents_uv=S_uv.exponents, pairing=pairing)
 
 
 # -- residue endomorphism algebras and the Knorr criterion ---------------
@@ -633,8 +632,8 @@ def _residue_algebra(A: Order, E: HomLattice) -> FpAlgebra:
             raise AssertionError("hom basis not multiplicatively closed")
         raise AssertionError("identity not in the hom lattice")
     X, x = coords  # column i e + j holds the coordinates of N_i N_j
-    table = np.array(residues_over(X[:, :-1].T.flat, x, p), dtype=np.int64).reshape(e, e, e)
-    return FpAlgebra(p, e, table, np.array(residues_over(X[:, -1], x, p)))
+    table = np.array(residues_over(X[:, :-1].T.flat, x, p), dtype=object).reshape(e, e, e)
+    return FpAlgebra(p, e, table, np.array(residues_over(X[:, -1], x, p), dtype=object))
 
 
 def _residue_endo_analysis(A: Order, U: Lattice) -> ResidueEndoAnalysis:
@@ -649,7 +648,7 @@ def _residue_endo_analysis(A: Order, U: Lattice) -> ResidueEndoAnalysis:
         c = N[0, 0, 0] if e else 0
         if c % A.prime == 0 or not (N == c * np.identity(U.rank, dtype=object)).all():
             raise AssertionError("End(U) of rank one is not the ring")
-        radical = np.zeros((0, 1), dtype=np.int64)
+        radical = np.zeros((0, 1), dtype=object)
     else:
         radical = _residue_algebra(A, E).radical()
     qdim = e - radical.shape[0]
@@ -808,7 +807,7 @@ def stable_socle_property(A: Order, s: LinearForm, U: Lattice) -> bool:
         products = np.empty((len(layer) * len(lifts), U.rank, U.rank), dtype=object)
         for k, (t, r) in enumerate((t, r) for t in layer for r in lifts):
             products[k] = side(r, t)
-        images = np.array(_layer_coords(S, products, d * g), dtype=np.int64)
+        images = np.array(_layer_coords(S, products, d * g), dtype=object)
         images = images.reshape(len(layer), -1)
         return not images[top].any() and len(rref(images[low], p)[1]) == len(low)
 
@@ -836,10 +835,9 @@ def knorr_projective_check(A: Order, U: Lattice) -> bool:
     """
     if not residue_endo_analysis(A, U).split_local:
         raise ValueError("endomorphism residue algebra not split local")
-    p = A.prime
     N, q = U.integer_action
-    actions = N.reshape(A.dim, U.rank**2) * pow(q, -1, p) % p
-    return len(rref(actions.astype(np.int64), p)[1]) == U.rank**2
+    actions = [residues_over(m, q, A.prime) for m in N.reshape(A.dim, U.rank**2).tolist()]
+    return len(rref(actions, A.prime)[1]) == U.rank**2
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .padic import int_val
+from .padic import int_val, integral_over
 
 
 def as_matrix(rows) -> np.ndarray:
@@ -416,8 +416,7 @@ def lattice_membership_of_columns(basis: tuple, v: tuple, p: int):
     if solved is None:
         return None
     X, x = np.array(solved[0], dtype=object).reshape(n, V.shape[1]) * d, solved[1] * b
-    pv = p ** int_val(x, p)
-    return None if any(y % pv for y in X.flat) else (X, x)
+    return (X, x) if integral_over(X.flat, x, p) else None
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Vectors are int tuples/arrays with entries reduced mod p.  Kernels,
 ranks and radicals come from elimination mod p, exact at every prime:
 in int64 while the products involved fit and in Python ints beyond.
-Nothing is enumerated, so nothing here bounds p or the dimension.
+Residues reach this module as Python ints (``padic.residues_over``), and
+:func:`residue_dtype` alone picks how the package stores them.  Nothing
+is enumerated, so nothing here bounds p or the dimension.
 
 Every step works on whole arrays.  Elimination clears a pivot's column
 with one rank-one update.  The products of a subspace with the basis
@@ -20,16 +22,21 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def residue_dtype(m: int, terms: int = 1):
+    """The dtype of residues mod m: int64 while a sum of ``terms`` products
+    of residues fits in it, and Python ints (object) beyond, so that
+    contractions stay exact.  The package stores residues in no other."""
+    return np.int64 if terms * m * m < 2**63 else object
+
+
 def rref(rows, p: int):
     """Reduced row echelon form mod p; returns (rows, pivot_columns).
 
     An int64 array is reduced as it is; other rows entry by entry."""
-    wide = p * p >= 2**63  # products of residues leave int64; Python ints stay exact
     if isinstance(rows, np.ndarray) and rows.dtype == np.int64:
-        M = (rows.astype(object) if wide else rows) % p
+        M = rows.astype(residue_dtype(p), copy=False) % p
     else:
-        M = np.array([[int(x) % p for x in row] for row in rows],
-                     dtype=object if wide else np.int64)
+        M = np.array([[int(x) % p for x in row] for row in rows], dtype=residue_dtype(p))
     m, n = M.shape if M.size else (0, 0)
     pivots = []
     r = 0
@@ -67,11 +74,8 @@ def nullspace(M, p: int) -> np.ndarray:
 
 
 def _reduced(a, m: int, terms: int) -> np.ndarray:
-    """a mod m: in int64 while a sum of ``terms`` products of residues
-    fits, and in Python ints beyond, so that contractions stay exact."""
-    if terms * m * m < 2**63:
-        return np.asarray(a, dtype=np.int64) % m
-    return np.asarray(a).astype(object) % m
+    """The residues a mod m in :func:`residue_dtype`."""
+    return np.asarray(a).astype(residue_dtype(m, terms), copy=False) % m
 
 
 def subspace_basis(vectors, p: int) -> np.ndarray:

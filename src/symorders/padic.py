@@ -11,7 +11,6 @@ point anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 INFINITY = math.inf
@@ -101,59 +100,17 @@ def val_over(x: int, den: int, p: int):
     return INFINITY if x == 0 else int_val(x, p) - int_val(den, p)
 
 
-def residues_over(row: list, den: int, p: int, d: int = 1) -> list:
-    """x / den mod p^d for each integer x of the row; None where p^v_p(den)
-    does not divide x, so that x / den lies outside the ring."""
+def integral_over(row, den: int, p: int) -> bool:
+    """Whether x / den lies in the ring for every integer x of the row."""
+    pv = p ** int_val(den, p)
+    return not any(x % pv for x in row)
+
+
+def residues_over(row, den: int, p: int, d: int = 1) -> list:
+    """x / den mod p^d, as a Python int in [0, p^d), for each integer x of
+    the row; None where p^v_p(den) does not divide x, so that x / den lies
+    outside the ring.  Every residue the library takes comes from here;
+    ``modp`` alone chooses the dtype it is stored in."""
     pv, pd = p ** int_val(den, p), p**d
     inv = pow(den // pv, -1, pd)
     return [None if x % pv else x // pv * inv % pd for x in row]
-
-
-def residue_int(c: Fraction, p: int, d: int) -> int:
-    """Value of a ring element modulo p^d as an integer in [0, p^d)."""
-    pd = p**d
-    return (c.numerator * pow(c.denominator, -1, pd)) % pd
-
-
-@dataclass(frozen=True)
-class ResidueClass:
-    """Class of a rational modulo the p-local integers.
-
-    The canonical representative lies in [0, 1) and has a denominator
-    that is a power of p; two rationals are congruent exactly when their
-    difference has valuation >= 0.
-    """
-
-    representative: Fraction
-    prime: int
-
-    def is_zero(self) -> bool:
-        return self.representative == 0
-
-    def __add__(self, other: "ResidueClass") -> "ResidueClass":
-        if self.prime != other.prime:
-            raise ValueError("residue classes at different primes")
-        return residue_class(self.representative + other.representative, self.prime)
-
-    def __neg__(self) -> "ResidueClass":
-        return residue_class(-self.representative, self.prime)
-
-    def __str__(self) -> str:
-        return scalar_to_str(self.representative)
-
-
-def residue_class(x, p: int) -> ResidueClass:
-    """Canonical representative of x modulo the p-local integers.
-
-    For x of valuation -k < 0, p^k x is a ring element and its residue
-    c mod p^k gives the representative c / p^k in [0, 1).
-    """
-    x = as_scalar(x)
-    v = val(x, p)
-    if v >= 0:
-        return ResidueClass(Fraction(0), int(p))
-    k = -int(v)
-    rep = Fraction(residue_int(x * p**k, p, k), p**k)
-    if val(x - rep, p) < 0:
-        raise AssertionError("residue representative differs by a non-ring element")
-    return ResidueClass(rep, int(p))

@@ -20,10 +20,11 @@ import numpy as np
 from symorders import decomp, linalg
 from symorders.forms import regular_character_form
 from symorders.modp import FpAlgebra, nullspace
-from symorders.padic import INFINITY, as_int, residue_int, val
+from symorders.padic import INFINITY, as_int, val
 
 import fraction_linalg
 from fraction_forms import gram_matrix
+from fraction_linalg import residue_int
 
 
 def centre(A) -> tuple:

@@ -20,8 +20,9 @@ import numpy as np
 from symorders import linalg
 from symorders.forms import LinearForm, casimir_inverse, dual_basis, gram_matrix
 from symorders.modp import rref
-from symorders.padic import int_val, residue_int
+from symorders.padic import int_val
 import fraction_linalg
+from fraction_linalg import residue_int
 
 
 def trace(M) -> Fraction:

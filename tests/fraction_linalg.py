@@ -10,7 +10,8 @@ off the inverted left Smith transform, where the library reads it off
 the right one; the normal form of its columns makes the two equal too.
 Coordinates in a lattice are the rational solution when it has ring
 entries, and the left null space is the transform rows of elimination
-on [M | I] that zero out M.
+on [M | I] that zero out M.  ``residue_int`` reduces one ring element
+modulo p^d, the Fraction counterpart of ``padic.residues_over``.
 """
 
 import math
@@ -20,6 +21,12 @@ import numpy as np
 
 from symorders import linalg
 from symorders.padic import val
+
+
+def residue_int(c: Fraction, p: int, d: int) -> int:
+    """Value of a ring element modulo p^d as an integer in [0, p^d)."""
+    pd = p**d
+    return (c.numerator * pow(c.denominator, -1, pd)) % pd
 
 
 def eliminate(aug: np.ndarray, ncols: int):

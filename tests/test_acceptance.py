@@ -88,21 +88,23 @@ def test_criterion_4_four_dimensional_example():
 def test_criterion_5_tate_duality(s3, s3_lattices, rank2_family):
     A, s = s3
     T = s3_lattices["trivial"]
+    # verify_tate_duality raises TateDualityError unless the pairing is perfect
     rep = so.verify_tate_duality(A, s, T, T)
-    assert rep.perfect and rep.exponents_uv == (1,) and rep.exponents_vu == (1,)
+    assert rep.exponents_uv == (1,) and rep.pairing == ((Fraction(2, 3),),)
     one = [[Fraction(1)]]
-    assert so.tate_pair(A, s, T, T, one, one).representative == Fraction(2, 3)
+    assert so.tate_pair(A, s, T, T, one, one) == Fraction(2, 3)
     R = s3_lattices["regular"]
     rep = so.verify_tate_duality(A, s, R, R)
-    assert rep.perfect and rep.exponents_uv == ()
+    assert rep.exponents_uv == () and rep.pairing == ()
     pairs = 0
     names = ["trivial", "sign", "regular"]
     for i, u in enumerate(names):
         for v in names[i:]:
-            assert so.verify_tate_duality(A, s, s3_lattices[u], s3_lattices[v]).perfect
+            rep = so.verify_tate_duality(A, s, s3_lattices[u], s3_lattices[v])
+            assert len(rep.pairing) == len(rep.exponents_uv)
             pairs += 1
     for (m, p), (Rm, sm, U) in rank2_family.items():
-        assert so.verify_tate_duality(Rm, sm, U, U).perfect
+        assert so.verify_tate_duality(Rm, sm, U, U).exponents_uv == (m,)
         pairs += 1
     assert pairs >= 6
     _report(5, f"duality perfect on {pairs} lattice pairs; trivial pair is "

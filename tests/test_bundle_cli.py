@@ -10,8 +10,14 @@ from pathlib import Path
 import pytest
 
 import symorders as so
-from symorders import cli
-from symorders.builders import matrix_column_lattice, matrix_order, s3_fixture_bundle
+from symorders import cli, decomp, linalg
+from symorders.builders import (
+    cyclic_group_table,
+    group_algebra,
+    matrix_column_lattice,
+    matrix_order,
+    s3_fixture_bundle,
+)
 from symorders.bundle import Bundle, BundleError, bundle_from_dict, bundle_to_dict
 from symorders.cli import RunOptions, main, run
 
@@ -527,6 +533,15 @@ def test_a_bound_below_one_is_a_usage_error(tmp_path, s3_bundle, capsys, bound):
     assert main(["--bundle", str(path), "--check", "rational", "--bound", "1"]) == 0
 
 
+def test_a_bound_too_large_for_rational_is_an_input_error(capsys):
+    # one half of the meet in the middle would pass decomp.HALF_CELL_LIMIT
+    bundle = str(DATA / "s3xc2-p3-chars.bundle.json")
+    assert main(["--bundle", bundle, "--check", "rational", "--bound", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: rational: a search half of 132651000 vectors")
+    assert err.endswith(f"exceeds the limit of {decomp.HALF_CELL_LIMIT} cells; lower --bound\n")
+
+
 DATA = Path(__file__).resolve().parent / "data"
 
 
@@ -632,6 +647,52 @@ def test_residue_checks_run_exactly_at_a_prime_beyond_int64_products():
         simple = {k: v for k, v in results["divisibility"].items()
                   if k.endswith("_residue_simple")}
         assert simple == {f"{k}_residue_simple": True for k, v in knorr.items() if v}
+
+
+WIDE_PRIME = 1180591620717411303449  # the least prime above 2^70
+
+
+def _conjugated(A, U, T):
+    """U with its action conjugated by the integer matrix T, T^-1 act T."""
+    T = linalg.as_matrix(T)
+    Ti = linalg.inverse(T)
+    N, q = U.integer_action
+    return so.make_lattice(A, [Ti @ linalg.from_numerators(m, q) @ T for m in N])
+
+
+def test_check_all_runs_exactly_at_a_prime_above_2_to_the_70():
+    # residues of the wide prime leave int64 in the residue algebra of End(U),
+    # the Knorr and socle tests and the action mod p of divisibility; each
+    # reaches modp as Python ints, which picks their dtype
+    C, sc = group_algebra(cyclic_group_table(3)[0], WIDE_PRIME)
+    cyclic = Bundle(prime=WIDE_PRIME, order=C, forms={"standard": sc}, lattices={
+        "regular": _conjugated(C, so.regular_lattice(C), [[1, 1, 0], [0, 3, 0], [0, 0, 5]])})
+    assert cyclic.lattices["regular"].integer_action[1] == 15
+    M, sm = matrix_order(2, WIDE_PRIME)
+    matrix = Bundle(prime=WIDE_PRIME, order=M, forms={"trace": sm}, lattices={
+        "column": _conjugated(M, matrix_column_lattice(M, 2), [[1, 0], [0, 3]])})
+    for b in (cyclic, matrix):
+        verdicts = {r.name: r.verdict for r in run("all", b).results}
+        assert set(verdicts.values()) == {"pass", "skipped"}
+        assert verdicts["knorr"] == verdicts["divisibility"] == "pass"
+    (divisibility,) = run("divisibility", matrix).results
+    assert divisibility.details["column_residue_simple"] is True
+
+
+def test_a_violated_divisibility_bound_is_reported_with_the_bounds(monkeypatch):
+    # no order reaches a violation, so the scalar n is raised by one: the
+    # projective regular lattice of rank 6 then falls short of v(6) >= 2
+    real = decomp.degree_divisibility_checks
+    monkeypatch.setattr(decomp, "degree_divisibility_checks",
+                        lambda p, n, verdicts: real(p, n + 1, verdicts))
+    (result,) = run("divisibility", s3_fixture_bundle(3)).results
+    assert result.verdict == "fail"
+    assert result.details["ok"] is False
+    bad = [row for row in result.details["bounds"] if not row[-1]]
+    assert bad == [["regular", 6, "projective", 1, 2, False]]
+    assert result.details["mismatches"] == [
+        "divisibility: violation: [('regular', 6, 'projective', 1, 2, False)]",
+        "divisibility:ok expected True got False"]
 
 
 def test_cli_output_is_the_same_under_python_O(tmp_path):

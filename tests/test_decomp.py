@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import time
 import tracemalloc
 import types
 from fractions import Fraction
@@ -299,8 +300,10 @@ def test_degree_divisibility(s3, s3_lattices):
         ],
     )
     assert report.ok
-    with pytest.raises(ValueError, match="violation"):
-        so.degree_divisibility_checks(3, 1, [("bad", 9, True, False)])
+    # a violation is reported, not raised: every row with its verdict
+    report = so.degree_divisibility_checks(3, 1, [("bad", 9, True, False), ("one", 1, True, False)])
+    assert not report.ok
+    assert report.entries == (("bad", 9, "knorr", 2, 1, False), ("one", 1, "knorr", 0, 1, True))
     # matrix order at p=2: both bounds tight on the column lattice
     report = so.degree_divisibility_checks(2, 1, [("column", 2, True, True)])
     assert report.ok and len(report.entries) == 2
@@ -777,6 +780,27 @@ def test_rational_search_at_bound_5_on_s5():
     found = decomp.rational_symmetry_search(A, table, bound=5)
     assert found.witness_sigma == (5, -5, 25, 5, 25, -5, 5) and found.witness_n == 2
     assert _witness_hits(A, table, [found.witness_sigma]) == [True]
+
+
+def test_rational_search_refuses_a_half_past_the_cell_limit():
+    # at bound 20 one half of the s3 x c2 box holds 510^3 = 132,651,000
+    # vectors of 13 cells, about 13 GiB of int64; it is refused before any
+    # is built, and before the tables of the bound-5 search are reached
+    b = so.load_bundle(GOLDEN / "s3xc2-p3-chars.bundle.json")
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="half of 132651000 vectors, 1724463000 cells, "
+                                             f"exceeds the limit of {decomp.HALF_CELL_LIMIT}"):
+            decomp.rational_symmetry_search(b.order, b.character_table, bound=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5 and peak < 10 * 2**20
+    # the s4 box at bound 50: 9,572,836 vectors in a half, 11 cells each
+    b = so.load_bundle(GOLDEN / "s4-p2-chars.bundle.json")
+    with pytest.raises(ValueError, match="half of 9572836 vectors"):
+        decomp.rational_symmetry_search(b.order, b.character_table, bound=50)
 
 
 def _symmetric_group(n, p):

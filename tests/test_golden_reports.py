@@ -48,6 +48,16 @@ which is not symmetrising: its report pins that the five checks reading
 the primary form (psp, tate, stable-exponent, constant-value and
 divisibility) are skipped and the other seven still report, with exit
 code 0; its expectations are those of the checks that run.
+``dual-numbers-p3-noform`` is O[x]/(x^2) at p = 3 with the rank-1
+lattice ``trivial`` on which x acts as 0, and no form: its report pins
+that the five checks reading the primary form are skipped for that
+reason and the other seven still report, with exit code 0.
+``rank2-m1-pwide`` is ``builders.rank2_order(1, p)`` at p =
+1180591620717411303449, the least prime above 2^70, with the lattices
+``projection``, ``projection2`` = projection ⊕ projection and
+``regular``, the last two conjugated by [[1, 1], [0, 3]]: its residues
+leave int64, and its report pins the Tate pairing value
+1180591620717411303448/1180591620717411303449.
 Each ``NAME.report.json`` and ``NAME.stdout.txt`` was written by
 
     symorders --bundle NAME.bundle.json --check all --json NAME.report.json > NAME.stdout.txt
@@ -70,7 +80,7 @@ DATA = Path(__file__).resolve().parent / "data"
 NAMES = {"s3-p3": 0, "s3-p3-permuted": 0, "m2-p3": 0, "rank2-m2-p2": 0,
          "rank2-m2-p2-doubled": 0, "s4-p3": 0, "s4-p2": 0,
          "s4-p2-chars": 0, "s4-p3-chars": 0, "s3xc2-p3-chars": 0, "s3-p3-mismatch": 1,
-         "s3-p3-scaled": 0}
+         "s3-p3-scaled": 0, "dual-numbers-p3-noform": 0, "rank2-m1-pwide": 0}
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -86,7 +96,8 @@ def test_check_all_reproduces_the_golden_report(name, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", ["s3-p3", "s3-p3-permuted", "s3-p3-mismatch", "s4-p2",
-                                  "s4-p3-chars", "s3xc2-p3-chars"])
+                                  "s4-p3-chars", "s3xc2-p3-chars", "rank2-m2-p2-doubled",
+                                  "dual-numbers-p3-noform", "rank2-m1-pwide"])
 def test_golden_report_is_reproduced_under_python_O(name, tmp_path):
     # -O strips assert statements, so no certificate may rest on one
     report = tmp_path / "report.json"

@@ -33,10 +33,11 @@ from symorders.lattices import (
     projective_hom_lattice,
 )
 from symorders.orders import NotInvertibleError
-from symorders.padic import residue_class, residue_int, val
+from symorders.padic import int_val, residues_over, val
 import fraction_lattices
 from fraction_lattices import trace
 import fraction_linalg
+from fraction_linalg import residue_int
 from dense_orders import cube, dense_order, is_unit, left_matrix
 from test_orders import GROUP_TABLES, rebase, unimodular
 
@@ -245,11 +246,31 @@ def test_tate_pair_value(s3, s3_lattices):
     A, s = s3
     T = s3_lattices["trivial"]
     one = [[Fraction(1)]]
-    r = so.tate_pair(A, s, T, T, one, one)
-    assert r.representative == Fraction(2, 3)
+    assert so.tate_pair(A, s, T, T, one, one) == Fraction(2, 3)
     # projective class pairs to zero: use 3*id which lies in Hom^pr
-    r = so.tate_pair(A, s, T, T, [[Fraction(3)]], one)
-    assert r.is_zero()
+    assert so.tate_pair(A, s, T, T, [[Fraction(3)]], one) == 0
+
+
+WIDE_PRIME = 1180591620717411303449  # the least prime above 2^70
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, WIDE_PRIME]), st.integers(1, 2), st.data())
+def test_tate_pair_is_the_residue_of_the_trace(p, m, data):
+    # arbitrary (not intertwining) matrices whose entries have powers of p
+    # in their denominators, against tr(z^{-1} beta alpha) formed in Fractions
+    A, s = rank2_order(m, p)
+    choices = [rank2_projection_lattice(A), so.regular_lattice(A)]
+    U, V = data.draw(st.sampled_from(choices)), data.draw(st.sampled_from(choices))
+    entry = st.builds(lambda a, b, e: Fraction(a, b) * Fraction(p) ** e,
+                      st.integers(-9, 9), st.integers(1, 12), st.integers(-2, 1))
+
+    def matrix(rows, cols):
+        return linalg.as_matrix([[data.draw(entry) for _ in range(cols)] for _ in range(rows)])
+
+    alpha, beta = matrix(V.rank, U.rank), matrix(U.rank, V.rank)
+    value = trace(fraction_lattices.twisted_action(A, s, U) @ beta @ alpha)
+    assert _is_residue_of(so.tate_pair(A, s, U, V, alpha, beta), value, p)
 
 
 def test_tate_duality_reports(s3, s3_lattices, rank2_family):
@@ -258,16 +279,16 @@ def test_tate_duality_reports(s3, s3_lattices, rank2_family):
     for u in names:
         for v in names:
             rep = so.verify_tate_duality(A, s, s3_lattices[u], s3_lattices[v])
-            assert rep.perfect
-            assert sorted(rep.exponents_uv) == sorted(rep.exponents_vu)
+            assert [f.name for f in dataclasses.fields(rep)] == ["exponents_uv", "pairing"]
+            assert rep.exponents_uv == so.stable_hom(A, s, s3_lattices[v], s3_lattices[u]).exponents
     rep = so.verify_tate_duality(
         A, s, s3_lattices["trivial"], s3_lattices["trivial"]
     )
     assert rep.exponents_uv == (1,)
-    assert rep.pairing[0][0].representative == Fraction(2, 3)
+    assert rep.pairing == ((Fraction(2, 3),),)
     for (m, p), (R, sr, U) in rank2_family.items():
         rep = so.verify_tate_duality(R, sr, U, U)
-        assert rep.perfect and rep.exponents_uv == (m,)
+        assert rep.exponents_uv == (m,)
 
 
 def test_adjunction_identities_random(s3, s3_lattices, rank2_family):
@@ -563,6 +584,15 @@ def _identical(a, b) -> bool:
         type(x) is Fraction and x == y for x, y in zip(a.flat, b.flat))
 
 
+def _is_residue_of(r, x, p) -> bool:
+    """Whether r is the representative of the rational x modulo the ring:
+    a Fraction in [0, 1) whose denominator is a power of p, differing from
+    x by a ring element.  Two such differ by an integer in (-1, 1), so
+    there is exactly one, and it is 0 exactly when x lies in the ring."""
+    return (type(r) is Fraction and 0 <= r < 1 and r.denominator == p ** int_val(r.denominator, p)
+            and val(x - r, p) >= 0)
+
+
 def _same_basis(ours, theirs) -> bool:
     return len(ours) == len(theirs) and all(map(_identical, ours, theirs))
 
@@ -589,7 +619,7 @@ def test_integer_action_equals_the_numerators_of_the_action(case):
         Nm, d = linalg.numerators(m)
         assert (n * d == Nm * q).all()
         # the action mod p that knorr_projective_check reads
-        assert (n * pow(q, -1, p) % p == [[residue_int(x, p, 1) for x in row] for row in m]).all()
+        assert residues_over(n.flat, q, p) == [residue_int(x, p, 1) for row in m for x in row]
 
 
 def _assert_stable_layer_equals_the_fraction_version(A, s, U, V, coeffs):
@@ -615,8 +645,9 @@ def _assert_stable_layer_equals_the_fraction_version(A, s, U, V, coeffs):
     (G, g), (Gvu, h) = S_uv.integer_generators, S_vu.integer_generators
     values = fraction_lattices.pairing_values(A, s, U, theirs_uv, theirs_vu)
     assert _identical(linalg.from_numerators(lattices._pairings(Z, G, Gvu), z * g * h), values)
-    assert so.verify_tate_duality(A, s, U, V).pairing == tuple(
-        tuple(residue_class(v, p) for v in row) for row in values)
+    pairing = so.verify_tate_duality(A, s, U, V).pairing
+    assert [len(row) for row in pairing] == [len(row) for row in values]
+    assert all(_is_residue_of(r, x, p) for row, xs in zip(pairing, values) for r, x in zip(row, xs))
     # plain and twisted traces on End(U), and the valuations the criteria read
     E = hom_lattice(A, U, U)
     E_basis = linalg.from_numerators(*E.integer_basis)
@@ -663,7 +694,7 @@ def test_hom_layer_equals_the_fraction_version(case, data):
     # intertwining) matrices
     zu = fraction_lattices.twisted_action(A, s, U)
     beta = matrix(U.rank, V.rank)
-    assert so.tate_pair(A, s, U, V, alpha, beta) == residue_class(trace(zu @ beta @ alpha), p)
+    assert _is_residue_of(so.tate_pair(A, s, U, V, alpha, beta), trace(zu @ beta @ alpha), p)
     assert so.adjunction_check(A, s, U, V, alpha, beta) == (
         trace(zu @ beta @ traced) == trace(beta @ alpha))
     H = hom_lattice(A, U, V)
@@ -739,7 +770,7 @@ def _results(A, s, U, V) -> list:
     out = []
     for X, Y in ((U, V), (V, U)):
         rep = so.verify_tate_duality(A, s, X, Y)
-        out.append((rep.perfect, rep.exponents_uv, rep.exponents_vu, rep.pairing))
+        out.append((rep.exponents_uv, rep.pairing))
     for W in (U, V):
         knorr = so.knorr_check(A, W)
         a = so.exponent(A, s, W)

@@ -8,12 +8,12 @@ from hypothesis import given, strategies as st
 from symorders.padic import (
     PRIME_LIMIT,
     Prime,
-    residue_class,
-    residue_int,
+    integral_over,
     residues_over,
     scalar_to_str,
     val,
 )
+from fraction_linalg import residue_int
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=60
@@ -70,15 +70,20 @@ def test_val_examples():
 
 
 def test_residue_examples():
-    # oracle: the representative must differ from the input by a ring element
-    r = residue_class(Fraction(1, 6), 3)
-    assert r.representative == Fraction(2, 3)
-    assert val(Fraction(1, 6) - r.representative, 3) >= 0
+    # 1/6 = 1/(3 2): 1/2 = 2 mod 3, so 1/6 = 2/3 modulo the ring
+    assert residues_over([1, 3, 5], 2, 3) == [2, 0, 1]
+    assert residues_over([1, 3], 6, 3) == [None, 2]
+    assert residues_over([-1], 1, 2, 2) == [3]  # -1/4 = 3/4 modulo the ring
+    # at a prime past int64 the residues stay exact Python ints
+    p = 1180591620717411303449
+    assert residues_over([-1, 3 * p], 3, p, 2) == [(p * p - 1) // 3, p]
+    assert all(type(r) is int for r in residues_over([-1, p + 7], 5, p))
 
-    assert residue_class(Fraction(5), 2).representative == 0
-    r = residue_class(Fraction(-1, 4), 2)
-    assert r.representative == Fraction(3, 4)
-    assert val(Fraction(-1, 4) - r.representative, 2) >= 0
+
+def test_integral_over_examples():
+    assert integral_over([0, 9, -18], 9, 3) and integral_over([7, 1], 10, 3)
+    assert not integral_over([9, 3], 9, 3) and not integral_over([1], 2, 2)
+    assert integral_over([], 4, 2)
 
 
 def test_residue_int_examples():
@@ -125,22 +130,7 @@ def test_valuation_ultrametric(x, y, p):
     assert val(x + y, p) >= min(val(x, p), val(y, p))
 
 
-@given(rationals, primes)
-def test_residue_canonical(x, p):
-    r = residue_class(x, p)
-    rep = r.representative
-    assert 0 <= rep < 1
-    assert val(x - rep, p) >= 0
-    # denominator a p-power
-    d = rep.denominator
-    while d % p == 0:
-        d //= p
-    assert d == 1
-    # vanishes exactly on ring elements
-    assert r.is_zero() == (val(x, p) >= 0)
-
-
-@given(rationals, rationals, primes)
-def test_residue_additive(x, y, p):
-    lhs = residue_class(x, p) + residue_class(y, p)
-    assert lhs == residue_class(x + y, p)
+@given(st.lists(_times_powers(5, 10**6), max_size=6), _times_powers(5, 60).filter(bool))
+def test_integral_over_agrees_with_the_valuations(row, den):
+    assert integral_over(row, den, 5) == all(val(Fraction(x, den), 5) >= 0 for x in row)
+    assert integral_over(row, den, 5) == (None not in residues_over(row, den, 5))
