@@ -151,6 +151,8 @@ def bundle_from_dict(doc: dict) -> Bundle:
     for name, tdoc in _section(doc, "tables").items():
         with _reading(f"table {name!r}"):
             degrees = [Fraction(x) for x in _exact(tdoc["degrees"])]
+            if any(d <= 0 for d in degrees):
+                raise ValueError("degrees must be positive")
             dims = tuple(as_int(x) for x in tdoc["modular_dims"])
             if decomposition is not None:
                 make_decomposition_matrix(decomposition.entries, dims, degrees)

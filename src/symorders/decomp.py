@@ -42,7 +42,7 @@ from .forms import (
     regular_character_form,
 )
 from .modp import FpAlgebra, nullspace, residue_dtype
-from .orders import Order
+from .orders import Order, is_names
 from .padic import INFINITY, as_int, int_val, residues_over, val
 
 
@@ -67,9 +67,11 @@ class CharacterTable:
 def make_character_table(values, A: Order, names=None) -> CharacterTable:
     """Validate characters: linearly independent, with positive degrees
     read off the unit that weight them to sum to the regular character,
-    and no names or one per character."""
+    and no names or one string per character."""
     values = linalg.as_matrix(values)
     r = values.shape[0]
+    if names is not None and not is_names(names):
+        raise ValueError("character names must be a list of strings")
     if names and len(names) != r:
         raise ValueError(f"{len(names)} character names for {r} characters")
     try:  # the columns of the numerators have rank r
@@ -589,7 +591,10 @@ def height(rank_or_degree, degrees, p: int) -> int:
     """Valuation of a rank above the minimal valuation among the degrees."""
     if not len(degrees):
         raise ValueError("height needs a nonempty degree table")
-    base = min(val(d, p) for d in linalg.as_vector(degrees))
+    degrees = linalg.as_vector(degrees)
+    if rank_or_degree == 0 or any(d == 0 for d in degrees):
+        raise ValueError("height of a zero rank or degree")
+    base = min(val(d, p) for d in degrees)
     h = val(rank_or_degree, p) - base
     if h < 0:
         raise ValueError("negative height - inconsistent data")

@@ -15,8 +15,10 @@ over one denominator.
 
 The front-ends on Fractions, :func:`solve_exact`, :func:`inverse`,
 :func:`det`, :func:`integral_kernel` and :func:`smith_normal_form` (with
-both transforms), have no caller in the library; the benchmark times
-them by name.
+both transforms), are shims over that layer: a Fraction enters it only
+through :func:`as_matrix` and :func:`numerators` and leaves it only
+through :func:`from_numerators`.  They have no caller in the library
+and are kept because the benchmark times them by name.
 """
 
 from __future__ import annotations
@@ -99,25 +101,6 @@ def vectors_equal(a, b) -> bool:
 _ZERO = Fraction(0)
 
 
-def _int_rows(M) -> tuple:
-    """Rows of a matrix as integer numerators over one positive
-    denominator each: (rows, denominators, number of columns).
-
-    The denominator of a row is the lcm of its entries' denominators, so
-    the row's numerators and denominator are coprime; for a ring matrix
-    every denominator is a unit at p.
-    """
-    if not (isinstance(M, np.ndarray) and M.ndim == 2):
-        M = as_matrix(M)
-    rows, dens = [], []
-    for row in M:
-        row = [x if type(x) is Fraction or type(x) is int else Fraction(x) for x in row]
-        den = math.lcm(*[x.denominator for x in row])
-        rows.append([x.numerator * (den // x.denominator) for x in row])
-        dens.append(den)
-    return rows, dens, M.shape[1]
-
-
 def numerators(M) -> tuple:
     """(N, d): an array of Fractions as an array N of integers (dtype
     object) over d, the least common denominator of its entries."""
@@ -142,16 +125,6 @@ def _reduce(row: list, den: int) -> tuple:
     if g == 1:
         return row, den
     return [x // g for x in row], den // g
-
-
-def _fraction_rows(rows, dens, start: int, stop: int) -> np.ndarray:
-    """Columns start:stop of integer rows over their denominators, as a
-    Fraction matrix."""
-    out = np.empty((len(rows), stop - start), dtype=object)
-    for i, (row, den) in enumerate(zip(rows, dens)):
-        for j, x in enumerate(row[start:stop]):
-            out[i, j] = _ZERO if not x else Fraction(x) if den == 1 else Fraction(x, den)
-    return out
 
 
 def eliminate(rows: list, dens: list, ncols: int) -> tuple:
@@ -201,15 +174,14 @@ def solve_exact(M, B):
     B may be a vector or a matrix.  Returns None when the system is
     inconsistent; raises ValueError when the solution is not unique.
     """
-    M = as_matrix(M) if not isinstance(M, np.ndarray) else M
+    M = as_matrix(M)
     vector_rhs = np.asarray(B, dtype=object).ndim == 1
     Bm = as_matrix([B]).T if vector_rhs else as_matrix(B)
-    n = M.shape[1]
-    rows, _, width = _int_rows(np.concatenate([M, Bm], axis=1))  # scaled rows, same solutions
-    solved = solve_of_rows(rows, n)
+    n, k = M.shape[1], Bm.shape[1]
+    solved = solve_of_rows(numerators(np.concatenate([M, Bm], axis=1))[0].tolist(), n)
     if solved is None:
         return None
-    out = from_numerators(np.array(solved[0], dtype=object).reshape(n, width - n), solved[1])
+    out = from_numerators(np.array(solved[0], dtype=object).reshape(n, k), solved[1])
     return out[:, 0] if vector_rhs else out
 
 
@@ -230,10 +202,11 @@ def solve_of_rows(rows: list, n: int):
 
 def det(M) -> Fraction:
     """Exact determinant: the signed product of the elimination pivots."""
-    rows, dens, n = _int_rows(M)
-    if len(rows) != n:
+    N, d = numerators(as_matrix(M))
+    n = N.shape[1]
+    if N.shape[0] != n:
         raise ValueError("determinant of a non-square matrix")
-    pivots, (num, den) = eliminate(rows, dens, n)
+    pivots, (num, den) = eliminate(N.tolist(), [d] * n, n)
     return Fraction(num, den) if len(pivots) == n else _ZERO
 
 
@@ -264,15 +237,15 @@ def smith_normal_form(M, p: int) -> SmithDecomposition:
     quotients stay in the ring, so the transforms are ring-invertible
     and the exponents come out already sorted.
     """
-    rows, dens, n = _int_rows(M)
-    m = len(rows)
-    if any(den % p == 0 for den in dens):
+    N, d = numerators(as_matrix(M))
+    m, n = N.shape
+    if d % p == 0:
         raise ValueError("smith normal form needs entries of valuation >= 0")
-    for i, (row, den) in enumerate(zip(rows, dens)):
-        row.extend(den if k == i else 0 for k in range(m))
+    rows = [[*row, *(d if k == i else 0 for k in range(m))] for i, row in enumerate(N.tolist())]
+    dens = [d] * m
     exponents, cols, col_dens = smith_of_rows(rows, dens, n, p)
-    left = _fraction_rows(rows, dens, n, n + m)
-    right = _fraction_rows(cols, col_dens, 0, n).T.copy()
+    left = from_numerators(*_over_one_denominator([row[n:] for row in rows], dens, m))
+    right = from_numerators(*_over_one_denominator(cols, col_dens, n)).T
     return SmithDecomposition(tuple(exponents), left, right, len(exponents))
 
 
@@ -365,10 +338,8 @@ def integral_kernel(M, p: int) -> np.ndarray:
     Scaling M by a common denominator does not change the kernel, so the
     input may have arbitrary rational entries.
     """
-    rows, dens, n = _int_rows(M)
-    lcm = math.lcm(*dens)
-    return from_numerators(integral_kernel_of_rows([[x * (lcm // d) for x in row]
-                                                    for row, d in zip(rows, dens)], n, p), 1)
+    N, _ = numerators(as_matrix(M))
+    return from_numerators(integral_kernel_of_rows(N.tolist(), N.shape[1], p), 1)
 
 
 def integral_kernel_of_rows(rows: list, n: int, p: int) -> np.ndarray:

@@ -243,6 +243,11 @@ class Order:
         return (N, 1), C, u
 
 
+def is_names(names) -> bool:
+    """True for a list or tuple of strings; a bare string is no list of names."""
+    return isinstance(names, (list, tuple)) and all(isinstance(x, str) for x in names)
+
+
 def make_order(constants, one, p, basis_labels=None) -> Order:
     """Validate structure constants and build an Order.
 
@@ -255,14 +260,16 @@ def make_order(constants, one, p, basis_labels=None) -> Order:
     associativity (b_i b_j) b_k = b_i (b_j b_k) holds, checked with the
     sparse product for generator rows i by :func:`first_failure`; an error
     names the first failing basis triple in lexicographic order.  The
-    dimension must be positive, and ``basis_labels`` are none or one per
-    basis element.
+    dimension must be positive, and ``basis_labels`` are none or one
+    string per basis element.
     """
     p = Prime(p)
     one = linalg.as_vector(one)
     dim = len(one)
     if dim == 0:
         raise InvalidOrderError("order must have positive dimension")
+    if basis_labels is not None and not is_names(basis_labels):
+        raise InvalidOrderError("basis labels must be a list of strings")
     if basis_labels and len(basis_labels) != dim:
         raise InvalidOrderError(f"{len(basis_labels)} basis labels for dimension {dim}")
     cells = [[{} for _ in range(dim)] for _ in range(dim)]

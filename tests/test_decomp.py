@@ -288,6 +288,10 @@ def test_heights(s3_table):
         so.height(1, [3, 9], 3)
     with pytest.raises(ValueError, match="nonempty"):
         so.height(1, [], 3)
+    # a zero has infinite valuation, which is no height
+    for rank, degrees in ((0, [1, 3]), (1, [0, 3]), (3, [0])):
+        with pytest.raises(ValueError, match="zero rank or degree"):
+            so.height(rank, degrees, 3)
 
 
 def test_degree_divisibility(s3, s3_lattices):

@@ -52,6 +52,13 @@ code 0; its expectations are those of the checks that run.
 lattice ``trivial`` on which x acts as 0, and no form: its report pins
 that the five checks reading the primary form are skipped for that
 reason and the other seven still report, with exit code 0.
+``dual-numbers-p3-singular`` is that order and lattice with the form
+t(1) = 0, t(x) = 1, which is symmetrising with the nilpotent Casimir
+element 2x, so K⊗A is not separable: its report pins that tate,
+stable-exponent and constant-value, which read the inverse of the
+Casimir element, are skipped for that reason, that psp is "no" with
+the regular Gram test inapplicable, and that divisibility is skipped
+since the order lacks the scalar property, with exit code 0.
 ``rank2-m1-pwide`` is ``builders.rank2_order(1, p)`` at p =
 1180591620717411303449, the least prime above 2^70, with the lattices
 ``projection``, ``projection2`` = projection ⊕ projection and
@@ -80,7 +87,8 @@ DATA = Path(__file__).resolve().parent / "data"
 NAMES = {"s3-p3": 0, "s3-p3-permuted": 0, "m2-p3": 0, "rank2-m2-p2": 0,
          "rank2-m2-p2-doubled": 0, "s4-p3": 0, "s4-p2": 0,
          "s4-p2-chars": 0, "s4-p3-chars": 0, "s3xc2-p3-chars": 0, "s3-p3-mismatch": 1,
-         "s3-p3-scaled": 0, "dual-numbers-p3-noform": 0, "rank2-m1-pwide": 0}
+         "s3-p3-scaled": 0, "dual-numbers-p3-noform": 0, "dual-numbers-p3-singular": 0,
+         "rank2-m1-pwide": 0}
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -97,7 +105,8 @@ def test_check_all_reproduces_the_golden_report(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["s3-p3", "s3-p3-permuted", "s3-p3-mismatch", "s4-p2",
                                   "s4-p3-chars", "s3xc2-p3-chars", "rank2-m2-p2-doubled",
-                                  "dual-numbers-p3-noform", "rank2-m1-pwide"])
+                                  "dual-numbers-p3-noform", "dual-numbers-p3-singular",
+                                  "rank2-m1-pwide"])
 def test_golden_report_is_reproduced_under_python_O(name, tmp_path):
     # -O strips assert statements, so no certificate may rest on one
     report = tmp_path / "report.json"

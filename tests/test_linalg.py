@@ -371,3 +371,51 @@ def test_lattice_membership_equals_the_fraction_solve(case, data):
     # coordinates outside the ring; a basis with m < n is rank deficient
     for v in (V, inside, inside * Fraction(1, p)):
         assert _same_outcome(_membership, fraction_linalg.lattice_membership, v, basis, p)
+
+
+@st.composite
+def rows_over_denominators(draw, p, shape=None, units=False):
+    """A matrix whose row i is integers over its own denominator, which
+    p may divide unless ``units``: the rows of different denominators
+    that the Fraction front-ends put over one.  Its last row is a
+    multiple of its first half of the time, so it is rank deficient."""
+    m, n = shape or (draw(st.integers(0, 4)), draw(st.integers(0, 4)))
+    dens = st.integers(1, 12).filter(lambda d: d % p) if units else st.integers(1, 12)
+    rows = []
+    for _ in range(m):
+        d = draw(dens)
+        rows.append([Fraction(a, d) for a in
+                     draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))])
+    if m >= 2 and draw(st.booleans()):
+        rows[-1] = [2 * x for x in rows[0]]
+    return linalg.as_matrix(rows) if m else linalg.zeros(0, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_front_ends_equal_the_fraction_versions_on_rows_of_any_denominator(p, data):
+    M = data.draw(rows_over_denominators(p))
+    m, n = M.shape
+    arg = M.tolist() if m and data.draw(st.booleans()) else M  # nested lists or an array
+    B = data.draw(rows_over_denominators(p, shape=(m, data.draw(st.integers(1, 3)))))
+    for rhs in (B, B[:, 0]):
+        assert _same_outcome(linalg.solve_exact, fraction_linalg.solve_exact, arg, rhs)
+    if m == n:
+        assert _same_outcome(linalg.det, fraction_linalg.det, arg)
+        assert _same_outcome(linalg.inverse, fraction_linalg.inverse, arg)
+    assert _identical(linalg.integral_kernel(arg, p), fraction_linalg.integral_kernel(M, p))
+    U = data.draw(rows_over_denominators(p, units=True))
+    ours, oracle = linalg.smith_normal_form(U, p), fraction_linalg.smith_normal_form(U, p)
+    assert (ours.exponents, ours.rank) == (oracle.exponents, oracle.rank)
+    assert _identical(ours.left, oracle.left) and _identical(ours.right, oracle.right)
+
+
+def test_front_ends_refuse_ragged_rows_and_smith_refuses_non_ring_entries():
+    ragged = [[1, 2], [3]]
+    for call in (lambda: linalg.solve_exact(ragged, [1, 2]), lambda: linalg.inverse(ragged),
+                 lambda: linalg.det(ragged), lambda: linalg.integral_kernel(ragged, 3),
+                 lambda: linalg.smith_normal_form(ragged, 3)):
+        with pytest.raises(ValueError, match="ragged matrix data"):
+            call()
+    with pytest.raises(ValueError, match="valuation >= 0"):
+        linalg.smith_normal_form([[1, 2], [Fraction(1, 6), 0]], 3)
