@@ -57,7 +57,7 @@ class CharacterTable:
     values: np.ndarray  # (num_chars, dim)
     degrees: tuple  # chi(1) per character
     names: tuple = ()
-    _kept: dict = field(default_factory=dict, repr=False)
+    _kept: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def num_chars(self) -> int:

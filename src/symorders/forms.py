@@ -94,12 +94,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def kept(cache: dict, name, objects: tuple, build):
-    """build(), kept in cache under name and the ids of objects.  The entry
-    holds the objects, so no other object takes their ids while it lives."""
+    """build(), kept in cache under name and the ids of objects, and so is
+    a ValueError that it raises, a refusal.  The entry holds the objects,
+    so no other object takes their ids while it lives."""
     key = (name, *map(id, objects))
     if key not in cache:
-        cache[key] = (objects, build())
-    return cache[key][1]
+        try:
+            cache[key] = (objects, build())
+        except ValueError as refusal:
+            cache[key] = (objects, refusal)
+            raise
+    if isinstance(value := cache[key][1], ValueError):
+        raise value.with_traceback(None)
+    return value
 
 
 def regular_character_form(A: Order) -> LinearForm:

@@ -2,12 +2,13 @@
 
 A lattice is a module given by one ring-entry action matrix per order
 basis element, kept only as one integer array over one unit denominator
-(:attr:`Lattice.integer_action`); the regular lattice and direct sums
-are built from certified data, not validated again.  The intertwiner
-lattice Hom(U, V) is a saturated integral kernel; the relatively
-projective homomorphisms are the image of the relative trace map on
-elementary matrices, and the stable Hom group is the (finite, torsion)
-quotient, presented by its invariant factors and lifted generators.
+(:attr:`Lattice.integer_action`) and validated on the nonzero entries
+of its columns (:func:`orders.module_failure`); the regular lattice and
+direct sums are built from certified data, not validated again.  The
+intertwiner lattice Hom(U, V) is a saturated integral kernel; the
+relatively projective homomorphisms are the image of the relative trace
+map on elementary matrices, and the stable Hom group is the (finite,
+torsion) quotient, presented by its invariant factors and lifted generators.
 
 The Hom layer keeps one representation per datum, integer arrays over
 one unit denominator: Hom bases (:attr:`HomLattice.integer_basis`),
@@ -53,7 +54,7 @@ from . import linalg
 # casimir is not called here, but perfbench's tracer test checks that it is patched
 from .forms import LinearForm, casimir, casimir_inverse, dual_basis, kept  # noqa: F401
 from .modp import FpAlgebra, nullspace, rref
-from .orders import Order, first_failure
+from .orders import Order, module_failure
 from .padic import INFINITY, int_val, integral_over, residues_over, val_over
 
 
@@ -100,11 +101,10 @@ def make_lattice(A: Order, action) -> Lattice:
     """Validate module axioms and build a Lattice.
 
     The action matrices must have ring entries, send the unit to the
-    identity, and realize the structure constants: act(b_i) act(b_j) =
-    sum_k c_ijk act(b_k), which on the integer action N over q and the
-    table over d reads d N_i N_j = q sum_k (d c_ijk) N_k.  It is checked
-    for generator rows i by :func:`orders.first_failure`; an error names
-    the first failing basis pair in lexicographic order.
+    identity, and realize the structure constants, act(b_i) act(b_j) =
+    sum_k c_ijk act(b_k), which :func:`orders.module_failure` checks on
+    the nonzero entries of the columns of the integer action; an error
+    names the first failing basis pair in lexicographic order.
     """
     mats = [linalg.as_matrix(m) for m in action]
     if len(mats) != A.dim:
@@ -120,17 +120,10 @@ def make_lattice(A: Order, action) -> Lattice:
     w, e = linalg.numerators(A.one)
     if not (_combine(w, N) == e * q * np.identity(rank, dtype=object)).all():
         raise InvalidLatticeError("unit acts nontrivially")
-    d = A.denominator
-
-    def realized(i, j) -> bool:
-        rhs = np.zeros((rank, rank), dtype=object)
-        for k, c in A.products[i][j]:
-            rhs += N[k] * c
-        return bool((d * (N[i] @ N[j]) == q * rhs).all())
-
-    failure = first_failure(A, range(A.dim), realized)
-    if failure is not None:
-        raise InvalidLatticeError("module axiom fails: basis pair (%d, %d)" % failure)
+    columns = [[[(r, x) for r, x in enumerate(col) if x] for col in Nk]
+               for Nk in N.transpose(0, 2, 1).tolist()]
+    if (failure := module_failure(A, columns, q)) is not None:
+        raise InvalidLatticeError("module axiom fails: basis pair (%d, %d)" % failure[:2])
     return Lattice(order=A, rank=rank, integer_action=(N, q))
 
 

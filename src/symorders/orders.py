@@ -6,7 +6,8 @@ vector of its unit.  Its one representation of them is an integer table
 (:attr:`Order.products`): the nonzero structure constants as numerators
 over one denominator (:attr:`Order.denominator`, a unit at p, and 1 for
 integer constants).  :func:`make_order` builds it from the nonzero
-constants as entries (i, j, k, c) and validates the order on it.
+constants as entries (i, j, k, c) and validates it, associativity as
+the left regular action realising the table (:func:`module_failure`).
 Products, action matrices and the regular character here, and Gram
 matrices, dual bases and Casimir elements in ``forms``, are contracted
 over that table only, so a group algebra, with one nonzero constant per
@@ -95,12 +96,6 @@ class Order:
         """Nonzero coordinates of an element as (index, value) pairs."""
         return [(i, x) for i, x in enumerate(self.element(a)) if x != 0]
 
-    def _exact_terms(self, a) -> list:
-        """Nonzero coordinates of a / denominator, whose contractions with
-        the table are those of a with the structure constants."""
-        d = self.denominator
-        return [(i, x if d == 1 else x / d) for i, x in self._terms(a)]
-
     def _product(self, a_terms, b_terms) -> dict:
         """Coordinates {k: value} of d a b, for d the denominator, from the
         nonzero terms of a and b."""
@@ -114,8 +109,10 @@ class Order:
         return out
 
     def multiply(self, a, b) -> np.ndarray:
-        out = self.zero()
-        for k, c in self._product(self._exact_terms(a), self._terms(b)).items():
+        d, out = self.denominator, self.zero()
+        # a / d contracts with the table as a with the structure constants
+        exact = [(i, x if d == 1 else x / d) for i, x in self._terms(a)]
+        for k, c in self._product(exact, self._terms(b)).items():
             out[k] = c
         return out
 
@@ -257,11 +254,10 @@ def make_order(constants, one, p, basis_labels=None) -> Order:
     table: every index lies in range and no triple repeats, every
     structure constant lies in the ring, the designated vector lies in the
     ring and is a two-sided unit (1 b_j = b_j 1 = b_j for every j), and
-    associativity (b_i b_j) b_k = b_i (b_j b_k) holds, checked with the
-    sparse product for generator rows i by :func:`first_failure`; an error
-    names the first failing basis triple in lexicographic order.  The
-    dimension must be positive, and ``basis_labels`` are none or one
-    string per basis element.
+    the left regular action realises the table (:func:`module_failure`),
+    which is associativity; an error names the first failing basis triple
+    in lexicographic order.  The dimension must be positive, and
+    ``basis_labels`` are none or one string per basis element.
     """
     p = Prime(p)
     one = linalg.as_vector(one)
@@ -299,34 +295,38 @@ def make_order(constants, one, p, basis_labels=None) -> Order:
                == _nonzero(A._product([(j, 1)], unit)) for j in range(dim)):
         raise InvalidOrderError("unit fails")
 
-    T = A.products
-
-    def associative(i, jk) -> bool:
-        j, k = jk
-        return _nonzero(A._product(T[i][j], [(k, 1)])) == _nonzero(A._product([(i, 1)], T[j][k]))
-
-    failure = first_failure(A, [(j, k) for j in range(dim) for k in range(dim)], associative)
-    if failure is not None:
-        i, (j, k) = failure
-        raise InvalidOrderError(f"not associative: basis triple ({i}, {j}, {k})")
+    if (failure := module_failure(A, A.products, d)) is not None:
+        raise InvalidOrderError("not associative: basis triple (%d, %d, %d)" % failure)
     return A
 
 
-def first_failure(A: Order, columns, holds):
-    """First (i, c) in lexicographic order, for a basis index i and c in
-    ``columns``, with holds(i, c) false; None when there is none.
-
-    holds must be K-linear in b_i, and the x for which it holds with
-    every c must form a subalgebra X: for associativity X is the left
-    nucleus, for a representation rho the x with rho(x b) = rho(x) rho(b)
-    for all b.  Once X holds the generators, it holds 1 and its images
-    under repeated left multiplication by them, which span K⊗A; so only
-    generator rows are checked.  On a failure every pair is rescanned to
-    name the first one.
+def module_failure(A: Order, columns, q: int):
+    """The first basis triple (i, j, l), in lexicographic order, at which
+    column l of d N_i N_j differs from column l of q sum_k (d c_ijk) N_k,
+    for an action N_k / q and d the denominator, or None.  columns[k][l]
+    lists the nonzero entries (row, x) of column l of N_k (``A.products``
+    for the left regular action, over q = d); only those are multiplied.
+    Generator rows suffice: the x with act(x b) = act(x) act(b) for all b
+    form a subalgebra once 1 acts as the identity (see
+    :attr:`Order.generators`).  On a failure every row is rescanned to
+    name the first triple.
     """
-    if all(holds(g, c) for g in A.generators for c in columns):
+    d, pairs = A.denominator, [(j, l) for j in range(A.dim) for l in range(len(columns[0]))]
+
+    def fails(i, j, l) -> bool:
+        out = {}  # column l of d N_i N_j - q sum_k (d c_ijk) N_k
+        for m, x in columns[j][l]:
+            x *= d
+            for r, y in columns[i][m]:
+                out[r] = out.get(r, 0) + x * y
+        for k, c in A.products[i][j]:
+            for r, y in columns[k][l]:
+                out[r] = out.get(r, 0) - q * c * y
+        return any(out.values())
+
+    if not any(fails(g, j, l) for g in A.generators for j, l in pairs):
         return None
-    return next((i, c) for i in range(A.dim) for c in columns if not holds(i, c))
+    return next((i, j, l) for i in range(A.dim) for j, l in pairs if fails(i, j, l))
 
 
 def _nonzero(coords: dict) -> dict:

@@ -119,6 +119,19 @@ def test_rational_centre_ranks(s3, s3_table):
     assert so.rational_centre(M, tm).rank == 1
 
 
+def test_a_replaced_table_keeps_nothing_of_the_old_one(s3, s3_chars):
+    # dataclasses.replace gives a table with its own, empty cache, so its
+    # rational centre reads the new characters
+    A, _ = s3
+    table = so.make_character_table(s3_chars, A)
+    before = so.rational_centre(A, table)
+    permuted = dataclasses.replace(table, values=table.values[::-1])
+    assert permuted._kept == {} and permuted._kept is not table._kept
+    after = so.rational_centre(A, permuted)
+    assert np.array_equal(after.integer_characters[0], linalg.numerators(permuted.values)[0])
+    assert np.array_equal(after.integer_idempotents[0], before.integer_idempotents[0][:, ::-1])
+
+
 def test_check_all_builds_the_rational_centre_and_the_witness_test_once(monkeypatch):
     calls = []
     for name in ("central_characters", "_rational_centre", "_witness_test"):

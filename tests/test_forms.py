@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import traceback
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -36,6 +37,8 @@ import fraction_forms
 import fraction_linalg
 from dense_orders import cube, dense_order, is_unit
 from test_orders import GROUP_TABLES, _scalars, rebase, unimodular
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_is_symmetrising_examples(s3):
@@ -279,6 +282,45 @@ def test_psp_direct_inverts_the_casimir_element_once(monkeypatch):
     cert = so.psp_direct(A, s)
     assert cert is not None and cert.n == 1 and cert.verify(A)
     assert len(inverted) == 1 and inverted[0] is so.casimir(A, s)
+
+
+def test_check_all_keeps_a_refusal_on_the_form(monkeypatch):
+    # a ValueError of a kept derivation is kept like a value: the singular
+    # Casimir element is inverted once, though psp, tate, stable-exponent
+    # and constant-value read it, and the form scaled by 3 is refused once
+    inverted, derived = [], []
+    invert, derive = Order.invert, forms._derive
+    monkeypatch.setattr(Order, "invert", lambda A, a: inverted.append(a) or invert(A, a))
+    monkeypatch.setattr(forms, "_derive", lambda A, s: derived.append(s) or derive(A, s))
+    singular = so.load_bundle(DATA / "dual-numbers-p3-singular.bundle.json")
+    assert cli.run("all", singular).ok and len(inverted) == 1
+    scaled = so.load_bundle(DATA / "s3-p3-scaled.bundle.json")
+    assert cli.run("all", scaled).ok
+    assert sum(s is scaled.forms["standard"] for s in derived) == 1
+
+
+def test_a_kept_refusal_is_raised_again_with_its_message(s3):
+    A, s = s3
+    scaled = s.scale(3)
+    frames = []
+    for _ in range(2):
+        with pytest.raises(NotSymmetrisingError, match="form not symmetrising") as err:
+            so.dual_basis(A, scaled)
+        frames.append([f.name for f in traceback.extract_tb(err.value.__traceback__)])
+    assert frames[0][-2:] == ["<lambda>", "_derive"]  # derived once, then
+    assert frames[1][-2:] == ["dual_basis", "kept"]  # raised afresh in kept
+    # an AssertionError is not kept: the next reader derives again
+    calls = []
+
+    def build():
+        calls.append(1)
+        raise AssertionError("certificate fails")
+
+    cache = {}
+    for _ in range(2):
+        with pytest.raises(AssertionError):
+            forms.kept(cache, "x", (), build)
+    assert len(calls) == 2 and not cache
 
 
 def test_dual_basis_dies_with_its_form(s3):

@@ -32,7 +32,7 @@ from symorders.orders import direct_product, tensor_product
 import fraction_lattices
 import fraction_linalg
 from dense_orders import cube, left_matrix
-from test_orders import standard_orders
+from test_orders import standard_orders, unimodular
 
 
 def closure_rank(A, gens) -> int:
@@ -160,11 +160,17 @@ def test_make_lattice_error_names_the_first_failing_pair(data):
     R = so.regular_lattice(A)
     U = data.draw(st.sampled_from([R, direct_sum(R, R)] if A.dim <= 3 else [R]))
     # conjugate by a diagonal matrix of units, so that entries get unit
-    # denominators, then change one entry
+    # denominators, or by a dense matrix unimodular at p, so that the
+    # columns are dense, then change one entry
     units = st.sampled_from([d for d in (1, 2, 3, 5, 7) if d % A.prime])
-    d = [data.draw(units) for _ in range(U.rank)]
-    mats = [linalg.as_matrix([[m[a, b] * Fraction(d[b], d[a]) for b in range(U.rank)]
-                              for a in range(U.rank)]) for m in fraction_lattices.action(U)]
+    if data.draw(st.booleans()):
+        P = data.draw(unimodular(U.rank, A.prime))
+        P_inv = linalg.inverse(P)
+        mats = [P_inv @ m @ P for m in fraction_lattices.action(U)]
+    else:
+        d = [data.draw(units) for _ in range(U.rank)]
+        mats = [linalg.as_matrix([[m[a, b] * Fraction(d[b], d[a]) for b in range(U.rank)]
+                                  for a in range(U.rank)]) for m in fraction_lattices.action(U)]
     i = data.draw(st.integers(0, A.dim - 1))
     a, b = (data.draw(st.integers(0, U.rank - 1)) for _ in range(2))
     mats[i][a, b] += data.draw(st.sampled_from([-2, -1, 1, 2])) * Fraction(1, data.draw(units))
@@ -179,3 +185,18 @@ def test_make_lattice_error_names_the_first_failing_pair(data):
         assert str(err.value) == "module axiom fails: basis pair (%d, %d)" % pair
     else:
         so.make_lattice(A, mats)
+
+
+def test_s5_regular_action_is_checked_on_generator_rows():
+    # the 120 action matrices of S5 at p = 5 are checked on the nonzero
+    # entries of their columns, for generator rows only.  b_0 is 1, and
+    # b_1 b_6 = b_7 is the first product of two other basis elements that
+    # is b_7, so a changed entry of act(b_7) first fails at the pair (1, 6)
+    A = group_algebra(symmetric_group_table(5)[0], 5)[0]
+    N, q = so.regular_lattice(A).integer_action
+    action = linalg.from_numerators(N, q)
+    assert so.make_lattice(A, action).integer_action[1] == 1
+    action[7, 3, 4] += 1
+    with pytest.raises(InvalidLatticeError) as err:
+        so.make_lattice(A, action)
+    assert str(err.value) == "module axiom fails: basis pair (1, 6)"
